@@ -1,18 +1,19 @@
 """Numerical HR and generalized HR (GHR) derivatives of quaternion functions.
 
 A quaternion function f: H -> H is seen as a function of the four real
-components (a, b, c, d).  The eight HR derivatives repackage the four real
-partials with the imaginary units attached on the right (left flavor) or on
-the left (right flavor):
+components (a, b, c, d).  The GHR derivatives with respect to q^mu and
+q^(mu*) repackage the four real partials with the rotated units i^mu, j^mu,
+k^mu attached on the right (left flavor) or on the left (right flavor):
 
-    left   d f / d q        = (f_a - f_b i - f_c j - f_d k) / 4
-    right  d_r f / d q      = (f_a - i f_b - j f_c - k f_d) / 4
+    left   d f / d q^mu      = (f_a - (f_b i^mu + f_c j^mu + f_d k^mu)) / 4
+    left   d f / d q^(mu*)   = (f_a + (f_b i^mu + f_c j^mu + f_d k^mu)) / 4
+    right  d_r f / d q^mu    = (f_a - (i^mu f_b + j^mu f_c + k^mu f_d)) / 4
 
-and analogously for the involved variables q^i, q^j, q^k and the conjugate
-family q*, q^(i*), q^(j*), q^(k*) with the sign patterns below.  The GHR
-derivative with respect to q^mu replaces the fixed units by the rotated basis
-i^mu, j^mu, k^mu, which is what makes product and chain rules work for
-non-analytic targets such as |q|^2.
+The rotated basis is what makes product and chain rules work for
+non-analytic targets such as |q|^2.  The eight HR derivatives are the GHR
+derivatives at the unit axes mu in {1, i, j, k}: rotating the fixed units by
+mu = i, say, flips the signs of j and k, which gives the HR sign pattern of
+q^i and q^(i*).
 
 All partials come from central differences; nothing here requires f to be
 given in closed form.
@@ -23,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .quaternion import (AXES, UNITS, Quaternion, involute, mu_basis, rotate)
+from .quaternion import (AXES, UNITS, MuBasis, Quaternion, involute, mu_basis,
+                         rotate)
 
 QFunction = Callable[[Quaternion], Quaternion]
 
@@ -34,18 +36,6 @@ DEFAULT_H2 = 1e-4
 
 # An axis this small cannot be normalized meaningfully by rotation.
 DEGENERATE_AXIS = 1e-9
-
-# Sign patterns for the eight derivatives, applied to (f_a, f_b*i, f_c*j, f_d*k).
-_SIGNS = {
-    ("q", False): (1, -1, -1, -1),
-    ("i", False): (1, -1, 1, 1),
-    ("j", False): (1, 1, -1, 1),
-    ("k", False): (1, 1, 1, -1),
-    ("q", True): (1, 1, 1, 1),
-    ("i", True): (1, 1, -1, -1),
-    ("j", True): (1, -1, 1, -1),
-    ("k", True): (1, -1, -1, 1),
-}
 
 
 class EvaluationError(ValueError):
@@ -127,62 +117,65 @@ def real_partials(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> RealPart
     return RealPartials(partials[0], partials[1], partials[2], partials[3], q, h)
 
 
-def _combine(parts, units, signs, side: str) -> Quaternion:
+def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
+    """(d f/dq^mu, d f/dq^(mu*)) from the four real partials and mu's basis.
+
+    ``side`` says where the rotated units multiply the partials: on the right
+    for the left flavor, on the left for the right flavor.
+    """
     fa, fb, fc, fd = parts
-    iu, ju, ku = units
     if side == "left":
-        total = fa * signs[0] + (fb * iu) * signs[1] + (fc * ju) * signs[2] + (fd * ku) * signs[3]
+        mixed = fb * basis.i_mu + fc * basis.j_mu + fd * basis.k_mu
     else:
-        total = fa * signs[0] + (iu * fb) * signs[1] + (ju * fc) * signs[2] + (ku * fd) * signs[3]
-    return total * 0.25
+        mixed = basis.i_mu * fb + basis.j_mu * fc + basis.k_mu * fd
+    return (fa - mixed) * 0.25, (fa + mixed) * 0.25
 
 
-def _hr_set(parts, units, side: str) -> DerivativeSet:
-    values = {}
-    for axis in ("q", "i", "j", "k"):
-        key = "q" if axis == "q" else f"q{axis}"
-        values[f"wrt_{key}"] = _combine(parts, units, _SIGNS[(axis, False)], side)
-        values[f"wrt_{key}c"] = _combine(parts, units, _SIGNS[(axis, True)], side)
-    return DerivativeSet(flavor=side, **values)
+# Bases of the HR axes mu in {1, i, j, k}, built once: left_hr runs in the
+# inner loop of the quadrature and descent checks.
+_HR_BASES = tuple(mu_basis(UNITS[axis]) for axis in AXES)
+
+
+def _hr(f: QFunction, q: Quaternion, h: float, side: str) -> DerivativeSet:
+    parts = real_partials(f, q, h).as_tuple()
+    plain, conj = zip(*(_project(parts, basis, side) for basis in _HR_BASES))
+    return DerivativeSet(*plain, *conj, flavor=side)
 
 
 def left_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
-    parts = real_partials(f, q, h).as_tuple()
-    return _hr_set(parts, (UNITS["i"], UNITS["j"], UNITS["k"]), "left")
+    return _hr(f, q, h, "left")
 
 
 def right_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
     """All eight right HR derivatives of f at q (units multiply from the left)."""
-    parts = real_partials(f, q, h).as_tuple()
-    return _hr_set(parts, (UNITS["i"], UNITS["j"], UNITS["k"]), "right")
+    return _hr(f, q, h, "right")
+
+
+def _ghr(f: QFunction, q: Quaternion, mu: Quaternion, h: float,
+         side: str) -> GhrPair:
+    if mu.modulus() < DEGENERATE_AXIS:
+        raise DegenerateAxisError("degenerate rotation axis")
+    basis = mu_basis(mu)
+    d_mu, d_mu_conj = _project(real_partials(f, q, h).as_tuple(), basis, side)
+    return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
 
 
 def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
              h: float = DEFAULT_H) -> GhrPair:
     """Left GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    if mu.modulus() < DEGENERATE_AXIS:
-        raise DegenerateAxisError("degenerate rotation axis")
-    basis = mu_basis(mu)
-    fa, fb, fc, fd = real_partials(f, q, h).as_tuple()
-    mixed = fb * basis.i_mu + fc * basis.j_mu + fd * basis.k_mu
-    return GhrPair(d_mu=(fa - mixed) * 0.25, d_mu_conj=(fa + mixed) * 0.25, mu=mu)
+    return _ghr(f, q, mu, h, "left")
 
 
 def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
               h: float = DEFAULT_H) -> GhrPair:
     """Right GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    if mu.modulus() < DEGENERATE_AXIS:
-        raise DegenerateAxisError("degenerate rotation axis")
-    basis = mu_basis(mu)
-    fa, fb, fc, fd = real_partials(f, q, h).as_tuple()
-    mixed = basis.i_mu * fb + basis.j_mu * fc + basis.k_mu * fd
-    return GhrPair(d_mu=(fa - mixed) * 0.25, d_mu_conj=(fa + mixed) * 0.25, mu=mu)
+    return _ghr(f, q, mu, h, "right")
 
 
 @dataclass(frozen=True)
 class SecondOrderSet:
-    """Nested second-order left GHR derivatives for a pair of axes (mu, nu).
+    """Nested second-order GHR derivatives of one flavor for axes (mu, nu).
 
     ``mu_nu`` is d^2 f / dq^mu dq^nu, the outer mu-derivative of the inner
     nu-derivative, and so on.  Mixed orders do not commute in general.
@@ -194,36 +187,31 @@ class SecondOrderSet:
     mu_conj_nu_conj: Quaternion
 
 
-def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
-                      h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
-    """Second-order derivatives by differentiating the inner derivative field."""
+def _second_order(ghr, f: QFunction, q: Quaternion, mu: Quaternion,
+                  nu: Quaternion, h2: float, h: float) -> SecondOrderSet:
     def inner(p: Quaternion) -> GhrPair:
-        return left_ghr(f, p, nu, h)
+        return ghr(f, p, nu, h)
 
-    outer_plain = left_ghr(lambda p: inner(p).d_mu, q, mu, h2)
-    outer_conj = left_ghr(lambda p: inner(p).d_mu_conj, q, mu, h2)
+    outer_plain = ghr(lambda p: inner(p).d_mu, q, mu, h2)
+    outer_conj = ghr(lambda p: inner(p).d_mu_conj, q, mu, h2)
     return SecondOrderSet(
         mu_nu=outer_plain.d_mu,
         mu_nu_conj=outer_conj.d_mu,
         mu_conj_nu=outer_plain.d_mu_conj,
         mu_conj_nu_conj=outer_conj.d_mu_conj,
     )
+
+
+def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
+                      h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
+    """Second-order left derivatives by differentiating the inner derivative field."""
+    return _second_order(left_ghr, f, q, mu, nu, h2, h)
 
 
 def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
                        h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
     """Right-flavor counterpart of second_order_left."""
-    def inner(p: Quaternion) -> GhrPair:
-        return right_ghr(f, p, nu, h)
-
-    outer_plain = right_ghr(lambda p: inner(p).d_mu, q, mu, h2)
-    outer_conj = right_ghr(lambda p: inner(p).d_mu_conj, q, mu, h2)
-    return SecondOrderSet(
-        mu_nu=outer_plain.d_mu,
-        mu_nu_conj=outer_conj.d_mu,
-        mu_conj_nu=outer_plain.d_mu_conj,
-        mu_conj_nu_conj=outer_conj.d_mu_conj,
-    )
+    return _second_order(right_ghr, f, q, mu, nu, h2, h)
 
 
 def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
@@ -300,15 +288,3 @@ def differential_consistency(f: QFunction, q: Quaternion, dq: Quaternion,
         predicted = predicted + ds.wrt(eta) * involute(dq, eta)
     actual = _evaluate(f, q + dq) - _evaluate(f, q)
     return abs(actual - predicted)
-
-
-def is_real_valued_near(f: QFunction, q: Quaternion, h: float = DEFAULT_H,
-                        tol: float = 1e-12) -> bool:
-    """True when f stays real (imaginary part <= tol) on the difference stencil."""
-    a, b, c, d = q
-    points = [q]
-    for offsets in ((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0),
-                    (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h)):
-        points.append(Quaternion(a + offsets[0], b + offsets[1], c + offsets[2], d + offsets[3]))
-        points.append(Quaternion(a - offsets[0], b - offsets[1], c - offsets[2], d - offsets[3]))
-    return all(_evaluate(f, p).vector_modulus() <= tol for p in points)

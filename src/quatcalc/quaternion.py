@@ -143,10 +143,6 @@ def isclose(p: Quaternion, q: Quaternion,
     return abs(p - q) <= abs_tol + rel_tol * scale
 
 
-def multiply(p: Quaternion, q: Quaternion) -> Quaternion:
-    return p * q
-
-
 def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
     """Rotation q^mu = mu q mu^-1, computed as mu q mu* / |mu|^2."""
     n2 = mu.modulus_squared()

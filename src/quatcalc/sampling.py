@@ -19,13 +19,20 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(children[stream]))
 
 
+# Rejection budget of random_quaternion; an unreachable min_modulus must fail,
+# not loop forever.
+MAX_DRAWS = 1000
+
+
 def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0,
                       min_modulus: float = 0.0) -> Quaternion:
     """Uniform components in [lo, hi], rejecting draws with |q| < min_modulus."""
-    while True:
+    for _ in range(MAX_DRAWS):
         q = Quaternion.from_components(rng.uniform(lo, hi, size=4))
         if q.modulus() >= min_modulus:
             return q
+    raise ValueError(f"no draw from [{lo}, {hi}]^4 reached modulus {min_modulus} "
+                     f"in {MAX_DRAWS} tries")
 
 
 def random_unit(rng: np.random.Generator) -> Quaternion:

@@ -13,14 +13,14 @@ numerical GHR engine, which is the point of keeping value and derivative
 next to each other.
 
 Parameters omega, nu, lam are fixed quaternion constants; g always denotes
-the inner linear map omega*q*nu + lam (or its conjugate variant), and f the
-value of the family at the point.
+the inner linear map omega*q*nu + lam, and f the value of the family at the
+point.  Each conj_* family is its base family at q*, derived by conj_input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -74,16 +74,56 @@ class EntryDerivatives(NamedTuple):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Evaluator, derivative columns, guards and samplers for one family."""
+    """Evaluator, derivative columns, guards and samplers for one family.
+
+    ``admissible`` says which points the sampler keeps: the domain guard's
+    region with a margin, so that the difference stencil stays inside it.
+    """
 
     name: str
     value: Callable[[TableEntry, Quaternion], Quaternion]
     columns: Callable[[TableEntry, Quaternion, Quaternion], EntryDerivatives]
     domain: Callable[[TableEntry, Quaternion], Optional[str]]
     sample_entry: Callable[[np.random.Generator], TableEntry]
-    sample_point: Callable[[TableEntry, np.random.Generator], Quaternion]
+    admissible: Callable[[TableEntry, Quaternion], bool]
     scale_class: str
     real_valued: bool
+
+    def sample_point(self, entry: TableEntry, rng: np.random.Generator) -> Quaternion:
+        """Uniform draw from [-2, 2]^4, redrawn until the family admits it."""
+        for _ in range(1000):
+            q = random_quaternion(rng, -2.0, 2.0)
+            if self.admissible(entry, q):
+                return q
+        raise RuntimeError("could not sample an admissible point")
+
+
+def conj_input(name: str, base: FamilySpec) -> FamilySpec:
+    """The family f(q) = base(q*).
+
+    Its value, domain guard and sampler test are the base's at q*, and its
+    two derivative columns are the base's columns at q*, swapped.
+    """
+    def value(entry, q):
+        return base.value(entry, q.conjugate())
+
+    def columns(entry, q, mu):
+        col_mu, col_mu_conj = base.columns(entry, q.conjugate(), mu)
+        return EntryDerivatives(col_mu_conj, col_mu)
+
+    def domain(entry, q):
+        violation = base.domain(entry, q.conjugate())
+        return f"{violation} at q*" if violation else None
+
+    def sample_entry(rng):
+        return replace(base.sample_entry(rng), family=name)
+
+    def admissible(entry, q):
+        return base.admissible(entry, q.conjugate())
+
+    return FamilySpec(name=name, value=value, columns=columns, domain=domain,
+                      sample_entry=sample_entry, admissible=admissible,
+                      scale_class=base.scale_class, real_valued=base.real_valued)
 
 
 def _no_guard(entry, q):
@@ -114,19 +154,9 @@ def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
     return entry.omega * q * entry.nu + entry.lam
 
 
-def _conj_linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
-    return entry.omega * q.conjugate() * entry.nu + entry.lam
-
-
 def _guard_linear_inner(entry, q):
     if _linear_inner(entry, q).modulus() < MIN_MODULUS:
         return f"requires |omega q nu + lam| >= {MIN_MODULUS}"
-    return None
-
-
-def _guard_conj_linear_inner(entry, q):
-    if _conj_linear_inner(entry, q).modulus() < MIN_MODULUS:
-        return f"requires |omega q* nu + lam| >= {MIN_MODULUS}"
     return None
 
 
@@ -150,30 +180,20 @@ def _sample_with_params(family: str):
     return sample
 
 
-def _point_any(entry, rng):
-    return random_quaternion(rng, -2.0, 2.0)
+def _anywhere(entry, q):
+    return True
 
 
-def _point_away_from_zero(entry, rng):
-    return random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+def _away_from_zero(entry, q):
+    return q.modulus() >= 0.1
 
 
-def _point_vector(entry, rng):
-    for _ in range(1000):
-        q = random_quaternion(rng, -2.0, 2.0)
-        if q.vector_modulus() >= 0.2:
-            return q
-    raise RuntimeError("could not sample an admissible point")
+def _off_real_axis(entry, q):
+    return q.vector_modulus() >= 0.2
 
 
-def _point_inner(inner):
-    def sample(entry, rng):
-        for _ in range(1000):
-            q = random_quaternion(rng, -2.0, 2.0)
-            if inner(entry, q).modulus() >= 0.1:
-                return q
-        raise RuntimeError("could not sample an admissible point")
-    return sample
+def _inner_away_from_zero(entry, q):
+    return _linear_inner(entry, q).modulus() >= 0.1
 
 
 # --- family evaluators and columns ------------------------------------------
@@ -187,15 +207,6 @@ def _linear_cols(e, q, mu):
     return EntryDerivatives(e.omega * _re(nm), (e.omega * nm.conjugate()) * -0.5)
 
 
-def _conj_linear_value(e, q):
-    return _conj_linear_inner(e, q)
-
-
-def _conj_linear_cols(e, q, mu):
-    nm = e.nu * mu
-    return EntryDerivatives((e.omega * nm.conjugate()) * -0.5, e.omega * _re(nm))
-
-
 def _square_value(e, q):
     return q * q
 
@@ -204,19 +215,6 @@ def _square_cols(e, q, mu):
     qm = q * mu
     col1 = q * _re(mu) + _real(_re(qm))
     col2 = (q * mu.conjugate()) * -0.5 + qm.conjugate() * -0.5
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_square_value(e, q):
-    qc = q.conjugate()
-    return qc * qc
-
-
-def _conj_square_cols(e, q, mu):
-    qc = q.conjugate()
-    qcm = qc * mu
-    col1 = (qc * mu.conjugate()) * -0.5 + qcm.conjugate() * -0.5
-    col2 = qc * _re(mu) + _real(_re(qcm))
     return EntryDerivatives(col1, col2)
 
 
@@ -234,20 +232,6 @@ def _linear_square_cols(e, q, mu):
     return EntryDerivatives(col1, col2)
 
 
-def _conj_linear_square_value(e, q):
-    g = _conj_linear_inner(e, q)
-    return g * g
-
-
-def _conj_linear_square_cols(e, q, mu):
-    g = _conj_linear_inner(e, q)
-    nm = e.nu * mu
-    ngm = e.nu * g * mu
-    col1 = (g * e.omega * nm.conjugate()) * -0.5 + (e.omega * ngm.conjugate()) * -0.5
-    col2 = (g * e.omega) * _re(nm) + e.omega * _re(ngm)
-    return EntryDerivatives(col1, col2)
-
-
 def _inverse_value(e, q):
     return q.inverse()
 
@@ -256,17 +240,6 @@ def _inverse_cols(e, q, mu):
     qi = q.inverse()
     col1 = qi * -_re(qi * mu)
     col2 = (qi * mu.conjugate() * qi.conjugate()) * 0.5
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_inverse_value(e, q):
-    return q.conjugate().inverse()
-
-
-def _conj_inverse_cols(e, q, mu):
-    ci = q.conjugate().inverse()
-    col1 = (ci * mu.conjugate() * q.inverse()) * 0.5
-    col2 = ci * -_re(ci * mu)
     return EntryDerivatives(col1, col2)
 
 
@@ -279,18 +252,6 @@ def _linear_inverse_cols(e, q, mu):
     nfm = e.nu * fv * mu
     col1 = (fv * e.omega) * -_re(nfm)
     col2 = (fv * e.omega * nfm.conjugate()) * 0.5
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_linear_inverse_value(e, q):
-    return _conj_linear_inner(e, q).inverse()
-
-
-def _conj_linear_inverse_cols(e, q, mu):
-    fv = _conj_linear_inner(e, q).inverse()
-    nfm = e.nu * fv * mu
-    col1 = (fv * e.omega * nfm.conjugate()) * 0.5
-    col2 = (fv * e.omega) * -_re(nfm)
     return EntryDerivatives(col1, col2)
 
 
@@ -310,16 +271,6 @@ def _linear_real_part_value(e, q):
 def _linear_real_part_cols(e, q, mu):
     col1 = (mu * e.nu * e.omega) * 0.25
     col2 = (mu * e.omega.conjugate() * e.nu.conjugate()) * 0.25
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_linear_real_part_value(e, q):
-    return _real(_re(_conj_linear_inner(e, q)))
-
-
-def _conj_linear_real_part_cols(e, q, mu):
-    col1 = (mu * e.omega.conjugate() * e.nu.conjugate()) * 0.25
-    col2 = (mu * e.nu * e.omega) * 0.25
     return EntryDerivatives(col1, col2)
 
 
@@ -367,18 +318,6 @@ def _unit_vector_cols(e, q, mu):
     return EntryDerivatives(col1, col2)
 
 
-def _conj_unit_vector_value(e, q):
-    return q.conjugate() / q.modulus()
-
-
-def _conj_unit_vector_cols(e, q, mu):
-    mod = q.modulus()
-    qc = q.conjugate()
-    col1 = mu.conjugate() * (-0.5 / mod) - (qc * mu * qc) * (0.25 / mod ** 3)
-    col2 = _real(_re(mu) / mod) - (qc * mu * q) * (0.25 / mod ** 3)
-    return EntryDerivatives(col1, col2)
-
-
 def _linear_unit_vector_value(e, q):
     g = _linear_inner(e, q)
     return g / g.modulus()
@@ -393,38 +332,6 @@ def _linear_unit_vector_cols(e, q, mu):
         + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod ** 3)
     col2 = (e.omega * nm.conjugate()) * (-0.25 / mod) \
         + (g * e.nu.conjugate()) * (-_re(wgm) / (2.0 * mod ** 3))
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_linear_modulus_value(e, q):
-    return _real(_conj_linear_inner(e, q).modulus())
-
-
-def _conj_linear_modulus_cols(e, q, mu):
-    g = _conj_linear_inner(e, q)
-    mod = g.modulus()
-    wm = e.omega.conjugate() * mu
-    ngm = e.nu * g.conjugate() * mu
-    col1 = (g * e.nu.conjugate()) * (_re(wm) / (2.0 * mod)) \
-        + (e.omega * ngm.conjugate()) * (-0.25 / mod)
-    col2 = (g * e.nu.conjugate() * wm.conjugate()) * (-0.25 / mod) \
-        + e.omega * (_re(ngm) / (2.0 * mod))
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_linear_unit_vector_value(e, q):
-    g = _conj_linear_inner(e, q)
-    return g / g.modulus()
-
-
-def _conj_linear_unit_vector_cols(e, q, mu):
-    g = _conj_linear_inner(e, q)
-    mod = g.modulus()
-    fv = g / mod
-    nm = e.nu * mu
-    dmod1, dmod2 = _conj_linear_modulus_cols(e, q, mu)
-    col1 = (e.omega * nm.conjugate()) * (-0.5 / mod) - (fv * dmod1) * (1.0 / mod)
-    col2 = e.omega * (_re(nm) / mod) - (fv * dmod2) * (1.0 / mod)
     return EntryDerivatives(col1, col2)
 
 
@@ -471,19 +378,6 @@ def _linear_modulus_squared_cols(e, q, mu):
     wgm = e.omega.conjugate() * g * mu
     col1 = (g.conjugate() * e.omega) * _re(nm) + (e.nu.conjugate() * wgm.conjugate()) * -0.5
     col2 = (g.conjugate() * e.omega * nm.conjugate()) * -0.5 + e.nu.conjugate() * _re(wgm)
-    return EntryDerivatives(col1, col2)
-
-
-def _conj_linear_modulus_squared_value(e, q):
-    return _real(_conj_linear_inner(e, q).modulus_squared())
-
-
-def _conj_linear_modulus_squared_cols(e, q, mu):
-    g = _conj_linear_inner(e, q)
-    wm = e.omega.conjugate() * mu
-    ngm = e.nu * g.conjugate() * mu
-    col1 = (g * e.nu.conjugate()) * _re(wm) + (e.omega * ngm.conjugate()) * -0.5
-    col2 = (g * e.nu.conjugate() * wm.conjugate()) * -0.5 + e.omega * _re(ngm)
     return EntryDerivatives(col1, col2)
 
 
@@ -553,87 +447,72 @@ def _sample_exponential(rng):
 FAMILIES: dict[str, FamilySpec] = {}
 
 
-def _register(name, value, columns, domain, sample_entry, sample_point,
+def _register(name, value, columns, domain, sample_entry, admissible,
               scale_class, real_valued=False):
     FAMILIES[name] = FamilySpec(name=name, value=value, columns=columns,
                                 domain=domain, sample_entry=sample_entry,
-                                sample_point=sample_point, scale_class=scale_class,
+                                admissible=admissible, scale_class=scale_class,
                                 real_valued=real_valued)
 
 
+def _register_conj(name, base):
+    FAMILIES[name] = conj_input(name, FAMILIES[base])
+
+
 _register("linear", _linear_value, _linear_cols, _no_guard,
-          _sample_with_params("linear"), _point_any, "linear")
-_register("conj_linear", _conj_linear_value, _conj_linear_cols, _no_guard,
-          _sample_with_params("conj_linear"), _point_any, "linear")
+          _sample_with_params("linear"), _anywhere, "linear")
+_register_conj("conj_linear", "linear")
 _register("square", _square_value, _square_cols, _no_guard,
-          _sample_plain("square"), _point_any, "quadratic")
-_register("conj_square", _conj_square_value, _conj_square_cols, _no_guard,
-          _sample_plain("conj_square"), _point_any, "quadratic")
+          _sample_plain("square"), _anywhere, "quadratic")
+_register_conj("conj_square", "square")
 _register("linear_square", _linear_square_value, _linear_square_cols, _no_guard,
-          _sample_with_params("linear_square"), _point_any, "quadratic")
-_register("conj_linear_square", _conj_linear_square_value, _conj_linear_square_cols,
-          _no_guard, _sample_with_params("conj_linear_square"), _point_any, "quadratic")
+          _sample_with_params("linear_square"), _anywhere, "quadratic")
+_register_conj("conj_linear_square", "linear_square")
 _register("inverse", _inverse_value, _inverse_cols, _guard_modulus,
-          _sample_plain("inverse"), _point_away_from_zero, "linear")
-_register("conj_inverse", _conj_inverse_value, _conj_inverse_cols, _guard_modulus,
-          _sample_plain("conj_inverse"), _point_away_from_zero, "linear")
+          _sample_plain("inverse"), _away_from_zero, "linear")
+_register_conj("conj_inverse", "inverse")
 _register("linear_inverse", _linear_inverse_value, _linear_inverse_cols,
           _guard_linear_inner, _sample_with_params("linear_inverse"),
-          _point_inner(_linear_inner), "linear")
-_register("conj_linear_inverse", _conj_linear_inverse_value, _conj_linear_inverse_cols,
-          _guard_conj_linear_inner, _sample_with_params("conj_linear_inverse"),
-          _point_inner(_conj_linear_inner), "linear")
+          _inner_away_from_zero, "linear")
+_register_conj("conj_linear_inverse", "linear_inverse")
 _register("real_part", _real_part_value, _real_part_cols, _no_guard,
-          _sample_plain("real_part"), _point_any, "linear", real_valued=True)
+          _sample_plain("real_part"), _anywhere, "linear", real_valued=True)
 _register("linear_real_part", _linear_real_part_value, _linear_real_part_cols,
-          _no_guard, _sample_with_params("linear_real_part"), _point_any,
+          _no_guard, _sample_with_params("linear_real_part"), _anywhere,
           "linear", real_valued=True)
-_register("conj_linear_real_part", _conj_linear_real_part_value,
-          _conj_linear_real_part_cols, _no_guard,
-          _sample_with_params("conj_linear_real_part"), _point_any,
-          "linear", real_valued=True)
+_register_conj("conj_linear_real_part", "linear_real_part")
 _register("vector_modulus", _vector_modulus_value, _vector_modulus_cols,
-          _guard_vector, _sample_plain("vector_modulus"), _point_vector,
+          _guard_vector, _sample_plain("vector_modulus"), _off_real_axis,
           "linear", real_valued=True)
 _register("unit_pure_axis", _unit_pure_axis_value, _unit_pure_axis_cols,
-          _guard_vector, _sample_plain("unit_pure_axis"), _point_vector, "linear")
+          _guard_vector, _sample_plain("unit_pure_axis"), _off_real_axis, "linear")
 _register("arctan_arg", _arctan_arg_value, _arctan_arg_cols, _guard_arctan,
-          _sample_plain("arctan_arg"), _point_vector, "linear", real_valued=True)
+          _sample_plain("arctan_arg"), _off_real_axis, "linear", real_valued=True)
 _register("unit_vector", _unit_vector_value, _unit_vector_cols, _guard_modulus,
-          _sample_plain("unit_vector"), _point_away_from_zero, "linear")
-_register("conj_unit_vector", _conj_unit_vector_value, _conj_unit_vector_cols,
-          _guard_modulus, _sample_plain("conj_unit_vector"),
-          _point_away_from_zero, "linear")
+          _sample_plain("unit_vector"), _away_from_zero, "linear")
+_register_conj("conj_unit_vector", "unit_vector")
 _register("linear_unit_vector", _linear_unit_vector_value, _linear_unit_vector_cols,
           _guard_linear_inner, _sample_with_params("linear_unit_vector"),
-          _point_inner(_linear_inner), "linear")
-_register("conj_linear_unit_vector", _conj_linear_unit_vector_value,
-          _conj_linear_unit_vector_cols, _guard_conj_linear_inner,
-          _sample_with_params("conj_linear_unit_vector"),
-          _point_inner(_conj_linear_inner), "linear")
+          _inner_away_from_zero, "linear")
+_register_conj("conj_linear_unit_vector", "linear_unit_vector")
 _register("modulus", _modulus_value, _modulus_cols, _guard_modulus,
-          _sample_plain("modulus"), _point_away_from_zero, "linear", real_valued=True)
+          _sample_plain("modulus"), _away_from_zero, "linear", real_valued=True)
 _register("modulus_squared", _modulus_squared_value, _modulus_squared_cols,
-          _no_guard, _sample_plain("modulus_squared"), _point_any,
+          _no_guard, _sample_plain("modulus_squared"), _anywhere,
           "quadratic", real_valued=True)
 _register("linear_modulus", _linear_modulus_value, _linear_modulus_cols,
           _guard_linear_inner, _sample_with_params("linear_modulus"),
-          _point_inner(_linear_inner), "linear", real_valued=True)
-_register("conj_linear_modulus", _conj_linear_modulus_value, _conj_linear_modulus_cols,
-          _guard_conj_linear_inner, _sample_with_params("conj_linear_modulus"),
-          _point_inner(_conj_linear_inner), "linear", real_valued=True)
+          _inner_away_from_zero, "linear", real_valued=True)
+_register_conj("conj_linear_modulus", "linear_modulus")
 _register("linear_modulus_squared", _linear_modulus_squared_value,
           _linear_modulus_squared_cols, _no_guard,
-          _sample_with_params("linear_modulus_squared"), _point_any,
+          _sample_with_params("linear_modulus_squared"), _anywhere,
           "quadratic", real_valued=True)
-_register("conj_linear_modulus_squared", _conj_linear_modulus_squared_value,
-          _conj_linear_modulus_squared_cols, _no_guard,
-          _sample_with_params("conj_linear_modulus_squared"), _point_any,
-          "quadratic", real_valued=True)
+_register_conj("conj_linear_modulus_squared", "linear_modulus_squared")
 _register("power", _power_value, _power_cols, _no_guard,
-          _sample_power, _point_any, "quadratic")
+          _sample_power, _anywhere, "quadratic")
 _register("exponential", _exponential_value, _exponential_cols, _no_guard,
-          _sample_exponential, _point_any, "quadratic")
+          _sample_exponential, _anywhere, "quadratic")
 
 
 def catalogue() -> tuple[FamilySpec, ...]:

@@ -216,8 +216,10 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     in closed form or taken from the numerical engine.  Ten consecutive
     objective increases abort the run.
     """
-    if alpha <= 0.0:
-        raise ValueError("step size must be positive")
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError("step size must be positive and finite")
+    if max_iters < 0:
+        raise ValueError("iteration budget must be nonnegative")
     grad = gradient if gradient is not None else (lambda p: left_hr(f, p, h).wrt_qc)
     q = q_init
     iterates = [q]

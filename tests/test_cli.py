@@ -114,6 +114,13 @@ def test_descend_bad_target(capsys):
     assert "bad quaternion term" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--alpha", "nan"), ("--alpha", "inf"),
+                                           ("--alpha", "-0.4"), ("--max-iters", "-3")])
+def test_descend_rejects_bad_step_and_budget(option, value, capsys):
+    assert main(["descend", option, value]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_descend_divergent_step(capsys):
     code = main(["descend", "--alpha", "4.5"])
     assert code == 1

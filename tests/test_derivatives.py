@@ -121,6 +121,46 @@ def test_flavors_agree_for_real_functions():
                 assert abs(left.wrt(axis, conj) - right.wrt(axis, conj)) < 1e-12
 
 
+# The paper's sign patterns for the eight HR derivatives, applied to
+# (f_a, f_b i, f_c j, f_d k); the engine derives them as GHR at unit axes.
+HR_SIGNS = {
+    ("1", False): (1, -1, -1, -1),
+    ("i", False): (1, -1, 1, 1),
+    ("j", False): (1, 1, -1, 1),
+    ("k", False): (1, 1, 1, -1),
+    ("1", True): (1, 1, 1, 1),
+    ("i", True): (1, 1, -1, -1),
+    ("j", True): (1, -1, 1, -1),
+    ("k", True): (1, -1, -1, 1),
+}
+
+
+def hr_from_signs(parts, signs, flavor):
+    fa, fb, fc, fd = parts
+    if flavor == "left":
+        fi, fj, fk = fb * I, fc * J, fd * K
+    else:
+        fi, fj, fk = I * fb, J * fc, K * fd
+    return (fa * signs[0] + fi * signs[1] + fj * signs[2] + fk * signs[3]) * 0.25
+
+
+def test_hr_matches_sign_table():
+    rng = make_rng(SEED, stream=15)
+    omega, nu = Quaternion(0.3, -0.8, 0.5, 1.1), Quaternion(-0.6, 0.2, 0.9, -0.4)
+    linear = lambda p: omega * p * nu + ONE
+    functions = (lambda p: p, f_conj, f_sq, f_mod2, lambda p: I * p * J, linear)
+    for _ in range(20):
+        q = random_quaternion(rng)
+        for f in functions:
+            parts = real_partials(f, q).as_tuple()
+            for flavor, hr in (("left", left_hr), ("right", right_hr)):
+                ds = hr(f, q)
+                assert ds.flavor == flavor
+                for (axis, conj), signs in HR_SIGNS.items():
+                    expected = hr_from_signs(parts, signs, flavor)
+                    assert abs(ds.wrt(axis, conj) - expected) <= 1e-15
+
+
 def test_ghr_reduces_to_hr_at_unit_axis():
     rng = make_rng(SEED, stream=4)
     for _ in range(20):

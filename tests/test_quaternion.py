@@ -236,3 +236,38 @@ def test_noncommutativity_witness():
     q = Quaternion(0.0, 0.0, 1.0, 0.0)
     assert p * q != q * p
     assert p * q == -(q * p)
+
+
+class _DrawCounter:
+    """Generator proxy that stops a rejection loop which never ends."""
+
+    def __init__(self, rng, limit):
+        self.rng = rng
+        self.limit = limit
+        self.calls = 0
+
+    def uniform(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError("rejection sampling kept drawing")
+        return self.rng.uniform(*args, **kwargs)
+
+
+def test_random_quaternion_unreachable_modulus_raises():
+    # |q| <= 4 on [-2, 2]^4, so a modulus of 5 is never reached.
+    rng = _DrawCounter(make_rng(3), limit=100_000)
+    with pytest.raises(ValueError, match="modulus"):
+        random_quaternion(rng, -2.0, 2.0, min_modulus=5.0)
+
+
+def test_random_quaternion_rejection_keeps_the_stream():
+    # Accepted draws are the first uniform 4-vectors that reach the modulus.
+    sampled = make_rng(4)
+    raw = make_rng(4)
+    for _ in range(50):
+        q = random_quaternion(sampled, -1.0, 1.0, min_modulus=0.9)
+        while True:
+            comps = raw.uniform(-1.0, 1.0, size=4)
+            if Quaternion.from_components(comps).modulus() >= 0.9:
+                break
+        assert tuple(q) == tuple(comps)

@@ -1,11 +1,12 @@
 """Closed-form derivative catalogue against the numerical engine."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
 from quatcalc.derivatives import left_ghr
-from quatcalc.quaternion import ONE, I, Quaternion, isclose
+from quatcalc.quaternion import ONE, I, ZERO, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate, derivative,
@@ -18,10 +19,45 @@ REL_TOL = 1e-5
 ALL_FAMILIES = [spec.name for spec in catalogue()]
 
 
+# Identity sampling indexes into the catalogue, so its order is part of the
+# seeded output: (name, scale_class, real_valued) in catalogue order.
+CATALOGUE = [
+    ("linear", "linear", False),
+    ("conj_linear", "linear", False),
+    ("square", "quadratic", False),
+    ("conj_square", "quadratic", False),
+    ("linear_square", "quadratic", False),
+    ("conj_linear_square", "quadratic", False),
+    ("inverse", "linear", False),
+    ("conj_inverse", "linear", False),
+    ("linear_inverse", "linear", False),
+    ("conj_linear_inverse", "linear", False),
+    ("real_part", "linear", True),
+    ("linear_real_part", "linear", True),
+    ("conj_linear_real_part", "linear", True),
+    ("vector_modulus", "linear", True),
+    ("unit_pure_axis", "linear", False),
+    ("arctan_arg", "linear", True),
+    ("unit_vector", "linear", False),
+    ("conj_unit_vector", "linear", False),
+    ("linear_unit_vector", "linear", False),
+    ("conj_linear_unit_vector", "linear", False),
+    ("modulus", "linear", True),
+    ("modulus_squared", "quadratic", True),
+    ("linear_modulus", "linear", True),
+    ("conj_linear_modulus", "linear", True),
+    ("linear_modulus_squared", "quadratic", True),
+    ("conj_linear_modulus_squared", "quadratic", True),
+    ("power", "quadratic", False),
+    ("exponential", "quadratic", False),
+]
+
+
 def test_catalogue_is_complete_and_stable():
     assert len(ALL_FAMILIES) == 28
     assert len(set(ALL_FAMILIES)) == 28
     assert ALL_FAMILIES == [spec.name for spec in catalogue()]
+    assert [(s.name, s.scale_class, s.real_valued) for s in catalogue()] == CATALOGUE
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -169,3 +205,26 @@ def test_conj_gradient_matches_column():
     grad = conj_gradient(entry, q)
     target = Quaternion(1.0, 2.0, 3.0, 4.0)
     assert isclose(grad, (q - target) * 0.5)
+
+
+@pytest.mark.parametrize("family", [f for f in ALL_FAMILIES if f.startswith("conj_")])
+def test_conj_guard_is_base_guard_at_conjugate(family):
+    spec = next(s for s in catalogue() if s.name == family)
+    base = next(s for s in catalogue() if s.name == family[len("conj_"):])
+    rng = make_rng(SEED, stream=5)
+    for _ in range(20):
+        entry = spec.sample_entry(rng)
+        assert entry.family == family
+        base_entry = replace(entry, family=base.name)
+        points = [random_quaternion(rng), ZERO]
+        if entry.omega is not None:
+            # q* = -omega^-1 lam nu^-1 zeroes the inner map omega q* nu + lam.
+            root = entry.omega.inverse() * -entry.lam * entry.nu.inverse()
+            points.append(root.conjugate())
+        for q in points:
+            violation = spec.domain(entry, q)
+            assert (violation is None) == (base.domain(base_entry, q.conjugate()) is None)
+            if violation is not None:
+                assert "q*" in violation
+                with pytest.raises(ValueError, match=family):
+                    eval_entry(entry, q)
