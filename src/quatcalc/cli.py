@@ -313,6 +313,10 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
     missing = CONFIG_REQUIRED - set(raw)
     if missing:
         raise CliError(f"missing config keys: {', '.join(sorted(missing))}")
+    for key in ("steps", "seed"):
+        value = raw[key]
+        if isinstance(value, float) and not value.is_integer():
+            raise CliError(f"{key} must be an integer, got {value!r}")
     try:
         taps = _parse_taps(raw["taps"])
         config = ExperimentConfig(
@@ -321,18 +325,20 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
             snr_db=float(raw["snr_db"]), seed=int(raw["seed"]),
             kind=str(raw.get("kind", "fir_channel")),
             nonlinearity=raw.get("nonlinearity"))
+        threshold = raw.get("threshold")
+        if threshold is not None:
+            threshold = float(threshold)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad config value: {exc}")
-    if config.variant not in ("qlms", "wl_qlms", "qngd"):
+    if threshold is not None and not math.isfinite(threshold):
+        raise CliError(f"threshold must be finite, got {threshold!r}")
+    if config.variant not in filters.VARIANTS:
         raise CliError(f"unknown filter variant {config.variant!r}")
     if config.kind not in filters.SIGNAL_KINDS:
         raise CliError(f"unknown signal kind {config.kind!r}")
     if config.nonlinearity is not None \
             and config.nonlinearity not in filters.NONLINEARITIES:
         raise CliError(f"unknown nonlinearity {config.nonlinearity!r}")
-    threshold = raw.get("threshold")
-    if threshold is not None:
-        threshold = float(threshold)
     return config, threshold
 
 

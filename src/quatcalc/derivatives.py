@@ -142,6 +142,11 @@ def _hr(f: QFunction, q: Quaternion, h: float, side: str) -> DerivativeSet:
     return DerivativeSet(*plain, *conj, flavor=side)
 
 
+def left_conj_from_partials(parts) -> Quaternion:
+    """Left d f/dq* from f's four real partials, as left_hr(f, q).wrt_qc has it."""
+    return _project(parts, _HR_BASES[0], "left")[1]
+
+
 def left_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
     return _hr(f, q, h, "left")

@@ -17,13 +17,14 @@ verifies numerically.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .derivatives import DEFAULT_H, left_hr
-from .quaternion import AXES, Quaternion, involute
+from .derivatives import DEFAULT_H, left_conj_from_partials, real_partials
+from .quaternion import AXES, Quaternion, hamilton, involute
 from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
@@ -170,15 +171,24 @@ def _numerical_phi_derivatives(phi: PhiFunction, h: float = DEFAULT_H) -> PhiDer
     """Conjugate derivatives of the four conjugate involutions of Phi at s.
 
     Returns (d Phi^(1*)/ds*, d Phi^(i*)/ds*, d Phi^(j*)/ds*, d Phi^(k*)/ds*).
+    Phi^(mu*) only flips signs of Phi's components, and a central difference
+    commutes exactly with a sign flip, so one set of real partials of Phi
+    (eight evaluations) serves all four, bit for bit.
     """
     def derivs(s: Quaternion) -> tuple[Quaternion, ...]:
-        out = []
-        for mu in AXES:
-            fn = lambda p, _mu=mu: involute(phi(p), _mu).conjugate()
-            out.append(left_hr(fn, s, h).wrt_qc)
-        return tuple(out)
+        parts = real_partials(phi, s, h).as_tuple()
+        return tuple(left_conj_from_partials([involute(p, mu).conjugate() for p in parts])
+                     for mu in AXES)
 
     return derivs
+
+
+def _effective_error(e: Quaternion, gammas: Sequence[Quaternion]) -> Quaternion:
+    """sum over mu in {1,i,j,k} of e^mu * d Phi^(mu*)/ds*."""
+    e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for mu, gamma in zip(AXES, gammas):
+        e_eff = e_eff + involute(e, mu) * gamma
+    return e_eff
 
 
 def qngd_step(state: FilterState, x: QVector,
@@ -200,10 +210,7 @@ def qngd_step(state: FilterState, x: QVector,
     s = w.dot_t(x)
     e = d - state.nonlinearity(s)
     derivs_at = state.phi_derivatives or _numerical_phi_derivatives(state.nonlinearity)
-    gammas = derivs_at(s)
-    e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for mu, gamma in zip(AXES, gammas):
-        e_eff = e_eff + involute(e, mu) * gamma
+    e_eff = _effective_error(e, derivs_at(s))
     new_w = _linear_update(w, x, e_eff, state.alpha)
     new_state = replace(state, weights=(new_w,), iteration=state.iteration + 1)
     return new_state, e
@@ -223,35 +230,67 @@ AR1_BURN_IN = 100
 
 Taps = Union[QVector, Sequence[QVector]]
 
+VARIANTS = ("qlms", "wl_qlms", "qngd")
 
-def _clean_output(taps: Taps, window: QVector) -> Quaternion:
-    if isinstance(taps, QVector):
-        return taps.dot_t(window)
-    h, g, u, v = taps
-    return h.dot_h(window) + g.dot_h(window.involute("i")) \
-        + u.dot_h(window.involute("j")) + v.dot_h(window.involute("k"))
+# The array engine keeps quaternion components on axis 0: weights are
+# (4, branches, taps), a block of m regressor windows is (4, m, taps).
+# Component signs of the conjugate, and of q, q^i, q^j, q^k (one column per
+# widely linear branch); multiplying by -1.0 is exact negation.
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+_INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                         [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+# Steps per block.  Clean outputs and the error curves are computed a block
+# at a time, which bounds the temporaries (the clean-output product terms
+# are (4, 4, branches, block, taps)) instead of spanning the whole stream.
+_BLOCK = 256
 
 
-def _tap_count(taps: Taps) -> int:
-    return len(taps) if isinstance(taps, QVector) else len(taps[0])
+def _taps_array(taps: Taps) -> np.ndarray:
+    """Ground-truth taps as a (4, branches, taps) array, one or four branches."""
+    vectors = (taps,) if isinstance(taps, QVector) else tuple(taps)
+    if len(vectors) not in (1, 4) or len({len(vec) for vec in vectors}) != 1:
+        raise ValueError("taps must be one vector or four branch vectors of equal length")
+    return np.array([[tuple(q) for q in vec] for vec in vectors]).transpose(2, 0, 1)
 
 
-def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
-                    seed: int) -> list[tuple[QVector, Quaternion]]:
-    """Deterministic (regressor window, desired output) stream.
+def _modulus_squared(comps: np.ndarray) -> np.ndarray:
+    """Quaternion.modulus_squared over the components on axis 0."""
+    squares = comps * comps
+    return squares[0] + squares[1] + squares[2] + squares[3]
 
-    The raw input is circular white Gaussian with unit-variance components;
-    ``ar1`` colors it with a unit-variance AR(1) recursion instead.  The
-    desired output pushes the input through the ground-truth taps (a single
-    vector for a strictly linear channel, four vectors for a widely linear
-    one) and adds white quaternion noise scaled to the requested SNR, with
-    powers measured as mean squared modulus.  ``white_circular`` and
-    ``fir_channel`` name the same experiment from either end; they produce
-    identical streams.
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right from zero as the scalar loops add.
+
+    accumulate adds strictly in order.  Starting from x0 rather than 0.0 + x0
+    can only change the sign of a zero total, which the final + 0.0 undoes.
     """
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
+def _outputs(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Outputs (4, m) of (4, branches, taps) weights over (4, m, taps) windows.
+
+    One branch is the strictly linear w^T x; four are the widely linear
+    h^H x + g^H x^i + u^H x^j + v^H x^k, added in that order.
+    """
+    if weights.shape[1] == 1:
+        return _ordered_sum(hamilton(weights, windows))
+    conj = weights * _CONJ[:, None, None]
+    regressors = windows[:, None] * _INVOLUTIONS[:, :, None, None]
+    per_branch = _ordered_sum(hamilton(conj[:, :, None], regressors))
+    return per_branch[:, 0] + per_branch[:, 1] + per_branch[:, 2] + per_branch[:, 3]
+
+
+def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, taps) regressor windows and (n, 4) desired outputs."""
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
-    taps_len = _tap_count(taps)
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db!r}")
+    taps_len = truth.shape[2]
     if n <= taps_len:
         raise ValueError("stream length must exceed the tap count")
     root = np.random.SeedSequence(seed)
@@ -270,26 +309,40 @@ def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
         raw = colored[AR1_BURN_IN:]
     else:
         raw = sample_rng.normal(size=(total, 4))
-    samples = [Quaternion.from_components(row) for row in raw]
 
-    windows = []
-    clean = []
-    for t in range(n):
-        top = t + taps_len - 1
-        window = QVector(samples[top - m] for m in range(taps_len))
-        windows.append(window)
-        clean.append(_clean_output(taps, window))
+    # Window t holds the samples t + taps - 1 down to t, newest first.
+    windows = np.empty((n, 4, taps_len))
+    for m in range(taps_len):
+        windows[:, :, m] = raw[taps_len - 1 - m:taps_len - 1 - m + n]
+    clean = np.empty((n, 4))
+    for lo in range(0, n, _BLOCK):
+        clean[lo:lo + _BLOCK] = _outputs(truth, windows[lo:lo + _BLOCK].transpose(1, 0, 2)).T
 
     if math.isinf(snr_db):
-        return list(zip(windows, clean))
-    signal_power = sum(d.modulus_squared() for d in clean) / n
+        return windows, clean
+    signal_power = sum(_modulus_squared(clean.T).tolist()) / n
     noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
     sigma = math.sqrt(noise_power / 4.0)
     noise = noise_rng.normal(scale=sigma, size=(n, 4)) if sigma > 0.0 else np.zeros((n, 4))
-    stream = []
-    for window, d, row in zip(windows, clean, noise):
-        stream.append((window, d + Quaternion.from_components(row)))
-    return stream
+    return windows, clean + noise
+
+
+def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
+                    seed: int) -> list[tuple[QVector, Quaternion]]:
+    """Deterministic (regressor window, desired output) stream.
+
+    The raw input is circular white Gaussian with unit-variance components;
+    ``ar1`` colors it with a unit-variance AR(1) recursion instead.  The
+    desired output pushes the input through the ground-truth taps (a single
+    vector for a strictly linear channel, four vectors for a widely linear
+    one) and adds white quaternion noise scaled to the requested SNR, with
+    powers measured as mean squared modulus.  ``white_circular`` and
+    ``fir_channel`` name the same experiment from either end; they produce
+    identical streams.
+    """
+    windows, desired = _signal_arrays(kind, _taps_array(taps), n, snr_db, seed)
+    return [(QVector(Quaternion(*x) for x in window.T.tolist()), Quaternion(*d))
+            for window, d in zip(windows, desired.tolist())]
 
 
 @dataclass(frozen=True)
@@ -315,57 +368,81 @@ class ExperimentResult:
     seed: int
 
 
-def _weight_error(state: FilterState, taps: Taps) -> float:
-    """Relative distance between the adapted weights and the ground truth.
-
-    A strictly linear channel d = sum taps_m x_m seen by the widely linear
-    filter is reproduced by the Hermitian branch with h = taps*, so that is
-    the reference the four-branch weights are held against.
-    """
-    truth = (taps,) if isinstance(taps, QVector) else tuple(taps)
-    if state.variant == "wl_qlms":
-        current = state.weights
-        if len(truth) == 1:
-            zeros = QVector.zeros(len(truth[0]))
-            truth = (truth[0].conj(), zeros, zeros, zeros)
-    else:
-        current = (state.weights[0],)
-    err = 0.0
-    ref = 0.0
-    for w_vec, t_vec in zip(current, truth):
-        for w_m, t_m in zip(w_vec, t_vec):
-            err += (w_m - t_m).modulus_squared()
-            ref += t_m.modulus_squared()
-    return math.sqrt(err / ref) if ref > 0.0 else math.sqrt(err)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Stream a generated signal through the chosen filter and record errors."""
-    if config.variant not in ("qlms", "wl_qlms", "qngd"):
-        raise ValueError(f"unknown filter variant {config.variant!r}")
-    taps_len = _tap_count(config.taps)
-    if config.variant == "qlms":
-        state = qlms_state(taps_len, config.alpha)
-        step = qlms_step
-    elif config.variant == "wl_qlms":
-        state = wl_qlms_state(taps_len, config.alpha)
-        step = wl_qlms_step
-    else:
-        phi = NONLINEARITIES[config.nonlinearity] if config.nonlinearity else None
-        state = qngd_state(taps_len, config.alpha, nonlinearity=phi)
-        step = qngd_step
+    """Stream a generated signal through the chosen filter and record errors.
 
-    stream = generate_signal(config.kind, config.taps, config.steps,
-                             config.snr_db, config.seed)
+    The weight error is the relative distance between the adapted weights
+    and the ground truth.  A strictly linear channel d = sum taps_m x_m seen
+    by the widely linear filter is reproduced by the Hermitian branch with
+    h = taps*, so that is the reference the four-branch weights are held
+    against.
+
+    The run works on component-major arrays and reproduces the scalar
+    qlms_step / wl_qlms_step / qngd_step recursions bit for bit: products
+    are elementwise, and every sum keeps the scalar code's order.
+    """
+    if config.variant not in VARIANTS:
+        raise ValueError(f"unknown filter variant {config.variant!r}")
+    if config.nonlinearity is not None and config.nonlinearity not in NONLINEARITIES:
+        raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
+    if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
+        raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")
+    if not isinstance(config.steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {config.steps!r}")
+    truth = _taps_array(config.taps)
+    windows, desired = _signal_arrays(config.kind, truth, config.steps,
+                                      config.snr_db, config.seed)
+    taps_len = truth.shape[2]
+    wide = config.variant == "wl_qlms"
+    if wide:
+        weights = np.zeros((4, 4, taps_len))
+        reference = truth
+        if truth.shape[1] == 1:
+            reference = np.concatenate([truth * _CONJ[:, None, None],
+                                        np.zeros((4, 3, taps_len))], axis=1)
+    else:
+        weights = np.zeros((4, 1, taps_len))
+        reference = truth[:, :1]
+    ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
+    phi = None
+    if config.variant == "qngd" and config.nonlinearity:
+        phi = NONLINEARITIES[config.nonlinearity]
+        derivs = _numerical_phi_derivatives(phi)
+
+    alpha = config.alpha
     mse = []
     weight_errors = []
-    for idx, (x, d) in enumerate(stream):
-        state, e = step(state, x, d)
-        mse.append(e.modulus_squared())
-        weight_errors.append(_weight_error(state, config.taps))
-        total_norm = sum(w.norm_squared() for w in state.weights)
-        if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
-            raise DivergenceError(f"filter diverged at step {idx}")
+    errors = np.empty((_BLOCK, 4))
+    history = np.empty((_BLOCK,) + weights.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.steps, _BLOCK):
+            count = min(_BLOCK, config.steps - start)
+            for slot in range(count):
+                x = windows[start + slot][:, None]
+                d = desired[start + slot]
+                if wide:
+                    e = d - _outputs(weights, x)[:, 0]
+                    regressors = x * _INVOLUTIONS[:, :, None]
+                    move = hamilton(regressors, (e * _CONJ)[:, None, None])
+                else:
+                    s = _outputs(weights, x)[:, 0]
+                    if phi is None:
+                        e = e_eff = d - s
+                    else:
+                        s = Quaternion(*s.tolist())
+                        e = Quaternion(*d.tolist()) - phi(s)
+                        e_eff = np.array(_effective_error(e, derivs(s)))
+                    move = hamilton(e_eff[:, None, None], x * _CONJ[:, None, None])
+                weights = weights + move * alpha
+                errors[slot] = e
+                history[slot] = weights
+                total_norm = sum(sum(branch) for branch in _modulus_squared(weights).tolist())
+                if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
+                    raise DivergenceError(f"filter diverged at step {start + slot}")
+            mse.extend(_modulus_squared(errors[:count].T).tolist())
+            err = _ordered_sum(_modulus_squared(
+                (history[:count] - reference).swapaxes(0, 1)).reshape(count, -1))
+            weight_errors.extend(np.sqrt(err / ref if ref > 0.0 else err).tolist())
     return ExperimentResult(mse_curve=tuple(mse),
                             weight_error_curve=tuple(weight_errors),
                             final_weight_error=weight_errors[-1],

@@ -9,6 +9,7 @@ this package that looks surprising downstream traces back to that fact.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -23,7 +24,13 @@ UNIT_TOL = 1e-9
 
 
 class Quaternion(NamedTuple):
-    """Immutable quaternion a + i*b + j*c + k*d."""
+    """Immutable quaternion a + i*b + j*c + k*d.
+
+    Real scalars of any type (numpy's included) act as scalars; numpy's
+    ufuncs defer to these operators instead of turning q into an array.
+    """
+
+    __array_ufunc__ = None
 
     a: float
     b: float
@@ -45,6 +52,8 @@ class Quaternion(NamedTuple):
                               self.c + other.c, self.d + other.d)
         if isinstance(other, (int, float)):
             return Quaternion(self.a + other, self.b, self.c, self.d)
+        if isinstance(other, numbers.Real):
+            return self + float(other)
         return NotImplemented
 
     __radd__ = __add__
@@ -55,11 +64,15 @@ class Quaternion(NamedTuple):
                               self.c - other.c, self.d - other.d)
         if isinstance(other, (int, float)):
             return Quaternion(self.a - other, self.b, self.c, self.d)
+        if isinstance(other, numbers.Real):
+            return self - float(other)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
             return Quaternion(other - self.a, -self.b, -self.c, -self.d)
+        if isinstance(other, numbers.Real):
+            return float(other) - self
         return NotImplemented
 
     def __neg__(self) -> "Quaternion":
@@ -78,6 +91,8 @@ class Quaternion(NamedTuple):
         if isinstance(other, (int, float)):
             return Quaternion(self.a * other, self.b * other,
                               self.c * other, self.d * other)
+        if isinstance(other, numbers.Real):
+            return self * float(other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -85,6 +100,8 @@ class Quaternion(NamedTuple):
         if isinstance(other, (int, float)):
             return Quaternion(other * self.a, other * self.b,
                               other * self.c, other * self.d)
+        if isinstance(other, numbers.Real):
+            return float(other) * self
         return NotImplemented
 
     def __truediv__(self, other):
@@ -93,6 +110,8 @@ class Quaternion(NamedTuple):
         if isinstance(other, (int, float)):
             return Quaternion(self.a / other, self.b / other,
                               self.c / other, self.d / other)
+        if isinstance(other, numbers.Real):
+            return self / float(other)
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":
@@ -134,6 +153,28 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 UNITS = {"1": ONE, "i": I, "j": J, "k": K}
 AXES = ("1", "i", "j", "k")
+
+
+# Hamilton product on arrays: component r of p q is the sum over k of
+# _MUL_SIGN[k, r] * p[k] * q[_MUL_INDEX[k, r]], added over k left to right
+# in the order Quaternion.__mul__ writes it.  x - y equals x + (-y) exactly
+# in IEEE arithmetic, so the gathered form reproduces the scalar product bit
+# for bit.  The term index k leads so that the three adds read contiguous
+# slices.
+_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_MUL_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
+                      [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+
+
+def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of float arrays holding quaternion components on axis 0.
+
+    ``p`` and ``q`` have the same number of dimensions and their other axes
+    broadcast.  Every element equals Quaternion.__mul__ bit for bit.
+    """
+    terms = p[:, np.newaxis] * q.take(_MUL_INDEX, axis=0)
+    terms *= _MUL_SIGN.reshape(_MUL_SIGN.shape + (1,) * (terms.ndim - 2))
+    return terms[0] + terms[1] + terms[2] + terms[3]
 
 
 def isclose(p: Quaternion, q: Quaternion,

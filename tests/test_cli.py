@@ -166,6 +166,14 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"kind": "pink"}, "unknown signal kind"),
     ({"nonlinearity": "relu"}, "unknown nonlinearity"),
     ({"alpha": "fast"}, "bad config value"),
+    ({"alpha": float("nan")}, "alpha must be finite and non-negative"),
+    ({"alpha": float("inf")}, "alpha must be finite and non-negative"),
+    ({"alpha": -0.02}, "alpha must be finite and non-negative"),
+    ({"snr_db": float("nan")}, "snr_db must be"),
+    ({"steps": 10.7}, "steps must be an integer"),
+    ({"threshold": float("nan")}, "threshold must be finite"),
+    ({"threshold": float("inf")}, "threshold must be finite"),
+    ({"threshold": "low"}, "bad config value"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",
@@ -176,6 +184,17 @@ def test_filter_config_validation(tmp_path, capsys, mutation, message):
     path.write_text(json.dumps(config))
     assert main(["filter", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_filter_edge_values_stay_legal(tmp_path, capsys):
+    # alpha = 0 freezes the weights and snr_db = inf means a noise-free run.
+    config = {"variant": "qlms",
+              "taps": [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]],
+              "alpha": 0, "steps": 50.0, "snr_db": float("inf"), "seed": 3}
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(config))
+    assert main(["filter", "--config", str(path)]) == 0
+    assert "50 steps, final weight error 1)" in capsys.readouterr().out
 
 
 def test_filter_missing_and_unknown_keys(tmp_path, capsys):

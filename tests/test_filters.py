@@ -4,12 +4,15 @@ import math
 
 import pytest
 
+from quatcalc import derivatives
 from quatcalc.derivatives import left_hr
-from quatcalc.filters import (AR1_COEFF, NONLINEARITIES, ExperimentConfig,
-                              FilterState, QVector, generate_signal, phi_tanh,
-                              qlms_state, qlms_step, qngd_state, qngd_step,
-                              run_experiment, wl_qlms_state, wl_qlms_step)
-from quatcalc.quaternion import ONE, Quaternion, involute, isclose
+from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
+                              SIGNAL_KINDS, ExperimentConfig, FilterState,
+                              QVector, _numerical_phi_derivatives,
+                              generate_signal, phi_tanh, qlms_state, qlms_step,
+                              qngd_state, qngd_step, run_experiment,
+                              wl_qlms_state, wl_qlms_step)
+from quatcalc.quaternion import AXES, ONE, Quaternion, involute, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import DivergenceError
 
@@ -21,6 +24,13 @@ CHANNEL = QVector.from_components([
     [-0.1, 0.2, 0.6, -0.2],
     [0.3, -0.2, 0.1, 0.4],
 ])
+
+WL_CHANNEL = tuple(QVector.from_components(rows) for rows in (
+    [[0.6, -0.2, 0.3, 0.1], [0.1, 0.4, -0.3, 0.2], [-0.2, 0.1, 0.5, -0.1]],
+    [[0.3, 0.2, -0.1, 0.2], [-0.1, 0.3, 0.2, -0.2], [0.2, -0.2, 0.4, 0.1]],
+    [[-0.2, 0.3, 0.1, -0.1], [0.3, -0.1, 0.2, 0.2], [0.1, 0.2, -0.3, 0.1]],
+    [[0.2, -0.1, 0.2, 0.3], [0.1, 0.2, -0.1, -0.3], [0.3, 0.1, 0.2, -0.1]],
+))
 
 
 def _random_qvector(rng, n):
@@ -142,6 +152,10 @@ def test_signal_validation():
         generate_signal("pink", CHANNEL, 100, 30.0, seed=1)
     with pytest.raises(ValueError, match="exceed the tap count"):
         generate_signal("fir_channel", CHANNEL, 4, 30.0, seed=1)
+    with pytest.raises(ValueError, match="snr_db"):
+        generate_signal("fir_channel", CHANNEL, 100, math.nan, seed=1)
+    with pytest.raises(ValueError, match="equal length"):
+        generate_signal("fir_channel", WL_CHANNEL[:3] + (CHANNEL,), 100, 30.0, seed=1)
 
 
 def test_qlms_identifies_channel():
@@ -255,3 +269,114 @@ def test_ar1_experiment_runs():
                               steps=3000, snr_db=30.0, seed=7, kind="ar1")
     result = run_experiment(config)
     assert result.final_weight_error < 0.1
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"alpha": math.nan}, "alpha"),
+    ({"alpha": math.inf}, "alpha"),
+    ({"alpha": -0.01}, "alpha"),
+    ({"snr_db": math.nan}, "snr_db"),
+    ({"snr_db": -math.inf}, "snr_db"),
+    ({"steps": 100.5}, "steps must be an integer"),
+    ({"variant": "qngd", "nonlinearity": "relu"}, "unknown nonlinearity"),
+])
+def test_run_experiment_rejects_bad_config(change, message):
+    config = ExperimentConfig(**{**dict(variant="qlms", taps=CHANNEL, alpha=0.01,
+                                        steps=100, snr_db=30.0, seed=1), **change})
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+
+
+def _scalar_weight_error(state: FilterState, taps) -> float:
+    """Relative weight error, added up over Quaternion objects."""
+    truth = (taps,) if isinstance(taps, QVector) else tuple(taps)
+    if state.variant == "wl_qlms":
+        current = state.weights
+        if len(truth) == 1:
+            zeros = QVector.zeros(len(truth[0]))
+            truth = (truth[0].conj(), zeros, zeros, zeros)
+    else:
+        current = (state.weights[0],)
+    err = 0.0
+    ref = 0.0
+    for w_vec, t_vec in zip(current, truth):
+        for w_m, t_m in zip(w_vec, t_vec):
+            err += (w_m - t_m).modulus_squared()
+            ref += t_m.modulus_squared()
+    return math.sqrt(err / ref) if ref > 0.0 else math.sqrt(err)
+
+
+def _scalar_run(config: ExperimentConfig):
+    """run_experiment's curves from the per-sample steps over generate_signal."""
+    taps = len(config.taps) if isinstance(config.taps, QVector) else len(config.taps[0])
+    if config.variant == "qlms":
+        state, step = qlms_state(taps, config.alpha), qlms_step
+    elif config.variant == "wl_qlms":
+        state, step = wl_qlms_state(taps, config.alpha), wl_qlms_step
+    else:
+        phi = NONLINEARITIES.get(config.nonlinearity)
+        state, step = qngd_state(taps, config.alpha, nonlinearity=phi), qngd_step
+    mse, weight_errors = [], []
+    stream = generate_signal(config.kind, config.taps, config.steps,
+                             config.snr_db, config.seed)
+    for idx, (x, d) in enumerate(stream):
+        state, e = step(state, x, d)
+        mse.append(e.modulus_squared())
+        weight_errors.append(_scalar_weight_error(state, config.taps))
+        total_norm = sum(w.norm_squared() for w in state.weights)
+        if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
+            raise DivergenceError(f"filter diverged at step {idx}")
+    return tuple(mse), tuple(weight_errors)
+
+
+FILTERS = {
+    "qlms": dict(variant="qlms", taps=CHANNEL, alpha=0.02),
+    "wl_qlms": dict(variant="wl_qlms", taps=WL_CHANNEL, alpha=0.01),
+    "wl_qlms_strictly_linear": dict(variant="wl_qlms", taps=CHANNEL, alpha=0.01),
+    "qngd_linear": dict(variant="qngd", taps=CHANNEL, alpha=0.02),
+    "qngd_tanh": dict(variant="qngd", taps=CHANNEL, alpha=0.02, nonlinearity="tanh"),
+}
+
+
+@pytest.mark.parametrize("seed", [5, 1234])
+@pytest.mark.parametrize("kind", SIGNAL_KINDS)
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_array_engine_matches_scalar_steps_bitwise(name, kind, seed):
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=seed, kind=kind,
+                              **FILTERS[name])
+    result = run_experiment(config)
+    assert (result.mse_curve, result.weight_error_curve) == _scalar_run(config)
+
+
+def test_array_engine_diverges_at_the_scalar_step():
+    config = ExperimentConfig(variant="qlms", taps=CHANNEL, alpha=0.5,
+                              steps=300, snr_db=30.0, seed=1)
+    with pytest.raises(DivergenceError) as scalar:
+        _scalar_run(config)
+    with pytest.raises(DivergenceError) as array:
+        run_experiment(config)
+    assert str(array.value) == str(scalar.value)
+
+
+def _bits(quaternions) -> tuple[str, ...]:
+    return tuple(x.hex() for q in quaternions for x in q)
+
+
+def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
+    # Each conj(Phi^mu) partial is a sign flip of Phi's partial, so one set
+    # of partials reproduces the four separate HR derivatives exactly.
+    rng = make_rng(SEED, stream=5)
+    derivs = _numerical_phi_derivatives(phi_tanh)
+    for _ in range(20):
+        s = random_quaternion(rng)
+        separate = [left_hr(lambda p, mu=mu: involute(phi_tanh(p), mu).conjugate(), s).wrt_qc
+                    for mu in AXES]
+        assert _bits(derivs(s)) == _bits(separate)
+
+    calls = []
+    evaluate = derivatives._evaluate
+    monkeypatch.setattr(derivatives, "_evaluate",
+                        lambda f, p: calls.append(p) or evaluate(f, p))
+    run_experiment(ExperimentConfig(steps=50, snr_db=30.0, seed=1,
+                                    **FILTERS["qngd_tanh"]))
+    assert len(calls) == 8 * 50

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from quatcalc.quaternion import (ABS_TOL, AXES, I, J, K, ONE, UNITS, ZERO,
                                  Quaternion, components_from_involutions,
-                                 conjugate_links, format_quaternion, involute,
+                                 conjugate_links, format_quaternion, hamilton,
+                                 involute,
                                  involute_conj, isclose, mu_basis,
                                  parse_quaternion, polar, reflect, rotate)
 from quatcalc.sampling import make_rng, random_quaternion, random_pure_unit
@@ -66,6 +70,58 @@ def test_scalar_operations():
     assert q / 2.0 == Quaternion(0.5, -1.0, 0.25, 1.5)
     assert q + 1.0 == Quaternion(2.0, -2.0, 0.5, 3.0)
     assert 1.0 - q == Quaternion(0.0, 2.0, -0.5, -3.0)
+
+
+@pytest.mark.parametrize("numpy_op,float_op", [
+    (lambda q: q * np.int64(2), lambda q: q * 2.0),
+    (lambda q: q * np.float32(2), lambda q: q * 2.0),
+    (lambda q: q / np.int64(2), lambda q: q / 2.0),
+    (lambda q: q + np.int64(2), lambda q: q + 2.0),
+    (lambda q: q - np.int64(2), lambda q: q - 2.0),
+    (lambda q: np.float64(2) * q, lambda q: 2.0 * q),
+    (lambda q: np.int64(2) * q, lambda q: 2.0 * q),
+    (lambda q: np.int64(2) - q, lambda q: 2.0 - q),
+])
+def test_numpy_scalars_act_as_real_scalars(numpy_op, float_op):
+    q = Quaternion(1.0, -2.0, 3.0, 0.5)
+    out = numpy_op(q)
+    assert isinstance(out, Quaternion)
+    assert out == float_op(q)
+
+
+def _same_bits(actual: np.ndarray, expected: np.ndarray) -> bool:
+    """Equal bit patterns, with any NaN (an overflowing inf - inf) matching NaN."""
+    nan = np.isnan(expected)
+    return (np.array_equal(np.isnan(actual), nan)
+            and np.array_equal(actual[~nan].view(np.uint64),
+                               expected[~nan].view(np.uint64)))
+
+
+# Finite floats, with signed zeros drawn often.
+FINITE = st.one_of(st.sampled_from([0.0, -0.0]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_array_hamilton_matches_scalar_product_bitwise(data):
+    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                         max_side=3))
+    ndim = len(shapes.result_shape)
+    p_shape, q_shape = ((1,) * (ndim - len(s)) + s for s in shapes.input_shapes)
+    p = data.draw(hnp.arrays(np.float64, (4,) + p_shape, elements=FINITE))
+    q = data.draw(hnp.arrays(np.float64, (4,) + q_shape, elements=FINITE))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = hamilton(p, q)
+    assert out.shape == (4,) + shapes.result_shape
+    p_full = np.broadcast_to(p, out.shape)
+    q_full = np.broadcast_to(q, out.shape)
+    expected = np.empty(out.shape)
+    for idx in np.ndindex(shapes.result_shape):
+        at = (slice(None),) + idx
+        expected[at] = (Quaternion(*p_full[at].tolist())
+                        * Quaternion(*q_full[at].tolist()))
+    assert _same_bits(out, expected)
 
 
 def test_involutions_oracle():
