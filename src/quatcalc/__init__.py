@@ -2,12 +2,12 @@
 calculus rules built on them, mean value and Taylor checks, and the adaptive
 filters derived from the conjugate gradient."""
 
-from .derivatives import (DegenerateAxisError, DerivativeSet, EvaluationError,
-                          GhrPair, RealPartials, SecondOrderSet,
+from .derivatives import (HR_AXES, DegenerateAxisError, DerivativeSet,
+                          EvaluationError, GhrPair, RealPartials, SecondOrderSet,
                           check_chain_rule, check_product_rule,
                           conjugation_relation, differential_consistency,
-                          left_ghr, left_hr, real_partials, right_ghr,
-                          right_hr, second_order_left, second_order_right)
+                          left_ghr, left_hr, real_partials, right_ghr, right_hr,
+                          second_order, second_order_left, second_order_right)
 from .filters import (ExperimentConfig, ExperimentResult, FilterState,
                       QVector, generate_signal, phi_tanh, qlms_state,
                       qlms_step, qngd_state, qngd_step, run_experiment,

@@ -16,7 +16,7 @@ import sys
 from importlib import resources
 from typing import Optional, Sequence
 
-from . import filters, identities, tables, theorems
+from . import identities, tables, theorems
 from .filters import ExperimentConfig, QVector, run_experiment
 from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
 from .sampling import make_rng, random_quaternion
@@ -166,21 +166,24 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
-def _taylor_functions():
-    exp_entry = TableEntry(family="exponential", terms=tables.DEFAULT_EXP_TERMS)
+def _mod2(p: Quaternion) -> Quaternion:
+    return Quaternion.from_real(p.modulus_squared())
 
+
+_EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
+                                             terms=tables.DEFAULT_EXP_TERMS))
+
+
+def _taylor_functions():
     def power3(p: Quaternion) -> Quaternion:
         return p * p * p
-
-    def mod2(p: Quaternion) -> Quaternion:
-        return Quaternion.from_real(p.modulus_squared())
 
     # The conjugate-sandwich quadratic form only matches the expansion for
     # real-valued functions, so the center branch is checked on one.
     return (("power3", power3, False),
-            ("exponential", tables.as_function(exp_entry), False),
-            ("modulus_squared", mod2, False),
-            ("modulus_squared", mod2, True))
+            ("exponential", _EXPONENTIAL, False),
+            ("modulus_squared", _mod2, False),
+            ("modulus_squared", _mod2, True))
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
@@ -208,18 +211,13 @@ def cmd_taylor(args: argparse.Namespace) -> int:
 
 
 def _mvt_functions():
-    exp_entry = TableEntry(family="exponential", terms=tables.DEFAULT_EXP_TERMS)
-
     def sq(p: Quaternion) -> Quaternion:
         return p * p
 
-    def mod2(p: Quaternion) -> Quaternion:
-        return Quaternion.from_real(p.modulus_squared())
-
     return (("square", sq, False),
-            ("modulus_squared", mod2, False),
-            ("modulus_squared", mod2, True),
-            ("exponential", tables.as_function(exp_entry), False))
+            ("modulus_squared", _mod2, False),
+            ("modulus_squared", _mod2, True),
+            ("exponential", _EXPONENTIAL, False))
 
 
 def cmd_mvt(args: argparse.Namespace) -> int:
@@ -332,13 +330,6 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
         raise CliError(f"bad config value: {exc}")
     if threshold is not None and not math.isfinite(threshold):
         raise CliError(f"threshold must be finite, got {threshold!r}")
-    if config.variant not in filters.VARIANTS:
-        raise CliError(f"unknown filter variant {config.variant!r}")
-    if config.kind not in filters.SIGNAL_KINDS:
-        raise CliError(f"unknown signal kind {config.kind!r}")
-    if config.nonlinearity is not None \
-            and config.nonlinearity not in filters.NONLINEARITIES:
-        raise CliError(f"unknown nonlinearity {config.nonlinearity!r}")
     return config, threshold
 
 

@@ -15,14 +15,16 @@ derivatives at the unit axes mu in {1, i, j, k}: rotating the fixed units by
 mu = i, say, flips the signs of j and k, which gives the HR sign pattern of
 q^i and q^(i*).
 
-All partials come from central differences; nothing here requires f to be
-given in closed form.
+All partials come from central differences on one 8-point stencil; nothing
+here requires f to be given in closed form.  Each check and each nested
+second derivative evaluates every function once per stencil point and
+projects those partials as often as it needs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .quaternion import (AXES, UNITS, MuBasis, Quaternion, involute, mu_basis,
                          rotate)
@@ -83,6 +85,13 @@ class DerivativeSet:
         name = {"1": "q", "i": "qi", "j": "qj", "k": "qk"}[axis]
         return getattr(self, f"wrt_{name}c" if conj else f"wrt_{name}")
 
+    def differential(self, dq: Quaternion) -> Quaternion:
+        """sum over eta in {1,i,j,k} of d f/dq^eta dq^eta, from zero in that order."""
+        total = Quaternion(0.0, 0.0, 0.0, 0.0)
+        for eta in AXES:
+            total = total + self.wrt(eta) * involute(dq, eta)
+        return total
+
 
 @dataclass(frozen=True)
 class GhrPair:
@@ -102,19 +111,35 @@ def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     return value
 
 
-def real_partials(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> RealPartials:
-    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k}."""
+def _stencil(q: Quaternion, h: float):
+    """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
     if h <= 0.0:
         raise ValueError("step size must be positive")
     a, b, c, d = q
-    inv = 1.0 / (2.0 * h)
-    partials = []
-    for offsets in ((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0),
-                    (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h)):
-        plus = Quaternion(a + offsets[0], b + offsets[1], c + offsets[2], d + offsets[3])
-        minus = Quaternion(a - offsets[0], b - offsets[1], c - offsets[2], d - offsets[3])
-        partials.append((_evaluate(f, plus) - _evaluate(f, minus)) * inv)
-    return RealPartials(partials[0], partials[1], partials[2], partials[3], q, h)
+    points = [(Quaternion(a + oa, b + ob, c + oc, d + od),
+               Quaternion(a - oa, b - ob, c - oc, d - od))
+              for oa, ob, oc, od in ((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0),
+                                     (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h))]
+    return points, 1.0 / (2.0 * h)
+
+
+def real_partials(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> RealPartials:
+    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k}."""
+    points, inv = _stencil(q, h)
+    parts = [(_evaluate(f, plus) - _evaluate(f, minus)) * inv for plus, minus in points]
+    return RealPartials(*parts, q, h)
+
+
+def _field_partials(field: Callable[[Quaternion], Sequence[Quaternion]],
+                    q: Quaternion, h: float) -> list[tuple[Quaternion, ...]]:
+    """real_partials of each quaternion a field returns, one call per point.
+
+    real_partials keeps its own single-output loop: it is the hot path.
+    """
+    points, inv = _stencil(q, h)
+    rows = [[(p - m) * inv for p, m in zip(field(plus), field(minus))]
+            for plus, minus in points]
+    return list(zip(*rows))
 
 
 def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
@@ -131,9 +156,16 @@ def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
     return (fa - mixed) * 0.25, (fa + mixed) * 0.25
 
 
-# Bases of the HR axes mu in {1, i, j, k}, built once: left_hr runs in the
-# inner loop of the quadrature and descent checks.
-_HR_BASES = tuple(mu_basis(UNITS[axis]) for axis in AXES)
+def _basis(mu: Quaternion) -> MuBasis:
+    if mu.modulus() < DEGENERATE_AXIS:
+        raise DegenerateAxisError("degenerate rotation axis")
+    return mu_basis(mu)
+
+
+# The HR axes mu in {1, i, j, k} and their bases, built once: left_hr runs
+# in the inner loop of the quadrature and descent checks.
+HR_AXES = tuple(UNITS[axis] for axis in AXES)
+_HR_BASES = tuple(mu_basis(mu) for mu in HR_AXES)
 
 
 def _hr(f: QFunction, q: Quaternion, h: float, side: str) -> DerivativeSet:
@@ -159,10 +191,7 @@ def right_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet
 
 def _ghr(f: QFunction, q: Quaternion, mu: Quaternion, h: float,
          side: str) -> GhrPair:
-    if mu.modulus() < DEGENERATE_AXIS:
-        raise DegenerateAxisError("degenerate rotation axis")
-    basis = mu_basis(mu)
-    d_mu, d_mu_conj = _project(real_partials(f, q, h).as_tuple(), basis, side)
+    d_mu, d_mu_conj = _project(real_partials(f, q, h).as_tuple(), _basis(mu), side)
     return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
 
 
@@ -180,7 +209,7 @@ def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
 
 @dataclass(frozen=True)
 class SecondOrderSet:
-    """Nested second-order GHR derivatives of one flavor for axes (mu, nu).
+    """Nested second-order GHR derivatives for axes (mu, nu).
 
     ``mu_nu`` is d^2 f / dq^mu dq^nu, the outer mu-derivative of the inner
     nu-derivative, and so on.  Mixed orders do not commute in general.
@@ -192,31 +221,45 @@ class SecondOrderSet:
     mu_conj_nu_conj: Quaternion
 
 
-def _second_order(ghr, f: QFunction, q: Quaternion, mu: Quaternion,
-                  nu: Quaternion, h2: float, h: float) -> SecondOrderSet:
-    def inner(p: Quaternion) -> GhrPair:
-        return ghr(f, p, nu, h)
+def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
+                 nus: Sequence[Quaternion], outer: str = "left",
+                 inner: str = "left", h2: float = DEFAULT_H2,
+                 h: float = DEFAULT_H) -> tuple[tuple[SecondOrderSet, ...], ...]:
+    """Nested second-order derivatives of f at q for every pair of axes.
 
-    outer_plain = ghr(lambda p: inner(p).d_mu, q, mu, h2)
-    outer_conj = ghr(lambda p: inner(p).d_mu_conj, q, mu, h2)
-    return SecondOrderSet(
-        mu_nu=outer_plain.d_mu,
-        mu_nu_conj=outer_conj.d_mu,
-        mu_conj_nu=outer_plain.d_mu_conj,
-        mu_conj_nu_conj=outer_conj.d_mu_conj,
-    )
+    Entry [m][n] is the outer ``outer``-flavor derivative along mus[m], with
+    step h2, of the inner ``inner``-flavor derivative field along nus[n],
+    with step h: 64 evaluations of f for the whole grid.
+    """
+    outer_bases = [_basis(mu) for mu in mus]
+    inner_bases = [_basis(nu) for nu in nus]
+
+    def field(p: Quaternion) -> list[Quaternion]:
+        parts = real_partials(f, p, h).as_tuple()
+        return [d for basis in inner_bases for d in _project(parts, basis, inner)]
+
+    columns = _field_partials(field, q, h2)
+    grid = []
+    for basis in outer_bases:
+        row = []
+        for plain, conj in zip(columns[0::2], columns[1::2]):
+            mu_nu, mu_conj_nu = _project(plain, basis, outer)
+            mu_nu_conj, mu_conj_nu_conj = _project(conj, basis, outer)
+            row.append(SecondOrderSet(mu_nu, mu_nu_conj, mu_conj_nu, mu_conj_nu_conj))
+        grid.append(tuple(row))
+    return tuple(grid)
 
 
 def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
                       h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
     """Second-order left derivatives by differentiating the inner derivative field."""
-    return _second_order(left_ghr, f, q, mu, nu, h2, h)
+    return second_order(f, q, (mu,), (nu,), "left", "left", h2, h)[0][0]
 
 
 def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
                        h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
     """Right-flavor counterpart of second_order_left."""
-    return _second_order(right_ghr, f, q, mu, nu, h2, h)
+    return second_order(f, q, (mu,), (nu,), "right", "right", h2, h)[0][0]
 
 
 def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
@@ -228,18 +271,21 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion
     value of g at the point, so g(q) mu must stay away from zero.
     """
     gq = _evaluate(g, q)
-    axis = gq * mu
-    if axis.modulus() < DEGENERATE_AXIS:
-        raise DegenerateAxisError("degenerate rotation axis")
+    shifted = _basis(gq * mu)
     fq = _evaluate(f, q)
-    lhs = left_ghr(lambda p: f(p) * g(p), q, mu, h)
-    dg = left_ghr(g, q, mu, h)
-    df_shift = left_ghr(f, q, axis, h)
-    if conjugate:
-        rhs = fq * dg.d_mu_conj + df_shift.d_mu_conj * gq
-        return abs(lhs.d_mu_conj - rhs)
-    rhs = fq * dg.d_mu + df_shift.d_mu * gq
-    return abs(lhs.d_mu - rhs)
+    basis = _basis(mu)
+
+    def field(p: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion]:
+        fp = _evaluate(f, p)
+        gp = _evaluate(g, p)
+        return fp * gp, gp, fp
+
+    product, g_parts, f_parts = _field_partials(field, q, h)
+    pick = 1 if conjugate else 0
+    lhs = _project(product, basis, "left")[pick]
+    rhs = fq * _project(g_parts, basis, "left")[pick] \
+        + _project(f_parts, shifted, "left")[pick] * gq
+    return abs(lhs - rhs)
 
 
 def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
@@ -250,17 +296,22 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
     d f(g)/dq^mu = sum over eta in {1,i,j,k} of
     df/dg^(nu eta) * d g^(nu eta)/dq^mu, for any nonzero nu.
     """
-    if mu.modulus() < DEGENERATE_AXIS or nu.modulus() < DEGENERATE_AXIS:
-        raise DegenerateAxisError("degenerate rotation axis")
-    s = _evaluate(g, q)
-    lhs = left_ghr(lambda p: f(g(p)), q, mu, h)
+    basis = _basis(mu)
+    axes = [nu * UNITS[eta] for eta in AXES]
+    axis_bases = [_basis(axis) for axis in axes]
+    f_parts = real_partials(f, _evaluate(g, q), h).as_tuple()
+
+    def field(p: Quaternion) -> list[Quaternion]:
+        gp = _evaluate(g, p)
+        return [_evaluate(f, gp)] + [rotate(gp, axis) for axis in axes]
+
+    composite, *rotated = _field_partials(field, q, h)
+    pick = 1 if conjugate else 0
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for eta in AXES:
-        axis = nu * UNITS[eta]
-        inner = left_ghr(f, s, axis, h).d_mu
-        outer = left_ghr(lambda p, ax=axis: rotate(g(p), ax), q, mu, h)
-        total = total + inner * (outer.d_mu_conj if conjugate else outer.d_mu)
-    return abs((lhs.d_mu_conj if conjugate else lhs.d_mu) - total)
+    for axis_basis, parts in zip(axis_bases, rotated):
+        inner = _project(f_parts, axis_basis, "left")[0]
+        total = total + inner * _project(parts, basis, "left")[pick]
+    return abs(_project(composite, basis, "left")[pick] - total)
 
 
 def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
@@ -269,17 +320,21 @@ def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
 
     d_r f/dq^mu = (d f*/dq^(mu*))*, d_r f/dq^(mu*) = (d f*/dq^mu)*, and the
     two mirrored forms expressing the left derivatives through right ones.
+    f*'s partials are the conjugates of f's: negation commutes exactly with a
+    central difference.
     """
-    fc = lambda p: f(p).conjugate()
-    left_f = left_ghr(f, q, mu, h)
-    right_f = right_ghr(f, q, mu, h)
-    left_fc = left_ghr(fc, q, mu, h)
-    right_fc = right_ghr(fc, q, mu, h)
+    basis = _basis(mu)
+    parts = real_partials(f, q, h).as_tuple()
+    conj_parts = [p.conjugate() for p in parts]
+    left_f = _project(parts, basis, "left")
+    right_f = _project(parts, basis, "right")
+    left_fc = _project(conj_parts, basis, "left")
+    right_fc = _project(conj_parts, basis, "right")
     residuals = (
-        abs(right_f.d_mu - left_fc.d_mu_conj.conjugate()),
-        abs(right_f.d_mu_conj - left_fc.d_mu.conjugate()),
-        abs(left_f.d_mu - right_fc.d_mu_conj.conjugate()),
-        abs(left_f.d_mu_conj - right_fc.d_mu.conjugate()),
+        abs(right_f[0] - left_fc[1].conjugate()),
+        abs(right_f[1] - left_fc[0].conjugate()),
+        abs(left_f[0] - right_fc[1].conjugate()),
+        abs(left_f[1] - right_fc[0].conjugate()),
     )
     return max(residuals)
 
@@ -287,9 +342,6 @@ def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
 def differential_consistency(f: QFunction, q: Quaternion, dq: Quaternion,
                              h: float = DEFAULT_H) -> float:
     """Error of the first-order reconstruction df = sum d f/dq^eta dq^eta."""
-    ds = left_hr(f, q, h)
-    predicted = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for eta in AXES:
-        predicted = predicted + ds.wrt(eta) * involute(dq, eta)
+    predicted = left_hr(f, q, h).differential(dq)
     actual = _evaluate(f, q + dq) - _evaluate(f, q)
     return abs(actual - predicted)

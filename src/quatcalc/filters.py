@@ -29,8 +29,6 @@ from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
 
-INVOLUTION_AXES = ("i", "j", "k")
-
 
 class QVector:
     """Immutable vector of quaternions with the products the filters need."""
@@ -107,7 +105,6 @@ class FilterState:
     weights: tuple[QVector, ...]
     alpha: float
     nonlinearity: Optional[PhiFunction] = None
-    phi_derivatives: Optional[PhiDerivatives] = None
     iteration: int = 0
 
 
@@ -121,10 +118,10 @@ def wl_qlms_state(taps: int, alpha: float) -> FilterState:
                        alpha=alpha)
 
 
-def qngd_state(taps: int, alpha: float, nonlinearity: Optional[PhiFunction] = None,
-               phi_derivatives: Optional[PhiDerivatives] = None) -> FilterState:
+def qngd_state(taps: int, alpha: float,
+               nonlinearity: Optional[PhiFunction] = None) -> FilterState:
     return FilterState(variant="qngd", weights=(QVector.zeros(taps),), alpha=alpha,
-                       nonlinearity=nonlinearity, phi_derivatives=phi_derivatives)
+                       nonlinearity=nonlinearity)
 
 
 def _check_input(state: FilterState, x: QVector) -> None:
@@ -196,21 +193,17 @@ def qngd_step(state: FilterState, x: QVector,
     """One nonlinear gradient-descent update.
 
     The update direction is alpha * sum over mu in {1,i,j,k} of
-    e^mu * d Phi^(mu*)/ds* * x_m*.  With no nonlinearity this is computed on
-    the same code path as qlms_step, so the two traces match bit for bit.
+    e^mu * d Phi^(mu*)/ds* * x_m*.  With no nonlinearity the update uses e
+    itself, which is qlms_step's update, so the two traces match bit for bit.
     """
     _check_input(state, x)
     w = state.weights[0]
-    if state.nonlinearity is None:
-        s = w.dot_t(x)
-        e = d - s
-        new_w = _linear_update(w, x, e, state.alpha)
-        new_state = replace(state, weights=(new_w,), iteration=state.iteration + 1)
-        return new_state, e
     s = w.dot_t(x)
-    e = d - state.nonlinearity(s)
-    derivs_at = state.phi_derivatives or _numerical_phi_derivatives(state.nonlinearity)
-    e_eff = _effective_error(e, derivs_at(s))
+    if state.nonlinearity is None:
+        e = e_eff = d - s
+    else:
+        e = d - state.nonlinearity(s)
+        e_eff = _effective_error(e, _numerical_phi_derivatives(state.nonlinearity)(s))
     new_w = _linear_update(w, x, e_eff, state.alpha)
     new_state = replace(state, weights=(new_w,), iteration=state.iteration + 1)
     return new_state, e
@@ -383,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     if config.variant not in VARIANTS:
         raise ValueError(f"unknown filter variant {config.variant!r}")
-    if config.nonlinearity is not None and config.nonlinearity not in NONLINEARITIES:
+    if config.nonlinearity not in (None, *NONLINEARITIES):
         raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
     if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
         raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")

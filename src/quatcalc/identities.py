@@ -16,9 +16,9 @@ from typing import Optional
 import numpy as np
 
 from . import derivatives, tables
-from .derivatives import (DegenerateAxisError, left_ghr, left_hr, right_ghr,
-                          right_hr, second_order_left)
-from .quaternion import ONE, Quaternion, involute, rotate
+from .derivatives import (DegenerateAxisError, left_ghr, left_hr, right_hr,
+                          second_order, second_order_right)
+from .quaternion import I, ONE, Quaternion, rotate
 from .sampling import make_rng, random_quaternion
 
 DEFAULT_POINTS = 25
@@ -135,16 +135,10 @@ def _admissible_point(f_spec, f_entry, g_spec, g_entry, rng) -> Optional[Quatern
 
 
 def golden_records(q: Quaternion, tols: dict) -> list[IdentityRecord]:
-    out = []
-    out.append(_record("dq_dq", tols,
-                       abs(left_hr(lambda p: p, q).wrt_q - ONE), point=q))
-    out.append(_record("dqc_dq", tols,
-                       abs(left_hr(_f_conj, q).wrt_q + ONE * 0.5), point=q))
-    out.append(_record("dq2_dq", tols,
-                       abs(left_hr(_f_sq, q).wrt_q - (q + q.a)), point=q))
-    out.append(_record("dmod2_dq", tols,
-                       abs(left_hr(_f_mod2, q).wrt_q - q.conjugate() * 0.5), point=q))
-    return out
+    golden = (("dq_dq", lambda p: p, ONE), ("dqc_dq", _f_conj, ONE * -0.5),
+              ("dq2_dq", _f_sq, q + q.a), ("dmod2_dq", _f_mod2, q.conjugate() * 0.5))
+    return [_record(name, tols, abs(left_hr(f, q).wrt_q - expected), point=q)
+            for name, f, expected in golden]
 
 
 def ghr_linear_records(q: Quaternion, mu: Quaternion, tols: dict) -> list[IdentityRecord]:
@@ -205,25 +199,26 @@ def reconstruction_record(q: Quaternion, dq: Quaternion, tols: dict) -> Identity
 def second_order_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
                          tols: dict) -> list[IdentityRecord]:
     out = []
-    mixed = second_order_left(_f_mod2, q, mu, mu).mu_nu_conj
+    # Left over left for both axis orders: entry [m][n] differentiates the
+    # inner field along axes[n] by the outer derivative along axes[m].
+    left = second_order(_f_mod2, q, (mu, nu), (mu, nu))
+    mixed = left[0][0].mu_nu_conj
     out.append(_record("laplacian_mod2", tols, abs(mixed * 16.0 - Quaternion.from_real(8.0)),
                        point=q, mu=mu))
     # For real f, conjugating a mixed second derivative swaps its flavor:
     # d_r(df/dq^nu)/dq^mu = conj of d(df/dq^(nu*))/dq^(mu*).
-    lhs = right_ghr(lambda p: left_ghr(_f_mod2, p, nu).d_mu, q, mu, h=1e-4).d_mu
-    rhs = left_ghr(lambda p: left_ghr(_f_mod2, p, nu).d_mu_conj,
-                   q, mu, h=1e-4).d_mu_conj.conjugate()
+    lhs = second_order(_f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
+    rhs = left[0][1].mu_conj_nu_conj.conjugate()
     out.append(_record("second_order_conjugation", tols, abs(lhs - rhs),
                        point=q, mu=mu, nu=nu))
     # Same real f: the pure-right mixed second with axes (mu, nu) equals the
     # pure-left mixed second with the axes swapped.
-    rr = right_ghr(lambda p: right_ghr(_f_mod2, p, nu).d_mu, q, mu, h=1e-4).d_mu
-    ll = left_ghr(lambda p: left_ghr(_f_mod2, p, mu).d_mu, q, nu, h=1e-4).d_mu
+    rr = second_order_right(_f_mod2, q, mu, nu).mu_nu
+    ll = left[1][0].mu_nu
     out.append(_record("second_order_left_right", tols, abs(rr - ll),
                        point=q, mu=mu, nu=nu))
-    one_then_i = second_order_left(_f_cross, q, ONE, Quaternion(0, 1, 0, 0)).mu_nu
-    i_then_one = second_order_left(_f_cross, q, Quaternion(0, 1, 0, 0), ONE).mu_nu
-    gap = abs(one_then_i - i_then_one)
+    cross = second_order(_f_cross, q, (ONE, I), (ONE, I))
+    gap = abs(cross[0][1].mu_nu - cross[1][0].mu_nu)
     out.append(_record("mixed_noncommute", tols, max(0.0, 0.15 - gap), point=q))
     return out
 

@@ -142,7 +142,7 @@ class Quaternion(NamedTuple):
         return math.sqrt(self.b * self.b + self.c * self.c + self.d * self.d)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(x) for x in self)
+        return all(map(math.isfinite, self))
 
 
 ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)

@@ -52,14 +52,6 @@ class TableEntry:
     n: Optional[int] = None
     terms: Optional[int] = None
 
-    def describe(self) -> str:
-        bits = [self.family]
-        if self.n is not None:
-            bits.append(f"n={self.n}")
-        if self.terms is not None:
-            bits.append(f"terms={self.terms}")
-        return " ".join(bits)
-
 
 class EntryDerivatives(NamedTuple):
     """The two closed-form columns at a point, both already times mu."""
@@ -143,11 +135,7 @@ def _guard_vector(entry, q):
 
 
 def _guard_arctan(entry, q):
-    if q.vector_modulus() < MIN_MODULUS:
-        return f"requires |Im(q)| >= {MIN_MODULUS}"
-    if q.modulus() < MIN_MODULUS:
-        return f"requires |q| >= {MIN_MODULUS}"
-    return None
+    return _guard_vector(entry, q) or _guard_modulus(entry, q)
 
 
 def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:

@@ -16,7 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (DEFAULT_H, DEFAULT_H2, QFunction, left_hr)
+from .derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES, QFunction, _evaluate,
+                          left_hr, second_order)
 from .quaternion import AXES, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
@@ -65,22 +66,6 @@ class DescentTrace:
     step: float
 
 
-def _segment_integrand(f: QFunction, lam: Quaternion, h: float,
-                       real_form: bool) -> Callable[[Quaternion], Quaternion]:
-    lam_eta = {eta: involute(lam, eta) for eta in AXES}
-
-    def integrand(p: Quaternion) -> Quaternion:
-        ds = left_hr(f, p, h)
-        if real_form:
-            return Quaternion.from_real(4.0 * (ds.wrt_q * lam).a)
-        total = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for eta in AXES:
-            total = total + ds.wrt(eta) * lam_eta[eta]
-        return total
-
-    return integrand
-
-
 def _simpson(values: Sequence[Quaternion], width: float) -> Quaternion:
     # Composite Simpson over an even number of panels; len(values) is odd.
     total = values[0] + values[-1]
@@ -101,11 +86,13 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
     if panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even integer >= 2")
     lam = q1 - q0
-    integrand = _segment_integrand(f, lam, h, real_form)
-    nodes = [q0 + lam * (idx / panels) for idx in range(panels + 1)]
-    values = [integrand(p) for p in nodes]
+    values = []
+    for idx in range(panels + 1):
+        ds = left_hr(f, q0 + lam * (idx / panels), h)
+        values.append(Quaternion.from_real(4.0 * (ds.wrt_q * lam).a) if real_form
+                      else ds.differential(lam))
     rhs = _simpson(values, 1.0 / panels)
-    lhs = f(q1) - f(q0)
+    lhs = _evaluate(f, q1) - _evaluate(f, q0)
     return SegmentCheck(q0=q0, q1=q1, panels=panels, lhs=lhs, rhs=rhs,
                         residual=abs(lhs - rhs))
 
@@ -113,12 +100,8 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
 def first_order_error(f: QFunction, q0: Quaternion, q1: Quaternion,
                       h: float = DEFAULT_H) -> float:
     """Error of the one-point approximation f(q1) - f(q0) by the derivative at q0."""
-    lam = q1 - q0
-    ds = left_hr(f, q0, h)
-    approx = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for eta in AXES:
-        approx = approx + ds.wrt(eta) * involute(lam, eta)
-    return abs(f(q1) - f(q0) - approx)
+    approx = left_hr(f, q0, h).differential(q1 - q0)
+    return abs(_evaluate(f, q1) - _evaluate(f, q0) - approx)
 
 
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
@@ -148,23 +131,20 @@ def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
     conjugate-sandwich variant 1/2 sum lam^(mu*) d^2 f/dq^nu dq^(mu*) lam^nu,
     which agrees for real-valued f.
     """
-    base = f(q0)
+    base = _evaluate(f, q0)
     first_set = left_hr(f, q0, h)
     total = base
     for mu in AXES:
         total = total + first_set.wrt(mu) * involute(lam, mu)
+    # grid[n][m]: the outer nu-derivative of the inner mu-derivative field.
+    grid = second_order(f, q0, HR_AXES, HR_AXES, h2=h2, h=h)
     half = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for mu in AXES:
-        def inner(p: Quaternion, _mu=mu) -> Quaternion:
-            return left_hr(f, p, h).wrt(_mu, conj=center)
-
-        outer = left_hr(inner, q0, h2)
-        for nu in AXES:
-            second = outer.wrt(nu)
+    for m, mu in enumerate(AXES):
+        for n, nu in enumerate(AXES):
             if center:
-                term = involute_conj(lam, mu) * second * involute(lam, nu)
+                term = involute_conj(lam, mu) * grid[n][m].mu_nu_conj * involute(lam, nu)
             else:
-                term = second * involute(lam, nu) * involute(lam, mu)
+                term = grid[n][m].mu_nu * involute(lam, nu) * involute(lam, mu)
             half = half + term
     return total + half * 0.5
 
@@ -193,7 +173,7 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     used = []
     for s in scales:
         lam = direction * s
-        err = abs(f(q0 + lam) - taylor2_left(f, q0, lam, h, h2, center))
+        err = abs(_evaluate(f, q0 + lam) - taylor2_left(f, q0, lam, h, h2, center))
         floor = floor_abs + floor_curvature * lam.modulus_squared()
         errors.append(err)
         used.append(err > floor)
@@ -223,7 +203,7 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     grad = gradient if gradient is not None else (lambda p: left_hr(f, p, h).wrt_qc)
     q = q_init
     iterates = [q]
-    values = [f(q).a]
+    values = [_evaluate(f, q).a]
     g = grad(q)
     grad_norms = [abs(g)]
     rising = 0
@@ -232,7 +212,7 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
             break
         q = q - g * alpha
         iterates.append(q)
-        values.append(f(q).a)
+        values.append(_evaluate(f, q).a)
         g = grad(q)
         grad_norms.append(abs(g))
         if values[-1] > values[-2]:

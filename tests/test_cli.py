@@ -127,6 +127,13 @@ def test_descend_divergent_step(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_descend_overflowing_step_is_rejected(capsys):
+    # The objective overflows on the second step; it is reported, not run
+    # through NaN iterations.
+    assert main(["descend", "--alpha", "1e100"]) == 2
+    assert "function evaluation is not finite" in capsys.readouterr().err
+
+
 def test_filter_bundled_config(tmp_path, capsys):
     out = tmp_path / "f.csv"
     code = main(["filter", "--out", str(out)])
@@ -174,6 +181,7 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"threshold": float("nan")}, "threshold must be finite"),
     ({"threshold": float("inf")}, "threshold must be finite"),
     ({"threshold": "low"}, "bad config value"),
+    ({"nonlinearity": ["tanh"]}, "unknown nonlinearity"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",

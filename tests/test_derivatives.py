@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from quatcalc.derivatives import (DegenerateAxisError, EvaluationError,
+from quatcalc import derivatives
+from quatcalc.derivatives import (HR_AXES, DegenerateAxisError, EvaluationError,
                                   check_chain_rule, check_product_rule,
                                   conjugation_relation,
                                   differential_consistency, left_ghr, left_hr,
                                   real_partials, right_ghr, right_hr,
-                                  second_order_left)
-from quatcalc.quaternion import (AXES, I, J, K, ONE, ZERO, Quaternion,
-                                 involute, isclose, rotate)
+                                  second_order, second_order_left,
+                                  second_order_right)
+from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, Quaternion,
+                                 involute, involute_conj, isclose, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
+from quatcalc.theorems import taylor2_left
 
 SEED = 20240229
 
@@ -302,3 +305,137 @@ def test_left_hr_of_involved_arguments():
     ds = left_hr(lambda p: involute(p, "i"), q)
     assert isclose(ds.wrt_qi, ONE, abs_tol=1e-9)
     assert abs(ds.wrt_q) < 1e-9
+
+
+# Reference forms: every derivative of every field is its own left_ghr,
+# right_ghr or left_hr call, with its own partials.  The checks and nested
+# derivatives that share one stencil per function must match them bit for bit.
+
+def _bits(*values) -> tuple[str, ...]:
+    out = []
+    for value in values:
+        out.extend(x.hex() for x in (value if isinstance(value, tuple) else (value,)))
+    return tuple(out)
+
+
+def _nested_oracle(outer_ghr, inner_ghr, f, q, mu, nu):
+    inner = lambda p: inner_ghr(f, p, nu)
+    plain = outer_ghr(lambda p: inner(p).d_mu, q, mu, 1e-4)
+    conj = outer_ghr(lambda p: inner(p).d_mu_conj, q, mu, 1e-4)
+    return plain.d_mu, conj.d_mu, plain.d_mu_conj, conj.d_mu_conj
+
+
+def _as_tuple(s):
+    return s.mu_nu, s.mu_nu_conj, s.mu_conj_nu, s.mu_conj_nu_conj
+
+
+def _conjugation_oracle(f, q, mu):
+    fc = lambda p: f(p).conjugate()
+    left_f, right_f = left_ghr(f, q, mu), right_ghr(f, q, mu)
+    left_fc, right_fc = left_ghr(fc, q, mu), right_ghr(fc, q, mu)
+    return max(abs(right_f.d_mu - left_fc.d_mu_conj.conjugate()),
+               abs(right_f.d_mu_conj - left_fc.d_mu.conjugate()),
+               abs(left_f.d_mu - right_fc.d_mu_conj.conjugate()),
+               abs(left_f.d_mu_conj - right_fc.d_mu.conjugate()))
+
+
+def _product_oracle(f, g, q, mu, conjugate):
+    gq, fq = g(q), f(q)
+    lhs = left_ghr(lambda p: f(p) * g(p), q, mu)
+    dg = left_ghr(g, q, mu)
+    df_shift = left_ghr(f, q, gq * mu)
+    if conjugate:
+        return abs(lhs.d_mu_conj - (fq * dg.d_mu_conj + df_shift.d_mu_conj * gq))
+    return abs(lhs.d_mu - (fq * dg.d_mu + df_shift.d_mu * gq))
+
+
+def _chain_oracle(f, g, q, mu, nu, conjugate):
+    s = g(q)
+    lhs = left_ghr(lambda p: f(g(p)), q, mu)
+    total = ZERO
+    for eta in AXES:
+        axis = nu * UNITS[eta]
+        inner = left_ghr(f, s, axis).d_mu
+        outer = left_ghr(lambda p, ax=axis: rotate(g(p), ax), q, mu)
+        total = total + inner * (outer.d_mu_conj if conjugate else outer.d_mu)
+    return abs((lhs.d_mu_conj if conjugate else lhs.d_mu) - total)
+
+
+def _taylor_oracle(f, q0, lam, center):
+    total = f(q0)
+    first = left_hr(f, q0)
+    for mu in AXES:
+        total = total + first.wrt(mu) * involute(lam, mu)
+    half = ZERO
+    for mu in AXES:
+        outer = left_hr(lambda p, _mu=mu: left_hr(f, p).wrt(_mu, conj=center), q0, 1e-4)
+        for nu in AXES:
+            second = outer.wrt(nu)
+            if center:
+                half = half + involute_conj(lam, mu) * second * involute(lam, nu)
+            else:
+                half = half + second * involute(lam, nu) * involute(lam, mu)
+    return total + half * 0.5
+
+
+def test_shared_stencils_match_separate_derivatives_bitwise():
+    rng = make_rng(SEED, stream=20)
+    linear = lambda p: Quaternion(0.3, 0.5, -0.2, 0.1) * p + ONE
+    for idx in range(20):
+        q = random_quaternion(rng, min_modulus=0.1)
+        mu = random_quaternion(rng, min_modulus=0.1)
+        nu = random_quaternion(rng, min_modulus=0.1)
+        f = (f_sq, f_exp, f_mod2, f_cross)[idx % 4]
+        conjugate = idx % 2 == 1
+        assert _bits(conjugation_relation(f, q, mu)) == _bits(_conjugation_oracle(f, q, mu))
+        assert _bits(check_product_rule(f, f_conj, q, mu, conjugate=conjugate)) \
+            == _bits(_product_oracle(f, f_conj, q, mu, conjugate))
+        for conj in (False, True):
+            assert _bits(check_chain_rule(f, linear, q, mu, nu, conjugate=conj)) \
+                == _bits(_chain_oracle(f, linear, q, mu, nu, conj))
+        assert _bits(*_as_tuple(second_order_left(f, q, mu, nu))) \
+            == _bits(*_nested_oracle(left_ghr, left_ghr, f, q, mu, nu))
+        assert _bits(*_as_tuple(second_order_right(f, q, mu, nu))) \
+            == _bits(*_nested_oracle(right_ghr, right_ghr, f, q, mu, nu))
+        mixed = second_order(f, q, (mu,), (nu,), outer="right", inner="left")[0][0]
+        assert _bits(*_as_tuple(mixed)) \
+            == _bits(*_nested_oracle(right_ghr, left_ghr, f, q, mu, nu))
+        # Every entry of a grid equals its own single-pair derivative.
+        grid = second_order(f, q, (mu, nu, I), (nu, ONE))
+        for m, outer in enumerate((mu, nu, I)):
+            for n, inner in enumerate((nu, ONE)):
+                assert _bits(*_as_tuple(grid[m][n])) \
+                    == _bits(*_as_tuple(second_order_left(f, q, outer, inner)))
+        lam = random_quaternion(rng) * 0.1
+        assert _bits(*taylor2_left(f, q, lam, center=conjugate)) \
+            == _bits(*_taylor_oracle(f, q, lam, conjugate))
+
+
+def _evaluations(monkeypatch, run) -> int:
+    calls = []
+    evaluate = derivatives._evaluate
+    with monkeypatch.context() as patch:
+        patch.setattr(derivatives, "_evaluate",
+                      lambda f, p: calls.append(p) or evaluate(f, p))
+        run()
+    return len(calls)
+
+
+def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
+    q = Quaternion(0.3, -0.7, 1.1, 0.2)
+    mu = Quaternion(0.5, 0.2, -0.4, 0.9)
+    nu = Quaternion(-0.3, 0.8, 0.1, 0.4)
+    linear = lambda p: mu * p + nu
+    count = lambda run: _evaluations(monkeypatch, run)
+    # f's eight stencil values; f* is its conjugate.
+    assert count(lambda: conjugation_relation(f_sq, q, mu)) == 8
+    # f(q), g(q) and one f and one g value per stencil point.
+    assert count(lambda: check_product_rule(f_sq, linear, q, mu)) == 18
+    # g(q), f's partials at g(q), and one g and one f(g) value per point.
+    assert count(lambda: check_chain_rule(f_sq, linear, q, mu, nu)) == 25
+    assert count(lambda: check_chain_rule(f_sq, linear, q, mu, nu,
+                                          conjugate=True)) == 25
+    # Eight partials of f at each of the eight outer stencil points, for any
+    # number of axes and both flavors.
+    assert count(lambda: second_order_left(f_mod2, q, mu, nu)) == 64
+    assert count(lambda: second_order(f_mod2, q, HR_AXES, HR_AXES, outer="right")) == 64

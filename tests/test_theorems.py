@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from quatcalc.derivatives import EvaluationError
 from quatcalc.quaternion import ONE, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
@@ -179,3 +181,24 @@ def test_descent_direction_optimality():
         direction = random_quaternion(rng, min_modulus=0.1)
         direction = direction / abs(direction)
         assert descent_direction_gap(grad_row, direction) >= -1e-12
+
+
+def test_mvt_rejects_nonfinite_value_at_endpoint():
+    # f is finite everywhere the derivative looks, but not at q1 itself.
+    def spiked(p):
+        return Quaternion(math.nan, 0.0, 0.0, 0.0) if p == Q1 else f_sq(p)
+
+    with pytest.raises(EvaluationError, match="not finite"):
+        mvt_left(spiked, Q0, Q1, panels=2)
+
+
+def test_descent_accepts_component_array_objective():
+    target = Quaternion(0.5, -1.0, 0.25, 2.0)
+
+    def objective(p):
+        return np.array([(p - target).modulus_squared(), 0.0, 0.0, 0.0])
+
+    trace = steepest_descent(objective, Quaternion(0.0, 0.0, 0.0, 0.0), 0.4,
+                             grad_tol=1e-7)
+    assert abs(trace.iterates[-1] - target) < 1e-6
+    assert all(isinstance(value, float) for value in trace.values)
