@@ -18,8 +18,7 @@ from .quaternion import (AXES, ONE, UNITS, ZERO, MuBasis, PolarForm,
                          conjugate_links, format_quaternion, involute,
                          involute_conj, isclose, mu_basis, parse_quaternion,
                          polar, reflect, rotate)
-from .sampling import (make_rng, random_pure_unit, random_quaternion,
-                       random_unit)
+from .sampling import make_rng, random_pure_unit, random_quaternion
 from .tables import (CrossCheck, EntryDerivatives, FamilySpec, TableEntry,
                      as_function, catalogue, conj_gradient, cross_validate,
                      derivative, eval_entry, exp_series_tail_bound)

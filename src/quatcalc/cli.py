@@ -36,6 +36,9 @@ TABLE_TOLERANCES = {"table": 1e-5}
 MVT_TOLERANCES = {"mvt": 1e-7}
 TAYLOR_TOLERANCES = {"slope_low": 2.7, "slope_high": 3.3}
 DESCENT_TOLERANCES = {"grad": 1e-6}
+# The Taylor slope bounds delimit a range, so unlike the residual tolerances
+# they may be negative.
+SIGNED_TOLERANCES = {"slope_low", "slope_high"}
 
 TAYLOR_SCALES = (1e-1, 3.1622776601683795e-2, 1e-2,
                  3.1622776601683795e-3, 1e-3)
@@ -77,6 +80,10 @@ def _parse_tolerances(pairs: Optional[Sequence[str]],
             tols[name] = float(value)
         except ValueError:
             raise CliError(f"--tol {name}: {value!r} is not a number")
+        if math.isnan(tols[name]):
+            raise CliError(f"--tol {name}: NaN is not a tolerance")
+        if tols[name] < 0.0 and name not in SIGNED_TOLERANCES:
+            raise CliError(f"--tol {name}: must be nonnegative, got {value!r}")
     return tols
 
 

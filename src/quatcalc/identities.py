@@ -23,6 +23,13 @@ from .sampling import make_rng, random_quaternion
 
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 20240501
+PRODUCT_DRAWS = 80
+CHAIN_DRAWS = 50
+# Shares of the rule-check draws that take the conjugate form of the rule, and
+# of the chain-rule draws that check the real corollary instead.
+PRODUCT_CONJUGATE_SHARE = 0.3
+CHAIN_CONJUGATE_SHARE = 0.25
+CHAIN_REAL_SHARE = 0.25
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "golden": 1e-6,
@@ -164,13 +171,14 @@ def structural_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
     pair = left_ghr(_f_mod2, q, mu)
     out.append(_record("real_conjugate", tols,
                        abs(pair.d_mu.conjugate() - pair.d_mu_conj), point=q, mu=mu))
-    transported = rotate(left_ghr(_f_sq, q, mu).d_mu, nu)
+    d_sq = left_ghr(_f_sq, q, mu).d_mu
+    transported = rotate(d_sq, nu)
     direct = left_ghr(lambda p: rotate(_f_sq(p), nu), q, nu * mu).d_mu
     out.append(_record("rotation_transport", tols, abs(transported - direct),
                        point=q, mu=mu, nu=nu))
     scaled = left_ghr(lambda p: nu * _f_sq(p), q, mu).d_mu
     out.append(_record("left_constant", tols,
-                       abs(scaled - nu * left_ghr(_f_sq, q, mu).d_mu),
+                       abs(scaled - nu * d_sq),
                        point=q, mu=mu, nu=nu))
     return out
 
@@ -223,8 +231,8 @@ def second_order_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
     return out
 
 
-def product_rule_records(rng: np.random.Generator, draws: int, tols: dict,
-                         conjugate_share: float = 0.3) -> tuple[list[IdentityRecord], int]:
+def product_rule_records(rng: np.random.Generator, draws: int,
+                         tols: dict) -> tuple[list[IdentityRecord], int]:
     records = []
     skips = 0
     while len(records) < draws:
@@ -236,7 +244,7 @@ def product_rule_records(rng: np.random.Generator, draws: int, tols: dict,
             skips += 1
             continue
         mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        conjugate = rng.random() < conjugate_share
+        conjugate = rng.random() < PRODUCT_CONJUGATE_SHARE
         try:
             res = derivatives.check_product_rule(
                 tables.as_function(f_entry), tables.as_function(g_entry),
@@ -249,16 +257,15 @@ def product_rule_records(rng: np.random.Generator, draws: int, tols: dict,
     return records, skips
 
 
-def chain_rule_records(rng: np.random.Generator, draws: int, tols: dict,
-                       conjugate_share: float = 0.25,
-                       real_share: float = 0.25) -> tuple[list[IdentityRecord], int]:
+def chain_rule_records(rng: np.random.Generator, draws: int,
+                       tols: dict) -> tuple[list[IdentityRecord], int]:
     specs = tables.catalogue()
     linear_specs = [s for s in specs if s.scale_class == "linear"]
     real_specs = [s for s in specs if s.real_valued]
     records = []
     skips = 0
     while len(records) < draws:
-        if rng.random() < real_share:
+        if rng.random() < CHAIN_REAL_SHARE:
             # Real chain corollary: F(x) = x^2 applied to a real-valued g.
             g_spec = real_specs[rng.integers(len(real_specs))]
             g_entry = g_spec.sample_entry(rng)
@@ -281,7 +288,7 @@ def chain_rule_records(rng: np.random.Generator, draws: int, tols: dict,
             continue
         mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
         nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        conjugate = rng.random() < conjugate_share
+        conjugate = rng.random() < CHAIN_CONJUGATE_SHARE
         try:
             res = derivatives.check_chain_rule(
                 tables.as_function(f_entry), tables.as_function(g_entry),
@@ -295,9 +302,7 @@ def chain_rule_records(rng: np.random.Generator, draws: int, tols: dict,
 
 
 def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
-                       tolerances: Optional[dict[str, float]] = None,
-                       product_draws: int = 80,
-                       chain_draws: int = 50) -> SuiteResult:
+                       tolerances: Optional[dict[str, float]] = None) -> SuiteResult:
     """Evaluate the whole identity suite and return one record per check."""
     if points < 1:
         raise ValueError("points must be a positive integer")
@@ -321,8 +326,8 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         records.extend(counter_example_records(q, tols))
         records.append(reconstruction_record(q, dq, tols))
         records.extend(second_order_records(q, mu, nu, tols))
-    product_records, product_skips = product_rule_records(rng, product_draws, tols)
+    product_records, product_skips = product_rule_records(rng, PRODUCT_DRAWS, tols)
     records.extend(product_records)
-    chain_records, chain_skips = chain_rule_records(rng, chain_draws, tols)
+    chain_records, chain_skips = chain_rule_records(rng, CHAIN_DRAWS, tols)
     records.extend(chain_records)
     return SuiteResult(tuple(records), product_skips, chain_skips)

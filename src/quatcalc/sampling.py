@@ -35,15 +35,6 @@ def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.
                      f"in {MAX_DRAWS} tries")
 
 
-def random_unit(rng: np.random.Generator) -> Quaternion:
-    """Uniformly distributed unit quaternion."""
-    while True:
-        q = Quaternion.from_components(rng.normal(size=4))
-        mod = q.modulus()
-        if mod > 1e-6:
-            return q / mod
-
-
 def random_pure_unit(rng: np.random.Generator) -> Quaternion:
     """Uniformly distributed pure unit quaternion."""
     while True:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -31,14 +32,6 @@ from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
 DEFAULT_EXP_TERMS = 30
-
-
-def _real(x: float) -> Quaternion:
-    return Quaternion(float(x), 0.0, 0.0, 0.0)
-
-
-def _re(q: Quaternion) -> float:
-    return q.a
 
 
 @dataclass(frozen=True)
@@ -70,6 +63,7 @@ class FamilySpec:
 
     ``admissible`` says which points the sampler keeps: the domain guard's
     region with a margin, so that the difference stencil stays inside it.
+    ``params`` names the TableEntry fields the family reads, in draw order.
     """
 
     name: str
@@ -80,6 +74,7 @@ class FamilySpec:
     admissible: Callable[[TableEntry, Quaternion], bool]
     scale_class: str
     real_valued: bool
+    params: tuple[str, ...]
 
     def sample_point(self, entry: TableEntry, rng: np.random.Generator) -> Quaternion:
         """Uniform draw from [-2, 2]^4, redrawn until the family admits it."""
@@ -96,9 +91,6 @@ def conj_input(name: str, base: FamilySpec) -> FamilySpec:
     Its value, domain guard and sampler test are the base's at q*, and its
     two derivative columns are the base's columns at q*, swapped.
     """
-    def value(entry, q):
-        return base.value(entry, q.conjugate())
-
     def columns(entry, q, mu):
         col_mu, col_mu_conj = base.columns(entry, q.conjugate(), mu)
         return EntryDerivatives(col_mu_conj, col_mu)
@@ -107,92 +99,70 @@ def conj_input(name: str, base: FamilySpec) -> FamilySpec:
         violation = base.domain(entry, q.conjugate())
         return f"{violation} at q*" if violation else None
 
-    def sample_entry(rng):
-        return replace(base.sample_entry(rng), family=name)
-
-    def admissible(entry, q):
-        return base.admissible(entry, q.conjugate())
-
-    return FamilySpec(name=name, value=value, columns=columns, domain=domain,
-                      sample_entry=sample_entry, admissible=admissible,
-                      scale_class=base.scale_class, real_valued=base.real_valued)
-
-
-def _no_guard(entry, q):
-    return None
-
-
-def _guard_modulus(entry, q):
-    if q.modulus() < MIN_MODULUS:
-        return f"requires |q| >= {MIN_MODULUS}"
-    return None
-
-
-def _guard_vector(entry, q):
-    if q.vector_modulus() < MIN_MODULUS:
-        return f"requires |Im(q)| >= {MIN_MODULUS}"
-    return None
-
-
-def _guard_arctan(entry, q):
-    return _guard_vector(entry, q) or _guard_modulus(entry, q)
+    return replace(base, name=name, columns=columns, domain=domain,
+                   value=lambda entry, q: base.value(entry, q.conjugate()),
+                   admissible=lambda entry, q: base.admissible(entry, q.conjugate()),
+                   sample_entry=lambda rng: replace(base.sample_entry(rng), family=name))
 
 
 def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
     return entry.omega * q * entry.nu + entry.lam
 
 
-def _guard_linear_inner(entry, q):
-    if _linear_inner(entry, q).modulus() < MIN_MODULUS:
-        return f"requires |omega q nu + lam| >= {MIN_MODULUS}"
-    return None
+@dataclass(frozen=True)
+class Guard:
+    """A size the family divides by: the domain needs it >= MIN_MODULUS,
+    and sampled points need it >= margin."""
+
+    label: str
+    size: Callable[[TableEntry, Quaternion], float]
+    margin: float
+
+    def domain(self, entry: TableEntry, q: Quaternion) -> Optional[str]:
+        if self.size(entry, q) < MIN_MODULUS:
+            return f"requires {self.label} >= {MIN_MODULUS}"
+        return None
+
+    def admissible(self, entry: TableEntry, q: Quaternion) -> bool:
+        return self.size(entry, q) >= self.margin
 
 
-def _sample_params(rng: np.random.Generator) -> dict:
-    return {
-        "omega": random_quaternion(rng, -1.0, 1.0),
-        "nu": random_quaternion(rng, -1.0, 1.0),
-        "lam": random_quaternion(rng, -1.0, 1.0),
-    }
+# A family defined everywhere is infinitely far from its singular set.
+_UNGUARDED = Guard("", lambda e, q: math.inf, 0.0)
+_MODULUS = Guard("|q|", lambda e, q: q.modulus(), 0.1)
+_VECTOR = Guard("|Im(q)|", lambda e, q: q.vector_modulus(), 0.2)
+_INNER = Guard("|omega q nu + lam|",
+               lambda e, q: _linear_inner(e, q).modulus(), 0.1)
 
 
-def _sample_plain(family: str):
-    def sample(rng):
-        return TableEntry(family=family)
-    return sample
+def _is_count(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
 
 
-def _sample_with_params(family: str):
-    def sample(rng):
-        return TableEntry(family=family, **_sample_params(rng))
-    return sample
+class _Param(NamedTuple):
+    draw: Callable[[np.random.Generator], object]
+    valid: Callable[[object], bool]
+    expected: str
 
 
-def _anywhere(entry, q):
-    return True
-
-
-def _away_from_zero(entry, q):
-    return q.modulus() >= 0.1
-
-
-def _off_real_axis(entry, q):
-    return q.vector_modulus() >= 0.2
-
-
-def _inner_away_from_zero(entry, q):
-    return _linear_inner(entry, q).modulus() >= 0.1
+_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, -1.0, 1.0),
+                      lambda v: isinstance(v, Quaternion), "a Quaternion")
+# Drawn by the sampler and checked on every entry, keyed by TableEntry field.
+_PARAMS = {
+    "omega": _COEFFICIENT,
+    "nu": _COEFFICIENT,
+    "lam": _COEFFICIENT,
+    "n": _Param(lambda rng: int(rng.integers(2, 6)), _is_count, "a positive integer"),
+    "terms": _Param(lambda rng: DEFAULT_EXP_TERMS, _is_count, "a positive integer"),
+}
+_AFFINE = ("omega", "nu", "lam")
 
 
 # --- family evaluators and columns ------------------------------------------
 
-def _linear_value(e, q):
-    return _linear_inner(e, q)
-
-
 def _linear_cols(e, q, mu):
     nm = e.nu * mu
-    return EntryDerivatives(e.omega * _re(nm), (e.omega * nm.conjugate()) * -0.5)
+    return EntryDerivatives(e.omega * nm.a, (e.omega * nm.conjugate()) * -0.5)
 
 
 def _square_value(e, q):
@@ -201,7 +171,7 @@ def _square_value(e, q):
 
 def _square_cols(e, q, mu):
     qm = q * mu
-    col1 = q * _re(mu) + _real(_re(qm))
+    col1 = q * mu.a + Quaternion.from_real(qm.a)
     col2 = (q * mu.conjugate()) * -0.5 + qm.conjugate() * -0.5
     return EntryDerivatives(col1, col2)
 
@@ -215,7 +185,7 @@ def _linear_square_cols(e, q, mu):
     g = _linear_inner(e, q)
     nm = e.nu * mu
     ngm = e.nu * g * mu
-    col1 = (g * e.omega) * _re(nm) + e.omega * _re(ngm)
+    col1 = (g * e.omega) * nm.a + e.omega * ngm.a
     col2 = (g * e.omega * nm.conjugate()) * -0.5 + (e.omega * ngm.conjugate()) * -0.5
     return EntryDerivatives(col1, col2)
 
@@ -226,7 +196,7 @@ def _inverse_value(e, q):
 
 def _inverse_cols(e, q, mu):
     qi = q.inverse()
-    col1 = qi * -_re(qi * mu)
+    col1 = qi * -(qi * mu).a
     col2 = (qi * mu.conjugate() * qi.conjugate()) * 0.5
     return EntryDerivatives(col1, col2)
 
@@ -238,13 +208,13 @@ def _linear_inverse_value(e, q):
 def _linear_inverse_cols(e, q, mu):
     fv = _linear_inner(e, q).inverse()
     nfm = e.nu * fv * mu
-    col1 = (fv * e.omega) * -_re(nfm)
+    col1 = (fv * e.omega) * -nfm.a
     col2 = (fv * e.omega * nfm.conjugate()) * 0.5
     return EntryDerivatives(col1, col2)
 
 
 def _real_part_value(e, q):
-    return _real(q.a)
+    return Quaternion.from_real(q.a)
 
 
 def _real_part_cols(e, q, mu):
@@ -253,7 +223,7 @@ def _real_part_cols(e, q, mu):
 
 
 def _linear_real_part_value(e, q):
-    return _real(_re(_linear_inner(e, q)))
+    return Quaternion.from_real(_linear_inner(e, q).a)
 
 
 def _linear_real_part_cols(e, q, mu):
@@ -263,7 +233,7 @@ def _linear_real_part_cols(e, q, mu):
 
 
 def _vector_modulus_value(e, q):
-    return _real(q.vector_modulus())
+    return Quaternion.from_real(q.vector_modulus())
 
 
 def _vector_modulus_cols(e, q, mu):
@@ -284,7 +254,7 @@ def _unit_pure_axis_cols(e, q, mu):
 
 
 def _arctan_arg_value(e, q):
-    return _real(math.atan2(q.vector_modulus(), q.a))
+    return Quaternion.from_real(math.atan2(q.vector_modulus(), q.a))
 
 
 def _arctan_arg_cols(e, q, mu):
@@ -301,7 +271,7 @@ def _unit_vector_value(e, q):
 
 def _unit_vector_cols(e, q, mu):
     mod = q.modulus()
-    col1 = _real(_re(mu) / mod) - (q * mu * q.conjugate()) * (0.25 / mod ** 3)
+    col1 = Quaternion.from_real(mu.a / mod) - (q * mu * q.conjugate()) * (0.25 / mod ** 3)
     col2 = mu.conjugate() * (-0.5 / mod) - (q * mu * q) * (0.25 / mod ** 3)
     return EntryDerivatives(col1, col2)
 
@@ -316,15 +286,15 @@ def _linear_unit_vector_cols(e, q, mu):
     mod = g.modulus()
     nm = e.nu * mu
     wgm = e.omega.conjugate() * g * mu
-    col1 = e.omega * (_re(nm) / (2.0 * mod)) \
+    col1 = e.omega * (nm.a / (2.0 * mod)) \
         + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod ** 3)
     col2 = (e.omega * nm.conjugate()) * (-0.25 / mod) \
-        + (g * e.nu.conjugate()) * (-_re(wgm) / (2.0 * mod ** 3))
+        + (g * e.nu.conjugate()) * (-wgm.a / (2.0 * mod ** 3))
     return EntryDerivatives(col1, col2)
 
 
 def _modulus_value(e, q):
-    return _real(q.modulus())
+    return Quaternion.from_real(q.modulus())
 
 
 def _modulus_cols(e, q, mu):
@@ -333,7 +303,7 @@ def _modulus_cols(e, q, mu):
 
 
 def _modulus_squared_value(e, q):
-    return _real(q.modulus_squared())
+    return Quaternion.from_real(q.modulus_squared())
 
 
 def _modulus_squared_cols(e, q, mu):
@@ -341,7 +311,7 @@ def _modulus_squared_cols(e, q, mu):
 
 
 def _linear_modulus_value(e, q):
-    return _real(_linear_inner(e, q).modulus())
+    return Quaternion.from_real(_linear_inner(e, q).modulus())
 
 
 def _linear_modulus_cols(e, q, mu):
@@ -349,23 +319,23 @@ def _linear_modulus_cols(e, q, mu):
     mod = g.modulus()
     nm = e.nu * mu
     wgm = e.omega.conjugate() * g * mu
-    col1 = (g.conjugate() * e.omega) * (_re(nm) / (2.0 * mod)) \
+    col1 = (g.conjugate() * e.omega) * (nm.a / (2.0 * mod)) \
         + (e.nu.conjugate() * wgm.conjugate()) * (-0.25 / mod)
     col2 = (g.conjugate() * e.omega * nm.conjugate()) * (-0.25 / mod) \
-        + e.nu.conjugate() * (_re(wgm) / (2.0 * mod))
+        + e.nu.conjugate() * (wgm.a / (2.0 * mod))
     return EntryDerivatives(col1, col2)
 
 
 def _linear_modulus_squared_value(e, q):
-    return _real(_linear_inner(e, q).modulus_squared())
+    return Quaternion.from_real(_linear_inner(e, q).modulus_squared())
 
 
 def _linear_modulus_squared_cols(e, q, mu):
     g = _linear_inner(e, q)
     nm = e.nu * mu
     wgm = e.omega.conjugate() * g * mu
-    col1 = (g.conjugate() * e.omega) * _re(nm) + (e.nu.conjugate() * wgm.conjugate()) * -0.5
-    col2 = (g.conjugate() * e.omega * nm.conjugate()) * -0.5 + e.nu.conjugate() * _re(wgm)
+    col1 = (g.conjugate() * e.omega) * nm.a + (e.nu.conjugate() * wgm.conjugate()) * -0.5
+    col2 = (g.conjugate() * e.omega * nm.conjugate()) * -0.5 + e.nu.conjugate() * wgm.a
     return EntryDerivatives(col1, col2)
 
 
@@ -386,7 +356,7 @@ def _power_sums(q: Quaternion, mu: Quaternion, n: int) -> tuple[Quaternion, Quat
     conj = Quaternion(0.0, 0.0, 0.0, 0.0)
     for m in range(1, n + 1):
         head = powers[m - 1] * mu
-        plain = plain + powers[n - m] * _re(head)
+        plain = plain + powers[n - m] * head.a
         conj = conj + powers[n - m] * head.conjugate()
     return plain, conj * -0.5
 
@@ -424,83 +394,61 @@ def exp_series_tail_bound(entry: TableEntry, q: Quaternion, mu: Quaternion) -> f
     return mod ** (n + 1) / math.factorial(n + 1) * math.exp(mod) * abs(mu)
 
 
-def _sample_power(rng):
-    return TableEntry(family="power", n=int(rng.integers(2, 6)))
-
-
-def _sample_exponential(rng):
-    return TableEntry(family="exponential", terms=DEFAULT_EXP_TERMS)
-
-
 FAMILIES: dict[str, FamilySpec] = {}
 
 
-def _register(name, value, columns, domain, sample_entry, admissible,
-              scale_class, real_valued=False):
+def _register(name, value, columns, guard, params, scale_class,
+              real_valued=False, conj=False):
+    """Declare a family, and with ``conj`` its conj_ twin right after it."""
     FAMILIES[name] = FamilySpec(name=name, value=value, columns=columns,
-                                domain=domain, sample_entry=sample_entry,
-                                admissible=admissible, scale_class=scale_class,
-                                real_valued=real_valued)
+                                domain=guard.domain,
+                                sample_entry=lambda rng: TableEntry(
+                                    family=name,
+                                    **{p: _PARAMS[p].draw(rng) for p in params}),
+                                admissible=guard.admissible,
+                                scale_class=scale_class,
+                                real_valued=real_valued, params=params)
+    if conj:
+        FAMILIES[f"conj_{name}"] = conj_input(f"conj_{name}", FAMILIES[name])
 
 
-def _register_conj(name, base):
-    FAMILIES[name] = conj_input(name, FAMILIES[base])
-
-
-_register("linear", _linear_value, _linear_cols, _no_guard,
-          _sample_with_params("linear"), _anywhere, "linear")
-_register_conj("conj_linear", "linear")
-_register("square", _square_value, _square_cols, _no_guard,
-          _sample_plain("square"), _anywhere, "quadratic")
-_register_conj("conj_square", "square")
-_register("linear_square", _linear_square_value, _linear_square_cols, _no_guard,
-          _sample_with_params("linear_square"), _anywhere, "quadratic")
-_register_conj("conj_linear_square", "linear_square")
-_register("inverse", _inverse_value, _inverse_cols, _guard_modulus,
-          _sample_plain("inverse"), _away_from_zero, "linear")
-_register_conj("conj_inverse", "inverse")
-_register("linear_inverse", _linear_inverse_value, _linear_inverse_cols,
-          _guard_linear_inner, _sample_with_params("linear_inverse"),
-          _inner_away_from_zero, "linear")
-_register_conj("conj_linear_inverse", "linear_inverse")
-_register("real_part", _real_part_value, _real_part_cols, _no_guard,
-          _sample_plain("real_part"), _anywhere, "linear", real_valued=True)
+_register("linear", _linear_inner, _linear_cols, _UNGUARDED, _AFFINE, "linear",
+          conj=True)
+_register("square", _square_value, _square_cols, _UNGUARDED, (), "quadratic",
+          conj=True)
+_register("linear_square", _linear_square_value, _linear_square_cols, _UNGUARDED,
+          _AFFINE, "quadratic", conj=True)
+_register("inverse", _inverse_value, _inverse_cols, _MODULUS, (), "linear",
+          conj=True)
+_register("linear_inverse", _linear_inverse_value, _linear_inverse_cols, _INNER,
+          _AFFINE, "linear", conj=True)
+_register("real_part", _real_part_value, _real_part_cols, _UNGUARDED, (),
+          "linear", real_valued=True)
 _register("linear_real_part", _linear_real_part_value, _linear_real_part_cols,
-          _no_guard, _sample_with_params("linear_real_part"), _anywhere,
+          _UNGUARDED, _AFFINE, "linear", real_valued=True, conj=True)
+_register("vector_modulus", _vector_modulus_value, _vector_modulus_cols, _VECTOR,
+          (), "linear", real_valued=True)
+_register("unit_pure_axis", _unit_pure_axis_value, _unit_pure_axis_cols, _VECTOR,
+          (), "linear")
+# |Im q| >= MIN_MODULUS already implies |q| >= MIN_MODULUS.
+_register("arctan_arg", _arctan_arg_value, _arctan_arg_cols, _VECTOR, (),
           "linear", real_valued=True)
-_register_conj("conj_linear_real_part", "linear_real_part")
-_register("vector_modulus", _vector_modulus_value, _vector_modulus_cols,
-          _guard_vector, _sample_plain("vector_modulus"), _off_real_axis,
-          "linear", real_valued=True)
-_register("unit_pure_axis", _unit_pure_axis_value, _unit_pure_axis_cols,
-          _guard_vector, _sample_plain("unit_pure_axis"), _off_real_axis, "linear")
-_register("arctan_arg", _arctan_arg_value, _arctan_arg_cols, _guard_arctan,
-          _sample_plain("arctan_arg"), _off_real_axis, "linear", real_valued=True)
-_register("unit_vector", _unit_vector_value, _unit_vector_cols, _guard_modulus,
-          _sample_plain("unit_vector"), _away_from_zero, "linear")
-_register_conj("conj_unit_vector", "unit_vector")
-_register("linear_unit_vector", _linear_unit_vector_value, _linear_unit_vector_cols,
-          _guard_linear_inner, _sample_with_params("linear_unit_vector"),
-          _inner_away_from_zero, "linear")
-_register_conj("conj_linear_unit_vector", "linear_unit_vector")
-_register("modulus", _modulus_value, _modulus_cols, _guard_modulus,
-          _sample_plain("modulus"), _away_from_zero, "linear", real_valued=True)
+_register("unit_vector", _unit_vector_value, _unit_vector_cols, _MODULUS, (),
+          "linear", conj=True)
+_register("linear_unit_vector", _linear_unit_vector_value,
+          _linear_unit_vector_cols, _INNER, _AFFINE, "linear", conj=True)
+_register("modulus", _modulus_value, _modulus_cols, _MODULUS, (), "linear",
+          real_valued=True)
 _register("modulus_squared", _modulus_squared_value, _modulus_squared_cols,
-          _no_guard, _sample_plain("modulus_squared"), _anywhere,
-          "quadratic", real_valued=True)
-_register("linear_modulus", _linear_modulus_value, _linear_modulus_cols,
-          _guard_linear_inner, _sample_with_params("linear_modulus"),
-          _inner_away_from_zero, "linear", real_valued=True)
-_register_conj("conj_linear_modulus", "linear_modulus")
+          _UNGUARDED, (), "quadratic", real_valued=True)
+_register("linear_modulus", _linear_modulus_value, _linear_modulus_cols, _INNER,
+          _AFFINE, "linear", real_valued=True, conj=True)
 _register("linear_modulus_squared", _linear_modulus_squared_value,
-          _linear_modulus_squared_cols, _no_guard,
-          _sample_with_params("linear_modulus_squared"), _anywhere,
-          "quadratic", real_valued=True)
-_register_conj("conj_linear_modulus_squared", "linear_modulus_squared")
-_register("power", _power_value, _power_cols, _no_guard,
-          _sample_power, _anywhere, "quadratic")
-_register("exponential", _exponential_value, _exponential_cols, _no_guard,
-          _sample_exponential, _anywhere, "quadratic")
+          _linear_modulus_squared_cols, _UNGUARDED, _AFFINE, "quadratic",
+          real_valued=True, conj=True)
+_register("power", _power_value, _power_cols, _UNGUARDED, ("n",), "quadratic")
+_register("exponential", _exponential_value, _exponential_cols, _UNGUARDED,
+          ("terms",), "quadratic")
 
 
 def catalogue() -> tuple[FamilySpec, ...]:
@@ -512,10 +460,11 @@ def _check_entry(entry: TableEntry) -> FamilySpec:
     spec = FAMILIES.get(entry.family)
     if spec is None:
         raise ValueError(f"unknown table family {entry.family!r}")
-    if entry.family == "power" and (entry.n is None or entry.n < 1):
-        raise ValueError("power: n must be a positive integer")
-    if entry.family == "exponential" and (entry.terms is None or entry.terms < 1):
-        raise ValueError("exponential: terms must be a positive integer")
+    for name in spec.params:
+        value = getattr(entry, name)
+        if not _PARAMS[name].valid(value):
+            raise ValueError(f"{entry.family}: {name} must be "
+                             f"{_PARAMS[name].expected}, got {value!r}")
     return spec
 
 

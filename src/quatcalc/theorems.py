@@ -25,6 +25,8 @@ from .quaternion import AXES, Quaternion, involute, involute_conj
 # curvature_noise * |lambda|^2 on top of a small absolute term.
 FLOOR_ABS = 1e-12
 FLOOR_CURVATURE = 1e-4
+# Relative slack mvt_error_bound_check allows on the bound 2 L |lambda|^2.
+BOUND_SLACK = 0.1
 
 
 class DivergenceError(RuntimeError):
@@ -105,18 +107,18 @@ def first_order_error(f: QFunction, q0: Quaternion, q1: Quaternion,
 
 
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
-                          lipschitz: float, h: float = DEFAULT_H,
-                          slack: float = 0.1) -> tuple[float, float, bool]:
+                          lipschitz: float,
+                          h: float = DEFAULT_H) -> tuple[float, float, bool]:
     """Observed first-order error against the bound 2 L |lambda|^2.
 
     L is a Lipschitz constant for the derivative set along the segment,
     supplied by the caller.  Returns (observed, bound, within_bound) where the
-    bound is allowed the given relative slack.
+    bound is allowed the relative slack BOUND_SLACK.
     """
     lam = q1 - q0
     observed = first_order_error(f, q0, q1, h)
     bound = 2.0 * lipschitz * lam.modulus_squared()
-    return observed, bound, observed <= bound * (1.0 + slack)
+    return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
 
 
 def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
@@ -151,9 +153,7 @@ def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
 
 def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
                            scales: Sequence[float], h: float = DEFAULT_H,
-                           h2: float = DEFAULT_H2, center: bool = False,
-                           floor_abs: float = FLOOR_ABS,
-                           floor_curvature: float = FLOOR_CURVATURE) -> TaylorFit:
+                           h2: float = DEFAULT_H2, center: bool = False) -> TaylorFit:
     """Fit the log-log decay rate of the second-order remainder.
 
     Needs at least four strictly decreasing scales spanning two decades.
@@ -174,7 +174,7 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     for s in scales:
         lam = direction * s
         err = abs(_evaluate(f, q0 + lam) - taylor2_left(f, q0, lam, h, h2, center))
-        floor = floor_abs + floor_curvature * lam.modulus_squared()
+        floor = FLOOR_ABS + FLOOR_CURVATURE * lam.modulus_squared()
         errors.append(err)
         used.append(err > floor)
     if sum(used) < 2:

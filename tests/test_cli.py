@@ -81,6 +81,30 @@ def test_malformed_tolerance_is_config_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--tol", "golden=nan"],
+    ["table", "--tol", "table=nan"],
+    ["taylor", "--tol", "slope_low=nan"],
+    ["taylor", "--tol", "slope_high=NaN"],
+    ["mvt", "--tol", "mvt=nan"],
+    ["descend", "--tol", "grad=nan"],
+    ["verify", "--tol", "product_rule=-1e-6"],
+    ["table", "--tol", "table=-1"],
+    ["mvt", "--tol", "mvt=-1"],
+    ["descend", "--tol", "grad=-1"],
+])
+def test_nan_or_negative_tolerance_is_config_error(argv, capsys):
+    assert main(argv) == 2
+    name = argv[-1].partition("=")[0]
+    assert f"--tol {name}" in capsys.readouterr().err
+
+
+def test_zero_and_negative_slope_tolerances_stay_legal(capsys):
+    assert main(["taylor", "--tol", "slope_low=-1"]) == 0
+    assert main(["verify", "--points", "1", "--tol", "counter_gap=0"]) == 0
+    capsys.readouterr()
+
+
 def test_table_family_filter(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["table", "--points", "3", "--family", "linear",

@@ -1,14 +1,18 @@
 """Adaptive filter variants, signal generation and experiment harness."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from quatcalc import derivatives
+from quatcalc.cli import _load_filter_config
 from quatcalc.derivatives import left_hr
 from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
                               QVector, _numerical_phi_derivatives,
+                              _signal_arrays, _taps_array,
                               generate_signal, phi_tanh, qlms_state, qlms_step,
                               qngd_state, qngd_step, run_experiment,
                               wl_qlms_state, wl_qlms_step)
@@ -380,3 +384,22 @@ def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
     run_experiment(ExperimentConfig(steps=50, snr_db=30.0, seed=1,
                                     **FILTERS["qngd_tanh"]))
     assert len(calls) == 8 * 50
+
+
+def test_wl_qlms_is_real_lms_with_four_times_the_step():
+    # Every real-linear map H^N -> H is widely linear, and summing
+    # (x^b)* y^b over the four involutions gives 4 Re(x* y), so WL-QLMS is
+    # plain real LMS on a 4 x 4N matrix with step 4 alpha.
+    config, _ = _load_filter_config("wl_qlms")
+    config = replace(config, steps=2000)
+    result = run_experiment(config)
+    windows, desired = _signal_arrays(config.kind, _taps_array(config.taps),
+                                      config.steps, config.snr_db, config.seed)
+    regressors = windows.reshape(config.steps, -1)
+    matrix = np.zeros((4, regressors.shape[1]))
+    sq_error = []
+    for x, d in zip(regressors, desired):
+        e = d - matrix @ x
+        matrix += 4.0 * config.alpha * np.outer(e, x)
+        sq_error.append(float(e @ e))
+    assert np.max(np.abs(np.array(result.mse_curve) - sq_error)) <= 1e-12

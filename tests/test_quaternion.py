@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -102,7 +102,6 @@ FINITE = st.one_of(st.sampled_from([0.0, -0.0]),
                    st.floats(allow_nan=False, allow_infinity=False))
 
 
-@settings(deadline=None)
 @given(data=st.data())
 def test_array_hamilton_matches_scalar_product_bitwise(data):
     shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
@@ -327,3 +326,42 @@ def test_random_quaternion_rejection_keeps_the_stream():
             if Quaternion.from_components(comps).modulus() >= 0.9:
                 break
         assert tuple(q) == tuple(comps)
+
+
+# Components of magnitude 1e-50 to 1e50, or signed zero: products of three
+# stay clear of overflow, and moduli of products clear of underflow.
+MAGNITUDE = st.floats(min_value=1e-50, max_value=1e50)
+SCALED = st.one_of(st.sampled_from([0.0, -0.0]), MAGNITUDE, MAGNITUDE.map(lambda x: -x))
+SCALED_QUATERNIONS = st.builds(Quaternion, SCALED, SCALED, SCALED, SCALED)
+FINITE_QUATERNIONS = st.builds(Quaternion, FINITE, FINITE, FINITE, FINITE)
+
+
+def _hex(q: Quaternion) -> tuple[str, ...]:
+    return tuple(x.hex() for x in q)
+
+
+@given(SCALED_QUATERNIONS, SCALED_QUATERNIONS)
+def test_modulus_is_multiplicative(p, q):
+    assert math.isclose(abs(p * q), abs(p) * abs(q), rel_tol=1e-12)
+
+
+@given(SCALED_QUATERNIONS, SCALED_QUATERNIONS, SCALED_QUATERNIONS)
+def test_product_is_associative(p, q, r):
+    assert abs((p * q) * r - p * (q * r)) <= 1e-12 * abs(p) * abs(q) * abs(r)
+
+
+@given(FINITE_QUATERNIONS, st.sampled_from(AXES))
+def test_involutions_are_self_inverse(q, axis):
+    assert _hex(involute(involute(q, axis), axis)) == _hex(q)
+    assert _hex(involute_conj(involute_conj(q, axis), axis)) == _hex(q)
+    assert _hex(q.conjugate().conjugate()) == _hex(q)
+
+
+@given(SCALED_QUATERNIONS, SCALED_QUATERNIONS.filter(lambda mu: abs(mu) > 0.0))
+def test_rotation_preserves_modulus(q, mu):
+    assert math.isclose(abs(rotate(q, mu)), abs(q), rel_tol=1e-12)
+
+
+@given(FINITE_QUATERNIONS)
+def test_format_parse_round_trip_is_bitwise(q):
+    assert _hex(parse_quaternion(format_quaternion(q))) == _hex(q)

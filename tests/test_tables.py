@@ -4,8 +4,10 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quatcalc.derivatives import left_ghr
+from quatcalc.derivatives import DEFAULT_H, _stencil, left_ghr
 from quatcalc.quaternion import ONE, I, ZERO, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
@@ -228,3 +230,37 @@ def test_conj_guard_is_base_guard_at_conjugate(family):
                 assert "q*" in violation
                 with pytest.raises(ValueError, match=family):
                     eval_entry(entry, q)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_sampled_points_and_their_stencils_pass_the_domain_guard(family, seed):
+    spec = next(s for s in catalogue() if s.name == family)
+    rng = make_rng(seed)
+    entry = spec.sample_entry(rng)
+    q = spec.sample_point(entry, rng)
+    points, _ = _stencil(q, DEFAULT_H)
+    for p in [q, *(p for pair in points for p in pair)]:
+        assert spec.domain(entry, p) is None
+
+
+@pytest.mark.parametrize("entry,param", [
+    (TableEntry(family="linear"), "omega"),
+    (TableEntry(family="conj_linear_modulus", omega=ONE, nu=I), "lam"),
+    (TableEntry(family="linear_inverse", omega=ONE, nu=1.0, lam=ONE), "nu"),
+    (TableEntry(family="power"), "n"),
+    (TableEntry(family="power", n=2.5), "n"),
+    (TableEntry(family="power", n=True), "n"),
+    (TableEntry(family="power", n=0), "n"),
+    (TableEntry(family="exponential", terms="30"), "terms"),
+    (TableEntry(family="exponential", terms=-1), "terms"),
+])
+def test_missing_or_ill_typed_parameter_is_a_value_error(entry, param):
+    q = Quaternion(0.5, -1.0, 0.25, 0.75)
+    match = f"{entry.family}: {param} must be"
+    with pytest.raises(ValueError, match=match):
+        eval_entry(entry, q)
+    with pytest.raises(ValueError, match=match):
+        derivative(entry, q, ONE)
+    with pytest.raises(ValueError, match=match):
+        as_function(entry)
