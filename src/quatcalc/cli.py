@@ -17,6 +17,7 @@ from importlib import resources
 from typing import Optional, Sequence
 
 from . import identities, tables, theorems
+from .derivatives import takes_arrays
 from .filters import ExperimentConfig, QVector, run_experiment
 from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
 from .sampling import make_rng, random_quaternion
@@ -173,8 +174,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
+@takes_arrays
 def _mod2(p: Quaternion) -> Quaternion:
-    return Quaternion.from_real(p.modulus_squared())
+    return type(p).from_real(p.modulus_squared())
 
 
 _EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
@@ -218,6 +220,7 @@ def cmd_taylor(args: argparse.Namespace) -> int:
 
 
 def _mvt_functions():
+    @takes_arrays
     def sq(p: Quaternion) -> Quaternion:
         return p * p
 

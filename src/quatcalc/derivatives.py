@@ -26,8 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .quaternion import (AXES, UNITS, MuBasis, Quaternion, involute, mu_basis,
-                         rotate)
+import numpy as np
+
+from .quaternion import (AXES, UNITS, MuBasis, QArray, Quaternion, involute,
+                         mu_basis, rotate)
 
 QFunction = Callable[[Quaternion], Quaternion]
 
@@ -111,16 +113,22 @@ def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     return value
 
 
-def _stencil(q: Quaternion, h: float):
-    """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
+def _steps(h: float):
+    """The offsets h e for e in {1, i, j, k}, and inv = 1/2h."""
     if h <= 0.0:
         raise ValueError("step size must be positive")
+    return (((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0),
+             (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h))
+
+
+def _stencil(q: Quaternion, h: float):
+    """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
+    steps, inv = _steps(h)
     a, b, c, d = q
     points = [(Quaternion(a + oa, b + ob, c + oc, d + od),
                Quaternion(a - oa, b - ob, c - oc, d - od))
-              for oa, ob, oc, od in ((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0),
-                                     (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h))]
-    return points, 1.0 / (2.0 * h)
+              for oa, ob, oc, od in steps]
+    return points, inv
 
 
 def real_partials(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> RealPartials:
@@ -168,10 +176,19 @@ HR_AXES = tuple(UNITS[axis] for axis in AXES)
 _HR_BASES = tuple(mu_basis(mu) for mu in HR_AXES)
 
 
-def _hr(f: QFunction, q: Quaternion, h: float, side: str) -> DerivativeSet:
-    parts = real_partials(f, q, h).as_tuple()
+def hr_from_partials(parts, side: str) -> DerivativeSet:
+    """The eight HR derivatives from f's four real partials.
+
+    The partials may be Quaternions or QArrays; the set holds the same type.
+    """
     plain, conj = zip(*(_project(parts, basis, side) for basis in _HR_BASES))
     return DerivativeSet(*plain, *conj, flavor=side)
+
+
+def ghr_from_partials(parts, mu: Quaternion, side: str) -> GhrPair:
+    """The GHR pair along mu from f's four real partials."""
+    d_mu, d_mu_conj = _project(parts, _basis(mu), side)
+    return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
 
 
 def left_conj_from_partials(parts) -> Quaternion:
@@ -181,30 +198,58 @@ def left_conj_from_partials(parts) -> Quaternion:
 
 def left_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
-    return _hr(f, q, h, "left")
+    return hr_from_partials(real_partials(f, q, h).as_tuple(), "left")
 
 
 def right_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
     """All eight right HR derivatives of f at q (units multiply from the left)."""
-    return _hr(f, q, h, "right")
+    return hr_from_partials(real_partials(f, q, h).as_tuple(), "right")
 
 
-def _ghr(f: QFunction, q: Quaternion, mu: Quaternion, h: float,
-         side: str) -> GhrPair:
-    d_mu, d_mu_conj = _project(real_partials(f, q, h).as_tuple(), _basis(mu), side)
-    return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
+def takes_arrays(f: QFunction) -> QFunction:
+    """Declare that f, written with Quaternion operators alone, also maps a
+    QArray of points to the QArray of its values, bit for bit."""
+    f.takes_arrays = True
+    return f
+
+
+def has_array_form(f: QFunction) -> bool:
+    return getattr(f, "takes_arrays", False)
+
+
+def left_hr_batch(f: QFunction, points: QArray,
+                  h: float = DEFAULT_H) -> DerivativeSet:
+    """left_hr of an array-form f at each of the (4, N) points, bit for bit.
+
+    The derivative set holds QArrays of N quaternions.  One call of f takes
+    all eight stencil points of every point.  A non-finite value raises the
+    EvaluationError that left_hr, point by point, would raise first.
+    """
+    steps, inv = _steps(h)
+    offsets = np.array(steps).T[:, np.newaxis, :]
+    base = points.c[:, :, np.newaxis]
+    # [component, point, axis, +/-]: the scalar loop's evaluation order.
+    stencil = np.stack((base + offsets, base - offsets), axis=-1)
+    values = f(QArray(stencil)).c
+    finite = np.isfinite(values).all(axis=0).ravel()
+    if not finite.all():
+        first = stencil.reshape(4, -1)[:, np.argmin(finite)]
+        raise EvaluationError("function evaluation is not finite",
+                              Quaternion.from_components(first))
+    diffs = (values[..., 0] - values[..., 1]) * inv
+    return hr_from_partials([QArray(diffs[..., e]) for e in range(4)], "left")
 
 
 def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
              h: float = DEFAULT_H) -> GhrPair:
     """Left GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    return _ghr(f, q, mu, h, "left")
+    return ghr_from_partials(real_partials(f, q, h).as_tuple(), mu, "left")
 
 
 def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
               h: float = DEFAULT_H) -> GhrPair:
     """Right GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    return _ghr(f, q, mu, h, "right")
+    return ghr_from_partials(real_partials(f, q, h).as_tuple(), mu, "right")
 
 
 @dataclass(frozen=True)

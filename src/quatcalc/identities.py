@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import derivatives, tables
-from .derivatives import (DegenerateAxisError, left_ghr, left_hr, right_hr,
+from .derivatives import (DegenerateAxisError, ghr_from_partials,
+                          hr_from_partials, left_ghr, left_hr, real_partials,
                           second_order, second_order_right)
 from .quaternion import I, ONE, Quaternion, rotate
 from .sampling import make_rng, random_quaternion
@@ -163,12 +164,14 @@ def structural_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
     out.append(_record("conjugation", tols,
                        derivatives.conjugation_relation(_f_sq, q, mu),
                        point=q, mu=mu))
-    left = left_hr(_f_mod2, q)
-    right = right_hr(_f_mod2, q)
+    # One stencil of |q|^2 serves its left HR, right HR and left GHR sets.
+    parts = real_partials(_f_mod2, q).as_tuple()
+    left = hr_from_partials(parts, "left")
+    right = hr_from_partials(parts, "right")
     flavor = max(abs(left.wrt(ax, conj=c) - right.wrt(ax, conj=c))
                  for ax in ("1", "i", "j", "k") for c in (False, True))
     out.append(_record("flavor_real", tols, flavor, point=q))
-    pair = left_ghr(_f_mod2, q, mu)
+    pair = ghr_from_partials(parts, mu, "left")
     out.append(_record("real_conjugate", tols,
                        abs(pair.d_mu.conjugate() - pair.d_mu_conj), point=q, mu=mu))
     d_sq = left_ghr(_f_sq, q, mu).d_mu

@@ -177,6 +177,98 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms[0] + terms[1] + terms[2] + terms[3]
 
 
+class QArray:
+    """Many quaternions at once: one float array with the components on axis 0.
+
+    The operators are Quaternion's, element by element and bit for bit:
+    products go through hamilton, and a Quaternion or real operand applies
+    to every element.  So a formula written with Quaternion operators alone
+    maps a QArray of points to the QArray of its values.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, comps):
+        self.c = np.asarray(comps, dtype=float)
+
+    @classmethod
+    def from_real(cls, x) -> "QArray":
+        comps = np.zeros((4,) + np.shape(x))
+        comps[0] = x
+        return cls(comps)
+
+    @property
+    def a(self) -> np.ndarray:
+        return self.c[0]
+
+    def _operand(self, other):
+        """other's components, broadcastable against self.c, or None."""
+        if isinstance(other, QArray):
+            return other.c
+        if isinstance(other, Quaternion):
+            return np.array(other).reshape((4,) + (1,) * (self.c.ndim - 1))
+        return None
+
+    def _with_real(self, real) -> "QArray":
+        comps = self.c.copy()
+        comps[0] = real
+        return QArray(comps)
+
+    def __add__(self, other):
+        comps = self._operand(other)
+        if comps is not None:
+            return QArray(self.c + comps)
+        if isinstance(other, numbers.Real):
+            return self._with_real(self.c[0] + other)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        comps = self._operand(other)
+        if comps is not None:
+            return QArray(self.c - comps)
+        if isinstance(other, numbers.Real):
+            return self._with_real(self.c[0] - other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        comps = self._operand(other)
+        if comps is not None:
+            return QArray(comps - self.c)
+        if isinstance(other, numbers.Real):
+            return (-self)._with_real(other - self.c[0])
+        return NotImplemented
+
+    def __neg__(self) -> "QArray":
+        return QArray(-self.c)
+
+    def __mul__(self, other):
+        comps = self._operand(other)
+        if comps is not None:
+            return QArray(hamilton(self.c, comps))
+        if isinstance(other, numbers.Real):
+            return QArray(self.c * other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        comps = self._operand(other)
+        if comps is not None:
+            return QArray(hamilton(comps, self.c))
+        if isinstance(other, numbers.Real):
+            return QArray(other * self.c)
+        return NotImplemented
+
+    def __truediv__(self, other):
+        if isinstance(other, numbers.Real):
+            return QArray(self.c / other)
+        return NotImplemented
+
+    def modulus_squared(self) -> np.ndarray:
+        a, b, c, d = self.c
+        return a * a + b * b + c * c + d * d
+
+
 def isclose(p: Quaternion, q: Quaternion,
             abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
     """Tolerance-based comparison: true when |p - q| <= abs_tol + rel_tol*scale."""

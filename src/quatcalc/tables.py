@@ -27,7 +27,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import derivatives
-from .quaternion import ONE, Quaternion, rotate
+from .derivatives import has_array_form, takes_arrays
+from .quaternion import ONE, ZERO, Quaternion, rotate
 from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -346,26 +347,31 @@ def _power_value(e, q):
     return result
 
 
-def _power_sums(q: Quaternion, mu: Quaternion, n: int) -> tuple[Quaternion, Quaternion]:
-    """Inner sums of the power rule: sum over m of q^(n-m) Re(q^(m-1) mu)
-    and -1/2 sum of q^(n-m) (q^(m-1) mu)*."""
+def _power_rule(q: Quaternion, mu: Quaternion, top: int):
+    """Inner sums of the power rule for each q^n, n = 1..top: sum over m of
+    q^(n-m) Re(q^(m-1) mu) and -1/2 sum of q^(n-m) (q^(m-1) mu)*.
+
+    The powers and the heads q^(m-1) mu are built once for every order.
+    """
     powers = [ONE]
-    for _ in range(n):
+    for _ in range(top - 1):
         powers.append(powers[-1] * q)
-    plain = Quaternion(0.0, 0.0, 0.0, 0.0)
-    conj = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for m in range(1, n + 1):
-        head = powers[m - 1] * mu
-        plain = plain + powers[n - m] * head.a
-        conj = conj + powers[n - m] * head.conjugate()
-    return plain, conj * -0.5
+    heads = [power * mu for power in powers]
+    for n in range(1, top + 1):
+        plain = ZERO
+        conj = ZERO
+        for m in range(1, n + 1):
+            plain = plain + powers[n - m] * heads[m - 1].a
+            conj = conj + powers[n - m] * heads[m - 1].conjugate()
+        yield plain, conj * -0.5
 
 
 def _power_cols(e, q, mu):
-    plain, conj = _power_sums(q, mu, e.n)
+    *_, (plain, conj) = _power_rule(q, mu, e.n)
     return EntryDerivatives(plain, conj)
 
 
+@takes_arrays
 def _exponential_value(e, q):
     total = ONE
     term = ONE
@@ -376,12 +382,11 @@ def _exponential_value(e, q):
 
 
 def _exponential_cols(e, q, mu):
-    plain_total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    conj_total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    plain_total = ZERO
+    conj_total = ZERO
     factorial = 1.0
-    for n in range(1, e.terms + 1):
+    for n, (plain, conj) in enumerate(_power_rule(q, mu, e.terms), start=1):
         factorial *= n
-        plain, conj = _power_sums(q, mu, n)
         plain_total = plain_total + plain / factorial
         conj_total = conj_total + conj / factorial
     return EntryDerivatives(plain_total, conj_total)
@@ -489,8 +494,11 @@ def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivat
 
 
 def as_function(entry: TableEntry) -> Callable[[Quaternion], Quaternion]:
+    """The family's value as a function of q; it has an array form when the
+    family's evaluator takes QArrays."""
     spec = _check_entry(entry)
-    return lambda p: spec.value(entry, p)
+    fn = lambda p: spec.value(entry, p)
+    return takes_arrays(fn) if has_array_form(spec.value) else fn
 
 
 def conj_gradient(entry: TableEntry, q: Quaternion) -> Quaternion:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES, QFunction, _evaluate,
-                          left_hr, second_order)
-from .quaternion import AXES, Quaternion, involute, involute_conj
+from .derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES, DerivativeSet,
+                          QFunction, _evaluate, has_array_form, left_hr,
+                          left_hr_batch, second_order)
+from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
 # nested difference scheme, so the expansion carries noise of roughly
@@ -27,6 +29,9 @@ FLOOR_ABS = 1e-12
 FLOOR_CURVATURE = 1e-4
 # Relative slack mvt_error_bound_check allows on the bound 2 L |lambda|^2.
 BOUND_SLACK = 0.1
+# Simpson nodes per array pass of mvt_left: enough to spread numpy's
+# per-call cost, few enough that the stencil temporaries stay small.
+NODE_BLOCK = 64
 
 
 class DivergenceError(RuntimeError):
@@ -68,12 +73,22 @@ class DescentTrace:
     step: float
 
 
-def _simpson(values: Sequence[Quaternion], width: float) -> Quaternion:
-    # Composite Simpson over an even number of panels; len(values) is odd.
-    total = values[0] + values[-1]
-    for idx in range(1, len(values) - 1):
-        total = total + values[idx] * (4.0 if idx % 2 else 2.0)
-    return total * (width / 3.0)
+def _simpson(values: np.ndarray, width: float) -> Quaternion:
+    """Composite Simpson over the (4, odd n) node values of an even number of
+    panels: (v_0 + v_last) + 4 v_1 + 2 v_2 + ..., added left to right."""
+    weights = np.where(np.arange(1, values.shape[1] - 1) % 2, 4.0, 2.0)
+    terms = np.concatenate(((values[:, 0] + values[:, -1])[:, np.newaxis],
+                            values[:, 1:-1] * weights), axis=1)
+    total = np.add.accumulate(terms, axis=1)[:, -1]
+    return Quaternion.from_components(total) * (width / 3.0)
+
+
+def _integrand(ds: DerivativeSet, lam: Quaternion, real_form: bool):
+    """sum over eta of d f/dq^eta lambda^eta, or 4 Re(d f/dq lambda)."""
+    if not real_form:
+        return ds.differential(lam)
+    head = ds.wrt_q * lam
+    return type(head).from_real(4.0 * head.a)
 
 
 def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
@@ -83,16 +98,25 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
     for t in [0, 1] with lambda = q1 - q0, by composite Simpson quadrature.
     With ``real_form`` the real-valued corollary 4 Re(d f/dq * lambda) is
-    integrated instead.
+    integrated instead.  An f with an array form is evaluated NODE_BLOCK
+    nodes at a time on component arrays, bit for bit as the scalar loop.
     """
-    if panels < 2 or panels % 2 != 0:
+    if not isinstance(panels, Integral) or isinstance(panels, bool) \
+            or panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even integer >= 2")
     lam = q1 - q0
-    values = []
-    for idx in range(panels + 1):
-        ds = left_hr(f, q0 + lam * (idx / panels), h)
-        values.append(Quaternion.from_real(4.0 * (ds.wrt_q * lam).a) if real_form
-                      else ds.differential(lam))
+    if has_array_form(f):
+        values = np.empty((4, panels + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, panels + 1, NODE_BLOCK):
+                t = np.arange(start, min(start + NODE_BLOCK, panels + 1)) / panels
+                nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
+                ds = left_hr_batch(f, nodes, h)
+                values[:, start:start + len(t)] = _integrand(ds, lam, real_form).c
+    else:
+        values = np.array([
+            _integrand(left_hr(f, q0 + lam * (idx / panels), h), lam, real_form)
+            for idx in range(panels + 1)]).T
     rhs = _simpson(values, 1.0 / panels)
     lhs = _evaluate(f, q1) - _evaluate(f, q0)
     return SegmentCheck(q0=q0, q1=q1, panels=panels, lhs=lhs, rhs=rhs,

@@ -1,19 +1,26 @@
 """Numerical HR/GHR engine: golden values, calculus rules, second order."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from quatcalc import derivatives
+from quatcalc import cli, derivatives, tables
 from quatcalc.derivatives import (HR_AXES, DegenerateAxisError, EvaluationError,
                                   check_chain_rule, check_product_rule,
                                   conjugation_relation,
-                                  differential_consistency, left_ghr, left_hr,
+                                  differential_consistency, has_array_form,
+                                  left_ghr, left_hr, left_hr_batch,
                                   real_partials, right_ghr, right_hr,
                                   second_order, second_order_left,
                                   second_order_right)
-from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, Quaternion,
-                                 involute, involute_conj, isclose, rotate)
+from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
+                                 Quaternion, involute, involute_conj, isclose,
+                                 rotate)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import taylor2_left
 
@@ -439,3 +446,49 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
     # number of axes and both flavors.
     assert count(lambda: second_order_left(f_mod2, q, mu, nu)) == 64
     assert count(lambda: second_order(f_mod2, q, HR_AXES, HR_AXES, outer="right")) == 64
+
+
+# The built-in functions that carry an array form: cli's square and |q|^2,
+# and the exponential table family.
+BUILT_IN_ARRAY_FORMS = (
+    ("cli_square", cli._mvt_functions()[0][1]), ("cli_mod2", cli._mod2),
+    ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))))
+# Components small enough that the 30-term series stays finite, with signed
+# zeros drawn often.
+COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(min_value=-3.0, max_value=3.0))
+
+
+def test_array_forms_are_the_listed_built_ins():
+    with_form = {spec.name for spec in tables.catalogue()
+                 if has_array_form(tables.as_function(spec.sample_entry(make_rng(SEED))))}
+    assert with_form == {"exponential"}
+    assert all(has_array_form(fn) for _, fn in BUILT_IN_ARRAY_FORMS)
+    assert not has_array_form(f_sq)
+    assert not has_array_form(lambda p: cli._mod2(p))
+
+
+@pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS,
+                         ids=[name for name, _ in BUILT_IN_ARRAY_FORMS])
+@given(points=hnp.arrays(np.float64, st.tuples(st.just(4), st.integers(1, 6)),
+                         elements=COMPONENT))
+def test_array_form_matches_scalar_function_bitwise(name, fn, points):
+    out = fn(QArray(points))
+    expected = np.array([tuple(fn(Quaternion(*points[:, k].tolist())))
+                         for k in range(points.shape[1])]).T
+    assert out.c.shape == expected.shape
+    assert np.array_equal(out.c.view(np.uint64), expected.view(np.uint64))
+
+
+def test_left_hr_batch_matches_left_hr_bitwise():
+    rng = make_rng(SEED, stream=31)
+    points = [random_quaternion(rng, -2.0, 2.0) for _ in range(9)]
+    names = [f.name for f in dataclasses.fields(derivatives.DerivativeSet)
+             if f.name != "flavor"]
+    for _, fn in BUILT_IN_ARRAY_FORMS:
+        batch = left_hr_batch(fn, QArray(np.array(points).T))
+        for k, q in enumerate(points):
+            scalar = left_hr(fn, q)
+            for field in names:
+                assert _bits(*getattr(batch, field).c[:, k].tolist()) \
+                    == _bits(*getattr(scalar, field))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from quatcalc.quaternion import (ABS_TOL, AXES, I, J, K, ONE, UNITS, ZERO,
-                                 Quaternion, components_from_involutions,
+                                 QArray, Quaternion, components_from_involutions,
                                  conjugate_links, format_quaternion, hamilton,
                                  involute,
                                  involute_conj, isclose, mu_basis,
@@ -121,6 +121,48 @@ def test_array_hamilton_matches_scalar_product_bitwise(data):
         expected[at] = (Quaternion(*p_full[at].tolist())
                         * Quaternion(*q_full[at].tolist()))
     assert _same_bits(out, expected)
+
+
+# Each QArray operation beside the Quaternion operation it mirrors: binary
+# operations between quaternions, operations with a real x, unary ones.
+QUATERNION_OPS = (lambda p, q: p + q, lambda p, q: p - q, lambda p, q: p * q)
+REAL_OPS = (lambda p, x: p + x, lambda p, x: x + p, lambda p, x: p - x,
+            lambda p, x: x - p, lambda p, x: p * x, lambda p, x: x * p,
+            lambda p, x: p / x, lambda p, x: -p,
+            lambda p, x: type(p).from_real(p.modulus_squared()),
+            lambda p, x: type(p).from_real(p.a))
+
+
+@given(data=st.data())
+def test_qarray_operators_match_quaternion_bitwise(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    p = data.draw(hnp.arrays(np.float64, (4, n), elements=FINITE))
+    q = data.draw(hnp.arrays(np.float64, (4, n), elements=FINITE))
+    x = data.draw(FINITE.filter(lambda v: v != 0.0))
+    ps = [Quaternion(*p[:, k].tolist()) for k in range(n)]
+    qs = [Quaternion(*q[:, k].tolist()) for k in range(n)]
+    cases = [(lambda fn=fn: fn(QArray(p), QArray(q)),
+              lambda k, fn=fn: fn(ps[k], qs[k])) for fn in QUATERNION_OPS]
+    # A Quaternion operand applies to every element of the QArray.
+    cases += [(lambda fn=fn: fn(ps[0], QArray(q)),
+               lambda k, fn=fn: fn(ps[0], qs[k])) for fn in QUATERNION_OPS]
+    cases += [(lambda fn=fn: fn(QArray(p), qs[0]),
+               lambda k, fn=fn: fn(ps[k], qs[0])) for fn in QUATERNION_OPS]
+    cases += [(lambda fn=fn: fn(QArray(p), x),
+               lambda k, fn=fn: fn(ps[k], x)) for fn in REAL_OPS]
+    for batched, scalar in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = batched()
+        assert isinstance(out, QArray)
+        expected = np.array([tuple(scalar(k)) for k in range(n)]).T
+        assert _same_bits(out.c, expected)
+
+
+def test_qarray_rejects_division_by_a_quaternion():
+    with pytest.raises(TypeError):
+        QArray(np.ones((4, 2))) / ONE
+    with pytest.raises(TypeError):
+        ONE / QArray(np.ones((4, 2)))
 
 
 def test_involutions_oracle():

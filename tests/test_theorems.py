@@ -1,12 +1,14 @@
 """Mean value, Taylor remainder and steepest descent checks."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from quatcalc.derivatives import EvaluationError
-from quatcalc.quaternion import ONE, Quaternion, isclose
+from quatcalc import cli, derivatives, theorems
+from quatcalc.derivatives import EvaluationError, has_array_form, takes_arrays
+from quatcalc.quaternion import I, ONE, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
 from quatcalc.theorems import (DivergenceError, descent_direction_gap,
@@ -53,11 +55,90 @@ def test_mvt_panel_refinement():
         assert fine <= max(coarse / 10.0, 1e-9)
 
 
+def _hidden(fn):
+    """fn with its array form hidden, so that mvt_left takes the scalar loop."""
+    return lambda p: fn(p)
+
+
+def _mvt_bits(check) -> tuple:
+    return (tuple(x.hex() for x in check.lhs), tuple(x.hex() for x in check.rhs),
+            check.residual.hex())
+
+
 def test_mvt_rejects_bad_panels():
-    with pytest.raises(ValueError, match="even"):
-        mvt_left(f_sq, Q0, Q1, panels=5)
-    with pytest.raises(ValueError, match="even"):
-        mvt_left(f_sq, Q0, Q1, panels=0)
+    # Both the scalar loop and the array pass.
+    for fn in (f_sq, F_EXP):
+        for panels in (5, 0, 4.0, np.float64(4.0), True, False):
+            with pytest.raises(ValueError, match="even"):
+                mvt_left(fn, Q0, Q1, panels=panels)
+        assert _mvt_bits(mvt_left(fn, Q0, Q1, panels=np.int64(4))) \
+            == _mvt_bits(mvt_left(fn, Q0, Q1, panels=4))
+
+
+MVT_FUNCTIONS = cli._mvt_functions()
+
+
+@pytest.mark.parametrize("seed", (20240501, 11, 36))
+@pytest.mark.parametrize("name,fn,real_form", MVT_FUNCTIONS,
+                         ids=[f"{name}-{'real' if real else 'general'}"
+                              for name, _, real in MVT_FUNCTIONS])
+def test_batched_mvt_matches_scalar_loop_bitwise(seed, name, fn, real_form):
+    # The segment cmd_mvt draws at this seed.
+    rng = make_rng(seed)
+    q0 = random_quaternion(rng, -2.0, 2.0)
+    q1 = random_quaternion(rng, -2.0, 2.0)
+    assert has_array_form(fn) and not has_array_form(_hidden(fn))
+    for panels in (4, 16, 64, 256, 1000):
+        batched = mvt_left(fn, q0, q1, panels=panels, real_form=real_form)
+        scalar = mvt_left(_hidden(fn), q0, q1, panels=panels, real_form=real_form)
+        assert _mvt_bits(batched) == _mvt_bits(scalar)
+
+
+def _raised(fn, q0, q1, **kw) -> tuple:
+    with pytest.raises(EvaluationError, match="not finite") as info:
+        mvt_left(fn, q0, q1, **kw)
+    return str(info.value), tuple(x.hex() for x in info.value.point)
+
+
+@pytest.mark.parametrize("real", [3e11, -3e11])
+def test_batched_mvt_raises_the_scalar_loops_error(real):
+    # The 30-term series overflows part way along the segment.
+    q0 = Quaternion(0.1, 0.2, 0.3, 0.4)
+    q1 = Quaternion(real, 0.3, -0.2, 0.1)
+    assert _raised(F_EXP, q0, q1, panels=200) \
+        == _raised(_hidden(F_EXP), q0, q1, panels=200)
+
+
+@takes_arrays
+def _overflows_in_b(p):
+    # (i p).a = -b, so this is inf where |b| > 1.797...: along the segment
+    # below, the first such stencil point is the fourth of its node, q - h i.
+    return type(p).from_real((I * p).a * 1e308)
+
+
+def test_batched_mvt_keeps_the_scalar_evaluation_order():
+    q0 = Quaternion(0.5, -1.0, 0.25, 0.0)
+    q1 = Quaternion(0.5, -3.0, 0.25, 0.0)
+    message, point = _raised(_overflows_in_b, q0, q1, panels=200, h=0.02)
+    assert (message, point) == _raised(_hidden(_overflows_in_b), q0, q1,
+                                       panels=200, h=0.02)
+    limit = sys.float_info.max / 1e308
+    assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + 0.02
+
+
+def test_mvt_evaluation_counts(monkeypatch):
+    calls = []
+    evaluate = derivatives._evaluate
+    counted = lambda f, p: calls.append(p) or evaluate(f, p)
+    monkeypatch.setattr(derivatives, "_evaluate", counted)
+    monkeypatch.setattr(theorems, "_evaluate", counted)
+    # A plain callable: eight stencil values per node, then f(q1) and f(q0).
+    mvt_left(lambda p: p * p, Q0, Q1, panels=16)
+    assert len(calls) == (16 + 1) * 8 + 2
+    # An array form: the nodes go through f on arrays; only the ends are scalar.
+    calls.clear()
+    mvt_left(F_EXP, Q0, Q1, panels=16)
+    assert calls == [Q1, Q0]
 
 
 def test_first_order_error_bound():
