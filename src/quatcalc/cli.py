@@ -321,6 +321,10 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
     missing = CONFIG_REQUIRED - set(raw)
     if missing:
         raise CliError(f"missing config keys: {', '.join(sorted(missing))}")
+    # float() and int() would take "0.1", True and False; JSON gives numbers.
+    for key in ("steps", "seed", "alpha", "snr_db", "threshold"):
+        if isinstance(raw.get(key), (bool, str)):
+            raise CliError(f"bad config value: {key} must be a number, got {raw[key]!r}")
     for key in ("steps", "seed"):
         value = raw[key]
         if isinstance(value, float) and not value.is_integer():

@@ -12,6 +12,10 @@ Three variants share the same error-power objective |e(n)|^2:
 The step directions are exactly the negative conjugate GHR gradients of the
 objective (up to the constant absorbed into alpha), which the test suite
 verifies numerically.
+
+One recursion, ``_step``, updates (4, branches, taps) component arrays by
+one window: ``run_experiment`` calls it once per step, and the per-sample
+``*_step`` functions call it once on their converted QVector state.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .derivatives import DEFAULT_H, left_conj_from_partials, real_partials
+from .derivatives import left_conj_from_partials, real_partials
 from .quaternion import AXES, Quaternion, hamilton, involute
 from .theorems import DivergenceError
 
@@ -31,7 +35,7 @@ DIVERGENCE_NORM = 1e6
 
 
 class QVector:
-    """Immutable vector of quaternions with the products the filters need."""
+    """Immutable vector of quaternions: filter taps, weights or a window."""
 
     __slots__ = ("elements",)
 
@@ -61,35 +65,8 @@ class QVector:
     def __repr__(self) -> str:
         return f"QVector({list(self.elements)!r})"
 
-    def conj(self) -> "QVector":
-        return QVector([q.conjugate() for q in self.elements])
-
-    def involute(self, axis: str) -> "QVector":
-        return QVector([involute(q, axis) for q in self.elements])
-
-    def dot_t(self, other: "QVector") -> Quaternion:
-        """Transpose pairing sum self_m * other_m (order matters)."""
-        total = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for p, q in zip(self.elements, other.elements):
-            total = total + p * q
-        return total
-
-    def dot_h(self, other: "QVector") -> Quaternion:
-        """Hermitian pairing sum self_m* * other_m."""
-        total = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for p, q in zip(self.elements, other.elements):
-            total = total + p.conjugate() * q
-        return total
-
-    def norm_squared(self) -> float:
-        return sum(q.modulus_squared() for q in self.elements)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
 
 PhiFunction = Callable[[Quaternion], Quaternion]
-PhiDerivatives = Callable[[Quaternion], tuple[Quaternion, ...]]
 
 
 @dataclass(frozen=True)
@@ -124,47 +101,39 @@ def qngd_state(taps: int, alpha: float,
                        nonlinearity=nonlinearity)
 
 
-def _check_input(state: FilterState, x: QVector) -> None:
-    if len(x) != len(state.weights[0]):
+def _sample_step(state: FilterState, x: QVector, d: Quaternion,
+                 phi: Optional[PhiFunction] = None) -> tuple[FilterState, Quaternion]:
+    """One-window call into _step: QVector weights and window in and out."""
+    weights = _taps_array(state.weights)
+    if len(x) != weights.shape[2]:
         raise ValueError("regressor length does not match filter taps")
-
-
-def _linear_update(w: QVector, x: QVector, e: Quaternion, alpha: float) -> QVector:
-    return QVector([w_m + (e * x_m.conjugate()) * alpha
-                    for w_m, x_m in zip(w, x)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        new, e = _step(weights, _taps_array(x), np.array(d, dtype=float), state.alpha, phi)
+    branches = tuple(QVector(Quaternion(*q) for q in branch)
+                     for branch in new.transpose(1, 2, 0).tolist())
+    return (replace(state, weights=branches, iteration=state.iteration + 1),
+            Quaternion(*e.tolist()))
 
 
 def qlms_step(state: FilterState, x: QVector,
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QLMS update; returns the new state and the a priori error."""
-    _check_input(state, x)
-    w = state.weights[0]
-    e = d - w.dot_t(x)
-    new_w = _linear_update(w, x, e, state.alpha)
-    new_state = replace(state, weights=(new_w,), iteration=state.iteration + 1)
-    return new_state, e
+    return _sample_step(state, x, d)
 
 
 def wl_qlms_step(state: FilterState, x: QVector,
                  d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One widely linear QLMS update over the four involution branches."""
-    _check_input(state, x)
-    h, g, u, v = state.weights
-    branches = (x, x.involute("i"), x.involute("j"), x.involute("k"))
-    y = h.dot_h(branches[0]) + g.dot_h(branches[1]) \
-        + u.dot_h(branches[2]) + v.dot_h(branches[3])
-    e = d - y
-    ec = e.conjugate()
-    alpha = state.alpha
-    new_weights = tuple(
-        QVector([w_m + (b_m * ec) * alpha for w_m, b_m in zip(w_vec, branch)])
-        for w_vec, branch in zip((h, g, u, v), branches)
-    )
-    new_state = replace(state, weights=new_weights, iteration=state.iteration + 1)
-    return new_state, e
+    return _sample_step(state, x, d)
 
 
-def _numerical_phi_derivatives(phi: PhiFunction, h: float = DEFAULT_H) -> PhiDerivatives:
+def qngd_step(state: FilterState, x: QVector,
+              d: Quaternion) -> tuple[FilterState, Quaternion]:
+    """One QNGD update; with no nonlinearity it is qlms_step's, bit for bit."""
+    return _sample_step(state, x, d, state.nonlinearity)
+
+
+def _phi_derivatives(phi: PhiFunction, s: Quaternion) -> tuple[Quaternion, ...]:
     """Conjugate derivatives of the four conjugate involutions of Phi at s.
 
     Returns (d Phi^(1*)/ds*, d Phi^(i*)/ds*, d Phi^(j*)/ds*, d Phi^(k*)/ds*).
@@ -172,41 +141,9 @@ def _numerical_phi_derivatives(phi: PhiFunction, h: float = DEFAULT_H) -> PhiDer
     commutes exactly with a sign flip, so one set of real partials of Phi
     (eight evaluations) serves all four, bit for bit.
     """
-    def derivs(s: Quaternion) -> tuple[Quaternion, ...]:
-        parts = real_partials(phi, s, h).as_tuple()
-        return tuple(left_conj_from_partials([involute(p, mu).conjugate() for p in parts])
-                     for mu in AXES)
-
-    return derivs
-
-
-def _effective_error(e: Quaternion, gammas: Sequence[Quaternion]) -> Quaternion:
-    """sum over mu in {1,i,j,k} of e^mu * d Phi^(mu*)/ds*."""
-    e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for mu, gamma in zip(AXES, gammas):
-        e_eff = e_eff + involute(e, mu) * gamma
-    return e_eff
-
-
-def qngd_step(state: FilterState, x: QVector,
-              d: Quaternion) -> tuple[FilterState, Quaternion]:
-    """One nonlinear gradient-descent update.
-
-    The update direction is alpha * sum over mu in {1,i,j,k} of
-    e^mu * d Phi^(mu*)/ds* * x_m*.  With no nonlinearity the update uses e
-    itself, which is qlms_step's update, so the two traces match bit for bit.
-    """
-    _check_input(state, x)
-    w = state.weights[0]
-    s = w.dot_t(x)
-    if state.nonlinearity is None:
-        e = e_eff = d - s
-    else:
-        e = d - state.nonlinearity(s)
-        e_eff = _effective_error(e, _numerical_phi_derivatives(state.nonlinearity)(s))
-    new_w = _linear_update(w, x, e_eff, state.alpha)
-    new_state = replace(state, weights=(new_w,), iteration=state.iteration + 1)
-    return new_state, e
+    parts = real_partials(phi, s).as_tuple()
+    return tuple(left_conj_from_partials([involute(p, mu).conjugate() for p in parts])
+                 for mu in AXES)
 
 
 def phi_tanh(s: Quaternion) -> Quaternion:
@@ -276,6 +213,32 @@ def _outputs(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return per_branch[:, 0] + per_branch[:, 1] + per_branch[:, 2] + per_branch[:, 3]
 
 
+def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
+          phi: Optional[PhiFunction] = None) -> tuple[np.ndarray, np.ndarray]:
+    """New (4, branches, taps) weights and a priori error (4,) for one window.
+
+    Four branches run WL-QLMS, h^mu += alpha x^mu e*.  One branch runs QLMS,
+    w += alpha e x*, or QNGD if phi is given: e becomes the effective error,
+    the sum over mu of e^mu * d Phi^(mu*)/ds*.
+    """
+    if weights.shape[1] == 4:
+        e = d - _outputs(weights, x)[:, 0]
+        move = hamilton(x * _INVOLUTIONS[:, :, None], (e * _CONJ)[:, None, None])
+    else:
+        s = _outputs(weights, x)[:, 0]
+        if phi is None:
+            e = e_eff = d - s
+        else:
+            s = Quaternion(*s.tolist())
+            err = Quaternion(*d.tolist()) - phi(s)
+            e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
+            for mu, gamma in zip(AXES, _phi_derivatives(phi, s)):
+                e_eff = e_eff + involute(err, mu) * gamma
+            e, e_eff = np.array(err), np.array(e_eff)
+        move = hamilton(e_eff[:, None, None], x * _CONJ[:, None, None])
+    return weights + move * alpha, e
+
+
 def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, 4, taps) regressor windows and (n, 4) desired outputs."""
@@ -283,6 +246,8 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
         raise ValueError(f"unknown signal kind {kind!r}")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db!r}")
+    if not np.isfinite(truth).all():
+        raise ValueError("taps must be finite")
     taps_len = truth.shape[2]
     if n <= taps_len:
         raise ValueError("stream length must exceed the tap count")
@@ -307,17 +272,24 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     windows = np.empty((n, 4, taps_len))
     for m in range(taps_len):
         windows[:, :, m] = raw[taps_len - 1 - m:taps_len - 1 - m + n]
-    clean = np.empty((n, 4))
-    for lo in range(0, n, _BLOCK):
-        clean[lo:lo + _BLOCK] = _outputs(truth, windows[lo:lo + _BLOCK].transpose(1, 0, 2)).T
-
-    if math.isinf(snr_db):
-        return windows, clean
-    signal_power = sum(_modulus_squared(clean.T).tolist()) / n
-    noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
-    sigma = math.sqrt(noise_power / 4.0)
-    noise = noise_rng.normal(scale=sigma, size=(n, 4)) if sigma > 0.0 else np.zeros((n, 4))
-    return windows, clean + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        clean = np.empty((n, 4))
+        for lo in range(0, n, _BLOCK):
+            block = windows[lo:lo + _BLOCK].transpose(1, 0, 2)
+            clean[lo:lo + _BLOCK] = _outputs(truth, block).T
+        desired = clean
+        if not math.isinf(snr_db):
+            signal_power = sum(_modulus_squared(clean.T).tolist()) / n
+            try:
+                noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
+            except OverflowError:
+                noise_power = math.inf
+            sigma = math.sqrt(noise_power / 4.0)
+            noise = noise_rng.normal(scale=sigma, size=(n, 4)) if sigma > 0.0 else 0.0
+            desired = clean + noise
+    if not np.isfinite(desired).all():
+        raise ValueError("desired signal is not finite: taps or noise level too large")
+    return windows, desired
 
 
 def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
@@ -370,9 +342,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     h = taps*, so that is the reference the four-branch weights are held
     against.
 
-    The run works on component-major arrays and reproduces the scalar
-    qlms_step / wl_qlms_step / qngd_step recursions bit for bit: products
-    are elementwise, and every sum keeps the scalar code's order.
+    Each step is one call of _step, the kernel the per-sample *_step
+    functions share.  It reproduces the scalar Quaternion recursions (the
+    test suite's oracle) bit for bit: products are elementwise, and every
+    sum keeps the scalar order.
     """
     if config.variant not in VARIANTS:
         raise ValueError(f"unknown filter variant {config.variant!r}")
@@ -385,22 +358,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     truth = _taps_array(config.taps)
     windows, desired = _signal_arrays(config.kind, truth, config.steps,
                                       config.snr_db, config.seed)
-    taps_len = truth.shape[2]
-    wide = config.variant == "wl_qlms"
-    if wide:
-        weights = np.zeros((4, 4, taps_len))
-        reference = truth
-        if truth.shape[1] == 1:
-            reference = np.concatenate([truth * _CONJ[:, None, None],
-                                        np.zeros((4, 3, taps_len))], axis=1)
-    else:
-        weights = np.zeros((4, 1, taps_len))
-        reference = truth[:, :1]
-    ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
-    phi = None
-    if config.variant == "qngd" and config.nonlinearity:
-        phi = NONLINEARITIES[config.nonlinearity]
-        derivs = _numerical_phi_derivatives(phi)
+    reference = truth[:, :1]
+    if config.variant == "wl_qlms":
+        reference = truth if truth.shape[1] == 4 else np.concatenate(
+            [truth * _CONJ[:, None, None], np.zeros((4, 3, truth.shape[2]))], axis=1)
+    weights = np.zeros(reference.shape)
+    phi = NONLINEARITIES.get(config.nonlinearity) if config.variant == "qngd" else None
 
     alpha = config.alpha
     mse = []
@@ -408,25 +371,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     errors = np.empty((_BLOCK, 4))
     history = np.empty((_BLOCK,) + weights.shape)
     with np.errstate(over="ignore", invalid="ignore"):
+        ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
         for start in range(0, config.steps, _BLOCK):
             count = min(_BLOCK, config.steps - start)
             for slot in range(count):
-                x = windows[start + slot][:, None]
-                d = desired[start + slot]
-                if wide:
-                    e = d - _outputs(weights, x)[:, 0]
-                    regressors = x * _INVOLUTIONS[:, :, None]
-                    move = hamilton(regressors, (e * _CONJ)[:, None, None])
-                else:
-                    s = _outputs(weights, x)[:, 0]
-                    if phi is None:
-                        e = e_eff = d - s
-                    else:
-                        s = Quaternion(*s.tolist())
-                        e = Quaternion(*d.tolist()) - phi(s)
-                        e_eff = np.array(_effective_error(e, derivs(s)))
-                    move = hamilton(e_eff[:, None, None], x * _CONJ[:, None, None])
-                weights = weights + move * alpha
+                weights, e = _step(weights, windows[start + slot][:, None],
+                                   desired[start + slot], alpha, phi)
                 errors[slot] = e
                 history[slot] = weights
                 total_norm = sum(sum(branch) for branch in _modulus_squared(weights).tolist())

@@ -153,7 +153,10 @@ def ghr_linear_records(q: Quaternion, mu: Quaternion, tols: dict) -> list[Identi
     pair = left_ghr(lambda p: p, q, mu)
     res = max(abs(pair.d_mu * mu - Quaternion.from_real(mu.a)),
               abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
-    reduction = abs(left_ghr(_f_sq, q, ONE).d_mu - left_hr(_f_sq, q).wrt_q)
+    # One stencil of q^2 serves both sides of the mu = 1 reduction.
+    parts = real_partials(_f_sq, q).as_tuple()
+    reduction = abs(ghr_from_partials(parts, ONE, "left").d_mu
+                    - hr_from_partials(parts, "left").wrt_q)
     return [_record("ghr_identity_cols", tols, res, point=q, mu=mu),
             _record("ghr_mu_one_reduction", tols, reduction, point=q)]
 

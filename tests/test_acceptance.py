@@ -14,8 +14,8 @@ from quatcalc.filters import (ExperimentConfig, FilterState, QVector,
                               qlms_step, run_experiment)
 from quatcalc.identities import (DEFAULT_TOLERANCES, chain_rule_records,
                                  product_rule_records)
-from quatcalc.quaternion import (AXES, ONE, Quaternion, involute, mu_basis,
-                                 rotate)
+from quatcalc.quaternion import (AXES, ONE, ZERO, Quaternion, involute,
+                                 mu_basis, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate)
@@ -217,7 +217,7 @@ def test_criterion_10_qlms_identification():
         for m in range(4):
             def objective(wm, m=m):
                 probe = QVector(wm if idx == m else w[idx] for idx in range(4))
-                err = d - probe.dot_t(x)
+                err = d - sum((p * q for p, q in zip(probe, x)), ZERO)
                 return Quaternion.from_real(err.modulus_squared())
 
             grad = left_hr(objective, w[m]).wrt_qc

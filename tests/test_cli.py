@@ -206,6 +206,18 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"threshold": float("inf")}, "threshold must be finite"),
     ({"threshold": "low"}, "bad config value"),
     ({"nonlinearity": ["tanh"]}, "unknown nonlinearity"),
+    # JSON bools and strings are not numbers, though float() and int() take them.
+    ({"seed": True}, "seed must be a number"),
+    ({"seed": "3"}, "seed must be a number"),
+    ({"steps": True}, "steps must be a number"),
+    ({"steps": "500"}, "steps must be a number"),
+    ({"alpha": "0.1"}, "alpha must be a number"),
+    ({"alpha": False}, "alpha must be a number"),
+    ({"snr_db": "40"}, "snr_db must be a number"),
+    ({"threshold": True}, "threshold must be a number"),
+    ({"threshold": "0.5"}, "threshold must be a number"),
+    ({"taps": [[float("nan"), 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "taps must be finite"),
+    ({"taps": [[1e308, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "desired signal is not finite"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",
@@ -227,6 +239,10 @@ def test_filter_edge_values_stay_legal(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["filter", "--config", str(path)]) == 0
     assert "50 steps, final weight error 1)" in capsys.readouterr().out
+    config.update(steps=1e3, seed=3.0)
+    path.write_text(json.dumps(config))
+    assert main(["filter", "--config", str(path)]) == 0
+    assert "1000 steps" in capsys.readouterr().out
 
 
 def test_filter_missing_and_unknown_keys(tmp_path, capsys):

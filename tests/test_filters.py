@@ -11,12 +11,11 @@ from quatcalc.cli import _load_filter_config
 from quatcalc.derivatives import left_hr
 from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
-                              QVector, _numerical_phi_derivatives,
-                              _signal_arrays, _taps_array,
-                              generate_signal, phi_tanh, qlms_state, qlms_step,
-                              qngd_state, qngd_step, run_experiment,
-                              wl_qlms_state, wl_qlms_step)
-from quatcalc.quaternion import AXES, ONE, Quaternion, involute, isclose
+                              QVector, _phi_derivatives, _signal_arrays,
+                              _taps_array, generate_signal, phi_tanh,
+                              qlms_state, qlms_step, qngd_state, qngd_step,
+                              run_experiment, wl_qlms_state, wl_qlms_step)
+from quatcalc.quaternion import AXES, ONE, Quaternion, involute
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import DivergenceError
 
@@ -41,37 +40,83 @@ def _random_qvector(rng, n):
     return QVector(random_quaternion(rng) for _ in range(n))
 
 
+# The scalar recursions, one Quaternion at a time: the independent oracle
+# that the array engine (and so every public step) must match bit for bit.
+
+
+def _dot_t(w: QVector, x: QVector) -> Quaternion:
+    """Transpose pairing sum w_m * x_m (order matters)."""
+    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for p, q in zip(w, x):
+        total = total + p * q
+    return total
+
+
+def _dot_h(w: QVector, x: QVector) -> Quaternion:
+    """Hermitian pairing sum w_m* * x_m."""
+    total = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for p, q in zip(w, x):
+        total = total + p.conjugate() * q
+    return total
+
+
+def _involute_vector(x: QVector, axis: str) -> QVector:
+    return QVector(involute(q, axis) for q in x)
+
+
+def _norm_squared(w: QVector) -> float:
+    return sum(q.modulus_squared() for q in w)
+
+
+def _linear_update(w: QVector, x: QVector, e: Quaternion, alpha: float) -> QVector:
+    return QVector([w_m + (e * x_m.conjugate()) * alpha for w_m, x_m in zip(w, x)])
+
+
+def _oracle_qlms_step(state: FilterState, x: QVector, d: Quaternion):
+    w = state.weights[0]
+    e = d - _dot_t(w, x)
+    new_w = _linear_update(w, x, e, state.alpha)
+    return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+
+
+def _oracle_wl_qlms_step(state: FilterState, x: QVector, d: Quaternion):
+    h, g, u, v = state.weights
+    branches = (x, _involute_vector(x, "i"), _involute_vector(x, "j"),
+                _involute_vector(x, "k"))
+    y = _dot_h(h, branches[0]) + _dot_h(g, branches[1]) \
+        + _dot_h(u, branches[2]) + _dot_h(v, branches[3])
+    e = d - y
+    ec = e.conjugate()
+    new_weights = tuple(
+        QVector([w_m + (b_m * ec) * state.alpha for w_m, b_m in zip(w_vec, branch)])
+        for w_vec, branch in zip((h, g, u, v), branches))
+    return replace(state, weights=new_weights, iteration=state.iteration + 1), e
+
+
+def _oracle_qngd_step(state: FilterState, x: QVector, d: Quaternion):
+    """e_eff = sum over mu of e^mu * d Phi^(mu*)/ds*, each from its own left_hr."""
+    w = state.weights[0]
+    s = _dot_t(w, x)
+    phi = state.nonlinearity
+    if phi is None:
+        e = e_eff = d - s
+    else:
+        e = d - phi(s)
+        e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
+        for mu in AXES:
+            gamma = left_hr(lambda p, mu=mu: involute(phi(p), mu).conjugate(), s).wrt_qc
+            e_eff = e_eff + involute(e, mu) * gamma
+    new_w = _linear_update(w, x, e_eff, state.alpha)
+    return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+
+
 def test_qvector_basics():
     v = QVector.zeros(3)
     assert len(v) == 3
     assert all(q == Quaternion(0.0, 0.0, 0.0, 0.0) for q in v)
     w = QVector.from_components([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     assert w[1] == Quaternion(0.0, 1.0, 0.0, 0.0)
-    assert w.norm_squared() == pytest.approx(2.0)
-    assert w.norm() == pytest.approx(math.sqrt(2.0))
 
-
-def test_dot_products():
-    rng = make_rng(SEED)
-    x = _random_qvector(rng, 4)
-    y = _random_qvector(rng, 4)
-    # transpose dot has no conjugation, Hermitian dot conjugates the left
-    manual_t = Quaternion(0.0, 0.0, 0.0, 0.0)
-    manual_h = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for xm, ym in zip(x, y):
-        manual_t = manual_t + xm * ym
-        manual_h = manual_h + xm.conjugate() * ym
-    assert isclose(x.dot_t(y), manual_t)
-    assert isclose(x.dot_h(y), manual_h)
-    # (x^H y)* = y^H x
-    assert isclose(x.dot_h(y).conjugate(), y.dot_h(x))
-
-
-def test_qvector_involute_conj():
-    rng = make_rng(SEED, stream=1)
-    x = _random_qvector(rng, 3)
-    assert all(a == involute(b, "j") for a, b in zip(x.involute("j"), x))
-    assert all(a == b.conjugate() for a, b in zip(x.conj(), x))
 
 
 def test_qlms_scalar_oracle():
@@ -104,7 +149,7 @@ def test_qlms_step_is_conjugate_gradient_descent():
         for m in range(3):
             def objective(wm, m=m):
                 probe = QVector(wm if idx == m else w[idx] for idx in range(3))
-                err = d - probe.dot_t(x)
+                err = d - _dot_t(probe, x)
                 return Quaternion.from_real(err.modulus_squared())
 
             grad = left_hr(objective, w[m]).wrt_qc
@@ -121,7 +166,7 @@ def test_signal_unit_variance():
 def test_signal_noise_free_output_matches_channel():
     stream = generate_signal("fir_channel", CHANNEL, 50, math.inf, seed=11)
     for x, d in stream:
-        assert abs(d - CHANNEL.dot_t(x)) == 0.0
+        assert abs(d - _dot_t(CHANNEL, x)) == 0.0
 
 
 def test_signal_kinds_share_stream():
@@ -230,9 +275,9 @@ def test_wl_qlms_involution_commutation():
     for eta in ("i", "j", "k"):
         s1, e1 = wl_qlms_step(state, x, d)
         rot = FilterState(variant="wl_qlms",
-                          weights=tuple(w.involute(eta) for w in weights),
+                          weights=tuple(_involute_vector(w, eta) for w in weights),
                           alpha=0.01)
-        s2, e2 = wl_qlms_step(rot, x.involute(eta), involute(d, eta))
+        s2, e2 = wl_qlms_step(rot, _involute_vector(x, eta), involute(d, eta))
         assert involute(e1, eta) == e2
         for w_a, w_b in zip(s1.weights, s2.weights):
             assert all(involute(qa, eta) == qb for qa, qb in zip(w_a, w_b))
@@ -260,6 +305,15 @@ def test_large_step_size_diverges():
         run_experiment(config)
 
 
+def test_overflowing_tap_norm_diverges_without_warnings(recwarn):
+    # The reference norm of 1e160 taps overflows; the run reports divergence.
+    config = ExperimentConfig(variant="qlms", alpha=0.01, steps=50, snr_db=math.inf, seed=1,
+                              taps=QVector.from_components([[1e160, 0, 0, 0], [0.1, 0, 0, 0]]))
+    with pytest.raises(DivergenceError, match="diverged at step 0"):
+        run_experiment(config)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_stability_envelope_at_large_alpha():
     # alpha = 0.05 stays stable over a long run, just with higher misadjustment.
     config = ExperimentConfig(variant="qlms", taps=CHANNEL, alpha=0.05,
@@ -283,12 +337,23 @@ def test_ar1_experiment_runs():
     ({"snr_db": -math.inf}, "snr_db"),
     ({"steps": 100.5}, "steps must be an integer"),
     ({"variant": "qngd", "nonlinearity": "relu"}, "unknown nonlinearity"),
+    ({"taps": QVector.from_components([[math.nan, 0, 0, 0], [0.1, 0, 0, 0]])},
+     "taps must be finite"),
+    ({"taps": QVector.from_components([[math.inf, 0, 0, 0], [0.1, 0, 0, 0]])},
+     "taps must be finite"),
+    ({"taps": QVector.from_components([[1e308, 0, 0, 0], [0.1, 0, 0, 0]])},
+     "desired signal is not finite"),
+    ({"taps": QVector.from_components([[1e308, 0, 0, 0], [0.1, 0, 0, 0]]),
+      "snr_db": math.inf}, "desired signal is not finite"),
+    ({"snr_db": -4000.0}, "desired signal is not finite"),
 ])
-def test_run_experiment_rejects_bad_config(change, message):
+def test_run_experiment_rejects_bad_config(change, message, recwarn):
     config = ExperimentConfig(**{**dict(variant="qlms", taps=CHANNEL, alpha=0.01,
                                         steps=100, snr_db=30.0, seed=1), **change})
     with pytest.raises(ValueError, match=message):
         run_experiment(config)
+    # Rejected before numpy can warn about overflow.
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def _scalar_weight_error(state: FilterState, taps) -> float:
@@ -298,7 +363,7 @@ def _scalar_weight_error(state: FilterState, taps) -> float:
         current = state.weights
         if len(truth) == 1:
             zeros = QVector.zeros(len(truth[0]))
-            truth = (truth[0].conj(), zeros, zeros, zeros)
+            truth = (QVector(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
     else:
         current = (state.weights[0],)
     err = 0.0
@@ -311,15 +376,15 @@ def _scalar_weight_error(state: FilterState, taps) -> float:
 
 
 def _scalar_run(config: ExperimentConfig):
-    """run_experiment's curves from the per-sample steps over generate_signal."""
+    """run_experiment's curves from the scalar oracle over generate_signal."""
     taps = len(config.taps) if isinstance(config.taps, QVector) else len(config.taps[0])
     if config.variant == "qlms":
-        state, step = qlms_state(taps, config.alpha), qlms_step
+        state, step = qlms_state(taps, config.alpha), _oracle_qlms_step
     elif config.variant == "wl_qlms":
-        state, step = wl_qlms_state(taps, config.alpha), wl_qlms_step
+        state, step = wl_qlms_state(taps, config.alpha), _oracle_wl_qlms_step
     else:
         phi = NONLINEARITIES.get(config.nonlinearity)
-        state, step = qngd_state(taps, config.alpha, nonlinearity=phi), qngd_step
+        state, step = qngd_state(taps, config.alpha, nonlinearity=phi), _oracle_qngd_step
     mse, weight_errors = [], []
     stream = generate_signal(config.kind, config.taps, config.steps,
                              config.snr_db, config.seed)
@@ -327,7 +392,7 @@ def _scalar_run(config: ExperimentConfig):
         state, e = step(state, x, d)
         mse.append(e.modulus_squared())
         weight_errors.append(_scalar_weight_error(state, config.taps))
-        total_norm = sum(w.norm_squared() for w in state.weights)
+        total_norm = sum(_norm_squared(w) for w in state.weights)
         if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
             raise DivergenceError(f"filter diverged at step {idx}")
     return tuple(mse), tuple(weight_errors)
@@ -366,16 +431,35 @@ def _bits(quaternions) -> tuple[str, ...]:
     return tuple(x.hex() for q in quaternions for x in q)
 
 
+@pytest.mark.parametrize("step,oracle,start,taps", [
+    (qlms_step, _oracle_qlms_step, qlms_state(4, 0.02), CHANNEL),
+    (wl_qlms_step, _oracle_wl_qlms_step, wl_qlms_state(3, 0.01), WL_CHANNEL),
+    (qngd_step, _oracle_qngd_step, qngd_state(4, 0.02, phi_tanh), CHANNEL),
+    (qlms_step, _oracle_qlms_step,
+     FilterState(variant="qlms", alpha=0.02, weights=(QVector.from_components(
+         [[math.nan, 0, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),)), CHANNEL),
+], ids=["qlms", "wl_qlms", "qngd_tanh", "qlms_nan_weight"])
+def test_public_steps_match_scalar_oracle_bitwise(step, oracle, start, taps):
+    # The public steps are one-window calls into the array kernel.  They do
+    # not police their state: a NaN weight spreads as the recursion spreads it.
+    state = expected = start
+    for x, d in generate_signal("ar1", taps, 50, 30.0, seed=17):
+        state, e = step(state, x, d)
+        expected, e_expected = oracle(expected, x, d)
+        assert _bits([e]) == _bits([e_expected])
+        assert [_bits(w) for w in state.weights] == [_bits(w) for w in expected.weights]
+        assert state.iteration == expected.iteration
+
+
 def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
     # Each conj(Phi^mu) partial is a sign flip of Phi's partial, so one set
     # of partials reproduces the four separate HR derivatives exactly.
     rng = make_rng(SEED, stream=5)
-    derivs = _numerical_phi_derivatives(phi_tanh)
     for _ in range(20):
         s = random_quaternion(rng)
         separate = [left_hr(lambda p, mu=mu: involute(phi_tanh(p), mu).conjugate(), s).wrt_qc
                     for mu in AXES]
-        assert _bits(derivs(s)) == _bits(separate)
+        assert _bits(_phi_derivatives(phi_tanh, s)) == _bits(separate)
 
     calls = []
     evaluate = derivatives._evaluate
