@@ -102,17 +102,34 @@ def _write_csv(path: Optional[str], header: Sequence[str],
     print(f"wrote {path}")
 
 
-def _summary(name: str, total: int, failures: int, extra: str = "") -> None:
-    line = f"{name}: {total} checks, {failures} failures"
+def _report(path: Optional[str], header: Sequence[str],
+            rows: Sequence[Sequence[str]], title: str, oks: Sequence[bool],
+            extra: str = "") -> int:
+    """Write the CSV, print the one-line summary and verdict, return the exit code."""
+    _write_csv(path, header, rows)
+    failures = sum(1 for ok in oks if not ok)
+    line = f"{title}: {len(oks)} checks, {failures} failures"
     if extra:
         line += f" ({extra})"
     print(line)
     print("PASS" if failures == 0 else "FAIL")
+    return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
 def _positive(value: int, what: str) -> int:
     if value < 1:
         raise CliError(f"{what} must be a positive integer")
+    return value
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: numpy seeds must be non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
@@ -127,13 +144,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rows = [(r.identity, _fmt_q(r.point), _fmt_q(r.mu), _fmt_q(r.nu),
              _fmt(r.residual), _fmt(r.tol), _fmt_pass(r.passed))
             for r in result.records]
-    _write_csv(args.out, ("identity", "point", "mu", "nu", "residual",
-                          "tol", "pass"), rows)
-    failures = sum(1 for r in result.records if not r.passed)
     skips = result.product_skips + result.chain_skips
-    _summary("identity suite", len(result.records), failures,
-             f"{skips} degenerate draws skipped")
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return _report(args.out, ("identity", "point", "mu", "nu", "residual",
+                              "tol", "pass"), rows, "identity suite",
+                   [r.passed for r in result.records],
+                   f"{skips} degenerate draws skipped")
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -149,8 +164,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         specs = tuple(s for s in specs if s.name in args.family)
     rng = make_rng(args.seed)
     rows = []
-    failures = 0
-    total = 0
+    oks = []
     for spec in specs:
         for _ in range(points):
             entry = spec.sample_entry(rng)
@@ -162,16 +176,14 @@ def cmd_table(args: argparse.Namespace) -> int:
                     ("mu_conj", check.closed_mu_conj, check.numerical_mu_conj,
                      check.residual_mu_conj)):
                 ok = residual <= tol
-                failures += 0 if ok else 1
-                total += 1
+                oks.append(ok)
                 rows.append((spec.name, _fmt_q(q), _fmt_q(mu), column,
                              _fmt_q(closed), _fmt_q(numerical),
                              _fmt(residual), _fmt_pass(ok)))
-    _write_csv(args.out, ("family", "point", "mu", "column", "closed_form",
-                          "numerical", "residual", "pass"), rows)
-    _summary("derivative table", total, failures,
-             f"{len(specs)} families, {points} points each")
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return _report(args.out, ("family", "point", "mu", "column", "closed_form",
+                              "numerical", "residual", "pass"), rows,
+                   "derivative table", oks,
+                   f"{len(specs)} families, {points} points each")
 
 
 @takes_arrays
@@ -201,22 +213,18 @@ def cmd_taylor(args: argparse.Namespace) -> int:
     q0 = random_quaternion(rng, -1.0, 1.0)
     direction = random_quaternion(rng, -1.0, 1.0, min_modulus=0.3)
     rows = []
-    failures = 0
-    total = 0
+    oks = []
     for name, fn, center in _taylor_functions():
         fit = theorems.taylor_remainder_slope(fn, q0, direction, TAYLOR_SCALES,
                                               center=center)
         ok = fit.at_floor or tols["slope_low"] <= fit.slope <= tols["slope_high"]
-        failures += 0 if ok else 1
-        total += 1
+        oks.append(ok)
         branch = "center" if center else "left"
         for scale, error in zip(fit.scales, fit.errors):
             rows.append((name, _fmt(scale), _fmt(error), _fmt(fit.slope),
                          branch, _fmt_pass(ok)))
-    _write_csv(args.out, ("function", "scale", "error", "slope", "branch",
-                          "pass"), rows)
-    _summary("taylor remainder", total, failures)
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return _report(args.out, ("function", "scale", "error", "slope", "branch",
+                              "pass"), rows, "taylor remainder", oks)
 
 
 def _mvt_functions():
@@ -236,8 +244,7 @@ def cmd_mvt(args: argparse.Namespace) -> int:
     q0 = random_quaternion(rng, -2.0, 2.0)
     q1 = random_quaternion(rng, -2.0, 2.0)
     rows = []
-    failures = 0
-    total = 0
+    oks = []
     for name, fn, real_form in _mvt_functions():
         form = "real" if real_form else "general"
         previous = None
@@ -251,15 +258,12 @@ def cmd_mvt(args: argparse.Namespace) -> int:
             else:
                 tol = max(previous / 10.0, REFINEMENT_FLOOR)
             ok = check.residual <= tol
-            failures += 0 if ok else 1
-            total += 1
+            oks.append(ok)
             rows.append((name, form, _fmt_q(q0), _fmt_q(q1), str(panels),
                          _fmt(check.residual), _fmt(tol), _fmt_pass(ok)))
             previous = check.residual
-    _write_csv(args.out, ("function", "form", "q0", "q1", "panels",
-                          "residual", "tol", "pass"), rows)
-    _summary("mean value", total, failures)
-    return EXIT_PASS if failures == 0 else EXIT_FAIL
+    return _report(args.out, ("function", "form", "q0", "q1", "panels",
+                              "residual", "tol", "pass"), rows, "mean value", oks)
 
 
 def cmd_descend(args: argparse.Namespace) -> int:
@@ -287,12 +291,10 @@ def cmd_descend(args: argparse.Namespace) -> int:
     rows = [(str(idx), _fmt_q(q), _fmt(value), _fmt(grad_norm))
             for idx, (q, value, grad_norm)
             in enumerate(zip(trace.iterates, trace.values, trace.grad_norms))]
-    _write_csv(args.out, ("iter", "q", "value", "grad_norm"), rows)
-    converged = trace.grad_norms[-1] <= tols["grad"]
-    _summary("steepest descent", 1, 0 if converged else 1,
-             f"{len(trace.iterates) - 1} iterations, final gradient "
-             f"{_fmt(trace.grad_norms[-1])}")
-    return EXIT_PASS if converged else EXIT_FAIL
+    return _report(args.out, ("iter", "q", "value", "grad_norm"), rows,
+                   "steepest descent", [trace.grad_norms[-1] <= tols["grad"]],
+                   f"{len(trace.iterates) - 1} iterations, final gradient "
+                   f"{_fmt(trace.grad_norms[-1])}")
 
 
 def _bundled_config(name: str):
@@ -370,17 +372,13 @@ def cmd_filter(args: argparse.Namespace) -> int:
     rows = [(str(idx), _fmt(sq), _fmt(werr))
             for idx, (sq, werr) in enumerate(zip(result.mse_curve,
                                                  result.weight_error_curve))]
-    _write_csv(args.out, ("step", "sq_error", "weight_error"), rows)
     final = result.final_weight_error
-    if threshold is None:
-        _summary(f"{config.variant} run", 1, 0,
-                 f"{result.steps} steps, final weight error {_fmt(final)}")
-        return EXIT_PASS
-    ok = final < threshold
-    _summary(f"{config.variant} run", 1, 0 if ok else 1,
-             f"{result.steps} steps, final weight error {_fmt(final)}, "
-             f"threshold {_fmt(threshold)}")
-    return EXIT_PASS if ok else EXIT_FAIL
+    extra = f"{result.steps} steps, final weight error {_fmt(final)}"
+    if threshold is not None:
+        extra += f", threshold {_fmt(threshold)}"
+    return _report(args.out, ("step", "sq_error", "weight_error"), rows,
+                   f"{config.variant} run",
+                   [threshold is None or final < threshold], extra)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, points=None):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                        help="random seed (default %(default)s)")
         p.add_argument("--out", metavar="PATH",
                        help="write a CSV report to PATH")

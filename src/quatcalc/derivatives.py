@@ -24,7 +24,7 @@ projects those partials as often as it needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .quaternion import (AXES, UNITS, MuBasis, QArray, Quaternion, involute,
 
 QFunction = Callable[[Quaternion], Quaternion]
 
-# Central-difference step defaults: first order, and the outer step of the
-# nested scheme for second order.
+# Central-difference steps, fixed for the whole engine: first order, and the
+# outer step of the nested scheme for second order.
 DEFAULT_H = 1e-6
 DEFAULT_H2 = 1e-4
 
@@ -54,19 +54,13 @@ class DegenerateAxisError(ValueError):
     """The shifted rotation axis g(q)*mu collapsed below the usable threshold."""
 
 
-@dataclass(frozen=True)
-class RealPartials:
+class RealPartials(NamedTuple):
     """Central-difference partials of f along the four real components."""
 
     d_qa: Quaternion
     d_qb: Quaternion
     d_qc: Quaternion
     d_qd: Quaternion
-    point: Quaternion
-    step: float
-
-    def as_tuple(self):
-        return (self.d_qa, self.d_qb, self.d_qc, self.d_qd)
 
 
 @dataclass(frozen=True)
@@ -113,17 +107,15 @@ def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     return value
 
 
-def _steps(h: float):
-    """The offsets h e for e in {1, i, j, k}, and inv = 1/2h."""
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    return (((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0),
-             (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h))
+# For each step h: the offsets h e for e in {1, i, j, k}, and inv = 1/2h.
+_STEPS = {h: (((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0),
+               (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h))
+          for h in (DEFAULT_H, DEFAULT_H2)}
 
 
-def _stencil(q: Quaternion, h: float):
+def _stencil(q: Quaternion, h: float = DEFAULT_H):
     """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
-    steps, inv = _steps(h)
+    steps, inv = _STEPS[h]
     a, b, c, d = q
     points = [(Quaternion(a + oa, b + ob, c + oc, d + od),
                Quaternion(a - oa, b - ob, c - oc, d - od))
@@ -131,15 +123,17 @@ def _stencil(q: Quaternion, h: float):
     return points, inv
 
 
-def real_partials(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> RealPartials:
-    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k}."""
-    points, inv = _stencil(q, h)
+def real_partials(f: QFunction, q: Quaternion) -> RealPartials:
+    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k},
+    with h = DEFAULT_H."""
+    points, inv = _stencil(q)
     parts = [(_evaluate(f, plus) - _evaluate(f, minus)) * inv for plus, minus in points]
-    return RealPartials(*parts, q, h)
+    return RealPartials(*parts)
 
 
 def _field_partials(field: Callable[[Quaternion], Sequence[Quaternion]],
-                    q: Quaternion, h: float) -> list[tuple[Quaternion, ...]]:
+                    q: Quaternion,
+                    h: float = DEFAULT_H) -> list[tuple[Quaternion, ...]]:
     """real_partials of each quaternion a field returns, one call per point.
 
     real_partials keeps its own single-output loop: it is the hot path.
@@ -196,14 +190,14 @@ def left_conj_from_partials(parts) -> Quaternion:
     return _project(parts, _HR_BASES[0], "left")[1]
 
 
-def left_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
+def left_hr(f: QFunction, q: Quaternion) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
-    return hr_from_partials(real_partials(f, q, h).as_tuple(), "left")
+    return hr_from_partials(real_partials(f, q), "left")
 
 
-def right_hr(f: QFunction, q: Quaternion, h: float = DEFAULT_H) -> DerivativeSet:
+def right_hr(f: QFunction, q: Quaternion) -> DerivativeSet:
     """All eight right HR derivatives of f at q (units multiply from the left)."""
-    return hr_from_partials(real_partials(f, q, h).as_tuple(), "right")
+    return hr_from_partials(real_partials(f, q), "right")
 
 
 def takes_arrays(f: QFunction) -> QFunction:
@@ -217,15 +211,14 @@ def has_array_form(f: QFunction) -> bool:
     return getattr(f, "takes_arrays", False)
 
 
-def left_hr_batch(f: QFunction, points: QArray,
-                  h: float = DEFAULT_H) -> DerivativeSet:
+def left_hr_batch(f: QFunction, points: QArray) -> DerivativeSet:
     """left_hr of an array-form f at each of the (4, N) points, bit for bit.
 
     The derivative set holds QArrays of N quaternions.  One call of f takes
     all eight stencil points of every point.  A non-finite value raises the
     EvaluationError that left_hr, point by point, would raise first.
     """
-    steps, inv = _steps(h)
+    steps, inv = _STEPS[DEFAULT_H]
     offsets = np.array(steps).T[:, np.newaxis, :]
     base = points.c[:, :, np.newaxis]
     # [component, point, axis, +/-]: the scalar loop's evaluation order.
@@ -240,16 +233,14 @@ def left_hr_batch(f: QFunction, points: QArray,
     return hr_from_partials([QArray(diffs[..., e]) for e in range(4)], "left")
 
 
-def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
-             h: float = DEFAULT_H) -> GhrPair:
+def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:
     """Left GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    return ghr_from_partials(real_partials(f, q, h).as_tuple(), mu, "left")
+    return ghr_from_partials(real_partials(f, q), mu, "left")
 
 
-def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion,
-              h: float = DEFAULT_H) -> GhrPair:
+def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:
     """Right GHR derivatives of f with respect to q^mu and q^(mu*)."""
-    return ghr_from_partials(real_partials(f, q, h).as_tuple(), mu, "right")
+    return ghr_from_partials(real_partials(f, q), mu, "right")
 
 
 @dataclass(frozen=True)
@@ -268,22 +259,21 @@ class SecondOrderSet:
 
 def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
                  nus: Sequence[Quaternion], outer: str = "left",
-                 inner: str = "left", h2: float = DEFAULT_H2,
-                 h: float = DEFAULT_H) -> tuple[tuple[SecondOrderSet, ...], ...]:
+                 inner: str = "left") -> tuple[tuple[SecondOrderSet, ...], ...]:
     """Nested second-order derivatives of f at q for every pair of axes.
 
     Entry [m][n] is the outer ``outer``-flavor derivative along mus[m], with
-    step h2, of the inner ``inner``-flavor derivative field along nus[n],
-    with step h: 64 evaluations of f for the whole grid.
+    step DEFAULT_H2, of the inner ``inner``-flavor derivative field along
+    nus[n], with step DEFAULT_H: 64 evaluations of f for the whole grid.
     """
     outer_bases = [_basis(mu) for mu in mus]
     inner_bases = [_basis(nu) for nu in nus]
 
     def field(p: Quaternion) -> list[Quaternion]:
-        parts = real_partials(f, p, h).as_tuple()
+        parts = real_partials(f, p)
         return [d for basis in inner_bases for d in _project(parts, basis, inner)]
 
-    columns = _field_partials(field, q, h2)
+    columns = _field_partials(field, q, DEFAULT_H2)
     grid = []
     for basis in outer_bases:
         row = []
@@ -295,20 +285,20 @@ def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
     return tuple(grid)
 
 
-def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
-                      h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
+def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion,
+                      nu: Quaternion) -> SecondOrderSet:
     """Second-order left derivatives by differentiating the inner derivative field."""
-    return second_order(f, q, (mu,), (nu,), "left", "left", h2, h)[0][0]
+    return second_order(f, q, (mu,), (nu,), "left", "left")[0][0]
 
 
-def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion, nu: Quaternion,
-                       h2: float = DEFAULT_H2, h: float = DEFAULT_H) -> SecondOrderSet:
+def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion,
+                       nu: Quaternion) -> SecondOrderSet:
     """Right-flavor counterpart of second_order_left."""
-    return second_order(f, q, (mu,), (nu,), "right", "right", h2, h)[0][0]
+    return second_order(f, q, (mu,), (nu,), "right", "right")[0][0]
 
 
 def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
-                       h: float = DEFAULT_H, conjugate: bool = False) -> float:
+                       conjugate: bool = False) -> float:
     """Residual of the GHR product rule for f*g at q.
 
     d(fg)/dq^mu = f * dg/dq^mu + df/dq^(g(q) mu) * g, and the same shape for
@@ -325,7 +315,7 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion
         gp = _evaluate(g, p)
         return fp * gp, gp, fp
 
-    product, g_parts, f_parts = _field_partials(field, q, h)
+    product, g_parts, f_parts = _field_partials(field, q)
     pick = 1 if conjugate else 0
     lhs = _project(product, basis, "left")[pick]
     rhs = fq * _project(g_parts, basis, "left")[pick] \
@@ -334,8 +324,7 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion
 
 
 def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
-                     nu: Quaternion, h: float = DEFAULT_H,
-                     conjugate: bool = False) -> float:
+                     nu: Quaternion, conjugate: bool = False) -> float:
     """Residual of the GHR chain rule for f(g(q)) at q.
 
     d f(g)/dq^mu = sum over eta in {1,i,j,k} of
@@ -344,13 +333,13 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
     basis = _basis(mu)
     axes = [nu * UNITS[eta] for eta in AXES]
     axis_bases = [_basis(axis) for axis in axes]
-    f_parts = real_partials(f, _evaluate(g, q), h).as_tuple()
+    f_parts = real_partials(f, _evaluate(g, q))
 
     def field(p: Quaternion) -> list[Quaternion]:
         gp = _evaluate(g, p)
         return [_evaluate(f, gp)] + [rotate(gp, axis) for axis in axes]
 
-    composite, *rotated = _field_partials(field, q, h)
+    composite, *rotated = _field_partials(field, q)
     pick = 1 if conjugate else 0
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     for axis_basis, parts in zip(axis_bases, rotated):
@@ -359,8 +348,7 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
     return abs(_project(composite, basis, "left")[pick] - total)
 
 
-def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
-                         h: float = DEFAULT_H) -> float:
+def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion) -> float:
     """Largest residual among the four left/right conjugation identities.
 
     d_r f/dq^mu = (d f*/dq^(mu*))*, d_r f/dq^(mu*) = (d f*/dq^mu)*, and the
@@ -369,7 +357,7 @@ def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
     central difference.
     """
     basis = _basis(mu)
-    parts = real_partials(f, q, h).as_tuple()
+    parts = real_partials(f, q)
     conj_parts = [p.conjugate() for p in parts]
     left_f = _project(parts, basis, "left")
     right_f = _project(parts, basis, "right")
@@ -384,9 +372,8 @@ def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion,
     return max(residuals)
 
 
-def differential_consistency(f: QFunction, q: Quaternion, dq: Quaternion,
-                             h: float = DEFAULT_H) -> float:
+def differential_consistency(f: QFunction, q: Quaternion, dq: Quaternion) -> float:
     """Error of the first-order reconstruction df = sum d f/dq^eta dq^eta."""
-    predicted = left_hr(f, q, h).differential(dq)
+    predicted = left_hr(f, q).differential(dq)
     actual = _evaluate(f, q + dq) - _evaluate(f, q)
     return abs(actual - predicted)

@@ -101,9 +101,18 @@ def qngd_state(taps: int, alpha: float,
                        nonlinearity=nonlinearity)
 
 
-def _sample_step(state: FilterState, x: QVector, d: Quaternion,
+def _sample_step(variant: str, state: FilterState, x: QVector, d: Quaternion,
                  phi: Optional[PhiFunction] = None) -> tuple[FilterState, Quaternion]:
-    """One-window call into _step: QVector weights and window in and out."""
+    """One-window call into _step: QVector weights and window in and out.
+
+    _step picks the update from the branch count alone, so the state must be
+    the variant's own: one weight vector for qlms and qngd, four for wl_qlms.
+    """
+    branches = 4 if variant == "wl_qlms" else 1
+    if state.variant != variant or len(state.weights) != branches:
+        raise ValueError(f"{variant} step needs a {variant} state with {branches} "
+                         f"weight vector(s), got {state.variant!r} with "
+                         f"{len(state.weights)}")
     weights = _taps_array(state.weights)
     if len(x) != weights.shape[2]:
         raise ValueError("regressor length does not match filter taps")
@@ -118,19 +127,19 @@ def _sample_step(state: FilterState, x: QVector, d: Quaternion,
 def qlms_step(state: FilterState, x: QVector,
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QLMS update; returns the new state and the a priori error."""
-    return _sample_step(state, x, d)
+    return _sample_step("qlms", state, x, d)
 
 
 def wl_qlms_step(state: FilterState, x: QVector,
                  d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One widely linear QLMS update over the four involution branches."""
-    return _sample_step(state, x, d)
+    return _sample_step("wl_qlms", state, x, d)
 
 
 def qngd_step(state: FilterState, x: QVector,
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QNGD update; with no nonlinearity it is qlms_step's, bit for bit."""
-    return _sample_step(state, x, d, state.nonlinearity)
+    return _sample_step("qngd", state, x, d, state.nonlinearity)
 
 
 def _phi_derivatives(phi: PhiFunction, s: Quaternion) -> tuple[Quaternion, ...]:
@@ -141,7 +150,7 @@ def _phi_derivatives(phi: PhiFunction, s: Quaternion) -> tuple[Quaternion, ...]:
     commutes exactly with a sign flip, so one set of real partials of Phi
     (eight evaluations) serves all four, bit for bit.
     """
-    parts = real_partials(phi, s).as_tuple()
+    parts = real_partials(phi, s)
     return tuple(left_conj_from_partials([involute(p, mu).conjugate() for p in parts])
                  for mu in AXES)
 

@@ -154,7 +154,7 @@ def ghr_linear_records(q: Quaternion, mu: Quaternion, tols: dict) -> list[Identi
     res = max(abs(pair.d_mu * mu - Quaternion.from_real(mu.a)),
               abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
     # One stencil of q^2 serves both sides of the mu = 1 reduction.
-    parts = real_partials(_f_sq, q).as_tuple()
+    parts = real_partials(_f_sq, q)
     reduction = abs(ghr_from_partials(parts, ONE, "left").d_mu
                     - hr_from_partials(parts, "left").wrt_q)
     return [_record("ghr_identity_cols", tols, res, point=q, mu=mu),
@@ -168,7 +168,7 @@ def structural_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
                        derivatives.conjugation_relation(_f_sq, q, mu),
                        point=q, mu=mu))
     # One stencil of |q|^2 serves its left HR, right HR and left GHR sets.
-    parts = real_partials(_f_mod2, q).as_tuple()
+    parts = real_partials(_f_mod2, q)
     left = hr_from_partials(parts, "left")
     right = hr_from_partials(parts, "right")
     flavor = max(abs(left.wrt(ax, conj=c) - right.wrt(ax, conj=c))

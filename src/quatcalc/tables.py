@@ -515,14 +515,13 @@ class CrossCheck(NamedTuple):
     residual_mu_conj: float
 
 
-def cross_validate(entry: TableEntry, q: Quaternion, mu: Quaternion,
-                   h: float = derivatives.DEFAULT_H) -> CrossCheck:
+def cross_validate(entry: TableEntry, q: Quaternion, mu: Quaternion) -> CrossCheck:
     """Compare the closed-form columns against the numerical GHR derivative.
 
     Residuals are relative: |closed - numerical| / (1 + |closed|).
     """
     closed = derivative(entry, q, mu)
-    pair = derivatives.left_ghr(as_function(entry), q, mu, h)
+    pair = derivatives.left_ghr(as_function(entry), q, mu)
     num_mu = pair.d_mu * mu
     num_conj = pair.d_mu_conj * mu
     res_mu = abs(closed.d_mu_times_mu - num_mu) / (1.0 + abs(closed.d_mu_times_mu))

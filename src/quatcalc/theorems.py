@@ -17,9 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES, DerivativeSet,
-                          QFunction, _evaluate, has_array_form, left_hr,
-                          left_hr_batch, second_order)
+from .derivatives import (HR_AXES, DerivativeSet, QFunction, _evaluate,
+                          has_array_form, left_hr, left_hr_batch, second_order)
 from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
@@ -92,7 +91,7 @@ def _integrand(ds: DerivativeSet, lam: Quaternion, real_form: bool):
 
 
 def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
-             h: float = DEFAULT_H, real_form: bool = False) -> SegmentCheck:
+             real_form: bool = False) -> SegmentCheck:
     """Check f(q1) - f(q0) against the segment integral of the derivative.
 
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
@@ -111,11 +110,11 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
             for start in range(0, panels + 1, NODE_BLOCK):
                 t = np.arange(start, min(start + NODE_BLOCK, panels + 1)) / panels
                 nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
-                ds = left_hr_batch(f, nodes, h)
+                ds = left_hr_batch(f, nodes)
                 values[:, start:start + len(t)] = _integrand(ds, lam, real_form).c
     else:
         values = np.array([
-            _integrand(left_hr(f, q0 + lam * (idx / panels), h), lam, real_form)
+            _integrand(left_hr(f, q0 + lam * (idx / panels)), lam, real_form)
             for idx in range(panels + 1)]).T
     rhs = _simpson(values, 1.0 / panels)
     lhs = _evaluate(f, q1) - _evaluate(f, q0)
@@ -123,16 +122,14 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
                         residual=abs(lhs - rhs))
 
 
-def first_order_error(f: QFunction, q0: Quaternion, q1: Quaternion,
-                      h: float = DEFAULT_H) -> float:
+def first_order_error(f: QFunction, q0: Quaternion, q1: Quaternion) -> float:
     """Error of the one-point approximation f(q1) - f(q0) by the derivative at q0."""
-    approx = left_hr(f, q0, h).differential(q1 - q0)
+    approx = left_hr(f, q0).differential(q1 - q0)
     return abs(_evaluate(f, q1) - _evaluate(f, q0) - approx)
 
 
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
-                          lipschitz: float,
-                          h: float = DEFAULT_H) -> tuple[float, float, bool]:
+                          lipschitz: float) -> tuple[float, float, bool]:
     """Observed first-order error against the bound 2 L |lambda|^2.
 
     L is a Lipschitz constant for the derivative set along the segment,
@@ -140,13 +137,12 @@ def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
     bound is allowed the relative slack BOUND_SLACK.
     """
     lam = q1 - q0
-    observed = first_order_error(f, q0, q1, h)
+    observed = first_order_error(f, q0, q1)
     bound = 2.0 * lipschitz * lam.modulus_squared()
     return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
 
 
 def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
-                 h: float = DEFAULT_H, h2: float = DEFAULT_H2,
                  center: bool = False) -> Quaternion:
     """Second-order expansion of f at q0 + lam.
 
@@ -158,12 +154,12 @@ def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
     which agrees for real-valued f.
     """
     base = _evaluate(f, q0)
-    first_set = left_hr(f, q0, h)
+    first_set = left_hr(f, q0)
     total = base
     for mu in AXES:
         total = total + first_set.wrt(mu) * involute(lam, mu)
     # grid[n][m]: the outer nu-derivative of the inner mu-derivative field.
-    grid = second_order(f, q0, HR_AXES, HR_AXES, h2=h2, h=h)
+    grid = second_order(f, q0, HR_AXES, HR_AXES)
     half = Quaternion(0.0, 0.0, 0.0, 0.0)
     for m, mu in enumerate(AXES):
         for n, nu in enumerate(AXES):
@@ -176,8 +172,7 @@ def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
 
 
 def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
-                           scales: Sequence[float], h: float = DEFAULT_H,
-                           h2: float = DEFAULT_H2, center: bool = False) -> TaylorFit:
+                           scales: Sequence[float], center: bool = False) -> TaylorFit:
     """Fit the log-log decay rate of the second-order remainder.
 
     Needs at least four strictly decreasing scales spanning two decades.
@@ -197,7 +192,7 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     used = []
     for s in scales:
         lam = direction * s
-        err = abs(_evaluate(f, q0 + lam) - taylor2_left(f, q0, lam, h, h2, center))
+        err = abs(_evaluate(f, q0 + lam) - taylor2_left(f, q0, lam, center))
         floor = FLOOR_ABS + FLOOR_CURVATURE * lam.modulus_squared()
         errors.append(err)
         used.append(err > floor)
@@ -212,8 +207,8 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
 
 def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
                      max_iters: int = 100, grad_tol: float = 1e-8,
-                     gradient: Optional[Callable[[Quaternion], Quaternion]] = None,
-                     h: float = DEFAULT_H) -> DescentTrace:
+                     gradient: Optional[Callable[[Quaternion], Quaternion]] = None
+                     ) -> DescentTrace:
     """Minimize a real-valued f by stepping against the conjugate gradient.
 
     The update is q <- q - alpha * d f/dq*, with the gradient either supplied
@@ -224,7 +219,7 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
         raise ValueError("step size must be positive and finite")
     if max_iters < 0:
         raise ValueError("iteration budget must be nonnegative")
-    grad = gradient if gradient is not None else (lambda p: left_hr(f, p, h).wrt_qc)
+    grad = gradient if gradient is not None else (lambda p: left_hr(f, p).wrt_qc)
     q = q_init
     iterates = [q]
     values = [_evaluate(f, q).a]

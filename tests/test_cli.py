@@ -145,6 +145,14 @@ def test_descend_rejects_bad_step_and_budget(option, value, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["verify", "table", "taylor", "mvt", "descend"])
+def test_negative_seed_is_usage_error(name, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([name, "--seed", "-1"])
+    assert info.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_descend_divergent_step(capsys):
     code = main(["descend", "--alpha", "4.5"])
     assert code == 1

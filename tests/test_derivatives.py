@@ -1,6 +1,7 @@
 """Numerical HR/GHR engine: golden values, calculus rules, second order."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -9,15 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quatcalc import cli, derivatives, tables
-from quatcalc.derivatives import (HR_AXES, DegenerateAxisError, EvaluationError,
-                                  check_chain_rule, check_product_rule,
-                                  conjugation_relation,
-                                  differential_consistency, has_array_form,
-                                  left_ghr, left_hr, left_hr_batch,
-                                  real_partials, right_ghr, right_hr,
-                                  second_order, second_order_left,
-                                  second_order_right)
+from quatcalc import cli, derivatives, tables, theorems
+from quatcalc.derivatives import (DEFAULT_H2, HR_AXES, DegenerateAxisError,
+                                  EvaluationError, check_chain_rule,
+                                  check_product_rule, conjugation_relation,
+                                  differential_consistency, ghr_from_partials,
+                                  has_array_form, hr_from_partials, left_ghr,
+                                  left_hr, left_hr_batch, real_partials,
+                                  right_ghr, right_hr, second_order,
+                                  second_order_left, second_order_right)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
                                  Quaternion, involute, involute_conj, isclose,
                                  rotate)
@@ -58,12 +59,23 @@ def test_real_partials_oracle():
     assert isclose(parts.d_qb, Quaternion(-2.0, 0.0, 0.0, 0.0), abs_tol=1e-9)
     assert isclose(parts.d_qc, ZERO, abs_tol=1e-9)
     assert isclose(parts.d_qd, ZERO, abs_tol=1e-9)
-    assert parts.as_tuple() == (parts.d_qa, parts.d_qb, parts.d_qc, parts.d_qd)
+    assert parts == (parts.d_qa, parts.d_qb, parts.d_qc, parts.d_qd)
 
 
-def test_real_partials_rejects_bad_step():
-    with pytest.raises(ValueError, match="step size must be positive"):
-        real_partials(f_sq, I, h=0.0)
+@pytest.mark.parametrize("module", [derivatives, theorems, tables],
+                         ids=lambda m: m.__name__)
+def test_difference_steps_are_not_parameters(module):
+    # The steps are the engine's constants DEFAULT_H and DEFAULT_H2.
+    stepped = []
+    for name, obj in vars(module).items():
+        if name.startswith("_") or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        stepped += [f"{name}({p})" for p in params if p in ("h", "h2")]
+    assert stepped == []
 
 
 def test_evaluation_error_carries_point():
@@ -162,7 +174,7 @@ def test_hr_matches_sign_table():
     for _ in range(20):
         q = random_quaternion(rng)
         for f in functions:
-            parts = real_partials(f, q).as_tuple()
+            parts = real_partials(f, q)
             for flavor, hr in (("left", left_hr), ("right", right_hr)):
                 ds = hr(f, q)
                 assert ds.flavor == flavor
@@ -325,10 +337,16 @@ def _bits(*values) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _nested_oracle(outer_ghr, inner_ghr, f, q, mu, nu):
+def _outer_partials(g, q):
+    """The four real partials of g at q with the outer step DEFAULT_H2."""
+    points, inv = derivatives._stencil(q, DEFAULT_H2)
+    return [(g(plus) - g(minus)) * inv for plus, minus in points]
+
+
+def _nested_oracle(outer, inner_ghr, f, q, mu, nu):
     inner = lambda p: inner_ghr(f, p, nu)
-    plain = outer_ghr(lambda p: inner(p).d_mu, q, mu, 1e-4)
-    conj = outer_ghr(lambda p: inner(p).d_mu_conj, q, mu, 1e-4)
+    plain = ghr_from_partials(_outer_partials(lambda p: inner(p).d_mu, q), mu, outer)
+    conj = ghr_from_partials(_outer_partials(lambda p: inner(p).d_mu_conj, q), mu, outer)
     return plain.d_mu, conj.d_mu, plain.d_mu_conj, conj.d_mu_conj
 
 
@@ -375,7 +393,8 @@ def _taylor_oracle(f, q0, lam, center):
         total = total + first.wrt(mu) * involute(lam, mu)
     half = ZERO
     for mu in AXES:
-        outer = left_hr(lambda p, _mu=mu: left_hr(f, p).wrt(_mu, conj=center), q0, 1e-4)
+        inner = lambda p, _mu=mu: left_hr(f, p).wrt(_mu, conj=center)
+        outer = hr_from_partials(_outer_partials(inner, q0), "left")
         for nu in AXES:
             second = outer.wrt(nu)
             if center:
@@ -401,12 +420,12 @@ def test_shared_stencils_match_separate_derivatives_bitwise():
             assert _bits(check_chain_rule(f, linear, q, mu, nu, conjugate=conj)) \
                 == _bits(_chain_oracle(f, linear, q, mu, nu, conj))
         assert _bits(*_as_tuple(second_order_left(f, q, mu, nu))) \
-            == _bits(*_nested_oracle(left_ghr, left_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("left", left_ghr, f, q, mu, nu))
         assert _bits(*_as_tuple(second_order_right(f, q, mu, nu))) \
-            == _bits(*_nested_oracle(right_ghr, right_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("right", right_ghr, f, q, mu, nu))
         mixed = second_order(f, q, (mu,), (nu,), outer="right", inner="left")[0][0]
         assert _bits(*_as_tuple(mixed)) \
-            == _bits(*_nested_oracle(right_ghr, left_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("right", left_ghr, f, q, mu, nu))
         # Every entry of a grid equals its own single-pair derivative.
         grid = second_order(f, q, (mu, nu, I), (nu, ONE))
         for m, outer in enumerate((mu, nu, I)):

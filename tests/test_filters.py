@@ -135,6 +135,24 @@ def test_qlms_rejects_wrong_input_length():
         qlms_step(state, QVector([ONE]), ONE)
 
 
+@pytest.mark.parametrize("step,state", [
+    (wl_qlms_step, qlms_state(2, 0.1)),
+    (wl_qlms_step, qngd_state(2, 0.1)),
+    (qlms_step, wl_qlms_state(2, 0.1)),
+    (qlms_step, qngd_state(2, 0.1)),
+    (qngd_step, qlms_state(2, 0.1)),
+    (qngd_step, wl_qlms_state(2, 0.1)),
+    # The right variant with the wrong branch count.
+    (qlms_step, replace(wl_qlms_state(2, 0.1), variant="qlms")),
+    (wl_qlms_step, replace(qlms_state(2, 0.1), variant="wl_qlms")),
+], ids=["wl_qlms-on-qlms", "wl_qlms-on-qngd", "qlms-on-wl_qlms", "qlms-on-qngd",
+        "qngd-on-qlms", "qngd-on-wl_qlms", "qlms-four-branches", "wl_qlms-one-branch"])
+def test_step_rejects_another_variants_state(step, state):
+    x = QVector([ONE, ONE])
+    with pytest.raises(ValueError, match="step needs a"):
+        step(state, x, ONE)
+
+
 def test_qlms_step_is_conjugate_gradient_descent():
     # The weight move alpha e x_m* equals -2 alpha times the conjugate
     # gradient of |e|^2 in that weight.

@@ -23,6 +23,8 @@ GOLDEN = {
         "a5fde767a11edfefbf71f0654487a94680a984c43783113cd17edb32f6d6408c",
     ("filter", "--config", "qlms"):
         "abb4984d2c363f373043cf4e20b2bba034bf7da26f481fcc86699ca7f371c8f6",
+    ("filter", "--config", "wl_qlms"):
+        "a0b2ae154fae11fb6e09de80e055a7657fb638c46925fd63710591f9847548e1",
 }
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from quatcalc import cli, derivatives, theorems
-from quatcalc.derivatives import EvaluationError, has_array_form, takes_arrays
+from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
+                                  takes_arrays)
 from quatcalc.quaternion import I, ONE, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
@@ -117,13 +118,14 @@ def _overflows_in_b(p):
 
 
 def test_batched_mvt_keeps_the_scalar_evaluation_order():
-    q0 = Quaternion(0.5, -1.0, 0.25, 0.0)
-    q1 = Quaternion(0.5, -3.0, 0.25, 0.0)
-    message, point = _raised(_overflows_in_b, q0, q1, panels=200, h=0.02)
-    assert (message, point) == _raised(_hidden(_overflows_in_b), q0, q1,
-                                       panels=200, h=0.02)
+    # Node 100 of 200 sits DEFAULT_H / 2 inside the overflow limit, so only
+    # its step q - h i crosses it.
     limit = sys.float_info.max / 1e308
-    assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + 0.02
+    q0 = Quaternion(0.5, -1.0, 0.25, 0.0)
+    q1 = Quaternion(0.5, -1.0 + 2.0 * (1.0 - limit + DEFAULT_H / 2), 0.25, 0.0)
+    message, point = _raised(_overflows_in_b, q0, q1, panels=200)
+    assert (message, point) == _raised(_hidden(_overflows_in_b), q0, q1, panels=200)
+    assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + DEFAULT_H
 
 
 def test_mvt_evaluation_counts(monkeypatch):
