@@ -9,9 +9,9 @@ from .derivatives import (HR_AXES, DegenerateAxisError, DerivativeSet,
                           left_ghr, left_hr, real_partials, right_ghr, right_hr,
                           second_order, second_order_left, second_order_right)
 from .filters import (ExperimentConfig, ExperimentResult, FilterState,
-                      QVector, generate_signal, phi_tanh, qlms_state,
-                      qlms_step, qngd_state, qngd_step, run_experiment,
-                      wl_qlms_state, wl_qlms_step)
+                      generate_signal, phi_tanh, qlms_state, qlms_step,
+                      qngd_state, qngd_step, run_experiment, wl_qlms_state,
+                      wl_qlms_step)
 from .identities import IdentityRecord, SuiteResult, run_identity_suite
 from .quaternion import (AXES, ONE, UNITS, ZERO, MuBasis, PolarForm,
                          Quaternion, components_from_involutions,

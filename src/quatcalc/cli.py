@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import identities, tables, theorems
 from .derivatives import takes_arrays
-from .filters import ExperimentConfig, QVector, run_experiment
+from .filters import ExperimentConfig, run_experiment
 from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
 from .sampling import make_rng, random_quaternion
 from .tables import TableEntry
@@ -332,9 +332,8 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
         if isinstance(value, float) and not value.is_integer():
             raise CliError(f"{key} must be an integer, got {value!r}")
     try:
-        taps = _parse_taps(raw["taps"])
         config = ExperimentConfig(
-            variant=str(raw["variant"]), taps=taps,
+            variant=str(raw["variant"]), taps=raw["taps"],
             alpha=float(raw["alpha"]), steps=int(raw["steps"]),
             snr_db=float(raw["snr_db"]), seed=int(raw["seed"]),
             kind=str(raw.get("kind", "fir_channel")),
@@ -347,16 +346,6 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
     if threshold is not None and not math.isfinite(threshold):
         raise CliError(f"threshold must be finite, got {threshold!r}")
     return config, threshold
-
-
-def _parse_taps(raw):
-    if not isinstance(raw, list) or not raw:
-        raise CliError("taps must be a non-empty list")
-    if isinstance(raw[0], list) and raw[0] and isinstance(raw[0][0], list):
-        if len(raw) != 4:
-            raise CliError("widely linear taps need exactly four branches")
-        return tuple(QVector.from_components(branch) for branch in raw)
-    return QVector.from_components(raw)
 
 
 def cmd_filter(args: argparse.Namespace) -> int:
@@ -436,8 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
     try:
         return args.func(args)
     except CliError as exc:

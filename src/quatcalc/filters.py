@@ -15,7 +15,9 @@ verifies numerically.
 
 One recursion, ``_step``, updates (4, branches, taps) component arrays by
 one window: ``run_experiment`` calls it once per step, and the per-sample
-``*_step`` functions call it once on their converted QVector state.
+``*_step`` functions call it once on their state.  Outside the engine a
+quaternion vector (taps, one weight branch, a regressor window) is a plain
+tuple of Quaternions.
 """
 
 from __future__ import annotations
@@ -23,47 +25,15 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .derivatives import left_conj_from_partials, real_partials
-from .quaternion import AXES, Quaternion, hamilton, involute
+from .quaternion import AXES, ZERO, Quaternion, hamilton, involute
 from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
-
-
-class QVector:
-    """Immutable vector of quaternions: filter taps, weights or a window."""
-
-    __slots__ = ("elements",)
-
-    def __init__(self, elements):
-        self.elements = tuple(elements)
-
-    @classmethod
-    def zeros(cls, n: int) -> "QVector":
-        return cls([Quaternion(0.0, 0.0, 0.0, 0.0)] * n)
-
-    @classmethod
-    def from_components(cls, rows) -> "QVector":
-        return cls([Quaternion.from_components(row) for row in rows])
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, idx) -> Quaternion:
-        return self.elements[idx]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QVector) and self.elements == other.elements
-
-    def __repr__(self) -> str:
-        return f"QVector({list(self.elements)!r})"
 
 
 PhiFunction = Callable[[Quaternion], Quaternion]
@@ -79,31 +49,29 @@ class FilterState:
     """
 
     variant: str
-    weights: tuple[QVector, ...]
+    weights: tuple[tuple[Quaternion, ...], ...]
     alpha: float
     nonlinearity: Optional[PhiFunction] = None
     iteration: int = 0
 
 
 def qlms_state(taps: int, alpha: float) -> FilterState:
-    return FilterState(variant="qlms", weights=(QVector.zeros(taps),), alpha=alpha)
+    return FilterState(variant="qlms", weights=((ZERO,) * taps,), alpha=alpha)
 
 
 def wl_qlms_state(taps: int, alpha: float) -> FilterState:
-    return FilterState(variant="wl_qlms",
-                       weights=tuple(QVector.zeros(taps) for _ in range(4)),
-                       alpha=alpha)
+    return FilterState(variant="wl_qlms", weights=((ZERO,) * taps,) * 4, alpha=alpha)
 
 
 def qngd_state(taps: int, alpha: float,
                nonlinearity: Optional[PhiFunction] = None) -> FilterState:
-    return FilterState(variant="qngd", weights=(QVector.zeros(taps),), alpha=alpha,
+    return FilterState(variant="qngd", weights=((ZERO,) * taps,), alpha=alpha,
                        nonlinearity=nonlinearity)
 
 
-def _sample_step(variant: str, state: FilterState, x: QVector, d: Quaternion,
+def _sample_step(variant: str, state: FilterState, x: Sequence[Quaternion], d: Quaternion,
                  phi: Optional[PhiFunction] = None) -> tuple[FilterState, Quaternion]:
-    """One-window call into _step: QVector weights and window in and out.
+    """One-window call into _step: tuples of Quaternions in and out.
 
     _step picks the update from the branch count alone, so the state must be
     the variant's own: one weight vector for qlms and qngd, four for wl_qlms.
@@ -118,25 +86,25 @@ def _sample_step(variant: str, state: FilterState, x: QVector, d: Quaternion,
         raise ValueError("regressor length does not match filter taps")
     with np.errstate(over="ignore", invalid="ignore"):
         new, e = _step(weights, _taps_array(x), np.array(d, dtype=float), state.alpha, phi)
-    branches = tuple(QVector(Quaternion(*q) for q in branch)
+    branches = tuple(tuple(Quaternion(*q) for q in branch)
                      for branch in new.transpose(1, 2, 0).tolist())
     return (replace(state, weights=branches, iteration=state.iteration + 1),
             Quaternion(*e.tolist()))
 
 
-def qlms_step(state: FilterState, x: QVector,
+def qlms_step(state: FilterState, x: Sequence[Quaternion],
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QLMS update; returns the new state and the a priori error."""
     return _sample_step("qlms", state, x, d)
 
 
-def wl_qlms_step(state: FilterState, x: QVector,
+def wl_qlms_step(state: FilterState, x: Sequence[Quaternion],
                  d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One widely linear QLMS update over the four involution branches."""
     return _sample_step("wl_qlms", state, x, d)
 
 
-def qngd_step(state: FilterState, x: QVector,
+def qngd_step(state: FilterState, x: Sequence[Quaternion],
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QNGD update; with no nonlinearity it is qlms_step's, bit for bit."""
     return _sample_step("qngd", state, x, d, state.nonlinearity)
@@ -167,7 +135,7 @@ SIGNAL_KINDS = ("white_circular", "ar1", "fir_channel")
 AR1_COEFF = 0.5
 AR1_BURN_IN = 100
 
-Taps = Union[QVector, Sequence[QVector]]
+Taps = Sequence  # one vector of Quaternions or [a, b, c, d] rows, or four such vectors
 
 VARIANTS = ("qlms", "wl_qlms", "qngd")
 
@@ -186,11 +154,17 @@ _BLOCK = 256
 
 
 def _taps_array(taps: Taps) -> np.ndarray:
-    """Ground-truth taps as a (4, branches, taps) array, one or four branches."""
-    vectors = (taps,) if isinstance(taps, QVector) else tuple(taps)
-    if len(vectors) not in (1, 4) or len({len(vec) for vec in vectors}) != 1:
-        raise ValueError("taps must be one vector or four branch vectors of equal length")
-    return np.array([[tuple(q) for q in vec] for vec in vectors]).transpose(2, 0, 1)
+    """Taps as a (4, branches, taps) array: a (taps, 4) vector is one branch."""
+    try:
+        array = np.asarray(taps, dtype=float)  # raises on ragged or non-numeric taps
+    except (TypeError, ValueError):
+        array = np.empty(0)
+    if array.ndim == 2:
+        array = array[None]
+    if array.ndim != 3 or array.shape[0] not in (1, 4) or array.shape[2] != 4 or not array.size:
+        raise ValueError("taps must be one non-empty vector of [a, b, c, d] quaternions "
+                         "or four branches of vectors of equal length")
+    return array.transpose(2, 0, 1)
 
 
 def _modulus_squared(comps: np.ndarray) -> np.ndarray:
@@ -240,7 +214,7 @@ def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
         else:
             s = Quaternion(*s.tolist())
             err = Quaternion(*d.tolist()) - phi(s)
-            e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
+            e_eff = ZERO
             for mu, gamma in zip(AXES, _phi_derivatives(phi, s)):
                 e_eff = e_eff + involute(err, mu) * gamma
             e, e_eff = np.array(err), np.array(e_eff)
@@ -302,7 +276,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
 
 
 def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
-                    seed: int) -> list[tuple[QVector, Quaternion]]:
+                    seed: int) -> list[tuple[tuple[Quaternion, ...], Quaternion]]:
     """Deterministic (regressor window, desired output) stream.
 
     The raw input is circular white Gaussian with unit-variance components;
@@ -315,7 +289,7 @@ def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
     identical streams.
     """
     windows, desired = _signal_arrays(kind, _taps_array(taps), n, snr_db, seed)
-    return [(QVector(Quaternion(*x) for x in window.T.tolist()), Quaternion(*d))
+    return [(tuple(Quaternion(*x) for x in window.T.tolist()), Quaternion(*d))
             for window, d in zip(windows, desired.tolist())]
 
 
@@ -360,6 +334,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError(f"unknown filter variant {config.variant!r}")
     if config.nonlinearity not in (None, *NONLINEARITIES):
         raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
+    if config.nonlinearity is not None and config.variant != "qngd":
+        raise ValueError(f"nonlinearity applies to qngd only, not {config.variant}")
     if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
         raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")
     if not isinstance(config.steps, numbers.Integral):
@@ -372,7 +348,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         reference = truth if truth.shape[1] == 4 else np.concatenate(
             [truth * _CONJ[:, None, None], np.zeros((4, 3, truth.shape[2]))], axis=1)
     weights = np.zeros(reference.shape)
-    phi = NONLINEARITIES.get(config.nonlinearity) if config.variant == "qngd" else None
+    phi = NONLINEARITIES.get(config.nonlinearity)
 
     alpha = config.alpha
     mse = []

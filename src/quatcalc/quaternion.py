@@ -329,22 +329,15 @@ class MuBasis:
     i_mu: Quaternion
     j_mu: Quaternion
     k_mu: Quaternion
-    m: np.ndarray
+
+    @property
+    def m(self) -> np.ndarray:
+        return np.array([unit[1:] for unit in (self.i_mu, self.j_mu, self.k_mu)])
 
 
 def mu_basis(mu: Quaternion) -> MuBasis:
     """Rotated basis for a nonzero axis mu; mu = 1 returns the standard units."""
-    n2 = mu.modulus_squared()
-    if n2 == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    a, b, c, d = mu
-    m = np.array([
-        [a * a + b * b - c * c - d * d, 2 * (a * d + b * c), 2 * (b * d - a * c)],
-        [2 * (b * c - a * d), a * a + c * c - b * b - d * d, 2 * (c * d + a * b)],
-        [2 * (a * c + b * d), 2 * (c * d - a * b), a * a + d * d - b * b - c * c],
-    ]) / n2
-    return MuBasis(mu=mu, i_mu=rotate(I, mu), j_mu=rotate(J, mu),
-                   k_mu=rotate(K, mu), m=m)
+    return MuBasis(mu=mu, i_mu=rotate(I, mu), j_mu=rotate(J, mu), k_mu=rotate(K, mu))
 
 
 def components_from_involutions(q: Quaternion) -> tuple[float, float, float, float]:

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 
 from quatcalc.derivatives import conjugation_relation, left_hr, right_hr
-from quatcalc.filters import (ExperimentConfig, FilterState, QVector,
-                              qlms_step, run_experiment)
+from quatcalc.filters import (ExperimentConfig, FilterState, qlms_step,
+                              run_experiment)
 from quatcalc.identities import (DEFAULT_TOLERANCES, chain_rule_records,
                                  product_rule_records)
 from quatcalc.quaternion import (AXES, ONE, ZERO, Quaternion, involute,
@@ -194,12 +194,12 @@ def test_criterion_09_steepest_descent():
             f"{min_gap:.2e}")
 
 
-QLMS_CHANNEL = QVector.from_components([
+QLMS_CHANNEL = tuple(Quaternion(*row) for row in (
     [0.7, -0.3, 0.2, 0.1],
     [0.2, 0.5, -0.4, 0.3],
     [-0.1, 0.2, 0.6, -0.2],
     [0.3, -0.2, 0.1, 0.4],
-])
+))
 
 
 def test_criterion_10_qlms_identification():
@@ -209,14 +209,14 @@ def test_criterion_10_qlms_identification():
     rng = make_rng(SEED, stream=10)
     worst_step = 0.0
     for _ in range(10):
-        w = QVector(random_quaternion(rng) for _ in range(4))
-        x = QVector(random_quaternion(rng) for _ in range(4))
+        w = tuple(random_quaternion(rng) for _ in range(4))
+        x = tuple(random_quaternion(rng) for _ in range(4))
         d = random_quaternion(rng)
         state = FilterState(variant="qlms", weights=(w,), alpha=0.01)
         stepped, _ = qlms_step(state, x, d)
         for m in range(4):
             def objective(wm, m=m):
-                probe = QVector(wm if idx == m else w[idx] for idx in range(4))
+                probe = tuple(wm if idx == m else w[idx] for idx in range(4))
                 err = d - sum((p * q for p, q in zip(probe, x)), ZERO)
                 return Quaternion.from_real(err.modulus_squared())
 
@@ -241,7 +241,7 @@ def test_criterion_11_qngd_identity_reduction():
             "to QLMS over 2000 steps")
 
 
-WL_CHANNEL = tuple(QVector.from_components(rows) for rows in (
+WL_CHANNEL = tuple(tuple(Quaternion(*row) for row in rows) for rows in (
     [[0.6, -0.2, 0.3, 0.1], [0.1, 0.4, -0.3, 0.2],
      [-0.2, 0.1, 0.5, -0.1], [0.2, -0.1, 0.1, 0.3]],
     [[0.3, 0.2, -0.1, 0.2], [-0.1, 0.3, 0.2, -0.2],

@@ -147,10 +147,15 @@ def test_descend_rejects_bad_step_and_budget(option, value, capsys):
 
 @pytest.mark.parametrize("name", ["verify", "table", "taylor", "mvt", "descend"])
 def test_negative_seed_is_usage_error(name, capsys):
-    with pytest.raises(SystemExit) as info:
-        main([name, "--seed", "-1"])
-    assert info.value.code == 2
+    assert main([name, "--seed", "-1"]) == 2
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_argparse_exits_become_return_codes(capsys):
+    assert main(["verify", "--points", "abc"]) == 2
+    assert "--points: invalid int value: 'abc'" in capsys.readouterr().err
+    assert main(["verify", "--help"]) == 0
+    assert "usage: quatcalc verify" in capsys.readouterr().out
 
 
 def test_descend_divergent_step(capsys):
@@ -226,6 +231,13 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"threshold": "0.5"}, "threshold must be a number"),
     ({"taps": [[float("nan"), 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "taps must be finite"),
     ({"taps": [[1e308, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "desired signal is not finite"),
+    ({"taps": []}, "four branches"),
+    ({"taps": [[0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]}, "four branches"),
+    ({"taps": [[0.5, 0.0, 0.0]]}, "four branches"),
+    ({"taps": [["x", 0.0, 0.0, 0.0]]}, "four branches"),
+    ({"taps": {"a": 1}}, "four branches"),
+    ({"taps": [[[0.5, 0.0, 0.0, 0.0]]] * 3}, "four branches"),
+    ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",

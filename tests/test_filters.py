@@ -11,7 +11,7 @@ from quatcalc.cli import _load_filter_config
 from quatcalc.derivatives import left_hr
 from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
-                              QVector, _phi_derivatives, _signal_arrays,
+                              _phi_derivatives, _signal_arrays,
                               _taps_array, generate_signal, phi_tanh,
                               qlms_state, qlms_step, qngd_state, qngd_step,
                               run_experiment, wl_qlms_state, wl_qlms_step)
@@ -21,30 +21,32 @@ from quatcalc.theorems import DivergenceError
 
 SEED = 20240505
 
-CHANNEL = QVector.from_components([
+CHANNEL_ROWS = [
     [0.7, -0.3, 0.2, 0.1],
     [0.2, 0.5, -0.4, 0.3],
     [-0.1, 0.2, 0.6, -0.2],
     [0.3, -0.2, 0.1, 0.4],
-])
+]
+CHANNEL = tuple(Quaternion(*row) for row in CHANNEL_ROWS)
 
-WL_CHANNEL = tuple(QVector.from_components(rows) for rows in (
+WL_CHANNEL_ROWS = [
     [[0.6, -0.2, 0.3, 0.1], [0.1, 0.4, -0.3, 0.2], [-0.2, 0.1, 0.5, -0.1]],
     [[0.3, 0.2, -0.1, 0.2], [-0.1, 0.3, 0.2, -0.2], [0.2, -0.2, 0.4, 0.1]],
     [[-0.2, 0.3, 0.1, -0.1], [0.3, -0.1, 0.2, 0.2], [0.1, 0.2, -0.3, 0.1]],
     [[0.2, -0.1, 0.2, 0.3], [0.1, 0.2, -0.1, -0.3], [0.3, 0.1, 0.2, -0.1]],
-))
+]
+WL_CHANNEL = tuple(tuple(Quaternion(*row) for row in rows) for rows in WL_CHANNEL_ROWS)
 
 
 def _random_qvector(rng, n):
-    return QVector(random_quaternion(rng) for _ in range(n))
+    return tuple(random_quaternion(rng) for _ in range(n))
 
 
 # The scalar recursions, one Quaternion at a time: the independent oracle
 # that the array engine (and so every public step) must match bit for bit.
 
 
-def _dot_t(w: QVector, x: QVector) -> Quaternion:
+def _dot_t(w, x) -> Quaternion:
     """Transpose pairing sum w_m * x_m (order matters)."""
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     for p, q in zip(w, x):
@@ -52,7 +54,7 @@ def _dot_t(w: QVector, x: QVector) -> Quaternion:
     return total
 
 
-def _dot_h(w: QVector, x: QVector) -> Quaternion:
+def _dot_h(w, x) -> Quaternion:
     """Hermitian pairing sum w_m* * x_m."""
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     for p, q in zip(w, x):
@@ -60,26 +62,26 @@ def _dot_h(w: QVector, x: QVector) -> Quaternion:
     return total
 
 
-def _involute_vector(x: QVector, axis: str) -> QVector:
-    return QVector(involute(q, axis) for q in x)
+def _involute_vector(x, axis: str):
+    return tuple(involute(q, axis) for q in x)
 
 
-def _norm_squared(w: QVector) -> float:
+def _norm_squared(w) -> float:
     return sum(q.modulus_squared() for q in w)
 
 
-def _linear_update(w: QVector, x: QVector, e: Quaternion, alpha: float) -> QVector:
-    return QVector([w_m + (e * x_m.conjugate()) * alpha for w_m, x_m in zip(w, x)])
+def _linear_update(w, x, e: Quaternion, alpha: float):
+    return tuple(w_m + (e * x_m.conjugate()) * alpha for w_m, x_m in zip(w, x))
 
 
-def _oracle_qlms_step(state: FilterState, x: QVector, d: Quaternion):
+def _oracle_qlms_step(state: FilterState, x, d: Quaternion):
     w = state.weights[0]
     e = d - _dot_t(w, x)
     new_w = _linear_update(w, x, e, state.alpha)
     return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
 
 
-def _oracle_wl_qlms_step(state: FilterState, x: QVector, d: Quaternion):
+def _oracle_wl_qlms_step(state: FilterState, x, d: Quaternion):
     h, g, u, v = state.weights
     branches = (x, _involute_vector(x, "i"), _involute_vector(x, "j"),
                 _involute_vector(x, "k"))
@@ -88,12 +90,12 @@ def _oracle_wl_qlms_step(state: FilterState, x: QVector, d: Quaternion):
     e = d - y
     ec = e.conjugate()
     new_weights = tuple(
-        QVector([w_m + (b_m * ec) * state.alpha for w_m, b_m in zip(w_vec, branch)])
+        tuple(w_m + (b_m * ec) * state.alpha for w_m, b_m in zip(w_vec, branch))
         for w_vec, branch in zip((h, g, u, v), branches))
     return replace(state, weights=new_weights, iteration=state.iteration + 1), e
 
 
-def _oracle_qngd_step(state: FilterState, x: QVector, d: Quaternion):
+def _oracle_qngd_step(state: FilterState, x, d: Quaternion):
     """e_eff = sum over mu of e^mu * d Phi^(mu*)/ds*, each from its own left_hr."""
     w = state.weights[0]
     s = _dot_t(w, x)
@@ -110,19 +112,11 @@ def _oracle_qngd_step(state: FilterState, x: QVector, d: Quaternion):
     return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
 
 
-def test_qvector_basics():
-    v = QVector.zeros(3)
-    assert len(v) == 3
-    assert all(q == Quaternion(0.0, 0.0, 0.0, 0.0) for q in v)
-    w = QVector.from_components([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-    assert w[1] == Quaternion(0.0, 1.0, 0.0, 0.0)
-
-
-
 def test_qlms_scalar_oracle():
     # w = 0, x = 1, d = 1, alpha = 0.5: e = 1 and the update puts w at 0.5.
     state = qlms_state(taps=1, alpha=0.5)
-    x = QVector([ONE])
+    assert state.weights == ((Quaternion(0.0, 0.0, 0.0, 0.0),),)
+    x = (ONE,)
     new_state, e = qlms_step(state, x, ONE)
     assert e == ONE
     assert new_state.weights[0][0] == Quaternion(0.5, 0.0, 0.0, 0.0)
@@ -132,7 +126,7 @@ def test_qlms_scalar_oracle():
 def test_qlms_rejects_wrong_input_length():
     state = qlms_state(taps=3, alpha=0.1)
     with pytest.raises(ValueError):
-        qlms_step(state, QVector([ONE]), ONE)
+        qlms_step(state, (ONE,), ONE)
 
 
 @pytest.mark.parametrize("step,state", [
@@ -148,7 +142,7 @@ def test_qlms_rejects_wrong_input_length():
 ], ids=["wl_qlms-on-qlms", "wl_qlms-on-qngd", "qlms-on-wl_qlms", "qlms-on-qngd",
         "qngd-on-qlms", "qngd-on-wl_qlms", "qlms-four-branches", "wl_qlms-one-branch"])
 def test_step_rejects_another_variants_state(step, state):
-    x = QVector([ONE, ONE])
+    x = (ONE, ONE)
     with pytest.raises(ValueError, match="step needs a"):
         step(state, x, ONE)
 
@@ -166,7 +160,7 @@ def test_qlms_step_is_conjugate_gradient_descent():
         new_state, _ = qlms_step(state, x, d)
         for m in range(3):
             def objective(wm, m=m):
-                probe = QVector(wm if idx == m else w[idx] for idx in range(3))
+                probe = tuple(wm if idx == m else w[idx] for idx in range(3))
                 err = d - _dot_t(probe, x)
                 return Quaternion.from_real(err.modulus_squared())
 
@@ -251,8 +245,8 @@ def test_qngd_identity_matches_qlms_bitwise():
 def test_qngd_tanh_matches_qlms_for_small_signals():
     # tanh is identity to first order, so tiny signals follow the linear path.
     rng = make_rng(SEED, stream=3)
-    w = QVector(q * 0.01 for q in _random_qvector(rng, 3))
-    x = QVector(q * 0.01 for q in _random_qvector(rng, 3))
+    w = tuple(q * 0.01 for q in _random_qvector(rng, 3))
+    x = tuple(q * 0.01 for q in _random_qvector(rng, 3))
     d = random_quaternion(rng) * 0.01
     lin_state = FilterState(variant="qlms", weights=(w,), alpha=0.01)
     tanh_state = FilterState(variant="qngd", weights=(w,), alpha=0.01,
@@ -326,7 +320,7 @@ def test_large_step_size_diverges():
 def test_overflowing_tap_norm_diverges_without_warnings(recwarn):
     # The reference norm of 1e160 taps overflows; the run reports divergence.
     config = ExperimentConfig(variant="qlms", alpha=0.01, steps=50, snr_db=math.inf, seed=1,
-                              taps=QVector.from_components([[1e160, 0, 0, 0], [0.1, 0, 0, 0]]))
+                              taps=[[1e160, 0, 0, 0], [0.1, 0, 0, 0]])
     with pytest.raises(DivergenceError, match="diverged at step 0"):
         run_experiment(config)
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
@@ -355,15 +349,18 @@ def test_ar1_experiment_runs():
     ({"snr_db": -math.inf}, "snr_db"),
     ({"steps": 100.5}, "steps must be an integer"),
     ({"variant": "qngd", "nonlinearity": "relu"}, "unknown nonlinearity"),
-    ({"taps": QVector.from_components([[math.nan, 0, 0, 0], [0.1, 0, 0, 0]])},
+    ({"taps": [[math.nan, 0, 0, 0], [0.1, 0, 0, 0]]},
      "taps must be finite"),
-    ({"taps": QVector.from_components([[math.inf, 0, 0, 0], [0.1, 0, 0, 0]])},
+    ({"taps": [[math.inf, 0, 0, 0], [0.1, 0, 0, 0]]},
      "taps must be finite"),
-    ({"taps": QVector.from_components([[1e308, 0, 0, 0], [0.1, 0, 0, 0]])},
+    ({"taps": [[1e308, 0, 0, 0], [0.1, 0, 0, 0]]},
      "desired signal is not finite"),
-    ({"taps": QVector.from_components([[1e308, 0, 0, 0], [0.1, 0, 0, 0]]),
+    ({"taps": [[1e308, 0, 0, 0], [0.1, 0, 0, 0]],
       "snr_db": math.inf}, "desired signal is not finite"),
     ({"snr_db": -4000.0}, "desired signal is not finite"),
+    ({"nonlinearity": "relu"}, "unknown nonlinearity"),
+    ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
+    ({"variant": "wl_qlms", "nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
 ])
 def test_run_experiment_rejects_bad_config(change, message, recwarn):
     config = ExperimentConfig(**{**dict(variant="qlms", taps=CHANNEL, alpha=0.01,
@@ -374,14 +371,57 @@ def test_run_experiment_rejects_bad_config(change, message, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("taps", [
+    [],
+    [[]],
+    CHANNEL[0],
+    [[0.5, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0]],
+    [[0.5, 0.0, 0.0]],
+    [[0.5, 0.0, 0.0, 0.0, 0.0]],
+    [["x", 0.0, 0.0, 0.0]],
+    [{"a": 1}],
+    WL_CHANNEL[:2],
+    WL_CHANNEL[:3],
+    WL_CHANNEL[:3] + (CHANNEL,),
+    [WL_CHANNEL],
+], ids=["empty", "empty-vector", "one-quaternion", "ragged", "three-numbers",
+        "five-numbers", "non-numeric", "dict", "two-branches", "three-branches",
+        "unequal-branches", "four-dimensional"])
+def test_malformed_taps_are_rejected(taps):
+    config = ExperimentConfig(variant="qlms", taps=taps, alpha=0.01, steps=100,
+                              snr_db=30.0, seed=1)
+    with pytest.raises(ValueError, match="four branches"):
+        run_experiment(config)
+    with pytest.raises(ValueError, match="four branches"):
+        generate_signal("fir_channel", taps, 100, 30.0, seed=1)
+
+
+@pytest.mark.parametrize("forms", [
+    (CHANNEL, list(CHANNEL), CHANNEL_ROWS),
+    (WL_CHANNEL, [list(branch) for branch in WL_CHANNEL], WL_CHANNEL_ROWS),
+], ids=["one-branch", "four-branches"])
+@pytest.mark.parametrize("variant", ["qlms", "wl_qlms"])
+def test_taps_forms_give_identical_runs(forms, variant):
+    # Quaternions are tuples, so a tuple or a list of them and the JSON rows
+    # [[a, b, c, d], ...] are the same taps.
+    runs = []
+    for taps in forms:
+        result = run_experiment(ExperimentConfig(variant=variant, taps=taps, alpha=0.01,
+                                                 steps=300, snr_db=30.0, seed=5))
+        stream = generate_signal("ar1", taps, 50, 30.0, seed=5)
+        runs.append((tuple(x.hex() for x in result.mse_curve + result.weight_error_curve),
+                     [(_bits(x), _bits([d])) for x, d in stream]))
+    assert runs[0] == runs[1] == runs[2]
+
+
 def _scalar_weight_error(state: FilterState, taps) -> float:
     """Relative weight error, added up over Quaternion objects."""
-    truth = (taps,) if isinstance(taps, QVector) else tuple(taps)
+    truth = (taps,) if np.ndim(taps) == 2 else taps
     if state.variant == "wl_qlms":
         current = state.weights
         if len(truth) == 1:
-            zeros = QVector.zeros(len(truth[0]))
-            truth = (QVector(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
+            zeros = (Quaternion(0.0, 0.0, 0.0, 0.0),) * len(truth[0])
+            truth = (tuple(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
     else:
         current = (state.weights[0],)
     err = 0.0
@@ -395,7 +435,7 @@ def _scalar_weight_error(state: FilterState, taps) -> float:
 
 def _scalar_run(config: ExperimentConfig):
     """run_experiment's curves from the scalar oracle over generate_signal."""
-    taps = len(config.taps) if isinstance(config.taps, QVector) else len(config.taps[0])
+    taps = np.shape(config.taps)[-2]
     if config.variant == "qlms":
         state, step = qlms_state(taps, config.alpha), _oracle_qlms_step
     elif config.variant == "wl_qlms":
@@ -454,8 +494,8 @@ def _bits(quaternions) -> tuple[str, ...]:
     (wl_qlms_step, _oracle_wl_qlms_step, wl_qlms_state(3, 0.01), WL_CHANNEL),
     (qngd_step, _oracle_qngd_step, qngd_state(4, 0.02, phi_tanh), CHANNEL),
     (qlms_step, _oracle_qlms_step,
-     FilterState(variant="qlms", alpha=0.02, weights=(QVector.from_components(
-         [[math.nan, 0, 0, 0], [0.5, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),)), CHANNEL),
+     FilterState(variant="qlms", alpha=0.02, weights=(tuple(Quaternion(*row) for row in (
+         [math.nan, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4)),)), CHANNEL),
 ], ids=["qlms", "wl_qlms", "qngd_tanh", "qlms_nan_weight"])
 def test_public_steps_match_scalar_oracle_bitwise(step, oracle, start, taps):
     # The public steps are one-window calls into the array kernel.  They do

@@ -1,14 +1,19 @@
 """Byte pins: the CSV of each default-seed CLI run, by sha256.
 
+Paths in the pinned command lines are relative to the repository root.
+
 Same seed, same bytes: a change that moves any CSV cell of these runs,
 even in the last ulp, fails here and has to say which columns moved and why.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from quatcalc import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
     ("verify",):
@@ -25,11 +30,14 @@ GOLDEN = {
         "abb4984d2c363f373043cf4e20b2bba034bf7da26f481fcc86699ca7f371c8f6",
     ("filter", "--config", "wl_qlms"):
         "a0b2ae154fae11fb6e09de80e055a7657fb638c46925fd63710591f9847548e1",
+    ("filter", "--config", "perfbench/configs/qngd.json"):
+        "c966386ab8205175603721a35b24fe1238c2898ab2b66b765b16459dce68a2f4",
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_default_run_writes_pinned_bytes(argv, tmp_path, capsys):
+def test_default_run_writes_pinned_bytes(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     path = tmp_path / "out.csv"
     assert cli.main(list(argv) + ["--out", str(path)]) == cli.EXIT_PASS
     capsys.readouterr()
