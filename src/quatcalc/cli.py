@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from . import identities, tables, theorems
 from .derivatives import takes_arrays
 from .filters import ExperimentConfig, run_experiment
-from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
+from .quaternion import ONE, QArray, Quaternion, format_quaternion, parse_quaternion
 from .sampling import make_rng, random_quaternion
 from .tables import TableEntry
 from .theorems import DivergenceError
@@ -34,6 +34,8 @@ DEFAULT_SEED = identities.DEFAULT_SEED
 REFINEMENT_FLOOR = 1e-9
 
 TABLE_TOLERANCES = {"table": 1e-5}
+# Points per batched table cross-check: what a large --points holds at once.
+TABLE_CHUNK = 1024
 MVT_TOLERANCES = {"mvt": 1e-7}
 TAYLOR_TOLERANCES = {"slope_low": 2.7, "slope_high": 3.3}
 DESCENT_TOLERANCES = {"grad": 1e-6}
@@ -166,20 +168,24 @@ def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     oks = []
     for spec in specs:
-        for _ in range(points):
-            entry = spec.sample_entry(rng)
-            q = spec.sample_point(entry, rng)
-            mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-            check = tables.cross_validate(entry, q, mu)
-            for column, closed, numerical, residual in (
-                    ("mu", check.closed_mu, check.numerical_mu, check.residual_mu),
-                    ("mu_conj", check.closed_mu_conj, check.numerical_mu_conj,
-                     check.residual_mu_conj)):
-                ok = residual <= tol
-                oks.append(ok)
-                rows.append((spec.name, _fmt_q(q), _fmt_q(mu), column,
-                             _fmt_q(closed), _fmt_q(numerical),
-                             _fmt(residual), _fmt_pass(ok)))
+        for start in range(0, points, TABLE_CHUNK):
+            entries, qs, mus = [], [], []
+            for _ in range(min(TABLE_CHUNK, points - start)):
+                entries.append(spec.sample_entry(rng))
+                qs.append(spec.sample_point(entries[-1], rng))
+                mus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
+            checks = tables.cross_validate(entries, QArray(list(zip(*qs))),
+                                           QArray(list(zip(*mus))))
+            for q, mu, check in zip(qs, mus, checks.unstack()):
+                point, axis = _fmt_q(q), _fmt_q(mu)
+                for column, closed, numerical, residual in (
+                        ("mu", check.closed_mu, check.numerical_mu, check.residual_mu),
+                        ("mu_conj", check.closed_mu_conj, check.numerical_mu_conj,
+                         check.residual_mu_conj)):
+                    ok = residual <= tol
+                    oks.append(ok)
+                    rows.append((spec.name, point, axis, column, _fmt_q(closed),
+                                 _fmt_q(numerical), _fmt(residual), _fmt_pass(ok)))
     return _report(args.out, ("family", "point", "mu", "column", "closed_form",
                               "numerical", "residual", "pass"), rows,
                    "derivative table", oks,

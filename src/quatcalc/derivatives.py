@@ -28,8 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .quaternion import (AXES, UNITS, MuBasis, QArray, Quaternion, involute,
-                         mu_basis, rotate)
+from .quaternion import (AXES, UNITS, MuBasis, QArray, Quaternion, anywhere,
+                         involute, mu_basis, rotate)
 
 QFunction = Callable[[Quaternion], Quaternion]
 
@@ -159,7 +159,7 @@ def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
 
 
 def _basis(mu: Quaternion) -> MuBasis:
-    if mu.modulus() < DEGENERATE_AXIS:
+    if anywhere(mu.modulus() < DEGENERATE_AXIS):
         raise DegenerateAxisError("degenerate rotation axis")
     return mu_basis(mu)
 
@@ -211,26 +211,41 @@ def has_array_form(f: QFunction) -> bool:
     return getattr(f, "takes_arrays", False)
 
 
+def _batch_partials(f: QFunction, points: QArray) -> list[QArray]:
+    """real_partials of an array-form f at each of the (4, N) points, bit for bit.
+
+    One call of f takes all eight stencil points of every point, laid out as
+    [component, axis, +/-, point] so that (4, N) per-point constants in f
+    broadcast against them.  A non-finite value raises the EvaluationError
+    that real_partials, point by point, would raise first.
+    """
+    steps, inv = _STEPS[DEFAULT_H]
+    offsets = np.array(steps).T[:, :, np.newaxis, np.newaxis]
+    base = points.c[:, np.newaxis, np.newaxis]
+    stencil = np.concatenate((base + offsets, base - offsets), axis=2)
+    values = f(QArray(stencil)).c
+    # [point, axis, +/-]: the scalar loop's evaluation order.
+    finite = np.isfinite(values).all(axis=0).transpose(2, 0, 1).ravel()
+    if not finite.all():
+        first = stencil.transpose(0, 3, 1, 2).reshape(4, -1)[:, np.argmin(finite)]
+        raise EvaluationError("function evaluation is not finite",
+                              Quaternion.from_components(first))
+    diffs = (values[:, :, 0] - values[:, :, 1]) * inv
+    return [QArray(diffs[:, e]) for e in range(4)]
+
+
 def left_hr_batch(f: QFunction, points: QArray) -> DerivativeSet:
     """left_hr of an array-form f at each of the (4, N) points, bit for bit.
 
-    The derivative set holds QArrays of N quaternions.  One call of f takes
-    all eight stencil points of every point.  A non-finite value raises the
-    EvaluationError that left_hr, point by point, would raise first.
+    The derivative set holds QArrays of N quaternions.
     """
-    steps, inv = _STEPS[DEFAULT_H]
-    offsets = np.array(steps).T[:, np.newaxis, :]
-    base = points.c[:, :, np.newaxis]
-    # [component, point, axis, +/-]: the scalar loop's evaluation order.
-    stencil = np.stack((base + offsets, base - offsets), axis=-1)
-    values = f(QArray(stencil)).c
-    finite = np.isfinite(values).all(axis=0).ravel()
-    if not finite.all():
-        first = stencil.reshape(4, -1)[:, np.argmin(finite)]
-        raise EvaluationError("function evaluation is not finite",
-                              Quaternion.from_components(first))
-    diffs = (values[..., 0] - values[..., 1]) * inv
-    return hr_from_partials([QArray(diffs[..., e]) for e in range(4)], "left")
+    return hr_from_partials(_batch_partials(f, points), "left")
+
+
+def left_ghr_batch(f: QFunction, points: QArray, mu: QArray) -> GhrPair:
+    """left_ghr of an array-form f at each of the (4, N) points, each along
+    its own axis in the (4, N) mu, bit for bit."""
+    return ghr_from_partials(_batch_partials(f, points), mu, "left")
 
 
 def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:

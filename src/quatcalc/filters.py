@@ -156,9 +156,11 @@ _BLOCK = 256
 def _taps_array(taps: Taps) -> np.ndarray:
     """Taps as a (4, branches, taps) array: a (taps, 4) vector is one branch."""
     try:
-        array = np.asarray(taps, dtype=float)  # raises on ragged or non-numeric taps
+        array = np.asarray(taps)  # raises on ragged taps
     except (TypeError, ValueError):
         array = np.empty(0)
+    # float() would take the strings "0.5" or "nan"; JSON gives numbers.
+    array = array.astype(float) if array.dtype.kind in "iuf" else np.empty(0)
     if array.ndim == 2:
         array = array[None]
     if array.ndim != 3 or array.shape[0] not in (1, 4) or array.shape[2] != 4 or not array.size:
@@ -320,10 +322,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Stream a generated signal through the chosen filter and record errors.
 
     The weight error is the relative distance between the adapted weights
-    and the ground truth.  A strictly linear channel d = sum taps_m x_m seen
-    by the widely linear filter is reproduced by the Hermitian branch with
-    h = taps*, so that is the reference the four-branch weights are held
-    against.
+    and the ground truth.  The widely linear branch outputs are Hermitian,
+    h^H x = sum h_m* x_m, so the two filter shapes meet a channel of the
+    other shape through a conjugate: a strictly linear channel
+    d = sum taps_m x_m is reproduced by the four-branch filter with h = taps*
+    (and g = u = v = 0), and the strictly linear part h^H x of a widely
+    linear channel by the one-branch filter with w = h*.  Those are the
+    references the weights are held against.
 
     Each step is one call of _step, the kernel the per-sample *_step
     functions share.  It reproduces the scalar Quaternion recursions (the
@@ -343,10 +348,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     truth = _taps_array(config.taps)
     windows, desired = _signal_arrays(config.kind, truth, config.steps,
                                       config.snr_db, config.seed)
-    reference = truth[:, :1]
-    if config.variant == "wl_qlms":
-        reference = truth if truth.shape[1] == 4 else np.concatenate(
+    reference = truth
+    if config.variant == "wl_qlms" and truth.shape[1] == 1:
+        reference = np.concatenate(
             [truth * _CONJ[:, None, None], np.zeros((4, 3, truth.shape[2]))], axis=1)
+    elif config.variant != "wl_qlms" and truth.shape[1] == 4:
+        reference = truth[:, :1] * _CONJ[:, None, None]
     weights = np.zeros(reference.shape)
     phi = NONLINEARITIES.get(config.nonlinearity)
 

@@ -177,13 +177,28 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return terms[0] + terms[1] + terms[2] + terms[3]
 
 
+def _aligned(comps: np.ndarray, ndim: int) -> np.ndarray:
+    """comps with new element axes inserted after axis 0, up to ndim axes."""
+    if comps.ndim >= ndim:
+        return comps
+    return comps.reshape(comps.shape[:1] + (1,) * (ndim - comps.ndim) + comps.shape[1:])
+
+
+def anywhere(mask) -> bool:
+    """A check over one quaternion (a bool) or over a QArray's elements (an array)."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
 class QArray:
     """Many quaternions at once: one float array with the components on axis 0.
 
     The operators are Quaternion's, element by element and bit for bit:
     products go through hamilton, and a Quaternion or real operand applies
-    to every element.  So a formula written with Quaternion operators alone
-    maps a QArray of points to the QArray of its values.
+    to every element.  A real operand may also be an array with one value
+    per element.  Element axes broadcast as numpy's do, aligned from the
+    right, so (4, N) coefficients meet (4, ..., N) points.  So a formula
+    written with Quaternion operators and methods alone maps a QArray of
+    points to the QArray of its values.
     """
 
     __array_ufunc__ = None
@@ -201,12 +216,23 @@ class QArray:
     def a(self) -> np.ndarray:
         return self.c[0]
 
-    def _operand(self, other):
-        """other's components, broadcastable against self.c, or None."""
+    def _pair(self, other):
+        """self's and other's components with aligned element axes, or None."""
         if isinstance(other, QArray):
-            return other.c
-        if isinstance(other, Quaternion):
-            return np.array(other).reshape((4,) + (1,) * (self.c.ndim - 1))
+            comps = other.c
+        elif isinstance(other, Quaternion):
+            comps = np.array(other)
+        else:
+            return None
+        ndim = max(self.c.ndim, comps.ndim)
+        return _aligned(self.c, ndim), _aligned(comps, ndim)
+
+    def _real(self, other):
+        """self's components and other as a real factor, or None."""
+        if isinstance(other, numbers.Real):
+            return self.c, other
+        if isinstance(other, np.ndarray):
+            return _aligned(self.c, other.ndim + 1), other
         return None
 
     def _with_real(self, real) -> "QArray":
@@ -215,9 +241,9 @@ class QArray:
         return QArray(comps)
 
     def __add__(self, other):
-        comps = self._operand(other)
-        if comps is not None:
-            return QArray(self.c + comps)
+        pair = self._pair(other)
+        if pair is not None:
+            return QArray(pair[0] + pair[1])
         if isinstance(other, numbers.Real):
             return self._with_real(self.c[0] + other)
         return NotImplemented
@@ -225,17 +251,17 @@ class QArray:
     __radd__ = __add__
 
     def __sub__(self, other):
-        comps = self._operand(other)
-        if comps is not None:
-            return QArray(self.c - comps)
+        pair = self._pair(other)
+        if pair is not None:
+            return QArray(pair[0] - pair[1])
         if isinstance(other, numbers.Real):
             return self._with_real(self.c[0] - other)
         return NotImplemented
 
     def __rsub__(self, other):
-        comps = self._operand(other)
-        if comps is not None:
-            return QArray(comps - self.c)
+        pair = self._pair(other)
+        if pair is not None:
+            return QArray(pair[1] - pair[0])
         if isinstance(other, numbers.Real):
             return (-self)._with_real(other - self.c[0])
         return NotImplemented
@@ -244,29 +270,56 @@ class QArray:
         return QArray(-self.c)
 
     def __mul__(self, other):
-        comps = self._operand(other)
-        if comps is not None:
-            return QArray(hamilton(self.c, comps))
-        if isinstance(other, numbers.Real):
-            return QArray(self.c * other)
+        pair = self._pair(other)
+        if pair is not None:
+            return QArray(hamilton(*pair))
+        scaled = self._real(other)
+        if scaled is not None:
+            return QArray(scaled[0] * scaled[1])
         return NotImplemented
 
     def __rmul__(self, other):
-        comps = self._operand(other)
-        if comps is not None:
-            return QArray(hamilton(comps, self.c))
-        if isinstance(other, numbers.Real):
-            return QArray(other * self.c)
+        pair = self._pair(other)
+        if pair is not None:
+            return QArray(hamilton(pair[1], pair[0]))
+        scaled = self._real(other)
+        if scaled is not None:
+            return QArray(scaled[1] * scaled[0])
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return QArray(self.c / other)
+        scaled = self._real(other)
+        if scaled is not None:
+            return QArray(scaled[0] / scaled[1])
         return NotImplemented
+
+    def conjugate(self) -> "QArray":
+        comps = -self.c
+        comps[0] = self.c[0]
+        return QArray(comps)
 
     def modulus_squared(self) -> np.ndarray:
         a, b, c, d = self.c
         return a * a + b * b + c * c + d * d
+
+    def modulus(self) -> np.ndarray:
+        # np.sqrt is correctly rounded, as math.sqrt is.
+        return np.sqrt(self.modulus_squared())
+
+    __abs__ = modulus
+
+    def inverse(self) -> "QArray":
+        n2 = self.modulus_squared()
+        if anywhere(n2 == 0.0):
+            raise ValueError("zero quaternion has no inverse")
+        return self.conjugate() / n2
+
+    def vector(self) -> "QArray":
+        return self._with_real(0.0)
+
+    def vector_modulus(self) -> np.ndarray:
+        _, b, c, d = self.c
+        return np.sqrt(b * b + c * c + d * d)
 
 
 def isclose(p: Quaternion, q: Quaternion,
@@ -279,7 +332,7 @@ def isclose(p: Quaternion, q: Quaternion,
 def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
     """Rotation q^mu = mu q mu^-1, computed as mu q mu* / |mu|^2."""
     n2 = mu.modulus_squared()
-    if n2 == 0.0:
+    if anywhere(n2 == 0.0):
         raise ValueError("rotation axis must be nonzero")
     return (mu * q * mu.conjugate()) / n2
 

@@ -15,6 +15,14 @@ next to each other.
 Parameters omega, nu, lam are fixed quaternion constants; g always denotes
 the inner linear map omega*q*nu + lam, and f the value of the family at the
 point.  Each conj_* family is its base family at q*, derived by conj_input.
+
+Every evaluator and column is written with the operators and methods that
+Quaternion and QArray share, so the same formula serves one point and a
+batch.  cross_validate checks a whole (4, N) batch of points in one pass,
+bit for bit the one-point calls: one call of the columns and one call of
+the evaluator on all 8N stencil points (derivatives.left_ghr_batch) for
+each run of points whose entries share family and counts n and terms.
+The one-point calls stay on Python floats.
 """
 
 from __future__ import annotations
@@ -22,13 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import derivatives
-from .derivatives import has_array_form, takes_arrays
-from .quaternion import ONE, ZERO, Quaternion, rotate
+from .derivatives import takes_arrays
+from .quaternion import ONE, ZERO, QArray, Quaternion, anywhere, rotate
 from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -120,7 +128,7 @@ class Guard:
     margin: float
 
     def domain(self, entry: TableEntry, q: Quaternion) -> Optional[str]:
-        if self.size(entry, q) < MIN_MODULUS:
+        if anywhere(self.size(entry, q) < MIN_MODULUS):
             return f"requires {self.label} >= {MIN_MODULUS}"
         return None
 
@@ -147,7 +155,7 @@ class _Param(NamedTuple):
 
 
 _COEFFICIENT = _Param(lambda rng: random_quaternion(rng, -1.0, 1.0),
-                      lambda v: isinstance(v, Quaternion), "a Quaternion")
+                      lambda v: isinstance(v, (Quaternion, QArray)), "a Quaternion")
 # Drawn by the sampler and checked on every entry, keyed by TableEntry field.
 _PARAMS = {
     "omega": _COEFFICIENT,
@@ -157,6 +165,24 @@ _PARAMS = {
     "terms": _Param(lambda rng: DEFAULT_EXP_TERMS, _is_count, "a positive integer"),
 }
 _AFFINE = ("omega", "nu", "lam")
+_COUNTS = ("n", "terms")
+
+
+def _by_floats(fn, *args):
+    """fn(*args), element by element through Python floats when args are arrays.
+
+    numpy's vectorised ** and arctan2 differ from Python's float ** and
+    math.atan2 in the last ulp on some inputs and machines; np.sqrt and the
+    arithmetic operators do not, so only those two go through here.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    flat = [np.ravel(arg).tolist() for arg in args]
+    return np.array(list(map(fn, *flat))).reshape(args[0].shape)
+
+
+def _cube(x):
+    return x ** 3
 
 
 # --- family evaluators and columns ------------------------------------------
@@ -172,7 +198,7 @@ def _square_value(e, q):
 
 def _square_cols(e, q, mu):
     qm = q * mu
-    col1 = q * mu.a + Quaternion.from_real(qm.a)
+    col1 = q * mu.a + type(q).from_real(qm.a)
     col2 = (q * mu.conjugate()) * -0.5 + qm.conjugate() * -0.5
     return EntryDerivatives(col1, col2)
 
@@ -215,7 +241,7 @@ def _linear_inverse_cols(e, q, mu):
 
 
 def _real_part_value(e, q):
-    return Quaternion.from_real(q.a)
+    return type(q).from_real(q.a)
 
 
 def _real_part_cols(e, q, mu):
@@ -224,7 +250,7 @@ def _real_part_cols(e, q, mu):
 
 
 def _linear_real_part_value(e, q):
-    return Quaternion.from_real(_linear_inner(e, q).a)
+    return type(q).from_real(_linear_inner(e, q).a)
 
 
 def _linear_real_part_cols(e, q, mu):
@@ -234,7 +260,7 @@ def _linear_real_part_cols(e, q, mu):
 
 
 def _vector_modulus_value(e, q):
-    return Quaternion.from_real(q.vector_modulus())
+    return type(q).from_real(q.vector_modulus())
 
 
 def _vector_modulus_cols(e, q, mu):
@@ -255,7 +281,7 @@ def _unit_pure_axis_cols(e, q, mu):
 
 
 def _arctan_arg_value(e, q):
-    return Quaternion.from_real(math.atan2(q.vector_modulus(), q.a))
+    return type(q).from_real(_by_floats(math.atan2, q.vector_modulus(), q.a))
 
 
 def _arctan_arg_cols(e, q, mu):
@@ -272,8 +298,9 @@ def _unit_vector_value(e, q):
 
 def _unit_vector_cols(e, q, mu):
     mod = q.modulus()
-    col1 = Quaternion.from_real(mu.a / mod) - (q * mu * q.conjugate()) * (0.25 / mod ** 3)
-    col2 = mu.conjugate() * (-0.5 / mod) - (q * mu * q) * (0.25 / mod ** 3)
+    mod3 = _by_floats(_cube, mod)
+    col1 = type(q).from_real(mu.a / mod) - (q * mu * q.conjugate()) * (0.25 / mod3)
+    col2 = mu.conjugate() * (-0.5 / mod) - (q * mu * q) * (0.25 / mod3)
     return EntryDerivatives(col1, col2)
 
 
@@ -285,17 +312,18 @@ def _linear_unit_vector_value(e, q):
 def _linear_unit_vector_cols(e, q, mu):
     g = _linear_inner(e, q)
     mod = g.modulus()
+    mod3 = _by_floats(_cube, mod)
     nm = e.nu * mu
     wgm = e.omega.conjugate() * g * mu
     col1 = e.omega * (nm.a / (2.0 * mod)) \
-        + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod ** 3)
+        + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod3)
     col2 = (e.omega * nm.conjugate()) * (-0.25 / mod) \
-        + (g * e.nu.conjugate()) * (-wgm.a / (2.0 * mod ** 3))
+        + (g * e.nu.conjugate()) * (-wgm.a / (2.0 * mod3))
     return EntryDerivatives(col1, col2)
 
 
 def _modulus_value(e, q):
-    return Quaternion.from_real(q.modulus())
+    return type(q).from_real(q.modulus())
 
 
 def _modulus_cols(e, q, mu):
@@ -304,7 +332,7 @@ def _modulus_cols(e, q, mu):
 
 
 def _modulus_squared_value(e, q):
-    return Quaternion.from_real(q.modulus_squared())
+    return type(q).from_real(q.modulus_squared())
 
 
 def _modulus_squared_cols(e, q, mu):
@@ -312,7 +340,7 @@ def _modulus_squared_cols(e, q, mu):
 
 
 def _linear_modulus_value(e, q):
-    return Quaternion.from_real(_linear_inner(e, q).modulus())
+    return type(q).from_real(_linear_inner(e, q).modulus())
 
 
 def _linear_modulus_cols(e, q, mu):
@@ -328,7 +356,7 @@ def _linear_modulus_cols(e, q, mu):
 
 
 def _linear_modulus_squared_value(e, q):
-    return Quaternion.from_real(_linear_inner(e, q).modulus_squared())
+    return type(q).from_real(_linear_inner(e, q).modulus_squared())
 
 
 def _linear_modulus_squared_cols(e, q, mu):
@@ -353,7 +381,7 @@ def _power_rule(q: Quaternion, mu: Quaternion, top: int):
 
     The powers and the heads q^(m-1) mu are built once for every order.
     """
-    powers = [ONE]
+    powers = [type(q).from_real(1.0)]
     for _ in range(top - 1):
         powers.append(powers[-1] * q)
     heads = [power * mu for power in powers]
@@ -371,7 +399,6 @@ def _power_cols(e, q, mu):
     return EntryDerivatives(plain, conj)
 
 
-@takes_arrays
 def _exponential_value(e, q):
     total = ONE
     term = ONE
@@ -483,9 +510,13 @@ def eval_entry(entry: TableEntry, q: Quaternion) -> Quaternion:
 
 
 def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivatives:
-    """Closed-form derivative columns (times mu) of the family at q."""
+    """Closed-form derivative columns (times mu) of the family at q.
+
+    q and mu may also be (4, N) QArrays, with the entry's coefficients
+    stacked the same way; the checks then hold at every point.
+    """
     spec = _check_entry(entry)
-    if mu.modulus() == 0.0:
+    if anywhere(mu.modulus() == 0.0):
         raise ValueError("rotation axis must be nonzero")
     violation = spec.domain(entry, q)
     if violation:
@@ -494,11 +525,10 @@ def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivat
 
 
 def as_function(entry: TableEntry) -> Callable[[Quaternion], Quaternion]:
-    """The family's value as a function of q; it has an array form when the
-    family's evaluator takes QArrays."""
+    """The family's value as a function of q, with an array form: every
+    evaluator is written with operators and methods that QArray shares."""
     spec = _check_entry(entry)
-    fn = lambda p: spec.value(entry, p)
-    return takes_arrays(fn) if has_array_form(spec.value) else fn
+    return takes_arrays(lambda p: spec.value(entry, p))
 
 
 def conj_gradient(entry: TableEntry, q: Quaternion) -> Quaternion:
@@ -514,17 +544,75 @@ class CrossCheck(NamedTuple):
     residual_mu: float
     residual_mu_conj: float
 
+    def unstack(self) -> list["CrossCheck"]:
+        """The one-point checks of a batched check, in point order."""
+        columns = [[Quaternion(*c) for c in field.c.T.tolist()] for field in self[:4]]
+        return [CrossCheck(*fields) for fields in
+                zip(*columns, self.residual_mu.tolist(), self.residual_mu_conj.tolist())]
 
-def cross_validate(entry: TableEntry, q: Quaternion, mu: Quaternion) -> CrossCheck:
-    """Compare the closed-form columns against the numerical GHR derivative.
 
-    Residuals are relative: |closed - numerical| / (1 + |closed|).
-    """
-    closed = derivative(entry, q, mu)
-    pair = derivatives.left_ghr(as_function(entry), q, mu)
+def _batches(entries: Sequence[TableEntry]):
+    """(point indices, entry) for each run of points whose entries share
+    family and counts; the entry holds the run's Quaternion coefficients
+    stacked into (4, n) QArrays."""
+    runs: dict[tuple, list[int]] = {}
+    for k, entry in enumerate(entries):
+        runs.setdefault((entry.family, entry.n, entry.terms), []).append(k)
+    for part in runs.values():
+        stacked = {}
+        for name in _AFFINE:
+            values = [getattr(entries[k], name) for k in part]
+            # None where a point lacks it, which the entry check rejects.
+            stacked[name] = QArray(list(zip(*values))) \
+                if all(isinstance(v, Quaternion) for v in values) else None
+        yield part, replace(entries[part[0]], **stacked)
+
+
+def _compare(closed: EntryDerivatives, pair: derivatives.GhrPair, mu) -> CrossCheck:
     num_mu = pair.d_mu * mu
     num_conj = pair.d_mu_conj * mu
     res_mu = abs(closed.d_mu_times_mu - num_mu) / (1.0 + abs(closed.d_mu_times_mu))
     res_conj = abs(closed.d_mu_conj_times_mu - num_conj) / (1.0 + abs(closed.d_mu_conj_times_mu))
     return CrossCheck(closed.d_mu_times_mu, closed.d_mu_conj_times_mu,
                       num_mu, num_conj, res_mu, res_conj)
+
+
+def cross_validate(entry: TableEntry | Sequence[TableEntry], q: Quaternion,
+                   mu: Quaternion) -> CrossCheck:
+    """Compare the closed-form columns against the numerical GHR derivative.
+
+    Residuals are relative: |closed - numerical| / (1 + |closed|).
+
+    Batched, q and mu are QArrays of (4, N) points and axes and entry is a
+    sequence of N entries.  Every field then holds N values, bit for bit
+    the one-point calls', and a bad point raises the error that the
+    one-point calls, in point order, raise first.  Temporaries grow with N,
+    so callers bound it.
+    """
+    if isinstance(q, QArray):
+        return _cross_validate_batch(entry, q, mu)
+    closed = derivative(entry, q, mu)
+    return _compare(closed, derivatives.left_ghr(as_function(entry), q, mu), mu)
+
+
+def _cross_validate_batch(entries: Sequence[TableEntry], q: QArray,
+                          mu: QArray) -> CrossCheck:
+    size = q.c.shape[1]
+    if len(entries) != size or mu.c.shape != q.c.shape:
+        raise ValueError("a batch takes one entry and one axis per point")
+    fields = [np.empty((4, size)) for _ in range(4)] + [np.empty(size) for _ in range(2)]
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for part, entry in _batches(entries):
+                points, axes = QArray(q.c[:, part]), QArray(mu.c[:, part])
+                closed = derivative(entry, points, axes)
+                pair = derivatives.left_ghr_batch(as_function(entry), points, axes)
+                for out, value in zip(fields, _compare(closed, pair, axes)):
+                    out[..., part] = getattr(value, "c", value)
+    except (ArithmeticError, TypeError, ValueError):
+        # The batch only knows that some point failed: the one-point calls
+        # raise the first failure, with its own exception and message.
+        for entry, point, axis in zip(entries, q.c.T.tolist(), mu.c.T.tolist()):
+            cross_validate(entry, Quaternion(*point), Quaternion(*axis))
+        raise
+    return CrossCheck(*map(QArray, fields[:4]), *fields[4:])

@@ -1,14 +1,18 @@
 """The benchmark's hooks into the package still resolve.
 
 perfbench/spans.py wraps package functions by name and perfbench/micro.py
-calls the per-sample filter steps by name, so a rename in src/ breaks a
-traced benchmark run without failing any other test.  This runs both in a
-fresh interpreter and edits nothing under perfbench/.
+calls the per-sample filter steps and the one-point table cross-check by
+name, so a rename in src/ breaks a traced benchmark run without failing any
+other test.  This runs both in a fresh interpreter and edits nothing under
+perfbench/.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from quatcalc.tables import catalogue
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,4 +31,7 @@ def test_spans_install_and_micro_run(tmp_path):
     proc = subprocess.run([sys.executable, "-B", "-c", HOOKS, str(out)], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert out.is_file()
+    timings = json.loads(out.read_text())
+    # One-point cross_validate timings, one per family.
+    for spec in catalogue():
+        assert timings[f"tables.cross_validate_us.{spec.name}"] > 0.0

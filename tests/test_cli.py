@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from quatcalc import cli
 from quatcalc.cli import main
 
 RUNS = {
@@ -113,6 +114,16 @@ def test_table_family_filter(tmp_path):
         rows = list(csv.reader(handle))[1:]
     assert {row[0] for row in rows} == {"linear", "square"}
     assert len(rows) == 12  # 2 families x 3 points x 2 columns
+
+
+def test_table_chunks_write_the_same_bytes(tmp_path, capsys, monkeypatch):
+    argv = ["table", "--points", "7", "--family", "power", "--family",
+            "linear_unit_vector", "--out"]
+    assert main(argv + [str(tmp_path / "whole.csv")]) == 0
+    monkeypatch.setattr(cli, "TABLE_CHUNK", 3)
+    assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "chunked.csv").read_bytes()
 
 
 def test_table_unknown_family(capsys):
@@ -238,6 +249,7 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"taps": {"a": 1}}, "four branches"),
     ({"taps": [[[0.5, 0.0, 0.0, 0.0]]] * 3}, "four branches"),
     ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
+    ({"taps": [["0.7", "-0.3", "0.2", "0.1"]]}, "four branches"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",

@@ -16,7 +16,8 @@ from quatcalc.derivatives import (DEFAULT_H2, HR_AXES, DegenerateAxisError,
                                   check_product_rule, conjugation_relation,
                                   differential_consistency, ghr_from_partials,
                                   has_array_form, hr_from_partials, left_ghr,
-                                  left_hr, left_hr_batch, real_partials,
+                                  left_ghr_batch, left_hr, left_hr_batch,
+                                  real_partials,
                                   right_ghr, right_hr, second_order,
                                   second_order_left, second_order_right)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
@@ -467,8 +468,10 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
     assert count(lambda: second_order(f_mod2, q, HR_AXES, HR_AXES, outer="right")) == 64
 
 
-# The built-in functions that carry an array form: cli's square and |q|^2,
-# and the exponential table family.
+# Built-in functions that carry an array form: cli's square and |q|^2, and
+# the exponential table family, which is defined at every point drawn below.
+# Every other table family has one too; tests/test_tables.py checks them at
+# admissible points through the batched cross_validate.
 BUILT_IN_ARRAY_FORMS = (
     ("cli_square", cli._mvt_functions()[0][1]), ("cli_mod2", cli._mod2),
     ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))))
@@ -481,7 +484,7 @@ COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]),
 def test_array_forms_are_the_listed_built_ins():
     with_form = {spec.name for spec in tables.catalogue()
                  if has_array_form(tables.as_function(spec.sample_entry(make_rng(SEED))))}
-    assert with_form == {"exponential"}
+    assert with_form == {spec.name for spec in tables.catalogue()}
     assert all(has_array_form(fn) for _, fn in BUILT_IN_ARRAY_FORMS)
     assert not has_array_form(f_sq)
     assert not has_array_form(lambda p: cli._mod2(p))
@@ -511,3 +514,20 @@ def test_left_hr_batch_matches_left_hr_bitwise():
             for field in names:
                 assert _bits(*getattr(batch, field).c[:, k].tolist()) \
                     == _bits(*getattr(scalar, field))
+
+
+def test_left_ghr_batch_matches_left_ghr_bitwise_along_each_points_axis():
+    rng = make_rng(SEED, stream=32)
+    points = [random_quaternion(rng, -2.0, 2.0) for _ in range(9)]
+    mus = [random_quaternion(rng, -2.0, 2.0, min_modulus=0.1) for _ in range(9)]
+    stacked_mus = QArray(np.array(mus).T)
+    for _, fn in BUILT_IN_ARRAY_FORMS:
+        batch = left_ghr_batch(fn, QArray(np.array(points).T), stacked_mus)
+        for k, (q, mu) in enumerate(zip(points, mus)):
+            scalar = left_ghr(fn, q, mu)
+            for field in ("d_mu", "d_mu_conj"):
+                assert _bits(*getattr(batch, field).c[:, k].tolist()) \
+                    == _bits(*getattr(scalar, field))
+    mus[4] = Quaternion(0.0, 1e-12, 0.0, 0.0)
+    with pytest.raises(DegenerateAxisError):
+        left_ghr_batch(BUILT_IN_ARRAY_FORMS[0][1], QArray(np.array(points).T), QArray(np.array(mus).T))

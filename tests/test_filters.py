@@ -379,13 +379,14 @@ def test_run_experiment_rejects_bad_config(change, message, recwarn):
     [[0.5, 0.0, 0.0]],
     [[0.5, 0.0, 0.0, 0.0, 0.0]],
     [["x", 0.0, 0.0, 0.0]],
+    [["0.5", "0", "0", "0"]],
     [{"a": 1}],
     WL_CHANNEL[:2],
     WL_CHANNEL[:3],
     WL_CHANNEL[:3] + (CHANNEL,),
     [WL_CHANNEL],
 ], ids=["empty", "empty-vector", "one-quaternion", "ragged", "three-numbers",
-        "five-numbers", "non-numeric", "dict", "two-branches", "three-branches",
+        "five-numbers", "non-numeric", "numeric-strings", "dict", "two-branches", "three-branches",
         "unequal-branches", "four-dimensional"])
 def test_malformed_taps_are_rejected(taps):
     config = ExperimentConfig(variant="qlms", taps=taps, alpha=0.01, steps=100,
@@ -414,16 +415,27 @@ def test_taps_forms_give_identical_runs(forms, variant):
     assert runs[0] == runs[1] == runs[2]
 
 
+@pytest.mark.parametrize("variant", ["qlms", "qngd"])
+def test_one_branch_filter_on_widely_linear_taps_is_held_against_conjugate(variant):
+    # The channel (h, 0, 0, 0) outputs h^H x = sum h_m* x_m, which the
+    # strictly linear filter reproduces with w = h*.
+    zeros = (Quaternion(0.0, 0.0, 0.0, 0.0),) * 2
+    config = ExperimentConfig(variant=variant, taps=(CHANNEL[:2], zeros, zeros, zeros),
+                              alpha=0.02, steps=5000, snr_db=60.0, seed=1)
+    result = run_experiment(config)
+    assert sum(result.mse_curve[-100:]) / 100 < 1e-4
+    assert result.final_weight_error < 1e-2
+
+
 def _scalar_weight_error(state: FilterState, taps) -> float:
     """Relative weight error, added up over Quaternion objects."""
     truth = (taps,) if np.ndim(taps) == 2 else taps
-    if state.variant == "wl_qlms":
-        current = state.weights
-        if len(truth) == 1:
-            zeros = (Quaternion(0.0, 0.0, 0.0, 0.0),) * len(truth[0])
-            truth = (tuple(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
-    else:
-        current = (state.weights[0],)
+    current = state.weights
+    if state.variant == "wl_qlms" and len(truth) == 1:
+        zeros = (Quaternion(0.0, 0.0, 0.0, 0.0),) * len(truth[0])
+        truth = (tuple(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
+    elif state.variant != "wl_qlms" and len(truth) == 4:
+        truth = (tuple(q.conjugate() for q in truth[0]),)
     err = 0.0
     ref = 0.0
     for w_vec, t_vec in zip(current, truth):

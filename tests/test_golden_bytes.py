@@ -20,6 +20,9 @@ GOLDEN = {
         "1df5357bdb5ef0bf7625c0001d9ff069486a0c97644ac85c3309e504f148782b",
     ("table",):
         "d5f55050b79a0e4563304fe67c6e260549ceb5363a94e721951b22e191d94bd6",
+    # The derivative_table benchmark workload's call.
+    ("table", "--points", "200"):
+        "42a7419ec7265832a669cc6d991dafeced45c6b71a7f3288fcfcb7ae194b06a3",
     ("mvt",):
         "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
     ("taylor",):

@@ -158,6 +158,70 @@ def test_qarray_operators_match_quaternion_bitwise(data):
         assert _same_bits(out.c, expected)
 
 
+@given(p=hnp.arrays(np.float64, st.tuples(st.just(4), st.integers(1, 4)),
+                   elements=FINITE))
+def test_qarray_methods_match_quaternion_bitwise(p):
+    ps = [Quaternion(*p[:, k].tolist()) for k in range(p.shape[1])]
+    names = ["conjugate", "vector", "modulus", "vector_modulus", "modulus_squared",
+             "__abs__"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if all(q.modulus_squared() != 0.0 for q in ps):
+            names.append("inverse")
+        else:
+            with pytest.raises(ValueError, match="no inverse"):
+                QArray(p).inverse()
+        for name in names:
+            out = getattr(QArray(p), name)()
+            expected = np.array([getattr(q, name)() for q in ps]).T
+            assert _same_bits(getattr(out, "c", out), expected), name
+
+
+@given(data=st.data())
+def test_qarray_scales_by_one_real_per_element(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    p = data.draw(hnp.arrays(np.float64, (4, n), elements=FINITE))
+    x = data.draw(hnp.arrays(np.float64, (n,), elements=FINITE.filter(lambda v: v != 0.0)))
+    ps = [Quaternion(*p[:, k].tolist()) for k in range(n)]
+    xs = x.tolist()
+    cases = [(lambda: QArray(p) * x, lambda k: ps[k] * xs[k]),
+             (lambda: x * QArray(p), lambda k: xs[k] * ps[k]),
+             (lambda: QArray(p) / x, lambda k: ps[k] / xs[k]),
+             # One quaternion meets every element's real.
+             (lambda: QArray.from_real(1.0) * x, lambda k: ONE * xs[k])]
+    for batched, scalar in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = batched()
+        assert _same_bits(out.c, np.array([tuple(scalar(k)) for k in range(n)]).T)
+
+
+def test_qarray_element_axes_align_from_the_right():
+    rng = np.random.default_rng(SEED)
+    coef = rng.normal(size=(4, 3))
+    points = rng.normal(size=(4, 2, 3))
+    real = rng.normal(size=3)
+    products = (QArray(coef) * QArray(points), QArray(points) * QArray(coef),
+                QArray(points) - QArray(coef), QArray(points) * real)
+    for m in range(2):
+        for n in range(3):
+            c = Quaternion(*coef[:, n].tolist())
+            q = Quaternion(*points[:, m, n].tolist())
+            expected = (c * q, q * c, q - c, q * real[n])
+            assert [tuple(out.c[:, m, n].tolist()) for out in products] == \
+                [tuple(e) for e in expected]
+
+
+def test_rotate_takes_qarrays_and_rejects_a_zero_axis():
+    rng = make_rng(SEED, stream=7)
+    qs = [random_quaternion(rng) for _ in range(5)]
+    mus = [random_quaternion(rng) for _ in range(5)]
+    out = rotate(QArray(list(zip(*qs))), QArray(list(zip(*mus))))
+    assert [tuple(c) for c in out.c.T.tolist()] == \
+        [tuple(rotate(q, mu)) for q, mu in zip(qs, mus)]
+    mus[3] = ZERO
+    with pytest.raises(ValueError, match="nonzero"):
+        rotate(QArray(list(zip(*qs))), QArray(list(zip(*mus))))
+
+
 def test_qarray_rejects_division_by_a_quaternion():
     with pytest.raises(TypeError):
         QArray(np.ones((4, 2))) / ONE

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatcalc.derivatives import DEFAULT_H, _stencil, left_ghr
-from quatcalc.quaternion import ONE, I, ZERO, Quaternion, isclose
+from quatcalc.derivatives import DEFAULT_H, EvaluationError, _stencil, left_ghr
+from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate, derivative,
@@ -264,3 +264,121 @@ def test_missing_or_ill_typed_parameter_is_a_value_error(entry, param):
         derivative(entry, q, ONE)
     with pytest.raises(ValueError, match=match):
         as_function(entry)
+
+
+# --- batched cross-validation ------------------------------------------------
+
+def _draws(spec, rng, count):
+    """count (entry, q, mu) triples in the table command's draw order."""
+    draws = []
+    for _ in range(count):
+        entry = spec.sample_entry(rng)
+        q = spec.sample_point(entry, rng)
+        draws.append((entry, q, random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)))
+    return draws
+
+
+def _stacked(draws):
+    entries, qs, mus = zip(*draws)
+    return entries, QArray(list(zip(*qs))), QArray(list(zip(*mus)))
+
+
+def _hex(check):
+    """A CrossCheck's six fields as float.hex strings."""
+    return [x.hex() for field in check
+            for x in (field if isinstance(field, Quaternion) else (field,))]
+
+
+def _assert_batch_matches_points(draws):
+    batch = cross_validate(*_stacked(draws))
+    assert batch.closed_mu.c.shape == (4, len(draws))
+    assert [_hex(check) for check in batch.unstack()] == \
+        [_hex(cross_validate(*draw)) for draw in draws]
+
+
+@pytest.mark.parametrize("seed", [1, 11, 36])
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_batched_cross_validate_matches_one_point_calls_bitwise(family, seed):
+    spec = next(s for s in catalogue() if s.name == family)
+    _assert_batch_matches_points(_draws(spec, make_rng(seed), 12))
+
+
+def test_batch_with_mixed_counts_and_families_stays_exact():
+    rng = make_rng(SEED, stream=6)
+    points = [random_quaternion(rng, -1.5, 1.5) for _ in range(10)]
+    mus = [random_quaternion(rng, min_modulus=0.1) for _ in range(10)]
+    ns = [2, 5, 3, 2, 4, 5, 1, 3, 2, 4]
+    terms = [30, 1, 5, 30, 12, 2, 30, 7, 5, 30]
+    powers = [TableEntry("power", n=n) for n in ns]
+    series = [TableEntry("exponential", terms=t) for t in terms]
+    for entries in (powers, series, powers[:5] + series[5:]):
+        _assert_batch_matches_points(list(zip(entries, points, mus)))
+    with pytest.raises(ValueError, match="one entry and one axis per point"):
+        cross_validate(powers[:9], *_stacked(list(zip(powers, points, mus)))[1:])
+
+
+def test_one_point_calls_stay_on_python_floats():
+    rng = make_rng(SEED, stream=8)
+    for spec in catalogue():
+        entry, q, mu = _draws(spec, rng, 1)[0]
+        check = cross_validate(entry, q, mu)
+        values = [x for field in check[:4] for x in field] + list(check[4:])
+        values += list(eval_entry(entry, q))
+        assert all(type(x) is float for x in values), spec.name
+
+
+def _first_error(draws):
+    """The exception type and message of the first failing one-point call."""
+    for draw in draws:
+        try:
+            cross_validate(*draw)
+        except ValueError as exc:
+            return type(exc), str(exc)
+    raise AssertionError("no point fails")
+
+
+def _sample(name, count, seed=3):
+    spec = next(s for s in catalogue() if s.name == name)
+    return _draws(spec, make_rng(seed), count)
+
+
+def _with(draws, k, **fields):
+    entry, q, mu = draws[k]
+    draws[k] = (replace(entry, **fields.get("entry", {})), fields.get("q", q),
+                fields.get("mu", mu))
+    return draws
+
+
+@pytest.mark.parametrize("case", [
+    # An out-of-domain point, then a later one.
+    lambda: _with(_with(_sample("inverse", 6), 2, q=ZERO), 4, q=ZERO),
+    lambda: _with(_sample("conj_linear_unit_vector", 6), 3, q=ZERO,
+                  entry={"lam": ZERO}),
+    # A zero axis before an out-of-domain point.
+    lambda: _with(_with(_sample("unit_vector", 6), 1, mu=ZERO), 4, q=ZERO),
+    # An axis too short to rotate by.
+    lambda: _with(_sample("square", 6), 2, mu=Quaternion(1e-12, 0.0, 0.0, 0.0)),
+    # Bad parameters: a count, a missing and an ill-typed coefficient.
+    lambda: _with(_with(_sample("power", 6), 3, entry={"n": 0}), 5, entry={"n": 2.5}),
+    lambda: _with(_sample("linear_square", 6), 4, entry={"omega": None}),
+    lambda: _with(_sample("exponential", 4), 1, entry={"terms": "30"}),
+], ids=["domain", "conj-domain", "zero-mu", "degenerate-mu", "count",
+        "missing-coefficient", "ill-typed-count"])
+def test_batch_raises_the_first_bad_points_error(case):
+    draws = case()
+    kind, message = _first_error(draws)
+    with pytest.raises(kind) as caught:
+        cross_validate(*_stacked(draws))
+    assert type(caught.value) is kind and str(caught.value) == message
+
+
+def test_batch_names_the_first_non_finite_stencil_point():
+    draws = _sample("square", 5)
+    huge = Quaternion(1e200, -1e200, 0.5, 0.5)
+    _with(_with(draws, 2, q=huge), 4, q=huge * 2.0)
+    kind, message = _first_error(draws)
+    assert kind is EvaluationError
+    with pytest.raises(EvaluationError) as caught:
+        cross_validate(*_stacked(draws))
+    assert str(caught.value) == message
+    assert caught.value.point[0] == huge[0] + DEFAULT_H
