@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = {
     ("verify",):
         "1df5357bdb5ef0bf7625c0001d9ff069486a0c97644ac85c3309e504f148782b",
+    # The identity_suite benchmark workload's call.
+    ("verify", "--points", "150"):
+        "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
     ("table",):
         "d5f55050b79a0e4563304fe67c6e260549ceb5363a94e721951b22e191d94bd6",
     # The derivative_table benchmark workload's call.
