@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from importlib import resources
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import identities, tables, theorems
 from .derivatives import takes_arrays
@@ -90,10 +90,8 @@ def _parse_tolerances(pairs: Optional[Sequence[str]],
     return tols
 
 
-def _write_csv(path: Optional[str], header: Sequence[str],
-               rows: Sequence[Sequence[str]]) -> None:
-    if path is None:
-        return
+def _write_csv(path: str, header: Sequence[str],
+               rows: Iterable[Sequence[str]]) -> None:
     try:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
@@ -105,10 +103,18 @@ def _write_csv(path: Optional[str], header: Sequence[str],
 
 
 def _report(path: Optional[str], header: Sequence[str],
-            rows: Sequence[Sequence[str]], title: str, oks: Sequence[bool],
+            rows: Iterable[Sequence[str]], title: str, oks: Sequence[bool],
             extra: str = "") -> int:
-    """Write the CSV, print the one-line summary and verdict, return the exit code."""
-    _write_csv(path, header, rows)
+    """Write the CSV, print the one-line summary and verdict, return the exit code.
+
+    ``rows`` is consumed once, whether or not there is a CSV to write, and
+    may fill ``oks`` as it goes.
+    """
+    if path is None:
+        for _ in rows:
+            pass
+    else:
+        _write_csv(path, header, rows)
     failures = sum(1 for ok in oks if not ok)
     line = f"{title}: {len(oks)} checks, {failures} failures"
     if extra:
@@ -143,9 +149,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
     except ValueError as exc:
         raise CliError(str(exc))
-    rows = [(r.identity, _fmt_q(r.point), _fmt_q(r.mu), _fmt_q(r.nu),
+    rows = ((r.identity, _fmt_q(r.point), _fmt_q(r.mu), _fmt_q(r.nu),
              _fmt(r.residual), _fmt(r.tol), _fmt_pass(r.passed))
-            for r in result.records]
+            for r in result.records)
     skips = result.product_skips + result.chain_skips
     return _report(args.out, ("identity", "point", "mu", "nu", "residual",
                               "tol", "pass"), rows, "identity suite",
@@ -156,7 +162,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     points = _positive(args.points, "--points")
     tols = _parse_tolerances(args.tol, TABLE_TOLERANCES)
-    tol = tols["table"]
     specs = tables.catalogue()
     if args.family:
         known = {spec.name for spec in specs}
@@ -164,9 +169,17 @@ def cmd_table(args: argparse.Namespace) -> int:
         if missing:
             raise CliError(f"unknown families: {', '.join(sorted(missing))}")
         specs = tuple(s for s in specs if s.name in args.family)
-    rng = make_rng(args.seed)
-    rows = []
-    oks = []
+    oks: list[bool] = []
+    rows = _table_rows(specs, points, make_rng(args.seed), tols["table"], oks)
+    return _report(args.out, ("family", "point", "mu", "column", "closed_form",
+                              "numerical", "residual", "pass"), rows,
+                   "derivative table", oks,
+                   f"{len(specs)} families, {points} points each")
+
+
+def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
+    """The table's CSV rows, one chunk of points at a time; each row's
+    verdict goes to ``oks`` as the row is made."""
     for spec in specs:
         for start in range(0, points, TABLE_CHUNK):
             entries, qs, mus = [], [], []
@@ -184,12 +197,8 @@ def cmd_table(args: argparse.Namespace) -> int:
                          check.residual_mu_conj)):
                     ok = residual <= tol
                     oks.append(ok)
-                    rows.append((spec.name, point, axis, column, _fmt_q(closed),
-                                 _fmt_q(numerical), _fmt(residual), _fmt_pass(ok)))
-    return _report(args.out, ("family", "point", "mu", "column", "closed_form",
-                              "numerical", "residual", "pass"), rows,
-                   "derivative table", oks,
-                   f"{len(specs)} families, {points} points each")
+                    yield (spec.name, point, axis, column, _fmt_q(closed),
+                           _fmt_q(numerical), _fmt(residual), _fmt_pass(ok))
 
 
 @takes_arrays

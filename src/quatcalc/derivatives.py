@@ -211,7 +211,54 @@ def has_array_form(f: QFunction) -> bool:
     return getattr(f, "takes_arrays", False)
 
 
-def _batch_partials(f: QFunction, points: QArray) -> list[QArray]:
+def _stencil_array(comps: np.ndarray, h: float) -> np.ndarray:
+    """The points comps +/- h e for e in {1, i, j, k}, as _stencil adds them.
+
+    ``comps`` holds quaternions on axis 0 with any element shape S; the
+    result is laid out [component, axis, +/-, *S], so a stencil built on a
+    stencil nests the new (axis, +/-) pair in front of the old one.
+    """
+    steps, _ = _STEPS[h]
+    offsets = np.array(steps).T.reshape((4, 4) + (1,) * (comps.ndim - 1))
+    base = comps[:, np.newaxis]
+    stencil = np.empty((4, 4, 2) + comps.shape[1:])
+    np.add(base, offsets, out=stencil[:, :, 0])
+    np.subtract(base, offsets, out=stencil[:, :, 1])
+    return stencil
+
+
+def _evaluate_stencil(f: QFunction, stencil: np.ndarray, levels: int) -> np.ndarray:
+    """The components of f, an array form, on a stencil nested ``levels`` deep.
+
+    A non-finite value raises the EvaluationError that the scalar loop,
+    point by point, would raise first: it walks the points, then each
+    level's (axis, +/-) from the outermost level in.
+    """
+    # Python floats overflow silently; so do the arrays that stand for them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(QArray(stencil)).c
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        # Element axes: one (axis, +/-) pair per level, innermost first, then
+        # the points.
+        pairs = [(2 * level, 2 * level + 1) for level in reversed(range(levels))]
+        order = list(range(2 * levels, finite.ndim)) + [ax for pair in pairs for ax in pair]
+        first = np.argmin(finite.transpose(order).ravel())
+        point = stencil.transpose([0] + [ax + 1 for ax in order]).reshape(4, -1)[:, first]
+        raise EvaluationError("function evaluation is not finite",
+                              Quaternion.from_components(point))
+    return values
+
+
+def _differences(values: np.ndarray, h: float) -> list[QArray]:
+    """The four central differences of stencil values laid out [component,
+    axis, +/-, ...], as real_partials takes them."""
+    diffs = values[:, :, 0] - values[:, :, 1]
+    diffs *= _STEPS[h][1]
+    return [QArray(diffs[:, e]) for e in range(4)]
+
+
+def real_partials_batch(f: QFunction, points: QArray) -> list[QArray]:
     """real_partials of an array-form f at each of the (4, N) points, bit for bit.
 
     One call of f takes all eight stencil points of every point, laid out as
@@ -219,19 +266,8 @@ def _batch_partials(f: QFunction, points: QArray) -> list[QArray]:
     broadcast against them.  A non-finite value raises the EvaluationError
     that real_partials, point by point, would raise first.
     """
-    steps, inv = _STEPS[DEFAULT_H]
-    offsets = np.array(steps).T[:, :, np.newaxis, np.newaxis]
-    base = points.c[:, np.newaxis, np.newaxis]
-    stencil = np.concatenate((base + offsets, base - offsets), axis=2)
-    values = f(QArray(stencil)).c
-    # [point, axis, +/-]: the scalar loop's evaluation order.
-    finite = np.isfinite(values).all(axis=0).transpose(2, 0, 1).ravel()
-    if not finite.all():
-        first = stencil.transpose(0, 3, 1, 2).reshape(4, -1)[:, np.argmin(finite)]
-        raise EvaluationError("function evaluation is not finite",
-                              Quaternion.from_components(first))
-    diffs = (values[:, :, 0] - values[:, :, 1]) * inv
-    return [QArray(diffs[:, e]) for e in range(4)]
+    stencil = _stencil_array(points.c, DEFAULT_H)
+    return _differences(_evaluate_stencil(f, stencil, 1), DEFAULT_H)
 
 
 def left_hr_batch(f: QFunction, points: QArray) -> DerivativeSet:
@@ -239,13 +275,13 @@ def left_hr_batch(f: QFunction, points: QArray) -> DerivativeSet:
 
     The derivative set holds QArrays of N quaternions.
     """
-    return hr_from_partials(_batch_partials(f, points), "left")
+    return hr_from_partials(real_partials_batch(f, points), "left")
 
 
 def left_ghr_batch(f: QFunction, points: QArray, mu: QArray) -> GhrPair:
     """left_ghr of an array-form f at each of the (4, N) points, each along
     its own axis in the (4, N) mu, bit for bit."""
-    return ghr_from_partials(_batch_partials(f, points), mu, "left")
+    return ghr_from_partials(real_partials_batch(f, points), mu, "left")
 
 
 def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:
@@ -288,7 +324,16 @@ def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
         parts = real_partials(f, p)
         return [d for basis in inner_bases for d in _project(parts, basis, inner)]
 
-    columns = _field_partials(field, q, DEFAULT_H2)
+    return _second_order_grid(_field_partials(field, q, DEFAULT_H2),
+                              outer_bases, outer)
+
+
+def _second_order_grid(columns, outer_bases, outer: str):
+    """The SecondOrderSet grid from the outer partials of the inner field.
+
+    ``columns`` holds the four real partials of each inner derivative, in
+    the order (d/dq^nu, d/dq^(nu*)) for each inner axis nu in turn.
+    """
     grid = []
     for basis in outer_bases:
         row = []
@@ -298,6 +343,30 @@ def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
             row.append(SecondOrderSet(mu_nu, mu_nu_conj, mu_conj_nu, mu_conj_nu_conj))
         grid.append(tuple(row))
     return tuple(grid)
+
+
+def second_order_batch(f: QFunction, points: QArray, mus: Sequence, nus: Sequence,
+                       outer: str = "left",
+                       inner: str = "left") -> tuple[tuple[SecondOrderSet, ...], ...]:
+    """second_order of an array-form f at each of the (4, N) points, bit for bit.
+
+    Each axis in ``mus`` and ``nus`` is one Quaternion for every point or a
+    (4, N) QArray with one axis per point; the grid's sets hold QArrays of
+    N quaternions.  The outer DEFAULT_H2 stencil and the inner DEFAULT_H
+    stencil on top of it are one (4, 4, 2, 4, 2, N) array, and f is called
+    once on it.  Inner partials, inner projection, outer partials and outer
+    projection then run on whole arrays, in the scalar path's operations and
+    order.  A non-finite value raises the EvaluationError that second_order,
+    point by point, would raise first.
+    """
+    outer_bases = [_basis(mu) for mu in mus]
+    inner_bases = [_basis(nu) for nu in nus]
+    stencil = _stencil_array(_stencil_array(points.c, DEFAULT_H2), DEFAULT_H)
+    parts = _differences(_evaluate_stencil(f, stencil, 2), DEFAULT_H)
+    # Each inner derivative is laid out [component, outer axis, +/-, point].
+    columns = [_differences(d.c, DEFAULT_H2) for basis in inner_bases
+               for d in _project(parts, basis, inner)]
+    return _second_order_grid(columns, outer_bases, outer)
 
 
 def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion,
@@ -368,23 +437,29 @@ def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion) -> float:
 
     d_r f/dq^mu = (d f*/dq^(mu*))*, d_r f/dq^(mu*) = (d f*/dq^mu)*, and the
     two mirrored forms expressing the left derivatives through right ones.
-    f*'s partials are the conjugates of f's: negation commutes exactly with a
-    central difference.
+    """
+    return max(conjugation_residuals(real_partials(f, q), mu))
+
+
+def conjugation_residuals(parts, mu: Quaternion) -> tuple:
+    """The four residuals of conjugation_relation from f's real partials.
+
+    The partials and mu may be Quaternions or QArrays.  f*'s partials are
+    the conjugates of f's: negation commutes exactly with a central
+    difference.
     """
     basis = _basis(mu)
-    parts = real_partials(f, q)
     conj_parts = [p.conjugate() for p in parts]
     left_f = _project(parts, basis, "left")
     right_f = _project(parts, basis, "right")
     left_fc = _project(conj_parts, basis, "left")
     right_fc = _project(conj_parts, basis, "right")
-    residuals = (
+    return (
         abs(right_f[0] - left_fc[1].conjugate()),
         abs(right_f[1] - left_fc[0].conjugate()),
         abs(left_f[0] - right_fc[1].conjugate()),
         abs(left_f[1] - right_fc[0].conjugate()),
     )
-    return max(residuals)
 
 
 def differential_consistency(f: QFunction, q: Quaternion, dq: Quaternion) -> float:

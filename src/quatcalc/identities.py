@@ -6,24 +6,34 @@ is *not* small (the failure of the traditional product rule, the
 non-commutation of mixed second derivatives); those encode the margin as
 max(0, required - observed) so that every record still passes when the
 residual is at most the tolerance.
+
+The per-point record kinds take a block of points as (4, N) QArrays and
+return one Column of residuals per identity, evaluated in one array pass
+with the bits of the point-by-point formulas; run_identity_suite turns the
+columns into records in point order.  The product- and chain-rule draws
+pick a function pair per draw and stay point by point.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import derivatives, tables
 from .derivatives import (DegenerateAxisError, ghr_from_partials,
-                          hr_from_partials, left_ghr, left_hr, real_partials,
-                          second_order, second_order_right)
-from .quaternion import I, ONE, Quaternion, rotate
+                          hr_from_partials, left_ghr, left_ghr_batch,
+                          real_partials_batch, second_order_batch,
+                          takes_arrays)
+from .quaternion import AXES, I, ONE, QArray, Quaternion, rotate
 from .sampling import make_rng, random_quaternion
 
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 20240501
+# Points per array pass of the per-point record kinds.
+BLOCK = 1024
 PRODUCT_DRAWS = 80
 CHAIN_DRAWS = 50
 # Shares of the rule-check draws that take the conjugate form of the rule, and
@@ -100,22 +110,33 @@ class SuiteResult:
         return all(r.passed for r in self.records)
 
 
+@takes_arrays
+def _f_identity(p: Quaternion) -> Quaternion:
+    return p
+
+
+@takes_arrays
 def _f_sq(p: Quaternion) -> Quaternion:
     return p * p
 
 
+@takes_arrays
 def _f_conj(p: Quaternion) -> Quaternion:
     return p.conjugate()
 
 
+@takes_arrays
 def _f_mod2(p: Quaternion) -> Quaternion:
-    return Quaternion.from_real(p.modulus_squared())
+    return type(p).from_real(p.modulus_squared())
 
 
+@takes_arrays
 def _f_cross(p: Quaternion) -> Quaternion:
     # Real-valued product of two imaginary components; its mixed second
-    # derivatives with respect to q and q^i genuinely differ.
-    return Quaternion.from_real(p.b * p.c)
+    # derivatives with respect to q and q^i genuinely differ.  A QArray's
+    # .c is its whole component array, not the j component.
+    _, b, c, _ = p.c if isinstance(p, QArray) else p
+    return type(p).from_real(b * c)
 
 
 def _record(name: str, tols: dict, residual: float, point=None, mu=None, nu=None):
@@ -142,99 +163,119 @@ def _admissible_point(f_spec, f_entry, g_spec, g_entry, rng) -> Optional[Quatern
     return None
 
 
-def golden_records(q: Quaternion, tols: dict) -> list[IdentityRecord]:
-    golden = (("dq_dq", lambda p: p, ONE), ("dqc_dq", _f_conj, ONE * -0.5),
-              ("dq2_dq", _f_sq, q + q.a), ("dmod2_dq", _f_mod2, q.conjugate() * 0.5))
-    return [_record(name, tols, abs(left_hr(f, q).wrt_q - expected), point=q)
-            for name, f, expected in golden]
+class Column(NamedTuple):
+    """One identity's residuals over a block of points, as Python floats.
+
+    A point without this record has None.  ``axes`` says how many of the
+    point's (mu, nu) the records name: 0, 1 (mu) or 2 (mu and nu).
+    """
+
+    identity: str
+    residuals: list
+    axes: int = 0
 
 
-def ghr_linear_records(q: Quaternion, mu: Quaternion, tols: dict) -> list[IdentityRecord]:
-    pair = left_ghr(lambda p: p, q, mu)
-    res = max(abs(pair.d_mu * mu - Quaternion.from_real(mu.a)),
-              abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
-    # One stencil of q^2 serves both sides of the mu = 1 reduction.
-    parts = real_partials(_f_sq, q)
-    reduction = abs(ghr_from_partials(parts, ONE, "left").d_mu
-                    - hr_from_partials(parts, "left").wrt_q)
-    return [_record("ghr_identity_cols", tols, res, point=q, mu=mu),
-            _record("ghr_mu_one_reduction", tols, reduction, point=q)]
+def _column(identity: str, residuals: np.ndarray, axes: int = 0) -> Column:
+    return Column(identity, residuals.tolist(), axes)
 
 
-def structural_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
-                       tols: dict) -> list[IdentityRecord]:
-    out = []
-    out.append(_record("conjugation", tols,
-                       derivatives.conjugation_relation(_f_sq, q, mu),
-                       point=q, mu=mu))
+def _largest(residuals) -> np.ndarray:
+    """The elementwise max of residual arrays, as max() takes them in turn."""
+    return functools.reduce(np.maximum, residuals)
+
+
+class _Partials(NamedTuple):
+    """Real partials at a block of points, shared by several record kinds."""
+
+    identity: list[QArray]
+    conj: list[QArray]
+    sq: list[QArray]
+    mod2: list[QArray]
+
+
+def _partials(q: QArray) -> _Partials:
+    return _Partials(*(real_partials_batch(f, q)
+                       for f in (_f_identity, _f_conj, _f_sq, _f_mod2)))
+
+
+def golden_records(q: QArray, parts: _Partials) -> list[Column]:
+    golden = (("dq_dq", parts.identity, ONE), ("dqc_dq", parts.conj, ONE * -0.5),
+              ("dq2_dq", parts.sq, q + q.a), ("dmod2_dq", parts.mod2, q.conjugate() * 0.5))
+    return [_column(name, abs(hr_from_partials(p, "left").wrt_q - expected))
+            for name, p, expected in golden]
+
+
+def ghr_linear_records(q: QArray, mu: QArray, parts: _Partials) -> list[Column]:
+    pair = ghr_from_partials(parts.identity, mu, "left")
+    res = np.maximum(abs(pair.d_mu * mu - QArray.from_real(mu.a)),
+                     abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
+    reduction = abs(ghr_from_partials(parts.sq, ONE, "left").d_mu
+                    - hr_from_partials(parts.sq, "left").wrt_q)
+    return [_column("ghr_identity_cols", res, 1),
+            _column("ghr_mu_one_reduction", reduction)]
+
+
+def structural_records(q: QArray, mu: QArray, nu: QArray,
+                       parts: _Partials) -> list[Column]:
+    conjugation = _largest(derivatives.conjugation_residuals(parts.sq, mu))
     # One stencil of |q|^2 serves its left HR, right HR and left GHR sets.
-    parts = real_partials(_f_mod2, q)
-    left = hr_from_partials(parts, "left")
-    right = hr_from_partials(parts, "right")
-    flavor = max(abs(left.wrt(ax, conj=c) - right.wrt(ax, conj=c))
-                 for ax in ("1", "i", "j", "k") for c in (False, True))
-    out.append(_record("flavor_real", tols, flavor, point=q))
-    pair = ghr_from_partials(parts, mu, "left")
-    out.append(_record("real_conjugate", tols,
-                       abs(pair.d_mu.conjugate() - pair.d_mu_conj), point=q, mu=mu))
-    d_sq = left_ghr(_f_sq, q, mu).d_mu
+    left = hr_from_partials(parts.mod2, "left")
+    right = hr_from_partials(parts.mod2, "right")
+    flavor = _largest(abs(left.wrt(ax, conj=c) - right.wrt(ax, conj=c))
+                      for ax in AXES for c in (False, True))
+    pair = ghr_from_partials(parts.mod2, mu, "left")
+    d_sq = ghr_from_partials(parts.sq, mu, "left").d_mu
     transported = rotate(d_sq, nu)
-    direct = left_ghr(lambda p: rotate(_f_sq(p), nu), q, nu * mu).d_mu
-    out.append(_record("rotation_transport", tols, abs(transported - direct),
-                       point=q, mu=mu, nu=nu))
-    scaled = left_ghr(lambda p: nu * _f_sq(p), q, mu).d_mu
-    out.append(_record("left_constant", tols,
-                       abs(scaled - nu * d_sq),
-                       point=q, mu=mu, nu=nu))
-    return out
+    direct = left_ghr_batch(lambda p: rotate(_f_sq(p), nu), q, nu * mu).d_mu
+    scaled = left_ghr_batch(lambda p: nu * _f_sq(p), q, mu).d_mu
+    return [_column("conjugation", conjugation, 1),
+            _column("flavor_real", flavor),
+            _column("real_conjugate", abs(pair.d_mu.conjugate() - pair.d_mu_conj), 1),
+            _column("rotation_transport", abs(transported - direct), 2),
+            _column("left_constant", abs(scaled - nu * d_sq), 2)]
 
 
-def counter_example_records(q: Quaternion, tols: dict) -> list[IdentityRecord]:
+def counter_example_records(q: QArray) -> list[Column]:
     # The traditional rule would give d(q^2)/dq = 2q; the correct value is
     # q + Re(q).  The gap is exactly |Im(q)|.
     gap = abs(q * 2.0 - (q + q.a))
     expected = q.vector_modulus()
-    out = [_record("counter_example_gap", tols, abs(gap - expected), point=q)]
-    if expected >= 1.0:
-        out.append(_record("traditional_rule_fails", tols,
-                           max(0.0, 0.5 - gap), point=q))
-    return out
+    fails = np.maximum(0.0, 0.5 - gap).tolist()
+    return [_column("counter_example_gap", abs(gap - expected)),
+            Column("traditional_rule_fails",
+                   [r if big else None for r, big in zip(fails, (expected >= 1.0).tolist())])]
 
 
-def reconstruction_record(q: Quaternion, dq: Quaternion, tols: dict) -> IdentityRecord:
-    e1 = derivatives.differential_consistency(_f_sq, q, dq)
-    e2 = derivatives.differential_consistency(_f_sq, q, dq * 0.5)
-    if e1 < 1e-12:
-        return _record("reconstruction", tols, 0.0, point=q)
-    ratio = e1 / max(e2, 1e-300)
-    return _record("reconstruction", tols, max(0.0, 3.0 - ratio), point=q)
+def reconstruction_record(q: QArray, dq: QArray, parts: _Partials) -> list[Column]:
+    derivative_set = hr_from_partials(parts.sq, "left")
+    value = _f_sq(q)
+    e1, e2 = (abs((_f_sq(q + step) - value) - derivative_set.differential(step))
+              for step in (dq, dq * 0.5))
+    ratio = e1 / np.maximum(e2, 1e-300)
+    return [_column("reconstruction",
+                    np.where(e1 < 1e-12, 0.0, np.maximum(0.0, 3.0 - ratio)))]
 
 
-def second_order_records(q: Quaternion, mu: Quaternion, nu: Quaternion,
-                         tols: dict) -> list[IdentityRecord]:
-    out = []
+def second_order_records(q: QArray, mu: QArray, nu: QArray) -> list[Column]:
     # Left over left for both axis orders: entry [m][n] differentiates the
     # inner field along axes[n] by the outer derivative along axes[m].
-    left = second_order(_f_mod2, q, (mu, nu), (mu, nu))
+    left = second_order_batch(_f_mod2, q, (mu, nu), (mu, nu))
     mixed = left[0][0].mu_nu_conj
-    out.append(_record("laplacian_mod2", tols, abs(mixed * 16.0 - Quaternion.from_real(8.0)),
-                       point=q, mu=mu))
+    laplacian = abs(mixed * 16.0 - Quaternion.from_real(8.0))
     # For real f, conjugating a mixed second derivative swaps its flavor:
     # d_r(df/dq^nu)/dq^mu = conj of d(df/dq^(nu*))/dq^(mu*).
-    lhs = second_order(_f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
+    lhs = second_order_batch(_f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
     rhs = left[0][1].mu_conj_nu_conj.conjugate()
-    out.append(_record("second_order_conjugation", tols, abs(lhs - rhs),
-                       point=q, mu=mu, nu=nu))
     # Same real f: the pure-right mixed second with axes (mu, nu) equals the
     # pure-left mixed second with the axes swapped.
-    rr = second_order_right(_f_mod2, q, mu, nu).mu_nu
+    rr = second_order_batch(_f_mod2, q, (mu,), (nu,), "right", "right")[0][0].mu_nu
     ll = left[1][0].mu_nu
-    out.append(_record("second_order_left_right", tols, abs(rr - ll),
-                       point=q, mu=mu, nu=nu))
-    cross = second_order(_f_cross, q, (ONE, I), (ONE, I))
+    cross = second_order_batch(_f_cross, q, (ONE, I), (ONE, I))
     gap = abs(cross[0][1].mu_nu - cross[1][0].mu_nu)
-    out.append(_record("mixed_noncommute", tols, max(0.0, 0.15 - gap), point=q))
-    return out
+    return [_column("laplacian_mod2", laplacian, 1),
+            _column("second_order_conjugation", abs(lhs - rhs), 2),
+            _column("second_order_left_right", abs(rr - ll), 2),
+            _column("mixed_noncommute", np.maximum(0.0, 0.15 - gap))]
 
 
 def product_rule_records(rng: np.random.Generator, draws: int,
@@ -307,9 +348,26 @@ def chain_rule_records(rng: np.random.Generator, draws: int,
     return records, skips
 
 
+def _stack(quaternions) -> QArray:
+    return QArray(np.array(quaternions).T)
+
+
+def _emit(columns: list[Column], qs, mus, nus, tols: dict) -> list[IdentityRecord]:
+    """The columns' records, point by point, each point's in column order."""
+    return [_record(name, tols, residuals[k], point=q, mu=mu if axes else None,
+                    nu=nu if axes == 2 else None)
+            for k, (q, mu, nu) in enumerate(zip(qs, mus, nus))
+            for name, residuals, axes in columns if residuals[k] is not None]
+
+
 def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
                        tolerances: Optional[dict[str, float]] = None) -> SuiteResult:
-    """Evaluate the whole identity suite and return one record per check."""
+    """Evaluate the whole identity suite and return one record per check.
+
+    The per-point record kinds run BLOCK points at a time on component
+    arrays, with the records, bits and order of a point-by-point loop; the
+    product- and chain-rule draws then run point by point on the same rng.
+    """
     if points < 1:
         raise ValueError("points must be a positive integer")
     tols = dict(DEFAULT_TOLERANCES)
@@ -319,19 +377,21 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
         tols.update(tolerances)
     rng = make_rng(seed)
-    records: list[IdentityRecord] = []
-    records.extend(counter_example_records(Quaternion(1.0, 1.0, 1.0, 1.0), tols))
-    for _ in range(points):
-        q = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        dq = random_quaternion(rng, -1.0, 1.0) * 1e-3
-        records.extend(golden_records(q, tols))
-        records.extend(ghr_linear_records(q, mu, tols))
-        records.extend(structural_records(q, mu, nu, tols))
-        records.extend(counter_example_records(q, tols))
-        records.append(reconstruction_record(q, dq, tols))
-        records.extend(second_order_records(q, mu, nu, tols))
+    fixed = Quaternion(1.0, 1.0, 1.0, 1.0)
+    records = _emit(counter_example_records(_stack([fixed])), [fixed], [None], [None], tols)
+    for start in range(0, points, BLOCK):
+        qs, mus, nus, dqs = [], [], [], []
+        for _ in range(min(BLOCK, points - start)):
+            qs.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
+            mus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
+            nus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
+            dqs.append(random_quaternion(rng, -1.0, 1.0) * 1e-3)
+        q, mu, nu, dq = map(_stack, (qs, mus, nus, dqs))
+        parts = _partials(q)
+        columns = (golden_records(q, parts) + ghr_linear_records(q, mu, parts)
+                   + structural_records(q, mu, nu, parts) + counter_example_records(q)
+                   + reconstruction_record(q, dq, parts) + second_order_records(q, mu, nu))
+        records.extend(_emit(columns, qs, mus, nus, tols))
     product_records, product_skips = product_rule_records(rng, PRODUCT_DRAWS, tols)
     records.extend(product_records)
     chain_records, chain_skips = chain_rule_records(rng, CHAIN_DRAWS, tols)

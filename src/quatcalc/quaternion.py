@@ -189,6 +189,10 @@ def anywhere(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
+# A real operand of QArray's sums: a number, or an array with one per element.
+_REAL = (numbers.Real, np.ndarray)
+
+
 class QArray:
     """Many quaternions at once: one float array with the components on axis 0.
 
@@ -244,7 +248,7 @@ class QArray:
         pair = self._pair(other)
         if pair is not None:
             return QArray(pair[0] + pair[1])
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             return self._with_real(self.c[0] + other)
         return NotImplemented
 
@@ -254,7 +258,7 @@ class QArray:
         pair = self._pair(other)
         if pair is not None:
             return QArray(pair[0] - pair[1])
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             return self._with_real(self.c[0] - other)
         return NotImplemented
 
@@ -262,7 +266,7 @@ class QArray:
         pair = self._pair(other)
         if pair is not None:
             return QArray(pair[1] - pair[0])
-        if isinstance(other, numbers.Real):
+        if isinstance(other, _REAL):
             return (-self)._with_real(other - self.c[0])
         return NotImplemented
 
@@ -337,22 +341,31 @@ def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
     return (mu * q * mu.conjugate()) / n2
 
 
+# The components that each involution other than "1" negates.
+_INVOLUTION_FLIPS = {"i": [2, 3], "j": [1, 3], "k": [1, 2]}
+
+
 def involute(q: Quaternion, axis: str) -> Quaternion:
     """Involution q^eta for eta in {1, i, j, k}, applied as exact sign flips.
 
     q^i = a + i*b - j*c - k*d and cyclically for j, k; axis "1" is the
-    identity.  Each involution is self-inverse.
+    identity.  Each involution is self-inverse.  q may be a QArray.
     """
-    a, b, c, d = q
     if axis == "1":
         return q
+    if axis not in _INVOLUTION_FLIPS:
+        raise ValueError(f"unknown involution axis {axis!r}")
+    if isinstance(q, QArray):
+        comps = q.c.copy()
+        flips = _INVOLUTION_FLIPS[axis]
+        comps[flips] = -comps[flips]
+        return QArray(comps)
+    a, b, c, d = q
     if axis == "i":
         return Quaternion(a, b, -c, -d)
     if axis == "j":
         return Quaternion(a, -b, c, -d)
-    if axis == "k":
-        return Quaternion(a, -b, -c, d)
-    raise ValueError(f"unknown involution axis {axis!r}")
+    return Quaternion(a, -b, -c, d)
 
 
 def involute_conj(q: Quaternion, axis: str) -> Quaternion:

@@ -126,6 +126,27 @@ def test_table_chunks_write_the_same_bytes(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "chunked.csv").read_bytes()
 
 
+def test_table_streams_its_rows_with_the_same_summary(tmp_path, capsys):
+    argv = ["table", "--family", "linear", "--points", "5000"]
+    summary = "derivative table: 10000 checks, 0 failures (1 families, 5000 points each)"
+    out = tmp_path / "t.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n{summary}\nPASS\n"
+    assert len(out.read_text().splitlines()) == 1 + 10000
+    # Without --out the rows are still made, and their verdicts counted.
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{summary}\nPASS\n"
+
+
+def test_table_unwritable_out_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "t.csv"
+    assert main(["table", "--points", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write {path}: [Errno 2] "
+                            f"No such file or directory: '{path}'\n")
+
+
 def test_table_unknown_family(capsys):
     assert main(["table", "--family", "nope"]) == 2
     assert "unknown families" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quatcalc import cli, derivatives, tables, theorems
-from quatcalc.derivatives import (DEFAULT_H2, HR_AXES, DegenerateAxisError,
+from quatcalc import cli, derivatives, identities, tables, theorems
+from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
+                                  DegenerateAxisError, SecondOrderSet,
                                   EvaluationError, check_chain_rule,
                                   check_product_rule, conjugation_relation,
                                   differential_consistency, ghr_from_partials,
@@ -19,7 +21,8 @@ from quatcalc.derivatives import (DEFAULT_H2, HR_AXES, DegenerateAxisError,
                                   left_ghr_batch, left_hr, left_hr_batch,
                                   real_partials,
                                   right_ghr, right_hr, second_order,
-                                  second_order_left, second_order_right)
+                                  second_order_batch, second_order_left,
+                                  second_order_right, takes_arrays)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
                                  Quaternion, involute, involute_conj, isclose,
                                  rotate)
@@ -531,3 +534,87 @@ def test_left_ghr_batch_matches_left_ghr_bitwise_along_each_points_axis():
     mus[4] = Quaternion(0.0, 1e-12, 0.0, 0.0)
     with pytest.raises(DegenerateAxisError):
         left_ghr_batch(BUILT_IN_ARRAY_FORMS[0][1], QArray(np.array(points).T), QArray(np.array(mus).T))
+
+
+def _stack(quaternions) -> QArray:
+    return QArray(np.array(quaternions).T)
+
+
+def _at(axis, k: int) -> Quaternion:
+    """Point k's axis: a shared Quaternion, or column k of a QArray."""
+    return axis if isinstance(axis, Quaternion) else Quaternion(*axis.c[:, k].tolist())
+
+
+SECOND_ORDER_FIELDS = [f.name for f in dataclasses.fields(SecondOrderSet)]
+
+
+@pytest.mark.parametrize("outer,inner", [("left", "left"), ("right", "left"),
+                                         ("right", "right")])
+@pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS
+                         + (("identities_cross", identities._f_cross),),
+                         ids=[name for name, _ in BUILT_IN_ARRAY_FORMS] + ["identities_cross"])
+def test_second_order_batch_matches_second_order_bitwise(outer, inner, name, fn):
+    rng = make_rng(SEED, stream=33)
+    points, mus, nus = ([random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+                         for _ in range(7)] for _ in range(3))
+    # Per-point axes and shared HR axes on both levels, in a 3 x 3 grid.
+    outer_axes = (_stack(mus), I, _stack(nus))
+    inner_axes = (_stack(nus), ONE, K)
+    grid = second_order_batch(fn, _stack(points), outer_axes, inner_axes, outer, inner)
+    for k, q in enumerate(points):
+        scalar = second_order(fn, q, [_at(mu, k) for mu in outer_axes],
+                              [_at(nu, k) for nu in inner_axes], outer, inner)
+        for m in range(3):
+            for n in range(3):
+                for field in SECOND_ORDER_FIELDS:
+                    assert _bits(*getattr(grid[m][n], field).c[:, k].tolist()) \
+                        == _bits(*getattr(scalar[m][n], field))
+
+
+@takes_arrays
+def _overflows_in_b(p):
+    # (i p).a = -b, so this is inf where |b| exceeds about 1.797.
+    return type(p).from_real((I * p).a * 1e308)
+
+
+def _first_second_order_error(points, mu, nu):
+    with pytest.raises(EvaluationError, match="not finite") as expected:
+        for q in points:
+            second_order(_overflows_in_b, q, (mu, I), (nu,), "right", "left")
+    with pytest.raises(EvaluationError, match="not finite") as caught:
+        second_order_batch(_overflows_in_b, _stack(points),
+                           (_stack([mu] * len(points)), I), (nu,), "right", "left")
+    assert str(caught.value) == str(expected.value)
+    assert _bits(*caught.value.point) == _bits(*expected.value.point)
+    return expected.value.point
+
+
+def test_second_order_batch_raises_the_scalar_loops_first_error():
+    limit = sys.float_info.max / 1e308
+    good = Quaternion(0.5, 0.1, 0.2, 0.3)
+    # Only where both steps add along i.
+    once = Quaternion(0.5, limit - DEFAULT_H2 - DEFAULT_H / 2, 0.2, 0.3)
+    # Wherever the inner step adds along i, and at every inner step where the
+    # outer one does.
+    often = Quaternion(-0.5, limit - DEFAULT_H / 2, 0.2, 0.3)
+    mu, nu = Quaternion(0.3, -0.2, 0.9, 0.1), Quaternion(-0.4, 0.5, 0.1, 0.8)
+    # In the array's memory order the later point fails first.
+    point = _first_second_order_error([good, once, good, often], mu, nu)
+    assert point[1] == once[1] + DEFAULT_H2 + DEFAULT_H
+    # Within a point the outer step comes first: +h2 along 1, then +h along i.
+    point = _first_second_order_error([good, often], mu, nu)
+    assert point[:2] == (often[0] + DEFAULT_H2, often[1] + DEFAULT_H)
+
+
+def test_second_order_batch_rejects_a_degenerate_axis():
+    rng = make_rng(SEED, stream=34)
+    points = [random_quaternion(rng, -2.0, 2.0) for _ in range(5)]
+    mus = [random_quaternion(rng, -2.0, 2.0, min_modulus=0.1) for _ in range(5)]
+    mus[3] = Quaternion(0.0, 1e-12, 0.0, 0.0)
+    fn = BUILT_IN_ARRAY_FORMS[1][1]
+    with pytest.raises(DegenerateAxisError):
+        second_order_batch(fn, _stack(points), (I,), (_stack(mus),))
+    with pytest.raises(DegenerateAxisError):
+        second_order_batch(fn, _stack(points), (_stack(mus),), (ONE,))
+    with pytest.raises(DegenerateAxisError):
+        second_order_batch(fn, _stack(points), (I,), (ZERO,))

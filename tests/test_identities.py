@@ -1,9 +1,191 @@
-"""Identity suite runner: record structure, determinism, overrides."""
+"""Identity suite runner: record structure, determinism, overrides, and the
+batched suite against its point-by-point oracle."""
 
+import numpy as np
 import pytest
 
+from quatcalc import derivatives, identities
+from quatcalc.derivatives import (ghr_from_partials, has_array_form,
+                                  hr_from_partials, left_ghr, left_hr,
+                                  real_partials, second_order,
+                                  second_order_right)
 from quatcalc.identities import (DEFAULT_TOLERANCES, IdentityRecord,
-                                 run_identity_suite)
+                                 SuiteResult, _record, run_identity_suite)
+from quatcalc.quaternion import I, ONE, QArray, Quaternion, rotate
+from quatcalc.sampling import make_rng, random_quaternion
+
+# --- point-by-point oracle ----------------------------------------------------
+# The per-point record kinds as they ran before the suite was batched, on
+# scalar Quaternions: the batched suite must give these records bit for bit.
+
+
+def f_sq(p):
+    return p * p
+
+
+def f_conj(p):
+    return p.conjugate()
+
+
+def f_mod2(p):
+    return Quaternion.from_real(p.modulus_squared())
+
+
+def f_cross(p):
+    return Quaternion.from_real(p.b * p.c)
+
+
+def golden_records(q, tols):
+    golden = (("dq_dq", lambda p: p, ONE), ("dqc_dq", f_conj, ONE * -0.5),
+              ("dq2_dq", f_sq, q + q.a), ("dmod2_dq", f_mod2, q.conjugate() * 0.5))
+    return [_record(name, tols, abs(left_hr(f, q).wrt_q - expected), point=q)
+            for name, f, expected in golden]
+
+
+def ghr_linear_records(q, mu, tols):
+    pair = left_ghr(lambda p: p, q, mu)
+    res = max(abs(pair.d_mu * mu - Quaternion.from_real(mu.a)),
+              abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
+    parts = real_partials(f_sq, q)
+    reduction = abs(ghr_from_partials(parts, ONE, "left").d_mu
+                    - hr_from_partials(parts, "left").wrt_q)
+    return [_record("ghr_identity_cols", tols, res, point=q, mu=mu),
+            _record("ghr_mu_one_reduction", tols, reduction, point=q)]
+
+
+def structural_records(q, mu, nu, tols):
+    out = [_record("conjugation", tols, derivatives.conjugation_relation(f_sq, q, mu),
+                   point=q, mu=mu)]
+    parts = real_partials(f_mod2, q)
+    left = hr_from_partials(parts, "left")
+    right = hr_from_partials(parts, "right")
+    flavor = max(abs(left.wrt(ax, conj=c) - right.wrt(ax, conj=c))
+                 for ax in ("1", "i", "j", "k") for c in (False, True))
+    out.append(_record("flavor_real", tols, flavor, point=q))
+    pair = ghr_from_partials(parts, mu, "left")
+    out.append(_record("real_conjugate", tols,
+                       abs(pair.d_mu.conjugate() - pair.d_mu_conj), point=q, mu=mu))
+    d_sq = left_ghr(f_sq, q, mu).d_mu
+    transported = rotate(d_sq, nu)
+    direct = left_ghr(lambda p: rotate(f_sq(p), nu), q, nu * mu).d_mu
+    out.append(_record("rotation_transport", tols, abs(transported - direct),
+                       point=q, mu=mu, nu=nu))
+    scaled = left_ghr(lambda p: nu * f_sq(p), q, mu).d_mu
+    out.append(_record("left_constant", tols, abs(scaled - nu * d_sq),
+                       point=q, mu=mu, nu=nu))
+    return out
+
+
+def counter_example_records(q, tols):
+    gap = abs(q * 2.0 - (q + q.a))
+    expected = q.vector_modulus()
+    out = [_record("counter_example_gap", tols, abs(gap - expected), point=q)]
+    if expected >= 1.0:
+        out.append(_record("traditional_rule_fails", tols,
+                           max(0.0, 0.5 - gap), point=q))
+    return out
+
+
+def reconstruction_record(q, dq, tols):
+    e1 = derivatives.differential_consistency(f_sq, q, dq)
+    e2 = derivatives.differential_consistency(f_sq, q, dq * 0.5)
+    if e1 < 1e-12:
+        return _record("reconstruction", tols, 0.0, point=q)
+    ratio = e1 / max(e2, 1e-300)
+    return _record("reconstruction", tols, max(0.0, 3.0 - ratio), point=q)
+
+
+def second_order_records(q, mu, nu, tols):
+    left = second_order(f_mod2, q, (mu, nu), (mu, nu))
+    mixed = left[0][0].mu_nu_conj
+    out = [_record("laplacian_mod2", tols,
+                   abs(mixed * 16.0 - Quaternion.from_real(8.0)), point=q, mu=mu)]
+    lhs = second_order(f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
+    rhs = left[0][1].mu_conj_nu_conj.conjugate()
+    out.append(_record("second_order_conjugation", tols, abs(lhs - rhs),
+                       point=q, mu=mu, nu=nu))
+    rr = second_order_right(f_mod2, q, mu, nu).mu_nu
+    ll = left[1][0].mu_nu
+    out.append(_record("second_order_left_right", tols, abs(rr - ll),
+                       point=q, mu=mu, nu=nu))
+    cross = second_order(f_cross, q, (ONE, I), (ONE, I))
+    gap = abs(cross[0][1].mu_nu - cross[1][0].mu_nu)
+    out.append(_record("mixed_noncommute", tols, max(0.0, 0.15 - gap), point=q))
+    return out
+
+
+def scalar_suite(points, seed, tolerances=None):
+    tols = dict(DEFAULT_TOLERANCES)
+    tols.update(tolerances or {})
+    rng = make_rng(seed)
+    records = counter_example_records(Quaternion(1.0, 1.0, 1.0, 1.0), tols)
+    for _ in range(points):
+        q = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        dq = random_quaternion(rng, -1.0, 1.0) * 1e-3
+        records.extend(golden_records(q, tols))
+        records.extend(ghr_linear_records(q, mu, tols))
+        records.extend(structural_records(q, mu, nu, tols))
+        records.extend(counter_example_records(q, tols))
+        records.append(reconstruction_record(q, dq, tols))
+        records.extend(second_order_records(q, mu, nu, tols))
+    product, product_skips = identities.product_rule_records(
+        rng, identities.PRODUCT_DRAWS, tols)
+    chain, chain_skips = identities.chain_rule_records(rng, identities.CHAIN_DRAWS, tols)
+    return SuiteResult(tuple(records + product + chain), product_skips, chain_skips)
+
+
+def _fields(record):
+    """Every field of a record, floats by their bits."""
+    bits = lambda q: None if q is None else tuple(x.hex() for x in q)
+    return (record.identity, bits(record.point), bits(record.mu), bits(record.nu),
+            record.residual.hex(), record.tol, record.passed)
+
+
+def _assert_same_suite(batched, scalar):
+    assert (batched.product_skips, batched.chain_skips) \
+        == (scalar.product_skips, scalar.chain_skips)
+    assert [_fields(r) for r in batched.records] == [_fields(r) for r in scalar.records]
+    for record in batched.records:
+        assert type(record.residual) is float and type(record.passed) is bool
+
+
+@pytest.mark.parametrize("points", [1, 5, 37])
+@pytest.mark.parametrize("seed", [20240501, 42, 7])
+def test_batched_suite_matches_scalar_oracle(seed, points):
+    _assert_same_suite(run_identity_suite(points=points, seed=seed),
+                       scalar_suite(points, seed))
+
+
+def test_batched_suite_matches_scalar_oracle_across_blocks(monkeypatch):
+    # 37 points in blocks of 16: two full blocks and a partial one.
+    monkeypatch.setattr(identities, "BLOCK", 16)
+    _assert_same_suite(run_identity_suite(points=37, seed=7), scalar_suite(37, 7))
+
+
+def test_batched_suite_matches_scalar_oracle_with_failing_records():
+    tolerances = {"golden": 1e-12, "second_order_left_right": 1e-9,
+                  "reconstruction": -1.0}
+    batched = run_identity_suite(points=5, seed=42, tolerances=tolerances)
+    failing = {r.identity for r in batched.records if not r.passed}
+    assert {"dq2_dq", "second_order_left_right", "reconstruction"} <= failing
+    _assert_same_suite(batched, scalar_suite(5, 42, tolerances))
+
+
+@pytest.mark.parametrize("name,scalar", [("_f_sq", f_sq), ("_f_conj", f_conj),
+                                         ("_f_mod2", f_mod2), ("_f_cross", f_cross)])
+def test_suite_functions_take_arrays_bitwise(name, scalar):
+    fn = getattr(identities, name)
+    assert has_array_form(fn)
+    rng = make_rng(11)
+    points = [random_quaternion(rng, -2.0, 2.0) for _ in range(6)]
+    out = fn(QArray(np.array(points).T))
+    assert isinstance(out, QArray)
+    expected = np.array([tuple(scalar(q)) for q in points]).T
+    assert np.array_equal(out.c.view(np.uint64), expected.view(np.uint64))
+    assert all(fn(q) == scalar(q) for q in points)
+
 
 
 def test_suite_passes_with_defaults():

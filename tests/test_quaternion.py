@@ -194,6 +194,34 @@ def test_qarray_scales_by_one_real_per_element(data):
         assert _same_bits(out.c, np.array([tuple(scalar(k)) for k in range(n)]).T)
 
 
+@given(data=st.data())
+def test_qarray_adds_one_real_per_element(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    p = data.draw(hnp.arrays(np.float64, (4, n), elements=FINITE))
+    x = data.draw(hnp.arrays(np.float64, (n,), elements=FINITE))
+    ps = [Quaternion(*p[:, k].tolist()) for k in range(n)]
+    xs = x.tolist()
+    cases = [(lambda: QArray(p) + x, lambda k: ps[k] + xs[k]),
+             (lambda: x + QArray(p), lambda k: xs[k] + ps[k]),
+             (lambda: QArray(p) - x, lambda k: ps[k] - xs[k]),
+             (lambda: x - QArray(p), lambda k: xs[k] - ps[k])]
+    for batched, scalar in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = batched()
+        assert _same_bits(out.c, np.array([tuple(scalar(k)) for k in range(n)]).T)
+
+
+@given(p=hnp.arrays(np.float64, st.tuples(st.just(4), st.integers(1, 4)),
+                   elements=FINITE))
+def test_involutions_of_a_qarray_match_quaternion_bitwise(p):
+    ps = [Quaternion(*p[:, k].tolist()) for k in range(p.shape[1])]
+    for axis in AXES:
+        out = involute(QArray(p), axis)
+        assert _same_bits(out.c, np.array([involute(q, axis) for q in ps]).T), axis
+    with pytest.raises(ValueError, match="unknown involution axis"):
+        involute(QArray(p), "x")
+
+
 def test_qarray_element_axes_align_from_the_right():
     rng = np.random.default_rng(SEED)
     coef = rng.normal(size=(4, 3))
