@@ -341,31 +341,27 @@ def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
     return (mu * q * mu.conjugate()) / n2
 
 
-# The components that each involution other than "1" negates.
-_INVOLUTION_FLIPS = {"i": [2, 3], "j": [1, 3], "k": [1, 2]}
-
-
 def involute(q: Quaternion, axis: str) -> Quaternion:
     """Involution q^eta for eta in {1, i, j, k}, applied as exact sign flips.
 
     q^i = a + i*b - j*c - k*d and cyclically for j, k; axis "1" is the
     identity.  Each involution is self-inverse.  q may be a QArray.
     """
+    if isinstance(q, QArray):
+        a, b, c, d = q.c
+        make = lambda *comps: QArray(np.stack(comps))
+    else:
+        a, b, c, d = q
+        make = Quaternion
     if axis == "1":
         return q
-    if axis not in _INVOLUTION_FLIPS:
-        raise ValueError(f"unknown involution axis {axis!r}")
-    if isinstance(q, QArray):
-        comps = q.c.copy()
-        flips = _INVOLUTION_FLIPS[axis]
-        comps[flips] = -comps[flips]
-        return QArray(comps)
-    a, b, c, d = q
     if axis == "i":
-        return Quaternion(a, b, -c, -d)
+        return make(a, b, -c, -d)
     if axis == "j":
-        return Quaternion(a, -b, c, -d)
-    return Quaternion(a, -b, -c, d)
+        return make(a, -b, c, -d)
+    if axis == "k":
+        return make(a, -b, -c, d)
+    raise ValueError(f"unknown involution axis {axis!r}")
 
 
 def involute_conj(q: Quaternion, axis: str) -> Quaternion:
