@@ -185,11 +185,6 @@ def ghr_from_partials(parts, mu: Quaternion, side: str) -> GhrPair:
     return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
 
 
-def left_conj_from_partials(parts) -> Quaternion:
-    """Left d f/dq* from f's four real partials, as left_hr(f, q).wrt_qc has it."""
-    return _project(parts, _HR_BASES[0], "left")[1]
-
-
 def left_hr(f: QFunction, q: Quaternion) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
     return hr_from_partials(real_partials(f, q), "left")

@@ -13,11 +13,20 @@ The step directions are exactly the negative conjugate GHR gradients of the
 objective (up to the constant absorbed into alpha), which the test suite
 verifies numerically.
 
-One recursion, ``_step``, updates (4, branches, taps) component arrays by
-one window: ``run_experiment`` calls it once per step, and the per-sample
-``*_step`` functions call it once on their state.  Outside the engine a
-quaternion vector (taps, one weight branch, a regressor window) is a plain
-tuple of Quaternions.
+One recursion, ``_advance``, updates (4, branches, taps) component arrays
+by one window.  A step's two Hamilton products (the output and the move)
+take their regressor-side factors ready made: for each block of ``_BLOCK``
+windows ``run_experiment`` gathers them in one array pass, so a step is an
+elementwise product and the scalar recursion's sums in its order.  The
+per-sample ``*_step`` functions go through ``_step``, which gathers the
+factors of its one window.  QNGD's Phi path runs on arrays too: Phi's eight
+stencil values come from one call of Phi on a QArray, and the four
+conjugate-involution derivatives from one (4, 4) sign pattern and one
+product against i, j, k.  The linear variants are checked for divergence
+once per block, at the first bad step; QNGD at every step, because the Phi
+partials of a diverged filter would raise EvaluationError first.  Outside
+the engine a quaternion vector (taps, one weight branch, a regressor
+window) is a plain tuple of Quaternions.
 """
 
 from __future__ import annotations
@@ -25,17 +34,21 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import left_conj_from_partials, real_partials
-from .quaternion import AXES, ZERO, Quaternion, hamilton, involute
+from .derivatives import real_partials_batch, takes_arrays
+from .quaternion import (_MUL_INDEX, _MUL_SIGN, ZERO, I, J, K, QArray, Quaternion,
+                         hamilton)
+from .tables import _by_floats
 from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
 
 
+# Phi maps a Quaternion, and a QArray element by element (takes_arrays):
+# QNGD evaluates it on arrays.
 PhiFunction = Callable[[Quaternion], Quaternion]
 
 
@@ -110,22 +123,33 @@ def qngd_step(state: FilterState, x: Sequence[Quaternion],
     return _sample_step("qngd", state, x, d, state.nonlinearity)
 
 
-def _phi_derivatives(phi: PhiFunction, s: Quaternion) -> tuple[Quaternion, ...]:
+def _phi_derivatives(phi: PhiFunction, s: np.ndarray) -> np.ndarray:
     """Conjugate derivatives of the four conjugate involutions of Phi at s.
 
-    Returns (d Phi^(1*)/ds*, d Phi^(i*)/ds*, d Phi^(j*)/ds*, d Phi^(k*)/ds*).
+    Column mu of the (4, 4) result holds d Phi^(mu*)/ds* for mu in 1, i, j, k.
     Phi^(mu*) only flips signs of Phi's components, and a central difference
     commutes exactly with a sign flip, so one set of real partials of Phi
-    (eight evaluations) serves all four, bit for bit.
+    (eight evaluations, in one call of phi) serves all four, bit for bit.
+    Each is projected as derivatives.left_hr projects d f/dq*:
+    (f_a + (f_b i + f_c j + f_d k)) / 4.
     """
-    parts = real_partials(phi, s)
-    return tuple(left_conj_from_partials([involute(p, mu).conjugate() for p in parts])
-                 for mu in AXES)
+    partials = real_partials_batch(phi, QArray(s[:, None]))
+    parts = _PHI_SIGNS[:, :, None] * np.concatenate([p.c for p in partials], axis=1)[:, None]
+    mixed = _term_sum(parts[:, None, :, 1:] * _IJK)
+    return (parts[:, :, 0] + np.add.accumulate(mixed, axis=-1)[..., -1]) * 0.25
 
 
-def phi_tanh(s: Quaternion) -> Quaternion:
-    """Componentwise tanh, the usual bounded quaternion activation."""
-    return Quaternion(math.tanh(s.a), math.tanh(s.b), math.tanh(s.c), math.tanh(s.d))
+@takes_arrays
+def phi_tanh(s):
+    """Componentwise tanh, the usual bounded quaternion activation.
+
+    s may be a Quaternion or a QArray.  math.tanh runs on every component as
+    a Python float either way, as tables._by_floats runs math.atan2: numpy's
+    vectorised tanh may differ from it in the last ulp.
+    """
+    if isinstance(s, QArray):
+        return QArray(_by_floats(math.tanh, s.c))
+    return Quaternion(*map(math.tanh, s))
 
 
 NONLINEARITIES: dict[str, PhiFunction] = {"tanh": phi_tanh}
@@ -140,17 +164,54 @@ Taps = Sequence  # one vector of Quaternions or [a, b, c, d] rows, or four such 
 VARIANTS = ("qlms", "wl_qlms", "qngd")
 
 # The array engine keeps quaternion components on axis 0: weights are
-# (4, branches, taps), a block of m regressor windows is (4, m, taps).
+# (4, branches, taps), a block of m regressor windows is (m, 4, taps).
 # Component signs of the conjugate, and of q, q^i, q^j, q^k (one column per
 # widely linear branch); multiplying by -1.0 is exact negation.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                          [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
-# Steps per block.  Clean outputs and the error curves are computed a block
-# at a time, which bounds the temporaries (the clean-output product terms
-# are (4, 4, branches, block, taps)) instead of spanning the whole stream.
-_BLOCK = 256
+# A step makes two Hamilton products: the output (w^T x, or the Hermitian
+# branch outputs (w^mu)* x^mu) and the move (e x*, or x^mu e*).  Their
+# regressor-side factor is hamilton's gather of x, indexed [term k,
+# component r, branch], with every +/-1 factor (_MUL_SIGN, the conjugate,
+# the branch involution) folded in.  Multiplying by +/-1 is exact, so
+# w[k] * factor[k, r] added over k in order is hamilton's product bit for
+# bit.  A factor is gathered from the components of x and -x stacked, so an
+# index c + 4 picks -x[c].
+_K = np.repeat(np.arange(4)[:, None], 4, axis=1)  # [k, r] -> k
+_MOVE_SIGNS = _MUL_SIGN * _CONJ[_MUL_INDEX]
+
+
+class _Factors(NamedTuple):
+    out: np.ndarray    # [k, r, branch] index of the output factor: w^T x or (w^mu)* x^mu
+    move: np.ndarray   # [k, r, branch] index of the move factor: x* (after e) or x^mu
+    error: np.ndarray  # [k, r, 1, 1] component of e (or e*) each move term takes
+
+
+def _signed(index: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    return index + 4 * (signs < 0.0)
+
+
+_FACTORS = {
+    1: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]),
+                _signed(_MUL_INDEX[:, :, None], _MOVE_SIGNS[:, :, None]),
+                _K[:, :, None, None]),
+    4: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]
+                        * _CONJ[:, None, None] * _INVOLUTIONS[_MUL_INDEX]),
+                _signed(_K[:, :, None], _MOVE_SIGNS[:, :, None] * _INVOLUTIONS[:, None]),
+                _MUL_INDEX[:, :, None, None]),
+}
+
+# The four conjugate-involution sign patterns of Phi's components, one
+# column per mu.
+_PHI_SIGNS = _CONJ[:, None] * _INVOLUTIONS
+
+# Steps per block.  Clean outputs, step factors and the error curves are
+# computed a block at a time, which bounds the temporaries (a block's output
+# and move factors are (block, 4, 4, branches, taps) each) instead of
+# spanning the whole stream.
+_BLOCK = 128
 
 
 def _taps_array(taps: Taps) -> np.ndarray:
@@ -171,8 +232,7 @@ def _taps_array(taps: Taps) -> np.ndarray:
 
 def _modulus_squared(comps: np.ndarray) -> np.ndarray:
     """Quaternion.modulus_squared over the components on axis 0."""
-    squares = comps * comps
-    return squares[0] + squares[1] + squares[2] + squares[3]
+    return np.add.accumulate(comps * comps, axis=0)[-1]
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -184,44 +244,66 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
-def _outputs(weights: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Outputs (4, m) of (4, branches, taps) weights over (4, m, taps) windows.
+def _factors(windows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Factors (m, 4, 4, branches, taps) of (m, 4, taps) windows: element
+    [k, r, branch] is x[c] for index[k, r, branch] == c, and -x[c] for c + 4."""
+    return np.concatenate([windows, -windows], axis=1).take(index, axis=1)
+
+
+# The units i, j, k as right factors of a one-branch output, (4, 4, 1, 3):
+# f_e * unit_e for e in b, c, d is hamilton's product of a partial and a unit.
+_IJK = _factors(np.array([I, J, K]).T[None], _FACTORS[1].out)[0]
+
+
+def _term_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the term axis k of (..., 4, 4, branches, taps), in hamilton's order."""
+    k = terms.swapaxes(0, -4)
+    return k[0] + k[1] + k[2] + k[3]
+
+
+def _outputs(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Outputs (..., 4) of (4, branches, taps) weights over output factors.
 
     One branch is the strictly linear w^T x; four are the widely linear
-    h^H x + g^H x^i + u^H x^j + v^H x^k, added in that order.
+    h^H x + g^H x^i + u^H x^j + v^H x^k.  Terms, then taps, then branches are
+    added in the scalar order.
     """
-    if weights.shape[1] == 1:
-        return _ordered_sum(hamilton(weights, windows))
-    conj = weights * _CONJ[:, None, None]
-    regressors = windows[:, None] * _INVOLUTIONS[:, :, None, None]
-    per_branch = _ordered_sum(hamilton(conj[:, :, None], regressors))
-    return per_branch[:, 0] + per_branch[:, 1] + per_branch[:, 2] + per_branch[:, 3]
+    return _ordered_sum(_ordered_sum(_term_sum(weights[:, None] * out)))
 
 
-def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
-          phi: Optional[PhiFunction] = None) -> tuple[np.ndarray, np.ndarray]:
-    """New (4, branches, taps) weights and a priori error (4,) for one window.
+def _advance(weights: np.ndarray, out: np.ndarray, move: np.ndarray, d: np.ndarray,
+             alpha: float, phi: Optional[PhiFunction]) -> tuple[np.ndarray, np.ndarray]:
+    """New (4, branches, taps) weights and a priori error (4,) for one window,
+    given as its (4, 4, branches, taps) output and move factors.
 
     Four branches run WL-QLMS, h^mu += alpha x^mu e*.  One branch runs QLMS,
     w += alpha e x*, or QNGD if phi is given: e becomes the effective error,
     the sum over mu of e^mu * d Phi^(mu*)/ds*.
     """
-    if weights.shape[1] == 4:
-        e = d - _outputs(weights, x)[:, 0]
-        move = hamilton(x * _INVOLUTIONS[:, :, None], (e * _CONJ)[:, None, None])
+    s = _outputs(weights, out)
+    if phi is None:
+        e = e_eff = d - s
     else:
-        s = _outputs(weights, x)[:, 0]
-        if phi is None:
-            e = e_eff = d - s
-        else:
-            s = Quaternion(*s.tolist())
-            err = Quaternion(*d.tolist()) - phi(s)
-            e_eff = ZERO
-            for mu, gamma in zip(AXES, _phi_derivatives(phi, s)):
-                e_eff = e_eff + involute(err, mu) * gamma
-            e, e_eff = np.array(err), np.array(e_eff)
-        move = hamilton(e_eff[:, None, None], x * _CONJ[:, None, None])
-    return weights + move * alpha, e
+        e = d - phi(QArray(s)).c
+        e_eff = _ordered_sum(hamilton(e[:, None] * _INVOLUTIONS, _phi_derivatives(phi, s)))
+    e_index = _FACTORS[weights.shape[1]].error
+    return weights + _term_sum(move * e_eff[e_index]) * alpha, e
+
+
+def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
+          phi: Optional[PhiFunction] = None) -> tuple[np.ndarray, np.ndarray]:
+    """_advance on one (4, 1, taps) window."""
+    window = x.transpose(1, 0, 2)
+    factors = _FACTORS[weights.shape[1]]
+    return _advance(weights, _factors(window, factors.out)[0],
+                    _factors(window, factors.move)[0], d, alpha, phi)
+
+
+def _bounded(weights: np.ndarray) -> np.ndarray:
+    """Whether (4, ..., branches, taps) weights have a squared norm of at most
+    DIVERGENCE_NORM ** 2, added over taps, then branches, as the scalar loops
+    add it.  A NaN norm fails the comparison too."""
+    return _ordered_sum(_ordered_sum(_modulus_squared(weights))) <= DIVERGENCE_NORM ** 2
 
 
 def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
@@ -260,8 +342,8 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     with np.errstate(over="ignore", invalid="ignore"):
         clean = np.empty((n, 4))
         for lo in range(0, n, _BLOCK):
-            block = windows[lo:lo + _BLOCK].transpose(1, 0, 2)
-            clean[lo:lo + _BLOCK] = _outputs(truth, block).T
+            out = _factors(windows[lo:lo + _BLOCK], _FACTORS[truth.shape[1]].out)
+            clean[lo:lo + _BLOCK] = _outputs(truth, out)
         desired = clean
         if not math.isinf(snr_db):
             signal_power = sum(_modulus_squared(clean.T).tolist()) / n
@@ -330,10 +412,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     linear channel by the one-branch filter with w = h*.  Those are the
     references the weights are held against.
 
-    Each step is one call of _step, the kernel the per-sample *_step
-    functions share.  It reproduces the scalar Quaternion recursions (the
-    test suite's oracle) bit for bit: products are elementwise, and every
-    sum keeps the scalar order.
+    Each block's output and move factors are gathered once, and each step
+    is one call of _advance, the kernel the per-sample *_step functions
+    share.  It reproduces the scalar Quaternion recursions (the test suite's
+    oracle) bit for bit: products are elementwise, factors of +/-1 are
+    exact, and every sum keeps the scalar order.
     """
     if config.variant not in VARIANTS:
         raise ValueError(f"unknown filter variant {config.variant!r}")
@@ -358,6 +441,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     phi = NONLINEARITIES.get(config.nonlinearity)
 
     alpha = config.alpha
+    factors = _FACTORS[weights.shape[1]]
     mse = []
     weight_errors = []
     errors = np.empty((_BLOCK, 4))
@@ -366,14 +450,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
         for start in range(0, config.steps, _BLOCK):
             count = min(_BLOCK, config.steps - start)
+            block = windows[start:start + count]
+            out, move = _factors(block, factors.out), _factors(block, factors.move)
             for slot in range(count):
-                weights, e = _step(weights, windows[start + slot][:, None],
-                                   desired[start + slot], alpha, phi)
-                errors[slot] = e
+                weights, errors[slot] = _advance(weights, out[slot], move[slot],
+                                                 desired[start + slot], alpha, phi)
                 history[slot] = weights
-                total_norm = sum(sum(branch) for branch in _modulus_squared(weights).tolist())
-                if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
+                # After a QNGD divergence the next step's Phi partials would
+                # raise EvaluationError, so QNGD is checked at every step.
+                # The linear steps cannot raise: one check per block finds
+                # their first bad step.
+                if phi is not None and not _bounded(weights):
                     raise DivergenceError(f"filter diverged at step {start + slot}")
+            bad = np.flatnonzero(~_bounded(history[:count].swapaxes(0, 1)))
+            if bad.size:
+                raise DivergenceError(f"filter diverged at step {start + bad[0]}")
             mse.extend(_modulus_squared(errors[:count].T).tolist())
             err = _ordered_sum(_modulus_squared(
                 (history[:count] - reference).swapaxes(0, 1)).reshape(count, -1))

@@ -487,14 +487,25 @@ def test_array_engine_matches_scalar_steps_bitwise(name, kind, seed):
     assert (result.mse_curve, result.weight_error_curve) == _scalar_run(config)
 
 
-def test_array_engine_diverges_at_the_scalar_step():
-    config = ExperimentConfig(variant="qlms", taps=CHANNEL, alpha=0.5,
-                              steps=300, snr_db=30.0, seed=1)
+@pytest.mark.parametrize("name,alpha,steps,step", [
+    ("qlms", 0.5, 300, 11),
+    ("wl_qlms", 0.1, 300, 31),
+    # Step 0 overflows weights to infinity, so step 1's output and Phi
+    # partials are NaN: only a check after every QNGD step reports the
+    # divergence rather than step 1's EvaluationError.
+    ("qngd_tanh", 1e308, 300, 0),
+    # Linear steps are checked once per block: the first bad step must be
+    # reported from the middle of a block past the first 256 steps.
+    ("qlms", 0.13, 400, 260),
+], ids=["qlms", "wl_qlms", "qngd_tanh", "qlms_mid_block"])
+def test_array_engine_diverges_at_the_scalar_step(name, alpha, steps, step):
+    config = ExperimentConfig(steps=steps, snr_db=30.0, seed=1,
+                              **{**FILTERS[name], "alpha": alpha})
     with pytest.raises(DivergenceError) as scalar:
         _scalar_run(config)
     with pytest.raises(DivergenceError) as array:
         run_experiment(config)
-    assert str(array.value) == str(scalar.value)
+    assert str(array.value) == str(scalar.value) == f"filter diverged at step {step}"
 
 
 def _bits(quaternions) -> tuple[str, ...]:
@@ -529,15 +540,18 @@ def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
         s = random_quaternion(rng)
         separate = [left_hr(lambda p, mu=mu: involute(phi_tanh(p), mu).conjugate(), s).wrt_qc
                     for mu in AXES]
-        assert _bits(_phi_derivatives(phi_tanh, s)) == _bits(separate)
+        shared = _phi_derivatives(phi_tanh, np.array(s))
+        assert _bits(Quaternion(*column) for column in shared.T.tolist()) == _bits(separate)
 
-    calls = []
-    evaluate = derivatives._evaluate
-    monkeypatch.setattr(derivatives, "_evaluate",
-                        lambda f, p: calls.append(p) or evaluate(f, p))
+    # Phi's partials come from one stencil of eight points per step.
+    points = []
+    evaluate_stencil = derivatives._evaluate_stencil
+    monkeypatch.setattr(derivatives, "_evaluate_stencil",
+                        lambda f, stencil, levels: points.append(stencil[0].size)
+                        or evaluate_stencil(f, stencil, levels))
     run_experiment(ExperimentConfig(steps=50, snr_db=30.0, seed=1,
                                     **FILTERS["qngd_tanh"]))
-    assert len(calls) == 8 * 50
+    assert points == [8] * 50
 
 
 def test_wl_qlms_is_real_lms_with_four_times_the_step():
