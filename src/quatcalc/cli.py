@@ -9,7 +9,6 @@ same seed and options always produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -92,11 +91,12 @@ def _parse_tolerances(pairs: Optional[Sequence[str]],
 
 def _write_csv(path: str, header: Sequence[str],
                rows: Iterable[Sequence[str]]) -> None:
+    # No quoting: every field is program-made (numbers, fixed names, true/false
+    # or empty), so none holds a comma, quote or line break.
     try:
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            handle.write(",".join(header) + "\n")
+            handle.writelines(",".join(row) + "\n" for row in rows)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
     print(f"wrote {path}")
@@ -187,18 +187,19 @@ def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
                 entries.append(spec.sample_entry(rng))
                 qs.append(spec.sample_point(entries[-1], rng))
                 mus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
-            checks = tables.cross_validate(entries, QArray(list(zip(*qs))),
-                                           QArray(list(zip(*mus))))
-            for q, mu, check in zip(qs, mus, checks.unstack()):
-                point, axis = _fmt_q(q), _fmt_q(mu)
-                for column, closed, numerical, residual in (
-                        ("mu", check.closed_mu, check.numerical_mu, check.residual_mu),
-                        ("mu_conj", check.closed_mu_conj, check.numerical_mu_conj,
-                         check.residual_mu_conj)):
+            check = tables.cross_validate(entries, QArray(list(zip(*qs))),
+                                          QArray(list(zip(*mus))))
+            columns = [[format_quaternion(tuple(c)) for c in field.c.T.tolist()]
+                       for field in check[:4]] + [field.tolist() for field in check[4:]]
+            for q, mu, *fields in zip(qs, mus, *columns):
+                point, axis = format_quaternion(q), format_quaternion(mu)
+                # A CrossCheck's fields alternate between the mu and mu_conj columns.
+                for column, (closed, numerical, residual) in (("mu", fields[0::2]),
+                                                              ("mu_conj", fields[1::2])):
                     ok = residual <= tol
                     oks.append(ok)
-                    yield (spec.name, point, axis, column, _fmt_q(closed),
-                           _fmt_q(numerical), _fmt(residual), _fmt_pass(ok))
+                    yield (spec.name, point, axis, column, closed, numerical,
+                           _fmt(residual), _fmt_pass(ok))
 
 
 @takes_arrays

@@ -107,15 +107,16 @@ def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     return value
 
 
-# For each step h: the offsets h e for e in {1, i, j, k}, and inv = 1/2h.
+# For each step h: the offsets h e for e in {1, i, j, k}, inv = 1/2h, and the
+# offsets again as the (4, 4) [component, axis] array h I.
 _STEPS = {h: (((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0),
-               (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h))
+               (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h), h * np.eye(4))
           for h in (DEFAULT_H, DEFAULT_H2)}
 
 
 def _stencil(q: Quaternion, h: float = DEFAULT_H):
     """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
-    steps, inv = _STEPS[h]
+    steps, inv, _ = _STEPS[h]
     a, b, c, d = q
     points = [(Quaternion(a + oa, b + ob, c + oc, d + od),
                Quaternion(a - oa, b - ob, c - oc, d - od))
@@ -213,8 +214,7 @@ def _stencil_array(comps: np.ndarray, h: float) -> np.ndarray:
     result is laid out [component, axis, +/-, *S], so a stencil built on a
     stencil nests the new (axis, +/-) pair in front of the old one.
     """
-    steps, _ = _STEPS[h]
-    offsets = np.array(steps).T.reshape((4, 4) + (1,) * (comps.ndim - 1))
+    offsets = _STEPS[h][2].reshape((4, 4) + (1,) * (comps.ndim - 1))
     base = comps[:, np.newaxis]
     stencil = np.empty((4, 4, 2) + comps.shape[1:])
     np.add(base, offsets, out=stencil[:, :, 0])

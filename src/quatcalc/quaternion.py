@@ -472,12 +472,9 @@ _TERM = re.compile(
 
 
 def format_quaternion(q: Quaternion) -> str:
-    """Render q as "a+bi+cj+dk" with full round-trip (17 digit) precision."""
-    parts = [f"{q.a:.17g}"]
-    for value, unit in ((q.b, "i"), (q.c, "j"), (q.d, "k")):
-        sign = "-" if value < 0 or (value == 0 and math.copysign(1.0, value) < 0) else "+"
-        parts.append(f"{sign}{abs(value):.17g}{unit}")
-    return "".join(parts)
+    """Render q, or any 4-tuple of floats, as "a+bi+cj+dk" with full round-trip
+    (17 digit) precision; -0.0 keeps its sign and NaN prints as +nan."""
+    return "%.17g%+.17gi%+.17gj%+.17gk" % q
 
 
 def parse_quaternion(text: str) -> Quaternion:

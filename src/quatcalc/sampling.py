@@ -19,16 +19,21 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(children[stream]))
 
 
-# Rejection budget of random_quaternion; an unreachable min_modulus must fail,
-# not loop forever.
+# Rejection budget of the draws below; an unreachable bound must fail, not
+# loop forever.
 MAX_DRAWS = 1000
 
 
 def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.0,
                       min_modulus: float = 0.0) -> Quaternion:
-    """Uniform components in [lo, hi], rejecting draws with |q| < min_modulus."""
+    """Uniform components in [lo, hi], rejecting draws with |q| < min_modulus.
+    Each is lo + (hi - lo) * rng.random(), as rng.uniform computes it."""
+    lo, span = float(lo), float(hi) - float(lo)
+    if not np.isfinite(span):
+        raise OverflowError("Range exceeds valid bounds")
     for _ in range(MAX_DRAWS):
-        q = Quaternion.from_components(rng.uniform(lo, hi, size=4))
+        a, b, c, d = rng.random(4).tolist()
+        q = Quaternion(lo + span * a, lo + span * b, lo + span * c, lo + span * d)
         if q.modulus() >= min_modulus:
             return q
     raise ValueError(f"no draw from [{lo}, {hi}]^4 reached modulus {min_modulus} "
@@ -37,8 +42,9 @@ def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.
 
 def random_pure_unit(rng: np.random.Generator) -> Quaternion:
     """Uniformly distributed pure unit quaternion."""
-    while True:
+    for _ in range(MAX_DRAWS):
         v = rng.normal(size=3)
         norm = float(np.sqrt(v @ v))
         if norm > 1e-6:
             return Quaternion(0.0, v[0] / norm, v[1] / norm, v[2] / norm)
+    raise ValueError(f"no normal draw reached norm 1e-6 in {MAX_DRAWS} tries")

@@ -544,12 +544,6 @@ class CrossCheck(NamedTuple):
     residual_mu: float
     residual_mu_conj: float
 
-    def unstack(self) -> list["CrossCheck"]:
-        """The one-point checks of a batched check, in point order."""
-        columns = [[Quaternion(*c) for c in field.c.T.tolist()] for field in self[:4]]
-        return [CrossCheck(*fields) for fields in
-                zip(*columns, self.residual_mu.tolist(), self.residual_mu_conj.tolist())]
-
 
 def _batches(entries: Sequence[TableEntry]):
     """(point indices, entry) for each run of points whose entries share

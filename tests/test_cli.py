@@ -126,6 +126,19 @@ def test_table_chunks_write_the_same_bytes(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "chunked.csv").read_bytes()
 
 
+def test_write_csv_leaves_empty_fields_bare(tmp_path, capsys):
+    # verify leaves mu and nu blank on records without an axis.
+    header, rows = ("a", "b", "c"), [("x", "", ""), ("", "y", "")]
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    cli._write_csv(str(ours), header, rows)
+    assert capsys.readouterr().out == f"wrote {ours}\n"
+    with open(theirs, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    assert ours.read_bytes() == theirs.read_bytes() == b"a,b,c\nx,,\n,y,\n"
+
+
 def test_table_streams_its_rows_with_the_same_summary(tmp_path, capsys):
     argv = ["table", "--family", "linear", "--points", "5000"]
     summary = "derivative table: 10000 checks, 0 failures (1 families, 5000 points each)"

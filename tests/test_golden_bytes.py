@@ -6,6 +6,7 @@ Same seed, same bytes: a change that moves any CSV cell of these runs,
 even in the last ulp, fails here and has to say which columns moved and why.
 """
 
+import csv
 import hashlib
 from pathlib import Path
 
@@ -41,10 +42,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
-def test_default_run_writes_pinned_bytes(argv, tmp_path, capsys, monkeypatch):
+def _run(argv, tmp_path, capsys, monkeypatch) -> Path:
     monkeypatch.chdir(ROOT)
     path = tmp_path / "out.csv"
     assert cli.main(list(argv) + ["--out", str(path)]) == cli.EXIT_PASS
     capsys.readouterr()
+    return path
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_default_run_writes_pinned_bytes(argv, tmp_path, capsys, monkeypatch):
+    path = _run(argv, tmp_path, capsys, monkeypatch)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_no_field_needs_csv_quoting(argv, tmp_path, capsys, monkeypatch):
+    # The CSV lines are joined without quoting, so csv.reader must read each
+    # one back as its plain split on commas.
+    path = _run(argv, tmp_path, capsys, monkeypatch)
+    with open(path, newline="") as handle:
+        fields = list(csv.reader(handle))
+    assert fields == [line.split(",") for line in path.read_text().split("\n")[:-1]]

@@ -1,5 +1,6 @@
 """Algebra layer: Hamilton product, involutions, rotations, polar form."""
 
+import json
 import math
 
 import numpy as np
@@ -442,11 +443,11 @@ class _DrawCounter:
         self.limit = limit
         self.calls = 0
 
-    def uniform(self, *args, **kwargs):
+    def random(self, *args, **kwargs):
         self.calls += 1
         if self.calls > self.limit:
             raise AssertionError("rejection sampling kept drawing")
-        return self.rng.uniform(*args, **kwargs)
+        return self.rng.random(*args, **kwargs)
 
 
 def test_random_quaternion_unreachable_modulus_raises():
@@ -456,17 +457,84 @@ def test_random_quaternion_unreachable_modulus_raises():
         random_quaternion(rng, -2.0, 2.0, min_modulus=5.0)
 
 
-def test_random_quaternion_rejection_keeps_the_stream():
-    # Accepted draws are the first uniform 4-vectors that reach the modulus.
-    sampled = make_rng(4)
-    raw = make_rng(4)
+class _ZeroNormals:
+    """Generator proxy whose normal draws are all zero vectors; it stops a
+    rejection loop which never ends."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.calls = 0
+
+    def normal(self, size):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise AssertionError("rejection sampling kept drawing")
+        return np.zeros(size)
+
+
+def test_random_pure_unit_gives_up_on_zero_vectors():
+    rng = _ZeroNormals(limit=100_000)
+    with pytest.raises(ValueError, match="1000 tries"):
+        random_pure_unit(rng)
+    assert rng.calls == 1000
+
+
+def test_random_pure_unit_keeps_the_normal_stream():
+    sampled, raw = make_rng(8), make_rng(8)
     for _ in range(50):
-        q = random_quaternion(sampled, -1.0, 1.0, min_modulus=0.9)
-        while True:
-            comps = raw.uniform(-1.0, 1.0, size=4)
-            if Quaternion.from_components(comps).modulus() >= 0.9:
-                break
-        assert tuple(q) == tuple(comps)
+        v = raw.normal(size=3)
+        norm = float(np.sqrt(v @ v))
+        expected = Quaternion(0.0, v[0] / norm, v[1] / norm, v[2] / norm)
+        assert _hex(random_pure_unit(sampled)) == _hex(expected)
+
+
+def _state(rng) -> str:
+    """The bit generator's whole state, its arrays as lists."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def _uniform_quaternion(rng, lo, hi, min_modulus):
+    """random_quaternion's oracle: rejection over rng.uniform 4-vectors."""
+    while True:
+        q = Quaternion.from_components(rng.uniform(lo, hi, size=4))
+        if q.modulus() >= min_modulus:
+            return q
+
+
+@pytest.mark.parametrize("min_modulus", [0.0, 0.9])
+@pytest.mark.parametrize("lo, hi", [(-2.0, 2.0), (-1.0, 1.0)])
+def test_random_quaternion_rejection_keeps_the_stream(lo, hi, min_modulus):
+    # Accepted draws are the first rng.uniform 4-vectors that reach the modulus.
+    sampled, raw = make_rng(4), make_rng(4)
+    for _ in range(N_DRAWS):
+        assert _hex(random_quaternion(sampled, lo, hi, min_modulus)) == \
+            _hex(_uniform_quaternion(raw, lo, hi, min_modulus))
+    # The generators end in the same state, so later draws line up.
+    assert _state(sampled) == _state(raw)
+    assert sampled.random(5).tolist() == raw.random(5).tolist()
+
+
+# Bounds of either sign and any exponent whose span hi - lo stays finite.
+BOUND = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(BOUND, BOUND, st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_quaternion_matches_rng_uniform_on_any_finite_span(x, y, seed):
+    lo, hi = min(x, y), max(x, y)
+    sampled, raw = make_rng(seed), make_rng(seed)
+    for _ in range(3):
+        assert _hex(random_quaternion(sampled, lo, hi)) == \
+            _hex(_uniform_quaternion(raw, lo, hi, 0.0))
+    assert _state(sampled) == _state(raw)
+
+
+def test_random_quaternion_rejects_an_infinite_span_as_rng_uniform_does():
+    with pytest.raises(OverflowError):
+        make_rng(1).uniform(-1e308, 1e308, size=4)
+    with pytest.raises(OverflowError):
+        random_quaternion(make_rng(1), -1e308, 1e308)
+
+
 
 
 # Components of magnitude 1e-50 to 1e50, or signed zero: products of three
@@ -506,3 +574,33 @@ def test_rotation_preserves_modulus(q, mu):
 @given(FINITE_QUATERNIONS)
 def test_format_parse_round_trip_is_bitwise(q):
     assert _hex(parse_quaternion(format_quaternion(q))) == _hex(q)
+
+
+def _format_by_component(q: Quaternion) -> str:
+    """format_quaternion's oracle: each component on its own, its sign by
+    copysign, so -0.0 shows as "-0"."""
+    parts = [f"{q.a:.17g}"]
+    for value, unit in ((q.b, "i"), (q.c, "j"), (q.d, "k")):
+        sign = "-" if value < 0 or (value == 0 and math.copysign(1.0, value) < 0) else "+"
+        parts.append(f"{sign}{abs(value):.17g}{unit}")
+    return "".join(parts)
+
+
+# Every float: signed zeros, both infinities, NaN with either sign bit,
+# subnormals and the ends of the exponent range drawn often.
+ANY_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -5e-324, 2.2250738585072009e-308, 1e-308, -1e-308,
+                     1e308, -1e308, 1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@given(st.builds(Quaternion, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT))
+def test_format_quaternion_matches_the_per_component_form(q):
+    assert format_quaternion(q) == _format_by_component(q)
+
+
+def test_format_quaternion_signs():
+    assert format_quaternion(Quaternion(-0.0, -0.0, 0.0, -math.nan)) == "-0-0i+0j+nank"
+    assert format_quaternion(Quaternion(math.nan, -math.inf, math.inf, -1.5)) == \
+        "nan-infi+infj-1.5k"

@@ -283,17 +283,24 @@ def _stacked(draws):
     return entries, QArray(list(zip(*qs))), QArray(list(zip(*mus)))
 
 
-def _hex(check):
-    """A CrossCheck's six fields as float.hex strings."""
-    return [x.hex() for field in check
-            for x in (field if isinstance(field, Quaternion) else (field,))]
+def _hex(value):
+    """A one-point field, a Quaternion or a float, as float.hex strings."""
+    return [x.hex() for x in (value if isinstance(value, Quaternion) else (value,))]
+
+
+def _column_hex(field):
+    """A batched field, a QArray or an array of floats, point by point as
+    float.hex strings."""
+    rows = field.c.T.tolist() if isinstance(field, QArray) else [[x] for x in field.tolist()]
+    return [[x.hex() for x in row] for row in rows]
 
 
 def _assert_batch_matches_points(draws):
     batch = cross_validate(*_stacked(draws))
     assert batch.closed_mu.c.shape == (4, len(draws))
-    assert [_hex(check) for check in batch.unstack()] == \
-        [_hex(cross_validate(*draw)) for draw in draws]
+    checks = [cross_validate(*draw) for draw in draws]
+    for k, field in enumerate(batch):
+        assert _column_hex(field) == [_hex(check[k]) for check in checks], batch._fields[k]
 
 
 @pytest.mark.parametrize("seed", [1, 11, 36])
