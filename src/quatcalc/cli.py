@@ -374,7 +374,9 @@ def cmd_filter(args: argparse.Namespace) -> int:
         print(f"filter: {exc}")
         print("FAIL")
         return EXIT_FAIL
-    rows = [(str(idx), _fmt(sq), _fmt(werr))
+    # One field per row, the whole line from one template: the bytes of
+    # str(idx) and _fmt of the two errors, joined by commas.
+    rows = [("%d,%.17g,%.17g" % (idx, sq, werr),)
             for idx, (sq, werr) in enumerate(zip(result.mse_curve,
                                                  result.weight_error_curve))]
     final = result.final_weight_error

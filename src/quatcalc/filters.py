@@ -21,12 +21,11 @@ elementwise product and the scalar recursion's sums in its order.  The
 per-sample ``*_step`` functions go through ``_step``, which gathers the
 factors of its one window.  QNGD's Phi path runs on arrays too: Phi's eight
 stencil values come from one call of Phi on a QArray, and the four
-conjugate-involution derivatives from one (4, 4) sign pattern and one
-product against i, j, k.  The linear variants are checked for divergence
-once per block, at the first bad step; QNGD at every step, because the Phi
-partials of a diverged filter would raise EvaluationError first.  Outside
-the engine a quaternion vector (taps, one weight branch, a regressor
-window) is a plain tuple of Quaternions.
+conjugate-involution derivatives and the effective error from precomputed
+gathers and sign patterns.  Every variant is checked for divergence once
+per block, at its first bad step.  Outside the engine a quaternion vector
+(taps, one weight branch, a regressor window) is a plain tuple of
+Quaternions.
 """
 
 from __future__ import annotations
@@ -38,9 +37,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import real_partials_batch, takes_arrays
-from .quaternion import (_MUL_INDEX, _MUL_SIGN, ZERO, I, J, K, QArray, Quaternion,
-                         hamilton)
+from . import derivatives
+from .derivatives import DEFAULT_H, EvaluationError, takes_arrays
+from .quaternion import _MUL_INDEX, _MUL_SIGN, ZERO, I, J, K, QArray, Quaternion
 from .tables import _by_floats
 from .theorems import DivergenceError
 
@@ -131,12 +130,23 @@ def _phi_derivatives(phi: PhiFunction, s: np.ndarray) -> np.ndarray:
     commutes exactly with a sign flip, so one set of real partials of Phi
     (eight evaluations, in one call of phi) serves all four, bit for bit.
     Each is projected as derivatives.left_hr projects d f/dq*:
-    (f_a + (f_b i + f_c j + f_d k)) / 4.
+    (f_a + (f_b i + f_c j + f_d k)) / 4, with every term of the three unit
+    products kept, zeros too: an infinite partial times zero is NaN there.
     """
-    partials = real_partials_batch(phi, QArray(s[:, None]))
-    parts = _PHI_SIGNS[:, :, None] * np.concatenate([p.c for p in partials], axis=1)[:, None]
-    mixed = _term_sum(parts[:, None, :, 1:] * _IJK)
-    return (parts[:, :, 0] + np.add.accumulate(mixed, axis=-1)[..., -1]) * 0.25
+    values = derivatives._evaluate_stencil(phi, derivatives._stencil_array(s, DEFAULT_H), 1)
+    partials = (values[:, :, 0] - values[:, :, 1]) * _INV_2H  # [component, axis]
+    terms = partials.take(_UNIT_INDEX) * _UNIT_FACTORS
+    mixed = terms[0] + terms[1] + terms[2] + terms[3]  # [e, r, mu] for e in b, c, d
+    return (partials[:, :1] * _PHI_SIGNS + (mixed[0] + mixed[1] + mixed[2])) * 0.25
+
+
+def _effective_error(phi: PhiFunction, s: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The sum over mu of e^mu * d Phi^(mu*)/ds*, added from zero in the
+    order 1, i, j, k, each product in hamilton's order."""
+    terms = _phi_derivatives(phi, s).take(_EFFECTIVE_INDEX) * _EFFECTIVE_SIGNS
+    terms *= e[:, None, None]
+    products = terms[0] + terms[1] + terms[2] + terms[3]  # [r, mu]
+    return np.add.accumulate(products, axis=-1)[:, -1] + 0.0
 
 
 @takes_arrays
@@ -186,7 +196,10 @@ _MOVE_SIGNS = _MUL_SIGN * _CONJ[_MUL_INDEX]
 class _Factors(NamedTuple):
     out: np.ndarray    # [k, r, branch] index of the output factor: w^T x or (w^mu)* x^mu
     move: np.ndarray   # [k, r, branch] index of the move factor: x* (after e) or x^mu
-    error: np.ndarray  # [k, r, 1, 1] component of e (or e*) each move term takes
+    # The component of e each move term [k, r] takes (the conjugate's signs
+    # are in the move factor): e[k] for one branch, a broadcast view, and
+    # e[_MUL_INDEX[k, r]] for four, a gather.
+    error: object
 
 
 def _signed(index: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -196,7 +209,7 @@ def _signed(index: np.ndarray, signs: np.ndarray) -> np.ndarray:
 _FACTORS = {
     1: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]),
                 _signed(_MUL_INDEX[:, :, None], _MOVE_SIGNS[:, :, None]),
-                _K[:, :, None, None]),
+                np.s_[:, None, None, None]),
     4: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]
                         * _CONJ[:, None, None] * _INVOLUTIONS[_MUL_INDEX]),
                 _signed(_K[:, :, None], _MOVE_SIGNS[:, :, None] * _INVOLUTIONS[:, None]),
@@ -232,7 +245,7 @@ def _taps_array(taps: Taps) -> np.ndarray:
 
 def _modulus_squared(comps: np.ndarray) -> np.ndarray:
     """Quaternion.modulus_squared over the components on axis 0."""
-    return np.add.accumulate(comps * comps, axis=0)[-1]
+    return QArray(comps).modulus_squared()
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -253,50 +266,98 @@ def _factors(windows: np.ndarray, index: np.ndarray) -> np.ndarray:
 # The units i, j, k as right factors of a one-branch output, (4, 4, 1, 3):
 # f_e * unit_e for e in b, c, d is hamilton's product of a partial and a unit.
 _IJK = _factors(np.array([I, J, K]).T[None], _FACTORS[1].out)[0]
+# Projection terms [k, e, r, mu] for e in b, c, d: the partial f_e[k], at
+# _UNIT_INDEX in the (4, 4) [component, axis] partials, times _IJK with the
+# sign patterns of the four Phi^(mu*) folded in.  (+/-f) u equals f (+/-u)
+# exactly, zeros and infinities included.
+_UNIT_INDEX = np.broadcast_to(np.arange(4)[:, None, None, None] * 4
+                              + np.arange(1, 4)[:, None, None], (4, 3, 4, 4))
+_UNIT_FACTORS = _IJK.transpose(0, 3, 1, 2) * _PHI_SIGNS[:, None, None]
+_INV_2H = derivatives._STEPS[DEFAULT_H][1]
+
+# QNGD's effective error as hamilton(e^mu, d Phi^(mu*)/ds*) for each mu:
+# term [k, r, mu] takes the derivative's component _MUL_INDEX[k, r] in column
+# mu, and e[k] with the signs of the product and of the involution.
+_EFFECTIVE_INDEX = _MUL_INDEX[:, :, None] * 4 + np.arange(4)
+_EFFECTIVE_SIGNS = _MUL_SIGN[:, :, None] * _INVOLUTIONS[:, None]
 
 
-def _term_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the term axis k of (..., 4, 4, branches, taps), in hamilton's order."""
-    k = terms.swapaxes(0, -4)
-    return k[0] + k[1] + k[2] + k[3]
+def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
+               total: Optional[np.ndarray] = None) -> np.ndarray:
+    """((t0 + t1) + t2) + t3, as hamilton adds its four terms, into ``total``
+    if one is given."""
+    total = np.add(t0, t1, total)
+    np.add(total, t2, total)
+    np.add(total, t3, total)
+    return total
 
 
-def _outputs(weights: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Outputs (..., 4) of (4, branches, taps) weights over output factors.
+def _outputs(sums: np.ndarray) -> np.ndarray:
+    """Outputs (..., 4) from the Hamilton sums (..., 4, branches, taps) of
+    the output product.
 
     One branch is the strictly linear w^T x; four are the widely linear
-    h^H x + g^H x^i + u^H x^j + v^H x^k.  Terms, then taps, then branches are
-    added in the scalar order.
+    h^H x + g^H x^i + u^H x^j + v^H x^k.  Taps, then branches are added in
+    the scalar order.  Each scalar sum starts from 0.0 and so never ends at
+    -0.0; accumulate starts from the first term instead, which can only turn
+    a zero sum into -0.0.  Such a sum changes no later sum but in the sign of
+    a zero, so one + 0.0 after the last sum serves every level.
     """
-    return _ordered_sum(_ordered_sum(_term_sum(weights[:, None] * out)))
+    taps = np.add.accumulate(sums, axis=-1)[..., -1]
+    if taps.shape[-1] == 1:
+        return taps[..., 0] + 0.0
+    return np.add.accumulate(taps, axis=-1)[..., -1] + 0.0
+
+
+class _Scratch:
+    """Work arrays of _advance for (4, branches, taps) weights, made once per
+    run: the (4, 4, branches, taps) Hamilton terms [k, r] of a step's
+    products, their views by term k, and their (4, branches, taps) sum."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.terms = np.empty((4,) + shape)
+        self.by_term = tuple(self.terms)
+        self.sum = np.empty(shape)
+
+    def term_sum(self) -> np.ndarray:
+        return _add_terms(*self.by_term, self.sum)
 
 
 def _advance(weights: np.ndarray, out: np.ndarray, move: np.ndarray, d: np.ndarray,
-             alpha: float, phi: Optional[PhiFunction]) -> tuple[np.ndarray, np.ndarray]:
-    """New (4, branches, taps) weights and a priori error (4,) for one window,
-    given as its (4, 4, branches, taps) output and move factors.
+             alpha: float, phi: Optional[PhiFunction], new: np.ndarray,
+             scratch: _Scratch) -> np.ndarray:
+    """Write the weights after one window to ``new`` and return the a priori
+    error (4,).
 
-    Four branches run WL-QLMS, h^mu += alpha x^mu e*.  One branch runs QLMS,
-    w += alpha e x*, or QNGD if phi is given: e becomes the effective error,
-    the sum over mu of e^mu * d Phi^(mu*)/ds*.
+    ``weights`` and ``new`` are (4, branches, taps).  The window comes as its
+    (4, 4, branches, taps) output and move factors.  Four branches run
+    WL-QLMS, h^mu += alpha x^mu e*.  One branch runs QLMS, w += alpha e x*,
+    or QNGD if phi is given: e becomes the effective error, the sum over mu
+    of e^mu * d Phi^(mu*)/ds*.
     """
-    s = _outputs(weights, out)
+    np.multiply(out, weights[:, None], scratch.terms)
+    s = _outputs(scratch.term_sum())
     if phi is None:
         e = e_eff = d - s
     else:
         e = d - phi(QArray(s)).c
-        e_eff = _ordered_sum(hamilton(e[:, None] * _INVOLUTIONS, _phi_derivatives(phi, s)))
-    e_index = _FACTORS[weights.shape[1]].error
-    return weights + _term_sum(move * e_eff[e_index]) * alpha, e
+        e_eff = _effective_error(phi, s, e)
+    np.multiply(move, e_eff[_FACTORS[weights.shape[1]].error], scratch.terms)
+    step = scratch.term_sum()
+    step *= alpha
+    np.add(weights, step, new)
+    return e
 
 
 def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
           phi: Optional[PhiFunction] = None) -> tuple[np.ndarray, np.ndarray]:
-    """_advance on one (4, 1, taps) window."""
+    """_advance on one (4, 1, taps) window: the new weights and the error."""
     window = x.transpose(1, 0, 2)
     factors = _FACTORS[weights.shape[1]]
-    return _advance(weights, _factors(window, factors.out)[0],
-                    _factors(window, factors.move)[0], d, alpha, phi)
+    new = np.empty_like(weights)
+    e = _advance(weights, _factors(window, factors.out)[0], _factors(window, factors.move)[0],
+                 d, alpha, phi, new, _Scratch(weights.shape))
+    return new, e
 
 
 def _bounded(weights: np.ndarray) -> np.ndarray:
@@ -304,6 +365,14 @@ def _bounded(weights: np.ndarray) -> np.ndarray:
     DIVERGENCE_NORM ** 2, added over taps, then branches, as the scalar loops
     add it.  A NaN norm fails the comparison too."""
     return _ordered_sum(_ordered_sum(_modulus_squared(weights))) <= DIVERGENCE_NORM ** 2
+
+
+def _check_bounded(history: np.ndarray, start: int) -> None:
+    """Raise the DivergenceError of the first unbounded weights in a block's
+    history, whose first step is ``start``."""
+    bad = np.flatnonzero(~_bounded(history.swapaxes(0, 1)))
+    if bad.size:
+        raise DivergenceError(f"filter diverged at step {start + bad[0]}")
 
 
 def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
@@ -343,7 +412,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
         clean = np.empty((n, 4))
         for lo in range(0, n, _BLOCK):
             out = _factors(windows[lo:lo + _BLOCK], _FACTORS[truth.shape[1]].out)
-            clean[lo:lo + _BLOCK] = _outputs(truth, out)
+            clean[lo:lo + _BLOCK] = _outputs(_add_terms(*(truth[:, None] * out).swapaxes(0, 1)))
         desired = clean
         if not math.isinf(snr_db):
             signal_power = sum(_modulus_squared(clean.T).tolist()) / n
@@ -446,25 +515,27 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     weight_errors = []
     errors = np.empty((_BLOCK, 4))
     history = np.empty((_BLOCK,) + weights.shape)
+    scratch = _Scratch(weights.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
         for start in range(0, config.steps, _BLOCK):
             count = min(_BLOCK, config.steps - start)
             block = windows[start:start + count]
             out, move = _factors(block, factors.out), _factors(block, factors.move)
-            for slot in range(count):
-                weights, errors[slot] = _advance(weights, out[slot], move[slot],
-                                                 desired[start + slot], alpha, phi)
-                history[slot] = weights
-                # After a QNGD divergence the next step's Phi partials would
-                # raise EvaluationError, so QNGD is checked at every step.
-                # The linear steps cannot raise: one check per block finds
-                # their first bad step.
-                if phi is not None and not _bounded(weights):
-                    raise DivergenceError(f"filter diverged at step {start + slot}")
-            bad = np.flatnonzero(~_bounded(history[:count].swapaxes(0, 1)))
-            if bad.size:
-                raise DivergenceError(f"filter diverged at step {start + bad[0]}")
+            steps = zip(out, move, desired[start:start + count], history)
+            slot = 0
+            try:
+                for slot, (step_out, step_move, d, new) in enumerate(steps):
+                    errors[slot] = _advance(weights, step_out, step_move, d, alpha, phi, new,
+                                            scratch)
+                    weights = new
+            except EvaluationError:
+                # The Phi partials of a diverged QNGD filter are not finite.
+                # The scalar loop, checking every step, reports an earlier
+                # unbounded step first.
+                _check_bounded(history[:slot], start)
+                raise
+            _check_bounded(history[:count], start)
             mse.extend(_modulus_squared(errors[:count].T).tolist())
             err = _ordered_sum(_modulus_squared(
                 (history[:count] - reference).swapaxes(0, 1)).reshape(count, -1))

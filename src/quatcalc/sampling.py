@@ -7,6 +7,8 @@ with SeedSequence.spawn, so runs are reproducible and streams never overlap.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .quaternion import Quaternion
@@ -29,7 +31,7 @@ def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.
     """Uniform components in [lo, hi], rejecting draws with |q| < min_modulus.
     Each is lo + (hi - lo) * rng.random(), as rng.uniform computes it."""
     lo, span = float(lo), float(hi) - float(lo)
-    if not np.isfinite(span):
+    if not math.isfinite(span):
         raise OverflowError("Range exceeds valid bounds")
     for _ in range(MAX_DRAWS):
         a, b, c, d = rng.random(4).tolist()

@@ -142,24 +142,19 @@ def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
     return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
 
 
-def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
-                 center: bool = False) -> Quaternion:
-    """Second-order expansion of f at q0 + lam.
+def _taylor2_parts(f: QFunction, q0: Quaternion):
+    """What the second-order expansion of f at q0 takes from f: f(q0), its
+    left HR derivatives and the nested second-order grid."""
+    # grid[n][m]: the outer nu-derivative of the inner mu-derivative field.
+    return _evaluate(f, q0), left_hr(f, q0), second_order(f, q0, HR_AXES, HR_AXES)
 
-    f(q0) + sum_mu d f/dq^mu lam^mu
-          + 1/2 sum_{mu,nu} d^2 f/dq^nu dq^mu lam^nu lam^mu
 
-    over mu, nu in {1, i, j, k}.  With ``center`` the quadratic term is the
-    conjugate-sandwich variant 1/2 sum lam^(mu*) d^2 f/dq^nu dq^(mu*) lam^nu,
-    which agrees for real-valued f.
-    """
-    base = _evaluate(f, q0)
-    first_set = left_hr(f, q0)
+def _taylor2(parts, lam: Quaternion, center: bool) -> Quaternion:
+    """The second-order expansion at q0 + lam from _taylor2_parts."""
+    base, first_set, grid = parts
     total = base
     for mu in AXES:
         total = total + first_set.wrt(mu) * involute(lam, mu)
-    # grid[n][m]: the outer nu-derivative of the inner mu-derivative field.
-    grid = second_order(f, q0, HR_AXES, HR_AXES)
     half = Quaternion(0.0, 0.0, 0.0, 0.0)
     for m, mu in enumerate(AXES):
         for n, nu in enumerate(AXES):
@@ -171,6 +166,20 @@ def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
     return total + half * 0.5
 
 
+def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
+                 center: bool = False) -> Quaternion:
+    """Second-order expansion of f at q0 + lam.
+
+    f(q0) + sum_mu d f/dq^mu lam^mu
+          + 1/2 sum_{mu,nu} d^2 f/dq^nu dq^mu lam^nu lam^mu
+
+    over mu, nu in {1, i, j, k}.  With ``center`` the quadratic term is the
+    conjugate-sandwich variant 1/2 sum lam^(mu*) d^2 f/dq^nu dq^(mu*) lam^nu,
+    which agrees for real-valued f.
+    """
+    return _taylor2(_taylor2_parts(f, q0), lam, center)
+
+
 def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
                            scales: Sequence[float], center: bool = False) -> TaylorFit:
     """Fit the log-log decay rate of the second-order remainder.
@@ -179,7 +188,8 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     Scales whose error sits below the numerical floor (absolute term plus
     curvature noise times |lambda|^2) are excluded from the fit; when fewer
     than two scales survive, the expansion is exact to the floor and the
-    slope is reported as nan.
+    slope is reported as nan.  f's value and derivatives at q0 are taken
+    once and serve every scale.
     """
     scales = tuple(float(s) for s in scales)
     if len(scales) < 4:
@@ -188,11 +198,17 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
         raise ValueError("scales must be strictly decreasing")
     if scales[0] / scales[-1] < 100.0:
         raise ValueError("scales must span at least two decades")
+    parts = None
     errors = []
     used = []
     for s in scales:
         lam = direction * s
-        err = abs(_evaluate(f, q0 + lam) - taylor2_left(f, q0, lam, center))
+        value = _evaluate(f, q0 + lam)
+        if parts is None:
+            # After f(q0 + lam) at the first scale, the order of one
+            # taylor2_left per scale, so a failing f raises the same error.
+            parts = _taylor2_parts(f, q0)
+        err = abs(value - _taylor2(parts, lam, center))
         floor = FLOOR_ABS + FLOOR_CURVATURE * lam.modulus_squared()
         errors.append(err)
         used.append(err > floor)

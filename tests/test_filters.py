@@ -1,14 +1,17 @@
 """Adaptive filter variants, signal generation and experiment harness."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quatcalc import derivatives
+from quatcalc import derivatives, filters
 from quatcalc.cli import _load_filter_config
-from quatcalc.derivatives import left_hr
+from quatcalc.derivatives import EvaluationError, left_hr, takes_arrays
 from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
                               _phi_derivatives, _signal_arrays,
@@ -445,8 +448,9 @@ def _scalar_weight_error(state: FilterState, taps) -> float:
     return math.sqrt(err / ref) if ref > 0.0 else math.sqrt(err)
 
 
-def _scalar_run(config: ExperimentConfig):
-    """run_experiment's curves from the scalar oracle over generate_signal."""
+def _scalar_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM):
+    """run_experiment's curves from the scalar oracle over generate_signal,
+    which diverges when the weight norm passes ``bound``."""
     taps = np.shape(config.taps)[-2]
     if config.variant == "qlms":
         state, step = qlms_state(taps, config.alpha), _oracle_qlms_step
@@ -463,7 +467,7 @@ def _scalar_run(config: ExperimentConfig):
         mse.append(e.modulus_squared())
         weight_errors.append(_scalar_weight_error(state, config.taps))
         total_norm = sum(_norm_squared(w) for w in state.weights)
-        if not math.isfinite(total_norm) or total_norm > DIVERGENCE_NORM ** 2:
+        if not math.isfinite(total_norm) or total_norm > bound ** 2:
             raise DivergenceError(f"filter diverged at step {idx}")
     return tuple(mse), tuple(weight_errors)
 
@@ -491,8 +495,9 @@ def test_array_engine_matches_scalar_steps_bitwise(name, kind, seed):
     ("qlms", 0.5, 300, 11),
     ("wl_qlms", 0.1, 300, 31),
     # Step 0 overflows weights to infinity, so step 1's output and Phi
-    # partials are NaN: only a check after every QNGD step reports the
-    # divergence rather than step 1's EvaluationError.
+    # partials are NaN and raise EvaluationError in mid-block.  The engine
+    # then checks the steps before it and reports step 0's divergence, as
+    # the scalar loop, checking every step, does.
     ("qngd_tanh", 1e308, 300, 0),
     # Linear steps are checked once per block: the first bad step must be
     # reported from the middle of a block past the first 256 steps.
@@ -506,6 +511,20 @@ def test_array_engine_diverges_at_the_scalar_step(name, alpha, steps, step):
     with pytest.raises(DivergenceError) as array:
         run_experiment(config)
     assert str(array.value) == str(scalar.value) == f"filter diverged at step {step}"
+
+
+def test_qngd_divergence_in_mid_block_is_the_scalar_step(monkeypatch):
+    # tanh saturates, so a QNGD tanh filter passes a norm of 1e6 in its first
+    # step or never.  Under a bound of 1.6 its adapting weights first pass
+    # the bound at step 147, inside the second block; no EvaluationError
+    # stops that block early, so only the per-block check can report it.
+    monkeypatch.setattr(filters, "DIVERGENCE_NORM", 1.6)
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=1, **FILTERS["qngd_tanh"])
+    with pytest.raises(DivergenceError) as scalar:
+        _scalar_run(config, bound=1.6)
+    with pytest.raises(DivergenceError) as array:
+        run_experiment(config)
+    assert str(array.value) == str(scalar.value) == "filter diverged at step 147"
 
 
 def _bits(quaternions) -> tuple[str, ...]:
@@ -530,6 +549,112 @@ def test_public_steps_match_scalar_oracle_bitwise(step, oracle, start, taps):
         assert _bits([e]) == _bits([e_expected])
         assert [_bits(w) for w in state.weights] == [_bits(w) for w in expected.weights]
         assert state.iteration == expected.iteration
+
+
+# Components that stress the kernel's shortcuts: signed zeros (a sum that
+# starts from its first term rather than 0.0 can end at -0.0), subnormals,
+# small integers whose products cancel exactly, and magnitudes whose
+# products and sums overflow to inf and then NaN.
+ZERO = st.sampled_from([0.0, -0.0])
+EXTREME = st.one_of(
+    ZERO,
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.0, -1.0,
+                     2.0, -0.5, 1e154, -1e200, 1e308, -1.7976931348623157e308]),
+    st.floats(min_value=-4.0, max_value=4.0),
+    st.floats(allow_nan=False, allow_infinity=False))
+QUATERNIONS = st.one_of(st.builds(Quaternion, ZERO, ZERO, ZERO, ZERO),
+                        st.builds(Quaternion, EXTREME, EXTREME, EXTREME, EXTREME))
+
+
+@takes_arrays
+def _phi_square(s):
+    """s * s: unlike tanh, its conjugate derivatives have vector parts."""
+    return s * s
+
+
+@takes_arrays
+def _phi_cliff(s):
+    """tanh(1e12 s) * 1e308 by components: finite values that jump by 2e308
+    where a component crosses 0, so a central difference there is inf."""
+    return phi_tanh(s * 1e12) * 1e308
+
+
+def _outcome(step, state, x, d):
+    """The step's error and weights as float.hex strings, or its EvaluationError."""
+    try:
+        state, e = step(state, x, d)
+    except EvaluationError as exc:
+        return str(exc)
+    return _bits([e]), [_bits(w) for w in state.weights]
+
+
+STEPS = {
+    "qlms": (qlms_step, _oracle_qlms_step, "qlms", 1, None),
+    "wl_qlms": (wl_qlms_step, _oracle_wl_qlms_step, "wl_qlms", 4, None),
+    "qngd_linear": (qngd_step, _oracle_qngd_step, "qngd", 1, None),
+    "qngd_tanh": (qngd_step, _oracle_qngd_step, "qngd", 1, phi_tanh),
+    "qngd_square": (qngd_step, _oracle_qngd_step, "qngd", 1, _phi_square),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+@given(data=st.data())
+def test_one_kernel_step_matches_scalar_oracle_on_extreme_values(name, data):
+    # Every + 0.0 the kernel left out and every sign it folded into a factor
+    # must leave each bit of the error and the new weights, NaN and the sign
+    # of zero included, as the Quaternion recursion leaves it.
+    step, oracle, variant, branches, phi = STEPS[name]
+    taps = data.draw(st.integers(1, 3))
+    weights = tuple(data.draw(st.tuples(*[QUATERNIONS] * taps)) for _ in range(branches))
+    x = data.draw(st.tuples(*[QUATERNIONS] * taps))
+    alpha = data.draw(st.one_of(st.sampled_from([0.0, 0.02, 1.0, 1e300]),
+                                st.floats(min_value=0.0, max_value=10.0)))
+    state = FilterState(variant=variant, weights=weights, alpha=alpha, nonlinearity=phi)
+    d = data.draw(QUATERNIONS)
+    assert _outcome(step, state, x, d) == _outcome(oracle, state, x, d)
+
+
+@pytest.mark.parametrize("name", sorted(STEPS))
+@pytest.mark.parametrize("component", range(4))
+def test_one_kernel_step_on_a_negative_zero_output(name, component):
+    # Zero weights whose product with the zero window is -0.0 in one
+    # component, in every branch.  The scalar output, summed from 0.0, is
+    # +0.0 there; a kernel sum that starts from its first term is -0.0 until
+    # the + 0.0 after the branch sum, and d - s tells the two apart at d = -0.0.
+    step, oracle, variant, branches, phi = STEPS[name]
+    zero = Quaternion(0.0, 0.0, 0.0, 0.0)
+    signed_zeros = [Quaternion(*signs) for signs in itertools.product([0.0, -0.0], repeat=4)]
+    weights = []
+    for axis in AXES[:branches]:
+        # A one-branch filter pairs w x, a widely linear one (w^mu)* x^mu.
+        def product(w, axis=axis):
+            return w * zero if branches == 1 else w.conjugate() * involute(zero, axis)
+        weights.append((next(w for w in signed_zeros
+                             if math.copysign(1.0, product(w)[component]) < 0.0),))
+    state = FilterState(variant=variant, weights=tuple(weights), alpha=0.02, nonlinearity=phi)
+    d = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    assert _outcome(step, state, (zero,), d) == _outcome(oracle, state, (zero,), d)
+
+
+@pytest.mark.parametrize("phi", [phi_tanh, _phi_square, _phi_cliff],
+                         ids=["tanh", "square", "cliff"])
+@given(s=QUATERNIONS)
+def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s):
+    # The sign patterns folded into the unit factors, and the unit products'
+    # zero terms: where a component of s is 0, _phi_cliff's partial along it
+    # is inf, and inf times a unit's zero is NaN in the separate derivatives.
+    def projected(run):
+        try:
+            return _bits(run())
+        except EvaluationError as exc:
+            return str(exc)
+
+    separate = projected(lambda: [
+        left_hr(lambda p, mu=mu: involute(phi(p), mu).conjugate(), s).wrt_qc for mu in AXES])
+    with np.errstate(over="ignore", invalid="ignore"):
+        shared = projected(lambda: (Quaternion(*column) for column in
+                                    _phi_derivatives(phi, np.array(s)).T.tolist()))
+    assert shared == separate
 
 
 def test_phi_derivatives_share_one_set_of_partials(monkeypatch):

@@ -143,6 +143,26 @@ def test_mvt_evaluation_counts(monkeypatch):
     assert calls == [Q1, Q0]
 
 
+def test_taylor_run_takes_the_expansion_once_per_fit(monkeypatch, capsys):
+    calls = []
+    evaluate = derivatives._evaluate
+    counted = lambda f, p: calls.append(p) or evaluate(f, p)
+    monkeypatch.setattr(derivatives, "_evaluate", counted)
+    monkeypatch.setattr(theorems, "_evaluate", counted)
+    assert cli.main(["taylor"]) == 0
+    # Four fits of five scales: f(q0), its eight stencil values and the 64
+    # of the second-order grid once per fit, then f(q0 + lam) per scale.
+    assert len(calls) == 4 * (1 + 8 + 64 + 5) == 312
+
+
+def test_taylor_fit_evaluates_the_first_scale_point_first():
+    # The fit takes f's expansion at q0 once, but only after f(q0 + lam) at
+    # the first scale, so an f that fails everywhere fails there first.
+    with pytest.raises(EvaluationError) as info:
+        taylor_remainder_slope(lambda p: Quaternion(math.inf, 0.0, 0.0, 0.0), Q0, I, SCALES)
+    assert info.value.point == Q0 + I * SCALES[0]
+
+
 def test_first_order_error_bound():
     # The derivative set of q^2 is 1/2-Lipschitz per component pack; L = 2
     # covers the four-term sum along the segment.
