@@ -212,6 +212,7 @@ _EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
 
 
 def _taylor_functions():
+    @takes_arrays
     def power3(p: Quaternion) -> Quaternion:
         return p * p * p
 

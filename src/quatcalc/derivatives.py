@@ -16,13 +16,22 @@ mu = i, say, flips the signs of j and k, which gives the HR sign pattern of
 q^i and q^(i*).
 
 All partials come from central differences on one 8-point stencil; nothing
-here requires f to be given in closed form.  Each check and each nested
-second derivative evaluates every function once per stencil point and
-projects those partials as often as it needs.
+here requires f to be given in closed form.  One engine serves one point and
+many: real_partials, the HR and GHR derivatives and second_order take a
+Quaternion point, and then return Quaternions on Python floats, or a (4, N)
+QArray of points, and then return QArrays of N quaternions, bit for bit the
+one-point calls; the rule checks take one point.  Each call builds
+its stencil as one array, evaluates f on it (_evaluate_stencil: once for an
+f marked with takes_arrays, point by point otherwise) and differences the
+values.  Each check and each nested second derivative evaluates every
+function once per stencil point and projects those partials as often as it
+needs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,6 +107,17 @@ class GhrPair:
     mu: Quaternion
 
 
+def takes_arrays(f: QFunction) -> QFunction:
+    """Declare that f, written with Quaternion operators alone, also maps a
+    QArray of points to the QArray of its values, bit for bit."""
+    f.takes_arrays = True
+    return f
+
+
+def has_array_form(f: QFunction) -> bool:
+    return getattr(f, "takes_arrays", False)
+
+
 def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     value = f(p)
     if not isinstance(value, Quaternion):
@@ -107,42 +127,91 @@ def _evaluate(f: QFunction, p: Quaternion) -> Quaternion:
     return value
 
 
-# For each step h: the offsets h e for e in {1, i, j, k}, inv = 1/2h, and the
-# offsets again as the (4, 4) [component, axis] array h I.
-_STEPS = {h: (((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0),
-               (0.0, 0.0, 0.0, h)), 1.0 / (2.0 * h), h * np.eye(4))
+# For each step h: the stencil offsets +h e and -h e for e in {1, i, j, k}
+# as one (4, 4, 2) [component, axis, +/-] array, and inv = 1/2h.  Adding -h
+# or -0.0 gives the bits of subtracting h or 0.0.
+_STEPS = {h: (np.stack((h * np.eye(4), -h * np.eye(4)), axis=-1), 1.0 / (2.0 * h))
           for h in (DEFAULT_H, DEFAULT_H2)}
 
 
-def _stencil(q: Quaternion, h: float = DEFAULT_H):
-    """The pairs (q + h e, q - h e) for e in {1, i, j, k}, and inv = 1/2h."""
-    steps, inv, _ = _STEPS[h]
-    a, b, c, d = q
-    points = [(Quaternion(a + oa, b + ob, c + oc, d + od),
-               Quaternion(a - oa, b - ob, c - oc, d - od))
-              for oa, ob, oc, od in steps]
-    return points, inv
+def _components(q: Quaternion | QArray) -> np.ndarray:
+    """The components of a Quaternion point, (4,), or of a QArray's points."""
+    return q.c if isinstance(q, QArray) else np.array(q)
 
 
-def real_partials(f: QFunction, q: Quaternion) -> RealPartials:
-    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k},
-    with h = DEFAULT_H."""
-    points, inv = _stencil(q)
-    parts = [(_evaluate(f, plus) - _evaluate(f, minus)) * inv for plus, minus in points]
-    return RealPartials(*parts)
+def _stencil_array(comps: np.ndarray, h: float) -> np.ndarray:
+    """The points comps + h e and comps - h e for e in {1, i, j, k}.
 
-
-def _field_partials(field: Callable[[Quaternion], Sequence[Quaternion]],
-                    q: Quaternion,
-                    h: float = DEFAULT_H) -> list[tuple[Quaternion, ...]]:
-    """real_partials of each quaternion a field returns, one call per point.
-
-    real_partials keeps its own single-output loop: it is the hot path.
+    ``comps`` holds quaternions on axis 0 with any element shape S; the
+    result is laid out [component, axis, +/-, *S], so a stencil built on a
+    stencil nests the new (axis, +/-) pair in front of the old one.
     """
-    points, inv = _stencil(q, h)
-    rows = [[(p - m) * inv for p, m in zip(field(plus), field(minus))]
-            for plus, minus in points]
-    return list(zip(*rows))
+    offsets = _STEPS[h][0]
+    return np.add(comps[:, np.newaxis, np.newaxis],
+                  offsets.reshape(offsets.shape + (1,) * (comps.ndim - 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _walk(ndim: int, levels: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The axes of a stencil array nested ``levels`` deep in the order a
+    point-by-point loop walks them (the components, the points, then each
+    level's (axis, +/-) from the outermost level in), and its inverse."""
+    pairs = [(2 * level + 1, 2 * level + 2) for level in reversed(range(levels))]
+    order = (0, *range(2 * levels + 1, ndim), *(ax for pair in pairs for ax in pair))
+    return order, tuple(np.argsort(order).tolist())
+
+
+def _evaluate_stencil(f: QFunction, stencil: np.ndarray, levels: int) -> np.ndarray:
+    """The components of f's values on a stencil nested ``levels`` deep.
+
+    The one place that looks for an array form: an f marked with
+    takes_arrays is called once on the whole stencil, any other f point by
+    point through _evaluate, in _walk's order.  Either way a non-finite
+    value raises the EvaluationError of the first such point in that order.
+    """
+    order, inverse = _walk(stencil.ndim, levels)
+    walked = stencil.transpose(order)
+    if not has_array_form(f):
+        values = [_evaluate(f, Quaternion(*p)) for p in walked.reshape(4, -1).T.tolist()]
+        flat = np.fromiter(itertools.chain.from_iterable(values), float, 4 * len(values))
+        return flat.reshape(-1, 4).T.reshape(walked.shape).transpose(inverse)
+    # Python floats overflow silently; so do the arrays that stand for them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = f(QArray(stencil)).c
+    if not np.isfinite(values).all():
+        first = np.argmin(np.isfinite(values.transpose(order)).all(axis=0).ravel())
+        raise EvaluationError("function evaluation is not finite",
+                              Quaternion.from_components(walked.reshape(4, -1)[:, first]))
+    return values
+
+
+def _differences(values: np.ndarray, h: float) -> list:
+    """The four central differences of stencil values laid out [component,
+    axis, +/-, *S]: Quaternions at one point (S empty), QArrays of element
+    shape S otherwise."""
+    inv = _STEPS[h][1]
+    if values.ndim == 3:
+        return [Quaternion((pa - ma) * inv, (pb - mb) * inv, (pc - mc) * inv, (pd - md) * inv)
+                for (pa, pb, pc, pd), (ma, mb, mc, md) in values.transpose(1, 2, 0).tolist()]
+    # Python floats overflow silently; so do the arrays that stand for them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = values[:, :, 0] - values[:, :, 1]
+        diffs *= inv
+    return [QArray(diffs[:, e]) for e in range(4)]
+
+
+def real_partials(f: QFunction, q: Quaternion | QArray) -> RealPartials:
+    """Central differences (f(q + h e) - f(q - h e)) / 2h along e in {1,i,j,k},
+    with h = DEFAULT_H, at a Quaternion q or at each of a QArray's (4, N)
+    points.
+
+    The stencil is laid out [component, axis, +/-, point], so the (4, N)
+    per-point constants of an array-form f broadcast against it.  A
+    non-finite value raises the EvaluationError that the points, one after
+    another, would raise first.
+    """
+    stencil = _stencil_array(_components(q), DEFAULT_H)
+    return RealPartials(*_differences(_evaluate_stencil(f, stencil, 1), DEFAULT_H))
 
 
 def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
@@ -186,105 +255,26 @@ def ghr_from_partials(parts, mu: Quaternion, side: str) -> GhrPair:
     return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
 
 
-def left_hr(f: QFunction, q: Quaternion) -> DerivativeSet:
+def left_hr(f: QFunction, q: Quaternion | QArray) -> DerivativeSet:
     """All eight left HR derivatives of f at q."""
     return hr_from_partials(real_partials(f, q), "left")
 
 
-def right_hr(f: QFunction, q: Quaternion) -> DerivativeSet:
+def right_hr(f: QFunction, q: Quaternion | QArray) -> DerivativeSet:
     """All eight right HR derivatives of f at q (units multiply from the left)."""
     return hr_from_partials(real_partials(f, q), "right")
 
 
-def takes_arrays(f: QFunction) -> QFunction:
-    """Declare that f, written with Quaternion operators alone, also maps a
-    QArray of points to the QArray of its values, bit for bit."""
-    f.takes_arrays = True
-    return f
+def left_ghr(f: QFunction, q: Quaternion | QArray, mu) -> GhrPair:
+    """Left GHR derivatives of f with respect to q^mu and q^(mu*).
 
-
-def has_array_form(f: QFunction) -> bool:
-    return getattr(f, "takes_arrays", False)
-
-
-def _stencil_array(comps: np.ndarray, h: float) -> np.ndarray:
-    """The points comps +/- h e for e in {1, i, j, k}, as _stencil adds them.
-
-    ``comps`` holds quaternions on axis 0 with any element shape S; the
-    result is laid out [component, axis, +/-, *S], so a stencil built on a
-    stencil nests the new (axis, +/-) pair in front of the old one.
+    At a QArray of (4, N) points mu is one Quaternion or a (4, N) QArray
+    with each point's own axis.
     """
-    offsets = _STEPS[h][2].reshape((4, 4) + (1,) * (comps.ndim - 1))
-    base = comps[:, np.newaxis]
-    stencil = np.empty((4, 4, 2) + comps.shape[1:])
-    np.add(base, offsets, out=stencil[:, :, 0])
-    np.subtract(base, offsets, out=stencil[:, :, 1])
-    return stencil
-
-
-def _evaluate_stencil(f: QFunction, stencil: np.ndarray, levels: int) -> np.ndarray:
-    """The components of f, an array form, on a stencil nested ``levels`` deep.
-
-    A non-finite value raises the EvaluationError that the scalar loop,
-    point by point, would raise first: it walks the points, then each
-    level's (axis, +/-) from the outermost level in.
-    """
-    # Python floats overflow silently; so do the arrays that stand for them.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = f(QArray(stencil)).c
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        # Element axes: one (axis, +/-) pair per level, innermost first, then
-        # the points.
-        pairs = [(2 * level, 2 * level + 1) for level in reversed(range(levels))]
-        order = list(range(2 * levels, finite.ndim)) + [ax for pair in pairs for ax in pair]
-        first = np.argmin(finite.transpose(order).ravel())
-        point = stencil.transpose([0] + [ax + 1 for ax in order]).reshape(4, -1)[:, first]
-        raise EvaluationError("function evaluation is not finite",
-                              Quaternion.from_components(point))
-    return values
-
-
-def _differences(values: np.ndarray, h: float) -> list[QArray]:
-    """The four central differences of stencil values laid out [component,
-    axis, +/-, ...], as real_partials takes them."""
-    diffs = values[:, :, 0] - values[:, :, 1]
-    diffs *= _STEPS[h][1]
-    return [QArray(diffs[:, e]) for e in range(4)]
-
-
-def real_partials_batch(f: QFunction, points: QArray) -> list[QArray]:
-    """real_partials of an array-form f at each of the (4, N) points, bit for bit.
-
-    One call of f takes all eight stencil points of every point, laid out as
-    [component, axis, +/-, point] so that (4, N) per-point constants in f
-    broadcast against them.  A non-finite value raises the EvaluationError
-    that real_partials, point by point, would raise first.
-    """
-    stencil = _stencil_array(points.c, DEFAULT_H)
-    return _differences(_evaluate_stencil(f, stencil, 1), DEFAULT_H)
-
-
-def left_hr_batch(f: QFunction, points: QArray) -> DerivativeSet:
-    """left_hr of an array-form f at each of the (4, N) points, bit for bit.
-
-    The derivative set holds QArrays of N quaternions.
-    """
-    return hr_from_partials(real_partials_batch(f, points), "left")
-
-
-def left_ghr_batch(f: QFunction, points: QArray, mu: QArray) -> GhrPair:
-    """left_ghr of an array-form f at each of the (4, N) points, each along
-    its own axis in the (4, N) mu, bit for bit."""
-    return ghr_from_partials(real_partials_batch(f, points), mu, "left")
-
-
-def left_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:
-    """Left GHR derivatives of f with respect to q^mu and q^(mu*)."""
     return ghr_from_partials(real_partials(f, q), mu, "left")
 
 
-def right_ghr(f: QFunction, q: Quaternion, mu: Quaternion) -> GhrPair:
+def right_ghr(f: QFunction, q: Quaternion | QArray, mu) -> GhrPair:
     """Right GHR derivatives of f with respect to q^mu and q^(mu*)."""
     return ghr_from_partials(real_partials(f, q), mu, "right")
 
@@ -303,32 +293,26 @@ class SecondOrderSet:
     mu_conj_nu_conj: Quaternion
 
 
-def second_order(f: QFunction, q: Quaternion, mus: Sequence[Quaternion],
-                 nus: Sequence[Quaternion], outer: str = "left",
-                 inner: str = "left") -> tuple[tuple[SecondOrderSet, ...], ...]:
+def second_order(f: QFunction, q: Quaternion | QArray, mus: Sequence, nus: Sequence,
+                 outer: str = "left", inner: str = "left") -> tuple[tuple[SecondOrderSet, ...], ...]:
     """Nested second-order derivatives of f at q for every pair of axes.
 
     Entry [m][n] is the outer ``outer``-flavor derivative along mus[m], with
     step DEFAULT_H2, of the inner ``inner``-flavor derivative field along
-    nus[n], with step DEFAULT_H: 64 evaluations of f for the whole grid.
+    nus[n], with step DEFAULT_H: 64 evaluations of f for the whole grid,
+    on one (4, 4, 2, 4, 2, *S) stencil, the inner one built on the outer
+    one.  At a QArray of (4, N) points each axis is one Quaternion for
+    every point or a (4, N) QArray with one per point, and the grid's sets
+    hold QArrays of N quaternions.
     """
     outer_bases = [_basis(mu) for mu in mus]
     inner_bases = [_basis(nu) for nu in nus]
-
-    def field(p: Quaternion) -> list[Quaternion]:
-        parts = real_partials(f, p)
-        return [d for basis in inner_bases for d in _project(parts, basis, inner)]
-
-    return _second_order_grid(_field_partials(field, q, DEFAULT_H2),
-                              outer_bases, outer)
-
-
-def _second_order_grid(columns, outer_bases, outer: str):
-    """The SecondOrderSet grid from the outer partials of the inner field.
-
-    ``columns`` holds the four real partials of each inner derivative, in
-    the order (d/dq^nu, d/dq^(nu*)) for each inner axis nu in turn.
-    """
+    stencil = _stencil_array(_stencil_array(_components(q), DEFAULT_H2), DEFAULT_H)
+    parts = _differences(_evaluate_stencil(f, stencil, 2), DEFAULT_H)
+    # Each inner derivative is laid out [component, outer axis, +/-, *S].
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [_differences(d.c, DEFAULT_H2) for basis in inner_bases
+                   for d in _project(parts, basis, inner)]
     grid = []
     for basis in outer_bases:
         row = []
@@ -338,30 +322,6 @@ def _second_order_grid(columns, outer_bases, outer: str):
             row.append(SecondOrderSet(mu_nu, mu_nu_conj, mu_conj_nu, mu_conj_nu_conj))
         grid.append(tuple(row))
     return tuple(grid)
-
-
-def second_order_batch(f: QFunction, points: QArray, mus: Sequence, nus: Sequence,
-                       outer: str = "left",
-                       inner: str = "left") -> tuple[tuple[SecondOrderSet, ...], ...]:
-    """second_order of an array-form f at each of the (4, N) points, bit for bit.
-
-    Each axis in ``mus`` and ``nus`` is one Quaternion for every point or a
-    (4, N) QArray with one axis per point; the grid's sets hold QArrays of
-    N quaternions.  The outer DEFAULT_H2 stencil and the inner DEFAULT_H
-    stencil on top of it are one (4, 4, 2, 4, 2, N) array, and f is called
-    once on it.  Inner partials, inner projection, outer partials and outer
-    projection then run on whole arrays, in the scalar path's operations and
-    order.  A non-finite value raises the EvaluationError that second_order,
-    point by point, would raise first.
-    """
-    outer_bases = [_basis(mu) for mu in mus]
-    inner_bases = [_basis(nu) for nu in nus]
-    stencil = _stencil_array(_stencil_array(points.c, DEFAULT_H2), DEFAULT_H)
-    parts = _differences(_evaluate_stencil(f, stencil, 2), DEFAULT_H)
-    # Each inner derivative is laid out [component, outer axis, +/-, point].
-    columns = [_differences(d.c, DEFAULT_H2) for basis in inner_bases
-               for d in _project(parts, basis, inner)]
-    return _second_order_grid(columns, outer_bases, outer)
 
 
 def second_order_left(f: QFunction, q: Quaternion, mu: Quaternion,
@@ -383,20 +343,23 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion
     d(fg)/dq^mu = f * dg/dq^mu + df/dq^(g(q) mu) * g, and the same shape for
     the conjugate variable with the shifted axis g(q) mu.  The shift uses the
     value of g at the point, so g(q) mu must stay away from zero.
+
+    After g(q) and f(q), f and then g are evaluated on q's one stencil, so
+    where both fail there the EvaluationError names f's first bad point.
     """
     gq = _evaluate(g, q)
     shifted = _basis(gq * mu)
     fq = _evaluate(f, q)
     basis = _basis(mu)
-
-    def field(p: Quaternion) -> tuple[Quaternion, Quaternion, Quaternion]:
-        fp = _evaluate(f, p)
-        gp = _evaluate(g, p)
-        return fp * gp, gp, fp
-
-    product, g_parts, f_parts = _field_partials(field, q)
+    stencil = _stencil_array(_components(q), DEFAULT_H)
+    f_values = QArray(_evaluate_stencil(f, stencil, 1))
+    g_values = QArray(_evaluate_stencil(g, stencil, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = f_values * g_values
+    product_parts, g_parts, f_parts = (_differences(values.c, DEFAULT_H)
+                                       for values in (product, g_values, f_values))
     pick = 1 if conjugate else 0
-    lhs = _project(product, basis, "left")[pick]
+    lhs = _project(product_parts, basis, "left")[pick]
     rhs = fq * _project(g_parts, basis, "left")[pick] \
         + _project(f_parts, shifted, "left")[pick] * gq
     return abs(lhs - rhs)
@@ -408,22 +371,25 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
 
     d f(g)/dq^mu = sum over eta in {1,i,j,k} of
     df/dg^(nu eta) * d g^(nu eta)/dq^mu, for any nonzero nu.
+
+    g is evaluated at q and on q's stencil first, then f on its own stencil
+    at g(q) and on g's stencil values, so where both fail the
+    EvaluationError names g's first bad point.
     """
     basis = _basis(mu)
     axes = [nu * UNITS[eta] for eta in AXES]
     axis_bases = [_basis(axis) for axis in axes]
-    f_parts = real_partials(f, _evaluate(g, q))
-
-    def field(p: Quaternion) -> list[Quaternion]:
-        gp = _evaluate(g, p)
-        return [_evaluate(f, gp)] + [rotate(gp, axis) for axis in axes]
-
-    composite, *rotated = _field_partials(field, q)
+    gq = _evaluate(g, q)
+    g_values = _evaluate_stencil(g, _stencil_array(_components(q), DEFAULT_H), 1)
+    f_parts = real_partials(f, gq)
+    composite = _differences(_evaluate_stencil(f, g_values, 1), DEFAULT_H)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rotated = [rotate(QArray(g_values), axis).c for axis in axes]
     pick = 1 if conjugate else 0
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for axis_basis, parts in zip(axis_bases, rotated):
+    for axis_basis, values in zip(axis_bases, rotated):
         inner = _project(f_parts, axis_basis, "left")[0]
-        total = total + inner * _project(parts, basis, "left")[pick]
+        total = total + inner * _project(_differences(values, DEFAULT_H), basis, "left")[pick]
     return abs(_project(composite, basis, "left")[pick] - total)
 
 

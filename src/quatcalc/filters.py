@@ -142,7 +142,12 @@ def _phi_derivatives(phi: PhiFunction, s: np.ndarray) -> np.ndarray:
 
 def _effective_error(phi: PhiFunction, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The sum over mu of e^mu * d Phi^(mu*)/ds*, added from zero in the
-    order 1, i, j, k, each product in hamilton's order."""
+    order 1, i, j, k, each product in hamilton's order.
+
+    accumulate starts from the first product instead of 0.0, which changes
+    only a zero total that every product gives as -0.0; the final + 0.0
+    makes it the +0.0 of the sum from zero.
+    """
     terms = _phi_derivatives(phi, s).take(_EFFECTIVE_INDEX) * _EFFECTIVE_SIGNS
     terms *= e[:, None, None]
     products = terms[0] + terms[1] + terms[2] + terms[3]  # [r, mu]

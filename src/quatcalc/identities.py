@@ -9,9 +9,10 @@ residual is at most the tolerance.
 
 The per-point record kinds take a block of points as (4, N) QArrays and
 return one Column of residuals per identity, evaluated in one array pass
-with the bits of the point-by-point formulas; run_identity_suite turns the
-columns into records in point order.  The product- and chain-rule draws
-pick a function pair per draw and stay point by point.
+with the bits of the point-by-point formulas: the derivative functions
+take the QArray of points as they take one point.  run_identity_suite
+turns the columns into records in point order.  The product- and
+chain-rule draws pick a function pair per draw and stay point by point.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ import numpy as np
 
 from . import derivatives, tables
 from .derivatives import (DegenerateAxisError, ghr_from_partials,
-                          hr_from_partials, left_ghr, left_ghr_batch,
-                          real_partials_batch, second_order_batch,
-                          takes_arrays)
+                          hr_from_partials, left_ghr, real_partials,
+                          second_order, takes_arrays)
 from .quaternion import AXES, I, ONE, QArray, Quaternion, rotate
 from .sampling import make_rng, random_quaternion
 
@@ -194,7 +194,7 @@ class _Partials(NamedTuple):
 
 
 def _partials(q: QArray) -> _Partials:
-    return _Partials(*(real_partials_batch(f, q)
+    return _Partials(*(real_partials(f, q)
                        for f in (_f_identity, _f_conj, _f_sq, _f_mod2)))
 
 
@@ -226,8 +226,8 @@ def structural_records(q: QArray, mu: QArray, nu: QArray,
     pair = ghr_from_partials(parts.mod2, mu, "left")
     d_sq = ghr_from_partials(parts.sq, mu, "left").d_mu
     transported = rotate(d_sq, nu)
-    direct = left_ghr_batch(lambda p: rotate(_f_sq(p), nu), q, nu * mu).d_mu
-    scaled = left_ghr_batch(lambda p: nu * _f_sq(p), q, mu).d_mu
+    direct = left_ghr(takes_arrays(lambda p: rotate(_f_sq(p), nu)), q, nu * mu).d_mu
+    scaled = left_ghr(takes_arrays(lambda p: nu * _f_sq(p)), q, mu).d_mu
     return [_column("conjugation", conjugation, 1),
             _column("flavor_real", flavor),
             _column("real_conjugate", abs(pair.d_mu.conjugate() - pair.d_mu_conj), 1),
@@ -259,18 +259,18 @@ def reconstruction_record(q: QArray, dq: QArray, parts: _Partials) -> list[Colum
 def second_order_records(q: QArray, mu: QArray, nu: QArray) -> list[Column]:
     # Left over left for both axis orders: entry [m][n] differentiates the
     # inner field along axes[n] by the outer derivative along axes[m].
-    left = second_order_batch(_f_mod2, q, (mu, nu), (mu, nu))
+    left = second_order(_f_mod2, q, (mu, nu), (mu, nu))
     mixed = left[0][0].mu_nu_conj
     laplacian = abs(mixed * 16.0 - Quaternion.from_real(8.0))
     # For real f, conjugating a mixed second derivative swaps its flavor:
     # d_r(df/dq^nu)/dq^mu = conj of d(df/dq^(nu*))/dq^(mu*).
-    lhs = second_order_batch(_f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
+    lhs = second_order(_f_mod2, q, (mu,), (nu,), outer="right")[0][0].mu_nu
     rhs = left[0][1].mu_conj_nu_conj.conjugate()
     # Same real f: the pure-right mixed second with axes (mu, nu) equals the
     # pure-left mixed second with the axes swapped.
-    rr = second_order_batch(_f_mod2, q, (mu,), (nu,), "right", "right")[0][0].mu_nu
+    rr = second_order(_f_mod2, q, (mu,), (nu,), "right", "right")[0][0].mu_nu
     ll = left[1][0].mu_nu
-    cross = second_order_batch(_f_cross, q, (ONE, I), (ONE, I))
+    cross = second_order(_f_cross, q, (ONE, I), (ONE, I))
     gap = abs(cross[0][1].mu_nu - cross[1][0].mu_nu)
     return [_column("laplacian_mod2", laplacian, 1),
             _column("second_order_conjugation", abs(lhs - rhs), 2),

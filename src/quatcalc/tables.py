@@ -20,9 +20,9 @@ Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
 batch.  cross_validate checks a whole (4, N) batch of points in one pass,
 bit for bit the one-point calls: one call of the columns and one call of
-the evaluator on all 8N stencil points (derivatives.left_ghr_batch) for
-each run of points whose entries share family and counts n and terms.
-The one-point calls stay on Python floats.
+the evaluator on all 8N stencil points (derivatives.left_ghr on a QArray
+of points) for each run of points whose entries share family and counts n
+and terms.  The one-point calls' results stay on Python floats.
 """
 
 from __future__ import annotations
@@ -600,7 +600,7 @@ def _cross_validate_batch(entries: Sequence[TableEntry], q: QArray,
             for part, entry in _batches(entries):
                 points, axes = QArray(q.c[:, part]), QArray(mu.c[:, part])
                 closed = derivative(entry, points, axes)
-                pair = derivatives.left_ghr_batch(as_function(entry), points, axes)
+                pair = derivatives.left_ghr(as_function(entry), points, axes)
                 for out, value in zip(fields, _compare(closed, pair, axes)):
                     out[..., part] = getattr(value, "c", value)
     except (ArithmeticError, TypeError, ValueError):

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .derivatives import (HR_AXES, DerivativeSet, QFunction, _evaluate,
-                          has_array_form, left_hr, left_hr_batch, second_order)
+                          left_hr, second_order)
 from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
@@ -97,25 +97,20 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
     for t in [0, 1] with lambda = q1 - q0, by composite Simpson quadrature.
     With ``real_form`` the real-valued corollary 4 Re(d f/dq * lambda) is
-    integrated instead.  An f with an array form is evaluated NODE_BLOCK
-    nodes at a time on component arrays, bit for bit as the scalar loop.
+    integrated instead.  The nodes go to left_hr NODE_BLOCK at a time, as
+    one QArray: an f with an array form is called once per block, any other
+    f node by node, with the same bits.
     """
     if not isinstance(panels, Integral) or isinstance(panels, bool) \
             or panels < 2 or panels % 2 != 0:
         raise ValueError("panels must be an even integer >= 2")
     lam = q1 - q0
-    if has_array_form(f):
-        values = np.empty((4, panels + 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, panels + 1, NODE_BLOCK):
-                t = np.arange(start, min(start + NODE_BLOCK, panels + 1)) / panels
-                nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
-                ds = left_hr_batch(f, nodes)
-                values[:, start:start + len(t)] = _integrand(ds, lam, real_form).c
-    else:
-        values = np.array([
-            _integrand(left_hr(f, q0 + lam * (idx / panels)), lam, real_form)
-            for idx in range(panels + 1)]).T
+    values = np.empty((4, panels + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, panels + 1, NODE_BLOCK):
+            t = np.arange(start, min(start + NODE_BLOCK, panels + 1)) / panels
+            nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
+            values[:, start:start + len(t)] = _integrand(left_hr(f, nodes), lam, real_form).c
     rhs = _simpson(values, 1.0 / panels)
     lhs = _evaluate(f, q1) - _evaluate(f, q0)
     return SegmentCheck(q0=q0, q1=q1, panels=panels, lhs=lhs, rhs=rhs,

@@ -18,10 +18,8 @@ from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
                                   check_product_rule, conjugation_relation,
                                   differential_consistency, ghr_from_partials,
                                   has_array_form, hr_from_partials, left_ghr,
-                                  left_ghr_batch, left_hr, left_hr_batch,
-                                  real_partials,
-                                  right_ghr, right_hr, second_order,
-                                  second_order_batch, second_order_left,
+                                  left_hr, real_partials, right_ghr, right_hr,
+                                  second_order, second_order_left,
                                   second_order_right, takes_arrays)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
                                  Quaternion, involute, involute_conj, isclose,
@@ -55,6 +53,43 @@ def f_exp(p, terms=30):
         term = term * p / n
         total = total + term
     return total
+
+
+# --- scalar oracle ------------------------------------------------------------
+# The central difference point by point: each stencil point a Quaternion on
+# Python floats, each partial (f(q + h e) - f(q - h e)) * (1 / 2h), and the
+# first non-finite value in that order raises.  The engine, which builds
+# its stencils as arrays, must give its bits, one point or many.
+
+
+def oracle_stencil(q, h=DEFAULT_H):
+    """The pairs (q + h e, q - h e) for e in {1, i, j, k}."""
+    a, b, c, d = q
+    steps = ((h, 0.0, 0.0, 0.0), (0.0, h, 0.0, 0.0), (0.0, 0.0, h, 0.0), (0.0, 0.0, 0.0, h))
+    return [(Quaternion(a + oa, b + ob, c + oc, d + od),
+             Quaternion(a - oa, b - ob, c - oc, d - od)) for oa, ob, oc, od in steps]
+
+
+def _oracle_value(f, p):
+    value = f(p)
+    if not value.is_finite():
+        raise EvaluationError("function evaluation is not finite", p)
+    return value
+
+
+def oracle_partials(f, q, h=DEFAULT_H):
+    """The four real partials of f at q, one stencil point after another."""
+    inv = 1.0 / (2.0 * h)
+    return [(_oracle_value(f, plus) - _oracle_value(f, minus)) * inv
+            for plus, minus in oracle_stencil(q, h)]
+
+
+def oracle_ghr(f, q, mu, side="left"):
+    return ghr_from_partials(oracle_partials(f, q), mu, side)
+
+
+def oracle_hr(f, q, side="left"):
+    return hr_from_partials(oracle_partials(f, q), side)
 
 
 def test_real_partials_oracle():
@@ -343,12 +378,11 @@ def _bits(*values) -> tuple[str, ...]:
 
 def _outer_partials(g, q):
     """The four real partials of g at q with the outer step DEFAULT_H2."""
-    points, inv = derivatives._stencil(q, DEFAULT_H2)
-    return [(g(plus) - g(minus)) * inv for plus, minus in points]
+    return oracle_partials(g, q, DEFAULT_H2)
 
 
-def _nested_oracle(outer, inner_ghr, f, q, mu, nu):
-    inner = lambda p: inner_ghr(f, p, nu)
+def _nested_oracle(outer, inner_side, f, q, mu, nu):
+    inner = lambda p: oracle_ghr(f, p, nu, inner_side)
     plain = ghr_from_partials(_outer_partials(lambda p: inner(p).d_mu, q), mu, outer)
     conj = ghr_from_partials(_outer_partials(lambda p: inner(p).d_mu_conj, q), mu, outer)
     return plain.d_mu, conj.d_mu, plain.d_mu_conj, conj.d_mu_conj
@@ -360,8 +394,8 @@ def _as_tuple(s):
 
 def _conjugation_oracle(f, q, mu):
     fc = lambda p: f(p).conjugate()
-    left_f, right_f = left_ghr(f, q, mu), right_ghr(f, q, mu)
-    left_fc, right_fc = left_ghr(fc, q, mu), right_ghr(fc, q, mu)
+    left_f, right_f = oracle_ghr(f, q, mu), oracle_ghr(f, q, mu, "right")
+    left_fc, right_fc = oracle_ghr(fc, q, mu), oracle_ghr(fc, q, mu, "right")
     return max(abs(right_f.d_mu - left_fc.d_mu_conj.conjugate()),
                abs(right_f.d_mu_conj - left_fc.d_mu.conjugate()),
                abs(left_f.d_mu - right_fc.d_mu_conj.conjugate()),
@@ -370,9 +404,9 @@ def _conjugation_oracle(f, q, mu):
 
 def _product_oracle(f, g, q, mu, conjugate):
     gq, fq = g(q), f(q)
-    lhs = left_ghr(lambda p: f(p) * g(p), q, mu)
-    dg = left_ghr(g, q, mu)
-    df_shift = left_ghr(f, q, gq * mu)
+    lhs = oracle_ghr(lambda p: f(p) * g(p), q, mu)
+    dg = oracle_ghr(g, q, mu)
+    df_shift = oracle_ghr(f, q, gq * mu)
     if conjugate:
         return abs(lhs.d_mu_conj - (fq * dg.d_mu_conj + df_shift.d_mu_conj * gq))
     return abs(lhs.d_mu - (fq * dg.d_mu + df_shift.d_mu * gq))
@@ -380,24 +414,24 @@ def _product_oracle(f, g, q, mu, conjugate):
 
 def _chain_oracle(f, g, q, mu, nu, conjugate):
     s = g(q)
-    lhs = left_ghr(lambda p: f(g(p)), q, mu)
+    lhs = oracle_ghr(lambda p: f(g(p)), q, mu)
     total = ZERO
     for eta in AXES:
         axis = nu * UNITS[eta]
-        inner = left_ghr(f, s, axis).d_mu
-        outer = left_ghr(lambda p, ax=axis: rotate(g(p), ax), q, mu)
+        inner = oracle_ghr(f, s, axis).d_mu
+        outer = oracle_ghr(lambda p, ax=axis: rotate(g(p), ax), q, mu)
         total = total + inner * (outer.d_mu_conj if conjugate else outer.d_mu)
     return abs((lhs.d_mu_conj if conjugate else lhs.d_mu) - total)
 
 
 def _taylor_oracle(f, q0, lam, center):
     total = f(q0)
-    first = left_hr(f, q0)
+    first = oracle_hr(f, q0)
     for mu in AXES:
         total = total + first.wrt(mu) * involute(lam, mu)
     half = ZERO
     for mu in AXES:
-        inner = lambda p, _mu=mu: left_hr(f, p).wrt(_mu, conj=center)
+        inner = lambda p, _mu=mu: oracle_hr(f, p).wrt(_mu, conj=center)
         outer = hr_from_partials(_outer_partials(inner, q0), "left")
         for nu in AXES:
             second = outer.wrt(nu)
@@ -411,12 +445,16 @@ def _taylor_oracle(f, q0, lam, center):
 def test_shared_stencils_match_separate_derivatives_bitwise():
     rng = make_rng(SEED, stream=20)
     linear = lambda p: Quaternion(0.3, 0.5, -0.2, 0.1) * p + ONE
+    # Plain functions, evaluated point by point, and array forms, evaluated
+    # once per stencil.
+    functions = (f_sq, f_exp, f_mod2, f_cross, *(fn for _, fn in BUILT_IN_ARRAY_FORMS),
+                 identities._f_cross)
     for idx in range(20):
         q = random_quaternion(rng, min_modulus=0.1)
         mu = random_quaternion(rng, min_modulus=0.1)
         nu = random_quaternion(rng, min_modulus=0.1)
-        f = (f_sq, f_exp, f_mod2, f_cross)[idx % 4]
-        conjugate = idx % 2 == 1
+        f = functions[idx % len(functions)]
+        conjugate = idx // len(functions) % 2 == 1
         assert _bits(conjugation_relation(f, q, mu)) == _bits(_conjugation_oracle(f, q, mu))
         assert _bits(check_product_rule(f, f_conj, q, mu, conjugate=conjugate)) \
             == _bits(_product_oracle(f, f_conj, q, mu, conjugate))
@@ -424,12 +462,12 @@ def test_shared_stencils_match_separate_derivatives_bitwise():
             assert _bits(check_chain_rule(f, linear, q, mu, nu, conjugate=conj)) \
                 == _bits(_chain_oracle(f, linear, q, mu, nu, conj))
         assert _bits(*_as_tuple(second_order_left(f, q, mu, nu))) \
-            == _bits(*_nested_oracle("left", left_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("left", "left", f, q, mu, nu))
         assert _bits(*_as_tuple(second_order_right(f, q, mu, nu))) \
-            == _bits(*_nested_oracle("right", right_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("right", "right", f, q, mu, nu))
         mixed = second_order(f, q, (mu,), (nu,), outer="right", inner="left")[0][0]
         assert _bits(*_as_tuple(mixed)) \
-            == _bits(*_nested_oracle("right", left_ghr, f, q, mu, nu))
+            == _bits(*_nested_oracle("right", "left", f, q, mu, nu))
         # Every entry of a grid equals its own single-pair derivative.
         grid = second_order(f, q, (mu, nu, I), (nu, ONE))
         for m, outer in enumerate((mu, nu, I)):
@@ -471,12 +509,14 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
     assert count(lambda: second_order(f_mod2, q, HR_AXES, HR_AXES, outer="right")) == 64
 
 
-# Built-in functions that carry an array form: cli's square and |q|^2, and
+# Built-in functions that carry an array form: cli's square, cube, |q|^2 and
+# 30-term exponential, which the mvt and taylor commands differentiate, and
 # the exponential table family, which is defined at every point drawn below.
 # Every other table family has one too; tests/test_tables.py checks them at
 # admissible points through the batched cross_validate.
 BUILT_IN_ARRAY_FORMS = (
     ("cli_square", cli._mvt_functions()[0][1]), ("cli_mod2", cli._mod2),
+    ("cli_power3", cli._taylor_functions()[0][1]), ("cli_exponential", cli._EXPONENTIAL),
     ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))))
 # Components small enough that the 30-term series stays finite, with signed
 # zeros drawn often.
@@ -489,6 +529,10 @@ def test_array_forms_are_the_listed_built_ins():
                  if has_array_form(tables.as_function(spec.sample_entry(make_rng(SEED))))}
     assert with_form == {spec.name for spec in tables.catalogue()}
     assert all(has_array_form(fn) for _, fn in BUILT_IN_ARRAY_FORMS)
+    # Every function the mvt and taylor commands differentiate is listed.
+    listed = {fn.__code__ for _, fn in BUILT_IN_ARRAY_FORMS}
+    assert all(fn.__code__ in listed
+               for _, fn, _ in cli._mvt_functions() + cli._taylor_functions())
     assert not has_array_form(f_sq)
     assert not has_array_form(lambda p: cli._mod2(p))
 
@@ -505,35 +549,52 @@ def test_array_form_matches_scalar_function_bitwise(name, fn, points):
     assert np.array_equal(out.c.view(np.uint64), expected.view(np.uint64))
 
 
-def test_left_hr_batch_matches_left_hr_bitwise():
+def _floats(values) -> bool:
+    """Whether every component of every Quaternion is a Python float."""
+    return all(isinstance(v, Quaternion) and all(type(x) is float for x in v)
+               for v in values)
+
+
+def test_one_point_calls_return_quaternions_on_python_floats():
+    q, mu = Quaternion(0.3, -0.7, 1.1, 0.2), Quaternion(0.5, 0.2, -0.4, 0.9)
+    for fn in (f_sq, BUILT_IN_ARRAY_FORMS[0][1]):
+        parts = real_partials(fn, q)
+        assert _floats(parts) and _bits(*parts) == _bits(*oracle_partials(fn, q))
+        pair = left_ghr(fn, q, mu)
+        assert _floats((pair.d_mu, pair.d_mu_conj))
+        assert _floats(_as_tuple(second_order_left(fn, q, mu, I)))
+
+
+def test_left_hr_of_points_matches_left_hr_at_each_point_bitwise():
     rng = make_rng(SEED, stream=31)
     points = [random_quaternion(rng, -2.0, 2.0) for _ in range(9)]
     names = [f.name for f in dataclasses.fields(derivatives.DerivativeSet)
              if f.name != "flavor"]
     for _, fn in BUILT_IN_ARRAY_FORMS:
-        batch = left_hr_batch(fn, QArray(np.array(points).T))
+        batch = left_hr(fn, _stack(points))
         for k, q in enumerate(points):
             scalar = left_hr(fn, q)
+            oracle = oracle_hr(fn, q)
             for field in names:
                 assert _bits(*getattr(batch, field).c[:, k].tolist()) \
-                    == _bits(*getattr(scalar, field))
+                    == _bits(*getattr(scalar, field)) == _bits(*getattr(oracle, field))
 
 
-def test_left_ghr_batch_matches_left_ghr_bitwise_along_each_points_axis():
+def test_left_ghr_of_points_matches_left_ghr_bitwise_along_each_points_axis():
     rng = make_rng(SEED, stream=32)
     points = [random_quaternion(rng, -2.0, 2.0) for _ in range(9)]
     mus = [random_quaternion(rng, -2.0, 2.0, min_modulus=0.1) for _ in range(9)]
-    stacked_mus = QArray(np.array(mus).T)
     for _, fn in BUILT_IN_ARRAY_FORMS:
-        batch = left_ghr_batch(fn, QArray(np.array(points).T), stacked_mus)
+        batch = left_ghr(fn, _stack(points), _stack(mus))
         for k, (q, mu) in enumerate(zip(points, mus)):
             scalar = left_ghr(fn, q, mu)
+            oracle = oracle_ghr(fn, q, mu)
             for field in ("d_mu", "d_mu_conj"):
                 assert _bits(*getattr(batch, field).c[:, k].tolist()) \
-                    == _bits(*getattr(scalar, field))
+                    == _bits(*getattr(scalar, field)) == _bits(*getattr(oracle, field))
     mus[4] = Quaternion(0.0, 1e-12, 0.0, 0.0)
     with pytest.raises(DegenerateAxisError):
-        left_ghr_batch(BUILT_IN_ARRAY_FORMS[0][1], QArray(np.array(points).T), QArray(np.array(mus).T))
+        left_ghr(BUILT_IN_ARRAY_FORMS[0][1], _stack(points), _stack(mus))
 
 
 def _stack(quaternions) -> QArray:
@@ -553,14 +614,15 @@ SECOND_ORDER_FIELDS = [f.name for f in dataclasses.fields(SecondOrderSet)]
 @pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS
                          + (("identities_cross", identities._f_cross),),
                          ids=[name for name, _ in BUILT_IN_ARRAY_FORMS] + ["identities_cross"])
-def test_second_order_batch_matches_second_order_bitwise(outer, inner, name, fn):
+def test_second_order_of_points_matches_second_order_at_each_point_bitwise(outer, inner,
+                                                                           name, fn):
     rng = make_rng(SEED, stream=33)
     points, mus, nus = ([random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
                          for _ in range(7)] for _ in range(3))
     # Per-point axes and shared HR axes on both levels, in a 3 x 3 grid.
     outer_axes = (_stack(mus), I, _stack(nus))
     inner_axes = (_stack(nus), ONE, K)
-    grid = second_order_batch(fn, _stack(points), outer_axes, inner_axes, outer, inner)
+    grid = second_order(fn, _stack(points), outer_axes, inner_axes, outer, inner)
     for k, q in enumerate(points):
         scalar = second_order(fn, q, [_at(mu, k) for mu in outer_axes],
                               [_at(nu, k) for nu in inner_axes], outer, inner)
@@ -580,16 +642,20 @@ def _overflows_in_b(p):
 def _first_second_order_error(points, mu, nu):
     with pytest.raises(EvaluationError, match="not finite") as expected:
         for q in points:
-            second_order(_overflows_in_b, q, (mu, I), (nu,), "right", "left")
-    with pytest.raises(EvaluationError, match="not finite") as caught:
-        second_order_batch(_overflows_in_b, _stack(points),
-                           (_stack([mu] * len(points)), I), (nu,), "right", "left")
-    assert str(caught.value) == str(expected.value)
-    assert _bits(*caught.value.point) == _bits(*expected.value.point)
+            _nested_oracle("right", "left", _overflows_in_b, q, mu, nu)
+    # The array pass of the array form, then point by point: each point's
+    # one array pass, and the plain function's _evaluate calls.
+    for fn, at in ((_overflows_in_b, _stack(points)), (_overflows_in_b, None),
+                   (lambda p: _overflows_in_b(p), _stack(points))):
+        with pytest.raises(EvaluationError, match="not finite") as caught:
+            for q in (points if at is None else [at]):
+                second_order(fn, q, (mu, I), (nu,), "right", "left")
+        assert str(caught.value) == str(expected.value)
+        assert _bits(*caught.value.point) == _bits(*expected.value.point)
     return expected.value.point
 
 
-def test_second_order_batch_raises_the_scalar_loops_first_error():
+def test_second_order_of_points_raises_the_scalar_loops_first_error():
     limit = sys.float_info.max / 1e308
     good = Quaternion(0.5, 0.1, 0.2, 0.3)
     # Only where both steps add along i.
@@ -606,15 +672,69 @@ def test_second_order_batch_raises_the_scalar_loops_first_error():
     assert point[:2] == (often[0] + DEFAULT_H2, often[1] + DEFAULT_H)
 
 
-def test_second_order_batch_rejects_a_degenerate_axis():
+def test_second_order_of_points_rejects_a_degenerate_axis():
     rng = make_rng(SEED, stream=34)
     points = [random_quaternion(rng, -2.0, 2.0) for _ in range(5)]
     mus = [random_quaternion(rng, -2.0, 2.0, min_modulus=0.1) for _ in range(5)]
     mus[3] = Quaternion(0.0, 1e-12, 0.0, 0.0)
     fn = BUILT_IN_ARRAY_FORMS[1][1]
     with pytest.raises(DegenerateAxisError):
-        second_order_batch(fn, _stack(points), (I,), (_stack(mus),))
+        second_order(fn, _stack(points), (I,), (_stack(mus),))
     with pytest.raises(DegenerateAxisError):
-        second_order_batch(fn, _stack(points), (_stack(mus),), (ONE,))
+        second_order(fn, _stack(points), (_stack(mus),), (ONE,))
     with pytest.raises(DegenerateAxisError):
-        second_order_batch(fn, _stack(points), (I,), (ZERO,))
+        second_order(fn, _stack(points), (I,), (ZERO,))
+
+
+# Components that stress the one-add stencil: signed zeros, subnormals,
+# infinities, NaN and the largest finite magnitudes.
+EXTREME_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan,
+                     sys.float_info.max, -sys.float_info.max]),
+    st.floats())
+
+
+@given(q=st.tuples(*[EXTREME_COMPONENT] * 4), h=st.sampled_from([DEFAULT_H, DEFAULT_H2]))
+def test_stencil_adds_the_scalar_stencils_bits(q, h):
+    # q + (-h) and q + (-0.0) are q - h and q - 0.0 in IEEE arithmetic.
+    stencil = derivatives._stencil_array(np.array(q), h)  # [component, axis, +/-]
+    expected = np.array([pair for pair in oracle_stencil(Quaternion(*q), h)])
+    assert np.ascontiguousarray(stencil.transpose(1, 2, 0)).tobytes() == expected.tobytes()
+
+
+# Where |p's component along unit| passes LIMIT, p times 1e308 overflows:
+# these give p, or NaN there, one point or many.
+LIMIT = sys.float_info.max / 1e308
+
+
+def _finite_within(unit):
+    @takes_arrays
+    def fn(p):
+        return p + type(p).from_real((unit * p).a * 1e308) * 0.0
+    return fn
+
+
+def _rule_check_error(check) -> Quaternion:
+    with pytest.raises(EvaluationError, match="not finite") as caught:
+        check()
+    return caught.value.point
+
+
+@pytest.mark.parametrize("array_form", [True, False], ids=["array_form", "plain"])
+def test_rule_checks_raise_their_first_functions_error_first(array_form):
+    # f fails only at the last stencil point, q - h k; g only at the first,
+    # q + h 1.  Each check evaluates one function on the whole stencil
+    # before the other: the product rule f, the chain rule g, which it needs
+    # to place f's points.  (A point-by-point loop over the stencil would
+    # reach g's bad point first in the product rule, and in the chain rule
+    # f's stencil at g(q), which it took before g's stencil.)
+    f, g = _finite_within(K), _finite_within(ONE)
+    if not array_form:
+        f, g = (lambda p, f=f: f(p)), (lambda p, g=g: g(p))
+    edge = LIMIT - DEFAULT_H / 2
+    q = Quaternion(edge, 0.3, -0.2, -edge)
+    mu, nu = Quaternion(0.5, 0.2, -0.4, 0.9), Quaternion(-0.3, 0.8, 0.1, 0.4)
+    point = _rule_check_error(lambda: check_product_rule(f, g, q, mu))
+    assert _bits(*point) == _bits(*Quaternion(q.a, q.b, q.c, q.d - DEFAULT_H))
+    point = _rule_check_error(lambda: check_chain_rule(f, g, q, mu, nu))
+    assert _bits(*point) == _bits(*Quaternion(q.a + DEFAULT_H, q.b, q.c, q.d))

@@ -14,7 +14,7 @@ from quatcalc.cli import _load_filter_config
 from quatcalc.derivatives import EvaluationError, left_hr, takes_arrays
 from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
-                              _phi_derivatives, _signal_arrays,
+                              _effective_error, _phi_derivatives, _signal_arrays,
                               _taps_array, generate_signal, phi_tanh,
                               qlms_state, qlms_step, qngd_state, qngd_step,
                               run_experiment, wl_qlms_state, wl_qlms_step)
@@ -655,6 +655,24 @@ def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s):
         shared = projected(lambda: (Quaternion(*column) for column in
                                     _phi_derivatives(phi, np.array(s)).T.tolist()))
     assert shared == separate
+
+
+def test_effective_error_sums_from_zero_where_every_product_is_negative_zero():
+    # At s = (i + j + k) / 2 with e = -0.0 in every component, each of the
+    # four products e^mu * d Phi^(mu*)/ds* of Phi = s^2 has a real part of
+    # -0.0.  The scalar sum from 0.0 ends at +0.0 there, a sum from the first
+    # product at -0.0: _effective_error's final + 0.0 tells the two apart.
+    s = Quaternion(0.0, 0.5, 0.5, 0.5)
+    e = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    products = [involute(e, mu) * left_hr(
+        lambda p, mu=mu: involute(_phi_square(p), mu).conjugate(), s).wrt_qc for mu in AXES]
+    assert all(math.copysign(1.0, product.a) < 0.0 for product in products)
+    expected = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for product in products:
+        expected = expected + product
+    assert math.copysign(1.0, expected.a) > 0.0
+    shared = _effective_error(_phi_square, np.array(s), np.array(e))
+    assert _bits([Quaternion(*shared.tolist())]) == _bits([expected])
 
 
 def test_phi_derivatives_share_one_set_of_partials(monkeypatch):

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatcalc.derivatives import DEFAULT_H, EvaluationError, _stencil, left_ghr
+from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate, derivative,
                              eval_entry, exp_series_tail_bound)
+
+from test_derivatives import oracle_stencil
 
 SEED = 20240310
 DRAWS_PER_FAMILY = 30
@@ -239,8 +241,7 @@ def test_sampled_points_and_their_stencils_pass_the_domain_guard(family, seed):
     rng = make_rng(seed)
     entry = spec.sample_entry(rng)
     q = spec.sample_point(entry, rng)
-    points, _ = _stencil(q, DEFAULT_H)
-    for p in [q, *(p for pair in points for p in pair)]:
+    for p in [q, *(p for pair in oracle_stencil(q) for p in pair)]:
         assert spec.domain(entry, p) is None
 
 

@@ -16,6 +16,7 @@ from quatcalc.theorems import (DivergenceError, descent_direction_gap,
                                first_order_error, mvt_error_bound_check,
                                mvt_left, steepest_descent, taylor2_left,
                                taylor_remainder_slope)
+from test_derivatives import _oracle_value, oracle_hr
 
 SEED = 20240404
 SCALES = (1e-1, 3.1622776601683795e-2, 1e-2, 3.1622776601683795e-3, 1e-3)
@@ -57,17 +58,37 @@ def test_mvt_panel_refinement():
 
 
 def _hidden(fn):
-    """fn with its array form hidden, so that mvt_left takes the scalar loop."""
+    """fn with its array form hidden, so that the engine calls it point by point."""
     return lambda p: fn(p)
 
 
+def _bits(lhs, rhs, residual) -> tuple:
+    return tuple(x.hex() for x in lhs), tuple(x.hex() for x in rhs), residual.hex()
+
+
 def _mvt_bits(check) -> tuple:
-    return (tuple(x.hex() for x in check.lhs), tuple(x.hex() for x in check.rhs),
-            check.residual.hex())
+    return _bits(check.lhs, check.rhs, check.residual)
+
+
+def mvt_oracle(fn, q0, q1, panels, real_form=False) -> tuple:
+    """The scalar mean value loop, as _mvt_bits of its check.
+
+    Node by node, each node q0 + lam * (idx / panels) a Quaternion on Python
+    floats, with its HR derivatives from the point-by-point central
+    difference; then f(q1) - f(q0).  The first non-finite value in that
+    order raises its EvaluationError.
+    """
+    lam = q1 - q0
+    values = np.array([
+        theorems._integrand(oracle_hr(fn, q0 + lam * (idx / panels)), lam, real_form)
+        for idx in range(panels + 1)]).T
+    rhs = theorems._simpson(values, 1.0 / panels)
+    lhs = _oracle_value(fn, q1) - _oracle_value(fn, q0)
+    return _bits(lhs, rhs, abs(lhs - rhs))
 
 
 def test_mvt_rejects_bad_panels():
-    # Both the scalar loop and the array pass.
+    # A plain function and an array form.
     for fn in (f_sq, F_EXP):
         for panels in (5, 0, 4.0, np.float64(4.0), True, False):
             with pytest.raises(ValueError, match="even"):
@@ -90,15 +111,25 @@ def test_batched_mvt_matches_scalar_loop_bitwise(seed, name, fn, real_form):
     q1 = random_quaternion(rng, -2.0, 2.0)
     assert has_array_form(fn) and not has_array_form(_hidden(fn))
     for panels in (4, 16, 64, 256, 1000):
-        batched = mvt_left(fn, q0, q1, panels=panels, real_form=real_form)
-        scalar = mvt_left(_hidden(fn), q0, q1, panels=panels, real_form=real_form)
-        assert _mvt_bits(batched) == _mvt_bits(scalar)
+        expected = mvt_oracle(fn, q0, q1, panels, real_form)
+        for each in (fn, _hidden(fn)):
+            check = mvt_left(each, q0, q1, panels=panels, real_form=real_form)
+            assert _mvt_bits(check) == expected
 
 
-def _raised(fn, q0, q1, **kw) -> tuple:
+def _raised(run, fn, q0, q1, panels) -> tuple:
     with pytest.raises(EvaluationError, match="not finite") as info:
-        mvt_left(fn, q0, q1, **kw)
+        run(fn, q0, q1, panels=panels)
     return str(info.value), tuple(x.hex() for x in info.value.point)
+
+
+def _raised_as_scalar_loop(fn, q0, q1, panels) -> tuple:
+    """The error of mvt_left on fn and on fn point by point, which must be
+    the scalar loop's first."""
+    expected = _raised(mvt_oracle, fn, q0, q1, panels)
+    assert _raised(mvt_left, fn, q0, q1, panels) == expected
+    assert _raised(mvt_left, _hidden(fn), q0, q1, panels) == expected
+    return expected
 
 
 @pytest.mark.parametrize("real", [3e11, -3e11])
@@ -106,8 +137,7 @@ def test_batched_mvt_raises_the_scalar_loops_error(real):
     # The 30-term series overflows part way along the segment.
     q0 = Quaternion(0.1, 0.2, 0.3, 0.4)
     q1 = Quaternion(real, 0.3, -0.2, 0.1)
-    assert _raised(F_EXP, q0, q1, panels=200) \
-        == _raised(_hidden(F_EXP), q0, q1, panels=200)
+    _raised_as_scalar_loop(F_EXP, q0, q1, panels=200)
 
 
 @takes_arrays
@@ -123,8 +153,7 @@ def test_batched_mvt_keeps_the_scalar_evaluation_order():
     limit = sys.float_info.max / 1e308
     q0 = Quaternion(0.5, -1.0, 0.25, 0.0)
     q1 = Quaternion(0.5, -1.0 + 2.0 * (1.0 - limit + DEFAULT_H / 2), 0.25, 0.0)
-    message, point = _raised(_overflows_in_b, q0, q1, panels=200)
-    assert (message, point) == _raised(_hidden(_overflows_in_b), q0, q1, panels=200)
+    _, point = _raised_as_scalar_loop(_overflows_in_b, q0, q1, panels=200)
     assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + DEFAULT_H
 
 
@@ -144,15 +173,27 @@ def test_mvt_evaluation_counts(monkeypatch):
 
 
 def test_taylor_run_takes_the_expansion_once_per_fit(monkeypatch, capsys):
-    calls = []
+    # Evaluated points: one per _evaluate call, and each stencil point that
+    # an array form takes in one call (any other f goes through _evaluate).
+    points = []
     evaluate = derivatives._evaluate
-    counted = lambda f, p: calls.append(p) or evaluate(f, p)
+    counted = lambda f, p: points.append(1) or evaluate(f, p)
     monkeypatch.setattr(derivatives, "_evaluate", counted)
     monkeypatch.setattr(theorems, "_evaluate", counted)
+    evaluate_stencil = derivatives._evaluate_stencil
+
+    def counted_stencil(f, stencil, levels):
+        if has_array_form(f):
+            points.append(stencil[0].size)
+        return evaluate_stencil(f, stencil, levels)
+
+    monkeypatch.setattr(derivatives, "_evaluate_stencil", counted_stencil)
     assert cli.main(["taylor"]) == 0
+    # All four taylor functions have array forms.
+    assert all(has_array_form(fn) for _, fn, _ in cli._taylor_functions())
     # Four fits of five scales: f(q0), its eight stencil values and the 64
     # of the second-order grid once per fit, then f(q0 + lam) per scale.
-    assert len(calls) == 4 * (1 + 8 + 64 + 5) == 312
+    assert sum(points) == 4 * (1 + 8 + 64 + 5) == 312
 
 
 def test_taylor_fit_evaluates_the_first_scale_point_first():
