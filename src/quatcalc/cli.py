@@ -149,14 +149,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
             tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
     except ValueError as exc:
         raise CliError(str(exc))
-    rows = ((r.identity, _fmt_q(r.point), _fmt_q(r.mu), _fmt_q(r.nu),
-             _fmt(r.residual), _fmt(r.tol), _fmt_pass(r.passed))
-            for r in result.records)
     skips = result.product_skips + result.chain_skips
     return _report(args.out, ("identity", "point", "mu", "nu", "residual",
-                              "tol", "pass"), rows, "identity suite",
+                              "tol", "pass"), _verify_rows(result.records), "identity suite",
                    [r.passed for r in result.records],
                    f"{skips} degenerate draws skipped")
+
+
+def _verify_rows(records):
+    """The suite's CSV rows.  A point's records come one after another and
+    share its point, mu and nu objects, so each column formats a quaternion
+    only when it is not the one it formatted last."""
+    last = [None] * 3
+    texts = [""] * 3
+    for r in records:
+        cells = []
+        for col, q in enumerate((r.point, r.mu, r.nu)):
+            if q is not last[col] and q is not None:
+                last[col], texts[col] = q, _fmt_q(q)
+            cells.append("" if q is None else texts[col])
+        yield (r.identity, *cells, _fmt(r.residual), _fmt(r.tol), _fmt_pass(r.passed))
 
 
 def cmd_table(args: argparse.Namespace) -> int:

@@ -20,7 +20,7 @@ here requires f to be given in closed form.  One engine serves one point and
 many: real_partials, the HR and GHR derivatives and second_order take a
 Quaternion point, and then return Quaternions on Python floats, or a (4, N)
 QArray of points, and then return QArrays of N quaternions, bit for bit the
-one-point calls; the rule checks take one point.  Each call builds
+one-point calls; the rule checks then return N residuals.  Each call builds
 its stencil as one array, evaluates f on it (_evaluate_stencil: once for an
 f marked with takes_arrays, point by point otherwise) and differences the
 values.  Each check and each nested second derivative evaluates every
@@ -162,7 +162,8 @@ def _walk(ndim: int, levels: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _evaluate_stencil(f: QFunction, stencil: np.ndarray, levels: int) -> np.ndarray:
-    """The components of f's values on a stencil nested ``levels`` deep.
+    """The components of f's values on a stencil nested ``levels`` deep,
+    or at the points themselves for ``levels`` 0.
 
     The one place that looks for an array form: an f marked with
     takes_arrays is called once on the whole stencil, any other f point by
@@ -336,8 +337,59 @@ def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion,
     return second_order(f, q, (mu,), (nu,), "right", "right")[0][0]
 
 
-def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
-                       conjugate: bool = False) -> float:
+def _at_point(arg, k: int):
+    """Point k's share of a rule check's argument at a QArray of points:
+    column k of a QArray, entry k of an array of flags, and anything else
+    as it is, except a function whose array form holds a constant per point
+    and names each point's one-point function (tables.as_function of a
+    sequence of entries)."""
+    if isinstance(arg, QArray):
+        return Quaternion(*arg.c[:, k].tolist())
+    if isinstance(arg, np.ndarray):
+        return arg[k].item()
+    return arg.point_function(k) if hasattr(arg, "point_function") else arg
+
+
+def _replays_points(check):
+    """Let a rule check take a QArray of (4, N) points, its axes each one
+    Quaternion or a (4, N) QArray, and conjugate a bool or an (N,) bool
+    array: the check runs once on the arrays and returns N residuals.  If
+    that raises, the points run one by one through the one-point check, so
+    the error is the one that a loop over the points raises first, as in
+    tables.cross_validate's batch."""
+    @functools.wraps(check)
+    def checked(f, g, q, *args, **kwargs):
+        # Python floats overflow silently; so do the arrays that stand for them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return check(f, g, q, *args, **kwargs)
+            except (ArithmeticError, TypeError, ValueError):
+                if isinstance(q, QArray):
+                    for k in range(q.c.shape[1]):
+                        check(*(_at_point(arg, k) for arg in (f, g, q, *args)),
+                              **{name: _at_point(arg, k) for name, arg in kwargs.items()})
+                raise
+    return checked
+
+
+def _value(f: QFunction, q: Quaternion | QArray) -> Quaternion | QArray:
+    """f(q), finite, at a Quaternion or at each of a QArray's points."""
+    if isinstance(q, QArray):
+        return QArray(_evaluate_stencil(f, q.c, 0))
+    return _evaluate(f, q)
+
+
+def _pick(halves, conjugate):
+    """The d/dq^mu half of a projection, or the d/dq^(mu*) half where
+    conjugate is true; an array of flags picks point by point."""
+    if isinstance(conjugate, np.ndarray):
+        return QArray(np.where(conjugate, halves[1].c, halves[0].c))
+    return halves[1 if conjugate else 0]
+
+
+@_replays_points
+def check_product_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
+                       conjugate=False):
     """Residual of the GHR product rule for f*g at q.
 
     d(fg)/dq^mu = f * dg/dq^mu + df/dq^(g(q) mu) * g, and the same shape for
@@ -346,27 +398,26 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion
 
     After g(q) and f(q), f and then g are evaluated on q's one stencil, so
     where both fail there the EvaluationError names f's first bad point.
+    At a QArray of points it returns one residual per point (_replays_points).
     """
-    gq = _evaluate(g, q)
+    gq = _value(g, q)
     shifted = _basis(gq * mu)
-    fq = _evaluate(f, q)
+    fq = _value(f, q)
     basis = _basis(mu)
     stencil = _stencil_array(_components(q), DEFAULT_H)
     f_values = QArray(_evaluate_stencil(f, stencil, 1))
     g_values = QArray(_evaluate_stencil(g, stencil, 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = f_values * g_values
     product_parts, g_parts, f_parts = (_differences(values.c, DEFAULT_H)
-                                       for values in (product, g_values, f_values))
-    pick = 1 if conjugate else 0
-    lhs = _project(product_parts, basis, "left")[pick]
-    rhs = fq * _project(g_parts, basis, "left")[pick] \
-        + _project(f_parts, shifted, "left")[pick] * gq
+                                       for values in (f_values * g_values, g_values, f_values))
+    lhs = _pick(_project(product_parts, basis, "left"), conjugate)
+    rhs = fq * _pick(_project(g_parts, basis, "left"), conjugate) \
+        + _pick(_project(f_parts, shifted, "left"), conjugate) * gq
     return abs(lhs - rhs)
 
 
-def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
-                     nu: Quaternion, conjugate: bool = False) -> float:
+@_replays_points
+def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
+                     nu, conjugate=False):
     """Residual of the GHR chain rule for f(g(q)) at q.
 
     d f(g)/dq^mu = sum over eta in {1,i,j,k} of
@@ -374,23 +425,23 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion, mu: Quaternion,
 
     g is evaluated at q and on q's stencil first, then f on its own stencil
     at g(q) and on g's stencil values, so where both fail the
-    EvaluationError names g's first bad point.
+    EvaluationError names g's first bad point.  At a QArray of points it
+    returns one residual per point (_replays_points).
     """
     basis = _basis(mu)
     axes = [nu * UNITS[eta] for eta in AXES]
     axis_bases = [_basis(axis) for axis in axes]
-    gq = _evaluate(g, q)
+    gq = _value(g, q)
     g_values = _evaluate_stencil(g, _stencil_array(_components(q), DEFAULT_H), 1)
     f_parts = real_partials(f, gq)
     composite = _differences(_evaluate_stencil(f, g_values, 1), DEFAULT_H)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rotated = [rotate(QArray(g_values), axis).c for axis in axes]
-    pick = 1 if conjugate else 0
+    rotated = [rotate(QArray(g_values), axis).c for axis in axes]
     total = Quaternion(0.0, 0.0, 0.0, 0.0)
     for axis_basis, values in zip(axis_bases, rotated):
         inner = _project(f_parts, axis_basis, "left")[0]
-        total = total + inner * _project(_differences(values, DEFAULT_H), basis, "left")[pick]
-    return abs(_project(composite, basis, "left")[pick] - total)
+        total = total + inner * _pick(_project(_differences(values, DEFAULT_H), basis, "left"),
+                                      conjugate)
+    return abs(_pick(_project(composite, basis, "left"), conjugate) - total)
 
 
 def conjugation_relation(f: QFunction, q: Quaternion, mu: Quaternion) -> float:

@@ -12,7 +12,9 @@ return one Column of residuals per identity, evaluated in one array pass
 with the bits of the point-by-point formulas: the derivative functions
 take the QArray of points as they take one point.  run_identity_suite
 turns the columns into records in point order.  The product- and
-chain-rule draws pick a function pair per draw and stay point by point.
+chain-rule draws pick a function pair per draw: each rule draws all its
+draws first, in the rng order of a draw-by-draw loop, then checks them in
+one array pass, every table family evaluated once on its draws' points.
 """
 
 from __future__ import annotations
@@ -278,30 +280,131 @@ def second_order_records(q: QArray, mu: QArray, nu: QArray) -> list[Column]:
             _column("mixed_noncommute", np.maximum(0.0, 0.15 - gap))]
 
 
-def product_rule_records(rng: np.random.Generator, draws: int,
-                         tols: dict) -> tuple[list[IdentityRecord], int]:
-    records = []
+class _Draw(NamedTuple):
+    """One rule-check draw.  f is None for the real chain corollary, and
+    nu is None for it and for the product rule."""
+
+    f: Optional[tables.TableEntry]
+    g: tables.TableEntry
+    q: Quaternion
+    mu: Quaternion
+    nu: Optional[Quaternion]
+    conjugate: bool
+
+
+def _float_square(x: float) -> float:
+    return x ** 2
+
+
+def _real_square(g):
+    """p -> g(p)^2 for a real-valued g, with an array form that squares
+    through Python floats: numpy's x * x and x ** 2 can differ from
+    Python's x ** 2 in the last ulp."""
+    return takes_arrays(lambda p: type(p).from_real(tables._by_floats(_float_square, g(p).a)))
+
+
+def _real_chain_residual(g, q, mu):
+    """Residual of the real chain corollary for F(x) = x^2 applied to a
+    real-valued g: d F(g)/dq^mu = dg/dq^mu * 2 g(q).  Like the rule checks
+    it takes one point or a QArray of points, with g's array form."""
+    lhs = left_ghr(_real_square(g), q, mu).d_mu
+    rhs = left_ghr(g, q, mu).d_mu * (2.0 * g(q).a)
+    return abs(lhs - rhs)
+
+
+def _batch_args(draws: list[_Draw]) -> tuple:
+    """A rule check's arguments for draws of one kind: each entry field as
+    one function over all draws (tables.as_function), the quaternions
+    stacked on the last axis, the flags as a bool array, and None for a
+    field the draws lack."""
+    f, g, q, mu, nu, conjugate = zip(*draws)
+    return (None if f[0] is None else tables.as_function(f), tables.as_function(g),
+            _stack(q), _stack(mu), None if nu[0] is None else _stack(nu), np.array(conjugate))
+
+
+def _point_args(draw: _Draw) -> tuple:
+    """The same arguments for one draw, at its one point."""
+    f, g, q, mu, nu, conjugate = draw
+    return (None if f is None else tables.as_function(f), tables.as_function(g),
+            q, mu, nu, conjugate)
+
+
+def _check(f, g, q, mu, nu, conjugate):
+    """The residual of a draw's rule, at one point or at a QArray of points."""
+    if f is None:
+        return _real_chain_residual(g, q, mu)
+    if nu is None:
+        return derivatives.check_product_rule(f, g, q, mu, conjugate=conjugate)
+    return derivatives.check_chain_rule(f, g, q, mu, nu, conjugate=conjugate)
+
+
+def _residuals(draws: list[_Draw]) -> list:
+    """Each draw's residual, None for a degenerate draw.
+
+    The draws of each kind (the real chain corollary or not) run as one
+    batch.  If that raises, the draws run one by one through the one-point
+    checks, in draw order: that skips the degenerate draws and raises the
+    first error that a draw-by-draw loop raises.
+    """
+    residuals = [None] * len(draws)
+    try:
+        for real in (True, False):
+            picked = [k for k, d in enumerate(draws) if (d.f is None) == real]
+            if picked:
+                values = _check(*_batch_args([draws[k] for k in picked])).tolist()
+                for k, value in zip(picked, values):
+                    residuals[k] = value
+    except (ArithmeticError, TypeError, ValueError):
+        for k, draw in enumerate(draws):
+            try:
+                residuals[k] = _check(*_point_args(draw))
+            except DegenerateAxisError:
+                # A rule check skips a degenerate draw; the corollary does not.
+                if draw.f is None:
+                    raise
+                residuals[k] = None
+    return residuals
+
+
+def _rule_records(draw, draws: int, tols: dict,
+                  name: str) -> tuple[list[IdentityRecord], int]:
+    """``draws`` records of one rule, in rounds: each round draws as many
+    draws (at most BLOCK) as records are missing, with ``draw`` returning
+    None for a skipped draw, and checks them as one batch.  Degenerate
+    draws are skipped after the round and the next round tops up, so the
+    rng runs through the same draws as a draw-by-draw loop."""
+    records: list[IdentityRecord] = []
     skips = 0
     while len(records) < draws:
+        batch_draws = []
+        while len(batch_draws) < min(BLOCK, draws - len(records)):
+            candidate = draw()
+            if candidate is None:
+                skips += 1
+            else:
+                batch_draws.append(candidate)
+        for d, res in zip(batch_draws, _residuals(batch_draws)):
+            if res is None:
+                skips += 1
+                continue
+            kind = name + ("_real" if d.f is None else "_conj" if d.conjugate else "")
+            records.append(_record(kind, tols, res, point=d.q, mu=d.mu, nu=d.nu))
+    return records, skips
+
+
+def product_rule_records(rng: np.random.Generator, draws: int,
+                         tols: dict) -> tuple[list[IdentityRecord], int]:
+    def draw() -> Optional[_Draw]:
         f_spec, g_spec = _sample_product_pair(rng)
         f_entry = f_spec.sample_entry(rng)
         g_entry = g_spec.sample_entry(rng)
         q = _admissible_point(f_spec, f_entry, g_spec, g_entry, rng)
         if q is None:
-            skips += 1
-            continue
+            return None
         mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        conjugate = rng.random() < PRODUCT_CONJUGATE_SHARE
-        try:
-            res = derivatives.check_product_rule(
-                tables.as_function(f_entry), tables.as_function(g_entry),
-                q, mu, conjugate=conjugate)
-        except DegenerateAxisError:
-            skips += 1
-            continue
-        name = "product_rule_conj" if conjugate else "product_rule"
-        records.append(_record(name, tols, res, point=q, mu=mu))
-    return records, skips
+        return _Draw(f_entry, g_entry, q, mu, None, rng.random() < PRODUCT_CONJUGATE_SHARE)
+
+    return _rule_records(draw, draws, tols, "product_rule")
 
 
 def chain_rule_records(rng: np.random.Generator, draws: int,
@@ -309,43 +412,27 @@ def chain_rule_records(rng: np.random.Generator, draws: int,
     specs = tables.catalogue()
     linear_specs = [s for s in specs if s.scale_class == "linear"]
     real_specs = [s for s in specs if s.real_valued]
-    records = []
-    skips = 0
-    while len(records) < draws:
+
+    def draw() -> Optional[_Draw]:
         if rng.random() < CHAIN_REAL_SHARE:
             # Real chain corollary: F(x) = x^2 applied to a real-valued g.
             g_spec = real_specs[rng.integers(len(real_specs))]
             g_entry = g_spec.sample_entry(rng)
             q = g_spec.sample_point(g_entry, rng)
             mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-            g_fn = tables.as_function(g_entry)
-            composite = lambda p: Quaternion.from_real(g_fn(p).a ** 2)
-            lhs = left_ghr(composite, q, mu).d_mu
-            rhs = left_ghr(g_fn, q, mu).d_mu * (2.0 * g_fn(q).a)
-            records.append(_record("chain_rule_real", tols, abs(lhs - rhs),
-                                   point=q, mu=mu))
-            continue
+            return _Draw(None, g_entry, q, mu, None, False)
         f_spec = specs[rng.integers(len(specs))]
         g_spec = linear_specs[rng.integers(len(linear_specs))]
         f_entry = f_spec.sample_entry(rng)
         g_entry = g_spec.sample_entry(rng)
         q = g_spec.sample_point(g_entry, rng)
         if f_spec.domain(f_entry, tables.eval_entry(g_entry, q)) is not None:
-            skips += 1
-            continue
+            return None
         mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
         nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        conjugate = rng.random() < CHAIN_CONJUGATE_SHARE
-        try:
-            res = derivatives.check_chain_rule(
-                tables.as_function(f_entry), tables.as_function(g_entry),
-                q, mu, nu, conjugate=conjugate)
-        except DegenerateAxisError:
-            skips += 1
-            continue
-        name = "chain_rule_conj" if conjugate else "chain_rule"
-        records.append(_record(name, tols, res, point=q, mu=mu, nu=nu))
-    return records, skips
+        return _Draw(f_entry, g_entry, q, mu, nu, rng.random() < CHAIN_CONJUGATE_SHARE)
+
+    return _rule_records(draw, draws, tols, "chain_rule")
 
 
 def _stack(quaternions) -> QArray:
@@ -366,7 +453,9 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
 
     The per-point record kinds run BLOCK points at a time on component
     arrays, with the records, bits and order of a point-by-point loop; the
-    product- and chain-rule draws then run point by point on the same rng.
+    product- and chain-rule draws then follow on the same rng, drawn first
+    and checked on component arrays, with the records, skips and bits of a
+    draw-by-draw loop.
     """
     if points < 1:
         raise ValueError("points must be a positive integer")

@@ -524,11 +524,30 @@ def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivat
     return spec.columns(entry, q, mu)
 
 
-def as_function(entry: TableEntry) -> Callable[[Quaternion], Quaternion]:
+def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternion], Quaternion]:
     """The family's value as a function of q, with an array form: every
-    evaluator is written with operators and methods that QArray shares."""
-    spec = _check_entry(entry)
-    return takes_arrays(lambda p: spec.value(entry, p))
+    evaluator is written with operators and methods that QArray shares.
+
+    Given a sequence of entries, one per point on the last axis of the
+    QArrays it takes, the function evaluates each run of points that share
+    family and counts (_batches) in one call on its slice of that axis, and
+    its point_function(k) is the one-point function of entry k.
+    """
+    if isinstance(entry, TableEntry):
+        spec = _check_entry(entry)
+        return takes_arrays(lambda p: spec.value(entry, p))
+    entries = tuple(entry)
+    runs = [(part, as_function(stacked)) for part, stacked in _batches(entries)]
+
+    @takes_arrays
+    def by_family(p: QArray) -> QArray:
+        values = np.empty(p.c.shape)
+        for part, fn in runs:
+            values[..., part] = fn(QArray(p.c[..., part])).c
+        return QArray(values)
+
+    by_family.point_function = lambda k: as_function(entries[k])
+    return by_family
 
 
 def conj_gradient(entry: TableEntry, q: Quaternion) -> Quaternion:

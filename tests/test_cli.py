@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from quatcalc import cli
+from quatcalc import cli, derivatives, identities
 from quatcalc.cli import main
 
 RUNS = {
@@ -48,6 +48,31 @@ def test_verify_deterministic_output(tmp_path):
     assert main(["verify", "--points", "3", "--seed", "99", "--out", str(a)]) == 0
     assert main(["verify", "--points", "3", "--seed", "99", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_default_verify_evaluates_nothing_point_by_point(monkeypatch, tmp_path):
+    # Every function a default verify differentiates has an array form, and
+    # every check, the rule draws' included, runs on arrays: a call of
+    # derivatives._evaluate would mean some check fell back to one point.
+    calls = []
+    evaluate = derivatives._evaluate
+    monkeypatch.setattr(derivatives, "_evaluate",
+                        lambda f, p: calls.append(p) or evaluate(f, p))
+    assert main(["verify", "--out", str(tmp_path / "verify.csv")]) == 0
+    assert len(calls) == 0
+
+
+def test_verify_rows_format_each_quaternion_once(monkeypatch):
+    records = identities.run_identity_suite(points=4, seed=7).records
+    expected = [(r.identity, cli._fmt_q(r.point), cli._fmt_q(r.mu), cli._fmt_q(r.nu),
+                 cli._fmt(r.residual), cli._fmt(r.tol), cli._fmt_pass(r.passed))
+                for r in records]
+    formatted = []
+    fmt_q = cli._fmt_q
+    monkeypatch.setattr(cli, "_fmt_q", lambda q: formatted.append(q) or fmt_q(q))
+    assert list(cli._verify_rows(records)) == expected
+    assert len(formatted) == len({id(q) for r in records for q in (r.point, r.mu, r.nu)
+                                  if q is not None})
 
 
 def test_verify_seed_changes_output(tmp_path):

@@ -4,19 +4,20 @@ batched suite against its point-by-point oracle."""
 import numpy as np
 import pytest
 
-from quatcalc import derivatives, identities
-from quatcalc.derivatives import (ghr_from_partials, has_array_form,
-                                  hr_from_partials, left_ghr, left_hr,
-                                  real_partials, second_order,
-                                  second_order_right)
+from quatcalc import derivatives, identities, tables
+from quatcalc.derivatives import (DegenerateAxisError, ghr_from_partials,
+                                  has_array_form, hr_from_partials, left_ghr,
+                                  left_hr, real_partials, second_order,
+                                  second_order_right, takes_arrays)
 from quatcalc.identities import (DEFAULT_TOLERANCES, IdentityRecord,
-                                 SuiteResult, _record, run_identity_suite)
+                                 SuiteResult, _record, _stack, run_identity_suite)
 from quatcalc.quaternion import I, ONE, QArray, Quaternion, rotate
 from quatcalc.sampling import make_rng, random_quaternion
 
 # --- point-by-point oracle ----------------------------------------------------
-# The per-point record kinds as they ran before the suite was batched, on
-# scalar Quaternions: the batched suite must give these records bit for bit.
+# The per-point record kinds and the product- and chain-rule draw loops as
+# they ran before the suite was batched, on scalar Quaternions with the
+# one-point checks: the batched suite must give these records bit for bit.
 
 
 def f_sq(p):
@@ -114,6 +115,73 @@ def second_order_records(q, mu, nu, tols):
     return out
 
 
+def scalar_product_rule_records(rng, draws, tols):
+    records = []
+    skips = 0
+    while len(records) < draws:
+        f_spec, g_spec = identities._sample_product_pair(rng)
+        f_entry = f_spec.sample_entry(rng)
+        g_entry = g_spec.sample_entry(rng)
+        q = identities._admissible_point(f_spec, f_entry, g_spec, g_entry, rng)
+        if q is None:
+            skips += 1
+            continue
+        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        conjugate = rng.random() < identities.PRODUCT_CONJUGATE_SHARE
+        try:
+            res = derivatives.check_product_rule(
+                tables.as_function(f_entry), tables.as_function(g_entry),
+                q, mu, conjugate=conjugate)
+        except DegenerateAxisError:
+            skips += 1
+            continue
+        name = "product_rule_conj" if conjugate else "product_rule"
+        records.append(_record(name, tols, res, point=q, mu=mu))
+    return records, skips
+
+
+def scalar_chain_rule_records(rng, draws, tols):
+    specs = tables.catalogue()
+    linear_specs = [s for s in specs if s.scale_class == "linear"]
+    real_specs = [s for s in specs if s.real_valued]
+    records = []
+    skips = 0
+    while len(records) < draws:
+        if rng.random() < identities.CHAIN_REAL_SHARE:
+            g_spec = real_specs[rng.integers(len(real_specs))]
+            g_entry = g_spec.sample_entry(rng)
+            q = g_spec.sample_point(g_entry, rng)
+            mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+            g_fn = tables.as_function(g_entry)
+            composite = lambda p: Quaternion.from_real(g_fn(p).a ** 2)
+            lhs = left_ghr(composite, q, mu).d_mu
+            rhs = left_ghr(g_fn, q, mu).d_mu * (2.0 * g_fn(q).a)
+            records.append(_record("chain_rule_real", tols, abs(lhs - rhs),
+                                   point=q, mu=mu))
+            continue
+        f_spec = specs[rng.integers(len(specs))]
+        g_spec = linear_specs[rng.integers(len(linear_specs))]
+        f_entry = f_spec.sample_entry(rng)
+        g_entry = g_spec.sample_entry(rng)
+        q = g_spec.sample_point(g_entry, rng)
+        if f_spec.domain(f_entry, tables.eval_entry(g_entry, q)) is not None:
+            skips += 1
+            continue
+        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        conjugate = rng.random() < identities.CHAIN_CONJUGATE_SHARE
+        try:
+            res = derivatives.check_chain_rule(
+                tables.as_function(f_entry), tables.as_function(g_entry),
+                q, mu, nu, conjugate=conjugate)
+        except DegenerateAxisError:
+            skips += 1
+            continue
+        name = "chain_rule_conj" if conjugate else "chain_rule"
+        records.append(_record(name, tols, res, point=q, mu=mu, nu=nu))
+    return records, skips
+
+
 def scalar_suite(points, seed, tolerances=None):
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(tolerances or {})
@@ -130,9 +198,8 @@ def scalar_suite(points, seed, tolerances=None):
         records.extend(counter_example_records(q, tols))
         records.append(reconstruction_record(q, dq, tols))
         records.extend(second_order_records(q, mu, nu, tols))
-    product, product_skips = identities.product_rule_records(
-        rng, identities.PRODUCT_DRAWS, tols)
-    chain, chain_skips = identities.chain_rule_records(rng, identities.CHAIN_DRAWS, tols)
+    product, product_skips = scalar_product_rule_records(rng, identities.PRODUCT_DRAWS, tols)
+    chain, chain_skips = scalar_chain_rule_records(rng, identities.CHAIN_DRAWS, tols)
     return SuiteResult(tuple(records + product + chain), product_skips, chain_skips)
 
 
@@ -171,6 +238,58 @@ def test_batched_suite_matches_scalar_oracle_with_failing_records():
     failing = {r.identity for r in batched.records if not r.passed}
     assert {"dq2_dq", "second_order_left_right", "reconstruction"} <= failing
     _assert_same_suite(batched, scalar_suite(5, 42, tolerances))
+
+
+def _draw_outcome(records_fn, rng, draws):
+    """A rule's records and skips by their bits, or the error it raises."""
+    try:
+        records, skips = records_fn(rng, draws, dict(DEFAULT_TOLERANCES))
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    for record in records:
+        assert type(record.residual) is float and type(record.passed) is bool
+    return [_fields(r) for r in records], skips
+
+
+RULE_LOOPS = [(identities.product_rule_records, scalar_product_rule_records, 3),
+              (identities.chain_rule_records, scalar_chain_rule_records, 4)]
+
+
+@pytest.mark.parametrize("seed", [20240501, 3, 11])
+def test_rule_draws_match_scalar_oracle_at_acceptance_sizes(seed):
+    # Criteria 03 and 04 check 500 product and 200 chain draws.
+    for (batched, scalar, stream), draws in zip(RULE_LOOPS, (500, 200)):
+        got = _draw_outcome(batched, make_rng(seed, stream=stream), draws)
+        assert got == _draw_outcome(scalar, make_rng(seed, stream=stream), draws)
+        assert len(got[0]) == draws
+
+
+@pytest.mark.parametrize("seed", [20240501, 3, 11])
+def test_rule_draws_skip_degenerate_draws_as_scalar_oracle(monkeypatch, seed):
+    # At 1 many axes g(q) mu, mu and nu e are degenerate: the rule checks
+    # skip those draws after their round and the next round tops up.  The
+    # real chain corollary does not skip, so both chain loops raise instead
+    # at seed 3.
+    monkeypatch.setattr(derivatives, "DEGENERATE_AXIS", 1.0)
+    monkeypatch.setattr(identities, "BLOCK", 16)
+    outcomes = [_draw_outcome(batched, make_rng(seed, stream=stream), 100)
+                for batched, _, stream in RULE_LOOPS]
+    assert outcomes == [_draw_outcome(scalar, make_rng(seed, stream=stream), 100)
+                        for _, scalar, stream in RULE_LOOPS]
+    assert outcomes[0][1] > 0
+
+
+def test_real_chain_corollary_squares_through_python_floats():
+    # Where x * x and x ** 2 differ on this platform, the array form of
+    # g(p)^2 must give the point form's x ** 2.
+    sample = (make_rng(5).random(200_000) * 4.0 - 2.0).tolist()
+    values = [x for x in sample if x * x != x ** 2] + sample[:50]
+    square = identities._real_square(takes_arrays(lambda p: p))
+    points = [Quaternion(x, 0.3, -0.2, 0.1) for x in values]
+    got = square(_stack(points)).c
+    expected = np.array([tuple(square(q)) for q in points]).T
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert [x ** 2 for x in values] == expected[0].tolist()
 
 
 @pytest.mark.parametrize("name,scalar", [("_f_sq", f_sq), ("_f_conj", f_conj),

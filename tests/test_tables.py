@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quatcalc import derivatives
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, isclose
 from quatcalc.sampling import make_rng, random_quaternion
@@ -323,6 +324,25 @@ def test_batch_with_mixed_counts_and_families_stays_exact():
         _assert_batch_matches_points(list(zip(entries, points, mus)))
     with pytest.raises(ValueError, match="one entry and one axis per point"):
         cross_validate(powers[:9], *_stacked(list(zip(powers, points, mus)))[1:])
+
+
+def test_function_of_entries_evaluates_each_points_own_entry_bitwise():
+    # Every family in one sequence, in catalogue order and then reversed,
+    # each with two draws, evaluated on the points and on their stencils.
+    rng = make_rng(SEED, stream=9)
+    draws = [draw for spec in catalogue() for draw in _draws(spec, rng, 2)]
+    for ordered in (draws, draws[::-1]):
+        entries, q, _ = _stacked(ordered)
+        fn = as_function(entries)
+        stencil = QArray(derivatives._stencil_array(q.c, DEFAULT_H))
+        for points in (q, stencil):
+            values = fn(points).c
+            for k, entry in enumerate(entries):
+                one = fn.point_function(k)
+                assert _hex(one(ordered[k][1])) == _hex(as_function(entry)(ordered[k][1]))
+                at_points = [Quaternion(*p) for p in points.c[..., k].reshape(4, -1).T.tolist()]
+                assert [[x.hex() for x in v] for v in values[..., k].reshape(4, -1).T.tolist()] \
+                    == [_hex(one(p)) for p in at_points]
 
 
 def test_one_point_calls_stay_on_python_floats():
