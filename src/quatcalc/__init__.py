@@ -13,18 +13,15 @@ from .filters import (ExperimentConfig, ExperimentResult, FilterState,
                       qngd_state, qngd_step, run_experiment, wl_qlms_state,
                       wl_qlms_step)
 from .identities import IdentityRecord, SuiteResult, run_identity_suite
-from .quaternion import (AXES, ONE, UNITS, ZERO, MuBasis, PolarForm,
-                         Quaternion, components_from_involutions,
-                         conjugate_links, format_quaternion, involute,
-                         involute_conj, isclose, mu_basis, parse_quaternion,
-                         polar, reflect, rotate)
-from .sampling import make_rng, random_pure_unit, random_quaternion
+from .quaternion import (AXES, ONE, UNITS, ZERO, MuBasis, Quaternion,
+                         format_quaternion, involute, involute_conj, mu_basis,
+                         parse_quaternion, rotate)
+from .sampling import make_rng, random_quaternion
 from .tables import (CrossCheck, EntryDerivatives, FamilySpec, TableEntry,
                      as_function, catalogue, conj_gradient, cross_validate,
-                     derivative, eval_entry, exp_series_tail_bound)
+                     derivative, eval_entry)
 from .theorems import (DescentTrace, DivergenceError, SegmentCheck, TaylorFit,
-                       descent_direction_gap, first_order_error, mvt_left,
-                       mvt_error_bound_check, steepest_descent, taylor2_left,
-                       taylor_remainder_slope)
+                       first_order_error, mvt_error_bound_check, mvt_left,
+                       steepest_descent, taylor2_left, taylor_remainder_slope)
 
 __version__ = "0.1.0"

@@ -25,7 +25,9 @@ its stencil as one array, evaluates f on it (_evaluate_stencil: once for an
 f marked with takes_arrays, point by point otherwise) and differences the
 values.  Each check and each nested second derivative evaluates every
 function once per stencil point and projects those partials as often as it
-needs.
+needs.  A rule check on many points raises the first error its array pass
+meets, which need not be the first point's: identities replays a failed
+round of rule draws draw by draw.
 """
 
 from __future__ import annotations
@@ -337,41 +339,6 @@ def second_order_right(f: QFunction, q: Quaternion, mu: Quaternion,
     return second_order(f, q, (mu,), (nu,), "right", "right")[0][0]
 
 
-def _at_point(arg, k: int):
-    """Point k's share of a rule check's argument at a QArray of points:
-    column k of a QArray, entry k of an array of flags, and anything else
-    as it is, except a function whose array form holds a constant per point
-    and names each point's one-point function (tables.as_function of a
-    sequence of entries)."""
-    if isinstance(arg, QArray):
-        return Quaternion(*arg.c[:, k].tolist())
-    if isinstance(arg, np.ndarray):
-        return arg[k].item()
-    return arg.point_function(k) if hasattr(arg, "point_function") else arg
-
-
-def _replays_points(check):
-    """Let a rule check take a QArray of (4, N) points, its axes each one
-    Quaternion or a (4, N) QArray, and conjugate a bool or an (N,) bool
-    array: the check runs once on the arrays and returns N residuals.  If
-    that raises, the points run one by one through the one-point check, so
-    the error is the one that a loop over the points raises first, as in
-    tables.cross_validate's batch."""
-    @functools.wraps(check)
-    def checked(f, g, q, *args, **kwargs):
-        # Python floats overflow silently; so do the arrays that stand for them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                return check(f, g, q, *args, **kwargs)
-            except (ArithmeticError, TypeError, ValueError):
-                if isinstance(q, QArray):
-                    for k in range(q.c.shape[1]):
-                        check(*(_at_point(arg, k) for arg in (f, g, q, *args)),
-                              **{name: _at_point(arg, k) for name, arg in kwargs.items()})
-                raise
-    return checked
-
-
 def _value(f: QFunction, q: Quaternion | QArray) -> Quaternion | QArray:
     """f(q), finite, at a Quaternion or at each of a QArray's points."""
     if isinstance(q, QArray):
@@ -387,7 +354,6 @@ def _pick(halves, conjugate):
     return halves[1 if conjugate else 0]
 
 
-@_replays_points
 def check_product_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
                        conjugate=False):
     """Residual of the GHR product rule for f*g at q.
@@ -398,7 +364,8 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
 
     After g(q) and f(q), f and then g are evaluated on q's one stencil, so
     where both fail there the EvaluationError names f's first bad point.
-    At a QArray of points it returns one residual per point (_replays_points).
+    At a QArray of points, its axes each one Quaternion or a (4, N) QArray
+    and conjugate a bool or an (N,) bool array, it returns N residuals.
     """
     gq = _value(g, q)
     shifted = _basis(gq * mu)
@@ -415,7 +382,6 @@ def check_product_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
     return abs(lhs - rhs)
 
 
-@_replays_points
 def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
                      nu, conjugate=False):
     """Residual of the GHR chain rule for f(g(q)) at q.
@@ -426,7 +392,7 @@ def check_chain_rule(f: QFunction, g: QFunction, q: Quaternion | QArray, mu,
     g is evaluated at q and on q's stencil first, then f on its own stencil
     at g(q) and on g's stencil values, so where both fail the
     EvaluationError names g's first bad point.  At a QArray of points it
-    returns one residual per point (_replays_points).
+    returns N residuals, as check_product_rule does.
     """
     basis = _basis(mu)
     axes = [nu * UNITS[eta] for eta in AXES]

@@ -16,12 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-ABS_TOL = 1e-12
-REL_TOL = 1e-10
-
-# Tolerance for "is this a unit / pure quaternion" preconditions.
-UNIT_TOL = 1e-9
-
 
 class Quaternion(NamedTuple):
     """Immutable quaternion a + i*b + j*c + k*d.
@@ -130,9 +124,6 @@ class Quaternion(NamedTuple):
         if n2 == 0.0:
             raise ValueError("zero quaternion has no inverse")
         return Quaternion(self.a / n2, -self.b / n2, -self.c / n2, -self.d / n2)
-
-    def real_part(self) -> float:
-        return self.a
 
     def vector(self) -> "Quaternion":
         """Imaginary (vector) part i*b + j*c + k*d."""
@@ -326,13 +317,6 @@ class QArray:
         return np.sqrt(b * b + c * c + d * d)
 
 
-def isclose(p: Quaternion, q: Quaternion,
-            abs_tol: float = ABS_TOL, rel_tol: float = REL_TOL) -> bool:
-    """Tolerance-based comparison: true when |p - q| <= abs_tol + rel_tol*scale."""
-    scale = max(abs(p), abs(q))
-    return abs(p - q) <= abs_tol + rel_tol * scale
-
-
 def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
     """Rotation q^mu = mu q mu^-1, computed as mu q mu* / |mu|^2."""
     n2 = mu.modulus_squared()
@@ -369,100 +353,19 @@ def involute_conj(q: Quaternion, axis: str) -> Quaternion:
     return involute(q, axis).conjugate()
 
 
-def reflect(q: Quaternion, eta: Quaternion) -> Quaternion:
-    """Reflection eta q eta across the plane normal to a pure unit eta."""
-    if abs(eta.real_part()) > UNIT_TOL:
-        raise ValueError("reflection axis must be a pure quaternion")
-    if abs(eta.modulus() - 1.0) > UNIT_TOL:
-        raise ValueError("reflection axis must have unit modulus")
-    return eta * q * eta
-
-
 @dataclass(frozen=True)
 class MuBasis:
-    """The rotated imaginary units i^mu, j^mu, k^mu and their 3x3 matrix.
-
-    Row r of ``m`` holds the (i, j, k) components of the r-th rotated unit, so
-    the vector part of q^mu is (b, c, d) @ m.  The matrix is orthogonal with
-    determinant +1.
-    """
+    """The rotated imaginary units i^mu, j^mu, k^mu of a nonzero axis mu."""
 
     mu: Quaternion
     i_mu: Quaternion
     j_mu: Quaternion
     k_mu: Quaternion
 
-    @property
-    def m(self) -> np.ndarray:
-        return np.array([unit[1:] for unit in (self.i_mu, self.j_mu, self.k_mu)])
-
 
 def mu_basis(mu: Quaternion) -> MuBasis:
     """Rotated basis for a nonzero axis mu; mu = 1 returns the standard units."""
     return MuBasis(mu=mu, i_mu=rotate(I, mu), j_mu=rotate(J, mu), k_mu=rotate(K, mu))
-
-
-def components_from_involutions(q: Quaternion) -> tuple[float, float, float, float]:
-    """Recover (a, b, c, d) from q and its three involutions.
-
-    a = (q + q^i + q^j + q^k)/4, b = -i(q + q^i - q^j - q^k)/4 and cyclically.
-    Pairwise association keeps the round trip exact in floating point.
-    """
-    qi = involute(q, "i")
-    qj = involute(q, "j")
-    qk = involute(q, "k")
-    s_a = (q + qi) + (qj + qk)
-    s_b = (q + qi) - (qj + qk)
-    s_c = (q - qi) + (qj - qk)
-    s_d = (q - qi) - (qj - qk)
-    a = (s_a / 4.0).a
-    b = ((-I) * (s_b / 4.0)).a
-    c = ((-J) * (s_c / 4.0)).a
-    d = ((-K) * (s_d / 4.0)).a
-    return (a, b, c, d)
-
-
-def conjugate_links(q: Quaternion) -> dict[str, Quaternion]:
-    """Express q*, q^(i*), q^(j*), q^(k*) through q and its involutions.
-
-    q* = (-q + q^i + q^j + q^k)/2, q^(i*) = (q - q^i + q^j + q^k)/2, etc.
-    """
-    qi = involute(q, "i")
-    qj = involute(q, "j")
-    qk = involute(q, "k")
-    return {
-        "conj": (-q + qi + qj + qk) / 2.0,
-        "i": (q - qi + qj + qk) / 2.0,
-        "j": (q + qi - qj + qk) / 2.0,
-        "k": (q + qi + qj - qk) / 2.0,
-    }
-
-
-@dataclass(frozen=True)
-class PolarForm:
-    """Polar decomposition q = modulus * (cos(angle) + axis * sin(angle)).
-
-    ``axis`` is a pure unit quaternion and ``angle`` lies in [0, pi].  A real
-    quaternion has no preferred axis; the i unit is used by convention with
-    angle 0 (positive reals) or pi (negative reals).
-    """
-
-    modulus: float
-    axis: Quaternion
-    angle: float
-
-    def to_quaternion(self) -> Quaternion:
-        return (math.cos(self.angle) + self.axis * math.sin(self.angle)) * self.modulus
-
-
-def polar(q: Quaternion) -> PolarForm:
-    mod = q.modulus()
-    v = q.vector_modulus()
-    if v == 0.0:
-        return PolarForm(modulus=mod, axis=I, angle=0.0 if q.a >= 0.0 else math.pi)
-    axis = q.vector() / v
-    angle = math.atan2(v, q.a)
-    return PolarForm(modulus=mod, axis=axis, angle=angle)
 
 
 # One signed term: a float (exponent signs included) with an optional unit,
@@ -478,7 +381,8 @@ def format_quaternion(q: Quaternion) -> str:
 
 
 def parse_quaternion(text: str) -> Quaternion:
-    """Parse "a+bi+cj+dk"; terms may be omitted or reordered, signs optional."""
+    """Parse "a+bi+cj+dk"; terms may be omitted or reordered, signs optional.
+    A term too large for a double (1e999) is rejected, not read as inf."""
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty quaternion literal")
@@ -501,4 +405,6 @@ def parse_quaternion(text: str) -> Quaternion:
             raise ValueError(f"repeated {unit or 'real'} term in {text!r}")
         seen.add(unit)
         comps[unit] = float(body)
+        if not math.isfinite(comps[unit]):
+            raise ValueError(f"quaternion term {term!r} in {text!r} is not finite")
     return Quaternion(comps[""], comps["i"], comps["j"], comps["k"])

@@ -21,7 +21,7 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(children[stream]))
 
 
-# Rejection budget of the draws below; an unreachable bound must fail, not
+# Rejection budget of random_quaternion; an unreachable bound must fail, not
 # loop forever.
 MAX_DRAWS = 1000
 
@@ -41,12 +41,3 @@ def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.
     raise ValueError(f"no draw from [{lo}, {hi}]^4 reached modulus {min_modulus} "
                      f"in {MAX_DRAWS} tries")
 
-
-def random_pure_unit(rng: np.random.Generator) -> Quaternion:
-    """Uniformly distributed pure unit quaternion."""
-    for _ in range(MAX_DRAWS):
-        v = rng.normal(size=3)
-        norm = float(np.sqrt(v @ v))
-        if norm > 1e-6:
-            return Quaternion(0.0, v[0] / norm, v[1] / norm, v[2] / norm)
-    raise ValueError(f"no normal draw reached norm 1e-6 in {MAX_DRAWS} tries")

@@ -61,10 +61,6 @@ class EntryDerivatives(NamedTuple):
     d_mu_times_mu: Quaternion
     d_mu_conj_times_mu: Quaternion
 
-    def bare(self, mu: Quaternion) -> tuple[Quaternion, Quaternion]:
-        inv = mu.inverse()
-        return (self.d_mu_times_mu * inv, self.d_mu_conj_times_mu * inv)
-
 
 @dataclass(frozen=True)
 class FamilySpec:
@@ -419,13 +415,6 @@ def _exponential_cols(e, q, mu):
     return EntryDerivatives(plain_total, conj_total)
 
 
-def exp_series_tail_bound(entry: TableEntry, q: Quaternion, mu: Quaternion) -> float:
-    """Bound on the derivative mass dropped by truncating the exponential series."""
-    n = entry.terms
-    mod = q.modulus()
-    return mod ** (n + 1) / math.factorial(n + 1) * math.exp(mod) * abs(mu)
-
-
 FAMILIES: dict[str, FamilySpec] = {}
 
 
@@ -530,14 +519,14 @@ def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternio
 
     Given a sequence of entries, one per point on the last axis of the
     QArrays it takes, the function evaluates each run of points that share
-    family and counts (_batches) in one call on its slice of that axis, and
-    its point_function(k) is the one-point function of entry k.
+    family and counts (_batches) in one call on its slice of that axis.
+    The rule draws in identities check a round of draws this way, and
+    replay a failed round draw by draw with each draw's own entries.
     """
     if isinstance(entry, TableEntry):
         spec = _check_entry(entry)
         return takes_arrays(lambda p: spec.value(entry, p))
-    entries = tuple(entry)
-    runs = [(part, as_function(stacked)) for part, stacked in _batches(entries)]
+    runs = [(part, as_function(stacked)) for part, stacked in _batches(entry)]
 
     @takes_arrays
     def by_family(p: QArray) -> QArray:
@@ -546,7 +535,6 @@ def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternio
             values[..., part] = fn(QArray(p.c[..., part])).c
         return QArray(values)
 
-    by_family.point_function = lambda k: as_function(entries[k])
     return by_family
 
 

@@ -253,12 +253,3 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
             rising = 0
     return DescentTrace(tuple(iterates), tuple(values), tuple(grad_norms), alpha)
 
-
-def descent_direction_gap(grad: Quaternion, direction: Quaternion) -> float:
-    """Re(d f/dq * d) minus its minimum over unit directions.
-
-    The minimizing unit direction is -(d f/dq)* / |d f/dq|; the gap is
-    nonnegative for every other unit direction.
-    """
-    best = -abs(grad)
-    return (grad * direction).a - best

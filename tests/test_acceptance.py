@@ -19,9 +19,10 @@ from quatcalc.quaternion import (AXES, ONE, ZERO, Quaternion, involute,
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate)
-from quatcalc.theorems import (descent_direction_gap, mvt_error_bound_check,
-                               mvt_left, steepest_descent,
-                               taylor_remainder_slope)
+from quatcalc.theorems import (mvt_error_bound_check, mvt_left,
+                               steepest_descent, taylor_remainder_slope)
+from test_quaternion import basis_matrix
+from test_theorems import descent_direction_gap
 
 SEED = 20240501
 
@@ -280,7 +281,7 @@ def test_criterion_13_algebra_suite():
         )
         axis = ("1", "i", "j", "k")[int(rng.integers(4))]
         worst = max(worst, abs(involute(involute(q, axis), axis) - q))
-        m = mu_basis(mu).m
+        m = basis_matrix(mu_basis(mu))
         worst = max(worst, float(np.abs(m @ m.T - np.eye(3)).max()),
                     abs(float(np.linalg.det(m)) - 1.0))
     _report(worst <= 1e-12,

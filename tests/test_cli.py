@@ -208,6 +208,14 @@ def test_descend_bad_target(capsys):
     assert "bad quaternion term" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--target", "--start"])
+def test_descend_rejects_a_literal_too_large_for_a_double(option, capsys):
+    assert main(["descend", option, "1e999"]) == 2
+    err = capsys.readouterr().err
+    assert "'1e999'" in err and "not finite" in err
+    assert "function evaluation" not in err
+
+
 @pytest.mark.parametrize("option, value", [("--alpha", "nan"), ("--alpha", "inf"),
                                            ("--alpha", "-0.4"), ("--max-iters", "-3")])
 def test_descend_rejects_bad_step_and_budget(option, value, capsys):

@@ -22,10 +22,11 @@ from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
                                   second_order, second_order_left,
                                   second_order_right, takes_arrays)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
-                                 Quaternion, involute, involute_conj, isclose,
-                                 rotate)
+                                 Quaternion, involute, involute_conj, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import taylor2_left
+
+from test_quaternion import isclose
 
 SEED = 20240229
 
@@ -759,72 +760,3 @@ def test_rule_checks_of_points_match_the_one_point_checks_bitwise(name, fn):
             assert _bits(chain[k].item()) \
                 == _bits(check_chain_rule(fn, linear, q, _at(mu, k), _at(nu, k),
                                           conjugate=flag))
-
-
-def _first_error(loop) -> Exception:
-    """The error that a loop of one-point checks raises."""
-    with pytest.raises(Exception) as caught:
-        loop()
-    return caught.value
-
-
-def _assert_same_error(caught, expected):
-    assert type(caught) is type(expected)
-    assert str(caught) == str(expected)
-    assert _bits(*caught.point) == _bits(*expected.point)
-
-
-@pytest.mark.parametrize("array_form", [True, False], ids=["array_form", "plain"])
-def test_rule_checks_of_points_raise_the_scalar_loops_first_error(array_form):
-    # g fails only at q + h 1 where a sits at the edge, f only at q - h k
-    # where d does.  On arrays each check evaluates one function at every
-    # point before the other: the product rule f, the chain rule g.
-    f, g = _finite_within(K), _finite_within(ONE)
-    if not array_form:
-        f, g = (lambda p, f=f: f(p)), (lambda p, g=g: g(p))
-    edge = LIMIT - DEFAULT_H / 2
-    good = Quaternion(0.4, 0.3, -0.2, 0.1)
-    g_fails, f_fails = Quaternion(edge, 0.3, -0.2, 0.1), Quaternion(0.4, 0.3, -0.2, -edge)
-    mu, nu = Quaternion(0.5, 0.2, -0.4, 0.9), Quaternion(-0.3, 0.8, 0.1, 0.4)
-    flags = np.array([False, True, False])
-    # An earlier draw's g and a later draw's f fail, and the other way round.
-    for points in ([g_fails, good, f_fails], [f_fails, good, g_fails]):
-        draws = list(zip(points, flags.tolist()))
-        expected = _first_error(lambda: [check_product_rule(f, g, p, mu, conjugate=c)
-                                         for p, c in draws])
-        with pytest.raises(EvaluationError) as caught:
-            check_product_rule(f, g, _stack(points), mu, conjugate=flags)
-        _assert_same_error(caught.value, expected)
-        expected = _first_error(lambda: [check_chain_rule(f, g, p, mu, nu, conjugate=c)
-                                         for p, c in draws])
-        with pytest.raises(EvaluationError) as caught:
-            check_chain_rule(f, g, _stack(points), mu, nu, conjugate=flags)
-        _assert_same_error(caught.value, expected)
-        # The first draw's error, wherever the array pass fails first.
-        assert abs(expected.point - points[0]) < 1.5 * DEFAULT_H
-
-
-def test_rule_checks_of_points_replay_each_draws_own_table_functions():
-    # Draw 0's 30-term exponential f overflows at its point (q^n / n! passes
-    # 1e308); draw 2's real-part g is 0 at its point, so its shifted axis
-    # g(q) mu is degenerate.  The array pass meets the degenerate axis
-    # first, the loop of one-point checks the overflow.
-    exponential, real_part, square = (tables.TableEntry("exponential", terms=30),
-                                      tables.TableEntry("real_part"),
-                                      tables.TableEntry("square"))
-    f = tables.as_function([exponential, square, square])
-    g = tables.as_function([square, square, real_part])
-    points = [Quaternion(1e12, 0.0, 0.0, 0.0), Quaternion(0.4, 0.3, -0.2, 0.1),
-              Quaternion(0.0, 0.3, -0.2, 0.1)]
-    mu = Quaternion(0.5, 0.2, -0.4, 0.9)
-    with pytest.raises(DegenerateAxisError):
-        check_product_rule(g.point_function(2), g.point_function(2), points[2], mu)
-    expected = _first_error(lambda: [check_product_rule(tables.as_function(fe),
-                                                        tables.as_function(ge), p, mu)
-                                     for fe, ge, p in zip([exponential, square, square],
-                                                          [square, square, real_part],
-                                                          points)])
-    with pytest.raises(EvaluationError) as caught:
-        check_product_rule(f, g, _stack(points), mu)
-    _assert_same_error(caught.value, expected)
-    assert _bits(*expected.point) == _bits(*points[0])

@@ -1,13 +1,16 @@
 """Identity suite runner: record structure, determinism, overrides, and the
 batched suite against its point-by-point oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from quatcalc import derivatives, identities, tables
-from quatcalc.derivatives import (DegenerateAxisError, ghr_from_partials,
-                                  has_array_form, hr_from_partials, left_ghr,
-                                  left_hr, real_partials, second_order,
+from quatcalc.derivatives import (DegenerateAxisError, EvaluationError,
+                                  ghr_from_partials, has_array_form,
+                                  hr_from_partials, left_ghr, left_hr,
+                                  real_partials, second_order,
                                   second_order_right, takes_arrays)
 from quatcalc.identities import (DEFAULT_TOLERANCES, IdentityRecord,
                                  SuiteResult, _record, _stack, run_identity_suite)
@@ -292,6 +295,87 @@ def test_real_chain_corollary_squares_through_python_floats():
     assert [x ** 2 for x in values] == expected[0].tolist()
 
 
+# --- the replay of a failed round of rule draws ------------------------------
+# Draw 0's 30-term exponential f overflows at its point (q^n / n! passes
+# 1e308); draw 2 is degenerate: its real-part g is 0 at its point, so the
+# shifted axis g(q) mu vanishes, or its chain-rule axis mu is 0.
+
+EXPONENTIAL = tables.TableEntry("exponential", terms=30)
+REAL_PART = tables.TableEntry("real_part")
+SQUARE = tables.TableEntry("square")
+IDENTITY = tables.TableEntry("linear", omega=ONE, nu=ONE,
+                             lam=Quaternion(0.0, 0.0, 0.0, 0.0))
+MU = Quaternion(0.5, 0.2, -0.4, 0.9)
+NU = Quaternion(-0.3, 0.8, 0.1, 0.4)
+OVERFLOWING = Quaternion(1e12, 0.0, 0.0, 0.0)
+GOOD = Quaternion(0.4, 0.3, -0.2, 0.1)
+REAL_ZERO = Quaternion(0.0, 0.3, -0.2, 0.1)
+
+
+def _replay_draws(rule):
+    """Three draws of one rule: the overflowing one, a good one, a degenerate one."""
+    Draw = identities._Draw
+    if rule == "product":
+        return [Draw(EXPONENTIAL, SQUARE, OVERFLOWING, MU, None, False),
+                Draw(SQUARE, SQUARE, GOOD, MU, None, True),
+                Draw(SQUARE, REAL_PART, REAL_ZERO, MU, None, False)]
+    return [Draw(EXPONENTIAL, IDENTITY, OVERFLOWING, MU, NU, False),
+            Draw(SQUARE, IDENTITY, GOOD, MU, NU, True),
+            Draw(SQUARE, IDENTITY, GOOD, Quaternion(0.0, 0.0, 0.0, 0.0), NU, False)]
+
+
+def _one_point_check(draw):
+    """The draw's residual from the one-point rule check, as a draw loop takes it."""
+    f, g = tables.as_function(draw.f), tables.as_function(draw.g)
+    if draw.nu is None:
+        return derivatives.check_product_rule(f, g, draw.q, draw.mu, conjugate=draw.conjugate)
+    return derivatives.check_chain_rule(f, g, draw.q, draw.mu, draw.nu,
+                                        conjugate=draw.conjugate)
+
+
+@pytest.mark.parametrize("rule", ["product", "chain"])
+def test_rule_draws_raise_the_draw_loops_first_error(rule):
+    draws = _replay_draws(rule)
+    # The array pass meets the degenerate draw 2 first ...
+    with pytest.raises(DegenerateAxisError):
+        identities._check(*identities._batch_args(draws))
+    # ... a loop over the draws meets draw 0's overflow, and so does the replay.
+    with pytest.raises(EvaluationError) as expected:
+        for draw in draws:
+            _one_point_check(draw)
+    with pytest.raises(EvaluationError) as caught:
+        identities._residuals(draws)
+    assert str(caught.value) == str(expected.value)
+    assert tuple(caught.value.point) == tuple(expected.value.point)
+    assert abs(expected.value.point - OVERFLOWING) < 1.5 * derivatives.DEFAULT_H
+
+
+@pytest.mark.parametrize("rule", ["product", "chain"])
+def test_a_degenerate_rule_draw_on_its_own_comes_back_none(rule):
+    draws = _replay_draws(rule)[1:]
+    residuals = identities._residuals(draws)
+    assert residuals[1] is None
+    assert residuals[0].hex() == _one_point_check(draws[0]).hex()
+    # The real chain corollary does not skip a degenerate draw.
+    corollary = identities._Draw(None, REAL_PART, GOOD, Quaternion(0.0, 0.0, 0.0, 0.0),
+                                 None, False)
+    with pytest.raises(DegenerateAxisError):
+        identities._residuals([draws[0], corollary])
+
+
+def test_rule_draws_overflow_silently_as_python_floats_do():
+    # f g passes 1e308 on the stencil: the residual is NaN, as the one-point
+    # check on Python floats gives it, with no RuntimeWarning.
+    draws = [identities._Draw(SQUARE, SQUARE, Quaternion(1e100, 1e100, 0.0, 0.0),
+                              MU, None, False)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = identities._residuals(draws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _one_point_check(draws[0])
+    assert residuals[0].hex() == expected.hex()
+
+
 @pytest.mark.parametrize("name,scalar", [("_f_sq", f_sq), ("_f_conj", f_conj),
                                          ("_f_mod2", f_mod2), ("_f_cross", f_cross)])
 def test_suite_functions_take_arrays_bitwise(name, scalar):
@@ -310,7 +394,7 @@ def test_suite_functions_take_arrays_bitwise(name, scalar):
 def test_suite_passes_with_defaults():
     result = run_identity_suite()
     assert len(result.records) >= 500
-    assert result.all_passed()
+    assert all(r.passed for r in result.records)
     assert all(isinstance(r, IdentityRecord) for r in result.records)
 
 
@@ -348,7 +432,7 @@ def test_records_respect_tolerances():
 def test_tolerance_override_can_fail_records():
     result = run_identity_suite(points=5,
                                 tolerances={"product_rule": 1e-15})
-    assert not result.all_passed()
+    assert not all(r.passed for r in result.records)
     failing = {r.identity for r in result.records if not r.passed}
     assert failing <= {"product_rule", "product_rule_conj"}
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 from quatcalc import derivatives
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
-from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, isclose
+from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
-from quatcalc.tables import (TableEntry, as_function, catalogue,
-                             conj_gradient, cross_validate, derivative,
-                             eval_entry, exp_series_tail_bound)
+from quatcalc.tables import (DEFAULT_EXP_TERMS, TableEntry, as_function,
+                             catalogue, conj_gradient, cross_validate,
+                             derivative, eval_entry)
 
 from test_derivatives import oracle_stencil
+from test_quaternion import isclose
 
 SEED = 20240310
 DRAWS_PER_FAMILY = 30
@@ -92,16 +93,6 @@ def test_linear_entry_oracle():
     assert isclose(cols.d_mu_conj_times_mu, num.d_mu_conj, abs_tol=1e-8)
 
 
-def test_bare_derivative_strips_mu():
-    entry = TableEntry(family="square")
-    q = Quaternion(0.5, -1.0, 0.25, 0.75)
-    mu = Quaternion(1.0, 1.0, 0.0, 0.0)
-    cols = derivative(entry, q, mu)
-    bare_mu, bare_conj = cols.bare(mu)
-    assert isclose(bare_mu * mu, cols.d_mu_times_mu)
-    assert isclose(bare_conj * mu, cols.d_mu_conj_times_mu)
-
-
 def test_modulus_squared_oracle():
     entry = TableEntry(family="modulus_squared")
     q = Quaternion(1.0, 2.0, 3.0, 4.0)
@@ -147,13 +138,25 @@ def test_series_value_commutes_with_argument():
         assert abs(f * q - q * f) < 1e-12
 
 
+def _exp_tail_bound(terms: int, q: Quaternion, mu: Quaternion) -> float:
+    """Bound on the derivative mass dropped by truncating the exponential
+    series after ``terms`` terms: |q|^(n+1) / (n+1)! e^|q| |mu|."""
+    mod = abs(q)
+    return mod ** (terms + 1) / math.factorial(terms + 1) * math.exp(mod) * abs(mu)
+
+
 def test_exponential_tail_bound():
-    entry = TableEntry(family="exponential", terms=30)
     q = Quaternion(1.0, 1.0, 1.0, 1.0)
-    bound = exp_series_tail_bound(entry, q, ONE)
-    assert bound < 1e-12
-    short = TableEntry(family="exponential", terms=3)
-    assert exp_series_tail_bound(short, q, ONE) > 1e-3
+    mu = Quaternion(0.5, -0.3, 0.8, 0.1)
+    assert _exp_tail_bound(DEFAULT_EXP_TERMS, q, mu) < 1e-12
+    assert _exp_tail_bound(3, q, mu) > 1e-3
+    # The columns of a truncated series lie within the bound of a longer one.
+    long = derivative(TableEntry(family="exponential", terms=60), q, mu)
+    for terms in (3, 8, DEFAULT_EXP_TERMS):
+        cols = derivative(TableEntry(family="exponential", terms=terms), q, mu)
+        bound = _exp_tail_bound(terms, q, mu)
+        assert abs(cols.d_mu_times_mu - long.d_mu_times_mu) <= bound + 1e-15
+        assert abs(cols.d_mu_conj_times_mu - long.d_mu_conj_times_mu) <= bound + 1e-15
 
 
 def test_exponential_more_terms_converge():
@@ -338,8 +341,7 @@ def test_function_of_entries_evaluates_each_points_own_entry_bitwise():
         for points in (q, stencil):
             values = fn(points).c
             for k, entry in enumerate(entries):
-                one = fn.point_function(k)
-                assert _hex(one(ordered[k][1])) == _hex(as_function(entry)(ordered[k][1]))
+                one = as_function(entry)
                 at_points = [Quaternion(*p) for p in points.c[..., k].reshape(4, -1).T.tolist()]
                 assert [[x.hex() for x in v] for v in values[..., k].reshape(4, -1).T.tolist()] \
                     == [_hex(one(p)) for p in at_points]

@@ -9,14 +9,15 @@ import pytest
 from quatcalc import cli, derivatives, theorems
 from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
                                   takes_arrays)
-from quatcalc.quaternion import I, ONE, Quaternion, isclose
+from quatcalc.quaternion import I, ONE, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
-from quatcalc.theorems import (DivergenceError, descent_direction_gap,
-                               first_order_error, mvt_error_bound_check,
-                               mvt_left, steepest_descent, taylor2_left,
+from quatcalc.theorems import (DivergenceError, first_order_error,
+                               mvt_error_bound_check, mvt_left,
+                               steepest_descent, taylor2_left,
                                taylor_remainder_slope)
 from test_derivatives import _oracle_value, oracle_hr
+from test_quaternion import isclose
 
 SEED = 20240404
 SCALES = (1e-1, 3.1622776601683795e-2, 1e-2, 3.1622776601683795e-3, 1e-3)
@@ -313,6 +314,16 @@ def test_descent_numerical_gradient_agrees():
                                  max_iters=5, grad_tol=0.0)
     for a, b in zip(closed.iterates, numerical.iterates):
         assert abs(a - b) < 1e-6
+
+
+def descent_direction_gap(grad: Quaternion, direction: Quaternion) -> float:
+    """Re(d f/dq * d) minus its minimum over unit directions.
+
+    The minimizing unit direction is -(d f/dq)* / |d f/dq|; the gap is
+    nonnegative for every other unit direction.
+    """
+    best = -abs(grad)
+    return (grad * direction).a - best
 
 
 def test_descent_direction_optimality():
