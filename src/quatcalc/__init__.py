@@ -21,7 +21,7 @@ from .tables import (CrossCheck, EntryDerivatives, FamilySpec, TableEntry,
                      as_function, catalogue, conj_gradient, cross_validate,
                      derivative, eval_entry)
 from .theorems import (DescentTrace, DivergenceError, SegmentCheck, TaylorFit,
-                       first_order_error, mvt_error_bound_check, mvt_left,
-                       steepest_descent, taylor2_left, taylor_remainder_slope)
+                       mvt_error_bound_check, mvt_left, steepest_descent,
+                       taylor2_left, taylor_remainder_slope)
 
 __version__ = "0.1.0"

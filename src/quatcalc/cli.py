@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 from . import identities, tables, theorems
 from .derivatives import takes_arrays
 from .filters import ExperimentConfig, run_experiment
-from .quaternion import ONE, QArray, Quaternion, format_quaternion, parse_quaternion
+from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
 from .sampling import make_rng, random_quaternion
 from .tables import TableEntry
 from .theorems import DivergenceError
@@ -194,17 +194,12 @@ def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
     verdict goes to ``oks`` as the row is made."""
     for spec in specs:
         for start in range(0, points, TABLE_CHUNK):
-            entries, qs, mus = [], [], []
-            for _ in range(min(TABLE_CHUNK, points - start)):
-                entries.append(spec.sample_entry(rng))
-                qs.append(spec.sample_point(entries[-1], rng))
-                mus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
-            check = tables.cross_validate(entries, QArray(list(zip(*qs))),
-                                          QArray(list(zip(*mus))))
+            entry, qs, mus = tables.sample_batch(spec, rng, min(TABLE_CHUNK, points - start))
+            check = tables.cross_validate(entry, qs, mus)
             columns = [[format_quaternion(tuple(c)) for c in field.c.T.tolist()]
-                       for field in check[:4]] + [field.tolist() for field in check[4:]]
-            for q, mu, *fields in zip(qs, mus, *columns):
-                point, axis = format_quaternion(q), format_quaternion(mu)
+                       for field in (qs, mus, *check[:4])] \
+                + [field.tolist() for field in check[4:]]
+            for point, axis, *fields in zip(*columns):
                 # A CrossCheck's fields alternate between the mu and mu_conj columns.
                 for column, (closed, numerical, residual) in (("mu", fields[0::2]),
                                                               ("mu_conj", fields[1::2])):

@@ -357,7 +357,6 @@ def involute_conj(q: Quaternion, axis: str) -> Quaternion:
 class MuBasis:
     """The rotated imaginary units i^mu, j^mu, k^mu of a nonzero axis mu."""
 
-    mu: Quaternion
     i_mu: Quaternion
     j_mu: Quaternion
     k_mu: Quaternion
@@ -365,7 +364,7 @@ class MuBasis:
 
 def mu_basis(mu: Quaternion) -> MuBasis:
     """Rotated basis for a nonzero axis mu; mu = 1 returns the standard units."""
-    return MuBasis(mu=mu, i_mu=rotate(I, mu), j_mu=rotate(J, mu), k_mu=rotate(K, mu))
+    return MuBasis(i_mu=rotate(I, mu), j_mu=rotate(J, mu), k_mu=rotate(K, mu))
 
 
 # One signed term: a float (exponent signs included) with an optional unit,

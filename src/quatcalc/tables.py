@@ -21,8 +21,14 @@ Quaternion and QArray share, so the same formula serves one point and a
 batch.  cross_validate checks a whole (4, N) batch of points in one pass,
 bit for bit the one-point calls: one call of the columns and one call of
 the evaluator on all 8N stencil points (derivatives.left_ghr on a QArray
-of points) for each run of points whose entries share family and counts n
-and terms.  The one-point calls' results stay on Python floats.
+of points) for an entry whose coefficients are stacked, or for each run of
+points whose entries share family and counts n and terms.  The one-point
+calls' results stay on Python floats.
+
+The table draws its points with sample_batch: one rng.random call per
+batch, the family's admissible test on the arrays, and at the first
+rejected point a rewind and a one-point draw, so that the doubles and the
+generator's end state are those of the one-point samplers.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ from .quaternion import ONE, ZERO, QArray, Quaternion, anywhere, rotate
 from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
+# Uniform draws: coefficients from [-1, 1]^4, points and axes from [-2, 2]^4,
+# the table's GHR axes with |mu| >= AXIS_MODULUS.
+_COEFFICIENT_RANGE = (-1.0, 1.0)
+_POINT_RANGE = (-2.0, 2.0)
+AXIS_MODULUS = 0.1
 DEFAULT_EXP_TERMS = 30
 
 
@@ -84,7 +95,7 @@ class FamilySpec:
     def sample_point(self, entry: TableEntry, rng: np.random.Generator) -> Quaternion:
         """Uniform draw from [-2, 2]^4, redrawn until the family admits it."""
         for _ in range(1000):
-            q = random_quaternion(rng, -2.0, 2.0)
+            q = random_quaternion(rng, *_POINT_RANGE)
             if self.admissible(entry, q):
                 return q
         raise RuntimeError("could not sample an admissible point")
@@ -150,7 +161,7 @@ class _Param(NamedTuple):
     expected: str
 
 
-_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, -1.0, 1.0),
+_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, *_COEFFICIENT_RANGE),
                       lambda v: isinstance(v, (Quaternion, QArray)), "a Quaternion")
 # Drawn by the sampler and checked on every entry, keyed by TableEntry field.
 _PARAMS = {
@@ -477,6 +488,65 @@ def catalogue() -> tuple[FamilySpec, ...]:
     return tuple(FAMILIES.values())
 
 
+def _sample_one(spec: FamilySpec, rng: np.random.Generator):
+    """One (entry, point, axis) draw of the table, |axis| >= AXIS_MODULUS."""
+    entry = spec.sample_entry(rng)
+    return (entry, spec.sample_point(entry, rng),
+            random_quaternion(rng, *_POINT_RANGE, min_modulus=AXIS_MODULUS))
+
+
+def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
+    """count draws of _sample_one, bit for bit, leaving rng where they would:
+    the entry, with its coefficients stacked into (4, count) QArrays, and
+    the (4, count) QArrays of points and axes.
+
+    Every one-point draw is 4 rng.random doubles per coefficient, point
+    and axis, each mapped by lo + span * u, and Philox gives the same
+    doubles in one call as in many.  So the draws come from one call, and
+    the family's admissible test and the axis bound run on the arrays.  At
+    the first point either rejects, where the one-point draws would redraw,
+    rng is rewound to just past the points before it, that point is drawn
+    with _sample_one, and the bulk draw goes on after it.
+
+    A family with a count n draws it with rng.integers, from a buffer the
+    rewind would have to replay as well; its points are drawn one by one,
+    and the entries come back as a list.
+    """
+    if "n" in spec.params:
+        entries, qs, mus = zip(*(_sample_one(spec, rng) for _ in range(count)))
+        return list(entries), QArray(list(zip(*qs))), QArray(list(zip(*mus)))
+    coefficients = [p for p in spec.params if p in _AFFINE]
+    # terms draws nothing.
+    fixed = {p: _PARAMS[p].draw(rng) for p in spec.params if p not in _AFFINE}
+    ranges = [_COEFFICIENT_RANGE] * len(coefficients) + [_POINT_RANGE] * 2
+    lo = np.repeat([lo for lo, _ in ranges], 4)
+    span = np.repeat([hi - lo for lo, hi in ranges], 4)
+    drawn = np.empty((count, len(lo)))
+
+    def stacked(rows):
+        comps = rows.T.copy()
+        entry = TableEntry(spec.name, **fixed, **{
+            name: QArray(comps[4 * k:4 * k + 4]) for k, name in enumerate(coefficients)})
+        return entry, QArray(comps[-8:-4]), QArray(comps[-4:])
+
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        rows = lo + span * rng.random((count - done, len(lo)))
+        entry, q, mu = stacked(rows)
+        kept = np.logical_and(spec.admissible(entry, q), mu.modulus() >= AXIS_MODULUS)
+        accepted = len(rows) if kept.all() else int(np.argmin(kept))
+        drawn[done:done + accepted] = rows[:accepted]
+        done += accepted
+        if done < count:
+            rng.bit_generator.state = state
+            rng.random(accepted * len(lo))
+            entry, q, mu = _sample_one(spec, rng)
+            drawn[done] = [x for p in coefficients for x in getattr(entry, p)] + [*q, *mu]
+            done += 1
+    return stacked(drawn)
+
+
 def _check_entry(entry: TableEntry) -> FamilySpec:
     spec = FAMILIES.get(entry.family)
     if spec is None:
@@ -584,11 +654,12 @@ def cross_validate(entry: TableEntry | Sequence[TableEntry], q: Quaternion,
 
     Residuals are relative: |closed - numerical| / (1 + |closed|).
 
-    Batched, q and mu are QArrays of (4, N) points and axes and entry is a
-    sequence of N entries.  Every field then holds N values, bit for bit
-    the one-point calls', and a bad point raises the error that the
-    one-point calls, in point order, raise first.  Temporaries grow with N,
-    so callers bound it.
+    Batched, q and mu are QArrays of (4, N) points and axes, and entry is
+    either one entry with its coefficients stacked into (4, N) QArrays, as
+    sample_batch draws them, or a sequence of N entries.  Every field then
+    holds N values, bit for bit the one-point calls', and a bad point
+    raises the error that the one-point calls, in point order, raise
+    first.  Temporaries grow with N, so callers bound it.
     """
     if isinstance(q, QArray):
         return _cross_validate_batch(entry, q, mu)
@@ -596,15 +667,36 @@ def cross_validate(entry: TableEntry | Sequence[TableEntry], q: Quaternion,
     return _compare(closed, derivatives.left_ghr(as_function(entry), q, mu), mu)
 
 
-def _cross_validate_batch(entries: Sequence[TableEntry], q: QArray,
+def _unstacked(entry: TableEntry, size: int) -> list[TableEntry]:
+    """The size one-point entries of an entry with stacked coefficients."""
+    columns = {name: [Quaternion(*c) for c in value.c.T.tolist()]
+               for name, value in _stacked_coefficients(entry).items()}
+    return [replace(entry, **{name: column[k] for name, column in columns.items()})
+            for k in range(size)]
+
+
+def _stacked_coefficients(entry: TableEntry) -> dict[str, QArray]:
+    return {name: value for name in _AFFINE
+            if isinstance(value := getattr(entry, name), QArray)}
+
+
+def _cross_validate_batch(entries: TableEntry | Sequence[TableEntry], q: QArray,
                           mu: QArray) -> CrossCheck:
     size = q.c.shape[1]
-    if len(entries) != size or mu.c.shape != q.c.shape:
+    stacked = isinstance(entries, TableEntry)
+    if stacked:
+        runs = [(slice(None), entries)]
+        fits = all(value.c.shape == q.c.shape
+                   for value in _stacked_coefficients(entries).values())
+        count = size if fits else -1
+    else:
+        runs, count = _batches(entries), len(entries)
+    if count != size or mu.c.shape != q.c.shape:
         raise ValueError("a batch takes one entry and one axis per point")
     fields = [np.empty((4, size)) for _ in range(4)] + [np.empty(size) for _ in range(2)]
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for part, entry in _batches(entries):
+            for part, entry in runs:
                 points, axes = QArray(q.c[:, part]), QArray(mu.c[:, part])
                 closed = derivative(entry, points, axes)
                 pair = derivatives.left_ghr(as_function(entry), points, axes)
@@ -613,7 +705,8 @@ def _cross_validate_batch(entries: Sequence[TableEntry], q: QArray,
     except (ArithmeticError, TypeError, ValueError):
         # The batch only knows that some point failed: the one-point calls
         # raise the first failure, with its own exception and message.
-        for entry, point, axis in zip(entries, q.c.T.tolist(), mu.c.T.tolist()):
+        one_point = _unstacked(entries, size) if stacked else entries
+        for entry, point, axis in zip(one_point, q.c.T.tolist(), mu.c.T.tolist()):
             cross_validate(entry, Quaternion(*point), Quaternion(*axis))
         raise
     return CrossCheck(*map(QArray, fields[:4]), *fields[4:])

@@ -117,22 +117,19 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
                         residual=abs(lhs - rhs))
 
 
-def first_order_error(f: QFunction, q0: Quaternion, q1: Quaternion) -> float:
-    """Error of the one-point approximation f(q1) - f(q0) by the derivative at q0."""
-    approx = left_hr(f, q0).differential(q1 - q0)
-    return abs(_evaluate(f, q1) - _evaluate(f, q0) - approx)
-
-
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
                           lipschitz: float) -> tuple[float, float, bool]:
-    """Observed first-order error against the bound 2 L |lambda|^2.
+    """Observed first-order error against the bound 2 L |lambda|^2: the
+    error of the one-point approximation of f(q1) - f(q0) by the derivative
+    at q0.
 
     L is a Lipschitz constant for the derivative set along the segment,
     supplied by the caller.  Returns (observed, bound, within_bound) where the
     bound is allowed the relative slack BOUND_SLACK.
     """
     lam = q1 - q0
-    observed = first_order_error(f, q0, q1)
+    approx = left_hr(f, q0).differential(lam)
+    observed = abs(_evaluate(f, q1) - _evaluate(f, q0) - approx)
     bound = 2.0 * lipschitz * lam.modulus_squared()
     return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
 

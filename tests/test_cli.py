@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from quatcalc import cli, derivatives, identities
+from quatcalc import cli, derivatives, identities, tables
 from quatcalc.cli import main
+from quatcalc.quaternion import QArray, format_quaternion
+from quatcalc.sampling import make_rng, random_quaternion
 
 RUNS = {
     "verify": ["verify", "--points", "3"],
@@ -149,6 +151,57 @@ def test_table_chunks_write_the_same_bytes(tmp_path, capsys, monkeypatch):
     assert main(argv + [str(tmp_path / "chunked.csv")]) == 0
     capsys.readouterr()
     assert (tmp_path / "whole.csv").read_bytes() == (tmp_path / "chunked.csv").read_bytes()
+
+
+def oracle_table_rows(specs, points, rng, tol, oks):
+    """The table's rows as the CLI made them with one-point draws: each
+    chunk's entries, points and axes drawn one by one, then restacked."""
+    for spec in specs:
+        for start in range(0, points, cli.TABLE_CHUNK):
+            entries, qs, mus = [], [], []
+            for _ in range(min(cli.TABLE_CHUNK, points - start)):
+                entries.append(spec.sample_entry(rng))
+                qs.append(spec.sample_point(entries[-1], rng))
+                mus.append(random_quaternion(rng, -2.0, 2.0,
+                                             min_modulus=tables.AXIS_MODULUS))
+            check = tables.cross_validate(entries, QArray(list(zip(*qs))),
+                                          QArray(list(zip(*mus))))
+            columns = [[format_quaternion(tuple(c)) for c in field.c.T.tolist()]
+                       for field in check[:4]] + [field.tolist() for field in check[4:]]
+            for q, mu, *fields in zip(qs, mus, *columns):
+                point, axis = format_quaternion(q), format_quaternion(mu)
+                for column, (closed, numerical, residual) in (("mu", fields[0::2]),
+                                                              ("mu_conj", fields[1::2])):
+                    ok = residual <= tol
+                    oks.append(ok)
+                    yield (spec.name, point, axis, column, closed, numerical,
+                           cli._fmt(residual), cli._fmt_pass(ok))
+
+
+@pytest.mark.parametrize("axis_modulus", [0.1, 1.5], ids=["default", "rejecting"])
+def test_table_writes_the_one_point_draws_bytes(axis_modulus, tmp_path, capsys,
+                                                 monkeypatch):
+    # Seven points in chunks of three; power draws one point at a time, the
+    # others in bulk.  An axis bound of 1.5 rejects about one axis in ten,
+    # so the bulk draws replay.
+    families = ("power", "linear_unit_vector", "conj_inverse", "square", "exponential")
+    monkeypatch.setattr(cli, "TABLE_CHUNK", 3)
+    monkeypatch.setattr(tables, "AXIS_MODULUS", axis_modulus)
+    replays = []
+    sample_one = tables._sample_one
+    monkeypatch.setattr(tables, "_sample_one", lambda spec, rng: replays.append(
+        spec.name) or sample_one(spec, rng))
+    argv = ["table", "--points", "7", "--seed", "5", "--out", str(tmp_path / "t.csv")]
+    assert main(argv + [arg for name in families for arg in ("--family", name)]) == 0
+    capsys.readouterr()
+    oks = []
+    specs = [spec for spec in tables.catalogue() if spec.name in families]
+    rows = oracle_table_rows(specs, 7, make_rng(5), cli.TABLE_TOLERANCES["table"], oks)
+    expected = "".join(",".join(row) + "\n" for row in [HEADERS["table"], *rows])
+    assert (tmp_path / "t.csv").read_text() == expected
+    assert all(oks) and len(oks) == 2 * 7 * len(families)
+    assert replays.count("power") == 7
+    assert (len(replays) > 7) == (axis_modulus > 0.1)
 
 
 def test_write_csv_leaves_empty_fields_bare(tmp_path, capsys):

@@ -1,10 +1,11 @@
 """The package's public surface is what its commands and benchmark hooks run.
 
 Every name quatcalc exports, and every public method of a class it exports,
-must be used in src/quatcalc outside its own definition, or be named by the
-benchmark hooks (perfbench/spans.py wraps functions by name,
-perfbench/micro.py calls them), or be in KEPT with the reason it stays.  A
-helper that only tests call belongs in tests/.
+must be used in src/quatcalc outside its own definition and outside the
+definitions that only tests reach, or be named by the benchmark hooks
+(perfbench/spans.py wraps functions by name, perfbench/micro.py calls
+them), or be in KEPT with the reason it stays.  A helper that only tests
+call belongs in tests/.
 """
 
 import ast
@@ -31,10 +32,11 @@ def _exports() -> list[str]:
             if isinstance(node, ast.ImportFrom) for alias in node.names]
 
 
-def _uses() -> tuple[set[str], set[str]]:
-    """Names loaded, and attributes read, in the package's modules, each
-    outside the definitions of the functions and classes of that name."""
-    names, attributes = set(), set()
+def _scan(trees) -> list[tuple[bool, str, frozenset]]:
+    """(is an attribute, name, enclosing definitions) for each name loaded
+    and attribute read in the trees, except inside a definition of its own
+    name."""
+    uses = []
 
     def walk(node, owners):
         for child in ast.iter_child_nodes(node):
@@ -42,15 +44,43 @@ def _uses() -> tuple[set[str], set[str]]:
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 inside = owners | {child.name}
             elif isinstance(child, ast.Name) and child.id not in owners:
-                names.add(child.id)
+                uses.append((False, child.id, owners))
             elif isinstance(child, ast.Attribute) and child.attr not in owners:
-                attributes.add(child.attr)
+                uses.append((True, child.attr, owners))
             walk(child, inside)
 
-    for path in SRC.glob("*.py"):
-        if path.name != "__init__.py":
-            walk(ast.parse(path.read_text()), frozenset())
-    return names, attributes
+    for tree in trees:
+        walk(tree, frozenset())
+    return uses
+
+
+def _live(uses, exports, methods, kept, hooks=(set(), set())) -> tuple[set[str], set[str]]:
+    """Names and attributes used outside the definitions that only tests
+    reach: the kept names, and every export or public method that no
+    other use reaches, found again until none is added.  So a name whose
+    only caller only tests reach counts as unused."""
+    test_only = set(kept)
+    while True:
+        names = {n for attr, n, owners in uses if not attr and not owners & test_only}
+        attributes = {n for attr, n, owners in uses if attr and not owners & test_only}
+        names |= hooks[0]
+        attributes |= hooks[1]
+        unreached = {e for e in exports if e not in names | attributes}
+        unreached |= {m for m in methods if m not in attributes}
+        if unreached <= test_only:
+            return names, attributes
+        test_only |= unreached
+
+
+def _uses() -> tuple[set[str], set[str]]:
+    """Names loaded, and attributes read, in the package's modules, each
+    outside the definitions of the functions and classes of that name and
+    outside the definitions that only tests reach."""
+    trees = [ast.parse(path.read_text()) for path in SRC.glob("*.py")
+             if path.name != "__init__.py"]
+    exports = _exports()
+    return _live(_scan(trees), exports, _public_methods(set(exports)).values(),
+                 KEPT, _hook_uses())
 
 
 def _hook_uses() -> tuple[set[str], set[str]]:
@@ -84,7 +114,7 @@ def _public_methods(exports) -> dict[str, str]:
 def test_every_export_is_used_by_the_package_or_the_benchmark():
     exports = _exports()
     assert all(hasattr(quatcalc, name) for name in exports)
-    used = set().union(*_uses(), *_hook_uses())
+    used = set().union(*_uses())
     unused = [name for name in exports if name not in used and name not in KEPT]
     assert unused == [], f"exported but used only by tests: {unused}"
 
@@ -92,7 +122,7 @@ def test_every_export_is_used_by_the_package_or_the_benchmark():
 def test_every_public_method_of_an_export_is_used():
     # A method is used through an attribute; a bare name of the same
     # spelling (a loop variable m, say) is not a use.
-    used = _uses()[1] | _hook_uses()[1]
+    used = _uses()[1]
     methods = _public_methods(set(_exports()))
     unused = [qualified for qualified, name in methods.items() if name not in used]
     assert unused == [], f"public methods used only by tests: {unused}"
@@ -100,8 +130,39 @@ def test_every_public_method_of_an_export_is_used():
 
 def test_kept_names_are_exported_and_otherwise_unused():
     # A kept name that gained a caller, or left the exports, leaves the list.
-    used = set().union(*_uses(), *_hook_uses())
+    used = set().union(*_uses())
     exports = set(_exports())
     for name, reason in KEPT.items():
         assert name in exports and reason
         assert name not in used, f"{name} no longer needs KEPT"
+
+
+def test_a_use_inside_a_name_only_tests_reach_is_no_use():
+    # kept_api is kept; helper's only caller is kept_api, and deep's only
+    # caller is helper, so neither is used.  Tool.run is called by used.
+    source = """
+def kept_api():
+    return helper()
+
+def helper():
+    return deep()
+
+def deep():
+    return 1
+
+def used():
+    return Tool().run()
+
+class Tool:
+    def run(self):
+        return deep
+
+    def idle(self):
+        return helper()
+
+main = used
+"""
+    exports = ["kept_api", "helper", "deep", "used", "Tool"]
+    names, attributes = _live(_scan([ast.parse(source)]), exports, ["run", "idle"],
+                              {"kept_api"})
+    assert names == {"used", "Tool", "deep", "main"} and attributes == {"run"}

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatcalc import derivatives
+from quatcalc import derivatives, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
-from quatcalc.tables import (DEFAULT_EXP_TERMS, TableEntry, as_function,
-                             catalogue, conj_gradient, cross_validate,
-                             derivative, eval_entry)
+from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
+                             as_function, catalogue, conj_gradient,
+                             cross_validate, derivative, eval_entry,
+                             sample_batch)
 
 from test_derivatives import oracle_stencil
 from test_quaternion import isclose
@@ -274,18 +275,27 @@ def test_missing_or_ill_typed_parameter_is_a_value_error(entry, param):
 # --- batched cross-validation ------------------------------------------------
 
 def _draws(spec, rng, count):
-    """count (entry, q, mu) triples in the table command's draw order."""
+    """count (entry, q, mu) triples in the table command's draw order, one
+    point at a time."""
     draws = []
     for _ in range(count):
         entry = spec.sample_entry(rng)
         q = spec.sample_point(entry, rng)
-        draws.append((entry, q, random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)))
+        draws.append((entry, q, random_quaternion(rng, -2.0, 2.0,
+                                                  min_modulus=tables.AXIS_MODULUS)))
     return draws
 
 
 def _stacked(draws):
     entries, qs, mus = zip(*draws)
     return entries, QArray(list(zip(*qs))), QArray(list(zip(*mus)))
+
+
+def _stacked_entry(entries):
+    """One entry for a run of one family, its coefficients stacked."""
+    return replace(entries[0], **{
+        name: QArray(list(zip(*(getattr(e, name) for e in entries))))
+        for name in ("omega", "nu", "lam") if getattr(entries[0], name) is not None})
 
 
 def _hex(value):
@@ -300,12 +310,25 @@ def _column_hex(field):
     return [[x.hex() for x in row] for row in rows]
 
 
+def _forms(entries):
+    """The batch's entries as a sequence and, when they are one family with
+    one set of counts, as one entry with stacked coefficients."""
+    if len({(e.family, e.n, e.terms) for e in entries}) > 1 or any(
+            not isinstance(getattr(e, name), Quaternion) for e in entries
+            for name in ("omega", "nu", "lam") if getattr(entries[0], name) is not None):
+        return [entries]
+    return [entries, _stacked_entry(entries)]
+
+
 def _assert_batch_matches_points(draws):
-    batch = cross_validate(*_stacked(draws))
-    assert batch.closed_mu.c.shape == (4, len(draws))
+    entries, q, mu = _stacked(draws)
     checks = [cross_validate(*draw) for draw in draws]
-    for k, field in enumerate(batch):
-        assert _column_hex(field) == [_hex(check[k]) for check in checks], batch._fields[k]
+    for form in _forms(entries):
+        batch = cross_validate(form, q, mu)
+        assert batch.closed_mu.c.shape == (4, len(draws))
+        for k, field in enumerate(batch):
+            assert _column_hex(field) == [_hex(check[k]) for check in checks], \
+                batch._fields[k]
 
 
 @pytest.mark.parametrize("seed", [1, 11, 36])
@@ -384,22 +407,27 @@ def _with(draws, k, **fields):
     lambda: _with(_with(_sample("inverse", 6), 2, q=ZERO), 4, q=ZERO),
     lambda: _with(_sample("conj_linear_unit_vector", 6), 3, q=ZERO,
                   entry={"lam": ZERO}),
-    # A zero axis before an out-of-domain point.
+    # A zero axis before an out-of-domain point, and after one: the batch
+    # checks the axes first.
     lambda: _with(_with(_sample("unit_vector", 6), 1, mu=ZERO), 4, q=ZERO),
+    lambda: _with(_with(_sample("inverse", 6), 2, q=ZERO), 4, mu=ZERO),
     # An axis too short to rotate by.
     lambda: _with(_sample("square", 6), 2, mu=Quaternion(1e-12, 0.0, 0.0, 0.0)),
-    # Bad parameters: a count, a missing and an ill-typed coefficient.
+    # Bad parameters: a count, a missing and an ill-typed coefficient.  The
+    # cases above are one family each, so they also run on a stacked entry.
     lambda: _with(_with(_sample("power", 6), 3, entry={"n": 0}), 5, entry={"n": 2.5}),
     lambda: _with(_sample("linear_square", 6), 4, entry={"omega": None}),
     lambda: _with(_sample("exponential", 4), 1, entry={"terms": "30"}),
-], ids=["domain", "conj-domain", "zero-mu", "degenerate-mu", "count",
-        "missing-coefficient", "ill-typed-count"])
+], ids=["domain", "conj-domain", "zero-mu", "domain-then-zero-mu", "degenerate-mu",
+        "count", "missing-coefficient", "ill-typed-count"])
 def test_batch_raises_the_first_bad_points_error(case):
     draws = case()
     kind, message = _first_error(draws)
-    with pytest.raises(kind) as caught:
-        cross_validate(*_stacked(draws))
-    assert type(caught.value) is kind and str(caught.value) == message
+    entries, q, mu = _stacked(draws)
+    for form in _forms(entries):
+        with pytest.raises(kind) as caught:
+            cross_validate(form, q, mu)
+        assert type(caught.value) is kind and str(caught.value) == message
 
 
 def test_batch_names_the_first_non_finite_stencil_point():
@@ -408,7 +436,73 @@ def test_batch_names_the_first_non_finite_stencil_point():
     _with(_with(draws, 2, q=huge), 4, q=huge * 2.0)
     kind, message = _first_error(draws)
     assert kind is EvaluationError
-    with pytest.raises(EvaluationError) as caught:
-        cross_validate(*_stacked(draws))
-    assert str(caught.value) == message
-    assert caught.value.point[0] == huge[0] + DEFAULT_H
+    entries, q, mu = _stacked(draws)
+    for form in _forms(entries):
+        with pytest.raises(EvaluationError) as caught:
+            cross_validate(form, q, mu)
+        assert str(caught.value) == message
+        assert caught.value.point[0] == huge[0] + DEFAULT_H
+
+
+def test_stacked_batch_checks_its_coefficients_and_sizes():
+    entries, q, mu = _stacked(_sample("linear", 4))
+    entry = _stacked_entry(entries)
+    with pytest.raises(ValueError, match=r"^linear: omega must be a Quaternion, got None$"):
+        cross_validate(replace(entry, omega=None), q, mu)
+    short = replace(entry, nu=QArray(entry.nu.c[:, :3]))
+    with pytest.raises(ValueError, match="one entry and one axis per point"):
+        cross_validate(short, q, mu)
+
+
+# --- bulk draws ---------------------------------------------------------------
+
+def _assert_bulk_draws_match_one_point_draws(spec, seed, count):
+    bulk_rng, point_rng = make_rng(seed), make_rng(seed)
+    entry, q, mu = sample_batch(spec, bulk_rng, count)
+    draws = _draws(spec, point_rng, count)
+    assert q.c.shape == mu.c.shape == (4, count)
+    entries = entry if isinstance(entry, list) else tables._unstacked(entry, count)
+    assert entries == [draw[0] for draw in draws]
+    for k, (one_entry, one_q, one_mu) in enumerate(draws):
+        for name in ("omega", "nu", "lam"):
+            if getattr(one_entry, name) is not None:
+                assert _hex(getattr(entries[k], name)) == _hex(getattr(one_entry, name))
+    assert _column_hex(q) == [_hex(draw[1]) for draw in draws]
+    assert _column_hex(mu) == [_hex(draw[2]) for draw in draws]
+    # Both generators stand at the same place, for doubles and for integers.
+    assert bulk_rng.random(3).tolist() == point_rng.random(3).tolist()
+    assert bulk_rng.integers(2, 6) == point_rng.integers(2, 6)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_bulk_draws_are_the_one_point_draws_bitwise(family):
+    for seed in (1, 20240501, 77):
+        for count in (1, 7, 200):
+            _assert_bulk_draws_match_one_point_draws(FAMILIES[family], seed, count)
+
+
+def _at_least_two(entry, q):
+    return q.modulus() >= 2.0
+
+
+@pytest.mark.parametrize("family", ["linear", "conj_linear_inverse", "square",
+                                    "unit_pure_axis", "exponential", "power"])
+@pytest.mark.parametrize("rejects", ["point", "axis"])
+def test_bulk_draws_replay_rejections_bitwise(family, rejects, monkeypatch):
+    # About a third of [-2, 2]^4 lies inside |x| < 2, so most batches of 200
+    # take the replay several times.
+    spec = FAMILIES[family]
+    if rejects == "point":
+        spec = replace(spec, admissible=_at_least_two)
+    else:
+        monkeypatch.setattr(tables, "AXIS_MODULUS", 2.0)
+    replays = []
+    sample_one = tables._sample_one
+    monkeypatch.setattr(tables, "_sample_one",
+                        lambda *args: replays.append(1) or sample_one(*args))
+    for seed in (1, 20240501, 77):
+        for count in (1, 7, 200):
+            _assert_bulk_draws_match_one_point_draws(spec, seed, count)
+    total = 3 * (1 + 7 + 200)
+    # power draws every point with _sample_one, the others only the rejected ones.
+    assert len(replays) == total if family == "power" else 0 < len(replays) < total

@@ -12,9 +12,8 @@ from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
 from quatcalc.quaternion import I, ONE, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
-from quatcalc.theorems import (DivergenceError, first_order_error,
-                               mvt_error_bound_check, mvt_left,
-                               steepest_descent, taylor2_left,
+from quatcalc.theorems import (DivergenceError, mvt_error_bound_check,
+                               mvt_left, steepest_descent, taylor2_left,
                                taylor_remainder_slope)
 from test_derivatives import _oracle_value, oracle_hr
 from test_quaternion import isclose
@@ -205,6 +204,11 @@ def test_taylor_fit_evaluates_the_first_scale_point_first():
     assert info.value.point == Q0 + I * SCALES[0]
 
 
+def first_order_error(f, q0, q1):
+    """Error of the one-point approximation f(q1) - f(q0) by the derivative at q0."""
+    return abs(f(q1) - f(q0) - derivatives.left_hr(f, q0).differential(q1 - q0))
+
+
 def test_first_order_error_bound():
     # The derivative set of q^2 is 1/2-Lipschitz per component pack; L = 2
     # covers the four-term sum along the segment.
@@ -212,6 +216,7 @@ def test_first_order_error_bound():
     assert within
     assert observed <= bound * 1.1
     assert bound == pytest.approx(2.0 * 2.0 * (Q1 - Q0).modulus_squared())
+    assert observed == first_order_error(f_sq, Q0, Q1)
 
 
 def test_first_order_error_quarters_with_half_step():
