@@ -272,10 +272,9 @@ def cmd_mvt(args: argparse.Namespace) -> int:
     for name, fn, real_form in _mvt_functions():
         form = "real" if real_form else "general"
         previous = None
-        for panels in MVT_REFINEMENT_PANELS + (MVT_FINAL_PANELS,):
-            check = theorems.mvt_left(fn, q0, q1, panels=panels,
-                                      real_form=real_form)
-            if panels == MVT_FINAL_PANELS:
+        for check in theorems.mvt_left(fn, q0, q1, real_form=real_form,
+                                       panels=MVT_REFINEMENT_PANELS + (MVT_FINAL_PANELS,)):
+            if check.panels == MVT_FINAL_PANELS:
                 tol = tols["mvt"]
             elif previous is None:
                 tol = math.inf
@@ -283,7 +282,7 @@ def cmd_mvt(args: argparse.Namespace) -> int:
                 tol = max(previous / 10.0, REFINEMENT_FLOOR)
             ok = check.residual <= tol
             oks.append(ok)
-            rows.append((name, form, _fmt_q(q0), _fmt_q(q1), str(panels),
+            rows.append((name, form, _fmt_q(q0), _fmt_q(q1), str(check.panels),
                          _fmt(check.residual), _fmt(tol), _fmt_pass(ok)))
             previous = check.residual
     return _report(args.out, ("function", "form", "q0", "q1", "panels",

@@ -39,7 +39,8 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import DEFAULT_H, EvaluationError, takes_arrays
-from .quaternion import _MUL_INDEX, _MUL_SIGN, ZERO, I, J, K, QArray, Quaternion
+from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, I, J, K, QArray,
+                         Quaternion)
 from .tables import _by_floats
 from .theorems import DivergenceError
 
@@ -193,7 +194,8 @@ _INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
 # the branch involution) folded in.  Multiplying by +/-1 is exact, so
 # w[k] * factor[k, r] added over k in order is hamilton's product bit for
 # bit.  A factor is gathered from the components of x and -x stacked, so an
-# index c + 4 picks -x[c].
+# index c + 4 picks -x[c], as in hamilton, whose _SIGNED_INDEX is the
+# one-branch output factor.
 _K = np.repeat(np.arange(4)[:, None], 4, axis=1)  # [k, r] -> k
 _MOVE_SIGNS = _MUL_SIGN * _CONJ[_MUL_INDEX]
 
@@ -212,7 +214,7 @@ def _signed(index: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 _FACTORS = {
-    1: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]),
+    1: _Factors(_SIGNED_INDEX[:, :, None],
                 _signed(_MUL_INDEX[:, :, None], _MOVE_SIGNS[:, :, None]),
                 np.s_[:, None, None, None]),
     4: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]

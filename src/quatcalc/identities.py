@@ -91,8 +91,7 @@ _TOL_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     identity: str
     point: Optional[Quaternion]
     mu: Optional[Quaternion]
@@ -140,8 +139,7 @@ def _f_cross(p: Quaternion) -> Quaternion:
 
 def _record(name: str, tols: dict, residual: float, point=None, mu=None, nu=None):
     tol = tols[_TOL_KEYS[name]]
-    return IdentityRecord(identity=name, point=point, mu=mu, nu=nu,
-                          residual=residual, tol=tol, passed=residual <= tol)
+    return IdentityRecord(name, point, mu, nu, residual, tol, residual <= tol)
 
 
 def _sample_product_pair(rng: np.random.Generator):

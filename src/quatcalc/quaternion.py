@@ -149,12 +149,15 @@ AXES = ("1", "i", "j", "k")
 # Hamilton product on arrays: component r of p q is the sum over k of
 # _MUL_SIGN[k, r] * p[k] * q[_MUL_INDEX[k, r]], added over k left to right
 # in the order Quaternion.__mul__ writes it.  x - y equals x + (-y) exactly
-# in IEEE arithmetic, so the gathered form reproduces the scalar product bit
-# for bit.  The term index k leads so that the three adds read contiguous
-# slices.
+# in IEEE arithmetic, and p * (-x) equals -(p * x) but for the sign of a
+# NaN, so the gathered form reproduces the scalar product bit for bit.  The
+# signs ride in the gather: q and -q are stacked, and _SIGNED_INDEX[k, r]
+# picks q[_MUL_INDEX[k, r]] or, 4 further on, its negation.  The term index
+# k leads so that the three adds read contiguous slices.
 _MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
 _MUL_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
                       [-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+_SIGNED_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN < 0.0)
 
 
 def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -163,9 +166,11 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``p`` and ``q`` have the same number of dimensions and their other axes
     broadcast.  Every element equals Quaternion.__mul__ bit for bit.
     """
-    terms = p[:, np.newaxis] * q.take(_MUL_INDEX, axis=0)
-    terms *= _MUL_SIGN.reshape(_MUL_SIGN.shape + (1,) * (terms.ndim - 2))
-    return terms[0] + terms[1] + terms[2] + terms[3]
+    terms = p[:, np.newaxis] * np.concatenate((q, -q)).take(_SIGNED_INDEX, axis=0)
+    total = terms[0] + terms[1]
+    total += terms[2]
+    total += terms[3]
+    return total
 
 
 def _aligned(comps: np.ndarray, ndim: int) -> np.ndarray:

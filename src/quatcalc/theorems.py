@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (HR_AXES, DerivativeSet, QFunction, _evaluate,
-                          left_hr, second_order)
+from .derivatives import (HR_AXES, DerivativeSet, EvaluationError, QFunction,
+                          _evaluate, left_hr, second_order)
 from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
@@ -29,8 +29,12 @@ FLOOR_CURVATURE = 1e-4
 # Relative slack mvt_error_bound_check allows on the bound 2 L |lambda|^2.
 BOUND_SLACK = 0.1
 # Simpson nodes per array pass of mvt_left: enough to spread numpy's
-# per-call cost, few enough that the stencil temporaries stay small.
-NODE_BLOCK = 64
+# per-call cost, few enough that the stencil temporaries stay small.  Set by
+# timing the default mvt run: 128 beat 64, 192 and 256 by a third or more.
+# From 192 up the exponential's largest temporaries go back to the system
+# after each use, so each pass page-faults them in again (about 16,500
+# minor faults per run at 192, 400 at 128, with glibc's malloc).
+NODE_BLOCK = 128
 
 
 class DivergenceError(RuntimeError):
@@ -90,8 +94,21 @@ def _integrand(ds: DerivativeSet, lam: Quaternion, real_form: bool):
     return type(head).from_real(4.0 * head.a)
 
 
-def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
-             real_form: bool = False) -> SegmentCheck:
+def _node_values(f: QFunction, q0: Quaternion, lam: Quaternion, t: np.ndarray,
+                 real_form: bool) -> np.ndarray:
+    """The (4, len(t)) integrand values at the nodes q0 + lam * t, NODE_BLOCK
+    nodes to a left_hr pass."""
+    values = np.empty((4, len(t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(t), NODE_BLOCK):
+            nodes = q0 + QArray(np.multiply.outer(np.array(lam), t[start:start + NODE_BLOCK]))
+            values[:, start:start + NODE_BLOCK] = _integrand(left_hr(f, nodes), lam, real_form).c
+    return values
+
+
+def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
+             panels: int | tuple[int, ...] = 1000,
+             real_form: bool = False) -> SegmentCheck | tuple[SegmentCheck, ...]:
     """Check f(q1) - f(q0) against the segment integral of the derivative.
 
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
@@ -100,21 +117,40 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion, panels: int = 1000,
     integrated instead.  The nodes go to left_hr NODE_BLOCK at a time, as
     one QArray: an f with an array form is called once per block, any other
     f node by node, with the same bits.
+
+    ``panels`` may be a tuple, a refinement ladder: then one check per rung
+    comes back, in order, each with the bits of its own call.  Rungs share
+    nodes (t = k / panels is correctly rounded, so equal nodes have equal
+    bits), and each node is evaluated once: the nodes of the first rung that
+    holds them, rung by rung, each rung's in order of t.  So a non-finite
+    value raises the error that one call per rung would raise first.
     """
-    if not isinstance(panels, Integral) or isinstance(panels, bool) \
-            or panels < 2 or panels % 2 != 0:
+    rungs = panels if isinstance(panels, tuple) else (panels,)
+    if not rungs or any(not isinstance(p, Integral) or isinstance(p, bool)
+                        or p < 2 or p % 2 != 0 for p in rungs):
         raise ValueError("panels must be an even integer >= 2")
     lam = q1 - q0
-    values = np.empty((4, panels + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, panels + 1, NODE_BLOCK):
-            t = np.arange(start, min(start + NODE_BLOCK, panels + 1)) / panels
-            nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
-            values[:, start:start + len(t)] = _integrand(left_hr(f, nodes), lam, real_form).c
-    rhs = _simpson(values, 1.0 / panels)
+    ladder = [np.arange(p + 1) / p for p in rungs]
+    # Each distinct node once, in the order of its first place in the rungs;
+    # columns[r] holds the places of rung r's nodes among them.
+    place: dict[float, int] = {}
+    columns = [[place.setdefault(x, len(place)) for x in rung.tolist()] for rung in ladder]
+    t = np.array(list(place))
+    try:
+        values = _node_values(f, q0, lam, t, real_form)
+    except EvaluationError:
+        # One call per rung takes f(q1) - f(q0) after the first rung's
+        # nodes: an error of theirs, then one of the ends, comes first.
+        _node_values(f, q0, lam, ladder[0], real_form)
+        _evaluate(f, q1) - _evaluate(f, q0)
+        raise
     lhs = _evaluate(f, q1) - _evaluate(f, q0)
-    return SegmentCheck(q0=q0, q1=q1, panels=panels, lhs=lhs, rhs=rhs,
-                        residual=abs(lhs - rhs))
+    checks = []
+    for p, cols in zip(rungs, columns):
+        rhs = _simpson(values[:, cols], 1.0 / p)
+        checks.append(SegmentCheck(q0=q0, q1=q1, panels=p, lhs=lhs, rhs=rhs,
+                                   residual=abs(lhs - rhs)))
+    return tuple(checks) if isinstance(panels, tuple) else checks[0]
 
 
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,

@@ -9,7 +9,7 @@ import pytest
 from quatcalc import cli, derivatives, theorems
 from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
                                   takes_arrays)
-from quatcalc.quaternion import I, ONE, Quaternion
+from quatcalc.quaternion import I, ONE, QArray, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
 from quatcalc.theorems import (DivergenceError, mvt_error_bound_check,
@@ -90,7 +90,8 @@ def mvt_oracle(fn, q0, q1, panels, real_form=False) -> tuple:
 def test_mvt_rejects_bad_panels():
     # A plain function and an array form.
     for fn in (f_sq, F_EXP):
-        for panels in (5, 0, 4.0, np.float64(4.0), True, False):
+        for panels in (5, 0, 4.0, np.float64(4.0), True, False, [4, 16], (), (4, 5),
+                       (4, True)):
             with pytest.raises(ValueError, match="even"):
                 mvt_left(fn, Q0, Q1, panels=panels)
         assert _mvt_bits(mvt_left(fn, Q0, Q1, panels=np.int64(4))) \
@@ -98,6 +99,8 @@ def test_mvt_rejects_bad_panels():
 
 
 MVT_FUNCTIONS = cli._mvt_functions()
+# The refinement ladder cmd_mvt checks in one call per function.
+LADDER = cli.MVT_REFINEMENT_PANELS + (cli.MVT_FINAL_PANELS,)
 
 
 @pytest.mark.parametrize("seed", (20240501, 11, 36))
@@ -110,11 +113,35 @@ def test_batched_mvt_matches_scalar_loop_bitwise(seed, name, fn, real_form):
     q0 = random_quaternion(rng, -2.0, 2.0)
     q1 = random_quaternion(rng, -2.0, 2.0)
     assert has_array_form(fn) and not has_array_form(_hidden(fn))
-    for panels in (4, 16, 64, 256, 1000):
-        expected = mvt_oracle(fn, q0, q1, panels, real_form)
-        for each in (fn, _hidden(fn)):
+    expected = [mvt_oracle(fn, q0, q1, panels, real_form) for panels in LADDER]
+    for each in (fn, _hidden(fn)):
+        # One call per rung, then the ladder in one call.
+        for panels, want in zip(LADDER, expected):
             check = mvt_left(each, q0, q1, panels=panels, real_form=real_form)
-            assert _mvt_bits(check) == expected
+            assert check.panels == panels and _mvt_bits(check) == want
+        checks = mvt_left(each, q0, q1, panels=LADDER, real_form=real_form)
+        assert tuple(check.panels for check in checks) == LADDER
+        assert [_mvt_bits(check) for check in checks] == expected
+
+
+@pytest.mark.parametrize("name,fn,real_form", MVT_FUNCTIONS,
+                         ids=[f"{name}-{'real' if real else 'general'}"
+                              for name, _, real in MVT_FUNCTIONS])
+def test_mvt_ladder_evaluates_each_node_once(name, fn, real_form):
+    # 257 nodes hold the 4-, 16-, 64- and 256-panel rungs, and the
+    # 1000-panel rung adds 1,001 - 9: 1,249 nodes of 8 stencil points each.
+    sizes = []
+
+    @takes_arrays
+    def counted(p):
+        sizes.append(p.c[0].size if isinstance(p, QArray) else 1)
+        return fn(p)
+
+    mvt_left(counted, Q0, Q1, panels=LADDER, real_form=real_form)
+    # NODE_BLOCK nodes to a pass, then f(q1) and f(q0).
+    assert sizes[-2:] == [1, 1]
+    assert sum(sizes[:-2]) == 1249 * 8
+    assert len(sizes) - 2 == -(-1249 // theorems.NODE_BLOCK)
 
 
 def _raised(run, fn, q0, q1, panels) -> tuple:
@@ -123,10 +150,16 @@ def _raised(run, fn, q0, q1, panels) -> tuple:
     return str(info.value), tuple(x.hex() for x in info.value.point)
 
 
+def _rung_by_rung(fn, q0, q1, panels) -> tuple:
+    """mvt_oracle at each rung of a ladder, one rung after another."""
+    return tuple(mvt_oracle(fn, q0, q1, rung) for rung in panels)
+
+
 def _raised_as_scalar_loop(fn, q0, q1, panels) -> tuple:
     """The error of mvt_left on fn and on fn point by point, which must be
-    the scalar loop's first."""
-    expected = _raised(mvt_oracle, fn, q0, q1, panels)
+    the scalar loop's first (rung by rung, for a ladder)."""
+    oracle = _rung_by_rung if isinstance(panels, tuple) else mvt_oracle
+    expected = _raised(oracle, fn, q0, q1, panels)
     assert _raised(mvt_left, fn, q0, q1, panels) == expected
     assert _raised(mvt_left, _hidden(fn), q0, q1, panels) == expected
     return expected
@@ -155,6 +188,45 @@ def test_batched_mvt_keeps_the_scalar_evaluation_order():
     q1 = Quaternion(0.5, -1.0 + 2.0 * (1.0 - limit + DEFAULT_H / 2), 0.25, 0.0)
     _, point = _raised_as_scalar_loop(_overflows_in_b, q0, q1, panels=200)
     assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + DEFAULT_H
+
+
+def _spiked(*spikes):
+    """An f, with an array form, that fails only near the spikes: where
+    scale * |p - c|^2 < 0.11 for a (c, scale) among them, the value
+    1e308 * 2 / (1 + scale * |p - c|^2) exceeds the largest float."""
+    @takes_arrays
+    def f(p):
+        return type(p).from_real(1e308 * sum(
+            2.0 / (1.0 + (p - c).modulus_squared() * scale) for c, scale in spikes))
+    return f
+
+
+# A segment whose node at t is exactly Quaternion(t, 0.3, -0.2, 0.1).  A spike
+# at a node with scale 1e10 reaches its stencil points, DEFAULT_H away, and
+# no other node's; with scale 1e16 it reaches the point alone.
+LADDER_Q0 = Quaternion(0.0, 0.3, -0.2, 0.1)
+LADDER_Q1 = Quaternion(1.0, 0.3, -0.2, 0.1)
+
+
+def _node(t):
+    return Quaternion(t, 0.3, -0.2, 0.1)
+
+
+# The last spike of each case is the one a rung-by-rung loop meets first.
+@pytest.mark.parametrize("spikes", [
+    # Only the 1000-panel rung holds t = 0.501.
+    ((_node(0.501), 1e10),),
+    # Only the 1000-panel rung holds t = 0.001; the 4-panel rung holds 0.75.
+    ((_node(0.001), 1e10), (_node(0.75), 1e10)),
+    # The 256-panel rung is the first to hold t = 129/256.
+    ((_node(0.001), 1e10), (_node(129 / 256), 1e10)),
+    # f(q1) is taken after the first rung, before the last rung's t = 0.001.
+    ((_node(0.001), 1e10), (LADDER_Q1, 1e16)),
+], ids=["last-rung", "first-rung", "middle-rung", "end-point"])
+def test_mvt_ladder_raises_the_rung_by_rung_loops_error(spikes):
+    _, point = _raised_as_scalar_loop(_spiked(*spikes), LADDER_Q0, LADDER_Q1, LADDER)
+    point = Quaternion(*map(float.fromhex, point))
+    assert abs(point - spikes[-1][0]) < 2 * DEFAULT_H
 
 
 def test_mvt_evaluation_counts(monkeypatch):
