@@ -143,12 +143,9 @@ def _seed(text: str) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     points = _positive(args.points, "--points")
-    try:
-        result = identities.run_identity_suite(
-            points=points, seed=args.seed,
-            tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    result = identities.run_identity_suite(
+        points=points, seed=args.seed,
+        tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
     skips = result.product_skips + result.chain_skips
     return _report(args.out, ("identity", "point", "mu", "nu", "residual",
                               "tol", "pass"), _verify_rows(result.records), "identity suite",
@@ -209,26 +206,32 @@ def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
                            _fmt(residual), _fmt_pass(ok))
 
 
-@takes_arrays
-def _mod2(p: Quaternion) -> Quaternion:
-    return type(p).from_real(p.modulus_squared())
-
-
+# The functions mvt and taylor differentiate are catalogue entries, but
+# for q^3: the catalogue's power starts from ONE, and ONE * q is not q where
+# a component of q is -0.0 or infinite.
+_SQUARE = tables.as_function(TableEntry(family="square"))
+_MOD2 = tables.as_function(TableEntry(family="modulus_squared"))
 _EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
                                              terms=tables.DEFAULT_EXP_TERMS))
 
 
-def _taylor_functions():
-    @takes_arrays
-    def power3(p: Quaternion) -> Quaternion:
-        return p * p * p
+@takes_arrays
+def _power3(p: Quaternion) -> Quaternion:
+    return p * p * p
 
-    # The conjugate-sandwich quadratic form only matches the expansion for
-    # real-valued functions, so the center branch is checked on one.
-    return (("power3", power3, False),
-            ("exponential", _EXPONENTIAL, False),
-            ("modulus_squared", _mod2, False),
-            ("modulus_squared", _mod2, True))
+
+# (name, function, center branch).  The conjugate-sandwich quadratic form
+# only matches the expansion for real-valued functions, so the center
+# branch is checked on one.
+TAYLOR_FUNCTIONS = (("power3", _power3, False),
+                    ("exponential", _EXPONENTIAL, False),
+                    ("modulus_squared", _MOD2, False),
+                    ("modulus_squared", _MOD2, True))
+# (name, function, real form).
+MVT_FUNCTIONS = (("square", _SQUARE, False),
+                 ("modulus_squared", _MOD2, False),
+                 ("modulus_squared", _MOD2, True),
+                 ("exponential", _EXPONENTIAL, False))
 
 
 def cmd_taylor(args: argparse.Namespace) -> int:
@@ -238,7 +241,7 @@ def cmd_taylor(args: argparse.Namespace) -> int:
     direction = random_quaternion(rng, -1.0, 1.0, min_modulus=0.3)
     rows = []
     oks = []
-    for name, fn, center in _taylor_functions():
+    for name, fn, center in TAYLOR_FUNCTIONS:
         fit = theorems.taylor_remainder_slope(fn, q0, direction, TAYLOR_SCALES,
                                               center=center)
         ok = fit.at_floor or tols["slope_low"] <= fit.slope <= tols["slope_high"]
@@ -251,17 +254,6 @@ def cmd_taylor(args: argparse.Namespace) -> int:
                               "pass"), rows, "taylor remainder", oks)
 
 
-def _mvt_functions():
-    @takes_arrays
-    def sq(p: Quaternion) -> Quaternion:
-        return p * p
-
-    return (("square", sq, False),
-            ("modulus_squared", _mod2, False),
-            ("modulus_squared", _mod2, True),
-            ("exponential", _EXPONENTIAL, False))
-
-
 def cmd_mvt(args: argparse.Namespace) -> int:
     tols = _parse_tolerances(args.tol, MVT_TOLERANCES)
     rng = make_rng(args.seed)
@@ -269,7 +261,7 @@ def cmd_mvt(args: argparse.Namespace) -> int:
     q1 = random_quaternion(rng, -2.0, 2.0)
     rows = []
     oks = []
-    for name, fn, real_form in _mvt_functions():
+    for name, fn, real_form in MVT_FUNCTIONS:
         form = "real" if real_form else "general"
         previous = None
         for check in theorems.mvt_left(fn, q0, q1, real_form=real_form,
@@ -291,11 +283,8 @@ def cmd_mvt(args: argparse.Namespace) -> int:
 
 def cmd_descend(args: argparse.Namespace) -> int:
     tols = _parse_tolerances(args.tol, DESCENT_TOLERANCES)
-    try:
-        target = parse_quaternion(args.target)
-        start = parse_quaternion(args.start)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    target = parse_quaternion(args.target)
+    start = parse_quaternion(args.start)
     entry = TableEntry(family="linear_modulus_squared", omega=ONE, nu=ONE,
                        lam=-target)
     objective = tables.as_function(entry)
@@ -305,8 +294,6 @@ def cmd_descend(args: argparse.Namespace) -> int:
                                           max_iters=args.max_iters,
                                           grad_tol=tols["grad"],
                                           gradient=gradient)
-    except ValueError as exc:
-        raise CliError(str(exc))
     except DivergenceError as exc:
         print(f"descent: {exc}")
         print("FAIL")
@@ -375,8 +362,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
     config, threshold = _load_filter_config(args.config)
     try:
         result = run_experiment(config)
-    except ValueError as exc:
-        raise CliError(str(exc))
     except DivergenceError as exc:
         print(f"filter: {exc}")
         print("FAIL")
@@ -454,9 +439,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return exc.code
+    # A ValueError is bad input, whichever subcommand meets it.
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

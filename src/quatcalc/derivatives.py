@@ -106,7 +106,6 @@ class GhrPair:
 
     d_mu: Quaternion
     d_mu_conj: Quaternion
-    mu: Quaternion
 
 
 def takes_arrays(f: QFunction) -> QFunction:
@@ -254,8 +253,7 @@ def hr_from_partials(parts, side: str) -> DerivativeSet:
 
 def ghr_from_partials(parts, mu: Quaternion, side: str) -> GhrPair:
     """The GHR pair along mu from f's four real partials."""
-    d_mu, d_mu_conj = _project(parts, _basis(mu), side)
-    return GhrPair(d_mu=d_mu, d_mu_conj=d_mu_conj, mu=mu)
+    return GhrPair(*_project(parts, _basis(mu), side))
 
 
 def left_hr(f: QFunction, q: Quaternion | QArray) -> DerivativeSet:

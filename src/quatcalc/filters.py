@@ -40,8 +40,7 @@ import numpy as np
 from . import derivatives
 from .derivatives import DEFAULT_H, EvaluationError, takes_arrays
 from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, I, J, K, QArray,
-                         Quaternion)
-from .tables import _by_floats
+                         Quaternion, _add_terms, _by_floats)
 from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
@@ -137,22 +136,16 @@ def _phi_derivatives(phi: PhiFunction, s: np.ndarray) -> np.ndarray:
     values = derivatives._evaluate_stencil(phi, derivatives._stencil_array(s, DEFAULT_H), 1)
     partials = (values[:, :, 0] - values[:, :, 1]) * _INV_2H  # [component, axis]
     terms = partials.take(_UNIT_INDEX) * _UNIT_FACTORS
-    mixed = terms[0] + terms[1] + terms[2] + terms[3]  # [e, r, mu] for e in b, c, d
+    mixed = _add_terms(*terms)  # [e, r, mu] for e in b, c, d
     return (partials[:, :1] * _PHI_SIGNS + (mixed[0] + mixed[1] + mixed[2])) * 0.25
 
 
 def _effective_error(phi: PhiFunction, s: np.ndarray, e: np.ndarray) -> np.ndarray:
     """The sum over mu of e^mu * d Phi^(mu*)/ds*, added from zero in the
-    order 1, i, j, k, each product in hamilton's order.
-
-    accumulate starts from the first product instead of 0.0, which changes
-    only a zero total that every product gives as -0.0; the final + 0.0
-    makes it the +0.0 of the sum from zero.
-    """
+    order 1, i, j, k, each product in hamilton's order."""
     terms = _phi_derivatives(phi, s).take(_EFFECTIVE_INDEX) * _EFFECTIVE_SIGNS
     terms *= e[:, None, None]
-    products = terms[0] + terms[1] + terms[2] + terms[3]  # [r, mu]
-    return np.add.accumulate(products, axis=-1)[:, -1] + 0.0
+    return _ordered_sum(_add_terms(*terms))  # products [r, mu]
 
 
 @takes_arrays
@@ -160,7 +153,7 @@ def phi_tanh(s):
     """Componentwise tanh, the usual bounded quaternion activation.
 
     s may be a Quaternion or a QArray.  math.tanh runs on every component as
-    a Python float either way, as tables._by_floats runs math.atan2: numpy's
+    a Python float either way, through quaternion._by_floats: numpy's
     vectorised tanh may differ from it in the last ulp.
     """
     if isinstance(s, QArray):
@@ -250,11 +243,6 @@ def _taps_array(taps: Taps) -> np.ndarray:
     return array.transpose(2, 0, 1)
 
 
-def _modulus_squared(comps: np.ndarray) -> np.ndarray:
-    """Quaternion.modulus_squared over the components on axis 0."""
-    return QArray(comps).modulus_squared()
-
-
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     """Sum over the last axis, left to right from zero as the scalar loops add.
 
@@ -289,16 +277,6 @@ _EFFECTIVE_INDEX = _MUL_INDEX[:, :, None] * 4 + np.arange(4)
 _EFFECTIVE_SIGNS = _MUL_SIGN[:, :, None] * _INVOLUTIONS[:, None]
 
 
-def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
-               total: Optional[np.ndarray] = None) -> np.ndarray:
-    """((t0 + t1) + t2) + t3, as hamilton adds its four terms, into ``total``
-    if one is given."""
-    total = np.add(t0, t1, total)
-    np.add(total, t2, total)
-    np.add(total, t3, total)
-    return total
-
-
 def _outputs(sums: np.ndarray) -> np.ndarray:
     """Outputs (..., 4) from the Hamilton sums (..., 4, branches, taps) of
     the output product.
@@ -313,7 +291,7 @@ def _outputs(sums: np.ndarray) -> np.ndarray:
     taps = np.add.accumulate(sums, axis=-1)[..., -1]
     if taps.shape[-1] == 1:
         return taps[..., 0] + 0.0
-    return np.add.accumulate(taps, axis=-1)[..., -1] + 0.0
+    return _ordered_sum(taps)
 
 
 class _Scratch:
@@ -371,7 +349,8 @@ def _bounded(weights: np.ndarray) -> np.ndarray:
     """Whether (4, ..., branches, taps) weights have a squared norm of at most
     DIVERGENCE_NORM ** 2, added over taps, then branches, as the scalar loops
     add it.  A NaN norm fails the comparison too."""
-    return _ordered_sum(_ordered_sum(_modulus_squared(weights))) <= DIVERGENCE_NORM ** 2
+    norms = _ordered_sum(_ordered_sum(QArray(weights).modulus_squared()))
+    return norms <= DIVERGENCE_NORM ** 2
 
 
 def _check_bounded(history: np.ndarray, start: int) -> None:
@@ -422,7 +401,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
             clean[lo:lo + _BLOCK] = _outputs(_add_terms(*(truth[:, None] * out).swapaxes(0, 1)))
         desired = clean
         if not math.isinf(snr_db):
-            signal_power = sum(_modulus_squared(clean.T).tolist()) / n
+            signal_power = sum(QArray(clean.T).modulus_squared().tolist()) / n
             try:
                 noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
             except OverflowError:
@@ -524,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     history = np.empty((_BLOCK,) + weights.shape)
     scratch = _Scratch(weights.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = float(_ordered_sum(_modulus_squared(reference).ravel()))
+        ref = float(_ordered_sum(QArray(reference).modulus_squared().ravel()))
         for start in range(0, config.steps, _BLOCK):
             count = min(_BLOCK, config.steps - start)
             block = windows[start:start + count]
@@ -543,9 +522,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 _check_bounded(history[:slot], start)
                 raise
             _check_bounded(history[:count], start)
-            mse.extend(_modulus_squared(errors[:count].T).tolist())
-            err = _ordered_sum(_modulus_squared(
-                (history[:count] - reference).swapaxes(0, 1)).reshape(count, -1))
+            mse.extend(QArray(errors[:count].T).modulus_squared().tolist())
+            err = _ordered_sum(QArray((history[:count] - reference).swapaxes(0, 1))
+                               .modulus_squared().reshape(count, -1))
             weight_errors.extend(np.sqrt(err / ref if ref > 0.0 else err).tolist())
     return ExperimentResult(mse_curve=tuple(mse),
                             weight_error_curve=tuple(weight_errors),

@@ -29,7 +29,7 @@ from . import derivatives, tables
 from .derivatives import (DegenerateAxisError, ghr_from_partials,
                           hr_from_partials, left_ghr, real_partials,
                           second_order, takes_arrays)
-from .quaternion import AXES, I, ONE, QArray, Quaternion, rotate
+from .quaternion import AXES, I, ONE, QArray, Quaternion, _by_floats, rotate
 from .sampling import make_rng, random_quaternion
 
 DEFAULT_POINTS = 25
@@ -113,19 +113,14 @@ def _f_identity(p: Quaternion) -> Quaternion:
     return p
 
 
-@takes_arrays
-def _f_sq(p: Quaternion) -> Quaternion:
-    return p * p
+# q^2 and |q|^2 are the catalogue's own families.
+_f_sq = tables.as_function(tables.TableEntry("square"))
+_f_mod2 = tables.as_function(tables.TableEntry("modulus_squared"))
 
 
 @takes_arrays
 def _f_conj(p: Quaternion) -> Quaternion:
     return p.conjugate()
-
-
-@takes_arrays
-def _f_mod2(p: Quaternion) -> Quaternion:
-    return type(p).from_real(p.modulus_squared())
 
 
 @takes_arrays
@@ -295,7 +290,7 @@ def _real_square(g):
     """p -> g(p)^2 for a real-valued g, with an array form that squares
     through Python floats: numpy's x * x and x ** 2 can differ from
     Python's x ** 2 in the last ulp."""
-    return takes_arrays(lambda p: type(p).from_real(tables._by_floats(_float_square, g(p).a)))
+    return takes_arrays(lambda p: type(p).from_real(_by_floats(_float_square, g(p).a)))
 
 
 def _real_chain_residual(g, q, mu):

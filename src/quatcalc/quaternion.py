@@ -12,7 +12,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -160,6 +160,16 @@ _MUL_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0],
 _SIGNED_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN < 0.0)
 
 
+def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
+               total: Optional[np.ndarray] = None) -> np.ndarray:
+    """((t0 + t1) + t2) + t3, the order of Quaternion.__mul__'s four terms,
+    into ``total`` if one is given."""
+    total = np.add(t0, t1, total)
+    np.add(total, t2, total)
+    np.add(total, t3, total)
+    return total
+
+
 def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of float arrays holding quaternion components on axis 0.
 
@@ -167,10 +177,20 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     broadcast.  Every element equals Quaternion.__mul__ bit for bit.
     """
     terms = p[:, np.newaxis] * np.concatenate((q, -q)).take(_SIGNED_INDEX, axis=0)
-    total = terms[0] + terms[1]
-    total += terms[2]
-    total += terms[3]
-    return total
+    return _add_terms(*terms)
+
+
+def _by_floats(fn, *args):
+    """fn(*args), element by element through Python floats when args are arrays.
+
+    numpy's vectorised **, arctan2 and tanh may differ from Python's float
+    ** and math's functions in the last ulp on some inputs and machines;
+    np.sqrt and the arithmetic operators do not.
+    """
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    flat = [np.ravel(arg).tolist() for arg in args]
+    return np.array(list(map(fn, *flat))).reshape(args[0].shape)
 
 
 def _aligned(comps: np.ndarray, ndim: int) -> np.ndarray:

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import takes_arrays
-from .quaternion import ONE, ZERO, QArray, Quaternion, anywhere, rotate
+from .quaternion import ONE, ZERO, QArray, Quaternion, _by_floats, anywhere, rotate
 from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -173,19 +173,6 @@ _PARAMS = {
 }
 _AFFINE = ("omega", "nu", "lam")
 _COUNTS = ("n", "terms")
-
-
-def _by_floats(fn, *args):
-    """fn(*args), element by element through Python floats when args are arrays.
-
-    numpy's vectorised ** and arctan2 differ from Python's float ** and
-    math.atan2 in the last ulp on some inputs and machines; np.sqrt and the
-    arithmetic operators do not, so only those two go through here.
-    """
-    if not isinstance(args[0], np.ndarray):
-        return fn(*args)
-    flat = [np.ravel(arg).tolist() for arg in args]
-    return np.array(list(map(fn, *flat))).reshape(args[0].shape)
 
 
 def _cube(x):

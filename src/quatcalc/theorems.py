@@ -107,8 +107,8 @@ def _node_values(f: QFunction, q0: Quaternion, lam: Quaternion, t: np.ndarray,
 
 
 def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
-             panels: int | tuple[int, ...] = 1000,
-             real_form: bool = False) -> SegmentCheck | tuple[SegmentCheck, ...]:
+             panels: tuple[int, ...] = (1000,),
+             real_form: bool = False) -> tuple[SegmentCheck, ...]:
     """Check f(q1) - f(q0) against the segment integral of the derivative.
 
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
@@ -118,19 +118,20 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     one QArray: an f with an array form is called once per block, any other
     f node by node, with the same bits.
 
-    ``panels`` may be a tuple, a refinement ladder: then one check per rung
-    comes back, in order, each with the bits of its own call.  Rungs share
-    nodes (t = k / panels is correctly rounded, so equal nodes have equal
-    bits), and each node is evaluated once: the nodes of the first rung that
-    holds them, rung by rung, each rung's in order of t.  So a non-finite
-    value raises the error that one call per rung would raise first.
+    ``panels`` is a refinement ladder, a tuple of panel counts: one check
+    per rung comes back, in order, each with the bits of a one-rung call.
+    Rungs share nodes (t = k / panels is correctly rounded, so equal nodes
+    have equal bits), and each node is evaluated once: the nodes of the
+    first rung that holds them, rung by rung, each rung's in order of t.  So
+    a non-finite value raises the error that one call per rung would raise
+    first.
     """
-    rungs = panels if isinstance(panels, tuple) else (panels,)
-    if not rungs or any(not isinstance(p, Integral) or isinstance(p, bool)
-                        or p < 2 or p % 2 != 0 for p in rungs):
-        raise ValueError("panels must be an even integer >= 2")
+    if not isinstance(panels, tuple) or not panels or any(
+            not isinstance(p, Integral) or isinstance(p, bool) or p < 2 or p % 2 != 0
+            for p in panels):
+        raise ValueError("panels must be a tuple of even integers >= 2")
     lam = q1 - q0
-    ladder = [np.arange(p + 1) / p for p in rungs]
+    ladder = [np.arange(p + 1) / p for p in panels]
     # Each distinct node once, in the order of its first place in the rungs;
     # columns[r] holds the places of rung r's nodes among them.
     place: dict[float, int] = {}
@@ -146,11 +147,11 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
         raise
     lhs = _evaluate(f, q1) - _evaluate(f, q0)
     checks = []
-    for p, cols in zip(rungs, columns):
+    for p, cols in zip(panels, columns):
         rhs = _simpson(values[:, cols], 1.0 / p)
         checks.append(SegmentCheck(q0=q0, q1=q1, panels=p, lhs=lhs, rhs=rhs,
                                    residual=abs(lhs - rhs)))
-    return tuple(checks) if isinstance(panels, tuple) else checks[0]
+    return tuple(checks)
 
 
 def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,

@@ -136,9 +136,9 @@ def test_criterion_07_mean_value_quadrature():
     refinement_ok = True
     for _, fn in functions:
         worst_fine = max(worst_fine,
-                         mvt_left(fn, MVT_Q0, MVT_Q1, panels=1000).residual)
-        residuals = [mvt_left(fn, MVT_Q0, MVT_Q1, panels=p).residual
-                     for p in (4, 16, 64, 256)]
+                         mvt_left(fn, MVT_Q0, MVT_Q1, panels=(1000,))[0].residual)
+        residuals = [check.residual
+                     for check in mvt_left(fn, MVT_Q0, MVT_Q1, panels=(4, 16, 64, 256))]
         for coarse, fine in zip(residuals, residuals[1:]):
             if fine > max(coarse / 10.0, MVT_FLOOR):
                 refinement_ok = False

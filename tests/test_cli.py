@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from quatcalc import cli, derivatives, identities, tables
+from quatcalc import cli, derivatives, identities, tables, theorems
 from quatcalc.cli import main
 from quatcalc.quaternion import QArray, format_quaternion
 from quatcalc.sampling import make_rng, random_quaternion
@@ -287,6 +291,36 @@ def test_argparse_exits_become_return_codes(capsys):
     assert "--points: invalid int value: 'abc'" in capsys.readouterr().err
     assert main(["verify", "--help"]) == 0
     assert "usage: quatcalc verify" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name,module,attr", [("table", tables, "sample_batch"),
+                                              ("mvt", theorems, "mvt_left"),
+                                              ("taylor", theorems, "taylor_remainder_slope")],
+                         ids=["table", "mvt", "taylor"])
+def test_a_value_error_inside_any_subcommand_exits_2(name, module, attr, monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise ValueError("planted failure")
+
+    monkeypatch.setattr(module, attr, fails)
+    assert main(RUNS[name]) == 2
+    assert capsys.readouterr().err == "error: planted failure\n"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("argv,code,stream,text", [
+    (["verify", "--points", "3"], 0, "stdout", "PASS"),
+    (["verify", "--points", "3", "--tol", "product_rule=1e-15"], 1, "stdout", "FAIL"),
+    (["filter", "--config", "missing.json"], 2, "stderr", "error:"),
+], ids=["pass", "fail", "error"])
+def test_module_entry_point_in_a_fresh_interpreter(argv, code, stream, text, tmp_path):
+    # python -m quatcalc.cli: a cold import of the package and sys.exit(main()).
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-m", "quatcalc.cli", *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == code
+    assert getattr(run, stream).splitlines()[-1].startswith(text)
 
 
 def test_descend_divergent_step(capsys):

@@ -1,8 +1,10 @@
 """Numerical HR/GHR engine: golden values, calculus rules, second order."""
 
 import dataclasses
+import importlib
 import inspect
 import math
+import pkgutil
 import sys
 
 import numpy as np
@@ -11,7 +13,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from quatcalc import cli, derivatives, identities, tables, theorems
+import quatcalc
+from quatcalc import cli, derivatives, filters, identities, tables, theorems
 from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
                                   DegenerateAxisError, SecondOrderSet,
                                   EvaluationError, check_chain_rule,
@@ -448,9 +451,9 @@ def test_shared_stencils_match_separate_derivatives_bitwise():
     linear = lambda p: Quaternion(0.3, 0.5, -0.2, 0.1) * p + ONE
     # Plain functions, evaluated point by point, and array forms, evaluated
     # once per stencil.
-    functions = (f_sq, f_exp, f_mod2, f_cross, *(fn for _, fn in BUILT_IN_ARRAY_FORMS),
-                 identities._f_cross)
-    for idx in range(20):
+    functions = (f_sq, f_exp, f_mod2, f_cross, *(fn for _, fn in BUILT_IN_ARRAY_FORMS))
+    # Each function with both conjugate flags.
+    for idx in range(2 * len(functions)):
         q = random_quaternion(rng, min_modulus=0.1)
         mu = random_quaternion(rng, min_modulus=0.1)
         nu = random_quaternion(rng, min_modulus=0.1)
@@ -510,15 +513,19 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
     assert count(lambda: second_order(f_mod2, q, HR_AXES, HR_AXES, outer="right")) == 64
 
 
-# Built-in functions that carry an array form: cli's square, cube, |q|^2 and
-# 30-term exponential, which the mvt and taylor commands differentiate, and
-# the exponential table family, which is defined at every point drawn below.
-# Every other table family has one too; tests/test_tables.py checks them at
-# admissible points through the batched cross_validate.
+# Built-in functions that carry an array form: every one a quatcalc module
+# holds (cli's square, |q|^2, cube and 30-term exponential, which the mvt and
+# taylor commands differentiate, the identity suite's functions and QNGD's
+# tanh), and the exponential table family, which is defined at every point
+# drawn below.  Every other table family has one too; tests/test_tables.py
+# checks them at admissible points through the batched cross_validate.
 BUILT_IN_ARRAY_FORMS = (
-    ("cli_square", cli._mvt_functions()[0][1]), ("cli_mod2", cli._mod2),
-    ("cli_power3", cli._taylor_functions()[0][1]), ("cli_exponential", cli._EXPONENTIAL),
-    ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))))
+    ("cli_square", cli._SQUARE), ("cli_mod2", cli._MOD2),
+    ("cli_power3", cli._power3), ("cli_exponential", cli._EXPONENTIAL),
+    ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))),
+    ("identities_identity", identities._f_identity), ("identities_conj", identities._f_conj),
+    ("identities_sq", identities._f_sq), ("identities_mod2", identities._f_mod2),
+    ("identities_cross", identities._f_cross), ("filters_tanh", filters.phi_tanh))
 # Components small enough that the 30-term series stays finite, with signed
 # zeros drawn often.
 COMPONENT = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -530,12 +537,19 @@ def test_array_forms_are_the_listed_built_ins():
                  if has_array_form(tables.as_function(spec.sample_entry(make_rng(SEED))))}
     assert with_form == {spec.name for spec in tables.catalogue()}
     assert all(has_array_form(fn) for _, fn in BUILT_IN_ARRAY_FORMS)
-    # Every function the mvt and taylor commands differentiate is listed.
-    listed = {fn.__code__ for _, fn in BUILT_IN_ARRAY_FORMS}
-    assert all(fn.__code__ in listed
-               for _, fn, _ in cli._mvt_functions() + cli._taylor_functions())
+    # Every function the mvt and taylor commands differentiate is listed, as
+    # is every array form a quatcalc module holds.  Catalogue functions
+    # share as_function's code, so the objects themselves are compared.
+    listed = [fn for _, fn in BUILT_IN_ARRAY_FORMS]
+    assert all(any(fn is each for each in listed)
+               for _, fn, _ in cli.MVT_FUNCTIONS + cli.TAYLOR_FUNCTIONS)
+    for info in pkgutil.iter_modules(quatcalc.__path__):
+        module = importlib.import_module(f"quatcalc.{info.name}")
+        for name, value in vars(module).items():
+            if callable(value) and has_array_form(value):
+                assert any(value is each for each in listed), f"{info.name}.{name}"
     assert not has_array_form(f_sq)
-    assert not has_array_form(lambda p: cli._mod2(p))
+    assert not has_array_form(lambda p: cli._MOD2(p))
 
 
 @pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS,
@@ -612,9 +626,8 @@ SECOND_ORDER_FIELDS = [f.name for f in dataclasses.fields(SecondOrderSet)]
 
 @pytest.mark.parametrize("outer,inner", [("left", "left"), ("right", "left"),
                                          ("right", "right")])
-@pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS
-                         + (("identities_cross", identities._f_cross),),
-                         ids=[name for name, _ in BUILT_IN_ARRAY_FORMS] + ["identities_cross"])
+@pytest.mark.parametrize("name,fn", BUILT_IN_ARRAY_FORMS,
+                         ids=[name for name, _ in BUILT_IN_ARRAY_FORMS])
 def test_second_order_of_points_matches_second_order_at_each_point_bitwise(outer, inner,
                                                                            name, fn):
     rng = make_rng(SEED, stream=33)

@@ -38,21 +38,20 @@ F_EXP = as_function(TableEntry(family="exponential", terms=30))
 
 @pytest.mark.parametrize("fn", [f_sq, f_mod2, F_EXP])
 def test_mvt_at_fine_panels(fn):
-    check = mvt_left(fn, Q0, Q1, panels=1000)
+    check, = mvt_left(fn, Q0, Q1, panels=(1000,))
     assert check.residual < 1e-7
     assert isclose(check.lhs, fn(Q1) - fn(Q0))
 
 
 def test_mvt_real_form():
-    check = mvt_left(f_mod2, Q0, Q1, panels=1000, real_form=True)
+    check, = mvt_left(f_mod2, Q0, Q1, panels=(1000,), real_form=True)
     assert check.residual < 1e-7
 
 
 def test_mvt_panel_refinement():
     # For a non-polynomial integrand each panel quadrupling shrinks the
     # residual by orders of magnitude until finite differences dominate.
-    residuals = [mvt_left(F_EXP, Q0, Q1, panels=p).residual
-                 for p in (4, 16, 64, 256)]
+    residuals = [check.residual for check in mvt_left(F_EXP, Q0, Q1, panels=(4, 16, 64, 256))]
     for coarse, fine in zip(residuals, residuals[1:]):
         assert fine <= max(coarse / 10.0, 1e-9)
 
@@ -88,17 +87,18 @@ def mvt_oracle(fn, q0, q1, panels, real_form=False) -> tuple:
 
 
 def test_mvt_rejects_bad_panels():
-    # A plain function and an array form.
+    # A plain function and an array form; every bad panel count as a
+    # one-rung ladder, and ladders that are not tuples.
     for fn in (f_sq, F_EXP):
-        for panels in (5, 0, 4.0, np.float64(4.0), True, False, [4, 16], (), (4, 5),
-                       (4, True)):
+        for panels in ((5,), (0,), (4.0,), (np.float64(4.0),), (True,), (False,), 4,
+                       [4, 16], (), (4, 5), (4, True)):
             with pytest.raises(ValueError, match="even"):
                 mvt_left(fn, Q0, Q1, panels=panels)
-        assert _mvt_bits(mvt_left(fn, Q0, Q1, panels=np.int64(4))) \
-            == _mvt_bits(mvt_left(fn, Q0, Q1, panels=4))
+        assert _mvt_bits(*mvt_left(fn, Q0, Q1, panels=(np.int64(4),))) \
+            == _mvt_bits(*mvt_left(fn, Q0, Q1, panels=(4,)))
 
 
-MVT_FUNCTIONS = cli._mvt_functions()
+MVT_FUNCTIONS = cli.MVT_FUNCTIONS
 # The refinement ladder cmd_mvt checks in one call per function.
 LADDER = cli.MVT_REFINEMENT_PANELS + (cli.MVT_FINAL_PANELS,)
 
@@ -117,7 +117,7 @@ def test_batched_mvt_matches_scalar_loop_bitwise(seed, name, fn, real_form):
     for each in (fn, _hidden(fn)):
         # One call per rung, then the ladder in one call.
         for panels, want in zip(LADDER, expected):
-            check = mvt_left(each, q0, q1, panels=panels, real_form=real_form)
+            check, = mvt_left(each, q0, q1, panels=(panels,), real_form=real_form)
             assert check.panels == panels and _mvt_bits(check) == want
         checks = mvt_left(each, q0, q1, panels=LADDER, real_form=real_form)
         assert tuple(check.panels for check in checks) == LADDER
@@ -157,9 +157,8 @@ def _rung_by_rung(fn, q0, q1, panels) -> tuple:
 
 def _raised_as_scalar_loop(fn, q0, q1, panels) -> tuple:
     """The error of mvt_left on fn and on fn point by point, which must be
-    the scalar loop's first (rung by rung, for a ladder)."""
-    oracle = _rung_by_rung if isinstance(panels, tuple) else mvt_oracle
-    expected = _raised(oracle, fn, q0, q1, panels)
+    the scalar loop's first, rung by rung."""
+    expected = _raised(_rung_by_rung, fn, q0, q1, panels)
     assert _raised(mvt_left, fn, q0, q1, panels) == expected
     assert _raised(mvt_left, _hidden(fn), q0, q1, panels) == expected
     return expected
@@ -170,7 +169,7 @@ def test_batched_mvt_raises_the_scalar_loops_error(real):
     # The 30-term series overflows part way along the segment.
     q0 = Quaternion(0.1, 0.2, 0.3, 0.4)
     q1 = Quaternion(real, 0.3, -0.2, 0.1)
-    _raised_as_scalar_loop(F_EXP, q0, q1, panels=200)
+    _raised_as_scalar_loop(F_EXP, q0, q1, panels=(200,))
 
 
 @takes_arrays
@@ -186,7 +185,7 @@ def test_batched_mvt_keeps_the_scalar_evaluation_order():
     limit = sys.float_info.max / 1e308
     q0 = Quaternion(0.5, -1.0, 0.25, 0.0)
     q1 = Quaternion(0.5, -1.0 + 2.0 * (1.0 - limit + DEFAULT_H / 2), 0.25, 0.0)
-    _, point = _raised_as_scalar_loop(_overflows_in_b, q0, q1, panels=200)
+    _, point = _raised_as_scalar_loop(_overflows_in_b, q0, q1, panels=(200,))
     assert float.fromhex(point[1]) < -limit < float.fromhex(point[1]) + DEFAULT_H
 
 
@@ -236,11 +235,11 @@ def test_mvt_evaluation_counts(monkeypatch):
     monkeypatch.setattr(derivatives, "_evaluate", counted)
     monkeypatch.setattr(theorems, "_evaluate", counted)
     # A plain callable: eight stencil values per node, then f(q1) and f(q0).
-    mvt_left(lambda p: p * p, Q0, Q1, panels=16)
+    mvt_left(lambda p: p * p, Q0, Q1, panels=(16,))
     assert len(calls) == (16 + 1) * 8 + 2
     # An array form: the nodes go through f on arrays; only the ends are scalar.
     calls.clear()
-    mvt_left(F_EXP, Q0, Q1, panels=16)
+    mvt_left(F_EXP, Q0, Q1, panels=(16,))
     assert calls == [Q1, Q0]
 
 
@@ -262,7 +261,7 @@ def test_taylor_run_takes_the_expansion_once_per_fit(monkeypatch, capsys):
     monkeypatch.setattr(derivatives, "_evaluate_stencil", counted_stencil)
     assert cli.main(["taylor"]) == 0
     # All four taylor functions have array forms.
-    assert all(has_array_form(fn) for _, fn, _ in cli._taylor_functions())
+    assert all(has_array_form(fn) for _, fn, _ in cli.TAYLOR_FUNCTIONS)
     # Four fits of five scales: f(q0), its eight stencil values and the 64
     # of the second-order grid once per fit, then f(q0 + lam) per scale.
     assert sum(points) == 4 * (1 + 8 + 64 + 5) == 312
@@ -421,7 +420,7 @@ def test_mvt_rejects_nonfinite_value_at_endpoint():
         return Quaternion(math.nan, 0.0, 0.0, 0.0) if p == Q1 else f_sq(p)
 
     with pytest.raises(EvaluationError, match="not finite"):
-        mvt_left(spiked, Q0, Q1, panels=2)
+        mvt_left(spiked, Q0, Q1, panels=(2,))
 
 
 def test_descent_accepts_component_array_objective():
