@@ -172,6 +172,58 @@ def test_qlms_step_is_conjugate_gradient_descent():
             assert abs(move - grad * (-2.0 * alpha)) < 1e-6
 
 
+def _output(weights, x, phi):
+    """The filter output of Quaternion weight vectors: Phi(w^T x) for one
+    branch (w^T x with no Phi), sum over mu of (w^mu)^H x^mu for four."""
+    if len(weights) == 1:
+        s = _dot_t(weights[0], x)
+        return s if phi is None else phi(s)
+    y = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for w, axis in zip(weights, AXES):
+        y = y + _dot_h(w, _involute_vector(x, axis))
+    return y
+
+
+def _gradient_misfit(name: str, part: str) -> float:
+    """The largest |move + 2 alpha dJ/dw| over every weight and step of a
+    short seeded run through filters._step, the per-window kernel.  J is
+    the step's |e|^2 as a function of one weight, and dJ/dw is the ``part``
+    ("wrt_qc" or "wrt_q") of its left HR derivatives."""
+    spec = FILTERS[name]
+    phi = NONLINEARITIES.get(spec.get("nonlinearity"))
+    alpha = spec["alpha"]
+    stream = generate_signal("ar1", spec["taps"], 12, 30.0, seed=SEED)
+    taps = len(stream[0][0])
+    rng = make_rng(SEED, stream=9)
+    branches = 4 if spec["variant"] == "wl_qlms" else 1
+    start = [[random_quaternion(rng, -0.5, 0.5) for _ in range(taps)] for _ in range(branches)]
+    weights = np.array(start).transpose(2, 0, 1)
+    worst = 0.0
+    for x, d in stream:
+        new, _ = filters._step(weights, _taps_array(x), np.array(d), alpha, phi)
+        current = [[Quaternion(*q) for q in branch] for branch in weights.transpose(1, 2, 0).tolist()]
+        for b, m in itertools.product(range(branches), range(taps)):
+            def objective(q, b=b, m=m):
+                probe = [list(branch) for branch in current]
+                probe[b][m] = q
+                return Quaternion.from_real((d - _output(probe, x, phi)).modulus_squared())
+
+            grad = getattr(left_hr(objective, current[b][m]), part)
+            move = Quaternion(*(new[:, b, m] - weights[:, b, m]).tolist())
+            worst = max(worst, abs(move + grad * (2.0 * alpha)))
+        weights = new
+    return worst
+
+
+@pytest.mark.parametrize("name", ["qlms", "wl_qlms", "qngd_tanh"])
+def test_every_filter_step_is_conjugate_gradient_descent_on_the_kernel(name):
+    # The paper derives each update as a step along -d|e|^2/dw*, the GHR
+    # conjugate gradient: every weight of every branch moves by -2 alpha
+    # times it.  The derivative with respect to w, not w*, misses the bound.
+    assert _gradient_misfit(name, "wrt_qc") <= 1e-10
+    assert _gradient_misfit(name, "wrt_q") > 1e-10
+
+
 def test_signal_unit_variance():
     stream = generate_signal("white_circular", CHANNEL, 20000, math.inf, seed=11)
     power = sum(x[0].modulus_squared() for x, _ in stream) / len(stream)
