@@ -13,27 +13,33 @@ The step directions are exactly the negative conjugate GHR gradients of the
 objective (up to the constant absorbed into alpha), which the test suite
 verifies numerically.
 
-One recursion, ``_advance``, updates (4, branches, taps) component arrays
-by one window.  A step's two Hamilton products (the output and the move)
-take their regressor-side factors ready made: for each block of ``_BLOCK``
-windows ``run_experiment`` gathers them in one array pass, so a step is an
-elementwise product and the scalar recursion's sums in its order.  The
-per-sample ``*_step`` functions go through ``_step``, which gathers the
-factors of its one window.  QNGD's Phi path runs on arrays too: Phi's eight
-stencil values come from one call of Phi on a QArray, and the four
-conjugate-involution derivatives and the effective error from precomputed
-gathers and sign patterns.  Every variant is checked for divergence once
-per block, at its first bad step.  Outside the engine a quaternion vector
-(taps, one weight branch, a regressor window) is a plain tuple of
-Quaternions.
+QLMS and QNGD run on (4, taps) component arrays.  A step's two Hamilton
+products (the output and the move) take their regressor-side factors ready
+made, gathered for a block of ``_BLOCK`` windows in one array pass, so a
+step is elementwise products and the scalar Quaternion recursion's sums in
+its order, which it reproduces bit for bit.  QNGD evaluates Phi's eight
+stencil points in one call of Phi on a QArray.
+
+WL-QLMS runs as the real LMS it is (Via, Ramirez & Santamaria 2010; Took &
+Mandic 2010): summed over the four involutions, its conjugate gradient step
+is M += 4 alpha e x^T on the (4, 4 taps) matrix M of the real-linear map
+from a window's components to the output.  Its ordered sums reproduce a
+plain real LMS loop bit for bit, and the quaternion recursion within
+rounding.  The branch vectors map to M through a fixed A of +/-1 entries
+with A^T A = 4 I, and back through A^T / 4.
+
+The per-sample ``*_step`` functions run the same kernels on one window.
+Outside the engine a quaternion vector (taps, one weight branch, a
+regressor window) is a plain tuple of Quaternions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -172,58 +178,38 @@ Taps = Sequence  # one vector of Quaternions or [a, b, c, d] rows, or four such 
 
 VARIANTS = ("qlms", "wl_qlms", "qngd")
 
-# The array engine keeps quaternion components on axis 0: weights are
-# (4, branches, taps), a block of m regressor windows is (m, 4, taps).
-# Component signs of the conjugate, and of q, q^i, q^j, q^k (one column per
-# widely linear branch); multiplying by -1.0 is exact negation.
+# The Hamilton engine keeps quaternion components on axis 0: weights are
+# (4, taps), a block of m regressor windows is (m, 4, taps).  Component
+# signs of the conjugate, and of q, q^i, q^j, q^k (one row per involution);
+# multiplying by -1.0 is exact negation.
 _CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 _INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                          [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
-# A step makes two Hamilton products: the output (w^T x, or the Hermitian
-# branch outputs (w^mu)* x^mu) and the move (e x*, or x^mu e*).  Their
-# regressor-side factor is hamilton's gather of x, indexed [term k,
-# component r, branch], with every +/-1 factor (_MUL_SIGN, the conjugate,
-# the branch involution) folded in.  Multiplying by +/-1 is exact, so
-# w[k] * factor[k, r] added over k in order is hamilton's product bit for
-# bit.  A factor is gathered from the components of x and -x stacked, so an
-# index c + 4 picks -x[c], as in hamilton, whose _SIGNED_INDEX is the
-# one-branch output factor.
-_K = np.repeat(np.arange(4)[:, None], 4, axis=1)  # [k, r] -> k
-_MOVE_SIGNS = _MUL_SIGN * _CONJ[_MUL_INDEX]
-
-
-class _Factors(NamedTuple):
-    out: np.ndarray    # [k, r, branch] index of the output factor: w^T x or (w^mu)* x^mu
-    move: np.ndarray   # [k, r, branch] index of the move factor: x* (after e) or x^mu
-    # The component of e each move term [k, r] takes (the conjugate's signs
-    # are in the move factor): e[k] for one branch, a broadcast view, and
-    # e[_MUL_INDEX[k, r]] for four, a gather.
-    error: object
-
-
-def _signed(index: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    return index + 4 * (signs < 0.0)
-
-
-_FACTORS = {
-    1: _Factors(_SIGNED_INDEX[:, :, None],
-                _signed(_MUL_INDEX[:, :, None], _MOVE_SIGNS[:, :, None]),
-                np.s_[:, None, None, None]),
-    4: _Factors(_signed(_MUL_INDEX[:, :, None], _MUL_SIGN[:, :, None]
-                        * _CONJ[:, None, None] * _INVOLUTIONS[_MUL_INDEX]),
-                _signed(_K[:, :, None], _MOVE_SIGNS[:, :, None] * _INVOLUTIONS[:, None]),
-                _MUL_INDEX[:, :, None, None]),
-}
+# A QLMS or QNGD step makes two Hamilton products: the output w^T x and the
+# move e x*.  Their regressor-side factor [term k, component r] is gathered
+# from x and -x stacked, as in hamilton, whose _SIGNED_INDEX is the output
+# factor: every +/-1 (_MUL_SIGN, the conjugate) is folded in exactly, so
+# w[k] * factor[k, r] added over k in order is hamilton's product bit for bit.
+_MOVE_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN * _CONJ[_MUL_INDEX] < 0.0)
 
 # The four conjugate-involution sign patterns of Phi's components, one
 # column per mu.
 _PHI_SIGNS = _CONJ[:, None] * _INVOLUTIONS
 
+# WL-QLMS's matrix M holds, at [r, c * taps + m], the weight of component c
+# of x_m in component r of the output.  Summed over the branches mu,
+# (w^mu)* x^mu puts there component k = _MUL_INDEX[r, c] of w^mu_m, times
+# _WL_SIGNS[mu, r, c]: hamilton's sign, the conjugate's and the involution's
+# of x^mu.  _WL_BACK_SIGNS[r, k, mu] is the same sign where M's row r meets
+# weight component k, at column c = _MUL_INDEX[r, k], for the map back.
+_ROWS = np.arange(4)[:, None]
+_WL_SIGNS = _MUL_SIGN[_MUL_INDEX, _ROWS] * _CONJ[_MUL_INDEX] * _INVOLUTIONS[:, None]
+_WL_BACK_SIGNS = _WL_SIGNS[:, _ROWS, _MUL_INDEX].transpose(1, 2, 0)[..., None]
+
 # Steps per block.  Clean outputs, step factors and the error curves are
-# computed a block at a time, which bounds the temporaries (a block's output
-# and move factors are (block, 4, 4, branches, taps) each) instead of
-# spanning the whole stream.
+# computed a block at a time, which bounds the temporaries (a block's
+# factors are (block, 4, 4, taps) each) instead of spanning the stream.
 _BLOCK = 128
 
 
@@ -253,21 +239,21 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
 
 
 def _factors(windows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Factors (m, 4, 4, branches, taps) of (m, 4, taps) windows: element
-    [k, r, branch] is x[c] for index[k, r, branch] == c, and -x[c] for c + 4."""
+    """Factors (m, 4, 4, taps) of (m, 4, taps) windows: element [k, r] is
+    x[c] for index[k, r] == c, and -x[c] for c + 4."""
     return np.concatenate([windows, -windows], axis=1).take(index, axis=1)
 
 
-# The units i, j, k as right factors of a one-branch output, (4, 4, 1, 3):
-# f_e * unit_e for e in b, c, d is hamilton's product of a partial and a unit.
-_IJK = _factors(np.array([I, J, K]).T[None], _FACTORS[1].out)[0]
+# The units i, j, k as right factors of an output, (4, 4, 3): f_e * unit_e
+# for e in b, c, d is hamilton's product of a partial and a unit.
+_IJK = _factors(np.array([I, J, K]).T[None], _SIGNED_INDEX)[0]
 # Projection terms [k, e, r, mu] for e in b, c, d: the partial f_e[k], at
 # _UNIT_INDEX in the (4, 4) [component, axis] partials, times _IJK with the
 # sign patterns of the four Phi^(mu*) folded in.  (+/-f) u equals f (+/-u)
 # exactly, zeros and infinities included.
 _UNIT_INDEX = np.broadcast_to(np.arange(4)[:, None, None, None] * 4
                               + np.arange(1, 4)[:, None, None], (4, 3, 4, 4))
-_UNIT_FACTORS = _IJK.transpose(0, 3, 1, 2) * _PHI_SIGNS[:, None, None]
+_UNIT_FACTORS = _IJK.transpose(0, 2, 1)[..., None] * _PHI_SIGNS[:, None, None]
 _INV_2H = derivatives._STEPS[DEFAULT_H][1]
 
 # QNGD's effective error as hamilton(e^mu, d Phi^(mu*)/ds*) for each mu:
@@ -277,86 +263,46 @@ _EFFECTIVE_INDEX = _MUL_INDEX[:, :, None] * 4 + np.arange(4)
 _EFFECTIVE_SIGNS = _MUL_SIGN[:, :, None] * _INVOLUTIONS[:, None]
 
 
-def _outputs(sums: np.ndarray) -> np.ndarray:
-    """Outputs (..., 4) from the Hamilton sums (..., 4, branches, taps) of
-    the output product.
-
-    One branch is the strictly linear w^T x; four are the widely linear
-    h^H x + g^H x^i + u^H x^j + v^H x^k.  Taps, then branches are added in
-    the scalar order.  Each scalar sum starts from 0.0 and so never ends at
-    -0.0; accumulate starts from the first term instead, which can only turn
-    a zero sum into -0.0.  Such a sum changes no later sum but in the sign of
-    a zero, so one + 0.0 after the last sum serves every level.
-    """
-    taps = np.add.accumulate(sums, axis=-1)[..., -1]
-    if taps.shape[-1] == 1:
-        return taps[..., 0] + 0.0
-    return _ordered_sum(taps)
+def _wl_matrix(branches: np.ndarray) -> np.ndarray:
+    """The (4, 4 taps) matrix M = A w of (4, 4, taps) branch weights: each
+    entry a sum over the branches mu, in order.  The sign of a zero entry
+    reaches no output, as every sum of M's products starts from zero."""
+    terms = branches[_MUL_INDEX].transpose(2, 0, 1, 3) * _WL_SIGNS[..., None]
+    return _add_terms(*terms).reshape(4, -1)
 
 
-class _Scratch:
-    """Work arrays of _advance for (4, branches, taps) weights, made once per
-    run: the (4, 4, branches, taps) Hamilton terms [k, r] of a step's
-    products, their views by term k, and their (4, branches, taps) sum."""
-
-    def __init__(self, shape: tuple[int, ...]):
-        self.terms = np.empty((4,) + shape)
-        self.by_term = tuple(self.terms)
-        self.sum = np.empty(shape)
-
-    def term_sum(self) -> np.ndarray:
-        return _add_terms(*self.by_term, self.sum)
-
-
-def _advance(weights: np.ndarray, out: np.ndarray, move: np.ndarray, d: np.ndarray,
-             alpha: float, phi: Optional[PhiFunction], new: np.ndarray,
-             scratch: _Scratch) -> np.ndarray:
-    """Write the weights after one window to ``new`` and return the a priori
-    error (4,).
-
-    ``weights`` and ``new`` are (4, branches, taps).  The window comes as its
-    (4, 4, branches, taps) output and move factors.  Four branches run
-    WL-QLMS, h^mu += alpha x^mu e*.  One branch runs QLMS, w += alpha e x*,
-    or QNGD if phi is given: e becomes the effective error, the sum over mu
-    of e^mu * d Phi^(mu*)/ds*.
-    """
-    np.multiply(out, weights[:, None], scratch.terms)
-    s = _outputs(scratch.term_sum())
-    if phi is None:
-        e = e_eff = d - s
-    else:
-        e = d - phi(QArray(s)).c
-        e_eff = _effective_error(phi, s, e)
-    np.multiply(move, e_eff[_FACTORS[weights.shape[1]].error], scratch.terms)
-    step = scratch.term_sum()
-    step *= alpha
-    np.add(weights, step, new)
-    return e
+def _wl_branches(matrix: np.ndarray) -> np.ndarray:
+    """The (4, 4, taps) branch weights A^T M / 4 of a (4, 4 taps) matrix:
+    each a sum over M's rows, in order from zero, times 0.25."""
+    gathered = matrix.reshape(4, 4, -1)[_ROWS, _MUL_INDEX]  # [r, k, tap]
+    return (_add_terms(*(gathered[:, :, None] * _WL_BACK_SIGNS)) + 0.0) * 0.25
 
 
 def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
           phi: Optional[PhiFunction] = None) -> tuple[np.ndarray, np.ndarray]:
-    """_advance on one (4, 1, taps) window: the new weights and the error."""
-    window = x.transpose(1, 0, 2)
-    factors = _FACTORS[weights.shape[1]]
-    new = np.empty_like(weights)
-    e = _advance(weights, _factors(window, factors.out)[0], _factors(window, factors.move)[0],
-                 d, alpha, phi, new, _Scratch(weights.shape))
-    return new, e
+    """One (4, 1, taps) window through the run's kernels: the new
+    (4, branches, taps) weights and the error.  Four branches take the real
+    LMS step on their matrix and are mapped back."""
+    window, d = x.transpose(1, 0, 2), d[None]
+    if weights.shape[1] == 4:
+        new = np.empty((1, 4, x.size))
+        e = next(_lms_steps(_wl_matrix(weights), window, d, 4.0 * alpha, new))
+        return _wl_branches(new[0]), e
+    new = np.empty((1, 4, x.shape[2]))
+    e = next(_hamilton_steps(weights[:, 0], window, d, alpha, phi, new))
+    return new[0][:, None], e
 
 
-def _bounded(weights: np.ndarray) -> np.ndarray:
-    """Whether (4, ..., branches, taps) weights have a squared norm of at most
-    DIVERGENCE_NORM ** 2, added over taps, then branches, as the scalar loops
-    add it.  A NaN norm fails the comparison too."""
-    norms = _ordered_sum(_ordered_sum(QArray(weights).modulus_squared()))
-    return norms <= DIVERGENCE_NORM ** 2
+def _squared_norms(weights: np.ndarray) -> np.ndarray:
+    """Squared norms of (m, 4, columns) weights: each column's a^2 + b^2 +
+    c^2 + d^2 (a tap's squared modulus), added left to right."""
+    return _ordered_sum(QArray(weights.swapaxes(0, 1)).modulus_squared())
 
 
-def _check_bounded(history: np.ndarray, start: int) -> None:
-    """Raise the DivergenceError of the first unbounded weights in a block's
-    history, whose first step is ``start``."""
-    bad = np.flatnonzero(~_bounded(history.swapaxes(0, 1)))
+def _check_bounded(history: np.ndarray, limit: float, start: int) -> None:
+    """Raise the DivergenceError of the first weights in a block's history
+    (from step ``start``) whose squared norm is past ``limit`` or NaN."""
+    bad = np.flatnonzero(~(_squared_norms(history) <= limit))
     if bad.size:
         raise DivergenceError(f"filter diverged at step {start + bad[0]}")
 
@@ -395,10 +341,17 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     for m in range(taps_len):
         windows[:, :, m] = raw[taps_len - 1 - m:taps_len - 1 - m + n]
     with np.errstate(over="ignore", invalid="ignore"):
+        # A widely linear truth outputs through its real matrix, as WL-QLMS.
+        matrix = _wl_matrix(truth) if truth.shape[1] == 4 else None
         clean = np.empty((n, 4))
         for lo in range(0, n, _BLOCK):
-            out = _factors(windows[lo:lo + _BLOCK], _FACTORS[truth.shape[1]].out)
-            clean[lo:lo + _BLOCK] = _outputs(_add_terms(*(truth[:, None] * out).swapaxes(0, 1)))
+            block = windows[lo:lo + _BLOCK]
+            if matrix is None:
+                out = _factors(block, _SIGNED_INDEX)
+                terms = _add_terms(*(truth[:, 0, None] * out).swapaxes(0, 1))
+            else:
+                terms = matrix * block.reshape(len(block), 1, -1)
+            clean[lo:lo + _BLOCK] = _ordered_sum(terms)
         desired = clean
         if not math.isinf(snr_db):
             signal_power = sum(QArray(clean.T).modulus_squared().tolist()) / n
@@ -455,6 +408,56 @@ class ExperimentResult:
     seed: int
 
 
+def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarray,
+                    alpha: float, phi: Optional[PhiFunction],
+                    history: np.ndarray) -> Iterator[np.ndarray]:
+    """QLMS from (4, taps) ``weights``: each step's a priori error e in
+    turn, with w + alpha e x* written to history[t % _BLOCK] after step t.
+    With phi it is QNGD, whose move takes the effective error, the sum over
+    mu of e^mu * d Phi^(mu*)/ds*, in place of e.  ``terms`` holds the
+    Hamilton terms [k, r] of a product."""
+    terms = np.empty((4, 4) + weights.shape[1:])
+    by_term, total = tuple(terms), np.empty(weights.shape)
+    for lo in range(0, len(windows), _BLOCK):
+        block = windows[lo:lo + _BLOCK]
+        for out, move, d, new in zip(_factors(block, _SIGNED_INDEX), _factors(block, _MOVE_INDEX),
+                                     desired[lo:lo + _BLOCK], history):
+            np.multiply(out, weights[:, None], terms)
+            s = _ordered_sum(_add_terms(*by_term, total))
+            if phi is None:
+                e = e_eff = d - s
+            else:
+                e = d - phi(QArray(s)).c
+                e_eff = _effective_error(phi, s, e)
+            np.multiply(move, e_eff[:, None, None], terms)
+            step = _add_terms(*by_term, total)
+            step *= alpha
+            np.add(weights, step, new)
+            yield e
+            weights = new
+
+
+def _lms_steps(matrix: np.ndarray, windows: np.ndarray, desired: np.ndarray,
+               step: float, history: np.ndarray) -> Iterator[np.ndarray]:
+    """WL-QLMS from its (4, 4 taps) ``matrix``: each step's a priori error
+    e = d - M x in turn, with M + (step e) x^T (step = 4 alpha) written to
+    history[t % _BLOCK] after step t.  x is a window's components,
+    component-major.  Column 0 of ``terms`` stays 0.0 ahead of the products
+    M * x, so each row's accumulate adds from zero, as a scalar loop adds."""
+    terms = np.zeros((4, matrix.shape[1] + 1))
+    products, sums, scaled = terms[:, 1:], np.empty_like(terms), np.empty((4, 1))
+    outputs, scaled_e = sums[:, -1], scaled[:, 0]
+    for x, d, new in zip(windows.reshape(len(windows), -1), desired, itertools.cycle(history)):
+        np.multiply(matrix, x, products)
+        np.add.accumulate(terms, axis=1, out=sums)
+        e = d - outputs
+        np.multiply(e, step, scaled_e)
+        np.multiply(scaled, x, new)
+        new += matrix
+        yield e
+        matrix = new
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Stream a generated signal through the chosen filter and record errors.
 
@@ -467,11 +470,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     linear channel by the one-branch filter with w = h*.  Those are the
     references the weights are held against.
 
-    Each block's output and move factors are gathered once, and each step
-    is one call of _advance, the kernel the per-sample *_step functions
-    share.  It reproduces the scalar Quaternion recursions (the test suite's
-    oracle) bit for bit: products are elementwise, factors of +/-1 are
-    exact, and every sum keeps the scalar order.
+    Every step is checked for divergence once per block, and the first
+    unbounded one is reported.  WL-QLMS's matrix is held against A applied
+    to the branch reference: with A^T A = 4 I, its relative error is that
+    of the branch weights, and it diverges where |M|^2 passes
+    4 DIVERGENCE_NORM^2.
     """
     if config.variant not in VARIANTS:
         raise ValueError(f"unknown filter variant {config.variant!r}")
@@ -486,45 +489,39 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     truth = _taps_array(config.taps)
     windows, desired = _signal_arrays(config.kind, truth, config.steps,
                                       config.snr_db, config.seed)
-    reference = truth
-    if config.variant == "wl_qlms" and truth.shape[1] == 1:
-        reference = np.concatenate(
-            [truth * _CONJ[:, None, None], np.zeros((4, 3, truth.shape[2]))], axis=1)
-    elif config.variant != "wl_qlms" and truth.shape[1] == 4:
-        reference = truth[:, :1] * _CONJ[:, None, None]
-    weights = np.zeros(reference.shape)
-    phi = NONLINEARITIES.get(config.nonlinearity)
-
-    alpha = config.alpha
-    factors = _FACTORS[weights.shape[1]]
-    mse = []
-    weight_errors = []
-    errors = np.empty((_BLOCK, 4))
-    history = np.empty((_BLOCK,) + weights.shape)
-    scratch = _Scratch(weights.shape)
+    if config.variant != "wl_qlms":
+        reference = truth[:, 0] * (_CONJ[:, None] if truth.shape[1] == 4 else 1.0)
+        history = np.empty((_BLOCK,) + reference.shape)
+        steps = _hamilton_steps(np.zeros(reference.shape), windows, desired, config.alpha,
+                                NONLINEARITIES.get(config.nonlinearity), history)
+        limit = DIVERGENCE_NORM ** 2
+    else:
+        if truth.shape[1] == 1:
+            truth = np.concatenate([truth * _CONJ[:, None, None],
+                                    np.zeros((4, 3, truth.shape[2]))], axis=1)
+        reference = _wl_matrix(truth)
+        history = np.empty((_BLOCK,) + reference.shape)
+        steps = _lms_steps(np.zeros(reference.shape), windows, desired, 4.0 * config.alpha,
+                           history)
+        limit = 4.0 * DIVERGENCE_NORM ** 2  # |A w|^2 = 4 |w|^2
+    mse, weight_errors, errors = [], [], np.empty((_BLOCK, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = float(_ordered_sum(QArray(reference).modulus_squared().ravel()))
+        ref = float(_squared_norms(reference[None])[0])
         for start in range(0, config.steps, _BLOCK):
             count = min(_BLOCK, config.steps - start)
-            block = windows[start:start + count]
-            out, move = _factors(block, factors.out), _factors(block, factors.move)
-            steps = zip(out, move, desired[start:start + count], history)
-            slot = 0
+            slot = -1
             try:
-                for slot, (step_out, step_move, d, new) in enumerate(steps):
-                    errors[slot] = _advance(weights, step_out, step_move, d, alpha, phi, new,
-                                            scratch)
-                    weights = new
+                for slot, e in enumerate(itertools.islice(steps, count)):
+                    errors[slot] = e
             except EvaluationError:
                 # The Phi partials of a diverged QNGD filter are not finite.
                 # The scalar loop, checking every step, reports an earlier
                 # unbounded step first.
-                _check_bounded(history[:slot], start)
+                _check_bounded(history[:slot + 1], limit, start)
                 raise
-            _check_bounded(history[:count], start)
+            _check_bounded(history[:count], limit, start)
             mse.extend(QArray(errors[:count].T).modulus_squared().tolist())
-            err = _ordered_sum(QArray((history[:count] - reference).swapaxes(0, 1))
-                               .modulus_squared().reshape(count, -1))
+            err = _squared_norms(history[:count] - reference)
             weight_errors.extend(np.sqrt(err / ref if ref > 0.0 else err).tolist())
     return ExperimentResult(mse_curve=tuple(mse),
                             weight_error_curve=tuple(weight_errors),

@@ -46,6 +46,9 @@ def test_spans_install_and_micro_run(tmp_path):
     # One-point cross_validate timings, one per family.
     for spec in catalogue():
         assert timings[f"tables.cross_validate_us.{spec.name}"] > 0.0
+    # Per-sample step timings through filters.wl_qlms_step and qngd_step.
+    for variant in ("wl_qlms", "qngd"):
+        assert timings[f"filters.step_us.{variant}"] > 0.0
     # A traced verify writes the untraced bytes, and its spans take in the
     # identity suite's calls on arrays of points too.
     plain = tmp_path / "plain.csv"

@@ -18,7 +18,7 @@ from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               _taps_array, generate_signal, phi_tanh,
                               qlms_state, qlms_step, qngd_state, qngd_step,
                               run_experiment, wl_qlms_state, wl_qlms_step)
-from quatcalc.quaternion import AXES, ONE, Quaternion, involute
+from quatcalc.quaternion import AXES, ONE, I, J, K, Quaternion, involute
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import DivergenceError
 
@@ -46,7 +46,8 @@ def _random_qvector(rng, n):
 
 
 # The scalar recursions, one Quaternion at a time: the independent oracle
-# that the array engine (and so every public step) must match bit for bit.
+# that the QLMS and QNGD engine (and so their public steps) must match bit
+# for bit, and that WL-QLMS meets within rounding.
 
 
 def _dot_t(w, x) -> Quaternion:
@@ -113,6 +114,61 @@ def _oracle_qngd_step(state: FilterState, x, d: Quaternion):
             e_eff = e_eff + involute(e, mu) * gamma
     new_w = _linear_update(w, x, e_eff, state.alpha)
     return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+
+
+# WL-QLMS as the real LMS it is, in plain loops: the oracle that the engine
+# (and so wl_qlms_step) must match bit for bit.  Its matrix M, a list of
+# four rows, holds at [r][c * taps + m] the weight of component c of x_m in
+# component r of the output.  The map A from the four branch vectors to M
+# comes from Quaternion arithmetic alone: w^mu_k enters (w^mu)* x^mu, times
+# x_c, through component r of conj(e_k) * (e_c)^mu.
+BASIS = (ONE, I, J, K)
+WL_COEFFICIENTS = [[[[(BASIS[k].conjugate() * involute(BASIS[c], mu))[r] for k in range(4)]
+                     for mu in AXES] for c in range(4)] for r in range(4)]
+
+
+def _sum(terms) -> float:
+    """The terms added left to right from 0.0."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _oracle_matrix(branches) -> list[list[float]]:
+    """A w: the real matrix of four branch vectors of Quaternions."""
+    taps = len(branches[0])
+    return [[_sum(coeff * branches[mu][m][k] for mu in range(4) for k in range(4)
+                  if (coeff := WL_COEFFICIENTS[r][c][mu][k]))
+             for c in range(4) for m in range(taps)] for r in range(4)]
+
+
+def _oracle_branches(matrix, taps: int):
+    """A^T M / 4: the four branch vectors of a real matrix."""
+    return tuple(tuple(Quaternion(*(
+        _sum(coeff * matrix[r][c * taps + m] for r in range(4) for c in range(4)
+             if (coeff := WL_COEFFICIENTS[r][c][mu][k])) * 0.25 for k in range(4)))
+        for m in range(taps)) for mu in range(4))
+
+
+def _real_components(x) -> list[float]:
+    """A window's real components, component-major: x_m's c at c * taps + m."""
+    return [q[c] for c in range(4) for q in x]
+
+
+def _oracle_real_lms_step(matrix, x, d, step: float):
+    """e = d - M x row by row, then M + (step e) x^T."""
+    e = [d_r - _sum(w * v for w, v in zip(row, x)) for d_r, row in zip(d, matrix)]
+    return [[w + (e_r * step) * v for w, v in zip(row, x)] for e_r, row in zip(e, matrix)], e
+
+
+def _oracle_wl_qlms_real_step(state: FilterState, x, d: Quaternion):
+    """The branch vectors mapped to M, one real LMS step with step 4 alpha,
+    and the matrix mapped back."""
+    matrix, e = _oracle_real_lms_step(_oracle_matrix(state.weights), _real_components(x), d,
+                                      4.0 * state.alpha)
+    return (replace(state, weights=_oracle_branches(matrix, len(x)),
+                    iteration=state.iteration + 1), Quaternion(*e))
 
 
 def test_qlms_scalar_oracle():
@@ -234,6 +290,16 @@ def test_signal_noise_free_output_matches_channel():
     stream = generate_signal("fir_channel", CHANNEL, 50, math.inf, seed=11)
     for x, d in stream:
         assert abs(d - _dot_t(CHANNEL, x)) == 0.0
+
+
+def test_signal_noise_free_widely_linear_output_is_its_real_matrix_times_x():
+    # A four-branch channel outputs M x as WL-QLMS does, and the sum of its
+    # Hermitian branch outputs within rounding.
+    matrix = _oracle_matrix(WL_CHANNEL)
+    for x, d in generate_signal("fir_channel", WL_CHANNEL, 50, math.inf, seed=11):
+        x_real = _real_components(x)
+        assert _bits([d]) == _bits([[_sum(w * v for w, v in zip(row, x_real)) for row in matrix]])
+        assert abs(d - _output(WL_CHANNEL, x, None)) <= 1e-13
 
 
 def test_signal_kinds_share_stream():
@@ -482,18 +548,23 @@ def test_one_branch_filter_on_widely_linear_taps_is_held_against_conjugate(varia
     assert result.final_weight_error < 1e-2
 
 
-def _scalar_weight_error(state: FilterState, taps) -> float:
-    """Relative weight error, added up over Quaternion objects."""
+def _reference(variant: str, taps):
+    """The branch vectors that run_experiment holds a variant's weights against."""
     truth = (taps,) if np.ndim(taps) == 2 else taps
-    current = state.weights
-    if state.variant == "wl_qlms" and len(truth) == 1:
+    if variant == "wl_qlms" and len(truth) == 1:
         zeros = (Quaternion(0.0, 0.0, 0.0, 0.0),) * len(truth[0])
         truth = (tuple(q.conjugate() for q in truth[0]), zeros, zeros, zeros)
-    elif state.variant != "wl_qlms" and len(truth) == 4:
+    elif variant != "wl_qlms" and len(truth) == 4:
         truth = (tuple(q.conjugate() for q in truth[0]),)
+    return truth
+
+
+def _scalar_weight_error(state: FilterState, taps) -> float:
+    """Relative weight error, added up over Quaternion objects."""
+    truth = _reference(state.variant, taps)
     err = 0.0
     ref = 0.0
-    for w_vec, t_vec in zip(current, truth):
+    for w_vec, t_vec in zip(state.weights, truth):
         for w_m, t_m in zip(w_vec, t_vec):
             err += (w_m - t_m).modulus_squared()
             ref += t_m.modulus_squared()
@@ -524,6 +595,39 @@ def _scalar_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM):
     return tuple(mse), tuple(weight_errors)
 
 
+def _squares(matrix) -> float:
+    """The squared norm of a real matrix as run_experiment adds it: each
+    column's a^2 + b^2 + c^2 + d^2 over its four rows, left to right."""
+    return _sum(a * a + b * b + c * c + d * d for a, b, c, d in zip(*matrix))
+
+
+def _real_lms_steps(config: ExperimentConfig):
+    """The matrix and the error after each step of the real LMS loop over
+    generate_signal, from M = 0."""
+    stream = generate_signal(config.kind, config.taps, config.steps, config.snr_db, config.seed)
+    matrix = [[0.0] * (4 * len(stream[0][0]))] * 4
+    for x, d in stream:
+        matrix, e = _oracle_real_lms_step(matrix, _real_components(x), d, 4.0 * config.alpha)
+        yield matrix, e
+
+
+def _real_lms_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM):
+    """run_experiment's WL-QLMS curves from the real LMS loop.  |A w|^2 is
+    4 |w|^2, so M diverges where its squared norm passes 4 bound^2."""
+    reference = _oracle_matrix(_reference("wl_qlms", config.taps))
+    ref = _squares(reference)
+    mse, weight_errors = [], []
+    for idx, (matrix, e) in enumerate(_real_lms_steps(config)):
+        mse.append(Quaternion(*e).modulus_squared())
+        err = _squares([[w - t for w, t in zip(row, ref_row)]
+                        for row, ref_row in zip(matrix, reference)])
+        weight_errors.append(math.sqrt(err / ref if ref > 0.0 else err))
+        norm = _squares(matrix)
+        if not math.isfinite(norm) or norm > 4.0 * bound ** 2:
+            raise DivergenceError(f"filter diverged at step {idx}")
+    return tuple(mse), tuple(weight_errors)
+
+
 FILTERS = {
     "qlms": dict(variant="qlms", taps=CHANNEL, alpha=0.02),
     "wl_qlms": dict(variant="wl_qlms", taps=WL_CHANNEL, alpha=0.01),
@@ -537,10 +641,65 @@ FILTERS = {
 @pytest.mark.parametrize("kind", SIGNAL_KINDS)
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_array_engine_matches_scalar_steps_bitwise(name, kind, seed):
+    # QLMS and QNGD against the Quaternion recursion, WL-QLMS against the
+    # real LMS loop.
     config = ExperimentConfig(steps=300, snr_db=30.0, seed=seed, kind=kind,
                               **FILTERS[name])
     result = run_experiment(config)
-    assert (result.mse_curve, result.weight_error_curve) == _scalar_run(config)
+    oracle = _real_lms_run if config.variant == "wl_qlms" else _scalar_run
+    assert (result.mse_curve, result.weight_error_curve) == oracle(config)
+
+
+WL_FILTERS = ["wl_qlms", "wl_qlms_strictly_linear"]
+
+
+@pytest.mark.parametrize("seed", [5, 1234])
+@pytest.mark.parametrize("kind", SIGNAL_KINDS)
+@pytest.mark.parametrize("name", WL_FILTERS)
+def test_wl_qlms_engine_meets_the_quaternion_recursion_within_rounding(name, kind, seed):
+    # The real LMS takes the quaternion recursion's steps with its sums in
+    # another order: both curves stay within 1e-11 of the recursion's,
+    # relative to the curve's largest value.
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=seed, kind=kind,
+                              **FILTERS[name])
+    result = run_experiment(config)
+    for got, expected in zip((result.mse_curve, result.weight_error_curve),
+                             _scalar_run(config)):
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-11 * max(expected)
+
+
+@pytest.mark.parametrize("name", WL_FILTERS)
+def test_wl_qlms_weight_error_is_the_branch_weights_error(name):
+    # A^T A = 4 I: the relative error of M is that of its branch weights
+    # A^T M / 4, up to rounding.
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=5, kind="ar1", **FILTERS[name])
+    curve = run_experiment(config).weight_error_curve
+    for (matrix, _), engine in zip(_real_lms_steps(config), curve):
+        state = FilterState(variant="wl_qlms", alpha=config.alpha,
+                            weights=_oracle_branches(matrix, len(matrix[0]) // 4))
+        assert engine == pytest.approx(_scalar_weight_error(state, config.taps), rel=1e-13)
+
+
+def test_wl_map_is_twice_an_orthogonal_map():
+    # A, from filters' tables: row r * 4 + c of M takes component
+    # k = _MUL_INDEX[r, c] of branch mu, column mu * 4 + k, with its sign.
+    a = np.zeros((16, 16))
+    for mu, r, c in itertools.product(range(4), repeat=3):
+        a[r * 4 + c, mu * 4 + filters._MUL_INDEX[r, c]] = filters._WL_SIGNS[mu, r, c]
+    assert set(np.abs(a).ravel()) == {0.0, 1.0}
+    assert (np.count_nonzero(a, axis=0) == 4).all() and (np.count_nonzero(a, axis=1) == 4).all()
+    assert (a.T @ a == 4.0 * np.eye(16)).all()
+    # It is the coefficient map of Quaternion arithmetic, and what
+    # _wl_matrix applies to a tap's branch weights and _wl_branches,
+    # as A^T / 4, to a tap's matrix.
+    assert (a == np.reshape(WL_COEFFICIENTS, (16, 16))).all()
+    for index in range(16):
+        unit = np.zeros(16)
+        unit[index] = 1.0
+        assert (filters._wl_matrix(unit.reshape(4, 4).T[:, :, None]).ravel()
+                == a[:, index]).all()
+        assert (filters._wl_branches(unit.reshape(4, 4))[:, :, 0].T.ravel()
+                == 0.25 * a[index]).all()
 
 
 @pytest.mark.parametrize("name,alpha,steps,step", [
@@ -579,13 +738,28 @@ def test_qngd_divergence_in_mid_block_is_the_scalar_step(monkeypatch):
     assert str(array.value) == str(scalar.value) == "filter diverged at step 147"
 
 
+def test_wl_qlms_divergence_under_a_small_bound_is_the_oracles_step(monkeypatch):
+    # Under a bound of 1.2 the adapting branch weights (truth norm 1.64)
+    # first pass it at step 21.  The engine holds |M|^2 = 4 |w|^2 against
+    # 4 bound^2, and reports the real loop's and the quaternion recursion's step.
+    monkeypatch.setattr(filters, "DIVERGENCE_NORM", 1.2)
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=1, **FILTERS["wl_qlms"])
+    messages = []
+    for run in (run_experiment, lambda c: _real_lms_run(c, bound=1.2),
+                lambda c: _scalar_run(c, bound=1.2)):
+        with pytest.raises(DivergenceError) as diverged:
+            run(config)
+        messages.append(str(diverged.value))
+    assert messages == ["filter diverged at step 21"] * 3
+
+
 def _bits(quaternions) -> tuple[str, ...]:
     return tuple(x.hex() for q in quaternions for x in q)
 
 
 @pytest.mark.parametrize("step,oracle,start,taps", [
     (qlms_step, _oracle_qlms_step, qlms_state(4, 0.02), CHANNEL),
-    (wl_qlms_step, _oracle_wl_qlms_step, wl_qlms_state(3, 0.01), WL_CHANNEL),
+    (wl_qlms_step, _oracle_wl_qlms_real_step, wl_qlms_state(3, 0.01), WL_CHANNEL),
     (qngd_step, _oracle_qngd_step, qngd_state(4, 0.02, phi_tanh), CHANNEL),
     (qlms_step, _oracle_qlms_step,
      FilterState(variant="qlms", alpha=0.02, weights=(tuple(Quaternion(*row) for row in (
@@ -642,7 +816,7 @@ def _outcome(step, state, x, d):
 
 STEPS = {
     "qlms": (qlms_step, _oracle_qlms_step, "qlms", 1, None),
-    "wl_qlms": (wl_qlms_step, _oracle_wl_qlms_step, "wl_qlms", 4, None),
+    "wl_qlms": (wl_qlms_step, _oracle_wl_qlms_real_step, "wl_qlms", 4, None),
     "qngd_linear": (qngd_step, _oracle_qngd_step, "qngd", 1, None),
     "qngd_tanh": (qngd_step, _oracle_qngd_step, "qngd", 1, phi_tanh),
     "qngd_square": (qngd_step, _oracle_qngd_step, "qngd", 1, _phi_square),
@@ -669,23 +843,25 @@ def test_one_kernel_step_matches_scalar_oracle_on_extreme_values(name, data):
 @pytest.mark.parametrize("name", sorted(STEPS))
 @pytest.mark.parametrize("component", range(4))
 def test_one_kernel_step_on_a_negative_zero_output(name, component):
-    # Zero weights whose product with the zero window is -0.0 in one
-    # component, in every branch.  The scalar output, summed from 0.0, is
-    # +0.0 there; a kernel sum that starts from its first term is -0.0 until
-    # the + 0.0 after the branch sum, and d - s tells the two apart at d = -0.0.
+    # Zero weights whose product with the window is -0.0 in one component.
+    # The scalar output, summed from 0.0, is +0.0 there; a kernel sum that
+    # starts from its first term is -0.0 until the + 0.0 after it, and d - s
+    # tells the two apart at d = -0.0.  A one-branch filter pairs w x, and a
+    # signed zero w makes w * 0 negative in the component.  WL-QLMS's zero
+    # branch weights map to M = +0.0, whose products with a -0.0 window are
+    # -0.0 in every row.
     step, oracle, variant, branches, phi = STEPS[name]
     zero = Quaternion(0.0, 0.0, 0.0, 0.0)
-    signed_zeros = [Quaternion(*signs) for signs in itertools.product([0.0, -0.0], repeat=4)]
-    weights = []
-    for axis in AXES[:branches]:
-        # A one-branch filter pairs w x, a widely linear one (w^mu)* x^mu.
-        def product(w, axis=axis):
-            return w * zero if branches == 1 else w.conjugate() * involute(zero, axis)
-        weights.append((next(w for w in signed_zeros
-                             if math.copysign(1.0, product(w)[component]) < 0.0),))
-    state = FilterState(variant=variant, weights=tuple(weights), alpha=0.02, nonlinearity=phi)
+    if branches == 4:
+        weights, x = ((zero,),) * 4, (Quaternion(-0.0, -0.0, -0.0, -0.0),)
+    else:
+        signed_zeros = [Quaternion(*signs) for signs in itertools.product([0.0, -0.0], repeat=4)]
+        weights = ((next(w for w in signed_zeros
+                         if math.copysign(1.0, (w * zero)[component]) < 0.0),),)
+        x = (zero,)
+    state = FilterState(variant=variant, weights=weights, alpha=0.02, nonlinearity=phi)
     d = Quaternion(-0.0, -0.0, -0.0, -0.0)
-    assert _outcome(step, state, (zero,), d) == _outcome(oracle, state, (zero,), d)
+    assert _outcome(step, state, x, d) == _outcome(oracle, state, x, d)
 
 
 @pytest.mark.parametrize("phi", [phi_tanh, _phi_square, _phi_cliff],
@@ -758,11 +934,9 @@ def test_wl_qlms_is_real_lms_with_four_times_the_step():
     result = run_experiment(config)
     windows, desired = _signal_arrays(config.kind, _taps_array(config.taps),
                                       config.steps, config.snr_db, config.seed)
-    regressors = windows.reshape(config.steps, -1)
-    matrix = np.zeros((4, regressors.shape[1]))
+    matrix = [[0.0] * (4 * windows.shape[2])] * 4
     sq_error = []
-    for x, d in zip(regressors, desired):
-        e = d - matrix @ x
-        matrix += 4.0 * config.alpha * np.outer(e, x)
-        sq_error.append(float(e @ e))
-    assert np.max(np.abs(np.array(result.mse_curve) - sq_error)) <= 1e-12
+    for x, d in zip(windows.reshape(config.steps, -1).tolist(), desired.tolist()):
+        matrix, e = _oracle_real_lms_step(matrix, x, d, 4.0 * config.alpha)
+        sq_error.append(Quaternion(*e).modulus_squared())
+    assert result.mse_curve == tuple(sq_error)

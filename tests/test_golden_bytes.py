@@ -36,7 +36,7 @@ GOLDEN = {
     ("filter", "--config", "qlms"):
         "abb4984d2c363f373043cf4e20b2bba034bf7da26f481fcc86699ca7f371c8f6",
     ("filter", "--config", "wl_qlms"):
-        "a0b2ae154fae11fb6e09de80e055a7657fb638c46925fd63710591f9847548e1",
+        "bc19f2bc5da36a5d6d0be0f4e9009119c63c525b52f7b9f81f6afab6ad8c78a2",
     ("filter", "--config", "perfbench/configs/qngd.json"):
         "c966386ab8205175603721a35b24fe1238c2898ab2b66b765b16459dce68a2f4",
 }
