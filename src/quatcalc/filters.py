@@ -17,8 +17,10 @@ QLMS and QNGD run on (4, taps) component arrays.  A step's two Hamilton
 products (the output and the move) take their regressor-side factors ready
 made, gathered for a block of ``_BLOCK`` windows in one array pass, so a
 step is elementwise products and the scalar Quaternion recursion's sums in
-its order, which it reproduces bit for bit.  QNGD evaluates Phi's eight
-stencil points in one call of Phi on a QArray.
+its order, which QLMS reproduces bit for bit.  |e|^2 is real, so QNGD's
+GHR sum over mu is the real chain rule's J^T e, J the Jacobian of
+real_partials, from one call of Phi on a QArray of s and its stencil: bit
+for bit a scalar J^T e loop, and the GHR recursion within rounding.
 
 WL-QLMS runs as the real LMS it is (Via, Ramirez & Santamaria 2010; Took &
 Mandic 2010): summed over the four involutions, its conjugate gradient step
@@ -45,7 +47,7 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import DEFAULT_H, EvaluationError, takes_arrays
-from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, I, J, K, QArray,
+from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, QArray,
                          Quaternion, _add_terms, _by_floats)
 from .theorems import DivergenceError
 
@@ -99,6 +101,9 @@ def _sample_step(variant: str, state: FilterState, x: Sequence[Quaternion], d: Q
         raise ValueError(f"{variant} step needs a {variant} state with {branches} "
                          f"weight vector(s), got {state.variant!r} with "
                          f"{len(state.weights)}")
+    if phi is not None and not derivatives.has_array_form(phi):
+        raise ValueError("qngd needs a nonlinearity with an array form: mark Phi "
+                         "with derivatives.takes_arrays")
     weights = _taps_array(state.weights)
     if len(x) != weights.shape[2]:
         raise ValueError("regressor length does not match filter taps")
@@ -126,32 +131,6 @@ def qngd_step(state: FilterState, x: Sequence[Quaternion],
               d: Quaternion) -> tuple[FilterState, Quaternion]:
     """One QNGD update; with no nonlinearity it is qlms_step's, bit for bit."""
     return _sample_step("qngd", state, x, d, state.nonlinearity)
-
-
-def _phi_derivatives(phi: PhiFunction, s: np.ndarray) -> np.ndarray:
-    """Conjugate derivatives of the four conjugate involutions of Phi at s.
-
-    Column mu of the (4, 4) result holds d Phi^(mu*)/ds* for mu in 1, i, j, k.
-    Phi^(mu*) only flips signs of Phi's components, and a central difference
-    commutes exactly with a sign flip, so one set of real partials of Phi
-    (eight evaluations, in one call of phi) serves all four, bit for bit.
-    Each is projected as derivatives.left_hr projects d f/dq*:
-    (f_a + (f_b i + f_c j + f_d k)) / 4, with every term of the three unit
-    products kept, zeros too: an infinite partial times zero is NaN there.
-    """
-    values = derivatives._evaluate_stencil(phi, derivatives._stencil_array(s, DEFAULT_H), 1)
-    partials = (values[:, :, 0] - values[:, :, 1]) * _INV_2H  # [component, axis]
-    terms = partials.take(_UNIT_INDEX) * _UNIT_FACTORS
-    mixed = _add_terms(*terms)  # [e, r, mu] for e in b, c, d
-    return (partials[:, :1] * _PHI_SIGNS + (mixed[0] + mixed[1] + mixed[2])) * 0.25
-
-
-def _effective_error(phi: PhiFunction, s: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """The sum over mu of e^mu * d Phi^(mu*)/ds*, added from zero in the
-    order 1, i, j, k, each product in hamilton's order."""
-    terms = _phi_derivatives(phi, s).take(_EFFECTIVE_INDEX) * _EFFECTIVE_SIGNS
-    terms *= e[:, None, None]
-    return _ordered_sum(_add_terms(*terms))  # products [r, mu]
 
 
 @takes_arrays
@@ -192,10 +171,6 @@ _INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
 # factor: every +/-1 (_MUL_SIGN, the conjugate) is folded in exactly, so
 # w[k] * factor[k, r] added over k in order is hamilton's product bit for bit.
 _MOVE_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN * _CONJ[_MUL_INDEX] < 0.0)
-
-# The four conjugate-involution sign patterns of Phi's components, one
-# column per mu.
-_PHI_SIGNS = _CONJ[:, None] * _INVOLUTIONS
 
 # WL-QLMS's matrix M holds, at [r, c * taps + m], the weight of component c
 # of x_m in component r of the output.  Summed over the branches mu,
@@ -244,23 +219,12 @@ def _factors(windows: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.concatenate([windows, -windows], axis=1).take(index, axis=1)
 
 
-# The units i, j, k as right factors of an output, (4, 4, 3): f_e * unit_e
-# for e in b, c, d is hamilton's product of a partial and a unit.
-_IJK = _factors(np.array([I, J, K]).T[None], _SIGNED_INDEX)[0]
-# Projection terms [k, e, r, mu] for e in b, c, d: the partial f_e[k], at
-# _UNIT_INDEX in the (4, 4) [component, axis] partials, times _IJK with the
-# sign patterns of the four Phi^(mu*) folded in.  (+/-f) u equals f (+/-u)
-# exactly, zeros and infinities included.
-_UNIT_INDEX = np.broadcast_to(np.arange(4)[:, None, None, None] * 4
-                              + np.arange(1, 4)[:, None, None], (4, 3, 4, 4))
-_UNIT_FACTORS = _IJK.transpose(0, 2, 1)[..., None] * _PHI_SIGNS[:, None, None]
+# QNGD evaluates Phi once a step, on nine points: s + -0.0, which keeps
+# every bit of s, then the stencil of derivatives.real_partials, s + h e_a
+# and s - h e_a for the axes a = 0..3 in columns 1 + 2a and 2 + 2a.
+_PHI_OFFSETS = np.concatenate([np.full((4, 1), -0.0),
+                               derivatives._STEPS[DEFAULT_H][0].reshape(4, 8)], axis=1)
 _INV_2H = derivatives._STEPS[DEFAULT_H][1]
-
-# QNGD's effective error as hamilton(e^mu, d Phi^(mu*)/ds*) for each mu:
-# term [k, r, mu] takes the derivative's component _MUL_INDEX[k, r] in column
-# mu, and e[k] with the signs of the product and of the involution.
-_EFFECTIVE_INDEX = _MUL_INDEX[:, :, None] * 4 + np.arange(4)
-_EFFECTIVE_SIGNS = _MUL_SIGN[:, :, None] * _INVOLUTIONS[:, None]
 
 
 def _wl_matrix(branches: np.ndarray) -> np.ndarray:
@@ -327,12 +291,12 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     total = n + taps_len - 1
     if kind == "ar1":
         raw = sample_rng.normal(size=(total + AR1_BURN_IN, 4))
-        drive = math.sqrt(1.0 - AR1_COEFF ** 2)
-        colored = np.empty_like(raw)
-        colored[0] = raw[0]
-        for t in range(1, len(raw)):
-            colored[t] = AR1_COEFF * colored[t - 1] + drive * raw[t]
-        raw = colored[AR1_BURN_IN:]
+        # On Python floats, a component at a time: the bits of numpy rows.
+        driven = (math.sqrt(1.0 - AR1_COEFF ** 2) * raw[1:]).T.tolist()
+        colored = [list(itertools.accumulate(u, lambda c, u_t: AR1_COEFF * c + u_t,
+                                             initial=first))
+                   for first, u in zip(raw[0].tolist(), driven)]
+        raw = np.array(colored).T[AR1_BURN_IN:]
     else:
         raw = sample_rng.normal(size=(total, 4))
 
@@ -408,14 +372,40 @@ class ExperimentResult:
     seed: int
 
 
+def _qngd_errors(phi: PhiFunction, s: np.ndarray,
+                 d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QNGD's error e = d - Phi(s) and effective error at output s, from
+    one call of phi on s and the stencil of real_partials.
+
+    By the GHR chain rule the effective error, the sum over mu of
+    e^mu d Phi^(mu*)/ds*, is the conjugate gradient of |e|^2 pushed back
+    through Phi; |e|^2 is real, so it is J^T e: component r is
+    <d Phi/ds_r, e>.  Row 0 of ``chain`` stays 0.0 ahead of the products
+    J[c, r] e[c], so each sum adds in order from zero, as a scalar loop.
+    """
+    points = s[:, None] + _PHI_OFFSETS
+    values = phi(QArray(points)).c
+    if not np.isfinite(values[:, 1:]).all():
+        # Raises the EvaluationError of real_partials at s.
+        derivatives._evaluate_stencil(phi, points[:, 1:].reshape(4, 4, 2), 1)
+    e = d - values[:, 0]
+    chain = np.zeros((5, 4))
+    products = chain[1:]
+    np.subtract(values[:, 1::2], values[:, 2::2], products)
+    products *= _INV_2H
+    products *= e[:, None]
+    return e, np.add.accumulate(chain, axis=0)[-1]
+
+
 def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarray,
                     alpha: float, phi: Optional[PhiFunction],
                     history: np.ndarray) -> Iterator[np.ndarray]:
     """QLMS from (4, taps) ``weights``: each step's a priori error e in
     turn, with w + alpha e x* written to history[t % _BLOCK] after step t.
-    With phi it is QNGD, whose move takes the effective error, the sum over
-    mu of e^mu * d Phi^(mu*)/ds*, in place of e.  ``terms`` holds the
-    Hamilton terms [k, r] of a product."""
+    ``terms`` holds the Hamilton terms [k, r] of a product.
+
+    With phi it is QNGD, whose move takes _qngd_errors' effective error
+    in place of e = d - Phi(s)."""
     terms = np.empty((4, 4) + weights.shape[1:])
     by_term, total = tuple(terms), np.empty(weights.shape)
     for lo in range(0, len(windows), _BLOCK):
@@ -427,8 +417,7 @@ def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarra
             if phi is None:
                 e = e_eff = d - s
             else:
-                e = d - phi(QArray(s)).c
-                e_eff = _effective_error(phi, s, e)
+                e, e_eff = _qngd_errors(phi, s, d)
             np.multiply(move, e_eff[:, None, None], terms)
             step = _add_terms(*by_term, total)
             step *= alpha
@@ -475,6 +464,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     to the branch reference: with A^T A = 4 I, its relative error is that
     of the branch weights, and it diverges where |M|^2 passes
     4 DIVERGENCE_NORM^2.
+
+    QNGD moves along J^T e from one call of Phi per step: its curves are a
+    scalar J^T e loop's bit for bit, the GHR recursion's within rounding.
     """
     if config.variant not in VARIANTS:
         raise ValueError(f"unknown filter variant {config.variant!r}")

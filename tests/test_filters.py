@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatcalc import derivatives, filters
+from quatcalc import derivatives, filters, tables
 from quatcalc.cli import _load_filter_config
-from quatcalc.derivatives import EvaluationError, left_hr, takes_arrays
-from quatcalc.filters import (AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
+from quatcalc.derivatives import EvaluationError, left_hr, real_partials, takes_arrays
+from quatcalc.filters import (AR1_BURN_IN, AR1_COEFF, DIVERGENCE_NORM, NONLINEARITIES,
                               SIGNAL_KINDS, ExperimentConfig, FilterState,
-                              _effective_error, _phi_derivatives, _signal_arrays,
+                              _qngd_errors, _signal_arrays,
                               _taps_array, generate_signal, phi_tanh,
                               qlms_state, qlms_step, qngd_state, qngd_step,
                               run_experiment, wl_qlms_state, wl_qlms_step)
@@ -46,8 +46,8 @@ def _random_qvector(rng, n):
 
 
 # The scalar recursions, one Quaternion at a time: the independent oracle
-# that the QLMS and QNGD engine (and so their public steps) must match bit
-# for bit, and that WL-QLMS meets within rounding.
+# that the QLMS engine (and so qlms_step) must match bit for bit, and that
+# QNGD and WL-QLMS meet within rounding.
 
 
 def _dot_t(w, x) -> Quaternion:
@@ -99,21 +99,42 @@ def _oracle_wl_qlms_step(state: FilterState, x, d: Quaternion):
     return replace(state, weights=new_weights, iteration=state.iteration + 1), e
 
 
-def _oracle_qngd_step(state: FilterState, x, d: Quaternion):
-    """e_eff = sum over mu of e^mu * d Phi^(mu*)/ds*, each from its own left_hr."""
-    w = state.weights[0]
-    s = _dot_t(w, x)
-    phi = state.nonlinearity
-    if phi is None:
-        e = e_eff = d - s
-    else:
-        e = d - phi(s)
-        e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
-        for mu in AXES:
-            gamma = left_hr(lambda p, mu=mu: involute(phi(p), mu).conjugate(), s).wrt_qc
-            e_eff = e_eff + involute(e, mu) * gamma
-    new_w = _linear_update(w, x, e_eff, state.alpha)
-    return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+def _ghr_effective_error(phi, s: Quaternion, e: Quaternion) -> Quaternion:
+    """The sum over mu of e^mu * d Phi^(mu*)/ds*, each from its own left_hr."""
+    e_eff = Quaternion(0.0, 0.0, 0.0, 0.0)
+    for mu in AXES:
+        gamma = left_hr(lambda p, mu=mu: involute(phi(p), mu).conjugate(), s).wrt_qc
+        e_eff = e_eff + involute(e, mu) * gamma
+    return e_eff
+
+
+def _jacobian_effective_error(phi, s: Quaternion, e: Quaternion) -> Quaternion:
+    """J^T e by the real chain rule: component r is <d Phi/ds_r, e>, the
+    products added from 0.0 in component order."""
+    return Quaternion(*(_sum(partial[c] * e[c] for c in range(4))
+                        for partial in real_partials(phi, s)))
+
+
+def _qngd_oracle(effective_error):
+    """The scalar QNGD step whose move takes effective_error(phi, s, e)."""
+    def step(state: FilterState, x, d: Quaternion):
+        w = state.weights[0]
+        s = _dot_t(w, x)
+        phi = state.nonlinearity
+        if phi is None:
+            e = e_eff = d - s
+        else:
+            e = d - phi(s)
+            e_eff = effective_error(phi, s, e)
+        new_w = _linear_update(w, x, e_eff, state.alpha)
+        return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+    return step
+
+
+# The GHR recursion through four projected HR derivatives, which the engine
+# meets within rounding, and the real-Jacobian loop it matches bit for bit.
+_oracle_qngd_step = _qngd_oracle(_ghr_effective_error)
+_oracle_qngd_jacobian_step = _qngd_oracle(_jacobian_effective_error)
 
 
 # WL-QLMS as the real LMS it is, in plain loops: the oracle that the engine
@@ -571,9 +592,11 @@ def _scalar_weight_error(state: FilterState, taps) -> float:
     return math.sqrt(err / ref) if ref > 0.0 else math.sqrt(err)
 
 
-def _scalar_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM):
+def _scalar_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM,
+                qngd_oracle=_oracle_qngd_jacobian_step):
     """run_experiment's curves from the scalar oracle over generate_signal,
-    which diverges when the weight norm passes ``bound``."""
+    which diverges when the weight norm passes ``bound``.  QNGD steps
+    through ``qngd_oracle``: the real-Jacobian loop unless told otherwise."""
     taps = np.shape(config.taps)[-2]
     if config.variant == "qlms":
         state, step = qlms_state(taps, config.alpha), _oracle_qlms_step
@@ -581,7 +604,7 @@ def _scalar_run(config: ExperimentConfig, bound: float = DIVERGENCE_NORM):
         state, step = wl_qlms_state(taps, config.alpha), _oracle_wl_qlms_step
     else:
         phi = NONLINEARITIES.get(config.nonlinearity)
-        state, step = qngd_state(taps, config.alpha, nonlinearity=phi), _oracle_qngd_step
+        state, step = qngd_state(taps, config.alpha, nonlinearity=phi), qngd_oracle
     mse, weight_errors = [], []
     stream = generate_signal(config.kind, config.taps, config.steps,
                              config.snr_db, config.seed)
@@ -641,8 +664,8 @@ FILTERS = {
 @pytest.mark.parametrize("kind", SIGNAL_KINDS)
 @pytest.mark.parametrize("name", sorted(FILTERS))
 def test_array_engine_matches_scalar_steps_bitwise(name, kind, seed):
-    # QLMS and QNGD against the Quaternion recursion, WL-QLMS against the
-    # real LMS loop.
+    # QLMS against the Quaternion recursion, QNGD against the scalar loop
+    # whose effective error is J^T e, WL-QLMS against the real LMS loop.
     config = ExperimentConfig(steps=300, snr_db=30.0, seed=seed, kind=kind,
                               **FILTERS[name])
     result = run_experiment(config)
@@ -666,6 +689,22 @@ def test_wl_qlms_engine_meets_the_quaternion_recursion_within_rounding(name, kin
     for got, expected in zip((result.mse_curve, result.weight_error_curve),
                              _scalar_run(config)):
         assert np.max(np.abs(np.subtract(got, expected))) <= 1e-11 * max(expected)
+
+
+@pytest.mark.parametrize("seed", [5, 1234])
+@pytest.mark.parametrize("kind", SIGNAL_KINDS)
+def test_qngd_engine_meets_the_ghr_recursion_within_rounding(kind, seed):
+    # J^T e is the GHR sum over four projected HR derivatives in exact
+    # arithmetic.  In floats the two differ in the last ulps, and central
+    # differences with h = 1e-6 amplify a 1-ulp change of the output up to
+    # about 2e-10 relative in a partial: both curves stay within 1e-9 of the
+    # recursion's, relative to the curve's largest value.
+    config = ExperimentConfig(steps=300, snr_db=30.0, seed=seed, kind=kind,
+                              **FILTERS["qngd_tanh"])
+    result = run_experiment(config)
+    for got, expected in zip((result.mse_curve, result.weight_error_curve),
+                             _scalar_run(config, qngd_oracle=_oracle_qngd_step)):
+        assert np.max(np.abs(np.subtract(got, expected))) <= 1e-9 * max(expected)
 
 
 @pytest.mark.parametrize("name", WL_FILTERS)
@@ -757,14 +796,23 @@ def _bits(quaternions) -> tuple[str, ...]:
     return tuple(x.hex() for q in quaternions for x in q)
 
 
+@takes_arrays
+def _phi_square(s):
+    """s * s: unlike tanh, its Jacobian and conjugate derivatives are not
+    diagonal, so J e in place of J^T e shows."""
+    return s * s
+
+
 @pytest.mark.parametrize("step,oracle,start,taps", [
     (qlms_step, _oracle_qlms_step, qlms_state(4, 0.02), CHANNEL),
     (wl_qlms_step, _oracle_wl_qlms_real_step, wl_qlms_state(3, 0.01), WL_CHANNEL),
-    (qngd_step, _oracle_qngd_step, qngd_state(4, 0.02, phi_tanh), CHANNEL),
+    (qngd_step, _oracle_qngd_jacobian_step, qngd_state(4, 0.02, phi_tanh), CHANNEL),
+    (qngd_step, _oracle_qngd_jacobian_step, FilterState(
+        variant="qngd", alpha=0.002, weights=(CHANNEL,), nonlinearity=_phi_square), CHANNEL),
     (qlms_step, _oracle_qlms_step,
      FilterState(variant="qlms", alpha=0.02, weights=(tuple(Quaternion(*row) for row in (
          [math.nan, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0], [0.0] * 4, [0.0] * 4)),)), CHANNEL),
-], ids=["qlms", "wl_qlms", "qngd_tanh", "qlms_nan_weight"])
+], ids=["qlms", "wl_qlms", "qngd_tanh", "qngd_square", "qlms_nan_weight"])
 def test_public_steps_match_scalar_oracle_bitwise(step, oracle, start, taps):
     # The public steps are one-window calls into the array kernel.  They do
     # not police their state: a NaN weight spreads as the recursion spreads it.
@@ -793,12 +841,6 @@ QUATERNIONS = st.one_of(st.builds(Quaternion, ZERO, ZERO, ZERO, ZERO),
 
 
 @takes_arrays
-def _phi_square(s):
-    """s * s: unlike tanh, its conjugate derivatives have vector parts."""
-    return s * s
-
-
-@takes_arrays
 def _phi_cliff(s):
     """tanh(1e12 s) * 1e308 by components: finite values that jump by 2e308
     where a component crosses 0, so a central difference there is inf."""
@@ -817,9 +859,9 @@ def _outcome(step, state, x, d):
 STEPS = {
     "qlms": (qlms_step, _oracle_qlms_step, "qlms", 1, None),
     "wl_qlms": (wl_qlms_step, _oracle_wl_qlms_real_step, "wl_qlms", 4, None),
-    "qngd_linear": (qngd_step, _oracle_qngd_step, "qngd", 1, None),
-    "qngd_tanh": (qngd_step, _oracle_qngd_step, "qngd", 1, phi_tanh),
-    "qngd_square": (qngd_step, _oracle_qngd_step, "qngd", 1, _phi_square),
+    "qngd_linear": (qngd_step, _oracle_qngd_jacobian_step, "qngd", 1, None),
+    "qngd_tanh": (qngd_step, _oracle_qngd_jacobian_step, "qngd", 1, phi_tanh),
+    "qngd_square": (qngd_step, _oracle_qngd_jacobian_step, "qngd", 1, _phi_square),
 }
 
 
@@ -866,63 +908,114 @@ def test_one_kernel_step_on_a_negative_zero_output(name, component):
 
 @pytest.mark.parametrize("phi", [phi_tanh, _phi_square, _phi_cliff],
                          ids=["tanh", "square", "cliff"])
-@given(s=QUATERNIONS)
-def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s):
-    # The sign patterns folded into the unit factors, and the unit products'
-    # zero terms: where a component of s is 0, _phi_cliff's partial along it
-    # is inf, and inf times a unit's zero is NaN in the separate derivatives.
-    def projected(run):
+@given(s=QUATERNIONS, d=QUATERNIONS)
+def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s, d):
+    # The kernel's one call of Phi on nine points against Phi(s) and
+    # real_partials' own stencil: where a component of s is 0, _phi_cliff's
+    # partial along it is inf, and inf times a zero error is NaN.
+    def outcome(run):
         try:
             return _bits(run())
         except EvaluationError as exc:
             return str(exc)
 
-    separate = projected(lambda: [
-        left_hr(lambda p, mu=mu: involute(phi(p), mu).conjugate(), s).wrt_qc for mu in AXES])
+    def separate():
+        e = d - phi(s)
+        return [e, _jacobian_effective_error(phi, s, e)]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        shared = projected(lambda: (Quaternion(*column) for column in
-                                    _phi_derivatives(phi, np.array(s)).T.tolist()))
-    assert shared == separate
+        shared = outcome(lambda: (Quaternion(*v.tolist())
+                                  for v in _qngd_errors(phi, np.array(s), np.array(d))))
+    assert shared == outcome(separate)
 
 
 def test_effective_error_sums_from_zero_where_every_product_is_negative_zero():
-    # At s = (i + j + k) / 2 with e = -0.0 in every component, each of the
-    # four products e^mu * d Phi^(mu*)/ds* of Phi = s^2 has a real part of
-    # -0.0.  The scalar sum from 0.0 ends at +0.0 there, a sum from the first
-    # product at -0.0: _effective_error's final + 0.0 tells the two apart.
-    s = Quaternion(0.0, 0.5, 0.5, 0.5)
-    e = Quaternion(-0.0, -0.0, -0.0, -0.0)
-    products = [involute(e, mu) * left_hr(
-        lambda p, mu=mu: involute(_phi_square(p), mu).conjugate(), s).wrt_qc for mu in AXES]
-    assert all(math.copysign(1.0, product.a) < 0.0 for product in products)
-    expected = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for product in products:
-        expected = expected + product
-    assert math.copysign(1.0, expected.a) > 0.0
-    shared = _effective_error(_phi_square, np.array(s), np.array(e))
-    assert _bits([Quaternion(*shared.tolist())]) == _bits([expected])
+    # At s = 0 with d = -0.0, tanh gives e = -0.0 - 0.0 = -0.0 in every
+    # component, and each partial of tanh there is positive or +0.0, so
+    # every product J[c, r] e[c] is -0.0.  The scalar sum from 0.0 ends at
+    # +0.0, a sum from the first product at -0.0: the row of 0.0 ahead of
+    # the kernel's products tells the two apart.
+    s = Quaternion(0.0, 0.0, 0.0, 0.0)
+    d = Quaternion(-0.0, -0.0, -0.0, -0.0)
+    e = d - phi_tanh(s)
+    products = [partial[c] * e[c] for partial in real_partials(phi_tanh, s) for c in range(4)]
+    assert all(math.copysign(1.0, product) < 0.0 for product in products)
+    expected = _jacobian_effective_error(phi_tanh, s, e)
+    assert all(math.copysign(1.0, x) > 0.0 for x in expected)
+    shared = _qngd_errors(phi_tanh, np.array(s), np.array(d))
+    assert _bits(Quaternion(*v.tolist()) for v in shared) == _bits([e, expected])
 
 
 def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
-    # Each conj(Phi^mu) partial is a sign flip of Phi's partial, so one set
-    # of partials reproduces the four separate HR derivatives exactly.
+    # Phi(s) and the partials come from one set of values, which match
+    # Phi(s) and real_partials bit for bit.
     rng = make_rng(SEED, stream=5)
     for _ in range(20):
-        s = random_quaternion(rng)
-        separate = [left_hr(lambda p, mu=mu: involute(phi_tanh(p), mu).conjugate(), s).wrt_qc
-                    for mu in AXES]
-        shared = _phi_derivatives(phi_tanh, np.array(s))
-        assert _bits(Quaternion(*column) for column in shared.T.tolist()) == _bits(separate)
+        s, d = random_quaternion(rng), random_quaternion(rng)
+        e = d - phi_tanh(s)
+        shared = _qngd_errors(phi_tanh, np.array(s), np.array(d))
+        assert (_bits(Quaternion(*v.tolist()) for v in shared)
+                == _bits([e, _jacobian_effective_error(phi_tanh, s, e)]))
 
-    # Phi's partials come from one stencil of eight points per step.
-    points = []
-    evaluate_stencil = derivatives._evaluate_stencil
-    monkeypatch.setattr(derivatives, "_evaluate_stencil",
-                        lambda f, stencil, levels: points.append(stencil[0].size)
-                        or evaluate_stencil(f, stencil, levels))
+    # Each step calls Phi once, on nine points, and evaluates nothing else.
+    shapes, stencils = [], []
+
+    @takes_arrays
+    def counted(s):
+        shapes.append(s.c.shape)
+        return phi_tanh(s)
+
+    monkeypatch.setitem(filters.NONLINEARITIES, "tanh", counted)
+    monkeypatch.setattr(derivatives, "_evaluate_stencil", lambda *args: stencils.append(args))
     run_experiment(ExperimentConfig(steps=50, snr_db=30.0, seed=1,
                                     **FILTERS["qngd_tanh"]))
-    assert points == [8] * 50
+    assert shapes == [(4, 9)] * 50
+    assert stencils == []
+
+
+@pytest.mark.parametrize("phi", [
+    phi_tanh, _phi_square, tables.as_function(tables.TableEntry("exponential", terms=30)),
+], ids=["tanh", "square", "exponential"])
+def test_ghr_effective_error_is_the_real_jacobian_transpose(phi):
+    # The GHR chain rule: the sum over mu of e^mu * d Phi^(mu*)/ds* is the
+    # conjugate gradient of |e|^2 pushed back through Phi, and |e|^2 is real,
+    # so it is the real chain rule's J^T e.  Both are taken from the same
+    # central differences; they differ by rounding alone.
+    rng = make_rng(SEED, stream=6)
+    for _ in range(50):
+        s, e = random_quaternion(rng), random_quaternion(rng)
+        jacobian = _jacobian_effective_error(phi, s, e)
+        assert abs(_ghr_effective_error(phi, s, e) - jacobian) <= 1e-13 * abs(jacobian)
+
+
+def test_qngd_step_rejects_a_phi_without_an_array_form():
+    # The kernel evaluates Phi on a QArray of nine points.
+    state = qngd_state(2, 0.1, nonlinearity=lambda s: s * s)
+    with pytest.raises(ValueError, match="takes_arrays"):
+        qngd_step(state, (ONE, ONE), ONE)
+
+
+def _ar1_rows(raw: np.ndarray) -> np.ndarray:
+    """The AR(1) input from raw normal rows, one numpy row at a time."""
+    drive = math.sqrt(1.0 - AR1_COEFF ** 2)
+    colored = np.empty_like(raw)
+    colored[0] = raw[0]
+    for t in range(1, len(raw)):
+        colored[t] = AR1_COEFF * colored[t - 1] + drive * raw[t]
+    return colored[AR1_BURN_IN:]
+
+
+@pytest.mark.parametrize("seed,taps", [(1, CHANNEL), (7, CHANNEL[:1]), (20240505, CHANNEL[:3])])
+def test_ar1_input_is_the_per_row_recursion_bitwise(seed, taps):
+    # The windows hold every input sample: the oldest taps - 1 in window 0,
+    # then the newest sample of each window.
+    n = 1200
+    windows, _ = _signal_arrays("ar1", _taps_array(taps), n, 30.0, seed)
+    sample_ss, _ = np.random.SeedSequence(seed).spawn(2)
+    raw = np.random.Generator(np.random.Philox(sample_ss)).normal(
+        size=(n + len(taps) - 1 + AR1_BURN_IN, 4))
+    samples = np.concatenate([windows[0, :, :0:-1].T, windows[:, :, 0]])
+    assert samples.tobytes() == _ar1_rows(raw).tobytes()
 
 
 def test_wl_qlms_is_real_lms_with_four_times_the_step():

@@ -38,7 +38,7 @@ GOLDEN = {
     ("filter", "--config", "wl_qlms"):
         "bc19f2bc5da36a5d6d0be0f4e9009119c63c525b52f7b9f81f6afab6ad8c78a2",
     ("filter", "--config", "perfbench/configs/qngd.json"):
-        "c966386ab8205175603721a35b24fe1238c2898ab2b66b765b16459dce68a2f4",
+        "43d5db24f2a05869859bae56608346597492739a129d3a5bafbe292fecdb4985",
 }
 
 
