@@ -21,7 +21,6 @@ from .tables import (CrossCheck, EntryDerivatives, FamilySpec, TableEntry,
                      as_function, catalogue, conj_gradient, cross_validate,
                      derivative, eval_entry)
 from .theorems import (DescentTrace, DivergenceError, SegmentCheck, TaylorFit,
-                       mvt_error_bound_check, mvt_left, steepest_descent,
-                       taylor2_left, taylor_remainder_slope)
+                       mvt_left, steepest_descent, taylor_remainder_slope)
 
 __version__ = "0.1.0"

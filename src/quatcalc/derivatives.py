@@ -187,6 +187,13 @@ def _evaluate_stencil(f: QFunction, stencil: np.ndarray, levels: int) -> np.ndar
     return values
 
 
+def _central(plus: np.ndarray, minus: np.ndarray, h: float) -> np.ndarray:
+    """(v+ - v-) / 2h from f's values at the + and - stencil points."""
+    diffs = plus - minus
+    diffs *= _STEPS[h][1]
+    return diffs
+
+
 def _differences(values: np.ndarray, h: float) -> list:
     """The four central differences of stencil values laid out [component,
     axis, +/-, *S]: Quaternions at one point (S empty), QArrays of element
@@ -197,8 +204,7 @@ def _differences(values: np.ndarray, h: float) -> list:
                 for (pa, pb, pc, pd), (ma, mb, mc, md) in values.transpose(1, 2, 0).tolist()]
     # Python floats overflow silently; so do the arrays that stand for them.
     with np.errstate(over="ignore", invalid="ignore"):
-        diffs = values[:, :, 0] - values[:, :, 1]
-        diffs *= inv
+        diffs = _central(values[:, :, 0], values[:, :, 1], h)
     return [QArray(diffs[:, e]) for e in range(4)]
 
 
@@ -214,6 +220,28 @@ def real_partials(f: QFunction, q: Quaternion | QArray) -> RealPartials:
     """
     stencil = _stencil_array(_components(q), DEFAULT_H)
     return RealPartials(*_differences(_evaluate_stencil(f, stencil, 1), DEFAULT_H))
+
+
+# s + -0.0, which keeps every bit of s, then real_partials' stencil.
+_CENTRED_STEPS = np.concatenate([np.full((4, 1), -0.0), _STEPS[DEFAULT_H][0].reshape(4, 8)],
+                                axis=1)
+
+
+def value_and_jacobian(f: QFunction, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """f(s) and the (4, 4) real Jacobian J[c, a] = d f_c / d s_a of an
+    array-form f at the components s, (4,), of one point.
+
+    One call of f on s and real_partials' stencil: J's column a is
+    real_partials(f, s)[a] bit for bit, and a non-finite stencil value
+    raises its EvaluationError.  f(s) itself may be non-finite.  It sets
+    no np.errstate of its own, a cost on every QNGD step: the filter kernel
+    calls it under one, as should any caller whose f may overflow.
+    """
+    points = s[:, None] + _CENTRED_STEPS
+    values = f(QArray(points)).c
+    if not np.isfinite(values[:, 1:]).all():
+        _evaluate_stencil(f, points[:, 1:].reshape(4, 4, 2), 1)
+    return values[:, 0], _central(values[:, 1::2], values[:, 2::2], DEFAULT_H)
 
 
 def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:

@@ -13,14 +13,14 @@ The step directions are exactly the negative conjugate GHR gradients of the
 objective (up to the constant absorbed into alpha), which the test suite
 verifies numerically.
 
-QLMS and QNGD run on (4, taps) component arrays.  A step's two Hamilton
-products (the output and the move) take their regressor-side factors ready
-made, gathered for a block of ``_BLOCK`` windows in one array pass, so a
-step is elementwise products and the scalar Quaternion recursion's sums in
-its order, which QLMS reproduces bit for bit.  |e|^2 is real, so QNGD's
-GHR sum over mu is the real chain rule's J^T e, J the Jacobian of
-real_partials, from one call of Phi on a QArray of s and its stencil: bit
-for bit a scalar J^T e loop, and the GHR recursion within rounding.
+QLMS and QNGD run on (4, taps) component arrays.  A step's output w^T x
+and move e x* share one regressor-side factor X, gathered for a block of
+``_BLOCK`` windows in one array pass: the move, the conjugate gradient of
+|e|^2, is X^T e.  So a step is elementwise products and the scalar
+Quaternion recursion's sums in its order, which QLMS reproduces bit for
+bit.  |e|^2 is real, so QNGD's GHR sum over mu is the real chain rule's
+J^T e, with Phi(s) and J from derivatives.value_and_jacobian: bit for bit
+a scalar J^T e loop, and the GHR recursion within rounding.
 
 WL-QLMS runs as the real LMS it is (Via, Ramirez & Santamaria 2010; Took &
 Mandic 2010): summed over the four involutions, its conjugate gradient step
@@ -46,7 +46,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import derivatives
-from .derivatives import DEFAULT_H, EvaluationError, takes_arrays
+from .derivatives import EvaluationError, takes_arrays
 from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, QArray,
                          Quaternion, _add_terms, _by_floats)
 from .theorems import DivergenceError
@@ -166,11 +166,12 @@ _INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                          [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
 # A QLMS or QNGD step makes two Hamilton products: the output w^T x and the
-# move e x*.  Their regressor-side factor [term k, component r] is gathered
-# from x and -x stacked, as in hamilton, whose _SIGNED_INDEX is the output
-# factor: every +/-1 (_MUL_SIGN, the conjugate) is folded in exactly, so
-# w[k] * factor[k, r] added over k in order is hamilton's product bit for bit.
-_MOVE_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN * _CONJ[_MUL_INDEX] < 0.0)
+# move e x*.  Their regressor-side factor X[k, r] is gathered from x and -x
+# stacked by hamilton's _SIGNED_INDEX, every +/-1 folded in exactly, so
+# w[k] * X[k, r] added over k in order is hamilton's product bit for bit.
+# X is the real matrix of w -> w^T x, and e x*, the conjugate gradient of
+# |e|^2, is X^T e term by term: the move's factor is X with its first two
+# axes swapped.
 
 # WL-QLMS's matrix M holds, at [r, c * taps + m], the weight of component c
 # of x_m in component r of the output.  Summed over the branches mu,
@@ -213,18 +214,10 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
-def _factors(windows: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Factors (m, 4, 4, taps) of (m, 4, taps) windows: element [k, r] is
-    x[c] for index[k, r] == c, and -x[c] for c + 4."""
-    return np.concatenate([windows, -windows], axis=1).take(index, axis=1)
-
-
-# QNGD evaluates Phi once a step, on nine points: s + -0.0, which keeps
-# every bit of s, then the stencil of derivatives.real_partials, s + h e_a
-# and s - h e_a for the axes a = 0..3 in columns 1 + 2a and 2 + 2a.
-_PHI_OFFSETS = np.concatenate([np.full((4, 1), -0.0),
-                               derivatives._STEPS[DEFAULT_H][0].reshape(4, 8)], axis=1)
-_INV_2H = derivatives._STEPS[DEFAULT_H][1]
+def _factors(windows: np.ndarray) -> np.ndarray:
+    """The output factors X (m, 4, 4, taps) of (m, 4, taps) windows: element
+    [k, r] is x[c] for _SIGNED_INDEX[k, r] == c, and -x[c] for c + 4."""
+    return np.concatenate([windows, -windows], axis=1).take(_SIGNED_INDEX, axis=1)
 
 
 def _wl_matrix(branches: np.ndarray) -> np.ndarray:
@@ -311,7 +304,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
         for lo in range(0, n, _BLOCK):
             block = windows[lo:lo + _BLOCK]
             if matrix is None:
-                out = _factors(block, _SIGNED_INDEX)
+                out = _factors(block)
                 terms = _add_terms(*(truth[:, 0, None] * out).swapaxes(0, 1))
             else:
                 terms = matrix * block.reshape(len(block), 1, -1)
@@ -383,17 +376,10 @@ def _qngd_errors(phi: PhiFunction, s: np.ndarray,
     <d Phi/ds_r, e>.  Row 0 of ``chain`` stays 0.0 ahead of the products
     J[c, r] e[c], so each sum adds in order from zero, as a scalar loop.
     """
-    points = s[:, None] + _PHI_OFFSETS
-    values = phi(QArray(points)).c
-    if not np.isfinite(values[:, 1:]).all():
-        # Raises the EvaluationError of real_partials at s.
-        derivatives._evaluate_stencil(phi, points[:, 1:].reshape(4, 4, 2), 1)
-    e = d - values[:, 0]
+    value, jacobian = derivatives.value_and_jacobian(phi, s)
+    e = d - value
     chain = np.zeros((5, 4))
-    products = chain[1:]
-    np.subtract(values[:, 1::2], values[:, 2::2], products)
-    products *= _INV_2H
-    products *= e[:, None]
+    np.multiply(jacobian, e[:, None], chain[1:])
     return e, np.add.accumulate(chain, axis=0)[-1]
 
 
@@ -402,16 +388,17 @@ def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarra
                     history: np.ndarray) -> Iterator[np.ndarray]:
     """QLMS from (4, taps) ``weights``: each step's a priori error e in
     turn, with w + alpha e x* written to history[t % _BLOCK] after step t.
-    ``terms`` holds the Hamilton terms [k, r] of a product.
+    ``terms`` holds a product's terms [term, component]: w[k] X[k, r] for
+    the output, e[r] X[k, r] for the move X^T e.
 
     With phi it is QNGD, whose move takes _qngd_errors' effective error
     in place of e = d - Phi(s)."""
     terms = np.empty((4, 4) + weights.shape[1:])
     by_term, total = tuple(terms), np.empty(weights.shape)
     for lo in range(0, len(windows), _BLOCK):
-        block = windows[lo:lo + _BLOCK]
-        for out, move, d, new in zip(_factors(block, _SIGNED_INDEX), _factors(block, _MOVE_INDEX),
-                                     desired[lo:lo + _BLOCK], history):
+        factors = _factors(windows[lo:lo + _BLOCK])
+        for out, move, d, new in zip(factors, factors.swapaxes(1, 2), desired[lo:lo + _BLOCK],
+                                     history):
             np.multiply(out, weights[:, None], terms)
             s = _ordered_sum(_add_terms(*by_term, total))
             if phi is None:

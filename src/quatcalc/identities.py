@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -451,8 +452,8 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     and checked on component arrays, with the records, skips and bits of a
     draw-by-draw loop.
     """
-    if points < 1:
-        raise ValueError("points must be a positive integer")
+    if not isinstance(points, Integral) or isinstance(points, bool) or points < 1:
+        raise ValueError(f"points must be a positive integer, got {points!r}")
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)

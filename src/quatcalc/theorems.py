@@ -26,8 +26,6 @@ from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
 # curvature_noise * |lambda|^2 on top of a small absolute term.
 FLOOR_ABS = 1e-12
 FLOOR_CURVATURE = 1e-4
-# Relative slack mvt_error_bound_check allows on the bound 2 L |lambda|^2.
-BOUND_SLACK = 0.1
 # Simpson nodes per array pass of mvt_left: enough to spread numpy's
 # per-call cost, few enough that the stencil temporaries stay small.  Set by
 # timing the default mvt run: 128 beat 64, 192 and 256 by a third or more.
@@ -154,23 +152,6 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     return tuple(checks)
 
 
-def mvt_error_bound_check(f: QFunction, q0: Quaternion, q1: Quaternion,
-                          lipschitz: float) -> tuple[float, float, bool]:
-    """Observed first-order error against the bound 2 L |lambda|^2: the
-    error of the one-point approximation of f(q1) - f(q0) by the derivative
-    at q0.
-
-    L is a Lipschitz constant for the derivative set along the segment,
-    supplied by the caller.  Returns (observed, bound, within_bound) where the
-    bound is allowed the relative slack BOUND_SLACK.
-    """
-    lam = q1 - q0
-    approx = left_hr(f, q0).differential(lam)
-    observed = abs(_evaluate(f, q1) - _evaluate(f, q0) - approx)
-    bound = 2.0 * lipschitz * lam.modulus_squared()
-    return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
-
-
 def _taylor2_parts(f: QFunction, q0: Quaternion):
     """What the second-order expansion of f at q0 takes from f: f(q0), its
     left HR derivatives and the nested second-order grid."""
@@ -179,7 +160,15 @@ def _taylor2_parts(f: QFunction, q0: Quaternion):
 
 
 def _taylor2(parts, lam: Quaternion, center: bool) -> Quaternion:
-    """The second-order expansion at q0 + lam from _taylor2_parts."""
+    """The second-order expansion of f at q0 + lam from _taylor2_parts:
+
+    f(q0) + sum_mu d f/dq^mu lam^mu
+          + 1/2 sum_{mu,nu} d^2 f/dq^nu dq^mu lam^nu lam^mu
+
+    over mu, nu in {1, i, j, k}.  With ``center`` the quadratic term is the
+    conjugate-sandwich variant 1/2 sum lam^(mu*) d^2 f/dq^nu dq^(mu*) lam^nu,
+    which agrees for real-valued f.
+    """
     base, first_set, grid = parts
     total = base
     for mu in AXES:
@@ -195,34 +184,22 @@ def _taylor2(parts, lam: Quaternion, center: bool) -> Quaternion:
     return total + half * 0.5
 
 
-def taylor2_left(f: QFunction, q0: Quaternion, lam: Quaternion,
-                 center: bool = False) -> Quaternion:
-    """Second-order expansion of f at q0 + lam.
-
-    f(q0) + sum_mu d f/dq^mu lam^mu
-          + 1/2 sum_{mu,nu} d^2 f/dq^nu dq^mu lam^nu lam^mu
-
-    over mu, nu in {1, i, j, k}.  With ``center`` the quadratic term is the
-    conjugate-sandwich variant 1/2 sum lam^(mu*) d^2 f/dq^nu dq^(mu*) lam^nu,
-    which agrees for real-valued f.
-    """
-    return _taylor2(_taylor2_parts(f, q0), lam, center)
-
-
 def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
                            scales: Sequence[float], center: bool = False) -> TaylorFit:
     """Fit the log-log decay rate of the second-order remainder.
 
-    Needs at least four strictly decreasing scales spanning two decades.
-    Scales whose error sits below the numerical floor (absolute term plus
-    curvature noise times |lambda|^2) are excluded from the fit; when fewer
-    than two scales survive, the expansion is exact to the floor and the
-    slope is reported as nan.  f's value and derivatives at q0 are taken
-    once and serve every scale.
+    Needs at least four positive, finite, strictly decreasing scales spanning
+    two decades.  Scales whose error sits below the numerical floor
+    (absolute term plus curvature noise times |lambda|^2) are excluded from
+    the fit; when fewer than two scales survive, the expansion is exact to
+    the floor and the slope is reported as nan.  f's value and derivatives
+    at q0 are taken once and serve every scale.
     """
     scales = tuple(float(s) for s in scales)
     if len(scales) < 4:
         raise ValueError("need at least four scales")
+    if not all(math.isfinite(s) and s > 0.0 for s in scales):
+        raise ValueError(f"scales must be positive and finite, got {scales}")
     if any(s2 >= s1 for s1, s2 in zip(scales, scales[1:])):
         raise ValueError("scales must be strictly decreasing")
     if scales[0] / scales[-1] < 100.0:
@@ -234,8 +211,8 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
         lam = direction * s
         value = _evaluate(f, q0 + lam)
         if parts is None:
-            # After f(q0 + lam) at the first scale, the order of one
-            # taylor2_left per scale, so a failing f raises the same error.
+            # After f(q0 + lam) at the first scale, as when each scale takes
+            # the expansion anew, so a failing f raises the same error.
             parts = _taylor2_parts(f, q0)
         err = abs(value - _taylor2(parts, lam, center))
         floor = FLOOR_ABS + FLOOR_CURVATURE * lam.modulus_squared()
@@ -262,8 +239,8 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("step size must be positive and finite")
-    if max_iters < 0:
-        raise ValueError("iteration budget must be nonnegative")
+    if not isinstance(max_iters, Integral) or isinstance(max_iters, bool) or max_iters < 0:
+        raise ValueError(f"iteration budget must be a nonnegative integer, got {max_iters!r}")
     grad = gradient if gradient is not None else (lambda p: left_hr(f, p).wrt_qc)
     q = q_init
     iterates = [q]

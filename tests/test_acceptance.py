@@ -19,10 +19,9 @@ from quatcalc.quaternion import (AXES, ONE, ZERO, Quaternion, involute,
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (TableEntry, as_function, catalogue,
                              conj_gradient, cross_validate)
-from quatcalc.theorems import (mvt_error_bound_check, mvt_left,
-                               steepest_descent, taylor_remainder_slope)
+from quatcalc.theorems import mvt_left, steepest_descent, taylor_remainder_slope
 from test_quaternion import basis_matrix
-from test_theorems import descent_direction_gap
+from test_theorems import descent_direction_gap, mvt_error_bound_check
 
 SEED = 20240501
 

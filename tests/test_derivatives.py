@@ -27,7 +27,7 @@ from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
                                  Quaternion, involute, involute_conj, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
-from quatcalc.theorems import taylor2_left
+from quatcalc.theorems import _taylor2, _taylor2_parts
 
 from test_quaternion import isclose
 
@@ -479,7 +479,7 @@ def test_shared_stencils_match_separate_derivatives_bitwise():
                 assert _bits(*_as_tuple(grid[m][n])) \
                     == _bits(*_as_tuple(second_order_left(f, q, outer, inner)))
         lam = random_quaternion(rng) * 0.1
-        assert _bits(*taylor2_left(f, q, lam, center=conjugate)) \
+        assert _bits(*_taylor2(_taylor2_parts(f, q), lam, conjugate)) \
             == _bits(*_taylor_oracle(f, q, lam, conjugate))
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from quatcalc import derivatives, filters, tables
@@ -909,15 +909,22 @@ def test_one_kernel_step_on_a_negative_zero_output(name, component):
 @pytest.mark.parametrize("phi", [phi_tanh, _phi_square, _phi_cliff],
                          ids=["tanh", "square", "cliff"])
 @given(s=QUATERNIONS, d=QUATERNIONS)
+@example(s=Quaternion(1e200, 0.0, -0.0, 1.0), d=Quaternion(0.0, 0.0, 0.0, 0.0))
 def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s, d):
-    # The kernel's one call of Phi on nine points against Phi(s) and
-    # real_partials' own stencil: where a component of s is 0, _phi_cliff's
-    # partial along it is inf, and inf times a zero error is NaN.
+    # value_and_jacobian's one call of Phi on nine points against Phi(s)
+    # and real_partials' own stencil, and the kernel's errors from it: where
+    # a component of s is 0, _phi_cliff's partial along it is inf, and inf
+    # times a zero error is NaN.  Near 1e200 s * s overflows, so the
+    # stencil is not finite and both raise real_partials' EvaluationError.
     def outcome(run):
         try:
             return _bits(run())
         except EvaluationError as exc:
             return str(exc)
+
+    def jacobian():
+        value, columns = derivatives.value_and_jacobian(phi, np.array(s))
+        return [Quaternion(*value.tolist()), *(Quaternion(*c) for c in columns.T.tolist())]
 
     def separate():
         e = d - phi(s)
@@ -926,7 +933,10 @@ def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s, d)
     with np.errstate(over="ignore", invalid="ignore"):
         shared = outcome(lambda: (Quaternion(*v.tolist())
                                   for v in _qngd_errors(phi, np.array(s), np.array(d))))
+        assert outcome(jacobian) == outcome(lambda: [phi(s), *real_partials(phi, s)])
     assert shared == outcome(separate)
+    if phi is _phi_square and s.a == 1e200:
+        assert shared.startswith("function evaluation is not finite")
 
 
 def test_effective_error_sums_from_zero_where_every_product_is_negative_zero():

@@ -447,6 +447,13 @@ def test_invalid_points_rejected():
         run_identity_suite(points=0)
 
 
+@pytest.mark.parametrize("points", [2.5, 1.0, True])
+def test_points_that_are_not_a_count_are_rejected(points):
+    # range() raised a TypeError on a float, and True ran one point.
+    with pytest.raises(ValueError, match="positive integer"):
+        run_identity_suite(points=points)
+
+
 def test_default_tolerances_immutable_by_runs():
     before = dict(DEFAULT_TOLERANCES)
     run_identity_suite(points=2, tolerances={"golden": 1e-3})

@@ -20,9 +20,14 @@ HOOKS = (ROOT / "perfbench" / "spans.py", ROOT / "perfbench" / "micro.py")
 KEPT = {
     "qlms_state": "the per-sample filter API's QLMS start state, next to qlms_step, "
                   "which spans.py wraps; it stays as long as that API does",
-    "taylor2_left": "states the paper's second-order Taylor expansion, which "
-                    "taylor_remainder_slope evaluates scale by scale",
-    "mvt_error_bound_check": "states the paper's mean value error bound 2 L |lambda|^2",
+}
+
+# Private derivatives names that other modules may read, with the reason.
+# Anything else (the stencil steps, its evaluation or its differences)
+# stays inside derivatives, so no second stencil grows elsewhere.
+SHARED_PRIVATE = {
+    "_evaluate": "theorems takes f's finite value at a segment end or a descent "
+                 "iterate from the engine's one-point evaluation",
 }
 
 
@@ -166,3 +171,37 @@ main = used
     names, attributes = _live(_scan([ast.parse(source)]), exports, ["run", "idle"],
                               {"kept_api"})
     assert names == {"used", "Tool", "deep", "main"} and attributes == {"run"}
+
+
+def _private_derivatives_reads(tree) -> set[str]:
+    """The private derivatives names a module reads: derivatives._x, and _x
+    imported from derivatives."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "derivatives" and node.attr.startswith("_"):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[-1] == "derivatives":
+            reads |= {alias.name for alias in node.names if alias.name.startswith("_")}
+    return reads
+
+
+def test_no_other_module_reads_a_private_derivatives_name():
+    reads = {path.name: _private_derivatives_reads(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py") if path.name != "derivatives.py"}
+    unshared = {name: sorted(found - set(SHARED_PRIVATE)) for name, found in reads.items()
+                if found - set(SHARED_PRIVATE)}
+    assert unshared == {}, f"private derivatives names read elsewhere: {unshared}"
+    assert set().union(*reads.values()) == set(SHARED_PRIVATE), "SHARED_PRIVATE names no reader"
+
+
+def test_a_private_derivatives_read_is_found_in_either_form():
+    source = """
+from . import derivatives
+from .derivatives import _STEPS, real_partials
+
+def jacobian(f, s):
+    return derivatives._evaluate_stencil(f, s + _STEPS[1e-6][0], 1), derivatives.left_hr
+"""
+    assert _private_derivatives_reads(ast.parse(source)) == {"_STEPS", "_evaluate_stencil"}

@@ -12,9 +12,8 @@ from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
 from quatcalc.quaternion import I, ONE, QArray, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
-from quatcalc.theorems import (DivergenceError, mvt_error_bound_check,
-                               mvt_left, steepest_descent, taylor2_left,
-                               taylor_remainder_slope)
+from quatcalc.theorems import (DivergenceError, _taylor2, _taylor2_parts, mvt_left,
+                               steepest_descent, taylor_remainder_slope)
 from test_derivatives import _oracle_value, oracle_hr
 from test_quaternion import isclose
 
@@ -280,6 +279,27 @@ def first_order_error(f, q0, q1):
     return abs(f(q1) - f(q0) - derivatives.left_hr(f, q0).differential(q1 - q0))
 
 
+# Relative slack mvt_error_bound_check allows on the bound 2 L |lambda|^2.
+BOUND_SLACK = 0.1
+
+
+def mvt_error_bound_check(f, q0: Quaternion, q1: Quaternion,
+                          lipschitz: float) -> tuple[float, float, bool]:
+    """The paper's mean value error bound: the observed error of the
+    one-point approximation of f(q1) - f(q0) by the derivative at q0,
+    against 2 L |lambda|^2.
+
+    L is a Lipschitz constant for the derivative set along the segment,
+    supplied by the caller.  Returns (observed, bound, within_bound) where the
+    bound is allowed the relative slack BOUND_SLACK.
+    """
+    lam = q1 - q0
+    approx = derivatives.left_hr(f, q0).differential(lam)
+    observed = abs(derivatives._evaluate(f, q1) - derivatives._evaluate(f, q0) - approx)
+    bound = 2.0 * lipschitz * lam.modulus_squared()
+    return observed, bound, observed <= bound * (1.0 + BOUND_SLACK)
+
+
 def test_first_order_error_bound():
     # The derivative set of q^2 is 1/2-Lipschitz per component pack; L = 2
     # covers the four-term sum along the segment.
@@ -323,7 +343,7 @@ def test_taylor_exact_for_quadratic():
 
 def test_taylor2_value_close():
     lam = Quaternion(0.01, -0.02, 0.015, 0.005)
-    approx = taylor2_left(f_sq, Q0, lam)
+    approx = _taylor2(_taylor2_parts(f_sq, Q0), lam, False)
     assert abs(f_sq(Q0 + lam) - approx) < 1e-5
 
 
@@ -334,6 +354,20 @@ def test_taylor_scale_validation():
         taylor_remainder_slope(f_sq, Q0, ONE, (1e-1, 1e-1, 1e-2, 1e-3))
     with pytest.raises(ValueError, match="two decades"):
         taylor_remainder_slope(f_sq, Q0, ONE, (1e-1, 8e-2, 6e-2, 4e-2))
+
+
+@pytest.mark.parametrize("scales", [
+    (1.0, 0.1, 0.01, 0.0),
+    (1.0, 0.1, 0.01, -1.0),
+    (1.0, 0.1, 0.01, math.nan),
+    (math.inf, 1.0, 0.1, 0.01),
+], ids=["zero", "negative", "nan", "inf"])
+def test_taylor_rejects_a_scale_that_is_not_positive_and_finite(scales):
+    # A zero scale divided the span check by zero, and a NaN or inf scale
+    # reached f as a NaN or inf point.
+    with pytest.raises(ValueError, match="positive and finite") as info:
+        taylor_remainder_slope(f_sq, Q0, ONE, scales)
+    assert str(tuple(scales)) in str(info.value)
 
 
 DESCENT_TARGET = Quaternion(1.0, 2.0, 3.0, 4.0)
@@ -379,6 +413,13 @@ def test_descent_diverges_at_large_step():
 def test_descent_rejects_nonpositive_step():
     with pytest.raises(ValueError, match="positive"):
         _descend(0.0)
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 3.0, True, -1])
+def test_descent_rejects_an_iteration_budget_that_is_not_a_count(max_iters):
+    # range() raised a TypeError on a float, and True ran one iteration.
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        _descend(0.4, max_iters=max_iters)
 
 
 def test_descent_numerical_gradient_agrees():
