@@ -9,6 +9,7 @@ same seed and options always produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -380,7 +381,14 @@ def cmd_filter(args: argparse.Namespace) -> int:
                    [threshold is None or final < threshold], extra)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call.
+
+    Not at import: the subcommands are looked up when it is built, so a
+    cmd_* function replaced before the first main call is the one it runs.
+    parse_args leaves the parser as it found it, so every call shares it.
+    """
     parser = argparse.ArgumentParser(
         prog="quatcalc",
         description="Verification suites for the quaternion calculus engine.")

@@ -259,13 +259,18 @@ def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
 
 
 def _basis(mu: Quaternion) -> MuBasis:
+    # The unit axes' bases are built once; any other axis is rotated anew.
+    for axis, basis in zip(HR_AXES, _HR_BASES):
+        if mu is axis:
+            return basis
     if anywhere(mu.modulus() < DEGENERATE_AXIS):
         raise DegenerateAxisError("degenerate rotation axis")
     return mu_basis(mu)
 
 
 # The HR axes mu in {1, i, j, k} and their bases, built once: left_hr runs
-# in the inner loop of the quadrature and descent checks.
+# in the inner loop of the quadrature and descent checks, and _basis hands
+# these objects the same bases.
 HR_AXES = tuple(UNITS[axis] for axis in AXES)
 _HR_BASES = tuple(mu_basis(mu) for mu in HR_AXES)
 

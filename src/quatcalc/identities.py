@@ -454,6 +454,8 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     """
     if not isinstance(points, Integral) or isinstance(points, bool) or points < 1:
         raise ValueError(f"points must be a positive integer, got {points!r}")
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)

@@ -170,14 +170,35 @@ def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     return total
 
 
+def _signed(q: np.ndarray) -> np.ndarray:
+    """q's components gathered with their signs, laid out [k, r, *S]."""
+    return np.concatenate((q, -q)).take(_SIGNED_INDEX, axis=0)
+
+
 def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Hamilton product of float arrays holding quaternion components on axis 0.
 
     ``p`` and ``q`` have the same number of dimensions and their other axes
     broadcast.  Every element equals Quaternion.__mul__ bit for bit.
     """
-    terms = p[:, np.newaxis] * np.concatenate((q, -q)).take(_SIGNED_INDEX, axis=0)
-    return _add_terms(*terms)
+    return _add_terms(*(p[:, np.newaxis] * _signed(q)))
+
+
+def _times(q):
+    """p -> p * q for a fixed right factor q, a Quaternion or a QArray, with
+    the bits of the operators.  A QArray's signed gather is taken once, not
+    once per product."""
+    if not isinstance(q, QArray):
+        return lambda p: p * q
+    signed = _signed(q.c)
+
+    def times(p):
+        left = p.c if isinstance(p, QArray) else np.array(p)
+        ndim = max(left.ndim, q.c.ndim)
+        right = signed.reshape(signed.shape[:2] + (1,) * (ndim - q.c.ndim) + signed.shape[2:])
+        return QArray(_add_terms(*(_aligned(left, ndim)[:, np.newaxis] * right)))
+
+    return times
 
 
 def _by_floats(fn, *args):

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import takes_arrays
-from .quaternion import ONE, ZERO, QArray, Quaternion, _by_floats, anywhere, rotate
+from .quaternion import ONE, ZERO, QArray, Quaternion, _by_floats, _times, anywhere, rotate
 from .sampling import random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -364,8 +364,9 @@ def _linear_modulus_squared_cols(e, q, mu):
 
 def _power_value(e, q):
     result = ONE
+    times_q = _times(q)
     for _ in range(e.n):
-        result = result * q
+        result = times_q(result)
     return result
 
 
@@ -373,18 +374,22 @@ def _power_rule(q: Quaternion, mu: Quaternion, top: int):
     """Inner sums of the power rule for each q^n, n = 1..top: sum over m of
     q^(n-m) Re(q^(m-1) mu) and -1/2 sum of q^(n-m) (q^(m-1) mu)*.
 
-    The powers and the heads q^(m-1) mu are built once for every order.
+    The powers, the heads q^(m-1) mu and the conjugated heads are built
+    once for every order, and each repeated right factor is gathered once.
     """
+    times_q = _times(q)
     powers = [type(q).from_real(1.0)]
     for _ in range(top - 1):
-        powers.append(powers[-1] * q)
-    heads = [power * mu for power in powers]
+        powers.append(times_q(powers[-1]))
+    times_mu = _times(mu)
+    heads = [times_mu(power) for power in powers]
+    times_conj_heads = [_times(head.conjugate()) for head in heads]
     for n in range(1, top + 1):
         plain = ZERO
         conj = ZERO
         for m in range(1, n + 1):
             plain = plain + powers[n - m] * heads[m - 1].a
-            conj = conj + powers[n - m] * heads[m - 1].conjugate()
+            conj = conj + times_conj_heads[m - 1](powers[n - m])
         yield plain, conj * -0.5
 
 
@@ -396,8 +401,9 @@ def _power_cols(e, q, mu):
 def _exponential_value(e, q):
     total = ONE
     term = ONE
+    times_q = _times(q)
     for n in range(1, e.terms + 1):
-        term = term * q / n
+        term = times_q(term) / n
         total = total + term
     return total
 

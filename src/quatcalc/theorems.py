@@ -17,9 +17,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (HR_AXES, DerivativeSet, EvaluationError, QFunction,
-                          _evaluate, left_hr, second_order)
-from .quaternion import AXES, QArray, Quaternion, involute, involute_conj
+from .derivatives import (HR_AXES, EvaluationError, QFunction, _evaluate, left_ghr,
+                          left_hr, second_order)
+from .quaternion import AXES, ONE, QArray, Quaternion, involute, involute_conj
 
 # Error floor model for the remainder fit: second derivatives come from a
 # nested difference scheme, so the expansion carries noise of roughly
@@ -84,23 +84,27 @@ def _simpson(values: np.ndarray, width: float) -> Quaternion:
     return Quaternion.from_components(total) * (width / 3.0)
 
 
-def _integrand(ds: DerivativeSet, lam: Quaternion, real_form: bool):
-    """sum over eta of d f/dq^eta lambda^eta, or 4 Re(d f/dq lambda)."""
-    if not real_form:
-        return ds.differential(lam)
-    head = ds.wrt_q * lam
+def _real_integrand(d_q, lam: Quaternion):
+    """4 Re(d f/dq lambda), the real form's integrand, from d f/dq."""
+    head = d_q * lam
     return type(head).from_real(4.0 * head.a)
 
 
 def _node_values(f: QFunction, q0: Quaternion, lam: Quaternion, t: np.ndarray,
                  real_form: bool) -> np.ndarray:
     """The (4, len(t)) integrand values at the nodes q0 + lam * t, NODE_BLOCK
-    nodes to a left_hr pass."""
+    nodes to a derivative pass: sum over eta of d f/dq^eta lambda^eta from
+    left_hr, or for the real form d f/dq alone, the GHR derivative at mu = 1,
+    from left_ghr."""
     values = np.empty((4, len(t)))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(t), NODE_BLOCK):
             nodes = q0 + QArray(np.multiply.outer(np.array(lam), t[start:start + NODE_BLOCK]))
-            values[:, start:start + NODE_BLOCK] = _integrand(left_hr(f, nodes), lam, real_form).c
+            if real_form:
+                value = _real_integrand(left_ghr(f, nodes, ONE).d_mu, lam)
+            else:
+                value = left_hr(f, nodes).differential(lam)
+            values[:, start:start + NODE_BLOCK] = value.c
     return values
 
 
@@ -112,9 +116,10 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
     for t in [0, 1] with lambda = q1 - q0, by composite Simpson quadrature.
     With ``real_form`` the real-valued corollary 4 Re(d f/dq * lambda) is
-    integrated instead.  The nodes go to left_hr NODE_BLOCK at a time, as
-    one QArray: an f with an array form is called once per block, any other
-    f node by node, with the same bits.
+    integrated instead, with d f/dq from left_ghr at mu = 1.  The nodes go
+    to the derivative engine NODE_BLOCK at a time, as one QArray: an f with
+    an array form is called once per block, any other f node by node, with
+    the same bits.
 
     ``panels`` is a refinement ladder, a tuple of panel counts: one check
     per rung comes back, in order, each with the bits of a one-rung call.
@@ -170,16 +175,19 @@ def _taylor2(parts, lam: Quaternion, center: bool) -> Quaternion:
     which agrees for real-valued f.
     """
     base, first_set, grid = parts
+    # lam^mu and lam^(mu*) for mu in {1, i, j, k}, once for all 16 terms.
+    lams = [involute(lam, mu) for mu in AXES]
+    lam_conjs = [involute_conj(lam, mu) for mu in AXES]
     total = base
-    for mu in AXES:
-        total = total + first_set.wrt(mu) * involute(lam, mu)
+    for mu, lam_mu in zip(AXES, lams):
+        total = total + first_set.wrt(mu) * lam_mu
     half = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for m, mu in enumerate(AXES):
-        for n, nu in enumerate(AXES):
+    for m in range(4):
+        for n in range(4):
             if center:
-                term = involute_conj(lam, mu) * grid[n][m].mu_nu_conj * involute(lam, nu)
+                term = lam_conjs[m] * grid[n][m].mu_nu_conj * lams[n]
             else:
-                term = grid[n][m].mu_nu * involute(lam, nu) * involute(lam, mu)
+                term = grid[n][m].mu_nu * lams[n] * lams[m]
             half = half + term
     return total + half * 0.5
 
@@ -241,6 +249,9 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
         raise ValueError("step size must be positive and finite")
     if not isinstance(max_iters, Integral) or isinstance(max_iters, bool) or max_iters < 0:
         raise ValueError(f"iteration budget must be a nonnegative integer, got {max_iters!r}")
+    # NaN would never stop the run: grad_norm < nan is always false.
+    if not grad_tol >= 0.0:
+        raise ValueError(f"grad_tol must be nonnegative, got {grad_tol!r}")
     grad = gradient if gradient is not None else (lambda p: left_hr(f, p).wrt_qc)
     q = q_init
     iterates = [q]

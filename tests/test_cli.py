@@ -309,6 +309,27 @@ def test_a_value_error_inside_any_subcommand_exits_2(name, module, attr, monkeyp
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def test_the_one_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
+    # A fresh interpreter builds no parser at import; its one taylor run
+    # gives the bytes a reused parser must give after a failing call.
+    fresh = tmp_path / "fresh.csv"
+    script = ("import sys; from quatcalc import cli; "
+              "assert cli.build_parser.cache_info().currsize == 0; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run([sys.executable, "-c", script, "taylor", "--out", str(fresh)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert main(["taylor", "--tol", "slope_low=9"]) == 1
+    shared = tmp_path / "shared.csv"
+    assert main(["taylor", "--out", str(shared)]) == 0
+    assert shared.read_bytes() == fresh.read_bytes()
+    assert main(["taylor", "--seed", "x"]) == 2
+    assert main(["taylor", "--help"]) == 0
+    assert "usage: quatcalc taylor" in capsys.readouterr().out
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("argv,code,stream,text", [
     (["verify", "--points", "3"], 0, "stdout", "PASS"),
     (["verify", "--points", "3", "--tol", "product_rule=1e-15"], 1, "stdout", "FAIL"),

@@ -454,6 +454,17 @@ def test_points_that_are_not_a_count_are_rejected(points):
         run_identity_suite(points=points)
 
 
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, False, -1])
+def test_seeds_that_are_not_a_nonnegative_count_are_rejected(seed):
+    # numpy raised a TypeError on 2.5, and True silently ran seed 1.
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+        run_identity_suite(points=1, seed=seed)
+
+
+def test_a_numpy_integer_seed_runs_as_its_int():
+    assert run_identity_suite(points=1, seed=np.int64(7)) == run_identity_suite(points=1, seed=7)
+
+
 def test_default_tolerances_immutable_by_runs():
     before = dict(DEFAULT_TOLERANCES)
     run_identity_suite(points=2, tolerances={"golden": 1e-3})

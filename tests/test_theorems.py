@@ -73,13 +73,19 @@ def mvt_oracle(fn, q0, q1, panels, real_form=False) -> tuple:
 
     Node by node, each node q0 + lam * (idx / panels) a Quaternion on Python
     floats, with its HR derivatives from the point-by-point central
-    difference; then f(q1) - f(q0).  The first non-finite value in that
-    order raises its EvaluationError.
+    difference; the real form takes d f/dq from that set too, not from the
+    engine's GHR derivative at mu = 1.  Then f(q1) - f(q0).  The first
+    non-finite value in that order raises its EvaluationError.
     """
     lam = q1 - q0
-    values = np.array([
-        theorems._integrand(oracle_hr(fn, q0 + lam * (idx / panels)), lam, real_form)
-        for idx in range(panels + 1)]).T
+
+    def integrand(ds):
+        if real_form:
+            return theorems._real_integrand(ds.wrt_q, lam)
+        return ds.differential(lam)
+
+    values = np.array([integrand(oracle_hr(fn, q0 + lam * (idx / panels)))
+                       for idx in range(panels + 1)]).T
     rhs = theorems._simpson(values, 1.0 / panels)
     lhs = _oracle_value(fn, q1) - _oracle_value(fn, q0)
     return _bits(lhs, rhs, abs(lhs - rhs))
@@ -141,6 +147,40 @@ def test_mvt_ladder_evaluates_each_node_once(name, fn, real_form):
     assert sizes[-2:] == [1, 1]
     assert sum(sizes[:-2]) == 1249 * 8
     assert len(sizes) - 2 == -(-1249 // theorems.NODE_BLOCK)
+
+
+@pytest.mark.parametrize("name,fn,real_form", MVT_FUNCTIONS,
+                         ids=[f"{name}-{'real' if real else 'general'}"
+                              for name, _, real in MVT_FUNCTIONS])
+def test_mvt_ladder_projects_once_per_block_for_the_real_form(name, fn, real_form,
+                                                              monkeypatch):
+    # The real form needs d f/dq alone, the GHR derivative at mu = 1: one
+    # projection per NODE_BLOCK block, where left_hr's eight take four.
+    projections = []
+    project = derivatives._project
+    monkeypatch.setattr(derivatives, "_project",
+                        lambda *args: projections.append(1) or project(*args))
+    mvt_left(fn, Q0, Q1, panels=LADDER, real_form=real_form)
+    blocks = -(-1249 // theorems.NODE_BLOCK)
+    assert blocks == 10
+    assert len(projections) == (blocks if real_form else 4 * blocks)
+
+
+def test_mvt_oracle_takes_the_real_form_from_its_own_derivatives(monkeypatch):
+    # The engine's real form goes through left_ghr; the oracle's must not,
+    # or the bitwise test would check that path against itself.
+    def refused(*args):
+        raise AssertionError("left_ghr called")
+
+    _, fn, _ = next(entry for entry in MVT_FUNCTIONS if entry[2])
+    monkeypatch.setattr(theorems, "left_ghr", refused)
+    monkeypatch.setattr(derivatives, "left_ghr", refused)
+    expected = mvt_oracle(fn, Q0, Q1, 4, real_form=True)
+    with pytest.raises(AssertionError, match="left_ghr called"):
+        mvt_left(fn, Q0, Q1, panels=(4,), real_form=True)
+    monkeypatch.undo()
+    check, = mvt_left(fn, Q0, Q1, panels=(4,), real_form=True)
+    assert _mvt_bits(check) == expected
 
 
 def _raised(run, fn, q0, q1, panels) -> tuple:
@@ -420,6 +460,13 @@ def test_descent_rejects_an_iteration_budget_that_is_not_a_count(max_iters):
     # range() raised a TypeError on a float, and True ran one iteration.
     with pytest.raises(ValueError, match="nonnegative integer"):
         _descend(0.4, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("grad_tol", [math.nan, -1e-8, -math.inf])
+def test_descent_rejects_a_gradient_tolerance_that_is_nan_or_negative(grad_tol):
+    # A NaN tolerance ran the whole budget: grad_norm < nan is never true.
+    with pytest.raises(ValueError, match="grad_tol"):
+        _descend(0.4, grad_tol=grad_tol)
 
 
 def test_descent_numerical_gradient_agrees():
