@@ -374,8 +374,10 @@ def _power_rule(q: Quaternion, mu: Quaternion, top: int):
     """Inner sums of the power rule for each q^n, n = 1..top: sum over m of
     q^(n-m) Re(q^(m-1) mu) and -1/2 sum of q^(n-m) (q^(m-1) mu)*.
 
-    The powers, the heads q^(m-1) mu and the conjugated heads are built
-    once for every order, and each repeated right factor is gathered once.
+    The powers, the heads q^(m-1) mu and their conjugates are built once
+    for every order, gathering q and mu once each.  The conjugated heads
+    are not gathered: that would hold 16 doubles a point for each of them
+    at once, for no time that repeated runs could separate.
     """
     times_q = _times(q)
     powers = [type(q).from_real(1.0)]
@@ -383,13 +385,13 @@ def _power_rule(q: Quaternion, mu: Quaternion, top: int):
         powers.append(times_q(powers[-1]))
     times_mu = _times(mu)
     heads = [times_mu(power) for power in powers]
-    times_conj_heads = [_times(head.conjugate()) for head in heads]
+    conj_heads = [head.conjugate() for head in heads]
     for n in range(1, top + 1):
         plain = ZERO
         conj = ZERO
         for m in range(1, n + 1):
             plain = plain + powers[n - m] * heads[m - 1].a
-            conj = conj + times_conj_heads[m - 1](powers[n - m])
+            conj = conj + powers[n - m] * conj_heads[m - 1]
         yield plain, conj * -0.5
 
 
