@@ -9,6 +9,7 @@ same seed and options always produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -48,9 +49,10 @@ TAYLOR_SCALES = (1e-1, 3.1622776601683795e-2, 1e-2,
 MVT_REFINEMENT_PANELS = (4, 16, 64, 256)
 MVT_FINAL_PANELS = 1000
 
-CONFIG_KEYS = {"variant", "taps", "alpha", "steps", "snr_db", "seed",
-               "kind", "nonlinearity", "threshold"}
-CONFIG_REQUIRED = {"variant", "taps", "alpha", "steps", "snr_db", "seed"}
+# ExperimentConfig's fields, those without a default required, and the threshold.
+CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)} | {"threshold"}
+CONFIG_REQUIRED = {field.name for field in dataclasses.fields(ExperimentConfig)
+                   if field.default is dataclasses.MISSING}
 
 
 class CliError(Exception):
@@ -347,7 +349,7 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
             variant=str(raw["variant"]), taps=raw["taps"],
             alpha=float(raw["alpha"]), steps=int(raw["steps"]),
             snr_db=float(raw["snr_db"]), seed=int(raw["seed"]),
-            kind=str(raw.get("kind", "fir_channel")),
+            kind=str(raw.get("kind", ExperimentConfig.kind)),
             nonlinearity=raw.get("nonlinearity"))
         threshold = raw.get("threshold")
         if threshold is not None:

@@ -30,6 +30,9 @@ plain real LMS loop bit for bit, and the quaternion recursion within
 rounding.  The branch vectors map to M through a fixed A of +/-1 entries
 with A^T A = 4 I, and back through A^T / 4.
 
+A stream's samples and noise come from sampling.make_rng's substreams 0
+and 1, and the kernels' gather and sign patterns from quaternion.
+
 The per-sample ``*_step`` functions run the same kernels on one window.
 Outside the engine a quaternion vector (taps, one weight branch, a
 regressor window) is a plain tuple of Quaternions.
@@ -47,8 +50,9 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import EvaluationError, takes_arrays
-from .quaternion import (_MUL_INDEX, _MUL_SIGN, _SIGNED_INDEX, ZERO, QArray,
-                         Quaternion, _add_terms, _by_floats)
+from .quaternion import (_MUL_INDEX, _MUL_SIGN, AXES, ZERO, QArray, Quaternion,
+                         _add_terms, _by_floats, _signed, involute)
+from .sampling import make_rng
 from .theorems import DivergenceError
 
 DIVERGENCE_NORM = 1e6
@@ -159,16 +163,17 @@ VARIANTS = ("qlms", "wl_qlms", "qngd")
 
 # The Hamilton engine keeps quaternion components on axis 0: weights are
 # (4, taps), a block of m regressor windows is (m, 4, taps).  Component
-# signs of the conjugate, and of q, q^i, q^j, q^k (one row per involution);
-# multiplying by -1.0 is exact negation.
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-_INVOLUTIONS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
-                         [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+# signs of the conjugate, and of q, q^i, q^j, q^k (one row per involution),
+# as quaternion's conjugate and involute flip them; multiplying by -1.0 is
+# exact negation.
+_ONES = Quaternion(1.0, 1.0, 1.0, 1.0)
+_CONJ = np.array(_ONES.conjugate())
+_INVOLUTIONS = np.array([involute(_ONES, axis) for axis in AXES])
 
 # A QLMS or QNGD step makes two Hamilton products: the output w^T x and the
-# move e x*.  Their regressor-side factor X[k, r] is gathered from x and -x
-# stacked by hamilton's _SIGNED_INDEX, every +/-1 folded in exactly, so
-# w[k] * X[k, r] added over k in order is hamilton's product bit for bit.
+# move e x*.  Their regressor-side factor X[k, r] is quaternion._signed on
+# the windows' component axis, every +/-1 folded in exactly, so w[k] *
+# X[k, r] added over k in order is hamilton's product bit for bit.
 # X is the real matrix of w -> w^T x, and e x*, the conjugate gradient of
 # |e|^2, is X^T e term by term: the move's factor is X with its first two
 # axes swapped.
@@ -212,12 +217,6 @@ def _ordered_sum(terms: np.ndarray) -> np.ndarray:
     can only change the sign of a zero total, which the final + 0.0 undoes.
     """
     return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
-
-
-def _factors(windows: np.ndarray) -> np.ndarray:
-    """The output factors X (m, 4, 4, taps) of (m, 4, taps) windows: element
-    [k, r] is x[c] for _SIGNED_INDEX[k, r] == c, and -x[c] for c + 4."""
-    return np.concatenate([windows, -windows], axis=1).take(_SIGNED_INDEX, axis=1)
 
 
 def _wl_matrix(branches: np.ndarray) -> np.ndarray:
@@ -276,10 +275,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     taps_len = truth.shape[2]
     if n <= taps_len:
         raise ValueError("stream length must exceed the tap count")
-    root = np.random.SeedSequence(seed)
-    sample_ss, noise_ss = root.spawn(2)
-    sample_rng = np.random.Generator(np.random.Philox(sample_ss))
-    noise_rng = np.random.Generator(np.random.Philox(noise_ss))
+    sample_rng, noise_rng = make_rng(seed, 0), make_rng(seed, 1)
 
     total = n + taps_len - 1
     if kind == "ar1":
@@ -304,7 +300,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
         for lo in range(0, n, _BLOCK):
             block = windows[lo:lo + _BLOCK]
             if matrix is None:
-                out = _factors(block)
+                out = _signed(block, axis=1)
                 terms = _add_terms(*(truth[:, 0, None] * out).swapaxes(0, 1))
             else:
                 terms = matrix * block.reshape(len(block), 1, -1)
@@ -396,7 +392,7 @@ def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarra
     terms = np.empty((4, 4) + weights.shape[1:])
     by_term, total = tuple(terms), np.empty(weights.shape)
     for lo in range(0, len(windows), _BLOCK):
-        factors = _factors(windows[lo:lo + _BLOCK])
+        factors = _signed(windows[lo:lo + _BLOCK], axis=1)
         for out, move, d, new in zip(factors, factors.swapaxes(1, 2), desired[lo:lo + _BLOCK],
                                      history):
             np.multiply(out, weights[:, None], terms)

@@ -7,6 +7,11 @@ non-commutation of mixed second derivatives); those encode the margin as
 max(0, required - observed) so that every record still passes when the
 residual is at most the tolerance.
 
+Each record kind names its tolerance where its residual is computed: a
+Column carries the DEFAULT_TOLERANCES name that judges it, and every kind
+of a rule check (product_rule_conj, chain_rule_real, ...) is judged by its
+rule's name.
+
 The per-point record kinds take a block of points as (4, N) QArrays and
 return one Column of residuals per identity, evaluated in one array pass
 with the bits of the point-by-point formulas: the derivative functions
@@ -65,32 +70,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "mixed_noncommute": 0.0,
 }
 
-_TOL_KEYS = {
-    "dq_dq": "golden",
-    "dqc_dq": "golden",
-    "dq2_dq": "golden",
-    "dmod2_dq": "golden",
-    "ghr_identity_cols": "ghr_linear",
-    "ghr_mu_one_reduction": "ghr_reduction",
-    "product_rule": "product_rule",
-    "product_rule_conj": "product_rule",
-    "chain_rule": "chain_rule",
-    "chain_rule_conj": "chain_rule",
-    "chain_rule_real": "chain_rule",
-    "conjugation": "conjugation",
-    "flavor_real": "flavor_real",
-    "real_conjugate": "real_conjugate",
-    "rotation_transport": "rotation_transport",
-    "left_constant": "left_constant",
-    "counter_example_gap": "counter_example",
-    "traditional_rule_fails": "counter_gap",
-    "reconstruction": "reconstruction",
-    "laplacian_mod2": "laplacian",
-    "second_order_conjugation": "second_order_conjugation",
-    "second_order_left_right": "second_order_left_right",
-    "mixed_noncommute": "mixed_noncommute",
-}
-
 
 class IdentityRecord(NamedTuple):
     identity: str
@@ -133,8 +112,7 @@ def _f_cross(p: Quaternion) -> Quaternion:
     return type(p).from_real(b * c)
 
 
-def _record(name: str, tols: dict, residual: float, point=None, mu=None, nu=None):
-    tol = tols[_TOL_KEYS[name]]
+def _record(name: str, tol: float, residual: float, point=None, mu=None, nu=None):
     return IdentityRecord(name, point, mu, nu, residual, tol, residual <= tol)
 
 
@@ -157,19 +135,21 @@ def _admissible_point(f_spec, f_entry, g_spec, g_entry, rng) -> Optional[Quatern
 
 
 class Column(NamedTuple):
-    """One identity's residuals over a block of points, as Python floats.
+    """One identity's residuals over a block of points, as Python floats,
+    judged by the DEFAULT_TOLERANCES entry named ``tolerance``.
 
     A point without this record has None.  ``axes`` says how many of the
     point's (mu, nu) the records name: 0, 1 (mu) or 2 (mu and nu).
     """
 
     identity: str
+    tolerance: str
     residuals: list
     axes: int = 0
 
 
-def _column(identity: str, residuals: np.ndarray, axes: int = 0) -> Column:
-    return Column(identity, residuals.tolist(), axes)
+def _column(identity: str, tolerance: str, residuals: np.ndarray, axes: int = 0) -> Column:
+    return Column(identity, tolerance, residuals.tolist(), axes)
 
 
 def _largest(residuals) -> np.ndarray:
@@ -194,7 +174,7 @@ def _partials(q: QArray) -> _Partials:
 def golden_records(q: QArray, parts: _Partials) -> list[Column]:
     golden = (("dq_dq", parts.identity, ONE), ("dqc_dq", parts.conj, ONE * -0.5),
               ("dq2_dq", parts.sq, q + q.a), ("dmod2_dq", parts.mod2, q.conjugate() * 0.5))
-    return [_column(name, abs(hr_from_partials(p, "left").wrt_q - expected))
+    return [_column(name, "golden", abs(hr_from_partials(p, "left").wrt_q - expected))
             for name, p, expected in golden]
 
 
@@ -204,8 +184,8 @@ def ghr_linear_records(q: QArray, mu: QArray, parts: _Partials) -> list[Column]:
                      abs(pair.d_mu_conj * mu + mu.conjugate() * 0.5))
     reduction = abs(ghr_from_partials(parts.sq, ONE, "left").d_mu
                     - hr_from_partials(parts.sq, "left").wrt_q)
-    return [_column("ghr_identity_cols", res, 1),
-            _column("ghr_mu_one_reduction", reduction)]
+    return [_column("ghr_identity_cols", "ghr_linear", res, 1),
+            _column("ghr_mu_one_reduction", "ghr_reduction", reduction)]
 
 
 def structural_records(q: QArray, mu: QArray, nu: QArray,
@@ -221,11 +201,12 @@ def structural_records(q: QArray, mu: QArray, nu: QArray,
     transported = rotate(d_sq, nu)
     direct = left_ghr(takes_arrays(lambda p: rotate(_f_sq(p), nu)), q, nu * mu).d_mu
     scaled = left_ghr(takes_arrays(lambda p: nu * _f_sq(p)), q, mu).d_mu
-    return [_column("conjugation", conjugation, 1),
-            _column("flavor_real", flavor),
-            _column("real_conjugate", abs(pair.d_mu.conjugate() - pair.d_mu_conj), 1),
-            _column("rotation_transport", abs(transported - direct), 2),
-            _column("left_constant", abs(scaled - nu * d_sq), 2)]
+    return [_column("conjugation", "conjugation", conjugation, 1),
+            _column("flavor_real", "flavor_real", flavor),
+            _column("real_conjugate", "real_conjugate",
+                    abs(pair.d_mu.conjugate() - pair.d_mu_conj), 1),
+            _column("rotation_transport", "rotation_transport", abs(transported - direct), 2),
+            _column("left_constant", "left_constant", abs(scaled - nu * d_sq), 2)]
 
 
 def counter_example_records(q: QArray) -> list[Column]:
@@ -234,8 +215,8 @@ def counter_example_records(q: QArray) -> list[Column]:
     gap = abs(q * 2.0 - (q + q.a))
     expected = q.vector_modulus()
     fails = np.maximum(0.0, 0.5 - gap).tolist()
-    return [_column("counter_example_gap", abs(gap - expected)),
-            Column("traditional_rule_fails",
+    return [_column("counter_example_gap", "counter_example", abs(gap - expected)),
+            Column("traditional_rule_fails", "counter_gap",
                    [r if big else None for r, big in zip(fails, (expected >= 1.0).tolist())])]
 
 
@@ -245,7 +226,7 @@ def reconstruction_record(q: QArray, dq: QArray, parts: _Partials) -> list[Colum
     e1, e2 = (abs((_f_sq(q + step) - value) - derivative_set.differential(step))
               for step in (dq, dq * 0.5))
     ratio = e1 / np.maximum(e2, 1e-300)
-    return [_column("reconstruction",
+    return [_column("reconstruction", "reconstruction",
                     np.where(e1 < 1e-12, 0.0, np.maximum(0.0, 3.0 - ratio)))]
 
 
@@ -265,10 +246,11 @@ def second_order_records(q: QArray, mu: QArray, nu: QArray) -> list[Column]:
     ll = left[1][0].mu_nu
     cross = second_order(_f_cross, q, (ONE, I), (ONE, I))
     gap = abs(cross[0][1].mu_nu - cross[1][0].mu_nu)
-    return [_column("laplacian_mod2", laplacian, 1),
-            _column("second_order_conjugation", abs(lhs - rhs), 2),
-            _column("second_order_left_right", abs(rr - ll), 2),
-            _column("mixed_noncommute", np.maximum(0.0, 0.15 - gap))]
+    return [_column("laplacian_mod2", "laplacian", laplacian, 1),
+            _column("second_order_conjugation", "second_order_conjugation",
+                    abs(lhs - rhs), 2),
+            _column("second_order_left_right", "second_order_left_right", abs(rr - ll), 2),
+            _column("mixed_noncommute", "mixed_noncommute", np.maximum(0.0, 0.15 - gap))]
 
 
 class _Draw(NamedTuple):
@@ -368,6 +350,7 @@ def _rule_records(draw, draws: int, tols: dict,
     None for a skipped draw, and checks them as one batch.  Degenerate
     draws are skipped after the round and the next round tops up, so the
     rng runs through the same draws as a draw-by-draw loop."""
+    tol = tols[name]
     records: list[IdentityRecord] = []
     skips = 0
     while len(records) < draws:
@@ -383,7 +366,7 @@ def _rule_records(draw, draws: int, tols: dict,
                 skips += 1
                 continue
             kind = name + ("_real" if d.f is None else "_conj" if d.conjugate else "")
-            records.append(_record(kind, tols, res, point=d.q, mu=d.mu, nu=d.nu))
+            records.append(_record(kind, tol, res, point=d.q, mu=d.mu, nu=d.nu))
     return records, skips
 
 
@@ -436,10 +419,10 @@ def _stack(quaternions) -> QArray:
 
 def _emit(columns: list[Column], qs, mus, nus, tols: dict) -> list[IdentityRecord]:
     """The columns' records, point by point, each point's in column order."""
-    return [_record(name, tols, residuals[k], point=q, mu=mu if axes else None,
-                    nu=nu if axes == 2 else None)
+    return [_record(name, tols[tolerance], residuals[k], point=q,
+                    mu=mu if axes else None, nu=nu if axes == 2 else None)
             for k, (q, mu, nu) in enumerate(zip(qs, mus, nus))
-            for name, residuals, axes in columns if residuals[k] is not None]
+            for name, tolerance, residuals, axes in columns if residuals[k] is not None]
 
 
 def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
@@ -454,8 +437,6 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     """
     if not isinstance(points, Integral) or isinstance(points, bool) or points < 1:
         raise ValueError(f"points must be a positive integer, got {points!r}")
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)

@@ -170,9 +170,10 @@ def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     return total
 
 
-def _signed(q: np.ndarray) -> np.ndarray:
-    """q's components gathered with their signs, laid out [k, r, *S]."""
-    return np.concatenate((q, -q)).take(_SIGNED_INDEX, axis=0)
+def _signed(q: np.ndarray, axis: int = 0) -> np.ndarray:
+    """q's components, on ``axis``, gathered with their signs: that axis
+    becomes the two axes [k, r], so (4, *S) gives [k, r, *S]."""
+    return np.concatenate((q, -q), axis=axis).take(_SIGNED_INDEX, axis=axis)
 
 
 def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:

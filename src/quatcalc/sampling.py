@@ -1,13 +1,15 @@
 """Seeded random draws used by the verification suites and experiments.
 
 Every random quantity in the package flows from a single integer seed through
-numpy's counter-based Philox generator.  Independent substreams are derived
+numpy's counter-based Philox generator, and make_rng is the one place that
+checks a seed and builds a generator.  Independent substreams are derived
 with SeedSequence.spawn, so runs are reproducible and streams never overlap.
 """
 
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -15,14 +17,17 @@ from .quaternion import Quaternion
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for substream ``stream`` of the run seeded by ``seed``."""
+    """Generator for substream ``stream`` of the run seeded by ``seed``, a
+    nonnegative integer (numpy's too): numpy takes True as seed 1."""
+    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(stream + 1)
     return np.random.Generator(np.random.Philox(children[stream]))
 
 
-# Rejection budget of random_quaternion; an unreachable bound must fail, not
-# loop forever.
+# Rejection budget of every redrawing sampler (random_quaternion and
+# FamilySpec.sample_point); an unreachable bound must fail, not loop forever.
 MAX_DRAWS = 1000
 
 

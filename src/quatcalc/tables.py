@@ -43,7 +43,7 @@ import numpy as np
 from . import derivatives
 from .derivatives import takes_arrays
 from .quaternion import ONE, ZERO, QArray, Quaternion, _by_floats, _times, anywhere, rotate
-from .sampling import random_quaternion
+from .sampling import MAX_DRAWS, random_quaternion
 
 MIN_MODULUS = 1e-9
 # Uniform draws: coefficients from [-1, 1]^4, points and axes from [-2, 2]^4,
@@ -93,12 +93,14 @@ class FamilySpec:
     params: tuple[str, ...]
 
     def sample_point(self, entry: TableEntry, rng: np.random.Generator) -> Quaternion:
-        """Uniform draw from [-2, 2]^4, redrawn until the family admits it."""
-        for _ in range(1000):
+        """Uniform draw from [-2, 2]^4, redrawn until the family admits it,
+        within random_quaternion's budget of MAX_DRAWS tries."""
+        for _ in range(MAX_DRAWS):
             q = random_quaternion(rng, *_POINT_RANGE)
             if self.admissible(entry, q):
                 return q
-        raise RuntimeError("could not sample an admissible point")
+        raise ValueError(f"no draw from {list(_POINT_RANGE)}^4 is admissible for "
+                         f"{self.name} in {MAX_DRAWS} tries")
 
 
 def conj_input(name: str, base: FamilySpec) -> FamilySpec:
@@ -172,7 +174,6 @@ _PARAMS = {
     "terms": _Param(lambda rng: DEFAULT_EXP_TERMS, _is_count, "a positive integer"),
 }
 _AFFINE = ("omega", "nu", "lam")
-_COUNTS = ("n", "terms")
 
 
 def _cube(x):

@@ -201,8 +201,11 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     (absolute term plus curvature noise times |lambda|^2) are excluded from
     the fit; when fewer than two scales survive, the expansion is exact to
     the floor and the slope is reported as nan.  f's value and derivatives
-    at q0 are taken once and serve every scale.
+    at q0 are taken once and serve every scale.  The direction must be
+    nonzero and finite: a zero one makes every error 0.0, a fit at the floor.
     """
+    if not all(map(math.isfinite, direction)) or not any(direction):
+        raise ValueError(f"direction must be nonzero and finite, got {direction!r}")
     scales = tuple(float(s) for s in scales)
     if len(scales) < 4:
         raise ValueError("need at least four scales")

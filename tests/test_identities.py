@@ -12,8 +12,9 @@ from quatcalc.derivatives import (DegenerateAxisError, EvaluationError,
                                   hr_from_partials, left_ghr, left_hr,
                                   real_partials, second_order,
                                   second_order_right, takes_arrays)
+from quatcalc.filters import ExperimentConfig, run_experiment
 from quatcalc.identities import (DEFAULT_TOLERANCES, IdentityRecord,
-                                 SuiteResult, _record, _stack, run_identity_suite)
+                                 SuiteResult, _stack, run_identity_suite)
 from quatcalc.quaternion import I, ONE, QArray, Quaternion, rotate
 from quatcalc.sampling import make_rng, random_quaternion
 
@@ -21,6 +22,34 @@ from quatcalc.sampling import make_rng, random_quaternion
 # The per-point record kinds and the product- and chain-rule draw loops as
 # they ran before the suite was batched, on scalar Quaternions with the
 # one-point checks: the batched suite must give these records bit for bit.
+
+# The record kinds each tolerance judges, written here apart from the suite's
+# own columns: a rule's kinds share the rule's tolerance.
+TOLERANCE_KINDS = {
+    "golden": ("dq_dq", "dqc_dq", "dq2_dq", "dmod2_dq"),
+    "ghr_linear": ("ghr_identity_cols",),
+    "ghr_reduction": ("ghr_mu_one_reduction",),
+    "product_rule": ("product_rule", "product_rule_conj"),
+    "chain_rule": ("chain_rule", "chain_rule_conj", "chain_rule_real"),
+    "conjugation": ("conjugation",),
+    "flavor_real": ("flavor_real",),
+    "real_conjugate": ("real_conjugate",),
+    "rotation_transport": ("rotation_transport",),
+    "left_constant": ("left_constant",),
+    "counter_example": ("counter_example_gap",),
+    "counter_gap": ("traditional_rule_fails",),
+    "reconstruction": ("reconstruction",),
+    "laplacian": ("laplacian_mod2",),
+    "second_order_conjugation": ("second_order_conjugation",),
+    "second_order_left_right": ("second_order_left_right",),
+    "mixed_noncommute": ("mixed_noncommute",),
+}
+ORACLE_TOLERANCE = {kind: name for name, kinds in TOLERANCE_KINDS.items() for kind in kinds}
+
+
+def _record(kind, tols, residual, point=None, mu=None, nu=None):
+    tol = tols[ORACLE_TOLERANCE[kind]]
+    return IdentityRecord(kind, point, mu, nu, residual, tol, residual <= tol)
 
 
 def f_sq(p):
@@ -454,15 +483,41 @@ def test_points_that_are_not_a_count_are_rejected(points):
         run_identity_suite(points=points)
 
 
-@pytest.mark.parametrize("seed", [2.5, 1.0, True, False, -1])
-def test_seeds_that_are_not_a_nonnegative_count_are_rejected(seed):
+def _filter_run(seed):
+    return run_experiment(ExperimentConfig("qlms", taps=[[0.5, 0.1, -0.2, 0.3]], alpha=0.05,
+                                           steps=8, snr_db=30.0, seed=seed))
+
+
+SEEDED = {"suite": lambda seed: run_identity_suite(points=1, seed=seed),
+          "filter": _filter_run,
+          "make_rng": lambda seed: make_rng(seed, 1).random(4).tolist()}
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.0, True, False, -1, "7", None])
+@pytest.mark.parametrize("caller", sorted(SEEDED))
+def test_seeds_that_are_not_a_nonnegative_count_are_rejected(caller, seed):
     # numpy raised a TypeError on 2.5, and True silently ran seed 1.
-    with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
-        run_identity_suite(points=1, seed=seed)
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer") as info:
+        SEEDED[caller](seed)
+    assert repr(seed) in str(info.value)
 
 
-def test_a_numpy_integer_seed_runs_as_its_int():
-    assert run_identity_suite(points=1, seed=np.int64(7)) == run_identity_suite(points=1, seed=7)
+@pytest.mark.parametrize("caller", sorted(SEEDED))
+def test_a_numpy_integer_seed_runs_as_its_int(caller):
+    assert SEEDED[caller](np.int64(7)) == SEEDED[caller](7)
+
+
+def test_every_tolerance_judges_exactly_its_record_kinds():
+    assert set(TOLERANCE_KINDS) == set(DEFAULT_TOLERANCES)
+    base = run_identity_suite(points=2)
+    assert {r.identity for r in base.records} == set(ORACLE_TOLERANCE)
+    sentinel = 0.123456789
+    assert sentinel not in DEFAULT_TOLERANCES.values()
+    for name, kinds in TOLERANCE_KINDS.items():
+        result = run_identity_suite(points=2, tolerances={name: sentinel})
+        moved = {r.identity for r, b in zip(result.records, base.records) if r.tol != b.tol}
+        assert moved == set(kinds), name
+        assert all(r.tol == sentinel for r in result.records if r.identity in kinds)
 
 
 def test_default_tolerances_immutable_by_runs():

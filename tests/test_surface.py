@@ -205,3 +205,40 @@ def jacobian(f, s):
     return derivatives._evaluate_stencil(f, s + _STEPS[1e-6][0], 1), derivatives.left_hr
 """
     assert _private_derivatives_reads(ast.parse(source)) == {"_STEPS", "_evaluate_stencil"}
+
+
+# sampling.make_rng checks every seed and builds every generator.
+GENERATOR_BUILDERS = {"SeedSequence", "Philox", "Generator"}
+
+
+def _generator_calls(tree) -> list[str]:
+    """The generator builders a module calls, as np.random.X(...) or X(...);
+    a name in a type annotation is no call."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in GENERATOR_BUILDERS:
+                calls.append(name)
+    return calls
+
+
+def test_only_sampling_builds_random_generators():
+    calls = {path.name: _generator_calls(ast.parse(path.read_text()))
+             for path in SRC.glob("*.py")}
+    assert {name: found for name, found in calls.items()
+            if found and name != "sampling.py"} == {}
+    assert set(calls["sampling.py"]) == GENERATOR_BUILDERS
+
+
+def test_a_generator_call_is_found_in_either_form_and_an_annotation_is_not():
+    source = """
+import numpy as np
+from numpy.random import SeedSequence
+
+def draw(rng: np.random.Generator, seed: int) -> np.random.Generator:
+    children = SeedSequence(seed).spawn(2)
+    return np.random.Generator(np.random.Philox(children[0]))
+"""
+    assert sorted(_generator_calls(ast.parse(source))) == ["Generator", "Philox", "SeedSequence"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatcalc import derivatives, tables
+from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion
 from quatcalc.sampling import make_rng, random_quaternion
@@ -506,3 +506,16 @@ def test_bulk_draws_replay_rejections_bitwise(family, rejects, monkeypatch):
     total = 3 * (1 + 7 + 200)
     # power draws every point with _sample_one, the others only the rejected ones.
     assert len(replays) == total if family == "power" else 0 < len(replays) < total
+
+
+def test_an_unreachable_point_exhausts_the_sampling_draw_budget():
+    # omega = 0 puts every point on the singular set of (omega q nu + lam)^-1.
+    # This raised a RuntimeError after a budget of its own, which the CLI
+    # would not turn into a usage error.
+    entry = TableEntry("linear_inverse", omega=ZERO, nu=ONE, lam=ZERO)
+    tries = []
+    spec = FAMILIES["linear_inverse"]
+    counting = replace(spec, admissible=lambda e, q: tries.append(q) or spec.admissible(e, q))
+    with pytest.raises(ValueError, match="linear_inverse in 1000 tries"):
+        counting.sample_point(entry, make_rng(1))
+    assert len(tries) == sampling.MAX_DRAWS == 1000

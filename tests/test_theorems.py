@@ -410,6 +410,20 @@ def test_taylor_rejects_a_scale_that_is_not_positive_and_finite(scales):
     assert str(tuple(scales)) in str(info.value)
 
 
+@pytest.mark.parametrize("direction", [
+    Quaternion(0.0, 0.0, 0.0, 0.0),
+    Quaternion(-0.0, 0.0, -0.0, 0.0),
+    Quaternion(math.nan, 0.0, 0.0, 1.0),
+    Quaternion(0.5, math.inf, 0.0, 0.0),
+], ids=["zero", "signed_zero", "nan", "inf"])
+def test_taylor_rejects_a_direction_that_is_zero_or_not_finite(direction):
+    # A zero direction made every error 0.0 and came back at the floor, a
+    # pass; a NaN one reached f as a NaN point.
+    with pytest.raises(ValueError, match="direction must be nonzero and finite") as info:
+        taylor_remainder_slope(lambda p: p * p * p, Q0, direction, SCALES)
+    assert repr(direction) in str(info.value)
+
+
 DESCENT_TARGET = Quaternion(1.0, 2.0, 3.0, 4.0)
 DESCENT_ENTRY = TableEntry(family="linear_modulus_squared", omega=ONE, nu=ONE,
                            lam=-DESCENT_TARGET)
