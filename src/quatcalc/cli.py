@@ -15,12 +15,16 @@ import json
 import math
 import sys
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import identities, tables, theorems
 from .derivatives import takes_arrays
 from .filters import ExperimentConfig, run_experiment
-from .quaternion import ONE, Quaternion, format_quaternion, parse_quaternion
+from .quaternion import (ONE, QUATERNION_TEMPLATE, Quaternion, format_quaternion,
+                         parse_quaternion)
 from .sampling import make_rng, random_quaternion
 from .tables import TableEntry
 from .theorems import DivergenceError
@@ -92,32 +96,39 @@ def _parse_tolerances(pairs: Optional[Sequence[str]],
     return tols
 
 
-def _write_csv(path: str, header: Sequence[str],
-               rows: Iterable[Sequence[str]]) -> None:
-    # No quoting: every field is program-made (numbers, fixed names, true/false
-    # or empty), so none holds a comma, quote or line break.
+def _lines(rows: Iterable[Sequence[str]]) -> Iterable[str]:
+    """Each row's fields joined by commas, one line each.  No quoting: every
+    field is program-made (numbers, fixed names, true/false or empty), so
+    none holds a comma, quote or line break."""
+    return (",".join(row) + "\n" for row in rows)
+
+
+def _write_csv(path: str, header: Sequence[str], blocks: Iterable[str]) -> None:
+    """Write the header line, then each block of whole lines as it comes."""
     try:
         with open(path, "w", newline="") as handle:
             handle.write(",".join(header) + "\n")
-            handle.writelines(",".join(row) + "\n" for row in rows)
+            handle.writelines(blocks)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}")
     print(f"wrote {path}")
 
 
 def _report(path: Optional[str], header: Sequence[str],
-            rows: Iterable[Sequence[str]], title: str, oks: Sequence[bool],
+            blocks: Iterable[str], title: str, oks: Sequence[bool],
             extra: str = "") -> int:
     """Write the CSV, print the one-line summary and verdict, return the exit code.
 
-    ``rows`` is consumed once, whether or not there is a CSV to write, and
-    may fill ``oks`` as it goes.
+    ``blocks`` is the CSV body as text, one or more whole lines per block:
+    a row's line from _lines, or a chunk of rows from one template.  It is
+    consumed once, whether or not there is a CSV to write, and may fill
+    ``oks`` as it goes.
     """
     if path is None:
-        for _ in rows:
+        for _ in blocks:
             pass
     else:
-        _write_csv(path, header, rows)
+        _write_csv(path, header, blocks)
     failures = sum(1 for ok in oks if not ok)
     line = f"{title}: {len(oks)} checks, {failures} failures"
     if extra:
@@ -151,7 +162,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
     skips = result.product_skips + result.chain_skips
     return _report(args.out, ("identity", "point", "mu", "nu", "residual",
-                              "tol", "pass"), _verify_rows(result.records), "identity suite",
+                              "tol", "pass"), _lines(_verify_rows(result.records)), "identity suite",
                    [r.passed for r in result.records],
                    f"{skips} degenerate draws skipped")
 
@@ -190,23 +201,35 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
-    """The table's CSV rows, one chunk of points at a time; each row's
-    verdict goes to ``oks`` as the row is made."""
+    """The table's CSV text, one block per chunk of points.  A block is one
+    % of the family's row-pair template repeated once per point: the point's
+    mu row, then its mu_conj row.  Their verdicts go to ``oks`` in that order
+    as the block is made."""
     for spec in specs:
+        pair = "".join(f"{spec.name},%s,{column},{QUATERNION_TEMPLATE},"
+                       f"{QUATERNION_TEMPLATE},%.17g,%s\n" for column in ("mu", "mu_conj"))
+        point_axis = f"{QUATERNION_TEMPLATE},{QUATERNION_TEMPLATE}"
         for start in range(0, points, TABLE_CHUNK):
-            entry, qs, mus = tables.sample_batch(spec, rng, min(TABLE_CHUNK, points - start))
+            count = min(TABLE_CHUNK, points - start)
+            entry, qs, mus = tables.sample_batch(spec, rng, count)
             check = tables.cross_validate(entry, qs, mus)
-            columns = [[format_quaternion(tuple(c)) for c in field.c.T.tolist()]
-                       for field in (qs, mus, *check[:4])] \
-                + [field.tolist() for field in check[4:]]
-            for point, axis, *fields in zip(*columns):
-                # A CrossCheck's fields alternate between the mu and mu_conj columns.
-                for column, (closed, numerical, residual) in (("mu", fields[0::2]),
-                                                              ("mu_conj", fields[1::2])):
-                    ok = residual <= tol
-                    oks.append(ok)
-                    yield (spec.name, point, axis, column, closed, numerical,
-                           _fmt(residual), _fmt_pass(ok))
+            # A CrossCheck's fields alternate between the mu and mu_conj columns.
+            residuals = np.stack(check[4:], axis=1)
+            passed = residuals <= tol
+            oks.extend(passed.ravel().tolist())
+            # "point,axis" is formatted once per point, for both of its rows.
+            located = [point_axis % tuple(c)
+                       for c in np.concatenate((qs.c, mus.c)).T.tolist()]
+            # cells[point, row]: "point,axis", the closed form's and the
+            # numerical components, residual, verdict.  The four quaternion
+            # fields stack as (closed/numerical, row, component, point).
+            cells = np.empty((count, 2, 11), dtype=object)
+            cells[:, :, 0] = np.array(located, dtype=object)[:, None]
+            cells[:, :, 1:9] = np.stack([field.c for field in check[:4]]) \
+                .reshape(2, 2, 4, count).transpose(3, 1, 0, 2).reshape(count, 2, 8)
+            cells[:, :, 9] = residuals
+            cells[:, :, 10] = np.where(passed, "true", "false")
+            yield pair * count % tuple(cells.ravel().tolist())
 
 
 # The functions mvt and taylor differentiate are catalogue entries, but
@@ -254,7 +277,7 @@ def cmd_taylor(args: argparse.Namespace) -> int:
             rows.append((name, _fmt(scale), _fmt(error), _fmt(fit.slope),
                          branch, _fmt_pass(ok)))
     return _report(args.out, ("function", "scale", "error", "slope", "branch",
-                              "pass"), rows, "taylor remainder", oks)
+                              "pass"), _lines(rows), "taylor remainder", oks)
 
 
 def cmd_mvt(args: argparse.Namespace) -> int:
@@ -281,7 +304,7 @@ def cmd_mvt(args: argparse.Namespace) -> int:
                          _fmt(check.residual), _fmt(tol), _fmt_pass(ok)))
             previous = check.residual
     return _report(args.out, ("function", "form", "q0", "q1", "panels",
-                              "residual", "tol", "pass"), rows, "mean value", oks)
+                              "residual", "tol", "pass"), _lines(rows), "mean value", oks)
 
 
 def cmd_descend(args: argparse.Namespace) -> int:
@@ -304,7 +327,7 @@ def cmd_descend(args: argparse.Namespace) -> int:
     rows = [(str(idx), _fmt_q(q), _fmt(value), _fmt(grad_norm))
             for idx, (q, value, grad_norm)
             in enumerate(zip(trace.iterates, trace.values, trace.grad_norms))]
-    return _report(args.out, ("iter", "q", "value", "grad_norm"), rows,
+    return _report(args.out, ("iter", "q", "value", "grad_norm"), _lines(rows),
                    "steepest descent", [trace.grad_norms[-1] <= tols["grad"]],
                    f"{len(trace.iterates) - 1} iterations, final gradient "
                    f"{_fmt(trace.grad_norms[-1])}")
@@ -369,16 +392,16 @@ def cmd_filter(args: argparse.Namespace) -> int:
         print(f"filter: {exc}")
         print("FAIL")
         return EXIT_FAIL
-    # One field per row, the whole line from one template: the bytes of
-    # str(idx) and _fmt of the two errors, joined by commas.
-    rows = [("%d,%.17g,%.17g" % (idx, sq, werr),)
-            for idx, (sq, werr) in enumerate(zip(result.mse_curve,
-                                                 result.weight_error_curve))]
+    # The whole body from one template, a line per step: the bytes of
+    # str(step) and _fmt of the two errors, joined by commas.
+    steps = len(result.mse_curve)
+    body = "%d,%.17g,%.17g\n" * steps % tuple(chain.from_iterable(
+        zip(range(steps), result.mse_curve, result.weight_error_curve)))
     final = result.final_weight_error
     extra = f"{result.steps} steps, final weight error {_fmt(final)}"
     if threshold is not None:
         extra += f", threshold {_fmt(threshold)}"
-    return _report(args.out, ("step", "sq_error", "weight_error"), rows,
+    return _report(args.out, ("step", "sq_error", "weight_error"), (body,),
                    f"{config.variant} run",
                    [threshold is None or final < threshold], extra)
 

@@ -420,10 +420,15 @@ _TERM = re.compile(
     r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?[ijk]?|[ijk])")
 
 
+# The one text form of a quaternion's four components, for a single % or as
+# part of a larger template.
+QUATERNION_TEMPLATE = "%.17g%+.17gi%+.17gj%+.17gk"
+
+
 def format_quaternion(q: Quaternion) -> str:
     """Render q, or any 4-tuple of floats, as "a+bi+cj+dk" with full round-trip
     (17 digit) precision; -0.0 keeps its sign and NaN prints as +nan."""
-    return "%.17g%+.17gi%+.17gj%+.17gk" % q
+    return QUATERNION_TEMPLATE % q
 
 
 def parse_quaternion(text: str) -> Quaternion:

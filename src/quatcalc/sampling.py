@@ -17,10 +17,11 @@ from .quaternion import Quaternion
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for substream ``stream`` of the run seeded by ``seed``, a
-    nonnegative integer (numpy's too): numpy takes True as seed 1."""
-    if not isinstance(seed, Integral) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    """Generator for substream ``stream`` of the run seeded by ``seed``, both
+    nonnegative integers (numpy's too): numpy takes True as seed 1."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
     root = np.random.SeedSequence(seed)
     children = root.spawn(stream + 1)
     return np.random.Generator(np.random.Philox(children[stream]))

@@ -11,6 +11,7 @@ import pytest
 
 from quatcalc import cli, derivatives, identities, tables, theorems
 from quatcalc.cli import main
+from quatcalc.filters import ExperimentConfig, run_experiment
 from quatcalc.quaternion import QArray, format_quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 
@@ -182,12 +183,15 @@ def oracle_table_rows(specs, points, rng, tol, oks):
                            cli._fmt(residual), cli._fmt_pass(ok))
 
 
-@pytest.mark.parametrize("axis_modulus", [0.1, 1.5], ids=["default", "rejecting"])
-def test_table_writes_the_one_point_draws_bytes(axis_modulus, tmp_path, capsys,
-                                                 monkeypatch):
+@pytest.mark.parametrize("axis_modulus,tol,failures", [
+    (0.1, cli.TABLE_TOLERANCES["table"], 0), (1.5, cli.TABLE_TOLERANCES["table"], 0),
+    (0.1, 1e-10, 21)], ids=["default", "rejecting", "mixed"])
+def test_table_writes_the_one_point_draws_bytes(axis_modulus, tol, failures, tmp_path,
+                                                 capsys, monkeypatch):
     # Seven points in chunks of three; power draws one point at a time, the
     # others in bulk.  An axis bound of 1.5 rejects about one axis in ten,
-    # so the bulk draws replay.
+    # so the bulk draws replay.  At 1e-10 some rows pass and some fail, so
+    # the pass column and the order of the verdicts show.
     families = ("power", "linear_unit_vector", "conj_inverse", "square", "exponential")
     monkeypatch.setattr(cli, "TABLE_CHUNK", 3)
     monkeypatch.setattr(tables, "AXIS_MODULUS", axis_modulus)
@@ -195,15 +199,20 @@ def test_table_writes_the_one_point_draws_bytes(axis_modulus, tmp_path, capsys,
     sample_one = tables._sample_one
     monkeypatch.setattr(tables, "_sample_one", lambda spec, rng: replays.append(
         spec.name) or sample_one(spec, rng))
-    argv = ["table", "--points", "7", "--seed", "5", "--out", str(tmp_path / "t.csv")]
-    assert main(argv + [arg for name in families for arg in ("--family", name)]) == 0
-    capsys.readouterr()
+    out = tmp_path / "t.csv"
+    argv = ["table", "--points", "7", "--seed", "5", "--tol", f"table={tol!r}",
+            "--out", str(out)]
+    code = main(argv + [arg for name in families for arg in ("--family", name)])
+    assert code == (cli.EXIT_FAIL if failures else cli.EXIT_PASS)
+    assert capsys.readouterr().out == (
+        f"wrote {out}\nderivative table: 70 checks, {failures} failures "
+        f"(5 families, 7 points each)\n{'FAIL' if failures else 'PASS'}\n")
     oks = []
     specs = [spec for spec in tables.catalogue() if spec.name in families]
-    rows = oracle_table_rows(specs, 7, make_rng(5), cli.TABLE_TOLERANCES["table"], oks)
+    rows = oracle_table_rows(specs, 7, make_rng(5), tol, oks)
     expected = "".join(",".join(row) + "\n" for row in [HEADERS["table"], *rows])
-    assert (tmp_path / "t.csv").read_text() == expected
-    assert all(oks) and len(oks) == 2 * 7 * len(families)
+    assert out.read_text() == expected
+    assert len(oks) == 2 * 7 * len(families) and oks.count(False) == failures
     assert replays.count("power") == 7
     assert (len(replays) > 7) == (axis_modulus > 0.1)
 
@@ -212,7 +221,7 @@ def test_write_csv_leaves_empty_fields_bare(tmp_path, capsys):
     # verify leaves mu and nu blank on records without an axis.
     header, rows = ("a", "b", "c"), [("x", "", ""), ("", "y", "")]
     ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
-    cli._write_csv(str(ours), header, rows)
+    cli._write_csv(str(ours), header, cli._lines(rows))
     assert capsys.readouterr().out == f"wrote {ours}\n"
     with open(theirs, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -378,6 +387,22 @@ def test_filter_custom_config(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["filter", "--config", str(path)]) == 0
     assert "qlms run" in capsys.readouterr().out
+
+
+def test_filter_body_is_one_line_per_step_of_the_curves(tmp_path, capsys):
+    config = {"variant": "qlms",
+              "taps": [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]],
+              "alpha": 0.02, "steps": 7, "snr_db": 40, "seed": 3}
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    assert main(["filter", "--config", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    result = run_experiment(ExperimentConfig(**config))
+    lines = ["%d,%.17g,%.17g\n" % row for row in
+             zip(range(7), result.mse_curve, result.weight_error_curve)]
+    assert out.read_text() == "step,sq_error,weight_error\n" + "".join(lines)
+    assert len(result.mse_curve) == len(result.weight_error_curve) == 7
 
 
 def test_filter_threshold_failure(tmp_path, capsys):

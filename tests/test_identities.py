@@ -507,6 +507,19 @@ def test_a_numpy_integer_seed_runs_as_its_int(caller):
     assert SEEDED[caller](np.int64(7)) == SEEDED[caller](7)
 
 
+@pytest.mark.parametrize("stream", [2.0, True, False, -1, -3, "1", None])
+def test_streams_that_are_not_a_nonnegative_count_are_rejected(stream):
+    # True silently ran stream 1; numpy raised an IndexError on -1, an
+    # OverflowError on -3 and a TypeError on 2.0.
+    with pytest.raises(ValueError, match="stream must be a nonnegative integer") as info:
+        make_rng(7, stream)
+    assert repr(stream) in str(info.value)
+
+
+def test_a_numpy_integer_stream_runs_as_its_int():
+    assert make_rng(7, np.int64(1)).random(4).tolist() == make_rng(7, 1).random(4).tolist()
+
+
 def test_every_tolerance_judges_exactly_its_record_kinds():
     assert set(TOLERANCE_KINDS) == set(DEFAULT_TOLERANCES)
     base = run_identity_suite(points=2)
