@@ -121,13 +121,11 @@ def _report(path: Optional[str], header: Sequence[str],
 
     ``blocks`` is the CSV body as text, one or more whole lines per block:
     a row's line from _lines, or a chunk of rows from one template.  It is
-    consumed once, whether or not there is a CSV to write, and may fill
-    ``oks`` as it goes.
+    consumed once, and only when there is a CSV to write.  It may fill
+    ``oks`` as it goes; a caller whose verdicts come that way makes them
+    itself when there is no path.
     """
-    if path is None:
-        for _ in blocks:
-            pass
-    else:
+    if path is not None:
         _write_csv(path, header, blocks)
     failures = sum(1 for ok in oks if not ok)
     line = f"{title}: {len(oks)} checks, {failures} failures"
@@ -193,43 +191,51 @@ def cmd_table(args: argparse.Namespace) -> int:
             raise CliError(f"unknown families: {', '.join(sorted(missing))}")
         specs = tuple(s for s in specs if s.name in args.family)
     oks: list[bool] = []
-    rows = _table_rows(specs, points, make_rng(args.seed), tols["table"], oks)
+    chunks = _table_checks(specs, points, make_rng(args.seed), tols["table"], oks)
+    if args.out is None:
+        # The verdicts come from the residuals alone: no row text is made.
+        for _ in chunks:
+            pass
     return _report(args.out, ("family", "point", "mu", "column", "closed_form",
-                              "numerical", "residual", "pass"), rows,
+                              "numerical", "residual", "pass"), map(_table_block, chunks),
                    "derivative table", oks,
                    f"{len(specs)} families, {points} points each")
 
 
-def _table_rows(specs, points: int, rng, tol: float, oks: list[bool]):
-    """The table's CSV text, one block per chunk of points.  A block is one
-    % of the family's row-pair template repeated once per point: the point's
-    mu row, then its mu_conj row.  Their verdicts go to ``oks`` in that order
-    as the block is made."""
+def _table_checks(specs, points: int, rng, tol: float, oks: list[bool]):
+    """The table's cross-checks, one chunk of points at a time: (family,
+    points, axes, CrossCheck, verdicts[point, row]).  Each point's mu row,
+    then its mu_conj row, adds its verdict to ``oks`` as the chunk is made."""
     for spec in specs:
-        pair = "".join(f"{spec.name},%s,{column},{QUATERNION_TEMPLATE},"
-                       f"{QUATERNION_TEMPLATE},%.17g,%s\n" for column in ("mu", "mu_conj"))
-        point_axis = f"{QUATERNION_TEMPLATE},{QUATERNION_TEMPLATE}"
         for start in range(0, points, TABLE_CHUNK):
-            count = min(TABLE_CHUNK, points - start)
-            entry, qs, mus = tables.sample_batch(spec, rng, count)
+            entry, qs, mus = tables.sample_batch(spec, rng, min(TABLE_CHUNK, points - start))
             check = tables.cross_validate(entry, qs, mus)
             # A CrossCheck's fields alternate between the mu and mu_conj columns.
-            residuals = np.stack(check[4:], axis=1)
-            passed = residuals <= tol
+            passed = np.stack(check[4:], axis=1) <= tol
             oks.extend(passed.ravel().tolist())
-            # "point,axis" is formatted once per point, for both of its rows.
-            located = [point_axis % tuple(c)
-                       for c in np.concatenate((qs.c, mus.c)).T.tolist()]
-            # cells[point, row]: "point,axis", the closed form's and the
-            # numerical components, residual, verdict.  The four quaternion
-            # fields stack as (closed/numerical, row, component, point).
-            cells = np.empty((count, 2, 11), dtype=object)
-            cells[:, :, 0] = np.array(located, dtype=object)[:, None]
-            cells[:, :, 1:9] = np.stack([field.c for field in check[:4]]) \
-                .reshape(2, 2, 4, count).transpose(3, 1, 0, 2).reshape(count, 2, 8)
-            cells[:, :, 9] = residuals
-            cells[:, :, 10] = np.where(passed, "true", "false")
-            yield pair * count % tuple(cells.ravel().tolist())
+            yield spec.name, qs, mus, check, passed
+
+
+def _table_block(chunk) -> str:
+    """A chunk's CSV text: the family's row-pair template, one % repeated
+    once per point, the point's mu row and then its mu_conj row."""
+    family, qs, mus, check, passed = chunk
+    count = len(passed)
+    pair = "".join(f"{family},%s,{column},{QUATERNION_TEMPLATE},"
+                   f"{QUATERNION_TEMPLATE},%.17g,%s\n" for column in ("mu", "mu_conj"))
+    point_axis = f"{QUATERNION_TEMPLATE},{QUATERNION_TEMPLATE}"
+    # "point,axis" is formatted once per point, for both of its rows.
+    located = [point_axis % tuple(c) for c in np.concatenate((qs.c, mus.c)).T.tolist()]
+    # cells[point, row]: "point,axis", the closed form's and the numerical
+    # components, residual, verdict.  The four quaternion fields stack as
+    # (closed/numerical, row, component, point).
+    cells = np.empty((count, 2, 11), dtype=object)
+    cells[:, :, 0] = np.array(located, dtype=object)[:, None]
+    cells[:, :, 1:9] = np.stack([field.c for field in check[:4]]) \
+        .reshape(2, 2, 4, count).transpose(3, 1, 0, 2).reshape(count, 2, 8)
+    cells[:, :, 9] = np.stack(check[4:], axis=1)
+    cells[:, :, 10] = np.where(passed, "true", "false")
+    return pair * count % tuple(cells.ravel().tolist())
 
 
 # The functions mvt and taylor differentiate are catalogue entries, but
@@ -392,18 +398,21 @@ def cmd_filter(args: argparse.Namespace) -> int:
         print(f"filter: {exc}")
         print("FAIL")
         return EXIT_FAIL
-    # The whole body from one template, a line per step: the bytes of
-    # str(step) and _fmt of the two errors, joined by commas.
-    steps = len(result.mse_curve)
-    body = "%d,%.17g,%.17g\n" * steps % tuple(chain.from_iterable(
-        zip(range(steps), result.mse_curve, result.weight_error_curve)))
     final = result.final_weight_error
     extra = f"{result.steps} steps, final weight error {_fmt(final)}"
     if threshold is not None:
         extra += f", threshold {_fmt(threshold)}"
-    return _report(args.out, ("step", "sq_error", "weight_error"), (body,),
+    return _report(args.out, ("step", "sq_error", "weight_error"), _filter_body(result),
                    f"{config.variant} run",
                    [threshold is None or final < threshold], extra)
+
+
+def _filter_body(result):
+    """The whole CSV body as one block from one template, a line per step:
+    the bytes of str(step) and _fmt of the two errors, joined by commas."""
+    steps = len(result.mse_curve)
+    yield "%d,%.17g,%.17g\n" * steps % tuple(chain.from_iterable(
+        zip(range(steps), result.mse_curve, result.weight_error_curve)))
 
 
 @functools.lru_cache(maxsize=1)

@@ -14,7 +14,11 @@ next to each other.
 
 Parameters omega, nu, lam are fixed quaternion constants; g always denotes
 the inner linear map omega*q*nu + lam, and f the value of the family at the
-point.  Each conj_* family is its base family at q*, derived by conj_input.
+point.  Twelve families are written out, each in one _register row; the
+other sixteen are derived from them.  Each linear_* family is its base
+family at g, derived by affine_input with the GHR chain rule summed over
+the axes 1, i, j, k.  Each conj_* family is its base family at q*, derived
+by conj_input with its two columns swapped.
 
 Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
@@ -42,7 +46,8 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import takes_arrays
-from .quaternion import ONE, ZERO, QArray, Quaternion, _by_floats, _times, anywhere, rotate
+from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
+                         _times, anywhere, rotate)
 from .sampling import MAX_DRAWS, random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -123,6 +128,53 @@ def conj_input(name: str, base: FamilySpec) -> FamilySpec:
                    sample_entry=lambda rng: replace(base.sample_entry(rng), family=name))
 
 
+# The chain rule's axes eta = 1, i, j, k, each with its inverse eta*.
+_ETAS = tuple((eta, eta.conjugate()) for eta in (ONE, I, J, K))
+# The same axes as one (component, eta) array.
+_STACKED_ETAS = np.array([eta for eta, _ in _ETAS]).T
+
+
+def affine_input(name: str, base: FamilySpec) -> FamilySpec:
+    """The family f(q) = base(g), g = omega q nu + lam.
+
+    Its value, domain guard and sampler test are the base's at g, and it
+    draws omega, nu and lam.  Its columns come by the GHR chain rule,
+    summed over the four axes eta:
+
+        d f / d q^mu = sum over eta of d base / d g^eta * d g^eta / d q^mu
+
+    and the same with q^(mu*).  g^eta = (eta omega) q (nu eta^-1) + eta lam
+    eta^-1 is again a linear entry, so each term is the base's mu column
+    at (g, eta), times eta^-1, times linear's column at q.  A Quaternion
+    point sums the four terms one by one, on Python floats; a QArray
+    stacks the four eta on a leading element axis and adds its slices in
+    the same order, with the same bits.
+    """
+    def terms(entry, g, q, mu, eta, eta_inv):
+        outer = base.columns(entry, g, eta).d_mu_times_mu * eta_inv
+        inner = TableEntry("linear", omega=eta * entry.omega, nu=entry.nu * eta_inv,
+                           lam=eta * entry.lam * eta_inv)
+        return [outer * column for column in _linear_cols(inner, q, mu)]
+
+    def columns(entry, q, mu):
+        g = _linear_inner(entry, q)
+        if not isinstance(g, QArray):
+            by_column = zip(*(terms(entry, g, q, mu, eta, eta_inv) for eta, eta_inv in _ETAS))
+            return EntryDerivatives(*(sum(rest, first) for first, *rest in by_column))
+        eta = QArray(_STACKED_ETAS.reshape((4, 4) + (1,) * (g.c.ndim - 1)))
+        return EntryDerivatives(*(QArray(_add_terms(*np.moveaxis(column.c, 1, 0)))
+                                  for column in terms(entry, g, q, mu, eta, eta.conjugate())))
+
+    def domain(entry, q):
+        violation = base.domain(entry, _linear_inner(entry, q))
+        return f"{violation} at omega q nu + lam" if violation else None
+
+    return replace(base, name=name, columns=columns, domain=domain,
+                   value=lambda entry, q: base.value(entry, _linear_inner(entry, q)),
+                   admissible=lambda entry, q: base.admissible(entry, _linear_inner(entry, q)),
+                   sample_entry=_sampler(name, _AFFINE), params=_AFFINE)
+
+
 def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
     return entry.omega * q * entry.nu + entry.lam
 
@@ -149,8 +201,6 @@ class Guard:
 _UNGUARDED = Guard("", lambda e, q: math.inf, 0.0)
 _MODULUS = Guard("|q|", lambda e, q: q.modulus(), 0.1)
 _VECTOR = Guard("|Im(q)|", lambda e, q: q.vector_modulus(), 0.2)
-_INNER = Guard("|omega q nu + lam|",
-               lambda e, q: _linear_inner(e, q).modulus(), 0.1)
 
 
 def _is_count(value) -> bool:
@@ -176,6 +226,11 @@ _PARAMS = {
 _AFFINE = ("omega", "nu", "lam")
 
 
+def _sampler(name: str, params: tuple[str, ...]) -> Callable[[np.random.Generator], TableEntry]:
+    """A family's entry draw: each of its parameters, in order."""
+    return lambda rng: TableEntry(family=name, **{p: _PARAMS[p].draw(rng) for p in params})
+
+
 def _cube(x):
     return x ** 3
 
@@ -198,20 +253,6 @@ def _square_cols(e, q, mu):
     return EntryDerivatives(col1, col2)
 
 
-def _linear_square_value(e, q):
-    g = _linear_inner(e, q)
-    return g * g
-
-
-def _linear_square_cols(e, q, mu):
-    g = _linear_inner(e, q)
-    nm = e.nu * mu
-    ngm = e.nu * g * mu
-    col1 = (g * e.omega) * nm.a + e.omega * ngm.a
-    col2 = (g * e.omega * nm.conjugate()) * -0.5 + (e.omega * ngm.conjugate()) * -0.5
-    return EntryDerivatives(col1, col2)
-
-
 def _inverse_value(e, q):
     return q.inverse()
 
@@ -223,18 +264,6 @@ def _inverse_cols(e, q, mu):
     return EntryDerivatives(col1, col2)
 
 
-def _linear_inverse_value(e, q):
-    return _linear_inner(e, q).inverse()
-
-
-def _linear_inverse_cols(e, q, mu):
-    fv = _linear_inner(e, q).inverse()
-    nfm = e.nu * fv * mu
-    col1 = (fv * e.omega) * -nfm.a
-    col2 = (fv * e.omega * nfm.conjugate()) * 0.5
-    return EntryDerivatives(col1, col2)
-
-
 def _real_part_value(e, q):
     return type(q).from_real(q.a)
 
@@ -242,16 +271,6 @@ def _real_part_value(e, q):
 def _real_part_cols(e, q, mu):
     quarter = mu * 0.25
     return EntryDerivatives(quarter, quarter)
-
-
-def _linear_real_part_value(e, q):
-    return type(q).from_real(_linear_inner(e, q).a)
-
-
-def _linear_real_part_cols(e, q, mu):
-    col1 = (mu * e.nu * e.omega) * 0.25
-    col2 = (mu * e.omega.conjugate() * e.nu.conjugate()) * 0.25
-    return EntryDerivatives(col1, col2)
 
 
 def _vector_modulus_value(e, q):
@@ -299,24 +318,6 @@ def _unit_vector_cols(e, q, mu):
     return EntryDerivatives(col1, col2)
 
 
-def _linear_unit_vector_value(e, q):
-    g = _linear_inner(e, q)
-    return g / g.modulus()
-
-
-def _linear_unit_vector_cols(e, q, mu):
-    g = _linear_inner(e, q)
-    mod = g.modulus()
-    mod3 = _by_floats(_cube, mod)
-    nm = e.nu * mu
-    wgm = e.omega.conjugate() * g * mu
-    col1 = e.omega * (nm.a / (2.0 * mod)) \
-        + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod3)
-    col2 = (e.omega * nm.conjugate()) * (-0.25 / mod) \
-        + (g * e.nu.conjugate()) * (-wgm.a / (2.0 * mod3))
-    return EntryDerivatives(col1, col2)
-
-
 def _modulus_value(e, q):
     return type(q).from_real(q.modulus())
 
@@ -332,35 +333,6 @@ def _modulus_squared_value(e, q):
 
 def _modulus_squared_cols(e, q, mu):
     return EntryDerivatives((mu * q.conjugate()) * 0.5, (mu * q) * 0.5)
-
-
-def _linear_modulus_value(e, q):
-    return type(q).from_real(_linear_inner(e, q).modulus())
-
-
-def _linear_modulus_cols(e, q, mu):
-    g = _linear_inner(e, q)
-    mod = g.modulus()
-    nm = e.nu * mu
-    wgm = e.omega.conjugate() * g * mu
-    col1 = (g.conjugate() * e.omega) * (nm.a / (2.0 * mod)) \
-        + (e.nu.conjugate() * wgm.conjugate()) * (-0.25 / mod)
-    col2 = (g.conjugate() * e.omega * nm.conjugate()) * (-0.25 / mod) \
-        + e.nu.conjugate() * (wgm.a / (2.0 * mod))
-    return EntryDerivatives(col1, col2)
-
-
-def _linear_modulus_squared_value(e, q):
-    return type(q).from_real(_linear_inner(e, q).modulus_squared())
-
-
-def _linear_modulus_squared_cols(e, q, mu):
-    g = _linear_inner(e, q)
-    nm = e.nu * mu
-    wgm = e.omega.conjugate() * g * mu
-    col1 = (g.conjugate() * e.omega) * nm.a + (e.nu.conjugate() * wgm.conjugate()) * -0.5
-    col2 = (g.conjugate() * e.omega * nm.conjugate()) * -0.5 + e.nu.conjugate() * wgm.a
-    return EntryDerivatives(col1, col2)
 
 
 def _power_value(e, q):
@@ -425,35 +397,33 @@ def _exponential_cols(e, q, mu):
 FAMILIES: dict[str, FamilySpec] = {}
 
 
+def _declare(spec: FamilySpec, conj: bool = False) -> None:
+    """Add a family, and with ``conj`` its conj_ twin right after it."""
+    FAMILIES[spec.name] = spec
+    if conj:
+        FAMILIES[f"conj_{spec.name}"] = conj_input(f"conj_{spec.name}", spec)
+
+
 def _register(name, value, columns, guard, params, scale_class,
               real_valued=False, conj=False):
-    """Declare a family, and with ``conj`` its conj_ twin right after it."""
-    FAMILIES[name] = FamilySpec(name=name, value=value, columns=columns,
-                                domain=guard.domain,
-                                sample_entry=lambda rng: TableEntry(
-                                    family=name,
-                                    **{p: _PARAMS[p].draw(rng) for p in params}),
-                                admissible=guard.admissible,
-                                scale_class=scale_class,
-                                real_valued=real_valued, params=params)
-    if conj:
-        FAMILIES[f"conj_{name}"] = conj_input(f"conj_{name}", FAMILIES[name])
+    """Declare a base family from its evaluator, columns, guard and parameters."""
+    _declare(FamilySpec(name=name, value=value, columns=columns,
+                        domain=guard.domain, sample_entry=_sampler(name, params),
+                        admissible=guard.admissible, scale_class=scale_class,
+                        real_valued=real_valued, params=params), conj)
 
 
 _register("linear", _linear_inner, _linear_cols, _UNGUARDED, _AFFINE, "linear",
           conj=True)
 _register("square", _square_value, _square_cols, _UNGUARDED, (), "quadratic",
           conj=True)
-_register("linear_square", _linear_square_value, _linear_square_cols, _UNGUARDED,
-          _AFFINE, "quadratic", conj=True)
+_declare(affine_input("linear_square", FAMILIES["square"]), conj=True)
 _register("inverse", _inverse_value, _inverse_cols, _MODULUS, (), "linear",
           conj=True)
-_register("linear_inverse", _linear_inverse_value, _linear_inverse_cols, _INNER,
-          _AFFINE, "linear", conj=True)
+_declare(affine_input("linear_inverse", FAMILIES["inverse"]), conj=True)
 _register("real_part", _real_part_value, _real_part_cols, _UNGUARDED, (),
           "linear", real_valued=True)
-_register("linear_real_part", _linear_real_part_value, _linear_real_part_cols,
-          _UNGUARDED, _AFFINE, "linear", real_valued=True, conj=True)
+_declare(affine_input("linear_real_part", FAMILIES["real_part"]), conj=True)
 _register("vector_modulus", _vector_modulus_value, _vector_modulus_cols, _VECTOR,
           (), "linear", real_valued=True)
 _register("unit_pure_axis", _unit_pure_axis_value, _unit_pure_axis_cols, _VECTOR,
@@ -463,17 +433,14 @@ _register("arctan_arg", _arctan_arg_value, _arctan_arg_cols, _VECTOR, (),
           "linear", real_valued=True)
 _register("unit_vector", _unit_vector_value, _unit_vector_cols, _MODULUS, (),
           "linear", conj=True)
-_register("linear_unit_vector", _linear_unit_vector_value,
-          _linear_unit_vector_cols, _INNER, _AFFINE, "linear", conj=True)
+_declare(affine_input("linear_unit_vector", FAMILIES["unit_vector"]), conj=True)
 _register("modulus", _modulus_value, _modulus_cols, _MODULUS, (), "linear",
           real_valued=True)
 _register("modulus_squared", _modulus_squared_value, _modulus_squared_cols,
           _UNGUARDED, (), "quadratic", real_valued=True)
-_register("linear_modulus", _linear_modulus_value, _linear_modulus_cols, _INNER,
-          _AFFINE, "linear", real_valued=True, conj=True)
-_register("linear_modulus_squared", _linear_modulus_squared_value,
-          _linear_modulus_squared_cols, _UNGUARDED, _AFFINE, "quadratic",
-          real_valued=True, conj=True)
+_declare(affine_input("linear_modulus", FAMILIES["modulus"]), conj=True)
+_declare(affine_input("linear_modulus_squared", FAMILIES["modulus_squared"]),
+         conj=True)
 _register("power", _power_value, _power_cols, _UNGUARDED, ("n",), "quadratic")
 _register("exponential", _exponential_value, _exponential_cols, _UNGUARDED,
           ("terms",), "quadratic")

@@ -230,16 +230,39 @@ def test_write_csv_leaves_empty_fields_bare(tmp_path, capsys):
     assert ours.read_bytes() == theirs.read_bytes() == b"a,b,c\nx,,\n,y,\n"
 
 
-def test_table_streams_its_rows_with_the_same_summary(tmp_path, capsys):
+@pytest.mark.parametrize("tol", [None, "1e-10"], ids=["default", "mixed"])
+def test_table_streams_its_rows_with_the_same_summary(tol, tmp_path, capsys, monkeypatch):
     argv = ["table", "--family", "linear", "--points", "5000"]
-    summary = "derivative table: 10000 checks, 0 failures (1 families, 5000 points each)"
+    argv += ["--tol", f"table={tol}"] if tol else []
     out = tmp_path / "t.csv"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert capsys.readouterr().out == f"wrote {out}\n{summary}\nPASS\n"
-    assert len(out.read_text().splitlines()) == 1 + 10000
-    # Without --out the rows are still made, and their verdicts counted.
-    assert main(argv) == 0
-    assert capsys.readouterr().out == f"{summary}\nPASS\n"
+    code = main(argv + ["--out", str(out)])
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 10000
+    failures = sum(row.endswith(",false") for row in rows)
+    # At 1e-10 some rows pass and some fail.
+    assert (0 < failures < 10000) if tol else failures == 0
+    assert code == (cli.EXIT_FAIL if failures else cli.EXIT_PASS)
+    summary = (f"derivative table: 10000 checks, {failures} failures "
+               f"(1 families, 5000 points each)\n{'FAIL' if failures else 'PASS'}\n")
+    assert capsys.readouterr().out == f"wrote {out}\n{summary}"
+    # Without --out no row text is made; the verdicts come from the residuals.
+    monkeypatch.setattr(cli, "_table_block", lambda chunk: pytest.fail("row text made"))
+    assert main(argv) == code
+    assert capsys.readouterr().out == summary
+
+
+def test_filter_makes_no_csv_text_without_out(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "f.csv"
+    assert main(["filter", "--out", str(out)]) == cli.EXIT_PASS
+    summary = capsys.readouterr().out.split("\n", 1)[1]
+
+    def unformatted(result):
+        pytest.fail("CSV text made")
+        yield
+
+    monkeypatch.setattr(cli, "_filter_body", unformatted)
+    assert main(["filter"]) == cli.EXIT_PASS
+    assert capsys.readouterr().out == summary
 
 
 def test_table_unwritable_out_exits_2(tmp_path, capsys):

@@ -23,10 +23,10 @@ GOLDEN = {
     ("verify", "--points", "150"):
         "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
     ("table",):
-        "d5f55050b79a0e4563304fe67c6e260549ceb5363a94e721951b22e191d94bd6",
+        "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
     # The derivative_table benchmark workload's call.
     ("table", "--points", "200"):
-        "42a7419ec7265832a669cc6d991dafeced45c6b71a7f3288fcfcb7ae194b06a3",
+        "8e78e270b0df60fb8c99f63f3b995ef5b41ad4ef72f7053121fed5405d679c71",
     ("mvt",):
         "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
     ("taylor",):

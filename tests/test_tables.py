@@ -272,6 +272,123 @@ def test_missing_or_ill_typed_parameter_is_a_value_error(entry, param):
         as_function(entry)
 
 
+# --- the chain rule against hand-written columns ---------------------------------
+#
+# Each linear_* family is its base family at g = omega q nu + lam, and
+# tables.affine_input derives its columns by the GHR chain rule.  Below are
+# the same columns worked out by hand, an independent closed form for both
+# Quaternion and QArray arguments.  ORACLE_TOL is in the table's relative
+# measure, |derived - oracle| / (1 + |oracle|).
+
+ORACLE_TOL = 1e-14
+
+
+def _inner(e, q):
+    return e.omega * q * e.nu + e.lam
+
+
+def _linear_square_cols(e, q, mu):
+    g = _inner(e, q)
+    nm = e.nu * mu
+    ngm = e.nu * g * mu
+    col1 = (g * e.omega) * nm.a + e.omega * ngm.a
+    col2 = (g * e.omega * nm.conjugate()) * -0.5 + (e.omega * ngm.conjugate()) * -0.5
+    return col1, col2
+
+
+def _linear_inverse_cols(e, q, mu):
+    fv = _inner(e, q).inverse()
+    nfm = e.nu * fv * mu
+    col1 = (fv * e.omega) * -nfm.a
+    col2 = (fv * e.omega * nfm.conjugate()) * 0.5
+    return col1, col2
+
+
+def _linear_real_part_cols(e, q, mu):
+    col1 = (mu * e.nu * e.omega) * 0.25
+    col2 = (mu * e.omega.conjugate() * e.nu.conjugate()) * 0.25
+    return col1, col2
+
+
+def _linear_unit_vector_cols(e, q, mu):
+    g = _inner(e, q)
+    mod = g.modulus()
+    mod3 = mod * mod * mod
+    nm = e.nu * mu
+    wgm = e.omega.conjugate() * g * mu
+    col1 = e.omega * (nm.a / (2.0 * mod)) \
+        + (g * e.nu.conjugate() * wgm.conjugate()) * (0.25 / mod3)
+    col2 = (e.omega * nm.conjugate()) * (-0.25 / mod) \
+        + (g * e.nu.conjugate()) * (-wgm.a / (2.0 * mod3))
+    return col1, col2
+
+
+def _linear_modulus_cols(e, q, mu):
+    g = _inner(e, q)
+    mod = g.modulus()
+    nm = e.nu * mu
+    wgm = e.omega.conjugate() * g * mu
+    col1 = (g.conjugate() * e.omega) * (nm.a / (2.0 * mod)) \
+        + (e.nu.conjugate() * wgm.conjugate()) * (-0.25 / mod)
+    col2 = (g.conjugate() * e.omega * nm.conjugate()) * (-0.25 / mod) \
+        + e.nu.conjugate() * (wgm.a / (2.0 * mod))
+    return col1, col2
+
+
+def _linear_modulus_squared_cols(e, q, mu):
+    g = _inner(e, q)
+    nm = e.nu * mu
+    wgm = e.omega.conjugate() * g * mu
+    col1 = (g.conjugate() * e.omega) * nm.a + (e.nu.conjugate() * wgm.conjugate()) * -0.5
+    col2 = (g.conjugate() * e.omega * nm.conjugate()) * -0.5 + e.nu.conjugate() * wgm.a
+    return col1, col2
+
+
+LINEAR_ORACLES = {
+    "linear_square": _linear_square_cols,
+    "linear_inverse": _linear_inverse_cols,
+    "linear_real_part": _linear_real_part_cols,
+    "linear_unit_vector": _linear_unit_vector_cols,
+    "linear_modulus": _linear_modulus_cols,
+    "linear_modulus_squared": _linear_modulus_squared_cols,
+}
+
+
+def _oracle(family, entry, q, mu):
+    """The hand-written columns of a linear_* family, or of its conj_ twin:
+    the base's at q*, swapped."""
+    if family.startswith("conj_"):
+        col_mu, col_mu_conj = LINEAR_ORACLES[family[len("conj_"):]](entry, q.conjugate(), mu)
+        return col_mu_conj, col_mu
+    return LINEAR_ORACLES[family](entry, q, mu)
+
+
+def _oracle_residual(derived, oracle):
+    return abs(derived - oracle) / (1.0 + abs(oracle))
+
+
+def test_the_oracle_covers_every_linear_family():
+    derived = {name for name in ALL_FAMILIES if "linear_" in name}
+    assert derived == set(LINEAR_ORACLES) | {f"conj_{name}" for name in LINEAR_ORACLES}
+
+
+@pytest.mark.parametrize("family", sorted(
+    [*LINEAR_ORACLES, *(f"conj_{name}" for name in LINEAR_ORACLES)]))
+def test_derived_linear_columns_meet_the_hand_written_oracle(family):
+    # 200 table draws, checked as one batch and then one point at a time.
+    count = 200
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=10), count)
+    for derived, oracle in zip(derivative(entry, q, mu), _oracle(family, entry, q, mu)):
+        assert _oracle_residual(derived, oracle).max() <= ORACLE_TOL
+    points = [Quaternion(*p) for p in q.c.T.tolist()]
+    axes = [Quaternion(*m) for m in mu.c.T.tolist()]
+    for one, point, axis in zip(tables._unstacked(entry, count), points, axes):
+        for derived, oracle in zip(derivative(one, point, axis),
+                                   _oracle(family, one, point, axis)):
+            assert type(derived.a) is float
+            assert _oracle_residual(derived, oracle) <= ORACLE_TOL
+
+
 # --- batched cross-validation ------------------------------------------------
 
 def _draws(spec, rng, count):
