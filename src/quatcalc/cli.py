@@ -9,7 +9,6 @@ same seed and options always produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -54,9 +53,8 @@ MVT_REFINEMENT_PANELS = (4, 16, 64, 256)
 MVT_FINAL_PANELS = 1000
 
 # ExperimentConfig's fields, those without a default required, and the threshold.
-CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)} | {"threshold"}
-CONFIG_REQUIRED = {field.name for field in dataclasses.fields(ExperimentConfig)
-                   if field.default is dataclasses.MISSING}
+CONFIG_KEYS = set(ExperimentConfig._fields) | {"threshold"}
+CONFIG_REQUIRED = set(ExperimentConfig._fields) - set(ExperimentConfig._field_defaults)
 
 
 class CliError(Exception):
@@ -378,7 +376,7 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
             variant=str(raw["variant"]), taps=raw["taps"],
             alpha=float(raw["alpha"]), steps=int(raw["steps"]),
             snr_db=float(raw["snr_db"]), seed=int(raw["seed"]),
-            kind=str(raw.get("kind", ExperimentConfig.kind)),
+            kind=str(raw.get("kind", ExperimentConfig._field_defaults["kind"])),
             nonlinearity=raw.get("nonlinearity"))
         threshold = raw.get("threshold")
         if threshold is not None:

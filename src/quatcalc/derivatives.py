@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,9 +73,9 @@ class RealPartials(NamedTuple):
     d_qd: Quaternion
 
 
-@dataclass(frozen=True)
-class DerivativeSet:
-    """The eight HR derivatives of f at a point, in one flavor."""
+class DerivativeSet(NamedTuple):
+    """The eight HR derivatives of f at a point, in one flavor: d f/dq^eta
+    for eta = 1, i, j, k, then d f/dq^(eta*) in the same order."""
 
     wrt_q: Quaternion
     wrt_qi: Quaternion
@@ -86,11 +85,9 @@ class DerivativeSet:
     wrt_qic: Quaternion
     wrt_qjc: Quaternion
     wrt_qkc: Quaternion
-    flavor: str
 
     def wrt(self, axis: str, conj: bool = False) -> Quaternion:
-        name = {"1": "q", "i": "qi", "j": "qj", "k": "qk"}[axis]
-        return getattr(self, f"wrt_{name}c" if conj else f"wrt_{name}")
+        return self[AXES.index(axis) + (4 if conj else 0)]
 
     def differential(self, dq: Quaternion) -> Quaternion:
         """sum over eta in {1,i,j,k} of d f/dq^eta dq^eta, from zero in that order."""
@@ -100,8 +97,7 @@ class DerivativeSet:
         return total
 
 
-@dataclass(frozen=True)
-class GhrPair:
+class GhrPair(NamedTuple):
     """GHR derivatives with respect to q^mu and q^(mu*)."""
 
     d_mu: Quaternion
@@ -281,7 +277,7 @@ def hr_from_partials(parts, side: str) -> DerivativeSet:
     The partials may be Quaternions or QArrays; the set holds the same type.
     """
     plain, conj = zip(*(_project(parts, basis, side) for basis in _HR_BASES))
-    return DerivativeSet(*plain, *conj, flavor=side)
+    return DerivativeSet(*plain, *conj)
 
 
 def ghr_from_partials(parts, mu: Quaternion, side: str) -> GhrPair:
@@ -313,8 +309,7 @@ def right_ghr(f: QFunction, q: Quaternion | QArray, mu) -> GhrPair:
     return ghr_from_partials(real_partials(f, q), mu, "right")
 
 
-@dataclass(frozen=True)
-class SecondOrderSet:
+class SecondOrderSet(NamedTuple):
     """Nested second-order GHR derivatives for axes (mu, nu).
 
     ``mu_nu`` is d^2 f / dq^mu dq^nu, the outer mu-derivative of the inner

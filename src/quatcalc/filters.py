@@ -43,8 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +62,7 @@ DIVERGENCE_NORM = 1e6
 PhiFunction = Callable[[Quaternion], Quaternion]
 
 
-@dataclass(frozen=True)
-class FilterState:
+class FilterState(NamedTuple):
     """State of one adaptive filter between samples.
 
     ``weights`` holds one vector for qlms/qngd and the four branch vectors
@@ -115,7 +113,7 @@ def _sample_step(variant: str, state: FilterState, x: Sequence[Quaternion], d: Q
         new, e = _step(weights, _taps_array(x), np.array(d, dtype=float), state.alpha, phi)
     branches = tuple(tuple(Quaternion(*q) for q in branch)
                      for branch in new.transpose(1, 2, 0).tolist())
-    return (replace(state, weights=branches, iteration=state.iteration + 1),
+    return (state._replace(weights=branches, iteration=state.iteration + 1),
             Quaternion(*e.tolist()))
 
 
@@ -338,8 +336,7 @@ def generate_signal(kind: str, taps: Taps, n: int, snr_db: float,
             for window, d in zip(windows, desired.tolist())]
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything needed to reproduce one adaptation run."""
 
     variant: str
@@ -352,13 +349,11 @@ class ExperimentConfig:
     nonlinearity: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     mse_curve: tuple[float, ...]
     weight_error_curve: tuple[float, ...]
     final_weight_error: float
     steps: int
-    seed: int
 
 
 def _qngd_errors(phi: PhiFunction, s: np.ndarray,
@@ -457,10 +452,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
     if config.nonlinearity is not None and config.variant != "qngd":
         raise ValueError(f"nonlinearity applies to qngd only, not {config.variant}")
+    # bool is an Integral, so True would run as 1; make_rng refuses it as a seed too.
+    for key, kind, expected in (("alpha", numbers.Real, "a real number"),
+                                ("snr_db", numbers.Real, "a real number"),
+                                ("steps", numbers.Integral, "an integer")):
+        value = getattr(config, key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
     if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
         raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")
-    if not isinstance(config.steps, numbers.Integral):
-        raise ValueError(f"steps must be an integer, got {config.steps!r}")
     truth = _taps_array(config.taps)
     windows, desired = _signal_arrays(config.kind, truth, config.steps,
                                       config.snr_db, config.seed)
@@ -500,5 +500,4 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             weight_errors.extend(np.sqrt(err / ref if ref > 0.0 else err).tolist())
     return ExperimentResult(mse_curve=tuple(mse),
                             weight_error_curve=tuple(weight_errors),
-                            final_weight_error=weight_errors[-1],
-                            steps=config.steps, seed=config.seed)
+                            final_weight_error=weight_errors[-1], steps=config.steps)

@@ -25,7 +25,6 @@ one array pass, every table family evaluated once on its draws' points.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple, Optional
 
@@ -81,8 +80,7 @@ class IdentityRecord(NamedTuple):
     passed: bool
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     records: tuple[IdentityRecord, ...]
     product_skips: int
     chain_skips: int

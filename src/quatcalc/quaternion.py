@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -400,8 +399,7 @@ def involute_conj(q: Quaternion, axis: str) -> Quaternion:
     return involute(q, axis).conjugate()
 
 
-@dataclass(frozen=True)
-class MuBasis:
+class MuBasis(NamedTuple):
     """The rotated imaginary units i^mu, j^mu, k^mu of a nonzero axis mu."""
 
     i_mu: Quaternion

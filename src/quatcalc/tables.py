@@ -38,7 +38,6 @@ generator's end state are those of the one-point samplers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -59,8 +58,7 @@ AXIS_MODULUS = 0.1
 DEFAULT_EXP_TERMS = 30
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One instantiated family: the name plus whatever parameters it takes."""
 
     family: str
@@ -78,8 +76,7 @@ class EntryDerivatives(NamedTuple):
     d_mu_conj_times_mu: Quaternion
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Evaluator, derivative columns, guards and samplers for one family.
 
     ``admissible`` says which points the sampler keeps: the domain guard's
@@ -108,6 +105,21 @@ class FamilySpec:
                          f"{self.name} in {MAX_DRAWS} tries")
 
 
+def _at_input(name: str, base: FamilySpec, inner: Callable, where: str,
+              **rest) -> FamilySpec:
+    """The family named name whose value, domain guard and sampler test are
+    the base's at inner(entry, q); a domain message ends with ``where``.
+    ``rest`` gives its columns and whatever else it changes."""
+    def domain(entry, q):
+        violation = base.domain(entry, inner(entry, q))
+        return f"{violation}{where}" if violation else None
+
+    return base._replace(name=name, domain=domain,
+                         value=lambda entry, q: base.value(entry, inner(entry, q)),
+                         admissible=lambda entry, q: base.admissible(entry, inner(entry, q)),
+                         **rest)
+
+
 def conj_input(name: str, base: FamilySpec) -> FamilySpec:
     """The family f(q) = base(q*).
 
@@ -118,14 +130,8 @@ def conj_input(name: str, base: FamilySpec) -> FamilySpec:
         col_mu, col_mu_conj = base.columns(entry, q.conjugate(), mu)
         return EntryDerivatives(col_mu_conj, col_mu)
 
-    def domain(entry, q):
-        violation = base.domain(entry, q.conjugate())
-        return f"{violation} at q*" if violation else None
-
-    return replace(base, name=name, columns=columns, domain=domain,
-                   value=lambda entry, q: base.value(entry, q.conjugate()),
-                   admissible=lambda entry, q: base.admissible(entry, q.conjugate()),
-                   sample_entry=lambda rng: replace(base.sample_entry(rng), family=name))
+    return _at_input(name, base, lambda entry, q: q.conjugate(), " at q*", columns=columns,
+                     sample_entry=lambda rng: base.sample_entry(rng)._replace(family=name))
 
 
 # The chain rule's axes eta = 1, i, j, k, each with its inverse eta*.
@@ -144,43 +150,35 @@ def affine_input(name: str, base: FamilySpec) -> FamilySpec:
         d f / d q^mu = sum over eta of d base / d g^eta * d g^eta / d q^mu
 
     and the same with q^(mu*).  g^eta = (eta omega) q (nu eta^-1) + eta lam
-    eta^-1 is again a linear entry, so each term is the base's mu column
-    at (g, eta), times eta^-1, times linear's column at q.  A Quaternion
-    point sums the four terms one by one, on Python floats; a QArray
-    stacks the four eta on a leading element axis and adds its slices in
-    the same order, with the same bits.
+    eta^-1 is again a linear map, so each term is the base's mu column at
+    (g, eta), times eta^-1, times the column of that map, which reads only
+    its omega and nu.  A Quaternion point sums the four terms one by
+    one, on Python floats; a QArray stacks the four eta on a leading
+    element axis and adds its slices in the same order, with the same bits.
     """
-    def terms(entry, g, q, mu, eta, eta_inv):
+    def terms(entry, g, mu, eta, eta_inv):
         outer = base.columns(entry, g, eta).d_mu_times_mu * eta_inv
-        inner = TableEntry("linear", omega=eta * entry.omega, nu=entry.nu * eta_inv,
-                           lam=eta * entry.lam * eta_inv)
-        return [outer * column for column in _linear_cols(inner, q, mu)]
+        return [outer * column
+                for column in _linear_map_cols(eta * entry.omega, entry.nu * eta_inv, mu)]
 
     def columns(entry, q, mu):
         g = _linear_inner(entry, q)
         if not isinstance(g, QArray):
-            by_column = zip(*(terms(entry, g, q, mu, eta, eta_inv) for eta, eta_inv in _ETAS))
+            by_column = zip(*(terms(entry, g, mu, eta, eta_inv) for eta, eta_inv in _ETAS))
             return EntryDerivatives(*(sum(rest, first) for first, *rest in by_column))
         eta = QArray(_STACKED_ETAS.reshape((4, 4) + (1,) * (g.c.ndim - 1)))
         return EntryDerivatives(*(QArray(_add_terms(*np.moveaxis(column.c, 1, 0)))
-                                  for column in terms(entry, g, q, mu, eta, eta.conjugate())))
+                                  for column in terms(entry, g, mu, eta, eta.conjugate())))
 
-    def domain(entry, q):
-        violation = base.domain(entry, _linear_inner(entry, q))
-        return f"{violation} at omega q nu + lam" if violation else None
-
-    return replace(base, name=name, columns=columns, domain=domain,
-                   value=lambda entry, q: base.value(entry, _linear_inner(entry, q)),
-                   admissible=lambda entry, q: base.admissible(entry, _linear_inner(entry, q)),
-                   sample_entry=_sampler(name, _AFFINE), params=_AFFINE)
+    return _at_input(name, base, _linear_inner, " at omega q nu + lam", columns=columns,
+                     sample_entry=_sampler(name, _AFFINE), params=_AFFINE)
 
 
 def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
     return entry.omega * q * entry.nu + entry.lam
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(NamedTuple):
     """A size the family divides by: the domain needs it >= MIN_MODULUS,
     and sampled points need it >= margin."""
 
@@ -237,9 +235,14 @@ def _cube(x):
 
 # --- family evaluators and columns ------------------------------------------
 
+def _linear_map_cols(omega, nu, mu):
+    """The columns of q -> omega q nu + lam, the same at every q and lam."""
+    nm = nu * mu
+    return EntryDerivatives(omega * nm.a, (omega * nm.conjugate()) * -0.5)
+
+
 def _linear_cols(e, q, mu):
-    nm = e.nu * mu
-    return EntryDerivatives(e.omega * nm.a, (e.omega * nm.conjugate()) * -0.5)
+    return _linear_map_cols(e.omega, e.nu, mu)
 
 
 def _square_value(e, q):
@@ -599,7 +602,7 @@ def _batches(entries: Sequence[TableEntry]):
             # None where a point lacks it, which the entry check rejects.
             stacked[name] = QArray(list(zip(*values))) \
                 if all(isinstance(v, Quaternion) for v in values) else None
-        yield part, replace(entries[part[0]], **stacked)
+        yield part, entries[part[0]]._replace(**stacked)
 
 
 def _compare(closed: EntryDerivatives, pair: derivatives.GhrPair, mu) -> CrossCheck:
@@ -634,7 +637,7 @@ def _unstacked(entry: TableEntry, size: int) -> list[TableEntry]:
     """The size one-point entries of an entry with stacked coefficients."""
     columns = {name: [Quaternion(*c) for c in value.c.T.tolist()]
                for name, value in _stacked_coefficients(entry).items()}
-    return [replace(entry, **{name: column[k] for name, column in columns.items()})
+    return [entry._replace(**{name: column[k] for name, column in columns.items()})
             for k in range(size)]
 
 

@@ -11,9 +11,8 @@ optimization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -39,39 +38,30 @@ class DivergenceError(RuntimeError):
     """An iteration is moving away from any minimum."""
 
 
-@dataclass(frozen=True)
-class SegmentCheck:
+class SegmentCheck(NamedTuple):
     """Both sides of the mean value identity along one segment."""
 
-    q0: Quaternion
-    q1: Quaternion
     panels: int
     lhs: Quaternion
     rhs: Quaternion
     residual: float
 
 
-@dataclass(frozen=True)
-class TaylorFit:
+class TaylorFit(NamedTuple):
     """Remainder decay of the second-order expansion across shrinking scales."""
 
-    base_point: Quaternion
-    direction: Quaternion
     scales: tuple[float, ...]
     errors: tuple[float, ...]
     slope: float
     at_floor: bool
-    used: tuple[bool, ...]
 
 
-@dataclass(frozen=True)
-class DescentTrace:
+class DescentTrace(NamedTuple):
     """Iterates, objective values and gradient norms of a descent run."""
 
     iterates: tuple[Quaternion, ...]
     values: tuple[float, ...]
     grad_norms: tuple[float, ...]
-    step: float
 
 
 def _simpson(values: np.ndarray, width: float) -> Quaternion:
@@ -152,8 +142,7 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     checks = []
     for p, cols in zip(panels, columns):
         rhs = _simpson(values[:, cols], 1.0 / p)
-        checks.append(SegmentCheck(q0=q0, q1=q1, panels=p, lhs=lhs, rhs=rhs,
-                                   residual=abs(lhs - rhs)))
+        checks.append(SegmentCheck(panels=p, lhs=lhs, rhs=rhs, residual=abs(lhs - rhs)))
     return tuple(checks)
 
 
@@ -230,12 +219,11 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
         errors.append(err)
         used.append(err > floor)
     if sum(used) < 2:
-        return TaylorFit(q0, direction, scales, tuple(errors), float("nan"),
-                         True, tuple(used))
+        return TaylorFit(scales, tuple(errors), float("nan"), True)
     logs = np.log([s for s, u in zip(scales, used) if u])
     loge = np.log([e for e, u in zip(errors, used) if u])
     slope = float(np.polyfit(logs, loge, 1)[0])
-    return TaylorFit(q0, direction, scales, tuple(errors), slope, False, tuple(used))
+    return TaylorFit(scales, tuple(errors), slope, False)
 
 
 def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
@@ -276,5 +264,5 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
                 raise DivergenceError("step size too large")
         else:
             rising = 0
-    return DescentTrace(tuple(iterates), tuple(values), tuple(grad_norms), alpha)
+    return DescentTrace(tuple(iterates), tuple(values), tuple(grad_norms))
 

@@ -10,8 +10,7 @@ import sys
 import numpy as np
 
 from quatcalc.derivatives import conjugation_relation, left_hr, right_hr
-from quatcalc.filters import (ExperimentConfig, FilterState, qlms_step,
-                              run_experiment)
+from quatcalc.filters import ExperimentConfig, _step, run_experiment
 from quatcalc.identities import (DEFAULT_TOLERANCES, chain_rule_records,
                                  product_rule_records)
 from quatcalc.quaternion import (AXES, ONE, ZERO, Quaternion, involute,
@@ -212,8 +211,8 @@ def test_criterion_10_qlms_identification():
         w = tuple(random_quaternion(rng) for _ in range(4))
         x = tuple(random_quaternion(rng) for _ in range(4))
         d = random_quaternion(rng)
-        state = FilterState(variant="qlms", weights=(w,), alpha=0.01)
-        stepped, _ = qlms_step(state, x, d)
+        # One QLMS step of the run's kernel, on (4, 1, taps) component arrays.
+        stepped, _ = _step(np.array(w).T[:, None], np.array(x).T[:, None], np.array(d), 0.01)
         for m in range(4):
             def objective(wm, m=m):
                 probe = tuple(wm if idx == m else w[idx] for idx in range(4))
@@ -221,7 +220,7 @@ def test_criterion_10_qlms_identification():
                 return Quaternion.from_real(err.modulus_squared())
 
             grad = left_hr(objective, w[m]).wrt_qc
-            move = stepped.weights[0][m] - w[m]
+            move = Quaternion(*stepped[:, 0, m].tolist()) - w[m]
             worst_step = max(worst_step, abs(move - grad * (-2.0 * 0.01)))
     ok = result.final_weight_error < 1e-2 and worst_step <= 1e-6
     _report(ok,

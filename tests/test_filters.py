@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,7 +81,7 @@ def _oracle_qlms_step(state: FilterState, x, d: Quaternion):
     w = state.weights[0]
     e = d - _dot_t(w, x)
     new_w = _linear_update(w, x, e, state.alpha)
-    return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+    return state._replace(weights=(new_w,), iteration=state.iteration + 1), e
 
 
 def _oracle_wl_qlms_step(state: FilterState, x, d: Quaternion):
@@ -96,7 +95,7 @@ def _oracle_wl_qlms_step(state: FilterState, x, d: Quaternion):
     new_weights = tuple(
         tuple(w_m + (b_m * ec) * state.alpha for w_m, b_m in zip(w_vec, branch))
         for w_vec, branch in zip((h, g, u, v), branches))
-    return replace(state, weights=new_weights, iteration=state.iteration + 1), e
+    return state._replace(weights=new_weights, iteration=state.iteration + 1), e
 
 
 def _ghr_effective_error(phi, s: Quaternion, e: Quaternion) -> Quaternion:
@@ -127,7 +126,7 @@ def _qngd_oracle(effective_error):
             e = d - phi(s)
             e_eff = effective_error(phi, s, e)
         new_w = _linear_update(w, x, e_eff, state.alpha)
-        return replace(state, weights=(new_w,), iteration=state.iteration + 1), e
+        return state._replace(weights=(new_w,), iteration=state.iteration + 1), e
     return step
 
 
@@ -188,8 +187,8 @@ def _oracle_wl_qlms_real_step(state: FilterState, x, d: Quaternion):
     and the matrix mapped back."""
     matrix, e = _oracle_real_lms_step(_oracle_matrix(state.weights), _real_components(x), d,
                                       4.0 * state.alpha)
-    return (replace(state, weights=_oracle_branches(matrix, len(x)),
-                    iteration=state.iteration + 1), Quaternion(*e))
+    return (state._replace(weights=_oracle_branches(matrix, len(x)),
+                           iteration=state.iteration + 1), Quaternion(*e))
 
 
 def test_qlms_scalar_oracle():
@@ -217,8 +216,8 @@ def test_qlms_rejects_wrong_input_length():
     (qngd_step, qlms_state(2, 0.1)),
     (qngd_step, wl_qlms_state(2, 0.1)),
     # The right variant with the wrong branch count.
-    (qlms_step, replace(wl_qlms_state(2, 0.1), variant="qlms")),
-    (wl_qlms_step, replace(qlms_state(2, 0.1), variant="wl_qlms")),
+    (qlms_step, wl_qlms_state(2, 0.1)._replace(variant="qlms")),
+    (wl_qlms_step, qlms_state(2, 0.1)._replace(variant="wl_qlms")),
 ], ids=["wl_qlms-on-qlms", "wl_qlms-on-qngd", "qlms-on-wl_qlms", "qlms-on-qngd",
         "qngd-on-qlms", "qngd-on-wl_qlms", "qlms-four-branches", "wl_qlms-one-branch"])
 def test_step_rejects_another_variants_state(step, state):
@@ -503,6 +502,11 @@ def test_ar1_experiment_runs():
     ({"nonlinearity": "relu"}, "unknown nonlinearity"),
     ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
     ({"variant": "wl_qlms", "nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
+    ({"alpha": True}, "alpha must be a real number, got True"),
+    ({"alpha": "0.1"}, "alpha must be a real number"),
+    ({"snr_db": True}, "snr_db must be a real number, got True"),
+    ({"snr_db": False}, "snr_db must be a real number, got False"),
+    ({"steps": True}, "steps must be an integer, got True"),
 ])
 def test_run_experiment_rejects_bad_config(change, message, recwarn):
     config = ExperimentConfig(**{**dict(variant="qlms", taps=CHANNEL, alpha=0.01,
@@ -1033,7 +1037,7 @@ def test_wl_qlms_is_real_lms_with_four_times_the_step():
     # (x^b)* y^b over the four involutions gives 4 Re(x* y), so WL-QLMS is
     # plain real LMS on a 4 x 4N matrix with step 4 alpha.
     config, _ = _load_filter_config("wl_qlms")
-    config = replace(config, steps=2000)
+    config = config._replace(steps=2000)
     result = run_experiment(config)
     windows, desired = _signal_arrays(config.kind, _taps_array(config.taps),
                                       config.steps, config.snr_db, config.seed)

@@ -242,3 +242,54 @@ def draw(rng: np.random.Generator, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(children[0]))
 """
     assert sorted(_generator_calls(ast.parse(source))) == ["Generator", "Philox", "SeedSequence"]
+
+
+def _record_faults(tree) -> list[str]:
+    """What keeps a module from declaring every record as a NamedTuple: an
+    import of dataclasses, and each class with annotated fields that is
+    not a NamedTuple, by name or as typing.NamedTuple."""
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            faults += [f"import {alias.name}" for alias in node.names
+                       if alias.name.split(".")[0] == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+            faults.append(f"from {node.module} import")
+        elif isinstance(node, ast.ClassDef) \
+                and any(isinstance(item, ast.AnnAssign) for item in node.body) \
+                and "NamedTuple" not in {getattr(base, "id", getattr(base, "attr", None))
+                                         for base in node.bases}:
+            faults.append(f"class {node.name}")
+    return faults
+
+
+def test_every_record_is_a_named_tuple():
+    faults = {path.name: found for path in SRC.glob("*.py")
+              if (found := _record_faults(ast.parse(path.read_text())))}
+    assert faults == {}
+
+
+def test_a_record_fault_is_found_in_every_form():
+    source = """
+import dataclasses
+import typing
+from dataclasses import dataclass
+from typing import NamedTuple
+
+@dataclass(frozen=True)
+class Frozen:
+    x: float
+
+class Named(NamedTuple):
+    x: float
+
+class Qualified(typing.NamedTuple):
+    x: float
+
+class Plain:
+    def method(self):
+        y: float = 1.0
+        return y
+"""
+    assert _record_faults(ast.parse(source)) == [
+        "import dataclasses", "from dataclasses import", "class Frozen"]

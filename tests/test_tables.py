@@ -1,7 +1,6 @@
 """Closed-form derivative catalogue against the numerical engine."""
 
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -224,7 +223,7 @@ def test_conj_guard_is_base_guard_at_conjugate(family):
     for _ in range(20):
         entry = spec.sample_entry(rng)
         assert entry.family == family
-        base_entry = replace(entry, family=base.name)
+        base_entry = entry._replace(family=base.name)
         points = [random_quaternion(rng), ZERO]
         if entry.omega is not None:
             # q* = -omega^-1 lam nu^-1 zeroes the inner map omega q* nu + lam.
@@ -410,7 +409,7 @@ def _stacked(draws):
 
 def _stacked_entry(entries):
     """One entry for a run of one family, its coefficients stacked."""
-    return replace(entries[0], **{
+    return entries[0]._replace(**{
         name: QArray(list(zip(*(getattr(e, name) for e in entries))))
         for name in ("omega", "nu", "lam") if getattr(entries[0], name) is not None})
 
@@ -487,6 +486,18 @@ def test_function_of_entries_evaluates_each_points_own_entry_bitwise():
                     == [_hex(one(p)) for p in at_points]
 
 
+@pytest.mark.parametrize("family", ["square", "linear_square"])
+def test_a_batch_reads_a_table_entry_as_one_entry_not_as_its_fields(family):
+    # A TableEntry is a tuple of its fields.  At as many points as it has
+    # fields, reading it as a sequence of entries would pass the size check.
+    rng = make_rng(SEED, stream=11)
+    draws = _draws(FAMILIES[family], rng, len(TableEntry._fields))
+    entries, q, _ = _stacked(draws)
+    entry = _stacked_entry(entries)
+    assert _column_hex(as_function(entry)(q)) == [_hex(as_function(e)(p)) for e, p, _ in draws]
+    _assert_batch_matches_points(draws)
+
+
 def test_one_point_calls_stay_on_python_floats():
     rng = make_rng(SEED, stream=8)
     for spec in catalogue():
@@ -514,7 +525,7 @@ def _sample(name, count, seed=3):
 
 def _with(draws, k, **fields):
     entry, q, mu = draws[k]
-    draws[k] = (replace(entry, **fields.get("entry", {})), fields.get("q", q),
+    draws[k] = (entry._replace(**fields.get("entry", {})), fields.get("q", q),
                 fields.get("mu", mu))
     return draws
 
@@ -565,8 +576,8 @@ def test_stacked_batch_checks_its_coefficients_and_sizes():
     entries, q, mu = _stacked(_sample("linear", 4))
     entry = _stacked_entry(entries)
     with pytest.raises(ValueError, match=r"^linear: omega must be a Quaternion, got None$"):
-        cross_validate(replace(entry, omega=None), q, mu)
-    short = replace(entry, nu=QArray(entry.nu.c[:, :3]))
+        cross_validate(entry._replace(omega=None), q, mu)
+    short = entry._replace(nu=QArray(entry.nu.c[:, :3]))
     with pytest.raises(ValueError, match="one entry and one axis per point"):
         cross_validate(short, q, mu)
 
@@ -610,7 +621,7 @@ def test_bulk_draws_replay_rejections_bitwise(family, rejects, monkeypatch):
     # take the replay several times.
     spec = FAMILIES[family]
     if rejects == "point":
-        spec = replace(spec, admissible=_at_least_two)
+        spec = spec._replace(admissible=_at_least_two)
     else:
         monkeypatch.setattr(tables, "AXIS_MODULUS", 2.0)
     replays = []
@@ -632,7 +643,7 @@ def test_an_unreachable_point_exhausts_the_sampling_draw_budget():
     entry = TableEntry("linear_inverse", omega=ZERO, nu=ONE, lam=ZERO)
     tries = []
     spec = FAMILIES["linear_inverse"]
-    counting = replace(spec, admissible=lambda e, q: tries.append(q) or spec.admissible(e, q))
+    counting = spec._replace(admissible=lambda e, q: tries.append(q) or spec.admissible(e, q))
     with pytest.raises(ValueError, match="linear_inverse in 1000 tries"):
         counting.sample_point(entry, make_rng(1))
     assert len(tries) == sampling.MAX_DRAWS == 1000
