@@ -15,12 +15,12 @@ import math
 import sys
 from importlib import resources
 from itertools import chain
+from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import identities, tables, theorems
-from .derivatives import takes_arrays
 from .filters import ExperimentConfig, run_experiment
 from .quaternion import (ONE, QUATERNION_TEMPLATE, Quaternion, format_quaternion,
                          parse_quaternion)
@@ -236,24 +236,16 @@ def _table_block(chunk) -> str:
     return pair * count % tuple(cells.ravel().tolist())
 
 
-# The functions mvt and taylor differentiate are catalogue entries, but
-# for q^3: the catalogue's power starts from ONE, and ONE * q is not q where
-# a component of q is -0.0 or infinite.
+# The functions mvt and taylor differentiate are catalogue entries.
 _SQUARE = tables.as_function(TableEntry(family="square"))
 _MOD2 = tables.as_function(TableEntry(family="modulus_squared"))
 _EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
                                              terms=tables.DEFAULT_EXP_TERMS))
 
-
-@takes_arrays
-def _power3(p: Quaternion) -> Quaternion:
-    return p * p * p
-
-
 # (name, function, center branch).  The conjugate-sandwich quadratic form
 # only matches the expansion for real-valued functions, so the center
 # branch is checked on one.
-TAYLOR_FUNCTIONS = (("power3", _power3, False),
+TAYLOR_FUNCTIONS = (("power3", tables.as_function(TableEntry("power", n=3)), False),
                     ("exponential", _EXPONENTIAL, False),
                     ("modulus_squared", _MOD2, False),
                     ("modulus_squared", _MOD2, True))
@@ -363,29 +355,17 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
     missing = CONFIG_REQUIRED - set(raw)
     if missing:
         raise CliError(f"missing config keys: {', '.join(sorted(missing))}")
-    # float() and int() would take "0.1", True and False; JSON gives numbers.
-    for key in ("steps", "seed", "alpha", "snr_db", "threshold"):
-        if isinstance(raw.get(key), (bool, str)):
-            raise CliError(f"bad config value: {key} must be a number, got {raw[key]!r}")
+    # JSON has one number type: an integer-valued float counts as an integer.
     for key in ("steps", "seed"):
-        value = raw[key]
-        if isinstance(value, float) and not value.is_integer():
-            raise CliError(f"{key} must be an integer, got {value!r}")
-    try:
-        config = ExperimentConfig(
-            variant=str(raw["variant"]), taps=raw["taps"],
-            alpha=float(raw["alpha"]), steps=int(raw["steps"]),
-            snr_db=float(raw["snr_db"]), seed=int(raw["seed"]),
-            kind=str(raw.get("kind", ExperimentConfig._field_defaults["kind"])),
-            nonlinearity=raw.get("nonlinearity"))
-        threshold = raw.get("threshold")
-        if threshold is not None:
-            threshold = float(threshold)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad config value: {exc}")
-    if threshold is not None and not math.isfinite(threshold):
-        raise CliError(f"threshold must be finite, got {threshold!r}")
-    return config, threshold
+        if isinstance(raw[key], float) and raw[key].is_integer():
+            raw[key] = int(raw[key])
+    threshold = raw.pop("threshold", None)
+    if threshold is not None:
+        if not isinstance(threshold, Real) or isinstance(threshold, bool):
+            raise CliError(f"bad config value: threshold must be a number, got {threshold!r}")
+        if not math.isfinite(threshold):
+            raise CliError(f"threshold must be finite, got {threshold!r}")
+    return ExperimentConfig(**raw), threshold
 
 
 def cmd_filter(args: argparse.Namespace) -> int:

@@ -194,13 +194,11 @@ def _differences(values: np.ndarray, h: float) -> list:
     """The four central differences of stencil values laid out [component,
     axis, +/-, *S]: Quaternions at one point (S empty), QArrays of element
     shape S otherwise."""
-    inv = _STEPS[h][1]
-    if values.ndim == 3:
-        return [Quaternion((pa - ma) * inv, (pb - mb) * inv, (pc - mc) * inv, (pd - md) * inv)
-                for (pa, pb, pc, pd), (ma, mb, mc, md) in values.transpose(1, 2, 0).tolist()]
     # Python floats overflow silently; so do the arrays that stand for them.
     with np.errstate(over="ignore", invalid="ignore"):
         diffs = _central(values[:, :, 0], values[:, :, 1], h)
+    if diffs.ndim == 2:
+        return [Quaternion(*d) for d in diffs.T.tolist()]
     return [QArray(diffs[:, e]) for e in range(4)]
 
 

@@ -31,7 +31,9 @@ rounding.  The branch vectors map to M through a fixed A of +/-1 entries
 with A^T A = 4 I, and back through A^T / 4.
 
 A stream's samples and noise come from sampling.make_rng's substreams 0
-and 1, and the kernels' gather and sign patterns from quaternion.
+and 1, and the kernels' gather and sign patterns from quaternion.  A
+config value is checked where it is read: alpha by run_experiment, snr_db
+and steps by _signal_arrays (so generate_signal too), seed by make_rng.
 
 The per-sample ``*_step`` functions run the same kernels on one window.
 Outside the engine a quaternion vector (taps, one weight branch, a
@@ -266,6 +268,11 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     """(n, 4, taps) regressor windows and (n, 4) desired outputs."""
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
+    # bool is an Integral, so True would run as 1; make_rng refuses it as a seed too.
+    for key, value, cls, expected in (("snr_db", snr_db, numbers.Real, "a real number"),
+                                      ("steps", n, numbers.Integral, "an integer")):
+        if not isinstance(value, cls) or isinstance(value, bool):
+            raise ValueError(f"{key} must be {expected}, got {value!r}")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db!r}")
     if not np.isfinite(truth).all():
@@ -452,13 +459,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
     if config.nonlinearity is not None and config.variant != "qngd":
         raise ValueError(f"nonlinearity applies to qngd only, not {config.variant}")
-    # bool is an Integral, so True would run as 1; make_rng refuses it as a seed too.
-    for key, kind, expected in (("alpha", numbers.Real, "a real number"),
-                                ("snr_db", numbers.Real, "a real number"),
-                                ("steps", numbers.Integral, "an integer")):
-        value = getattr(config, key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(f"{key} must be {expected}, got {value!r}")
+    if not isinstance(config.alpha, numbers.Real) or isinstance(config.alpha, bool):
+        raise ValueError(f"alpha must be a real number, got {config.alpha!r}")
     if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
         raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")
     truth = _taps_array(config.taps)

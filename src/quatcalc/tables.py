@@ -18,7 +18,8 @@ point.  Twelve families are written out, each in one _register row; the
 other sixteen are derived from them.  Each linear_* family is its base
 family at g, derived by affine_input with the GHR chain rule summed over
 the axes 1, i, j, k.  Each conj_* family is its base family at q*, derived
-by conj_input with its two columns swapped.
+by conj_input with its two columns swapped.  Every family's entry is
+drawn by FamilySpec.sample_entry from its params, in order.
 
 Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
@@ -88,11 +89,14 @@ class FamilySpec(NamedTuple):
     value: Callable[[TableEntry, Quaternion], Quaternion]
     columns: Callable[[TableEntry, Quaternion, Quaternion], EntryDerivatives]
     domain: Callable[[TableEntry, Quaternion], Optional[str]]
-    sample_entry: Callable[[np.random.Generator], TableEntry]
     admissible: Callable[[TableEntry, Quaternion], bool]
     scale_class: str
     real_valued: bool
     params: tuple[str, ...]
+
+    def sample_entry(self, rng: np.random.Generator) -> TableEntry:
+        """The family's entry: each of its params drawn, in order."""
+        return TableEntry(family=self.name, **{p: _PARAMS[p].draw(rng) for p in self.params})
 
     def sample_point(self, entry: TableEntry, rng: np.random.Generator) -> Quaternion:
         """Uniform draw from [-2, 2]^4, redrawn until the family admits it,
@@ -130,8 +134,7 @@ def conj_input(name: str, base: FamilySpec) -> FamilySpec:
         col_mu, col_mu_conj = base.columns(entry, q.conjugate(), mu)
         return EntryDerivatives(col_mu_conj, col_mu)
 
-    return _at_input(name, base, lambda entry, q: q.conjugate(), " at q*", columns=columns,
-                     sample_entry=lambda rng: base.sample_entry(rng)._replace(family=name))
+    return _at_input(name, base, lambda entry, q: q.conjugate(), " at q*", columns=columns)
 
 
 # The chain rule's axes eta = 1, i, j, k, each with its inverse eta*.
@@ -171,7 +174,7 @@ def affine_input(name: str, base: FamilySpec) -> FamilySpec:
                                   for column in terms(entry, g, mu, eta, eta.conjugate())))
 
     return _at_input(name, base, _linear_inner, " at omega q nu + lam", columns=columns,
-                     sample_entry=_sampler(name, _AFFINE), params=_AFFINE)
+                     params=_AFFINE)
 
 
 def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
@@ -222,11 +225,6 @@ _PARAMS = {
     "terms": _Param(lambda rng: DEFAULT_EXP_TERMS, _is_count, "a positive integer"),
 }
 _AFFINE = ("omega", "nu", "lam")
-
-
-def _sampler(name: str, params: tuple[str, ...]) -> Callable[[np.random.Generator], TableEntry]:
-    """A family's entry draw: each of its parameters, in order."""
-    return lambda rng: TableEntry(family=name, **{p: _PARAMS[p].draw(rng) for p in params})
 
 
 def _cube(x):
@@ -339,9 +337,9 @@ def _modulus_squared_cols(e, q, mu):
 
 
 def _power_value(e, q):
-    result = ONE
+    result = q
     times_q = _times(q)
-    for _ in range(e.n):
+    for _ in range(e.n - 1):
         result = times_q(result)
     return result
 
@@ -410,8 +408,7 @@ def _declare(spec: FamilySpec, conj: bool = False) -> None:
 def _register(name, value, columns, guard, params, scale_class,
               real_valued=False, conj=False):
     """Declare a base family from its evaluator, columns, guard and parameters."""
-    _declare(FamilySpec(name=name, value=value, columns=columns,
-                        domain=guard.domain, sample_entry=_sampler(name, params),
+    _declare(FamilySpec(name=name, value=value, columns=columns, domain=guard.domain,
                         admissible=guard.admissible, scale_class=scale_class,
                         real_valued=real_valued, params=params), conj)
 

@@ -11,7 +11,7 @@ optimization.
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -236,6 +236,9 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     in closed form or taken from the numerical engine.  Ten consecutive
     objective increases abort the run.
     """
+    for name, value in (("alpha", alpha), ("grad_tol", grad_tol)):
+        if not isinstance(value, Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("step size must be positive and finite")
     if not isinstance(max_iters, Integral) or isinstance(max_iters, bool) or max_iters < 0:

@@ -279,6 +279,13 @@ def test_table_unknown_family(capsys):
     assert "unknown families" in capsys.readouterr().err
 
 
+def test_mvt_and_taylor_differentiate_catalogue_functions():
+    # Every tables.as_function(entry) closure shares one code object.
+    catalogue_code = tables.as_function(tables.TableEntry(family="square")).__code__
+    for name, fn, _ in cli.MVT_FUNCTIONS + cli.TAYLOR_FUNCTIONS:
+        assert fn.__code__ is catalogue_code, name
+
+
 def test_descend_reaches_target(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["descend", "--target", "1+2i+3j+4k", "--alpha", "0.4",
@@ -443,7 +450,7 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"variant": "rls"}, "unknown filter variant"),
     ({"kind": "pink"}, "unknown signal kind"),
     ({"nonlinearity": "relu"}, "unknown nonlinearity"),
-    ({"alpha": "fast"}, "bad config value"),
+    ({"alpha": "fast"}, "alpha must be a real number"),
     ({"alpha": float("nan")}, "alpha must be finite and non-negative"),
     ({"alpha": float("inf")}, "alpha must be finite and non-negative"),
     ({"alpha": -0.02}, "alpha must be finite and non-negative"),
@@ -453,14 +460,14 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"threshold": float("inf")}, "threshold must be finite"),
     ({"threshold": "low"}, "bad config value"),
     ({"nonlinearity": ["tanh"]}, "unknown nonlinearity"),
-    # JSON bools and strings are not numbers, though float() and int() take them.
-    ({"seed": True}, "seed must be a number"),
-    ({"seed": "3"}, "seed must be a number"),
-    ({"steps": True}, "steps must be a number"),
-    ({"steps": "500"}, "steps must be a number"),
-    ({"alpha": "0.1"}, "alpha must be a number"),
-    ({"alpha": False}, "alpha must be a number"),
-    ({"snr_db": "40"}, "snr_db must be a number"),
+    # JSON bools and strings are not numbers: the code that reads the key refuses them.
+    ({"seed": True}, "seed must be a nonnegative integer"),
+    ({"seed": "3"}, "seed must be a nonnegative integer"),
+    ({"steps": True}, "steps must be an integer"),
+    ({"steps": "500"}, "steps must be an integer"),
+    ({"alpha": "0.1"}, "alpha must be a real number"),
+    ({"alpha": False}, "alpha must be a real number"),
+    ({"snr_db": "40"}, "snr_db must be a real number"),
     ({"threshold": True}, "threshold must be a number"),
     ({"threshold": "0.5"}, "threshold must be a number"),
     ({"taps": [[float("nan"), 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "taps must be finite"),
@@ -498,6 +505,20 @@ def test_filter_edge_values_stay_legal(tmp_path, capsys):
     path.write_text(json.dumps(config))
     assert main(["filter", "--config", str(path)]) == 0
     assert "1000 steps" in capsys.readouterr().out
+
+
+def test_filter_integer_valued_floats_write_the_integer_run(tmp_path, capsys):
+    config = {"variant": "qlms",
+              "taps": [[0.5, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0]],
+              "alpha": 0.02, "steps": 500, "snr_db": 40, "seed": 3}
+    reports = []
+    for steps, seed in ((500, 3), (500.0, 3.0)):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**config, "steps": steps, "seed": seed}))
+        out = tmp_path / f"run_{len(reports)}.csv"
+        assert main(["filter", "--config", str(path), "--out", str(out)]) == 0
+        reports.append((out.read_bytes(), capsys.readouterr().out.replace(str(out), "")))
+    assert reports[0] == reports[1]
 
 
 def test_filter_missing_and_unknown_keys(tmp_path, capsys):

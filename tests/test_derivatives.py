@@ -519,7 +519,7 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
 # checks them at admissible points through the batched cross_validate.
 BUILT_IN_ARRAY_FORMS = (
     ("cli_square", cli._SQUARE), ("cli_mod2", cli._MOD2),
-    ("cli_power3", cli._power3), ("cli_exponential", cli._EXPONENTIAL),
+    ("cli_power3", cli.TAYLOR_FUNCTIONS[0][1]), ("cli_exponential", cli._EXPONENTIAL),
     ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))),
     ("identities_identity", identities._f_identity), ("identities_conj", identities._f_conj),
     ("identities_sq", identities._f_sq), ("identities_mod2", identities._f_mod2),

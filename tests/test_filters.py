@@ -358,6 +358,12 @@ def test_signal_validation():
         generate_signal("fir_channel", CHANNEL, 100, math.nan, seed=1)
     with pytest.raises(ValueError, match="equal length"):
         generate_signal("fir_channel", WL_CHANNEL[:3] + (CHANNEL,), 100, 30.0, seed=1)
+    # snr_db=True ran at 1 dB, and "5" raised a TypeError from math.isnan.
+    for snr_db in (True, False, "5"):
+        with pytest.raises(ValueError, match=f"snr_db must be a real number, got {snr_db!r}"):
+            generate_signal("fir_channel", CHANNEL, 100, snr_db, seed=1)
+    with pytest.raises(ValueError, match="steps must be an integer, got True"):
+        generate_signal("fir_channel", CHANNEL, True, 30.0, seed=1)
 
 
 def test_qlms_identifies_channel():

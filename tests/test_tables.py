@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
                              sample_batch)
 
 from test_derivatives import oracle_stencil
-from test_quaternion import isclose
+from test_quaternion import _same_bits, isclose
 
 SEED = 20240310
 DRAWS_PER_FAMILY = 30
@@ -126,6 +127,20 @@ def test_power_matches_repeated_product():
         for _ in range(n):
             expected = expected * q
         assert isclose(eval_entry(entry, q), expected)
+
+
+def test_cube_is_the_repeated_product_bit_for_bit():
+    # power starts from q itself: ONE * q is not q where a component is -0.0
+    # or infinite, and a cube started from ONE has other bits at the first point.
+    cube = as_function(TableEntry(family="power", n=3))
+    points = [(-2.0, -0.0, 0.0, 0.0), (math.inf, 0.5, -1.0, 2.0),
+              (0.3, -0.0, -math.inf, -0.0), (1.0, -2.0, 3.0, -4.0)]
+    for point in points:
+        q = Quaternion(*point)
+        assert _same_bits(np.array(cube(q)), np.array(q * q * q)), point
+    qs = QArray(np.array(points).T)
+    with np.errstate(invalid="ignore"):  # inf * 0.0, as Python floats give it
+        assert _same_bits(cube(qs).c, (qs * qs * qs).c)
 
 
 def test_series_value_commutes_with_argument():

@@ -1,6 +1,7 @@
 """Mean value, Taylor remainder and steepest descent checks."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -481,6 +482,17 @@ def test_descent_rejects_a_gradient_tolerance_that_is_nan_or_negative(grad_tol):
     # A NaN tolerance ran the whole budget: grad_norm < nan is never true.
     with pytest.raises(ValueError, match="grad_tol"):
         _descend(0.4, grad_tol=grad_tol)
+
+
+@pytest.mark.parametrize("argument,value", [("alpha", True), ("alpha", "0.1"),
+                                            ("grad_tol", True), ("grad_tol", "1e-8")])
+def test_descent_rejects_a_step_or_tolerance_that_is_not_a_real_number(argument, value):
+    # True ran as a step of 1 or a tolerance of 1, and "0.1" raised a bare TypeError.
+    args = {"alpha": 0.4, "grad_tol": 1e-8, argument: value}
+    objective = as_function(TableEntry(family="modulus_squared"))
+    with pytest.raises(ValueError, match=re.escape(f"{argument} must be a real number, "
+                                                   f"got {value!r}")):
+        steepest_descent(objective, Quaternion(2.0, 1.0, 1.0, 1.0), **args)
 
 
 def test_descent_numerical_gradient_agrees():
