@@ -15,13 +15,12 @@ import math
 import sys
 from importlib import resources
 from itertools import chain
-from numbers import Real
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import identities, tables, theorems
-from .filters import ExperimentConfig, run_experiment
+from .filters import ExperimentConfig, real_number, run_experiment
 from .quaternion import (ONE, QUATERNION_TEMPLATE, Quaternion, format_quaternion,
                          parse_quaternion)
 from .sampling import make_rng, random_quaternion
@@ -361,9 +360,11 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
             raw[key] = int(raw[key])
     threshold = raw.pop("threshold", None)
     if threshold is not None:
-        if not isinstance(threshold, Real) or isinstance(threshold, bool):
-            raise CliError(f"bad config value: threshold must be a number, got {threshold!r}")
-        if not math.isfinite(threshold):
+        try:
+            finite = math.isfinite(real_number("threshold", threshold, "a number"))
+        except ValueError as exc:
+            raise CliError(f"bad config value: {exc}")
+        if not finite:
             raise CliError(f"threshold must be finite, got {threshold!r}")
     return ExperimentConfig(**raw), threshold
 

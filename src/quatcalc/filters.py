@@ -194,6 +194,18 @@ _WL_BACK_SIGNS = _WL_SIGNS[:, _ROWS, _MUL_INDEX].transpose(1, 2, 0)[..., None]
 _BLOCK = 128
 
 
+def real_number(key: str, value, expected: str = "a real number") -> float:
+    """value as a float: a real number, not a bool, within a double's range,
+    which a JSON integer need not be.  Anything else is a ValueError that
+    names key."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be {expected} within a double's range") from None
+
+
 def _taps_array(taps: Taps) -> np.ndarray:
     """Taps as a (4, branches, taps) array: a (taps, 4) vector is one branch."""
     try:
@@ -268,11 +280,10 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     """(n, 4, taps) regressor windows and (n, 4) desired outputs."""
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
+    snr_db = real_number("snr_db", snr_db)
     # bool is an Integral, so True would run as 1; make_rng refuses it as a seed too.
-    for key, value, cls, expected in (("snr_db", snr_db, numbers.Real, "a real number"),
-                                      ("steps", n, numbers.Integral, "an integer")):
-        if not isinstance(value, cls) or isinstance(value, bool):
-            raise ValueError(f"{key} must be {expected}, got {value!r}")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+        raise ValueError(f"steps must be an integer, got {n!r}")
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db!r}")
     if not np.isfinite(truth).all():
@@ -459,9 +470,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError(f"unknown nonlinearity {config.nonlinearity!r}")
     if config.nonlinearity is not None and config.variant != "qngd":
         raise ValueError(f"nonlinearity applies to qngd only, not {config.variant}")
-    if not isinstance(config.alpha, numbers.Real) or isinstance(config.alpha, bool):
-        raise ValueError(f"alpha must be a real number, got {config.alpha!r}")
-    if not (math.isfinite(config.alpha) and config.alpha >= 0.0):
+    alpha = real_number("alpha", config.alpha)
+    if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError(f"alpha must be finite and non-negative, got {config.alpha!r}")
     truth = _taps_array(config.taps)
     windows, desired = _signal_arrays(config.kind, truth, config.steps,
@@ -469,7 +479,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.variant != "wl_qlms":
         reference = truth[:, 0] * (_CONJ[:, None] if truth.shape[1] == 4 else 1.0)
         history = np.empty((_BLOCK,) + reference.shape)
-        steps = _hamilton_steps(np.zeros(reference.shape), windows, desired, config.alpha,
+        steps = _hamilton_steps(np.zeros(reference.shape), windows, desired, alpha,
                                 NONLINEARITIES.get(config.nonlinearity), history)
         limit = DIVERGENCE_NORM ** 2
     else:
@@ -478,7 +488,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                     np.zeros((4, 3, truth.shape[2]))], axis=1)
         reference = _wl_matrix(truth)
         history = np.empty((_BLOCK,) + reference.shape)
-        steps = _lms_steps(np.zeros(reference.shape), windows, desired, 4.0 * config.alpha,
+        steps = _lms_steps(np.zeros(reference.shape), windows, desired, 4.0 * alpha,
                            history)
         limit = 4.0 * DIVERGENCE_NORM ** 2  # |A w|^2 = 4 |w|^2
     mse, weight_errors, errors = [], [], np.empty((_BLOCK, 4))

@@ -345,27 +345,22 @@ def _power_value(e, q):
 
 
 def _power_rule(q: Quaternion, mu: Quaternion, top: int):
-    """Inner sums of the power rule for each q^n, n = 1..top: sum over m of
-    q^(n-m) Re(q^(m-1) mu) and -1/2 sum of q^(n-m) (q^(m-1) mu)*.
-
-    The powers, the heads q^(m-1) mu and their conjugates are built once
-    for every order, gathering q and mu once each.  The conjugated heads
-    are not gathered: that would hold 16 doubles a point for each of them
-    at once, for no time that repeated runs could separate.
-    """
+    """Inner sums of the power rule for each q^n, n = 1..top: S_n, the sum
+    over m of q^(n-m) Re(q^(m-1) mu), and -1/2 C_n, C_n the sum of
+    q^(n-m) (q^(m-1) mu)*.  The product rule on q^n = q q^(n-1) gives them
+    as a recurrence: S_n = q S_(n-1) + Re(q^(n-1) mu) and
+    C_n = q C_(n-1) + (q^(n-1) mu)*, from S_1 = Re mu and C_1 = mu*."""
     times_q = _times(q)
-    powers = [type(q).from_real(1.0)]
-    for _ in range(top - 1):
-        powers.append(times_q(powers[-1]))
     times_mu = _times(mu)
-    heads = [times_mu(power) for power in powers]
-    conj_heads = [head.conjugate() for head in heads]
-    for n in range(1, top + 1):
-        plain = ZERO
-        conj = ZERO
-        for m in range(1, n + 1):
-            plain = plain + powers[n - m] * heads[m - 1].a
-            conj = conj + powers[n - m] * conj_heads[m - 1]
+    power = type(q).from_real(1.0)
+    plain = type(q).from_real(mu.a)
+    conj = mu.conjugate()
+    yield plain, conj * -0.5
+    for _ in range(top - 1):
+        power = times_q(power)
+        head = times_mu(power)
+        plain = q * plain + head.a
+        conj = q * conj + head.conjugate()
         yield plain, conj * -0.5
 
 

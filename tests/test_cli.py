@@ -470,6 +470,10 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"snr_db": "40"}, "snr_db must be a real number"),
     ({"threshold": True}, "threshold must be a number"),
     ({"threshold": "0.5"}, "threshold must be a number"),
+    # JSON integers have no range: 1 followed by 400 zeros has no double.
+    ({"alpha": 10 ** 400}, "alpha must be a real number within a double's range"),
+    ({"snr_db": 10 ** 400}, "snr_db must be a real number within a double's range"),
+    ({"threshold": 10 ** 400}, "threshold must be a number within a double's range"),
     ({"taps": [[float("nan"), 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "taps must be finite"),
     ({"taps": [[1e308, 0.0, 0.0, 0.0], [0.1, 0.0, 0.0, 0.0]]}, "desired signal is not finite"),
     ({"taps": []}, "four branches"),

@@ -512,6 +512,8 @@ def test_ar1_experiment_runs():
     ({"alpha": "0.1"}, "alpha must be a real number"),
     ({"snr_db": True}, "snr_db must be a real number, got True"),
     ({"snr_db": False}, "snr_db must be a real number, got False"),
+    ({"alpha": 10 ** 400}, "alpha must be a real number within a double's range"),
+    ({"snr_db": -10 ** 400}, "snr_db must be a real number within a double's range"),
     ({"steps": True}, "steps must be an integer, got True"),
 ])
 def test_run_experiment_rejects_bad_config(change, message, recwarn):

@@ -23,10 +23,10 @@ GOLDEN = {
     ("verify", "--points", "150"):
         "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
     ("table",):
-        "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
+        "31ffc771d3b6200098cbb370b2321832b48feeff8a97339d5849f003f2667d5b",
     # The derivative_table benchmark workload's call.
     ("table", "--points", "200"):
-        "8e78e270b0df60fb8c99f63f3b995ef5b41ad4ef72f7053121fed5405d679c71",
+        "3577c6c63a75a3a48f795a3465ac2a86d4df7c52c17b593760be842f70b06375",
     ("mvt",):
         "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
     ("taylor",):

@@ -1,5 +1,6 @@
 """Closed-form derivative catalogue against the numerical engine."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
-from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion
+from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, _times
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
                              as_function, catalogue, conj_gradient,
@@ -17,6 +18,7 @@ from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
                              sample_batch)
 
 from test_derivatives import oracle_stencil
+from test_golden_bytes import _run as golden_run
 from test_quaternion import _same_bits, isclose
 
 SEED = 20240310
@@ -401,6 +403,92 @@ def test_derived_linear_columns_meet_the_hand_written_oracle(family):
                                    _oracle(family, one, point, axis)):
             assert type(derived.a) is float
             assert _oracle_residual(derived, oracle) <= ORACLE_TOL
+
+
+# --- the power rule's recurrence against its double loop -----------------------
+#
+# tables._power_rule runs the power rule's sums as a recurrence.  Below is
+# the rule as the table first computed it, every order re-added from zero:
+# the double loop wrote the table's bytes before the recurrence, so patched
+# in it must still write them, and it holds the recurrence's columns within
+# ORACLE_TOL.
+
+# sha256 of the table runs' CSV while the double loop computed power and
+# exponential (tests/test_golden_bytes.py pins the current bytes).
+DOUBLE_LOOP_DIGESTS = {
+    ("table",): "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
+    ("table", "--points", "200"):
+        "8e78e270b0df60fb8c99f63f3b995ef5b41ad4ef72f7053121fed5405d679c71",
+}
+
+
+def _double_loop_power_rule(q, mu, top):
+    """For each n = 1..top: the sum over m of q^(n-m) Re(q^(m-1) mu), and
+    -1/2 the sum of q^(n-m) (q^(m-1) mu)*, added from zero in order of m."""
+    times_q = _times(q)
+    powers = [type(q).from_real(1.0)]
+    for _ in range(top - 1):
+        powers.append(times_q(powers[-1]))
+    times_mu = _times(mu)
+    heads = [times_mu(power) for power in powers]
+    conj_heads = [head.conjugate() for head in heads]
+    for n in range(1, top + 1):
+        plain = ZERO
+        conj = ZERO
+        for m in range(1, n + 1):
+            plain = plain + powers[n - m] * heads[m - 1].a
+            conj = conj + powers[n - m] * conj_heads[m - 1]
+        yield plain, conj * -0.5
+
+
+@pytest.mark.parametrize("argv", list(DOUBLE_LOOP_DIGESTS), ids=" ".join)
+def test_the_double_loop_still_writes_the_old_table_bytes(argv, tmp_path, capsys,
+                                                          monkeypatch):
+    # Only the power rule moved the table's bytes.
+    monkeypatch.setattr(tables, "_power_rule", _double_loop_power_rule)
+    path = golden_run(argv, tmp_path, capsys, monkeypatch)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DOUBLE_LOOP_DIGESTS[argv]
+
+
+# The counts each family's columns are held to the double loop at.
+COUNTS = {"n": range(1, 9), "terms": range(1, 61)}
+
+
+def _power_rule_columns(entry, count, q, mu, monkeypatch):
+    """The entry's columns at each count, by the recurrence and by the
+    double loop; the double loop's orders do not depend on top, so its
+    sums run once, up to the largest count."""
+    recurrence = [derivative(entry._replace(**{count: k}), q, mu) for k in COUNTS[count]]
+    orders = list(_double_loop_power_rule(q, mu, max(COUNTS[count])))
+    with monkeypatch.context() as patch:
+        patch.setattr(tables, "_power_rule", lambda q, mu, top: iter(orders[:top]))
+        return zip(COUNTS[count], recurrence,
+                   [derivative(entry._replace(**{count: k}), q, mu) for k in COUNTS[count]])
+
+
+@pytest.mark.parametrize("family,count", [("power", "n"), ("exponential", "terms")])
+def test_power_rule_recurrence_meets_the_double_loop(family, count, monkeypatch):
+    # 100 table draws as one batch, and 10 of them one point at a time.
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=11), 100)
+    entry = entry[0] if isinstance(entry, list) else entry
+    for k, new, old in _power_rule_columns(entry, count, q, mu, monkeypatch):
+        for derived, oracle in zip(new, old):
+            assert _oracle_residual(derived, oracle).max() <= ORACLE_TOL, k
+    for point, axis in zip(q.c.T.tolist()[:10], mu.c.T.tolist()[:10]):
+        for k, new, old in _power_rule_columns(entry, count, Quaternion(*point),
+                                               Quaternion(*axis), monkeypatch):
+            for derived, oracle in zip(new, old):
+                assert type(derived.a) is float
+                assert _oracle_residual(derived, oracle) <= ORACLE_TOL, k
+
+
+def test_power_rule_keeps_the_double_loops_bits_up_to_the_square(monkeypatch):
+    # Up to n = 2 the two orders of summation add the same terms.
+    entry, q, mu = sample_batch(FAMILIES["power"], make_rng(SEED, stream=12), 50)
+    for k, new, old in _power_rule_columns(entry[0], "n", q, mu, monkeypatch):
+        if k <= 2:
+            for derived, oracle in zip(new, old):
+                assert _same_bits(derived.c, oracle.c), k
 
 
 # --- batched cross-validation ------------------------------------------------

@@ -1,0 +1,103 @@
+"""The power rule's columns against their defining sums in 50-digit mpmath.
+
+An oracle that is not the central-difference engine: power's columns at q,
+times mu, are
+
+    sum over m = 1..n of q^(n-m) Re(q^(m-1) mu)
+    and -1/2 the sum of q^(n-m) (q^(m-1) mu)*,
+
+and exponential's are the sum over n of these divided by n!.  Each double
+sum is evaluated at 50 digits, its terms gathered by power of q, and
+held against the float columns, batched and one point at a time, as the
+largest per-component |d - o| / (1 + |o|), d and o one component of the
+float and of the oracle column.  mpmath is a test dependency: without it
+this module fails to import rather than skip.
+"""
+
+import mpmath
+
+from quatcalc.quaternion import Quaternion
+from quatcalc.sampling import make_rng
+from quatcalc.tables import DEFAULT_EXP_TERMS, FAMILIES, derivative, sample_batch
+
+DIGITS = 50
+DRAWS = 60
+# Fixed before measuring, in the measure above.
+EXPONENTIAL_TOL = 4e-15
+POWER_TOL = 5e-14
+POWERS = range(1, 6)
+
+
+def _mul(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def _series_columns(q, mu, coefficients):
+    """The two columns, times mu, of the sum over n >= 1 of a_n q^n, a_n =
+    coefficients[n - 1], at the working precision: the defining double sum
+    over n and m of a_n q^(n-m) Re(q^(m-1) mu) and of -1/2 a_n q^(n-m)
+    (q^(m-1) mu)*, added up power by power: for each j = n - m, q^j times
+    the sum over m of a_(j+m) q^(m-1) mu, whose conjugate is the sum of
+    the conjugates."""
+    q, mu = tuple(map(mpmath.mpf, q)), tuple(map(mpmath.mpf, mu))
+    powers = [tuple(map(mpmath.mpf, (1, 0, 0, 0)))]
+    for _ in coefficients[1:]:
+        powers.append(_mul(powers[-1], q))
+    heads = list(zip(*(_mul(power, mu) for power in powers)))
+    plain, conj = [0] * 4, [0] * 4
+    for j, power in enumerate(powers):
+        a, b, c, d = (mpmath.fdot(coefficients[j:], part) for part in heads)
+        plain = [s + x * a for s, x in zip(plain, power)]
+        conj = [s + x for s, x in zip(conj, _mul(power, (a, -b, -c, -d)))]
+    return plain, [-x / 2 for x in conj]
+
+
+def _residual(derived, oracle) -> float:
+    """Largest per-component |d - o| / (1 + |o|)."""
+    return max(float(abs(d - o) / (1 + abs(o))) for d, o in zip(derived, oracle))
+
+
+def _draws(family, seed):
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(seed), DRAWS)
+    return entry, q, mu, q.c.T.tolist(), mu.c.T.tolist()
+
+
+def _worst(columns, batched, k, oracles):
+    """The worst residual of point k's one-point columns, after checking
+    that the batched columns hold the same floats there."""
+    assert [tuple(column.c[:, k].tolist()) for column in batched] == \
+        [tuple(column) for column in columns]
+    return max(_residual(derived, oracle) for derived, oracle in zip(columns, oracles))
+
+
+def test_exponential_columns_meet_the_defining_sum():
+    entry, q, mu, points, axes = _draws("exponential", 31)
+    assert entry.terms == DEFAULT_EXP_TERMS
+    batched = derivative(entry, q, mu)
+    worst = 0.0
+    with mpmath.workdps(DIGITS):
+        coefficients = [1 / mpmath.factorial(n) for n in range(1, entry.terms + 1)]
+        for k, (point, axis) in enumerate(zip(points, axes)):
+            columns = derivative(entry, Quaternion(*point), Quaternion(*axis))
+            oracles = _series_columns(point, axis, coefficients)
+            worst = max(worst, _worst(columns, batched, k, oracles))
+    assert worst <= EXPONENTIAL_TOL
+
+
+def test_power_columns_meet_the_defining_sum():
+    entries, q, mu, points, axes = _draws("power", 32)
+    batched = {n: derivative(entries[0]._replace(n=n), q, mu) for n in POWERS}
+    worst = dict.fromkeys(POWERS, 0.0)
+    with mpmath.workdps(DIGITS):
+        for k, (point, axis) in enumerate(zip(points, axes)):
+            for n in POWERS:
+                columns = derivative(entries[k]._replace(n=n), Quaternion(*point),
+                                     Quaternion(*axis))
+                oracles = _series_columns(point, axis, [0] * (n - 1) + [1])
+                worst[n] = max(worst[n], _worst(columns, batched[n], k, oracles))
+    assert max(worst.values()) <= POWER_TOL, worst
