@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
-from quatcalc.quaternion import ONE, I, ZERO, QArray, Quaternion, _times
+from quatcalc.quaternion import ONE, I, J, K, ZERO, QArray, Quaternion, _times
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
                              as_function, catalogue, conj_gradient,
@@ -480,6 +480,57 @@ def test_power_rule_recurrence_meets_the_double_loop(family, count, monkeypatch)
             for derived, oracle in zip(new, old):
                 assert type(derived.a) is float
                 assert _oracle_residual(derived, oracle) <= ORACLE_TOL, k
+
+
+# --- every axis from the axes 1, i and j, by the GHR definition ----------------
+#
+# By the definition, d f / d q^mu = 1/4 (f_a - sum over x of f_x mu e_x mu^-1),
+# f_a ... f_d the real partials and e_x = i, j, k, and d f / d q^(mu*) is
+# the same with +.  So the columns, times mu, are 1/4 (f_a mu -+ S(mu)),
+# S(mu) the sum of f_x mu e_x, and the columns at 1, i and j give all four
+# partials: f_a = 2 (c1 + c2) at 1, and the differences 2 (c2 - c1) there
+# are S(1) = f_b i + f_c j + f_d k, S(i) = -f_b + f_c k - f_d j and
+# S(j) = -f_b k - f_c + f_d i.  A family's columns at any other axis then
+# follow from its own columns, with no stencil and no tolerance above
+# rounding.  Its blind spot: a wrong pair of columns that is the GHR pair
+# of some other real Jacobian passes.
+
+AXIS_TOL = 1e-13
+
+
+def _predicted_at(columns, mu):
+    """The columns at mu that the definition predicts from columns(unit)
+    at the units 1, i and j."""
+    (one1, one2), (i1, i2), (j1, j2) = (columns(unit) for unit in (ONE, I, J))
+    f_a = (one1 + one2) * 2.0
+    s_1, s_i, s_j = ((c2 - c1) * 2.0 for c1, c2 in ((one1, one2), (i1, i2), (j1, j2)))
+    f_b = (s_i + s_1 * I) * -0.5
+    f_c = (s_j + s_1 * J) * -0.5
+    f_d = (s_1 - f_b * I - f_c * J) * -K
+    plain = f_a * mu
+    spin = f_b * mu * I + f_c * mu * J + f_d * mu * K
+    return (plain - spin) * 0.25, (plain + spin) * 0.25
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_every_axis_is_predicted_exactly_from_the_axes_1_i_j(family):
+    # 200 table draws on the batched path, and 5 of them one point at a time.
+    count = 200
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=13), count)
+    runs = tables._batches(entry) if isinstance(entry, list) else [(slice(None), entry)]
+    for part, run in runs:
+        points, axes = QArray(q.c[:, part]), QArray(mu.c[:, part])
+        width = points.c.shape[1]
+        predicted = _predicted_at(
+            lambda unit: derivative(run, points, QArray(np.outer(unit, np.ones(width)))), axes)
+        for derived, oracle in zip(derivative(run, points, axes), predicted):
+            assert _oracle_residual(derived, oracle).max() <= AXIS_TOL
+    one_point = entry if isinstance(entry, list) else tables._unstacked(entry, count)
+    for one, point, axis in list(zip(one_point, q.c.T.tolist(), mu.c.T.tolist()))[:5]:
+        point, axis = Quaternion(*point), Quaternion(*axis)
+        predicted = _predicted_at(lambda unit: derivative(one, point, unit), axis)
+        for derived, oracle in zip(derivative(one, point, axis), predicted):
+            assert _oracle_residual(derived, oracle) <= AXIS_TOL
 
 
 def test_power_rule_keeps_the_double_loops_bits_up_to_the_square(monkeypatch):
