@@ -1,7 +1,7 @@
-"""The power rule's columns against their defining sums in 50-digit mpmath.
+"""Closed-form columns against oracles in mpmath, not the float engine.
 
-An oracle that is not the central-difference engine: power's columns at q,
-times mu, are
+The power rule's columns against their defining sums in 50-digit mpmath.
+Power's columns at q, times mu, are
 
     sum over m = 1..n of q^(n-m) Re(q^(m-1) mu)
     and -1/2 the sum of q^(n-m) (q^(m-1) mu)*,
@@ -10,11 +10,22 @@ and exponential's are the sum over n of these divided by n!.  Each double
 sum is evaluated at 50 digits, its terms gathered by power of q, and
 held against the float columns, batched and one point at a time, as the
 largest per-component |d - o| / (1 + |o|), d and o one component of the
-float and of the oracle column.  mpmath is a test dependency: without it
-this module fails to import rather than skip.
+float and of the oracle column.
+
+The families whose columns come from the product rule and the real chain
+rule are held against the GHR definition: the columns, times mu, are 1/4 (f_a mu -+
+the sum over x of f_x mu e_x), e_x = i, j, k, with the real partials
+f_a ... f_d of the family's value, written as an mpmath formula, by central
+differences at 60 digits and h = 1e-30.  Every product and sum runs on
+tuples of mpf components, since Quaternion * mpf rounds the factor to a
+float.
+
+mpmath is a test dependency: without it this module fails to import rather
+than skip.
 """
 
 import mpmath
+import pytest
 
 from quatcalc.quaternion import Quaternion
 from quatcalc.sampling import make_rng
@@ -101,3 +112,53 @@ def test_power_columns_meet_the_defining_sum():
                 oracles = _series_columns(point, axis, [0] * (n - 1) + [1])
                 worst[n] = max(worst[n], _worst(columns, batched[n], k, oracles))
     assert max(worst.values()) <= POWER_TOL, worst
+
+
+# --- the derived families against the GHR definition ---------------------------
+
+FD_DIGITS = 60
+FD_STEP = "1e-30"
+# Fixed before measuring, in the measure above.
+DEFINITION_TOL = 1e-15
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _modulus(q):
+    return mpmath.sqrt(mpmath.fsum(x * x for x in q))
+
+
+VALUES = {
+    "square": lambda q: _mul(q, q),
+    "inverse": lambda q: tuple(x / _modulus(q) ** 2 for x in (q[0], -q[1], -q[2], -q[3])),
+    "unit_vector": lambda q: tuple(x / _modulus(q) for x in q),
+    "modulus": lambda q: (_modulus(q), 0, 0, 0),
+    "arctan_arg": lambda q: (mpmath.atan2(_modulus(q[1:]), q[0]), 0, 0, 0),
+}
+
+
+def _definition_columns(value, q, mu):
+    """The two columns of value at q, times mu, by the GHR definition, with
+    its real partials by central differences at FD_STEP."""
+    q, mu, h = tuple(map(mpmath.mpf, q)), tuple(map(mpmath.mpf, mu)), mpmath.mpf(FD_STEP)
+    partials = []
+    for unit in _UNITS:
+        up = value(tuple(x + h * e for x, e in zip(q, unit)))
+        down = value(tuple(x - h * e for x, e in zip(q, unit)))
+        partials.append([(u - d) / (2 * h) for u, d in zip(up, down)])
+    plain = _mul(partials[0], mu)
+    spin = [mpmath.fsum(parts) for parts in zip(*(
+        _mul(_mul(f_x, mu), unit) for f_x, unit in zip(partials[1:], _UNITS[1:])))]
+    return [(p - s) / 4 for p, s in zip(plain, spin)], [(p + s) / 4 for p, s in zip(plain, spin)]
+
+
+@pytest.mark.parametrize("family", list(VALUES))
+def test_derived_columns_meet_the_ghr_definition(family):
+    entry, q, mu, points, axes = _draws(family, 33)
+    batched = derivative(entry, q, mu)
+    worst = 0.0
+    with mpmath.workdps(FD_DIGITS):
+        for k, (point, axis) in enumerate(zip(points, axes)):
+            columns = derivative(entry, Quaternion(*point), Quaternion(*axis))
+            oracles = _definition_columns(VALUES[family], point, axis)
+            worst = max(worst, _worst(columns, batched, k, oracles))
+    assert worst <= DEFINITION_TOL
