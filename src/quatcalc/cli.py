@@ -344,7 +344,7 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
         raise CliError(f"cannot read config {spec!r}: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past str()'s digit limit
         raise CliError(f"config {spec!r} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise CliError("config must be a JSON object")

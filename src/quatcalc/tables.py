@@ -14,12 +14,16 @@ next to each other.
 
 Parameters omega, nu, lam are fixed quaternion constants; g always denotes
 the inner linear map omega*q*nu + lam, and f the value of the family at the
-point.  Twelve families are written out, each in one _register row; the
-other sixteen are derived from them.  Each linear_* family is its base
-family at g, derived by affine_input with the GHR chain rule summed over
-the axes 1, i, j, k.  Each conj_* family is its base family at q*, derived
-by conj_input with its two columns swapped.  Every family's entry is
-drawn by FamilySpec.sample_entry from its params, in order.
+point.  Twelve base families have one _register row each.  The columns of
+real_part, modulus_squared, vector_modulus and unit_pure_axis are written
+out; _product (the product rule) and _real_chain (the real chain rule)
+derive the others': linear is omega times q's at nu mu, square q q, power
+q q^(n-1), exponential a sum of powers, inverse q* |q|^-2, unit_vector
+q |q|^-1, modulus sqrt(|q|^2) and arctan_arg atan2(|Im q|, Re q).  Each
+linear_* family is its base at g, by affine_input with the GHR chain rule
+summed over the axes 1, i, j, k, and each conj_* its base at q*, by
+conj_input with its two columns swapped.  Every family's entry is drawn
+by FamilySpec.sample_entry from its params, in order.
 
 Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
@@ -181,6 +185,25 @@ def _linear_inner(entry: TableEntry, q: Quaternion) -> Quaternion:
     return entry.omega * q * entry.nu + entry.lam
 
 
+def _identity_cols(mu):
+    """The columns of q -> q; those of q -> q* are the same, swapped."""
+    return EntryDerivatives(type(mu).from_real(mu.a), mu.conjugate() * -0.5)
+
+
+def _product(f, f_cols, g, g_cols, mu):
+    """The columns of f g by the GHR product rule, d (f g) / d q^mu =
+    f d g / d q^mu + d f / d q^(g mu) g, times mu: f times g's column plus
+    f's column at the axis g mu.  f and g are the values at q, g_cols g's
+    columns at mu and f_cols maps an axis to f's columns; g may vanish."""
+    return EntryDerivatives(*(f * inner + outer
+                              for inner, outer in zip(g_cols, f_cols(g * mu))))
+
+
+def _real_chain(slope, cols):
+    """The columns of h(r), r real-valued: h'(r) times r's columns."""
+    return EntryDerivatives(*(col * slope for col in cols))
+
+
 class Guard(NamedTuple):
     """A size the family divides by: the domain needs it >= MIN_MODULUS,
     and sampled points need it >= margin."""
@@ -227,16 +250,11 @@ _PARAMS = {
 _AFFINE = ("omega", "nu", "lam")
 
 
-def _cube(x):
-    return x ** 3
-
-
 # --- family evaluators and columns ------------------------------------------
 
 def _linear_map_cols(omega, nu, mu):
-    """The columns of q -> omega q nu + lam, the same at every q and lam."""
-    nm = nu * mu
-    return EntryDerivatives(omega * nm.a, (omega * nm.conjugate()) * -0.5)
+    """The columns of q -> omega q nu + lam: omega times the identity's at nu mu."""
+    return EntryDerivatives(*(omega * col for col in _identity_cols(nu * mu)))
 
 
 def _linear_cols(e, q, mu):
@@ -248,10 +266,7 @@ def _square_value(e, q):
 
 
 def _square_cols(e, q, mu):
-    qm = q * mu
-    col1 = q * mu.a + type(q).from_real(qm.a)
-    col2 = (q * mu.conjugate()) * -0.5 + qm.conjugate() * -0.5
-    return EntryDerivatives(col1, col2)
+    return _product(q, _identity_cols, q, _identity_cols(mu), mu)
 
 
 def _inverse_value(e, q):
@@ -259,10 +274,9 @@ def _inverse_value(e, q):
 
 
 def _inverse_cols(e, q, mu):
-    qi = q.inverse()
-    col1 = qi * -(qi * mu).a
-    col2 = (qi * mu.conjugate() * qi.conjugate()) * 0.5
-    return EntryDerivatives(col1, col2)
+    n2 = q.modulus_squared()
+    return _product(q.conjugate(), lambda nu: _identity_cols(nu)[::-1], 1.0 / n2,
+                    _real_chain(-1.0 / (n2 * n2), _modulus_squared_cols(e, q, mu)), mu)
 
 
 def _real_part_value(e, q):
@@ -301,10 +315,9 @@ def _arctan_arg_value(e, q):
 
 def _arctan_arg_cols(e, q, mu):
     n2 = q.modulus_squared()
-    q_hat = q.vector() / q.vector_modulus()
-    col1 = (mu * q_hat * q.conjugate()) * (-0.25 / n2)
-    col2 = (mu * q_hat * q) * (0.25 / n2)
-    return EntryDerivatives(col1, col2)
+    by_v = _real_chain(q.a / n2, _vector_modulus_cols(e, q, mu))
+    by_a = _real_chain(q.vector_modulus() / n2, _real_part_cols(e, q, mu))
+    return EntryDerivatives(*(x - y for x, y in zip(by_v, by_a)))
 
 
 def _unit_vector_value(e, q):
@@ -312,11 +325,8 @@ def _unit_vector_value(e, q):
 
 
 def _unit_vector_cols(e, q, mu):
-    mod = q.modulus()
-    mod3 = _by_floats(_cube, mod)
-    col1 = type(q).from_real(mu.a / mod) - (q * mu * q.conjugate()) * (0.25 / mod3)
-    col2 = mu.conjugate() * (-0.5 / mod) - (q * mu * q) * (0.25 / mod3)
-    return EntryDerivatives(col1, col2)
+    return _product(q, _identity_cols, 1.0 / q.modulus(),
+                    _real_chain(-1.0 / q.modulus_squared(), _modulus_cols(e, q, mu)), mu)
 
 
 def _modulus_value(e, q):
@@ -324,8 +334,7 @@ def _modulus_value(e, q):
 
 
 def _modulus_cols(e, q, mu):
-    mod = q.modulus()
-    return EntryDerivatives((mu * q.conjugate()) * (0.25 / mod), (mu * q) * (0.25 / mod))
+    return _real_chain(0.5 / q.modulus(), _modulus_squared_cols(e, q, mu))
 
 
 def _modulus_squared_value(e, q):
@@ -345,28 +354,20 @@ def _power_value(e, q):
 
 
 def _power_rule(q: Quaternion, mu: Quaternion, top: int):
-    """Inner sums of the power rule for each q^n, n = 1..top: S_n, the sum
-    over m of q^(n-m) Re(q^(m-1) mu), and -1/2 C_n, C_n the sum of
-    q^(n-m) (q^(m-1) mu)*.  The product rule on q^n = q q^(n-1) gives them
-    as a recurrence: S_n = q S_(n-1) + Re(q^(n-1) mu) and
-    C_n = q C_(n-1) + (q^(n-1) mu)*, from S_1 = Re mu and C_1 = mu*."""
+    """The columns of each q^n, n = 1..top: the product rule applied to
+    q q^(n-1), so order n costs four products, not n."""
     times_q = _times(q)
-    times_mu = _times(mu)
-    power = type(q).from_real(1.0)
-    plain = type(q).from_real(mu.a)
-    conj = mu.conjugate()
-    yield plain, conj * -0.5
+    power, cols = q, _identity_cols(mu)
+    yield cols
     for _ in range(top - 1):
+        cols = _product(q, _identity_cols, power, cols, mu)
         power = times_q(power)
-        head = times_mu(power)
-        plain = q * plain + head.a
-        conj = q * conj + head.conjugate()
-        yield plain, conj * -0.5
+        yield cols
 
 
 def _power_cols(e, q, mu):
-    *_, (plain, conj) = _power_rule(q, mu, e.n)
-    return EntryDerivatives(plain, conj)
+    *_, last = _power_rule(q, mu, e.n)
+    return EntryDerivatives(*last)
 
 
 def _exponential_value(e, q):
@@ -380,14 +381,12 @@ def _exponential_value(e, q):
 
 
 def _exponential_cols(e, q, mu):
-    plain_total = ZERO
-    conj_total = ZERO
+    totals = (ZERO, ZERO)
     factorial = 1.0
-    for n, (plain, conj) in enumerate(_power_rule(q, mu, e.terms), start=1):
+    for n, cols in enumerate(_power_rule(q, mu, e.terms), start=1):
         factorial *= n
-        plain_total = plain_total + plain / factorial
-        conj_total = conj_total + conj / factorial
-    return EntryDerivatives(plain_total, conj_total)
+        totals = [total + col / factorial for total, col in zip(totals, cols)]
+    return EntryDerivatives(*totals)
 
 
 FAMILIES: dict[str, FamilySpec] = {}

@@ -446,6 +446,11 @@ def test_filter_threshold_failure(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+class _Digits(str):
+    """A JSON integer, written out as its digits: json.dumps cannot write
+    an int too long for str()."""
+
+
 @pytest.mark.parametrize("mutation,message", [
     ({"variant": "rls"}, "unknown filter variant"),
     ({"kind": "pink"}, "unknown signal kind"),
@@ -484,6 +489,8 @@ def test_filter_threshold_failure(tmp_path, capsys):
     ({"taps": [[[0.5, 0.0, 0.0, 0.0]]] * 3}, "four branches"),
     ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
     ({"taps": [["0.7", "-0.3", "0.2", "0.1"]]}, "four branches"),
+    # Python reads no integer of more than 4,300 digits from a string.
+    ({"seed": _Digits("1" * 4301)}, "bad.json' is not valid JSON"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",
@@ -491,7 +498,11 @@ def test_filter_config_validation(tmp_path, capsys, mutation, message):
               "alpha": 0.02, "steps": 500, "snr_db": 40, "seed": 3}
     config.update(mutation)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
+    text = json.dumps(config)
+    for value in mutation.values():
+        if isinstance(value, _Digits):
+            text = text.replace(json.dumps(value), value)
+    path.write_text(text)
     assert main(["filter", "--config", str(path)]) == 2
     assert message in capsys.readouterr().err
 

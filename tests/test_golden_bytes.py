@@ -23,10 +23,10 @@ GOLDEN = {
     ("verify", "--points", "150"):
         "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
     ("table",):
-        "31ffc771d3b6200098cbb370b2321832b48feeff8a97339d5849f003f2667d5b",
+        "7ae5d783785e98bc8cbadbd530bd72b999366458ae124f4ba4837bf2f703c1bd",
     # The derivative_table benchmark workload's call.
     ("table", "--points", "200"):
-        "3577c6c63a75a3a48f795a3465ac2a86d4df7c52c17b593760be842f70b06375",
+        "16c21f6d30321d4256ee29feb8de6285ed68a40c5c5cc92152013df999f0ce5c",
     ("mvt",):
         "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
     ("taylor",):

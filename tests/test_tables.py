@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
-from quatcalc.quaternion import ONE, I, J, K, ZERO, QArray, Quaternion, _times
+from quatcalc.quaternion import ONE, I, J, K, ZERO, QArray, Quaternion, _by_floats, _times
 from quatcalc.sampling import make_rng, random_quaternion
-from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, TableEntry,
+from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, TableEntry,
                              as_function, catalogue, conj_gradient,
                              cross_validate, derivative, eval_entry,
                              sample_batch)
@@ -405,16 +405,136 @@ def test_derived_linear_columns_meet_the_hand_written_oracle(family):
             assert _oracle_residual(derived, oracle) <= ORACLE_TOL
 
 
-# --- the power rule's recurrence against its double loop -----------------------
+# --- the product rule and the real chain rule against hand-written columns -----
 #
-# tables._power_rule runs the power rule's sums as a recurrence.  Below is
-# the rule as the table first computed it, every order re-added from zero:
-# the double loop wrote the table's bytes before the recurrence, so patched
-# in it must still write them, and it holds the recurrence's columns within
-# ORACLE_TOL.
+# tables derives the columns of linear, square, power, exponential, inverse,
+# unit_vector, modulus and arctan_arg from the identity's and those of
+# real_part, modulus_squared and vector_modulus, by the GHR product rule
+# (tables._product) and the real chain rule (tables._real_chain).  Below
+# are the columns the table wrote out by hand before, for Quaternion and
+# QArray points, and the power rule as the recurrence on its inner sums
+# that it ran.  linear, square, modulus, power and exponential keep their
+# bits; the others meet them within ORACLE_TOL.
+
+
+def _hand_linear_cols(e, q, mu):
+    nm = e.nu * mu
+    return EntryDerivatives(e.omega * nm.a, (e.omega * nm.conjugate()) * -0.5)
+
+
+def _hand_square_cols(e, q, mu):
+    qm = q * mu
+    col1 = q * mu.a + type(q).from_real(qm.a)
+    col2 = (q * mu.conjugate()) * -0.5 + qm.conjugate() * -0.5
+    return EntryDerivatives(col1, col2)
+
+
+def _hand_inverse_cols(e, q, mu):
+    qi = q.inverse()
+    col1 = qi * -(qi * mu).a
+    col2 = (qi * mu.conjugate() * qi.conjugate()) * 0.5
+    return EntryDerivatives(col1, col2)
+
+
+def _hand_unit_vector_cols(e, q, mu):
+    mod = q.modulus()
+    mod3 = _by_floats(lambda x: x ** 3, mod)
+    col1 = type(q).from_real(mu.a / mod) - (q * mu * q.conjugate()) * (0.25 / mod3)
+    col2 = mu.conjugate() * (-0.5 / mod) - (q * mu * q) * (0.25 / mod3)
+    return EntryDerivatives(col1, col2)
+
+
+def _hand_modulus_cols(e, q, mu):
+    mod = q.modulus()
+    return EntryDerivatives((mu * q.conjugate()) * (0.25 / mod), (mu * q) * (0.25 / mod))
+
+
+def _hand_arctan_arg_cols(e, q, mu):
+    n2 = q.modulus_squared()
+    q_hat = q.vector() / q.vector_modulus()
+    col1 = (mu * q_hat * q.conjugate()) * (-0.25 / n2)
+    col2 = (mu * q_hat * q) * (0.25 / n2)
+    return EntryDerivatives(col1, col2)
+
+
+def _recurrence_power_rule(q, mu, top):
+    """For each n = 1..top: S_n and -1/2 C_n, by S_n = q S_(n-1) +
+    Re(q^(n-1) mu) and C_n = q C_(n-1) + (q^(n-1) mu)*, from S_1 = Re mu
+    and C_1 = mu*."""
+    times_q = _times(q)
+    times_mu = _times(mu)
+    power = type(q).from_real(1.0)
+    plain = type(q).from_real(mu.a)
+    conj = mu.conjugate()
+    yield plain, conj * -0.5
+    for _ in range(top - 1):
+        power = times_q(power)
+        head = times_mu(power)
+        plain = q * plain + head.a
+        conj = q * conj + head.conjugate()
+        yield plain, conj * -0.5
+
+
+def _by_recurrence(family):
+    """The family's columns with the power rule run as the recurrence."""
+    def columns(e, q, mu):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tables, "_power_rule", _recurrence_power_rule)
+            return FAMILIES[family].columns(e, q, mu)
+    return columns
+
+
+HAND_WRITTEN = {
+    "linear": _hand_linear_cols,
+    "square": _hand_square_cols,
+    "inverse": _hand_inverse_cols,
+    "unit_vector": _hand_unit_vector_cols,
+    "modulus": _hand_modulus_cols,
+    "arctan_arg": _hand_arctan_arg_cols,
+    "power": _by_recurrence("power"),
+    "exponential": _by_recurrence("exponential"),
+}
+SAME_BITS = {"linear", "square", "modulus", "power", "exponential"}
+
+
+def _runs(entry, q, mu):
+    """A sample_batch draw as (entry, points, axes) runs of one entry each."""
+    runs = tables._batches(entry) if isinstance(entry, list) else [(slice(None), entry)]
+    return [(run, QArray(q.c[:, part]), QArray(mu.c[:, part])) for part, run in runs]
+
+
+def _points(entry, q, mu):
+    """A sample_batch draw as (entry, point, axis) one point at a time."""
+    entries = entry if isinstance(entry, list) else tables._unstacked(entry, q.c.shape[1])
+    return [(one, Quaternion(*point), Quaternion(*axis))
+            for one, point, axis in zip(entries, q.c.T.tolist(), mu.c.T.tolist())]
+
+
+@pytest.mark.parametrize("family", HAND_WRITTEN)
+def test_derived_base_columns_meet_the_hand_written_columns(family):
+    # 200 table draws, checked as batches and then one point at a time.
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=14), 200)
+    for one, point, axis in _runs(entry, q, mu) + _points(entry, q, mu):
+        for derived, oracle in zip(derivative(one, point, axis),
+                                   HAND_WRITTEN[family](one, point, axis)):
+            if family in SAME_BITS:
+                assert _same_bits(np.array(getattr(derived, "c", derived)),
+                                  np.array(getattr(oracle, "c", oracle)))
+            else:
+                assert np.max(_oracle_residual(derived, oracle)) <= ORACLE_TOL
+
+
+# --- the power rule against its double loop ------------------------------------
+#
+# tables._power_rule runs the power rule as the product rule on q q^(n-1).
+# Below is the rule as the table first computed it, every order re-added
+# from zero: the double loop wrote the table's bytes before the recurrence,
+# so patched in, next to the hand-written columns above, it must still
+# write them, and it holds the derived columns within ORACLE_TOL.
 
 # sha256 of the table runs' CSV while the double loop computed power and
-# exponential (tests/test_golden_bytes.py pins the current bytes).
+# exponential and the hand-written columns inverse, unit_vector and
+# arctan_arg (tests/test_golden_bytes.py pins the current bytes).
 DOUBLE_LOOP_DIGESTS = {
     ("table",): "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
     ("table", "--points", "200"):
@@ -444,8 +564,17 @@ def _double_loop_power_rule(q, mu, top):
 @pytest.mark.parametrize("argv", list(DOUBLE_LOOP_DIGESTS), ids=" ".join)
 def test_the_double_loop_still_writes_the_old_table_bytes(argv, tmp_path, capsys,
                                                           monkeypatch):
-    # Only the power rule moved the table's bytes.
+    # Only the power rule and the derived inverse, unit_vector and arctan_arg
+    # columns moved the table's bytes; their conj_ and linear_ twins are
+    # rebuilt from the hand-written bases.
     monkeypatch.setattr(tables, "_power_rule", _double_loop_power_rule)
+    for name in ("inverse", "unit_vector", "arctan_arg"):
+        base = FAMILIES[name]._replace(columns=HAND_WRITTEN[name])
+        linear = tables.affine_input(f"linear_{name}", base)
+        for spec in (base, tables.conj_input(f"conj_{name}", base), linear,
+                     tables.conj_input(f"conj_linear_{name}", linear)):
+            if spec.name in FAMILIES:
+                monkeypatch.setitem(FAMILIES, spec.name, spec)
     path = golden_run(argv, tmp_path, capsys, monkeypatch)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DOUBLE_LOOP_DIGESTS[argv]
 
@@ -512,25 +641,22 @@ def _predicted_at(columns, mu):
     return (plain - spin) * 0.25, (plain + spin) * 0.25
 
 
+def _unit_at_each(unit, axes):
+    """The unit as one axis, or as one per point of a QArray of axes."""
+    if isinstance(axes, Quaternion):
+        return unit
+    return QArray(np.outer(unit, np.ones(axes.c.shape[1])))
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_every_axis_is_predicted_exactly_from_the_axes_1_i_j(family):
     # 200 table draws on the batched path, and 5 of them one point at a time.
-    count = 200
-    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=13), count)
-    runs = tables._batches(entry) if isinstance(entry, list) else [(slice(None), entry)]
-    for part, run in runs:
-        points, axes = QArray(q.c[:, part]), QArray(mu.c[:, part])
-        width = points.c.shape[1]
+    entry, q, mu = sample_batch(FAMILIES[family], make_rng(SEED, stream=13), 200)
+    for one, point, axis in _runs(entry, q, mu) + _points(entry, q, mu)[:5]:
         predicted = _predicted_at(
-            lambda unit: derivative(run, points, QArray(np.outer(unit, np.ones(width)))), axes)
-        for derived, oracle in zip(derivative(run, points, axes), predicted):
-            assert _oracle_residual(derived, oracle).max() <= AXIS_TOL
-    one_point = entry if isinstance(entry, list) else tables._unstacked(entry, count)
-    for one, point, axis in list(zip(one_point, q.c.T.tolist(), mu.c.T.tolist()))[:5]:
-        point, axis = Quaternion(*point), Quaternion(*axis)
-        predicted = _predicted_at(lambda unit: derivative(one, point, unit), axis)
+            lambda unit: derivative(one, point, _unit_at_each(unit, axis)), axis)
         for derived, oracle in zip(derivative(one, point, axis), predicted):
-            assert _oracle_residual(derived, oracle) <= AXIS_TOL
+            assert np.max(_oracle_residual(derived, oracle)) <= AXIS_TOL
 
 
 def test_power_rule_keeps_the_double_loops_bits_up_to_the_square(monkeypatch):
