@@ -238,8 +238,7 @@ def _table_block(chunk) -> str:
 # The functions mvt and taylor differentiate are catalogue entries.
 _SQUARE = tables.as_function(TableEntry(family="square"))
 _MOD2 = tables.as_function(TableEntry(family="modulus_squared"))
-_EXPONENTIAL = tables.as_function(TableEntry(family="exponential",
-                                             terms=tables.DEFAULT_EXP_TERMS))
+_EXPONENTIAL = tables.as_function(TableEntry(family="exponential"))
 
 # (name, function, center branch).  The conjugate-sandwich quadratic form
 # only matches the expansion for real-valued functions, so the center
@@ -344,8 +343,11 @@ def _load_filter_config(spec: str) -> tuple[ExperimentConfig, Optional[float]]:
         raise CliError(f"cannot read config {spec!r}: {exc}")
     try:
         raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past str()'s digit limit
+    except json.JSONDecodeError as exc:
         raise CliError(f"config {spec!r} is not valid JSON: {exc}")
+    except ValueError:  # an integer past Python's int-string digit limit, before any key
+        raise CliError(f"config {spec!r} is not valid JSON: it holds an integer of more "
+                       f"than {sys.get_int_max_str_digits()} digits")
     if not isinstance(raw, dict):
         raise CliError("config must be a JSON object")
     unknown = set(raw) - CONFIG_KEYS

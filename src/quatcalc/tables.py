@@ -18,12 +18,13 @@ point.  Twelve base families have one _register row each.  The columns of
 real_part, modulus_squared, vector_modulus and unit_pure_axis are written
 out; _product (the product rule) and _real_chain (the real chain rule)
 derive the others': linear is omega times q's at nu mu, square q q, power
-q q^(n-1), exponential a sum of powers, inverse q* |q|^-2, unit_vector
-q |q|^-1, modulus sqrt(|q|^2) and arctan_arg atan2(|Im q|, Re q).  Each
-linear_* family is its base at g, by affine_input with the GHR chain rule
-summed over the axes 1, i, j, k, and each conj_* its base at q*, by
-conj_input with its two columns swapped.  Every family's entry is drawn
-by FamilySpec.sample_entry from its params, in order.
+q q^(n-1), exponential the sum of the first DEFAULT_EXP_TERMS powers over
+n!, inverse q* |q|^-2, unit_vector q |q|^-1, modulus sqrt(|q|^2) and
+arctan_arg atan2(|Im q|, Re q).  Each linear_* family is its base at g,
+by affine_input with the GHR chain rule summed over the axes 1, i, j, k,
+and each conj_* its base at q*, by conj_input with its two columns
+swapped.  Every family's entry is drawn by FamilySpec.sample_entry from
+its params, in order.
 
 Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
@@ -31,8 +32,8 @@ batch.  cross_validate checks a whole (4, N) batch of points in one pass,
 bit for bit the one-point calls: one call of the columns and one call of
 the evaluator on all 8N stencil points (derivatives.left_ghr on a QArray
 of points) for an entry whose coefficients are stacked, or for each run of
-points whose entries share family and counts n and terms.  The one-point
-calls' results stay on Python floats.
+points whose entries share family and count n.  The one-point calls'
+results stay on Python floats.
 
 The table draws its points with sample_batch: one rng.random call per
 batch, the family's admissible test on the arrays, and at the first
@@ -71,7 +72,6 @@ class TableEntry(NamedTuple):
     nu: Optional[Quaternion] = None
     lam: Optional[Quaternion] = None
     n: Optional[int] = None
-    terms: Optional[int] = None
 
 
 class EntryDerivatives(NamedTuple):
@@ -157,16 +157,16 @@ def affine_input(name: str, base: FamilySpec) -> FamilySpec:
         d f / d q^mu = sum over eta of d base / d g^eta * d g^eta / d q^mu
 
     and the same with q^(mu*).  g^eta = (eta omega) q (nu eta^-1) + eta lam
-    eta^-1 is again a linear map, so each term is the base's mu column at
-    (g, eta), times eta^-1, times the column of that map, which reads only
-    its omega and nu.  A Quaternion point sums the four terms one by
+    eta^-1 is again a linear map, and d base / d g^eta is col eta^-1, col
+    the base's mu column at (g, eta), whose eta^-1 cancels the eta of eta
+    omega: each term is the column of the linear map with omega' = col omega
+    and nu' = nu eta^-1.  A Quaternion point sums the four terms one by
     one, on Python floats; a QArray stacks the four eta on a leading
     element axis and adds its slices in the same order, with the same bits.
     """
     def terms(entry, g, mu, eta, eta_inv):
-        outer = base.columns(entry, g, eta).d_mu_times_mu * eta_inv
-        return [outer * column
-                for column in _linear_map_cols(eta * entry.omega, entry.nu * eta_inv, mu)]
+        return _linear_map_cols(base.columns(entry, g, eta).d_mu_times_mu * entry.omega,
+                                entry.nu * eta_inv, mu)
 
     def columns(entry, q, mu):
         g = _linear_inner(entry, q)
@@ -245,7 +245,6 @@ _PARAMS = {
     "nu": _COEFFICIENT,
     "lam": _COEFFICIENT,
     "n": _Param(lambda rng: int(rng.integers(2, 6)), _is_count, "a positive integer"),
-    "terms": _Param(lambda rng: DEFAULT_EXP_TERMS, _is_count, "a positive integer"),
 }
 _AFFINE = ("omega", "nu", "lam")
 
@@ -374,7 +373,7 @@ def _exponential_value(e, q):
     total = ONE
     term = ONE
     times_q = _times(q)
-    for n in range(1, e.terms + 1):
+    for n in range(1, DEFAULT_EXP_TERMS + 1):
         term = times_q(term) / n
         total = total + term
     return total
@@ -383,7 +382,7 @@ def _exponential_value(e, q):
 def _exponential_cols(e, q, mu):
     totals = (ZERO, ZERO)
     factorial = 1.0
-    for n, cols in enumerate(_power_rule(q, mu, e.terms), start=1):
+    for n, cols in enumerate(_power_rule(q, mu, DEFAULT_EXP_TERMS), start=1):
         factorial *= n
         totals = [total + col / factorial for total, col in zip(totals, cols)]
     return EntryDerivatives(*totals)
@@ -436,8 +435,8 @@ _declare(affine_input("linear_modulus", FAMILIES["modulus"]), conj=True)
 _declare(affine_input("linear_modulus_squared", FAMILIES["modulus_squared"]),
          conj=True)
 _register("power", _power_value, _power_cols, _UNGUARDED, ("n",), "quadratic")
-_register("exponential", _exponential_value, _exponential_cols, _UNGUARDED,
-          ("terms",), "quadratic")
+_register("exponential", _exponential_value, _exponential_cols, _UNGUARDED, (),
+          "quadratic")
 
 
 def catalogue() -> tuple[FamilySpec, ...]:
@@ -472,18 +471,15 @@ def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
     if "n" in spec.params:
         entries, qs, mus = zip(*(_sample_one(spec, rng) for _ in range(count)))
         return list(entries), QArray(list(zip(*qs))), QArray(list(zip(*mus)))
-    coefficients = [p for p in spec.params if p in _AFFINE]
-    # terms draws nothing.
-    fixed = {p: _PARAMS[p].draw(rng) for p in spec.params if p not in _AFFINE}
-    ranges = [_COEFFICIENT_RANGE] * len(coefficients) + [_POINT_RANGE] * 2
+    ranges = [_COEFFICIENT_RANGE] * len(spec.params) + [_POINT_RANGE] * 2
     lo = np.repeat([lo for lo, _ in ranges], 4)
     span = np.repeat([hi - lo for lo, hi in ranges], 4)
     drawn = np.empty((count, len(lo)))
 
     def stacked(rows):
         comps = rows.T.copy()
-        entry = TableEntry(spec.name, **fixed, **{
-            name: QArray(comps[4 * k:4 * k + 4]) for k, name in enumerate(coefficients)})
+        entry = TableEntry(spec.name, **{
+            name: QArray(comps[4 * k:4 * k + 4]) for k, name in enumerate(spec.params)})
         return entry, QArray(comps[-8:-4]), QArray(comps[-4:])
 
     done = 0
@@ -499,7 +495,7 @@ def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
             rng.bit_generator.state = state
             rng.random(accepted * len(lo))
             entry, q, mu = _sample_one(spec, rng)
-            drawn[done] = [x for p in coefficients for x in getattr(entry, p)] + [*q, *mu]
+            drawn[done] = [x for p in spec.params for x in getattr(entry, p)] + [*q, *mu]
             done += 1
     return stacked(drawn)
 
@@ -546,7 +542,7 @@ def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternio
 
     Given a sequence of entries, one per point on the last axis of the
     QArrays it takes, the function evaluates each run of points that share
-    family and counts (_batches) in one call on its slice of that axis.
+    family and count n (_batches) in one call on its slice of that axis.
     The rule draws in identities check a round of draws this way, and
     replay a failed round draw by draw with each draw's own entries.
     """
@@ -581,11 +577,11 @@ class CrossCheck(NamedTuple):
 
 def _batches(entries: Sequence[TableEntry]):
     """(point indices, entry) for each run of points whose entries share
-    family and counts; the entry holds the run's Quaternion coefficients
+    family and count n; the entry holds the run's Quaternion coefficients
     stacked into (4, n) QArrays."""
     runs: dict[tuple, list[int]] = {}
     for k, entry in enumerate(entries):
-        runs.setdefault((entry.family, entry.n, entry.terms), []).append(k)
+        runs.setdefault((entry.family, entry.n), []).append(k)
     for part in runs.values():
         stacked = {}
         for name in _AFFINE:

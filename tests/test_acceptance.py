@@ -100,7 +100,7 @@ def test_criterion_05_table_oracle_equivalence():
 
 def test_criterion_06_flavor_relations():
     rng = make_rng(SEED, stream=6)
-    exp_fn = as_function(TableEntry(family="exponential", terms=30))
+    exp_fn = as_function(TableEntry(family="exponential"))
     worst_conj = 0.0
     worst_real = 0.0
     for _ in range(50):
@@ -129,7 +129,7 @@ def test_criterion_07_mean_value_quadrature():
     functions = (("square", lambda p: p * p),
                  ("modulus_squared", _mod2),
                  ("exponential",
-                  as_function(TableEntry(family="exponential", terms=30))))
+                  as_function(TableEntry(family="exponential"))))
     worst_fine = 0.0
     refinement_ok = True
     for _, fn in functions:
@@ -156,7 +156,7 @@ def test_criterion_08_taylor_remainder_order():
     scales = (1e-1, 3.1622776601683795e-2, 1e-2, 3.1622776601683795e-3, 1e-3)
     cubic = taylor_remainder_slope(lambda p: p * p * p, q0, direction, scales)
     expo = taylor_remainder_slope(
-        as_function(TableEntry(family="exponential", terms=30)),
+        as_function(TableEntry(family="exponential")),
         q0, direction, scales)
     quad = taylor_remainder_slope(_mod2, q0, direction, scales)
     ok = (2.7 <= cubic.slope <= 3.3 and 2.7 <= expo.slope <= 3.3

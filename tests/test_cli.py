@@ -490,7 +490,8 @@ class _Digits(str):
     ({"nonlinearity": "tanh"}, "nonlinearity applies to qngd only"),
     ({"taps": [["0.7", "-0.3", "0.2", "0.1"]]}, "four branches"),
     # Python reads no integer of more than 4,300 digits from a string.
-    ({"seed": _Digits("1" * 4301)}, "bad.json' is not valid JSON"),
+    ({"seed": _Digits("1" * 4301)},
+     "bad.json' is not valid JSON: it holds an integer of more than 4300 digits"),
 ])
 def test_filter_config_validation(tmp_path, capsys, mutation, message):
     config = {"variant": "qlms",
@@ -504,7 +505,10 @@ def test_filter_config_validation(tmp_path, capsys, mutation, message):
             text = text.replace(json.dumps(value), value)
     path.write_text(text)
     assert main(["filter", "--config", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # No message passes on advice to call into Python, which a CLI user cannot follow.
+    assert "sys." not in err
 
 
 def test_filter_edge_values_stay_legal(tmp_path, capsys):

@@ -520,7 +520,7 @@ def test_each_check_evaluates_each_function_once_per_point(monkeypatch):
 BUILT_IN_ARRAY_FORMS = (
     ("cli_square", cli._SQUARE), ("cli_mod2", cli._MOD2),
     ("cli_power3", cli.TAYLOR_FUNCTIONS[0][1]), ("cli_exponential", cli._EXPONENTIAL),
-    ("exponential", tables.as_function(tables.TableEntry("exponential", terms=30))),
+    ("exponential", tables.as_function(tables.TableEntry("exponential"))),
     ("identities_identity", identities._f_identity), ("identities_conj", identities._f_conj),
     ("identities_sq", identities._f_sq), ("identities_mod2", identities._f_mod2),
     ("identities_cross", identities._f_cross), ("filters_tanh", filters.phi_tanh))

@@ -996,7 +996,7 @@ def test_phi_derivatives_share_one_set_of_partials(monkeypatch):
 
 
 @pytest.mark.parametrize("phi", [
-    phi_tanh, _phi_square, tables.as_function(tables.TableEntry("exponential", terms=30)),
+    phi_tanh, _phi_square, tables.as_function(tables.TableEntry("exponential")),
 ], ids=["tanh", "square", "exponential"])
 def test_ghr_effective_error_is_the_real_jacobian_transpose(phi):
     # The GHR chain rule: the sum over mu of e^mu * d Phi^(mu*)/ds* is the

@@ -23,10 +23,10 @@ GOLDEN = {
     ("verify", "--points", "150"):
         "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
     ("table",):
-        "7ae5d783785e98bc8cbadbd530bd72b999366458ae124f4ba4837bf2f703c1bd",
+        "8836a3e7b87eb33eb8e92f48cb720fc792459756f6f8c1bceb7caa6745f80685",
     # The derivative_table benchmark workload's call.
     ("table", "--points", "200"):
-        "16c21f6d30321d4256ee29feb8de6285ed68a40c5c5cc92152013df999f0ce5c",
+        "afcfd332f3567877c7ea50399464a6a81bf357dba0e201aef09955434119486e",
     ("mvt",):
         "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
     ("taylor",):

@@ -329,7 +329,7 @@ def test_real_chain_corollary_squares_through_python_floats():
 # 1e308); draw 2 is degenerate: its real-part g is 0 at its point, so the
 # shifted axis g(q) mu vanishes, or its chain-rule axis mu is 0.
 
-EXPONENTIAL = tables.TableEntry("exponential", terms=30)
+EXPONENTIAL = tables.TableEntry("exponential")
 REAL_PART = tables.TableEntry("real_part")
 SQUARE = tables.TableEntry("square")
 IDENTITY = tables.TableEntry("linear", omega=ONE, nu=ONE,

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
-from quatcalc.quaternion import ONE, I, J, K, ZERO, QArray, Quaternion, _by_floats, _times
+from quatcalc.quaternion import (ONE, I, J, K, ZERO, QArray, Quaternion, _add_terms, _by_floats,
+                                 _times)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, TableEntry,
                              as_function, catalogue, conj_gradient,
@@ -147,7 +148,7 @@ def test_cube_is_the_repeated_product_bit_for_bit():
 
 def test_series_value_commutes_with_argument():
     # exp(q) is a power series in q, so it commutes with q.
-    entry = TableEntry(family="exponential", terms=30)
+    entry = TableEntry(family="exponential")
     rng = make_rng(SEED, stream=3)
     for _ in range(20):
         q = random_quaternion(rng)
@@ -162,24 +163,30 @@ def _exp_tail_bound(terms: int, q: Quaternion, mu: Quaternion) -> float:
     return mod ** (terms + 1) / math.factorial(terms + 1) * math.exp(mod) * abs(mu)
 
 
-def test_exponential_tail_bound():
+def test_exponential_tail_bound(monkeypatch):
     q = Quaternion(1.0, 1.0, 1.0, 1.0)
     mu = Quaternion(0.5, -0.3, 0.8, 0.1)
     assert _exp_tail_bound(DEFAULT_EXP_TERMS, q, mu) < 1e-12
     assert _exp_tail_bound(3, q, mu) > 1e-3
     # The columns of a truncated series lie within the bound of a longer one.
-    long = derivative(TableEntry(family="exponential", terms=60), q, mu)
+    entry = TableEntry(family="exponential")
+    monkeypatch.setattr(tables, "DEFAULT_EXP_TERMS", 60)
+    long = derivative(entry, q, mu)
     for terms in (3, 8, DEFAULT_EXP_TERMS):
-        cols = derivative(TableEntry(family="exponential", terms=terms), q, mu)
+        monkeypatch.setattr(tables, "DEFAULT_EXP_TERMS", terms)
+        cols = derivative(entry, q, mu)
         bound = _exp_tail_bound(terms, q, mu)
         assert abs(cols.d_mu_times_mu - long.d_mu_times_mu) <= bound + 1e-15
         assert abs(cols.d_mu_conj_times_mu - long.d_mu_conj_times_mu) <= bound + 1e-15
 
 
-def test_exponential_more_terms_converge():
+def test_exponential_more_terms_converge(monkeypatch):
     q = Quaternion(0.4, -0.3, 0.2, 0.6)
-    f30 = eval_entry(TableEntry(family="exponential", terms=30), q)
-    f40 = eval_entry(TableEntry(family="exponential", terms=40), q)
+    entry = TableEntry(family="exponential")
+    monkeypatch.setattr(tables, "DEFAULT_EXP_TERMS", 30)
+    f30 = eval_entry(entry, q)
+    monkeypatch.setattr(tables, "DEFAULT_EXP_TERMS", 40)
+    f40 = eval_entry(entry, q)
     assert abs(f30 - f40) < 1e-15
 
 
@@ -274,8 +281,6 @@ def test_sampled_points_and_their_stencils_pass_the_domain_guard(family, seed):
     (TableEntry(family="power", n=2.5), "n"),
     (TableEntry(family="power", n=True), "n"),
     (TableEntry(family="power", n=0), "n"),
-    (TableEntry(family="exponential", terms="30"), "terms"),
-    (TableEntry(family="exponential", terms=-1), "terms"),
 ])
 def test_missing_or_ill_typed_parameter_is_a_value_error(entry, param):
     q = Quaternion(0.5, -1.0, 0.25, 0.75)
@@ -529,17 +534,42 @@ def test_derived_base_columns_meet_the_hand_written_columns(family):
 # tables._power_rule runs the power rule as the product rule on q q^(n-1).
 # Below is the rule as the table first computed it, every order re-added
 # from zero: the double loop wrote the table's bytes before the recurrence,
-# so patched in, next to the hand-written columns above, it must still
-# write them, and it holds the derived columns within ORACLE_TOL.
+# so patched in, next to the hand-written columns above and the chain term
+# below, it must still write them, and it holds the derived columns within
+# ORACLE_TOL.
+#
+# tables.affine_input's chain term is the column of the map with omega' =
+# col omega, col the base's column at (g, eta).  The table first summed it
+# unfolded: col eta^-1 times the columns of (eta omega) q (nu eta^-1).
 
 # sha256 of the table runs' CSV while the double loop computed power and
-# exponential and the hand-written columns inverse, unit_vector and
-# arctan_arg (tests/test_golden_bytes.py pins the current bytes).
+# exponential, the hand-written columns inverse, unit_vector and arctan_arg,
+# and the unfolded chain term every linear_ family's columns
+# (tests/test_golden_bytes.py pins the current bytes).
 DOUBLE_LOOP_DIGESTS = {
     ("table",): "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
     ("table", "--points", "200"):
         "8e78e270b0df60fb8c99f63f3b995ef5b41ad4ef72f7053121fed5405d679c71",
 }
+
+
+def _unfolded_affine_input(name, base):
+    """tables.affine_input with each chain term's eta^-1 eta round trip."""
+    def terms(entry, g, mu, eta, eta_inv):
+        outer = base.columns(entry, g, eta).d_mu_times_mu * eta_inv
+        return [outer * column
+                for column in tables._linear_map_cols(eta * entry.omega, entry.nu * eta_inv, mu)]
+
+    def columns(entry, q, mu):
+        g = tables._linear_inner(entry, q)
+        if not isinstance(g, QArray):
+            by_column = zip(*(terms(entry, g, mu, eta, eta_inv) for eta, eta_inv in tables._ETAS))
+            return EntryDerivatives(*(sum(rest, first) for first, *rest in by_column))
+        eta = QArray(tables._STACKED_ETAS.reshape((4, 4) + (1,) * (g.c.ndim - 1)))
+        return EntryDerivatives(*(QArray(_add_terms(*np.moveaxis(column.c, 1, 0)))
+                                  for column in terms(entry, g, mu, eta, eta.conjugate())))
+
+    return tables.affine_input(name, base)._replace(columns=columns)
 
 
 def _double_loop_power_rule(q, mu, top):
@@ -564,13 +594,17 @@ def _double_loop_power_rule(q, mu, top):
 @pytest.mark.parametrize("argv", list(DOUBLE_LOOP_DIGESTS), ids=" ".join)
 def test_the_double_loop_still_writes_the_old_table_bytes(argv, tmp_path, capsys,
                                                           monkeypatch):
-    # Only the power rule and the derived inverse, unit_vector and arctan_arg
-    # columns moved the table's bytes; their conj_ and linear_ twins are
-    # rebuilt from the hand-written bases.
+    # Only the power rule, the derived inverse, unit_vector and arctan_arg
+    # columns and the folded chain term moved the table's bytes; the conj_
+    # and linear_ twins are rebuilt from the hand-written bases with the
+    # unfolded chain term.
     monkeypatch.setattr(tables, "_power_rule", _double_loop_power_rule)
-    for name in ("inverse", "unit_vector", "arctan_arg"):
-        base = FAMILIES[name]._replace(columns=HAND_WRITTEN[name])
-        linear = tables.affine_input(f"linear_{name}", base)
+    for name in ("square", "inverse", "real_part", "unit_vector", "arctan_arg", "modulus",
+                 "modulus_squared"):
+        base = FAMILIES[name]
+        if name in ("inverse", "unit_vector", "arctan_arg"):
+            base = base._replace(columns=HAND_WRITTEN[name])
+        linear = _unfolded_affine_input(f"linear_{name}", base)
         for spec in (base, tables.conj_input(f"conj_{name}", base), linear,
                      tables.conj_input(f"conj_linear_{name}", linear)):
             if spec.name in FAMILIES:
@@ -579,7 +613,8 @@ def test_the_double_loop_still_writes_the_old_table_bytes(argv, tmp_path, capsys
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DOUBLE_LOOP_DIGESTS[argv]
 
 
-# The counts each family's columns are held to the double loop at.
+# The counts each family's columns are held to the double loop at: power's
+# n and the exponential's number of terms, DEFAULT_EXP_TERMS.
 COUNTS = {"n": range(1, 9), "terms": range(1, 61)}
 
 
@@ -587,12 +622,18 @@ def _power_rule_columns(entry, count, q, mu, monkeypatch):
     """The entry's columns at each count, by the recurrence and by the
     double loop; the double loop's orders do not depend on top, so its
     sums run once, up to the largest count."""
-    recurrence = [derivative(entry._replace(**{count: k}), q, mu) for k in COUNTS[count]]
+    def at(k):
+        if count == "n":
+            return derivative(entry._replace(n=k), q, mu)
+        with monkeypatch.context() as patch:
+            patch.setattr(tables, "DEFAULT_EXP_TERMS", k)
+            return derivative(entry, q, mu)
+
+    recurrence = [at(k) for k in COUNTS[count]]
     orders = list(_double_loop_power_rule(q, mu, max(COUNTS[count])))
     with monkeypatch.context() as patch:
         patch.setattr(tables, "_power_rule", lambda q, mu, top: iter(orders[:top]))
-        return zip(COUNTS[count], recurrence,
-                   [derivative(entry._replace(**{count: k}), q, mu) for k in COUNTS[count]])
+        return zip(COUNTS[count], recurrence, [at(k) for k in COUNTS[count]])
 
 
 @pytest.mark.parametrize("family,count", [("power", "n"), ("exponential", "terms")])
@@ -708,8 +749,8 @@ def _column_hex(field):
 
 def _forms(entries):
     """The batch's entries as a sequence and, when they are one family with
-    one set of counts, as one entry with stacked coefficients."""
-    if len({(e.family, e.n, e.terms) for e in entries}) > 1 or any(
+    one count n, as one entry with stacked coefficients."""
+    if len({(e.family, e.n) for e in entries}) > 1 or any(
             not isinstance(getattr(e, name), Quaternion) for e in entries
             for name in ("omega", "nu", "lam") if getattr(entries[0], name) is not None):
         return [entries]
@@ -739,10 +780,8 @@ def test_batch_with_mixed_counts_and_families_stays_exact():
     points = [random_quaternion(rng, -1.5, 1.5) for _ in range(10)]
     mus = [random_quaternion(rng, min_modulus=0.1) for _ in range(10)]
     ns = [2, 5, 3, 2, 4, 5, 1, 3, 2, 4]
-    terms = [30, 1, 5, 30, 12, 2, 30, 7, 5, 30]
     powers = [TableEntry("power", n=n) for n in ns]
-    series = [TableEntry("exponential", terms=t) for t in terms]
-    for entries in (powers, series, powers[:5] + series[5:]):
+    for entries in (powers, powers[:5] + [TableEntry("exponential")] * 5):
         _assert_batch_matches_points(list(zip(entries, points, mus)))
     with pytest.raises(ValueError, match="one entry and one axis per point"):
         cross_validate(powers[:9], *_stacked(list(zip(powers, points, mus)))[1:])
@@ -825,7 +864,7 @@ def _with(draws, k, **fields):
     # cases above are one family each, so they also run on a stacked entry.
     lambda: _with(_with(_sample("power", 6), 3, entry={"n": 0}), 5, entry={"n": 2.5}),
     lambda: _with(_sample("linear_square", 6), 4, entry={"omega": None}),
-    lambda: _with(_sample("exponential", 4), 1, entry={"terms": "30"}),
+    lambda: _with(_sample("power", 4), 1, entry={"n": "3"}),
 ], ids=["domain", "conj-domain", "zero-mu", "domain-then-zero-mu", "degenerate-mu",
         "count", "missing-coefficient", "ill-typed-count"])
 def test_batch_raises_the_first_bad_points_error(case):

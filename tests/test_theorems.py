@@ -33,7 +33,7 @@ def f_mod2(p):
     return Quaternion.from_real(p.modulus_squared())
 
 
-F_EXP = as_function(TableEntry(family="exponential", terms=30))
+F_EXP = as_function(TableEntry(family="exponential"))
 
 
 @pytest.mark.parametrize("fn", [f_sq, f_mod2, F_EXP])
