@@ -20,9 +20,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import identities, tables, theorems
-from .filters import ExperimentConfig, real_number, run_experiment
+from .filters import ExperimentConfig, run_experiment
 from .quaternion import (ONE, QUATERNION_TEMPLATE, Quaternion, format_quaternion,
-                         parse_quaternion)
+                         parse_quaternion, real_number)
 from .sampling import make_rng, random_quaternion
 from .tables import TableEntry
 from .theorems import DivergenceError

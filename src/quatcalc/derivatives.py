@@ -247,8 +247,10 @@ def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:
     fa, fb, fc, fd = parts
     if side == "left":
         mixed = fb * basis.i_mu + fc * basis.j_mu + fd * basis.k_mu
-    else:
+    elif side == "right":
         mixed = basis.i_mu * fb + basis.j_mu * fc + basis.k_mu * fd
+    else:
+        raise ValueError(f"flavor must be 'left' or 'right', got {side!r}")
     return (fa - mixed) * 0.25, (fa + mixed) * 0.25
 
 

@@ -51,8 +51,8 @@ import numpy as np
 
 from . import derivatives
 from .derivatives import EvaluationError, takes_arrays
-from .quaternion import (_MUL_INDEX, _MUL_SIGN, AXES, ZERO, QArray, Quaternion,
-                         _add_terms, _by_floats, _signed, involute)
+from .quaternion import (_MUL_INDEX, _MUL_SIGN, AXES, ZERO, QArray, Quaternion, _add_terms,
+                         _by_floats, _signed, involute, ordered_sum, real_number)
 from .sampling import make_rng
 from .theorems import DivergenceError
 
@@ -194,18 +194,6 @@ _WL_BACK_SIGNS = _WL_SIGNS[:, _ROWS, _MUL_INDEX].transpose(1, 2, 0)[..., None]
 _BLOCK = 128
 
 
-def real_number(key: str, value, expected: str = "a real number") -> float:
-    """value as a float: a real number, not a bool, within a double's range,
-    which a JSON integer need not be.  Anything else is a ValueError that
-    names key."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{key} must be {expected}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{key} must be {expected} within a double's range") from None
-
-
 def _taps_array(taps: Taps) -> np.ndarray:
     """Taps as a (4, branches, taps) array: a (taps, 4) vector is one branch."""
     try:
@@ -222,15 +210,6 @@ def _taps_array(taps: Taps) -> np.ndarray:
     return array.transpose(2, 0, 1)
 
 
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right from zero as the scalar loops add.
-
-    accumulate adds strictly in order.  Starting from x0 rather than 0.0 + x0
-    can only change the sign of a zero total, which the final + 0.0 undoes.
-    """
-    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
-
-
 def _wl_matrix(branches: np.ndarray) -> np.ndarray:
     """The (4, 4 taps) matrix M = A w of (4, 4, taps) branch weights: each
     entry a sum over the branches mu, in order.  The sign of a zero entry
@@ -243,7 +222,7 @@ def _wl_branches(matrix: np.ndarray) -> np.ndarray:
     """The (4, 4, taps) branch weights A^T M / 4 of a (4, 4 taps) matrix:
     each a sum over M's rows, in order from zero, times 0.25."""
     gathered = matrix.reshape(4, 4, -1)[_ROWS, _MUL_INDEX]  # [r, k, tap]
-    return (_add_terms(*(gathered[:, :, None] * _WL_BACK_SIGNS)) + 0.0) * 0.25
+    return ordered_sum(np.moveaxis(gathered[:, :, None] * _WL_BACK_SIGNS, 0, -1)) * 0.25
 
 
 def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
@@ -264,7 +243,7 @@ def _step(weights: np.ndarray, x: np.ndarray, d: np.ndarray, alpha: float,
 def _squared_norms(weights: np.ndarray) -> np.ndarray:
     """Squared norms of (m, 4, columns) weights: each column's a^2 + b^2 +
     c^2 + d^2 (a tap's squared modulus), added left to right."""
-    return _ordered_sum(QArray(weights.swapaxes(0, 1)).modulus_squared())
+    return ordered_sum(QArray(weights.swapaxes(0, 1)).modulus_squared())
 
 
 def _check_bounded(history: np.ndarray, limit: float, start: int) -> None:
@@ -320,10 +299,10 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
                 terms = _add_terms(*(truth[:, 0, None] * out).swapaxes(0, 1))
             else:
                 terms = matrix * block.reshape(len(block), 1, -1)
-            clean[lo:lo + _BLOCK] = _ordered_sum(terms)
+            clean[lo:lo + _BLOCK] = ordered_sum(terms)
         desired = clean
         if not math.isinf(snr_db):
-            signal_power = sum(QArray(clean.T).modulus_squared().tolist()) / n
+            signal_power = float(ordered_sum(QArray(clean.T).modulus_squared())) / n
             try:
                 noise_power = signal_power * 10.0 ** (-snr_db / 10.0)
             except OverflowError:
@@ -382,14 +361,11 @@ def _qngd_errors(phi: PhiFunction, s: np.ndarray,
     By the GHR chain rule the effective error, the sum over mu of
     e^mu d Phi^(mu*)/ds*, is the conjugate gradient of |e|^2 pushed back
     through Phi; |e|^2 is real, so it is J^T e: component r is
-    <d Phi/ds_r, e>.  Row 0 of ``chain`` stays 0.0 ahead of the products
-    J[c, r] e[c], so each sum adds in order from zero, as a scalar loop.
+    <d Phi/ds_r, e>, the products J[c, r] e[c] added in order from zero.
     """
     value, jacobian = derivatives.value_and_jacobian(phi, s)
     e = d - value
-    chain = np.zeros((5, 4))
-    np.multiply(jacobian, e[:, None], chain[1:])
-    return e, np.add.accumulate(chain, axis=0)[-1]
+    return e, ordered_sum(jacobian.T * e)
 
 
 def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarray,
@@ -409,7 +385,7 @@ def _hamilton_steps(weights: np.ndarray, windows: np.ndarray, desired: np.ndarra
         for out, move, d, new in zip(factors, factors.swapaxes(1, 2), desired[lo:lo + _BLOCK],
                                      history):
             np.multiply(out, weights[:, None], terms)
-            s = _ordered_sum(_add_terms(*by_term, total))
+            s = ordered_sum(_add_terms(*by_term, total))
             if phi is None:
                 e = e_eff = d - s
             else:

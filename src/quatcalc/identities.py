@@ -377,8 +377,8 @@ def product_rule_records(rng: np.random.Generator, draws: int,
         q = _admissible_point(f_spec, f_entry, g_spec, g_entry, rng)
         if q is None:
             return None
-        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        return _Draw(f_entry, g_entry, q, mu, None, rng.random() < PRODUCT_CONJUGATE_SHARE)
+        return _Draw(f_entry, g_entry, q, tables.sample_axis(rng), None,
+                     rng.random() < PRODUCT_CONJUGATE_SHARE)
 
     return _rule_records(draw, draws, tols, "product_rule")
 
@@ -392,10 +392,7 @@ def chain_rule_records(rng: np.random.Generator, draws: int,
     def draw() -> Optional[_Draw]:
         if rng.random() < CHAIN_REAL_SHARE:
             # Real chain corollary: F(x) = x^2 applied to a real-valued g.
-            g_spec = real_specs[rng.integers(len(real_specs))]
-            g_entry = g_spec.sample_entry(rng)
-            q = g_spec.sample_point(g_entry, rng)
-            mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+            g_entry, q, mu = tables.sample_one(real_specs[rng.integers(len(real_specs))], rng)
             return _Draw(None, g_entry, q, mu, None, False)
         f_spec = specs[rng.integers(len(specs))]
         g_spec = linear_specs[rng.integers(len(linear_specs))]
@@ -404,8 +401,7 @@ def chain_rule_records(rng: np.random.Generator, draws: int,
         q = g_spec.sample_point(g_entry, rng)
         if f_spec.domain(f_entry, tables.eval_entry(g_entry, q)) is not None:
             return None
-        mu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
-        nu = random_quaternion(rng, -2.0, 2.0, min_modulus=0.1)
+        mu, nu = tables.sample_axis(rng), tables.sample_axis(rng)
         return _Draw(f_entry, g_entry, q, mu, nu, rng.random() < CHAIN_CONJUGATE_SHARE)
 
     return _rule_records(draw, draws, tols, "chain_rule")
@@ -448,8 +444,8 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         qs, mus, nus, dqs = [], [], [], []
         for _ in range(min(BLOCK, points - start)):
             qs.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
-            mus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
-            nus.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
+            mus.append(tables.sample_axis(rng))
+            nus.append(tables.sample_axis(rng))
             dqs.append(random_quaternion(rng, -1.0, 1.0) * 1e-3)
         q, mu, nu, dq = map(_stack, (qs, mus, nus, dqs))
         parts = _partials(q)

@@ -169,6 +169,15 @@ def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
     return total
 
 
+def ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right from zero as the scalar loops add.
+
+    accumulate adds strictly in order.  Starting from x0 rather than 0.0 + x0
+    can only change the sign of a zero total, which the final + 0.0 undoes.
+    """
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+
+
 def _signed(q: np.ndarray, axis: int = 0) -> np.ndarray:
     """q's components, on ``axis``, gathered with their signs: that axis
     becomes the two axes [k, r], so (4, *S) gives [k, r, *S]."""
@@ -224,6 +233,18 @@ def _aligned(comps: np.ndarray, ndim: int) -> np.ndarray:
 def anywhere(mask) -> bool:
     """A check over one quaternion (a bool) or over a QArray's elements (an array)."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def real_number(key: str, value, expected: str = "a real number") -> float:
+    """value as a float: a real number, not a bool, within a double's range,
+    which a JSON integer need not be.  Anything else is a ValueError that
+    names key."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be {expected} within a double's range") from None
 
 
 # A real operand of QArray's sums: a number, or an array with one per element.
@@ -363,11 +384,24 @@ class QArray:
         return np.sqrt(b * b + c * c + d * d)
 
 
-def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
-    """Rotation q^mu = mu q mu^-1, computed as mu q mu* / |mu|^2."""
+def axis_modulus_squared(mu):
+    """|mu|^2 of a rotation axis, or of each of a QArray's axes.  A zero axis
+    is a ValueError, and so is one that would rotate to NaN, with a NaN or
+    infinite component or |mu|^2: its message names the first such axis."""
     n2 = mu.modulus_squared()
     if anywhere(n2 == 0.0):
         raise ValueError("rotation axis must be nonzero")
+    bad = ~np.isfinite(n2) if isinstance(mu, QArray) else not math.isfinite(n2)
+    if anywhere(bad):
+        axis = mu.c.reshape(4, -1)[:, np.argmax(bad)] if isinstance(mu, QArray) else mu
+        raise ValueError(f"rotation axis {format_quaternion(tuple(axis))} must be finite, "
+                         f"with |mu|^2 within a double's range")
+    return n2
+
+
+def rotate(q: Quaternion, mu: Quaternion) -> Quaternion:
+    """Rotation q^mu = mu q mu^-1, computed as mu q mu* / |mu|^2."""
+    n2 = axis_modulus_squared(mu)
     return (mu * q * mu.conjugate()) / n2
 
 

@@ -52,12 +52,12 @@ import numpy as np
 from . import derivatives
 from .derivatives import takes_arrays
 from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
-                         _times, anywhere, rotate)
+                         _times, anywhere, axis_modulus_squared, rotate)
 from .sampling import MAX_DRAWS, random_quaternion
 
 MIN_MODULUS = 1e-9
 # Uniform draws: coefficients from [-1, 1]^4, points and axes from [-2, 2]^4,
-# the table's GHR axes with |mu| >= AXIS_MODULUS.
+# the GHR axes (sample_axis, the identity suite's too) with |mu| >= AXIS_MODULUS.
 _COEFFICIENT_RANGE = (-1.0, 1.0)
 _POINT_RANGE = (-2.0, 2.0)
 AXIS_MODULUS = 0.1
@@ -444,15 +444,19 @@ def catalogue() -> tuple[FamilySpec, ...]:
     return tuple(FAMILIES.values())
 
 
-def _sample_one(spec: FamilySpec, rng: np.random.Generator):
-    """One (entry, point, axis) draw of the table, |axis| >= AXIS_MODULUS."""
+def sample_axis(rng: np.random.Generator) -> Quaternion:
+    """A GHR axis: a uniform draw from [-2, 2]^4 with |mu| >= AXIS_MODULUS."""
+    return random_quaternion(rng, *_POINT_RANGE, min_modulus=AXIS_MODULUS)
+
+
+def sample_one(spec: FamilySpec, rng: np.random.Generator):
+    """One (entry, point, axis) draw of the table."""
     entry = spec.sample_entry(rng)
-    return (entry, spec.sample_point(entry, rng),
-            random_quaternion(rng, *_POINT_RANGE, min_modulus=AXIS_MODULUS))
+    return entry, spec.sample_point(entry, rng), sample_axis(rng)
 
 
 def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
-    """count draws of _sample_one, bit for bit, leaving rng where they would:
+    """count draws of sample_one, bit for bit, leaving rng where they would:
     the entry, with its coefficients stacked into (4, count) QArrays, and
     the (4, count) QArrays of points and axes.
 
@@ -462,14 +466,14 @@ def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
     the family's admissible test and the axis bound run on the arrays.  At
     the first point either rejects, where the one-point draws would redraw,
     rng is rewound to just past the points before it, that point is drawn
-    with _sample_one, and the bulk draw goes on after it.
+    with sample_one, and the bulk draw goes on after it.
 
     A family with a count n draws it with rng.integers, from a buffer the
     rewind would have to replay as well; its points are drawn one by one,
     and the entries come back as a list.
     """
     if "n" in spec.params:
-        entries, qs, mus = zip(*(_sample_one(spec, rng) for _ in range(count)))
+        entries, qs, mus = zip(*(sample_one(spec, rng) for _ in range(count)))
         return list(entries), QArray(list(zip(*qs))), QArray(list(zip(*mus)))
     ranges = [_COEFFICIENT_RANGE] * len(spec.params) + [_POINT_RANGE] * 2
     lo = np.repeat([lo for lo, _ in ranges], 4)
@@ -494,7 +498,7 @@ def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
         if done < count:
             rng.bit_generator.state = state
             rng.random(accepted * len(lo))
-            entry, q, mu = _sample_one(spec, rng)
+            entry, q, mu = sample_one(spec, rng)
             drawn[done] = [x for p in spec.params for x in getattr(entry, p)] + [*q, *mu]
             done += 1
     return stacked(drawn)
@@ -528,8 +532,7 @@ def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivat
     stacked the same way; the checks then hold at every point.
     """
     spec = _check_entry(entry)
-    if anywhere(mu.modulus() == 0.0):
-        raise ValueError("rotation axis must be nonzero")
+    axis_modulus_squared(mu)  # a zero or non-finite axis is a ValueError
     violation = spec.domain(entry, q)
     if violation:
         raise ValueError(f"{entry.family}: {violation}")

@@ -11,14 +11,15 @@ optimization.
 from __future__ import annotations
 
 import math
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .derivatives import (HR_AXES, EvaluationError, QFunction, _evaluate, left_ghr,
                           left_hr, second_order)
-from .quaternion import AXES, ONE, QArray, Quaternion, involute, involute_conj
+from .quaternion import (AXES, ONE, QArray, Quaternion, involute, involute_conj,
+                         ordered_sum, real_number)
 
 # Error floor model for the remainder fit: second derivatives come from a
 # nested difference scheme, so the expansion carries noise of roughly
@@ -66,12 +67,11 @@ class DescentTrace(NamedTuple):
 
 def _simpson(values: np.ndarray, width: float) -> Quaternion:
     """Composite Simpson over the (4, odd n) node values of an even number of
-    panels: (v_0 + v_last) + 4 v_1 + 2 v_2 + ..., added left to right."""
+    panels: (v_0 + v_last) + 4 v_1 + 2 v_2 + ..., in order from zero."""
     weights = np.where(np.arange(1, values.shape[1] - 1) % 2, 4.0, 2.0)
     terms = np.concatenate(((values[:, 0] + values[:, -1])[:, np.newaxis],
                             values[:, 1:-1] * weights), axis=1)
-    total = np.add.accumulate(terms, axis=1)[:, -1]
-    return Quaternion.from_components(total) * (width / 3.0)
+    return Quaternion.from_components(ordered_sum(terms)) * (width / 3.0)
 
 
 def _real_integrand(d_q, lam: Quaternion):
@@ -195,7 +195,7 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     """
     if not all(map(math.isfinite, direction)) or not any(direction):
         raise ValueError(f"direction must be nonzero and finite, got {direction!r}")
-    scales = tuple(float(s) for s in scales)
+    scales = tuple(real_number("scales", s) for s in scales)
     if len(scales) < 4:
         raise ValueError("need at least four scales")
     if not all(math.isfinite(s) and s > 0.0 for s in scales):
@@ -236,9 +236,7 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     in closed form or taken from the numerical engine.  Ten consecutive
     objective increases abort the run.
     """
-    for name, value in (("alpha", alpha), ("grad_tol", grad_tol)):
-        if not isinstance(value, Real) or isinstance(value, bool):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    alpha, grad_tol = real_number("alpha", alpha), real_number("grad_tol", grad_tol)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("step size must be positive and finite")
     if not isinstance(max_iters, Integral) or isinstance(max_iters, bool) or max_iters < 0:

@@ -196,8 +196,8 @@ def test_table_writes_the_one_point_draws_bytes(axis_modulus, tol, failures, tmp
     monkeypatch.setattr(cli, "TABLE_CHUNK", 3)
     monkeypatch.setattr(tables, "AXIS_MODULUS", axis_modulus)
     replays = []
-    sample_one = tables._sample_one
-    monkeypatch.setattr(tables, "_sample_one", lambda spec, rng: replays.append(
+    sample_one = tables.sample_one
+    monkeypatch.setattr(tables, "sample_one", lambda spec, rng: replays.append(
         spec.name) or sample_one(spec, rng))
     out = tmp_path / "t.csv"
     argv = ["table", "--points", "7", "--seed", "5", "--tol", f"table={tol!r}",

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import sys
 
 import numpy as np
@@ -24,11 +25,12 @@ from quatcalc.derivatives import (DEFAULT_H, DEFAULT_H2, HR_AXES,
                                   second_order, second_order_left,
                                   second_order_right, takes_arrays)
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
-                                 Quaternion, involute, involute_conj, rotate)
+                                 Quaternion, format_quaternion, involute,
+                                 involute_conj, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import _taylor2, _taylor2_parts
 
-from test_quaternion import isclose
+from test_quaternion import NON_FINITE_AXES, NON_FINITE_IDS, isclose
 
 SEED = 20240229
 
@@ -239,6 +241,35 @@ def test_ghr_rejects_degenerate_axis():
         left_ghr(f_sq, ONE, ZERO)
     with pytest.raises(DegenerateAxisError):
         right_ghr(f_sq, ONE, Quaternion(0.0, 1e-12, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("mu", NON_FINITE_AXES, ids=NON_FINITE_IDS)
+def test_ghr_rejects_a_non_finite_axis_naming_it(mu):
+    # NaN and inf passed the degenerate-axis test, and these axes gave
+    # all-NaN pairs.  The error is not a DegenerateAxisError, which the
+    # identity suite would skip.
+    q = Quaternion(0.3, -0.2, 0.5, 1.1)
+    calls = (lambda: left_ghr(f_sq, q, mu), lambda: right_ghr(f_sq, q, mu),
+             lambda: second_order(f_sq, q, (I,), (mu,)),
+             lambda: left_ghr(f_sq, _stack([q, q]), _stack([ONE, mu])))
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(format_quaternion(mu))) as info, \
+                np.errstate(over="ignore"):
+            call()
+        assert not isinstance(info.value, DegenerateAxisError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda parts: hr_from_partials(parts, "lft"),
+    lambda parts: ghr_from_partials(parts, I, "Right"),
+    lambda parts: second_order(f_sq, ONE, (I,), (J,), outer="Left"),
+    lambda parts: second_order(f_sq, ONE, (I,), (J,), inner="up"),
+], ids=["hr", "ghr", "outer", "inner"])
+def test_a_mistyped_flavor_is_a_value_error(call):
+    # Every flavor but "left" ran as "right": outer="Left" gave the
+    # outer="right" grid.
+    with pytest.raises(ValueError, match="'left' or 'right'"):
+        call(real_partials(f_sq, ONE))
 
 
 def test_ghr_identity_columns():

@@ -8,11 +8,12 @@ even in the last ulp, fails here and has to say which columns moved and why.
 
 import csv
 import hashlib
+import math
 from pathlib import Path
 
 import pytest
 
-from quatcalc import cli
+from quatcalc import cli, filters
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,3 +65,14 @@ def test_no_field_needs_csv_quoting(argv, tmp_path, capsys, monkeypatch):
     with open(path, newline="") as handle:
         fields = list(csv.reader(handle))
     assert fields == [line.split(",") for line in path.read_text().split("\n")[:-1]]
+
+
+@pytest.mark.parametrize("argv", [argv for argv in GOLDEN if argv[0] == "filter"],
+                         ids=" ".join)
+def test_filter_bytes_do_not_depend_on_the_builtin_sum(argv, tmp_path, capsys,
+                                                        monkeypatch):
+    # Python 3.12+ compensates a float sum(), as math.fsum does: a builtin
+    # sum() of the signal power moved the noise and every filter cell there.
+    monkeypatch.setattr(filters, "sum", math.fsum, raising=False)
+    path = _run(argv, tmp_path, capsys, monkeypatch)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[argv]

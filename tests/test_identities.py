@@ -1,6 +1,7 @@
 """Identity suite runner: record structure, determinism, overrides, and the
 batched suite against its point-by-point oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -393,16 +394,34 @@ def test_a_degenerate_rule_draw_on_its_own_comes_back_none(rule):
 
 
 def test_rule_draws_overflow_silently_as_python_floats_do():
-    # f g passes 1e308 on the stencil: the residual is NaN, as the one-point
-    # check on Python floats gives it, with no RuntimeWarning.
-    draws = [identities._Draw(SQUARE, SQUARE, Quaternion(1e100, 1e100, 0.0, 0.0),
+    # f g = q^3 passes 1e308 on the stencil: the residual is NaN, as the
+    # one-point check on Python floats gives it, with no RuntimeWarning.
+    # The shifted axis g(q) mu stays within a double's range.
+    draws = [identities._Draw(SQUARE, IDENTITY, Quaternion(1e103, 1e103, 0.0, 0.0),
                               MU, None, False)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         residuals = identities._residuals(draws)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = _one_point_check(draws[0])
+    assert math.isnan(expected)
     assert residuals[0].hex() == expected.hex()
+
+
+def test_a_rule_draw_whose_shifted_axis_overflows_raises_as_one_point_checks_do():
+    # g(q) = q^2 is about 1e200, so |g(q) mu|^2 overflows and the shifted
+    # axis would rotate to NaN (a NaN residual before it was rejected): both
+    # paths raise the ValueError naming that axis, with no RuntimeWarning.
+    draws = [identities._Draw(SQUARE, SQUARE, Quaternion(1e100, 1e100, 0.0, 0.0),
+                              MU, None, False)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="must be finite") as expected:
+        _one_point_check(draws[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            identities._residuals(draws)
+    assert str(caught.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("name,scalar", [("_f_sq", f_sq), ("_f_conj", f_conj),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -321,6 +322,29 @@ def test_rotate_takes_qarrays_and_rejects_a_zero_axis():
     mus[3] = ZERO
     with pytest.raises(ValueError, match="nonzero"):
         rotate(QArray(list(zip(*qs))), QArray(list(zip(*mus))))
+
+
+# Axes that rotate to NaN: a NaN or infinite component, or a |mu|^2 that
+# overflows.
+NON_FINITE_AXES = [Quaternion(math.nan, 0.0, 0.0, 0.0), Quaternion(math.inf, 0.0, 0.0, 0.0),
+                   Quaternion(1e200, 1e200, 0.0, 0.0)]
+NON_FINITE_IDS = ["nan", "inf", "overflowing"]
+
+
+@pytest.mark.parametrize("mu", NON_FINITE_AXES, ids=NON_FINITE_IDS)
+def test_rotate_rejects_a_non_finite_axis_naming_it(mu):
+    # The rotation was NaN: only a zero axis was rejected.
+    with pytest.raises(ValueError, match=re.escape(f"rotation axis {format_quaternion(mu)} "
+                                                   f"must be finite")):
+        rotate(I, mu)
+    rng = make_rng(SEED, stream=8)
+    mus = [random_quaternion(rng, min_modulus=0.1) for _ in range(5)]
+    mus[3] = mu
+    # A QArray of axes names its first bad one.  Its |mu|^2 overflows with
+    # numpy's warning, as any QArray arithmetic outside an np.errstate does.
+    with pytest.raises(ValueError, match=re.escape(format_quaternion(mu))), \
+            np.errstate(over="ignore"):
+        rotate(I, QArray(list(zip(*mus))))
 
 
 def test_qarray_rejects_division_by_a_quaternion():

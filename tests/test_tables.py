@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import (ONE, I, J, K, ZERO, QArray, Quaternion, _add_terms, _by_floats,
-                                 _times)
+                                 _times, format_quaternion)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, TableEntry,
                              as_function, catalogue, conj_gradient,
@@ -20,7 +21,7 @@ from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, Tabl
 
 from test_derivatives import oracle_stencil
 from test_golden_bytes import _run as golden_run
-from test_quaternion import _same_bits, isclose
+from test_quaternion import NON_FINITE_AXES, NON_FINITE_IDS, _same_bits, isclose
 
 SEED = 20240310
 DRAWS_PER_FAMILY = 30
@@ -214,6 +215,13 @@ def test_domain_guards():
                    Quaternion(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="positive"):
         eval_entry(TableEntry(family="power"), ONE)
+
+
+@pytest.mark.parametrize("mu", NON_FINITE_AXES, ids=NON_FINITE_IDS)
+def test_derivative_rejects_a_non_finite_axis_naming_it(mu):
+    # Only a zero axis was rejected: NaN and inf gave NaN or inf columns.
+    with pytest.raises(ValueError, match=re.escape(format_quaternion(mu))):
+        derivative(TableEntry(family="square"), ONE, mu)
 
 
 def test_unit_pure_axis_value():
@@ -944,14 +952,14 @@ def test_bulk_draws_replay_rejections_bitwise(family, rejects, monkeypatch):
     else:
         monkeypatch.setattr(tables, "AXIS_MODULUS", 2.0)
     replays = []
-    sample_one = tables._sample_one
-    monkeypatch.setattr(tables, "_sample_one",
+    sample_one = tables.sample_one
+    monkeypatch.setattr(tables, "sample_one",
                         lambda *args: replays.append(1) or sample_one(*args))
     for seed in (1, 20240501, 77):
         for count in (1, 7, 200):
             _assert_bulk_draws_match_one_point_draws(spec, seed, count)
     total = 3 * (1 + 7 + 200)
-    # power draws every point with _sample_one, the others only the rejected ones.
+    # power draws every point with sample_one, the others only the rejected ones.
     assert len(replays) == total if family == "power" else 0 < len(replays) < total
 
 

@@ -411,6 +411,15 @@ def test_taylor_rejects_a_scale_that_is_not_positive_and_finite(scales):
     assert str(tuple(scales)) in str(info.value)
 
 
+@pytest.mark.parametrize("scale", [True, "0.1"], ids=["bool", "string"])
+def test_taylor_rejects_a_scale_that_is_not_a_real_number(scale):
+    # float() read True as a scale of 1.0 and the string "0.1" as 0.1.
+    scales = (10.0, scale, 0.01, 0.001)
+    with pytest.raises(ValueError, match=re.escape(f"scales must be a real number, "
+                                                   f"got {scale!r}")):
+        taylor_remainder_slope(f_sq, Q0, ONE, scales)
+
+
 @pytest.mark.parametrize("direction", [
     Quaternion(0.0, 0.0, 0.0, 0.0),
     Quaternion(-0.0, 0.0, -0.0, 0.0),
@@ -492,6 +501,16 @@ def test_descent_rejects_a_step_or_tolerance_that_is_not_a_real_number(argument,
     objective = as_function(TableEntry(family="modulus_squared"))
     with pytest.raises(ValueError, match=re.escape(f"{argument} must be a real number, "
                                                    f"got {value!r}")):
+        steepest_descent(objective, Quaternion(2.0, 1.0, 1.0, 1.0), **args)
+
+
+@pytest.mark.parametrize("argument", ["alpha", "grad_tol"])
+def test_descent_rejects_a_step_or_tolerance_past_a_doubles_range(argument):
+    # float(10**400) raised a bare OverflowError.
+    args = {"alpha": 0.4, "grad_tol": 1e-8, argument: 10 ** 400}
+    objective = as_function(TableEntry(family="modulus_squared"))
+    with pytest.raises(ValueError, match=f"{argument} must be a real number "
+                                         f"within a double's range"):
         steepest_descent(objective, Quaternion(2.0, 1.0, 1.0, 1.0), **args)
 
 
