@@ -133,27 +133,26 @@ def _report(path: Optional[str], header: Sequence[str],
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
-def _positive(value: int, what: str) -> int:
-    if value < 1:
-        raise CliError(f"{what} must be a positive integer")
-    return value
+def _integer(least: int, expected: str):
+    """argparse type of an integer option >= ``least``: overlong bad text names the digit limit."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            if 0 < limit < len(text):
+                raise argparse.ArgumentTypeError(f"must be {expected} of at most {limit} digits")
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be {expected}, got {text!r}")
+        return value
 
-
-def _seed(text: str) -> int:
-    """argparse type of --seed: numpy seeds must be non-negative integers."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return value
+    return parse
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    points = _positive(args.points, "--points")
     result = identities.run_identity_suite(
-        points=points, seed=args.seed,
+        points=args.points, seed=args.seed,
         tolerances=_parse_tolerances(args.tol, identities.DEFAULT_TOLERANCES))
     skips = result.product_skips + result.chain_skips
     return _report(args.out, ("identity", "point", "mu", "nu", "residual",
@@ -178,7 +177,6 @@ def _verify_rows(records):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    points = _positive(args.points, "--points")
     tols = _parse_tolerances(args.tol, TABLE_TOLERANCES)
     specs = tables.catalogue()
     if args.family:
@@ -188,7 +186,7 @@ def cmd_table(args: argparse.Namespace) -> int:
             raise CliError(f"unknown families: {', '.join(sorted(missing))}")
         specs = tuple(s for s in specs if s.name in args.family)
     oks: list[bool] = []
-    chunks = _table_checks(specs, points, make_rng(args.seed), tols["table"], oks)
+    chunks = _table_checks(specs, args.points, make_rng(args.seed), tols["table"], oks)
     if args.out is None:
         # The verdicts come from the residuals alone: no row text is made.
         for _ in chunks:
@@ -196,7 +194,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     return _report(args.out, ("family", "point", "mu", "column", "closed_form",
                               "numerical", "residual", "pass"), map(_table_block, chunks),
                    "derivative table", oks,
-                   f"{len(specs)} families, {points} points each")
+                   f"{len(specs)} families, {args.points} points each")
 
 
 def _table_checks(specs, points: int, rng, tol: float, oks: list[bool]):
@@ -410,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, points=None):
-        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+        p.add_argument("--seed", type=_integer(0, "a non-negative integer"), default=DEFAULT_SEED,
                        help="random seed (default %(default)s)")
         p.add_argument("--out", metavar="PATH",
                        help="write a CSV report to PATH")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE",
                        help="override a named tolerance (repeatable)")
         if points is not None:
-            p.add_argument("--points", type=int, default=points,
+            p.add_argument("--points", type=_integer(1, "a positive integer"), default=points,
                            help="sample points (default %(default)s)")
 
     p = sub.add_parser("verify", help="run the calculus identity suite")
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="minimizer c (default %(default)s)")
     p.add_argument("--start", default="0", help="initial point")
     p.add_argument("--alpha", type=float, default=0.4, help="step size")
-    p.add_argument("--max-iters", type=int, default=100,
+    p.add_argument("--max-iters", type=_integer(0, "a non-negative integer"), default=100,
                    help="iteration budget")
     p.set_defaults(func=cmd_descend)
 

@@ -259,8 +259,9 @@ def _basis(mu: Quaternion) -> MuBasis:
     for axis, basis in zip(HR_AXES, _HR_BASES):
         if mu is axis:
             return basis
-    if anywhere(mu.modulus() < DEGENERATE_AXIS):
-        raise DegenerateAxisError("degenerate rotation axis")
+    with np.errstate(over="ignore"):  # an overflowing axis is mu_basis's ValueError
+        if anywhere(mu.modulus() < DEGENERATE_AXIS):
+            raise DegenerateAxisError("degenerate rotation axis")
     return mu_basis(mu)
 
 

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,7 +51,7 @@ import numpy as np
 from . import derivatives
 from .derivatives import EvaluationError, takes_arrays
 from .quaternion import (_MUL_INDEX, _MUL_SIGN, AXES, ZERO, QArray, Quaternion, _add_terms,
-                         _by_floats, _signed, involute, ordered_sum, real_number)
+                         _by_floats, _signed, integer, involute, ordered_sum, real_number)
 from .sampling import make_rng
 from .theorems import DivergenceError
 
@@ -260,9 +259,7 @@ def _signal_arrays(kind: str, truth: np.ndarray, n: int, snr_db: float,
     if kind not in SIGNAL_KINDS:
         raise ValueError(f"unknown signal kind {kind!r}")
     snr_db = real_number("snr_db", snr_db)
-    # bool is an Integral, so True would run as 1; make_rng refuses it as a seed too.
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool):
-        raise ValueError(f"steps must be an integer, got {n!r}")
+    integer("steps", n)
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"snr_db must be a number of dB or +inf, got {snr_db!r}")
     if not np.isfinite(truth).all():

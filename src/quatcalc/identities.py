@@ -25,7 +25,6 @@ one array pass, every table family evaluated once on its draws' points.
 from __future__ import annotations
 
 import functools
-from numbers import Integral
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,7 +33,7 @@ from . import derivatives, tables
 from .derivatives import (DegenerateAxisError, ghr_from_partials,
                           hr_from_partials, left_ghr, real_partials,
                           second_order, takes_arrays)
-from .quaternion import AXES, I, ONE, QArray, Quaternion, _by_floats, rotate
+from .quaternion import AXES, I, ONE, ZERO, QArray, Quaternion, _by_floats, integer, rotate
 from .sampling import make_rng, random_quaternion
 
 DEFAULT_POINTS = 25
@@ -86,19 +85,11 @@ class SuiteResult(NamedTuple):
     chain_skips: int
 
 
-@takes_arrays
-def _f_identity(p: Quaternion) -> Quaternion:
-    return p
-
-
-# q^2 and |q|^2 are the catalogue's own families.
+# q, q*, q^2 and |q|^2 are the catalogue's own families.
+_f_identity = tables.as_function(tables.TableEntry("linear", ONE, ONE, ZERO))
+_f_conj = tables.as_function(tables.TableEntry("conj_linear", ONE, ONE, ZERO))
 _f_sq = tables.as_function(tables.TableEntry("square"))
 _f_mod2 = tables.as_function(tables.TableEntry("modulus_squared"))
-
-
-@takes_arrays
-def _f_conj(p: Quaternion) -> Quaternion:
-    return p.conjugate()
 
 
 @takes_arrays
@@ -429,8 +420,7 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
     and checked on component arrays, with the records, skips and bits of a
     draw-by-draw loop.
     """
-    if not isinstance(points, Integral) or isinstance(points, bool) or points < 1:
-        raise ValueError(f"points must be a positive integer, got {points!r}")
+    integer("points", points, 1, "a positive integer")
     tols = dict(DEFAULT_TOLERANCES)
     if tolerances:
         unknown = set(tolerances) - set(tols)

@@ -247,6 +247,14 @@ def real_number(key: str, value, expected: str = "a real number") -> float:
         raise ValueError(f"{key} must be {expected} within a double's range") from None
 
 
+def integer(key: str, value, least: Optional[int] = None, expected: str = "an integer"):
+    """value if an integer (numpy's too), not a bool, of at least ``least``; else a ValueError."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or (least is not None and value < least):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
 # A real operand of QArray's sums: a number, or an array with one per element.
 _REAL = (numbers.Real, np.ndarray)
 
@@ -388,7 +396,8 @@ def axis_modulus_squared(mu):
     """|mu|^2 of a rotation axis, or of each of a QArray's axes.  A zero axis
     is a ValueError, and so is one that would rotate to NaN, with a NaN or
     infinite component or |mu|^2: its message names the first such axis."""
-    n2 = mu.modulus_squared()
+    with np.errstate(over="ignore"):  # a QArray's overflows to inf silently, as floats do
+        n2 = mu.modulus_squared()
     if anywhere(n2 == 0.0):
         raise ValueError("rotation axis must be nonzero")
     bad = ~np.isfinite(n2) if isinstance(mu, QArray) else not math.isfinite(n2)
@@ -442,8 +451,9 @@ class MuBasis(NamedTuple):
 
 
 def mu_basis(mu: Quaternion) -> MuBasis:
-    """Rotated basis for a nonzero axis mu; mu = 1 returns the standard units."""
-    return MuBasis(i_mu=rotate(I, mu), j_mu=rotate(J, mu), k_mu=rotate(K, mu))
+    """rotate(I, mu), rotate(J, mu) and rotate(K, mu), with |mu|^2 and mu* taken once."""
+    n2, mu_conj = axis_modulus_squared(mu), mu.conjugate()
+    return MuBasis(*((mu * unit * mu_conj) / n2 for unit in (I, J, K)))
 
 
 # One signed term: a float (exponent signs included) with an optional unit,

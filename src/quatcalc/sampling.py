@@ -9,19 +9,17 @@ with SeedSequence.spawn, so runs are reproducible and streams never overlap.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 
 import numpy as np
 
-from .quaternion import Quaternion
+from .quaternion import Quaternion, integer
 
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Generator for substream ``stream`` of the run seeded by ``seed``, both
     nonnegative integers (numpy's too): numpy takes True as seed 1."""
     for name, value in (("seed", seed), ("stream", stream)):
-        if not isinstance(value, Integral) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        integer(name, value, 0, "a nonnegative integer")
     root = np.random.SeedSequence(seed)
     children = root.spawn(stream + 1)
     return np.random.Generator(np.random.Philox(children[stream]))

@@ -44,7 +44,6 @@ generator's end state are those of the one-point samplers.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -52,7 +51,8 @@ import numpy as np
 from . import derivatives
 from .derivatives import takes_arrays
 from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
-                         _times, anywhere, axis_modulus_squared, rotate)
+                         _times, anywhere, axis_modulus_squared, format_quaternion, integer,
+                         rotate)
 from .sampling import MAX_DRAWS, random_quaternion
 
 MIN_MODULUS = 1e-9
@@ -227,24 +227,34 @@ _MODULUS = Guard("|q|", lambda e, q: q.modulus(), 0.1)
 _VECTOR = Guard("|Im(q)|", lambda e, q: q.vector_modulus(), 0.2)
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= 1
+def _finite_quaternion(key: str, value) -> None:
+    """Check that value is a Quaternion or a QArray with finite components:
+    anything else is a ValueError naming key and the first non-finite one."""
+    if isinstance(value, QArray):
+        comps = value.c.reshape(4, -1)
+        finite = np.isfinite(comps).all(axis=0)
+        if finite.all():
+            return
+        value = Quaternion(*comps[:, finite.argmin()].tolist())
+    elif not isinstance(value, Quaternion):
+        raise ValueError(f"{key} must be a Quaternion, got {value!r}")
+    if not value.is_finite():
+        raise ValueError(f"{key} must be finite, got {format_quaternion(value)}")
 
 
 class _Param(NamedTuple):
     draw: Callable[[np.random.Generator], object]
-    valid: Callable[[object], bool]
-    expected: str
+    check: Callable[[str, object], object]
 
 
-_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, *_COEFFICIENT_RANGE),
-                      lambda v: isinstance(v, (Quaternion, QArray)), "a Quaternion")
-# Drawn by the sampler and checked on every entry, keyed by TableEntry field.
+_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, *_COEFFICIENT_RANGE), _finite_quaternion)
+# Each TableEntry field's draw, and its check, which raises a ValueError naming key.
 _PARAMS = {
     "omega": _COEFFICIENT,
     "nu": _COEFFICIENT,
     "lam": _COEFFICIENT,
-    "n": _Param(lambda rng: int(rng.integers(2, 6)), _is_count, "a positive integer"),
+    "n": _Param(lambda rng: int(rng.integers(2, 6)),
+                lambda key, value: integer(key, value, 1, "a positive integer")),
 }
 _AFFINE = ("omega", "nu", "lam")
 
@@ -504,25 +514,27 @@ def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
     return stacked(drawn)
 
 
-def _check_entry(entry: TableEntry) -> FamilySpec:
+def _checked_family(entry: TableEntry, q=None, mu=None) -> FamilySpec:
+    """The entry's family, after checking each field it reads and, where
+    given, the axis mu, the point q and the family's domain guard at q."""
     spec = FAMILIES.get(entry.family)
     if spec is None:
         raise ValueError(f"unknown table family {entry.family!r}")
     for name in spec.params:
-        value = getattr(entry, name)
-        if not _PARAMS[name].valid(value):
-            raise ValueError(f"{entry.family}: {name} must be "
-                             f"{_PARAMS[name].expected}, got {value!r}")
+        _PARAMS[name].check(f"{entry.family}: {name}", getattr(entry, name))
+    if mu is not None:
+        axis_modulus_squared(mu)
+    if q is not None:
+        _finite_quaternion(f"{entry.family}: point", q)
+        violation = spec.domain(entry, q)
+        if violation:
+            raise ValueError(f"{entry.family}: {violation}")
     return spec
 
 
 def eval_entry(entry: TableEntry, q: Quaternion) -> Quaternion:
-    """Value of the family at q, after checking the domain guard."""
-    spec = _check_entry(entry)
-    violation = spec.domain(entry, q)
-    if violation:
-        raise ValueError(f"{entry.family}: {violation}")
-    return spec.value(entry, q)
+    """Value of the family at q, after checking the entry, q and the domain."""
+    return _checked_family(entry, q).value(entry, q)
 
 
 def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivatives:
@@ -531,12 +543,7 @@ def derivative(entry: TableEntry, q: Quaternion, mu: Quaternion) -> EntryDerivat
     q and mu may also be (4, N) QArrays, with the entry's coefficients
     stacked the same way; the checks then hold at every point.
     """
-    spec = _check_entry(entry)
-    axis_modulus_squared(mu)  # a zero or non-finite axis is a ValueError
-    violation = spec.domain(entry, q)
-    if violation:
-        raise ValueError(f"{entry.family}: {violation}")
-    return spec.columns(entry, q, mu)
+    return _checked_family(entry, q, mu).columns(entry, q, mu)
 
 
 def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternion], Quaternion]:
@@ -550,7 +557,7 @@ def as_function(entry: TableEntry | Sequence[TableEntry]) -> Callable[[Quaternio
     replay a failed round draw by draw with each draw's own entries.
     """
     if isinstance(entry, TableEntry):
-        spec = _check_entry(entry)
+        spec = _checked_family(entry)
         return takes_arrays(lambda p: spec.value(entry, p))
     runs = [(part, as_function(stacked)) for part, stacked in _batches(entry)]
 

@@ -11,14 +11,13 @@ optimization.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .derivatives import (HR_AXES, EvaluationError, QFunction, _evaluate, left_ghr,
-                          left_hr, second_order)
-from .quaternion import (AXES, ONE, QArray, Quaternion, involute, involute_conj,
+from . import derivatives
+from .derivatives import HR_AXES, EvaluationError, QFunction, left_ghr, left_hr, second_order
+from .quaternion import (AXES, ONE, QArray, Quaternion, integer, involute, involute_conj,
                          ordered_sum, real_number)
 
 # Error floor model for the remainder fit: second derivatives come from a
@@ -120,9 +119,8 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     first.
     """
     if not isinstance(panels, tuple) or not panels or any(
-            not isinstance(p, Integral) or isinstance(p, bool) or p < 2 or p % 2 != 0
-            for p in panels):
-        raise ValueError("panels must be a tuple of even integers >= 2")
+            integer("panels", p, 2, "a tuple of even integers >= 2") % 2 for p in panels):
+        raise ValueError(f"panels must be a tuple of even integers >= 2, got {panels!r}")
     lam = q1 - q0
     ladder = [np.arange(p + 1) / p for p in panels]
     # Each distinct node once, in the order of its first place in the rungs;
@@ -136,9 +134,9 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
         # One call per rung takes f(q1) - f(q0) after the first rung's
         # nodes: an error of theirs, then one of the ends, comes first.
         _node_values(f, q0, lam, ladder[0], real_form)
-        _evaluate(f, q1) - _evaluate(f, q0)
+        derivatives._evaluate(f, q1) - derivatives._evaluate(f, q0)
         raise
-    lhs = _evaluate(f, q1) - _evaluate(f, q0)
+    lhs = derivatives._evaluate(f, q1) - derivatives._evaluate(f, q0)
     checks = []
     for p, cols in zip(panels, columns):
         rhs = _simpson(values[:, cols], 1.0 / p)
@@ -150,7 +148,7 @@ def _taylor2_parts(f: QFunction, q0: Quaternion):
     """What the second-order expansion of f at q0 takes from f: f(q0), its
     left HR derivatives and the nested second-order grid."""
     # grid[n][m]: the outer nu-derivative of the inner mu-derivative field.
-    return _evaluate(f, q0), left_hr(f, q0), second_order(f, q0, HR_AXES, HR_AXES)
+    return derivatives._evaluate(f, q0), left_hr(f, q0), second_order(f, q0, HR_AXES, HR_AXES)
 
 
 def _taylor2(parts, lam: Quaternion, center: bool) -> Quaternion:
@@ -209,7 +207,7 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     used = []
     for s in scales:
         lam = direction * s
-        value = _evaluate(f, q0 + lam)
+        value = derivatives._evaluate(f, q0 + lam)
         if parts is None:
             # After f(q0 + lam) at the first scale, as when each scale takes
             # the expansion anew, so a failing f raises the same error.
@@ -239,15 +237,14 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
     alpha, grad_tol = real_number("alpha", alpha), real_number("grad_tol", grad_tol)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("step size must be positive and finite")
-    if not isinstance(max_iters, Integral) or isinstance(max_iters, bool) or max_iters < 0:
-        raise ValueError(f"iteration budget must be a nonnegative integer, got {max_iters!r}")
+    integer("iteration budget", max_iters, 0, "a nonnegative integer")
     # NaN would never stop the run: grad_norm < nan is always false.
     if not grad_tol >= 0.0:
         raise ValueError(f"grad_tol must be nonnegative, got {grad_tol!r}")
     grad = gradient if gradient is not None else (lambda p: left_hr(f, p).wrt_qc)
     q = q_init
     iterates = [q]
-    values = [_evaluate(f, q).a]
+    values = [derivatives._evaluate(f, q).a]
     g = grad(q)
     grad_norms = [abs(g)]
     rising = 0
@@ -256,7 +253,7 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
             break
         q = q - g * alpha
         iterates.append(q)
-        values.append(_evaluate(f, q).a)
+        values.append(derivatives._evaluate(f, q).a)
         g = grad(q)
         grad_norms.append(abs(g))
         if values[-1] > values[-2]:

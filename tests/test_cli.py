@@ -325,6 +325,18 @@ def test_negative_seed_is_usage_error(name, capsys):
     assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,option", [("verify", "--seed"), ("verify", "--points"),
+                                         ("descend", "--max-iters")])
+def test_an_integer_option_past_the_digit_limit_names_the_limit(name, option, capsys):
+    # Each echoed all the digits, and --points and --max-iters did not say why.
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    assert main([name, option, digits]) == 2
+    err = capsys.readouterr().err
+    assert f"{option}: must be a " in err
+    assert f"integer of at most {sys.get_int_max_str_digits()} digits" in err
+    assert digits[:100] not in err
+
+
 def test_argparse_exits_become_return_codes(capsys):
     assert main(["verify", "--points", "abc"]) == 2
     assert "--points: invalid int value: 'abc'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import math
 import pkgutil
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.theorems import _taylor2, _taylor2_parts
 
-from test_quaternion import NON_FINITE_AXES, NON_FINITE_IDS, isclose
+from test_quaternion import (NON_FINITE_AXES, NON_FINITE_IDS, OVERFLOWING_AXES,
+                             OVERFLOWING_AXIS, isclose)
 
 SEED = 20240229
 
@@ -257,6 +259,15 @@ def test_ghr_rejects_a_non_finite_axis_naming_it(mu):
                 np.errstate(over="ignore"):
             call()
         assert not isinstance(info.value, DegenerateAxisError)
+
+
+def test_ghr_rejects_an_overflowing_axis_array_without_a_warning():
+    # The degenerate-axis test's |mu| overflowed with numpy's warning first.
+    q = Quaternion(0.3, -0.2, 0.5, 1.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(format_quaternion(OVERFLOWING_AXIS))):
+            left_ghr(f_sq, _stack([q, q]), OVERFLOWING_AXES)
 
 
 @pytest.mark.parametrize("call", [

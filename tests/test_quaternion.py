@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from quatcalc import quaternion
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
                                  Quaternion, _times, format_quaternion, hamilton,
                                  involute, involute_conj, mu_basis,
@@ -345,6 +347,40 @@ def test_rotate_rejects_a_non_finite_axis_naming_it(mu):
     with pytest.raises(ValueError, match=re.escape(format_quaternion(mu))), \
             np.errstate(over="ignore"):
         rotate(I, QArray(list(zip(*mus))))
+
+
+# An axis whose |mu|^2 overflows, and a QArray of axes that holds it second.
+OVERFLOWING_AXIS = Quaternion(1e200, 1e200, 0.0, 0.0)
+OVERFLOWING_AXES = QArray([[1.0, 1e200], [0.0, 1e200], [0.0, 0.0], [0.0, 0.0]])
+
+
+def test_rotate_rejects_an_overflowing_axis_array_without_a_warning():
+    # numpy's "overflow encountered in multiply" came first, and under
+    # error::RuntimeWarning it was what the caller saw.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(format_quaternion(OVERFLOWING_AXIS))):
+            rotate(I, OVERFLOWING_AXES)
+
+
+@pytest.mark.parametrize("value", [0, 7, -3, 10 ** 400, np.int64(7), np.uint8(2)],
+                         ids=["zero", "seven", "negative", "huge", "int64", "uint8"])
+def test_integer_takes_any_integer_as_it_is(value):
+    assert quaternion.integer("count", value) is value
+
+
+@pytest.mark.parametrize("value", [True, False, 2.0, 2.5, np.float64(2.0), "3", None, 1 + 0j])
+def test_integer_rejects_a_bool_and_whatever_is_no_integer_naming_the_key(value):
+    with pytest.raises(ValueError, match=re.escape(f"count must be an integer, got {value!r}")):
+        quaternion.integer("count", value)
+
+
+def test_integer_holds_a_lower_bound_in_the_callers_words():
+    assert quaternion.integer("points", 1, 1, "a positive integer") == 1
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points must be a positive integer, got {value!r}")):
+            quaternion.integer("points", value, 1, "a positive integer")
 
 
 def test_qarray_rejects_division_by_a_quaternion():

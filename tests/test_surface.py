@@ -244,6 +244,44 @@ def draw(rng: np.random.Generator, seed: int) -> np.random.Generator:
     assert sorted(_generator_calls(ast.parse(source))) == ["Generator", "Philox", "SeedSequence"]
 
 
+def _number_checks(tree) -> list[str]:
+    """What spells out what a number is: an import of numbers, in either
+    form, and each isinstance call whose types name bool."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {alias.name}" for alias in node.names
+                      if alias.name.split(".")[0] == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numbers":
+            found.append(f"from {node.module} import")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" \
+                and len(node.args) == 2 and any(isinstance(name, ast.Name) and name.id == "bool"
+                                                for name in ast.walk(node.args[1])):
+            found.append("isinstance(..., bool)")
+    return found
+
+
+# Every form the scan finds, and an annotation and an isinstance without bool.
+NUMBER_CHECKS = """
+import numbers
+from numbers import Integral
+
+def count(n, flag: bool):
+    return isinstance(n, Integral) and not isinstance(n, (bool, str)) and isinstance(flag, int)
+"""
+
+
+def test_only_quaternion_says_what_a_number_is():
+    # quaternion.real_number and quaternion.integer are the checks of an
+    # outside number; every other module calls them.
+    assert _number_checks(ast.parse(NUMBER_CHECKS)) == [
+        "import numbers", "from numbers import", "isinstance(..., bool)"]
+    found = {path.name: _number_checks(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    assert {name: checks for name, checks in found.items()
+            if checks and name != "quaternion.py"} == {}
+    assert found["quaternion.py"]
+
+
 def _record_faults(tree) -> list[str]:
     """What keeps a module from declaring every record as a NamedTuple: an
     import of dataclasses, and each class with annotated fields that is

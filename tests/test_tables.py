@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, Tabl
 
 from test_derivatives import oracle_stencil
 from test_golden_bytes import _run as golden_run
-from test_quaternion import NON_FINITE_AXES, NON_FINITE_IDS, _same_bits, isclose
+from test_quaternion import (NON_FINITE_AXES, NON_FINITE_IDS, OVERFLOWING_AXES,
+                             OVERFLOWING_AXIS, _same_bits, isclose)
 
 SEED = 20240310
 DRAWS_PER_FAMILY = 30
@@ -222,6 +224,54 @@ def test_derivative_rejects_a_non_finite_axis_naming_it(mu):
     # Only a zero axis was rejected: NaN and inf gave NaN or inf columns.
     with pytest.raises(ValueError, match=re.escape(format_quaternion(mu))):
         derivative(TableEntry(family="square"), ONE, mu)
+
+
+def test_derivative_rejects_an_overflowing_axis_array_without_a_warning():
+    # axis_modulus_squared's |mu|^2 overflowed with numpy's warning first.
+    points = QArray([[0.5, 0.5], [-1.0, -1.0], [0.25, 0.25], [0.75, 0.75]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(format_quaternion(OVERFLOWING_AXIS))):
+            derivative(TableEntry(family="square"), points, OVERFLOWING_AXES)
+
+
+NAN_Q = Quaternion(math.nan, 0.0, 0.0, 0.0)
+INF_Q = Quaternion(math.inf, 0.0, 0.0, 0.0)
+FINITE_Q = Quaternion(0.5, -1.0, 0.25, 0.75)
+
+
+@pytest.mark.parametrize("entry,q,field,bad", [
+    (TableEntry("linear", NAN_Q, ONE, ZERO), FINITE_Q, "omega", NAN_Q),
+    (TableEntry("linear_square", ONE, ONE, INF_Q), FINITE_Q, "lam", INF_Q),
+    (TableEntry("square"), NAN_Q, "point", NAN_Q),
+    (TableEntry("inverse"), INF_Q, "point", INF_Q),
+], ids=["nan-omega", "inf-lam", "nan-point", "inf-point"])
+def test_a_non_finite_coefficient_or_point_is_named(entry, q, field, bad):
+    # These gave NaN values and columns: (nan, 0, 0, 0) for the inverse at
+    # inf, and all-NaN columns for linear with a NaN omega.
+    message = f"^{re.escape(f'{entry.family}: {field} must be finite, got {format_quaternion(bad)}')}$"
+    with pytest.raises(ValueError, match=message):
+        eval_entry(entry, q)
+    with pytest.raises(ValueError, match=message):
+        derivative(entry, q, I)
+    if field != "point":
+        with pytest.raises(ValueError, match=message):
+            as_function(entry)
+
+
+def test_stacked_values_name_their_first_non_finite_quaternion():
+    good = np.array([FINITE_Q] * 4).T
+    points, omegas = good.copy(), good.copy()
+    points[:, 1], points[:, 3] = INF_Q, NAN_Q
+    omegas[:, 2] = NAN_Q
+    axes = QArray(np.array([I] * 4).T)
+    with pytest.raises(ValueError, match=re.escape(f"square: point must be finite, got "
+                                                   f"{format_quaternion(INF_Q)}")):
+        derivative(TableEntry("square"), QArray(points), axes)
+    entry = TableEntry("linear", QArray(omegas), QArray(good), QArray(good))
+    with pytest.raises(ValueError, match=re.escape(f"linear: omega must be finite, got "
+                                                   f"{format_quaternion(NAN_Q)}")):
+        derivative(entry, QArray(good), axes)
 
 
 def test_unit_pure_axis_value():

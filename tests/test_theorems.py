@@ -273,7 +273,6 @@ def test_mvt_evaluation_counts(monkeypatch):
     evaluate = derivatives._evaluate
     counted = lambda f, p: calls.append(p) or evaluate(f, p)
     monkeypatch.setattr(derivatives, "_evaluate", counted)
-    monkeypatch.setattr(theorems, "_evaluate", counted)
     # A plain callable: eight stencil values per node, then f(q1) and f(q0).
     mvt_left(lambda p: p * p, Q0, Q1, panels=(16,))
     assert len(calls) == (16 + 1) * 8 + 2
@@ -283,6 +282,23 @@ def test_mvt_evaluation_counts(monkeypatch):
     assert calls == [Q1, Q0]
 
 
+def test_theorem_commands_evaluate_through_the_derivatives_module(monkeypatch, capsys):
+    # theorems held its own reference to _evaluate, so a patched
+    # derivatives._evaluate counted none of these one-point evaluations.
+    calls = []
+    evaluate = derivatives._evaluate
+    monkeypatch.setattr(derivatives, "_evaluate",
+                        lambda f, p: calls.append(p) or evaluate(f, p))
+    counts = {}
+    for name in ("taylor", "mvt", "descend"):
+        calls.clear()
+        assert cli.main([name]) == 0
+        counts[name] = len(calls)
+    # taylor: f(q0) and f(q0 + lam) at five scales for each of four fits;
+    # mvt: f(q1) and f(q0) for each of four functions; descend: each iterate.
+    assert counts == {"taylor": 24, "mvt": 8, "descend": 68}
+
+
 def test_taylor_run_takes_the_expansion_once_per_fit(monkeypatch, capsys):
     # Evaluated points: one per _evaluate call, and each stencil point that
     # an array form takes in one call (any other f goes through _evaluate).
@@ -290,7 +306,6 @@ def test_taylor_run_takes_the_expansion_once_per_fit(monkeypatch, capsys):
     evaluate = derivatives._evaluate
     counted = lambda f, p: points.append(1) or evaluate(f, p)
     monkeypatch.setattr(derivatives, "_evaluate", counted)
-    monkeypatch.setattr(theorems, "_evaluate", counted)
     evaluate_stencil = derivatives._evaluate_stencil
 
     def counted_stencil(f, stencil, levels):
