@@ -254,6 +254,9 @@ MVT_FUNCTIONS = (("square", _SQUARE, False),
 
 def cmd_taylor(args: argparse.Namespace) -> int:
     tols = _parse_tolerances(args.tol, TAYLOR_TOLERANCES)
+    if tols["slope_low"] > tols["slope_high"]:
+        raise CliError(f"--tol slope_low={tols['slope_low']!r} exceeds "
+                       f"slope_high={tols['slope_high']!r}: no slope can pass")
     rng = make_rng(args.seed)
     q0 = random_quaternion(rng, -1.0, 1.0)
     direction = random_quaternion(rng, -1.0, 1.0, min_modulus=0.3)

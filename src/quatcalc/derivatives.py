@@ -216,9 +216,10 @@ def real_partials(f: QFunction, q: Quaternion | QArray) -> RealPartials:
     return RealPartials(*_differences(_evaluate_stencil(f, stencil, 1), DEFAULT_H))
 
 
-# s + -0.0, which keeps every bit of s, then real_partials' stencil.
-_CENTRED_STEPS = np.concatenate([np.full((4, 1), -0.0), _STEPS[DEFAULT_H][0].reshape(4, 8)],
-                                axis=1)
+# s + -0.0, which keeps every bit of s, then real_partials' stencil: its
+# four + points, then its four - points.
+_CENTRED_STEPS = np.concatenate([np.full((4, 1), -0.0),
+                                 _STEPS[DEFAULT_H][0].transpose(0, 2, 1).reshape(4, 8)], axis=1)
 
 
 def value_and_jacobian(f: QFunction, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -229,13 +230,16 @@ def value_and_jacobian(f: QFunction, s: np.ndarray) -> tuple[np.ndarray, np.ndar
     real_partials(f, s)[a] bit for bit, and a non-finite stencil value
     raises its EvaluationError.  f(s) itself may be non-finite.  It sets
     no np.errstate of its own, a cost on every QNGD step: the filter kernel
-    calls it under one, as should any caller whose f may overflow.
+    calls it under one, as should any caller whose f may overflow.  Any
+    non-finite stencil value makes its difference non-finite, so only then
+    does the stencil get the exact check, which an overflow passes.
     """
     points = s[:, None] + _CENTRED_STEPS
     values = f(QArray(points)).c
-    if not np.isfinite(values[:, 1:]).all():
-        _evaluate_stencil(f, points[:, 1:].reshape(4, 4, 2), 1)
-    return values[:, 0], _central(values[:, 1::2], values[:, 2::2], DEFAULT_H)
+    jacobian = _central(values[:, 1:5], values[:, 5:], DEFAULT_H)
+    if not np.isfinite(jacobian).all():
+        _evaluate_stencil(f, points[:, 1:].reshape(4, 2, 4).transpose(0, 2, 1), 1)
+    return values[:, 0], jacobian
 
 
 def _project(parts, basis: MuBasis, side: str) -> tuple[Quaternion, Quaternion]:

@@ -220,7 +220,7 @@ def _by_floats(fn, *args):
     if not isinstance(args[0], np.ndarray):
         return fn(*args)
     flat = [np.ravel(arg).tolist() for arg in args]
-    return np.array(list(map(fn, *flat))).reshape(args[0].shape)
+    return np.fromiter(map(fn, *flat), float, args[0].size).reshape(args[0].shape)
 
 
 def _aligned(comps: np.ndarray, ndim: int) -> np.ndarray:
@@ -253,6 +253,21 @@ def integer(key: str, value, least: Optional[int] = None, expected: str = "an in
             or (least is not None and value < least):
         raise ValueError(f"{key} must be {expected}, got {value!r}")
     return value
+
+
+def finite_quaternion(key: str, value) -> None:
+    """Check that value is a Quaternion or a QArray with finite components:
+    anything else is a ValueError naming key and the first non-finite one."""
+    if isinstance(value, QArray):
+        comps = value.c.reshape(4, -1)
+        finite = np.isfinite(comps).all(axis=0)
+        if finite.all():
+            return
+        value = Quaternion(*comps[:, finite.argmin()].tolist())
+    elif not isinstance(value, Quaternion):
+        raise ValueError(f"{key} must be a Quaternion, got {value!r}")
+    if not value.is_finite():
+        raise ValueError(f"{key} must be finite, got {format_quaternion(value)}")
 
 
 # A real operand of QArray's sums: a number, or an array with one per element.

@@ -51,7 +51,7 @@ import numpy as np
 from . import derivatives
 from .derivatives import takes_arrays
 from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
-                         _times, anywhere, axis_modulus_squared, format_quaternion, integer,
+                         _times, anywhere, axis_modulus_squared, finite_quaternion, integer,
                          rotate)
 from .sampling import MAX_DRAWS, random_quaternion
 
@@ -227,27 +227,12 @@ _MODULUS = Guard("|q|", lambda e, q: q.modulus(), 0.1)
 _VECTOR = Guard("|Im(q)|", lambda e, q: q.vector_modulus(), 0.2)
 
 
-def _finite_quaternion(key: str, value) -> None:
-    """Check that value is a Quaternion or a QArray with finite components:
-    anything else is a ValueError naming key and the first non-finite one."""
-    if isinstance(value, QArray):
-        comps = value.c.reshape(4, -1)
-        finite = np.isfinite(comps).all(axis=0)
-        if finite.all():
-            return
-        value = Quaternion(*comps[:, finite.argmin()].tolist())
-    elif not isinstance(value, Quaternion):
-        raise ValueError(f"{key} must be a Quaternion, got {value!r}")
-    if not value.is_finite():
-        raise ValueError(f"{key} must be finite, got {format_quaternion(value)}")
-
-
 class _Param(NamedTuple):
     draw: Callable[[np.random.Generator], object]
     check: Callable[[str, object], object]
 
 
-_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, *_COEFFICIENT_RANGE), _finite_quaternion)
+_COEFFICIENT = _Param(lambda rng: random_quaternion(rng, *_COEFFICIENT_RANGE), finite_quaternion)
 # Each TableEntry field's draw, and its check, which raises a ValueError naming key.
 _PARAMS = {
     "omega": _COEFFICIENT,
@@ -525,7 +510,7 @@ def _checked_family(entry: TableEntry, q=None, mu=None) -> FamilySpec:
     if mu is not None:
         axis_modulus_squared(mu)
     if q is not None:
-        _finite_quaternion(f"{entry.family}: point", q)
+        finite_quaternion(f"{entry.family}: point", q)
         violation = spec.domain(entry, q)
         if violation:
             raise ValueError(f"{entry.family}: {violation}")

@@ -16,21 +16,25 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import derivatives
-from .derivatives import HR_AXES, EvaluationError, QFunction, left_ghr, left_hr, second_order
-from .quaternion import (AXES, ONE, QArray, Quaternion, integer, involute, involute_conj,
-                         ordered_sum, real_number)
+from .derivatives import (HR_AXES, EvaluationError, QFunction, ghr_from_partials,
+                          has_array_form, hr_from_partials, left_hr, real_partials,
+                          second_order, takes_arrays)
+from .quaternion import (AXES, ONE, QArray, Quaternion, finite_quaternion, integer, involute,
+                         involute_conj, ordered_sum, real_number)
 
 # Error floor model for the remainder fit: second derivatives come from a
 # nested difference scheme, so the expansion carries noise of roughly
 # curvature_noise * |lambda|^2 on top of a small absolute term.
 FLOOR_ABS = 1e-12
 FLOOR_CURVATURE = 1e-4
-# Simpson nodes per array pass of mvt_left: enough to spread numpy's
-# per-call cost, few enough that the stencil temporaries stay small.  Set by
-# timing the default mvt run: 128 beat 64, 192 and 256 by a third or more.
-# From 192 up the exponential's largest temporaries go back to the system
-# after each use, so each pass page-faults them in again (about 16,500
-# minor faults per run at 192, 400 at 128, with glibc's malloc).
+# Simpson nodes per call of f in mvt_left, whose stencil, differences and
+# projections take all nodes in one pass: enough to spread numpy's
+# per-call cost, few enough that f's temporaries stay small.  From 192 up
+# the exponential's largest temporaries, (4, 4, 4, 2, NODE_BLOCK) products,
+# go back to the system after each use, so each call page-faults them in
+# again (about 16,500 minor faults per run at 192, 400 at 128, with glibc's
+# malloc).  In a fresh mvt process 256 and 2048 time within the spread of
+# 128, and 2048 peaks 3.8 MB higher.
 NODE_BLOCK = 128
 
 
@@ -79,22 +83,50 @@ def _real_integrand(d_q, lam: Quaternion):
     return type(head).from_real(4.0 * head.a)
 
 
+def _finite_point(key: str, value) -> None:
+    """Check that value is one finite Quaternion, else a ValueError naming
+    key: a QArray of points is no point here."""
+    if not isinstance(value, Quaternion):
+        raise ValueError(f"{key} must be a Quaternion, got {value!r}")
+    finite_quaternion(key, value)
+
+
+def _in_blocks(f: QFunction) -> QFunction:
+    """An array-form f called on NODE_BLOCK nodes, the last axis of its
+    argument, at a time.  After a block with a non-finite value the later
+    blocks stay NaN and f never sees them: the stencil check then raises at
+    that block's first bad point, as one call would.  Any other f is f.
+    The blocks are cut here, not in real_partials: an f there may carry one
+    constant per point, which a slice of the points would not match."""
+    if not has_array_form(f):
+        return f
+
+    @takes_arrays
+    def blocked(p: QArray) -> QArray:
+        values = np.full(p.c.shape, math.nan)
+        for start in range(0, p.c.shape[-1], NODE_BLOCK):
+            block = np.s_[..., start:start + NODE_BLOCK]
+            values[block] = f(QArray(p.c[block])).c
+            if not np.isfinite(values[block]).all():
+                break
+        return QArray(values)
+
+    return blocked
+
+
 def _node_values(f: QFunction, q0: Quaternion, lam: Quaternion, t: np.ndarray,
                  real_form: bool) -> np.ndarray:
-    """The (4, len(t)) integrand values at the nodes q0 + lam * t, NODE_BLOCK
-    nodes to a derivative pass: sum over eta of d f/dq^eta lambda^eta from
-    left_hr, or for the real form d f/dq alone, the GHR derivative at mu = 1,
-    from left_ghr."""
-    values = np.empty((4, len(t)))
+    """The (4, len(t)) integrand values at the nodes q0 + lam * t: sum over
+    eta of d f/dq^eta lambda^eta from the HR set, or for the real form d f/dq
+    alone, the GHR derivative at mu = 1.  One derivative pass serves every
+    node, with f taking them NODE_BLOCK at a time; each step is elementwise,
+    so the bits are those of a pass per block."""
+    nodes = q0 + QArray(np.multiply.outer(np.array(lam), t))
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, len(t), NODE_BLOCK):
-            nodes = q0 + QArray(np.multiply.outer(np.array(lam), t[start:start + NODE_BLOCK]))
-            if real_form:
-                value = _real_integrand(left_ghr(f, nodes, ONE).d_mu, lam)
-            else:
-                value = left_hr(f, nodes).differential(lam)
-            values[:, start:start + NODE_BLOCK] = value.c
-    return values
+        parts = real_partials(_in_blocks(f), nodes)
+        if real_form:
+            return _real_integrand(ghr_from_partials(parts, ONE, "left").d_mu, lam).c
+        return hr_from_partials(parts, "left").differential(lam).c
 
 
 def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
@@ -105,10 +137,11 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     The right-hand side integrates sum over eta of d f/dq^eta * lambda^eta
     for t in [0, 1] with lambda = q1 - q0, by composite Simpson quadrature.
     With ``real_form`` the real-valued corollary 4 Re(d f/dq * lambda) is
-    integrated instead, with d f/dq from left_ghr at mu = 1.  The nodes go
-    to the derivative engine NODE_BLOCK at a time, as one QArray: an f with
-    an array form is called once per block, any other f node by node, with
-    the same bits.
+    integrated instead, with d f/dq the GHR derivative at mu = 1.  All nodes
+    share one stencil and one derivative pass, as QArrays; only f takes the
+    stencil NODE_BLOCK nodes at a time: an f with an array form is called
+    once per block, any other f point by point, with the same bits.  q0 and
+    q1 must be finite Quaternions, and so must their difference.
 
     ``panels`` is a refinement ladder, a tuple of panel counts: one check
     per rung comes back, in order, each with the bits of a one-rung call.
@@ -118,10 +151,13 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     a non-finite value raises the error that one call per rung would raise
     first.
     """
+    _finite_point("q0", q0)
+    _finite_point("q1", q1)
     if not isinstance(panels, tuple) or not panels or any(
             integer("panels", p, 2, "a tuple of even integers >= 2") % 2 for p in panels):
         raise ValueError(f"panels must be a tuple of even integers >= 2, got {panels!r}")
     lam = q1 - q0
+    finite_quaternion("q1 - q0", lam)
     ladder = [np.arange(p + 1) / p for p in panels]
     # Each distinct node once, in the order of its first place in the rungs;
     # columns[r] holds the places of rung r's nodes among them.
@@ -190,8 +226,12 @@ def taylor_remainder_slope(f: QFunction, q0: Quaternion, direction: Quaternion,
     the floor and the slope is reported as nan.  f's value and derivatives
     at q0 are taken once and serve every scale.  The direction must be
     nonzero and finite: a zero one makes every error 0.0, a fit at the floor.
+    q0 must be a finite Quaternion.
     """
-    if not all(map(math.isfinite, direction)) or not any(direction):
+    _finite_point("q0", q0)
+    if not isinstance(direction, Quaternion):
+        raise ValueError(f"direction must be a Quaternion, got {direction!r}")
+    if not (direction.is_finite() and any(direction)):
         raise ValueError(f"direction must be nonzero and finite, got {direction!r}")
     scales = tuple(real_number("scales", s) for s in scales)
     if len(scales) < 4:
@@ -232,8 +272,9 @@ def steepest_descent(f: QFunction, q_init: Quaternion, alpha: float,
 
     The update is q <- q - alpha * d f/dq*, with the gradient either supplied
     in closed form or taken from the numerical engine.  Ten consecutive
-    objective increases abort the run.
+    objective increases abort the run.  q_init must be a finite Quaternion.
     """
+    _finite_point("q_init", q_init)
     alpha, grad_tol = real_number("alpha", alpha), real_number("grad_tol", grad_tol)
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError("step size must be positive and finite")

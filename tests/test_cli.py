@@ -138,6 +138,28 @@ def test_zero_and_negative_slope_tolerances_stay_legal(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("low,high", [("3", "1"), ("9", None), (None, "2")])
+def test_an_empty_slope_range_is_config_error(low, high, capsys):
+    # slope_low=3 with slope_high=1 passed only the rows at the floor and
+    # exited 1; either bound alone can empty the range with the other's default.
+    argv = ["taylor"]
+    for name, value in (("slope_low", low), ("slope_high", high)):
+        if value is not None:
+            argv += ["--tol", f"{name}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    low, high = float(low or cli.TAYLOR_TOLERANCES["slope_low"]), \
+        float(high or cli.TAYLOR_TOLERANCES["slope_high"])
+    assert captured.err == (f"error: --tol slope_low={low!r} exceeds slope_high={high!r}: "
+                            f"no slope can pass\n")
+
+
+def test_an_equal_slope_pair_stays_legal(capsys):
+    assert main(["taylor", "--tol", "slope_low=3", "--tol", "slope_high=3"]) == 1
+    assert "4 checks, 2 failures" in capsys.readouterr().out
+
+
 def test_table_family_filter(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["table", "--points", "3", "--family", "linear",
@@ -371,7 +393,7 @@ def test_the_one_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
     run = subprocess.run([sys.executable, "-c", script, "taylor", "--out", str(fresh)],
                          env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
-    assert main(["taylor", "--tol", "slope_low=9"]) == 1
+    assert main(["taylor", "--tol", "slope_low=3.2"]) == 1
     shared = tmp_path / "shared.csv"
     assert main(["taylor", "--out", str(shared)]) == 0
     assert shared.read_bytes() == fresh.read_bytes()

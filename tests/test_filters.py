@@ -951,6 +951,22 @@ def test_phi_derivatives_match_separate_derivatives_on_extreme_values(phi, s, d)
         assert shared.startswith("function evaluation is not finite")
 
 
+def test_jacobian_of_finite_values_may_overflow_without_an_error():
+    # Phi's values at s +- h e_1 are +-1e308, finite, so no EvaluationError;
+    # their difference overflows, which sends value_and_jacobian to the
+    # exact check of the stencil, and that check passes.
+    @takes_arrays
+    def steep(p):
+        return type(p).from_real(p.a * 1e300 * 1e14)
+
+    s = np.zeros(4)
+    with np.errstate(over="ignore"):
+        value, columns = derivatives.value_and_jacobian(steep, s)
+    assert value.tolist() == [0.0] * 4
+    assert columns[0, 0] == math.inf
+    assert np.isfinite(np.delete(columns.ravel(), 0)).all()
+
+
 def test_effective_error_sums_from_zero_where_every_product_is_negative_zero():
     # At s = 0 with d = -0.0, tanh gives e = -0.0 - 0.0 = -0.0 in every
     # component, and each partial of tanh there is positive or +0.0, so

@@ -10,7 +10,7 @@ import pytest
 from quatcalc import cli, derivatives, theorems
 from quatcalc.derivatives import (DEFAULT_H, EvaluationError, has_array_form,
                                   takes_arrays)
-from quatcalc.quaternion import I, ONE, QArray, Quaternion
+from quatcalc.quaternion import I, ONE, QArray, Quaternion, format_quaternion
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import TableEntry, as_function, conj_gradient
 from quatcalc.theorems import (DivergenceError, _taylor2, _taylor2_parts, mvt_left,
@@ -153,31 +153,39 @@ def test_mvt_ladder_evaluates_each_node_once(name, fn, real_form):
 @pytest.mark.parametrize("name,fn,real_form", MVT_FUNCTIONS,
                          ids=[f"{name}-{'real' if real else 'general'}"
                               for name, _, real in MVT_FUNCTIONS])
-def test_mvt_ladder_projects_once_per_block_for_the_real_form(name, fn, real_form,
-                                                              monkeypatch):
-    # The real form needs d f/dq alone, the GHR derivative at mu = 1: one
-    # projection per NODE_BLOCK block, where left_hr's eight take four.
-    projections = []
+@pytest.mark.parametrize("node_block", (theorems.NODE_BLOCK, 7, 2048))
+def test_mvt_ladder_projects_once_per_call(name, fn, real_form, node_block, monkeypatch):
+    # One derivative pass serves every node, however many blocks f takes
+    # them in, with the same bits.  The real form needs d f/dq alone, the
+    # GHR derivative at mu = 1: one projection, where the eight HR
+    # derivatives take four.
+    expected = [_mvt_bits(check)
+                for check in mvt_left(fn, Q0, Q1, panels=LADDER, real_form=real_form)]
+    monkeypatch.setattr(theorems, "NODE_BLOCK", node_block)
+    projections, sizes = [], []
     project = derivatives._project
     monkeypatch.setattr(derivatives, "_project",
                         lambda *args: projections.append(1) or project(*args))
-    mvt_left(fn, Q0, Q1, panels=LADDER, real_form=real_form)
-    blocks = -(-1249 // theorems.NODE_BLOCK)
-    assert blocks == 10
-    assert len(projections) == (blocks if real_form else 4 * blocks)
+    counted = takes_arrays(
+        lambda p: sizes.append(p.c[0].size if isinstance(p, QArray) else 1) or fn(p))
+    checks = mvt_left(counted, Q0, Q1, panels=LADDER, real_form=real_form)
+    assert len(projections) == (1 if real_form else 4)
+    assert [_mvt_bits(check) for check in checks] == expected
+    assert sizes[:-2] == [8 * min(node_block, 1249 - start)
+                          for start in range(0, 1249, node_block)]
 
 
 def test_mvt_oracle_takes_the_real_form_from_its_own_derivatives(monkeypatch):
-    # The engine's real form goes through left_ghr; the oracle's must not,
-    # or the bitwise test would check that path against itself.
+    # The engine's real form goes through ghr_from_partials; the oracle's
+    # must not, or the bitwise test would check that path against itself.
     def refused(*args):
-        raise AssertionError("left_ghr called")
+        raise AssertionError("ghr_from_partials called")
 
     _, fn, _ = next(entry for entry in MVT_FUNCTIONS if entry[2])
-    monkeypatch.setattr(theorems, "left_ghr", refused)
-    monkeypatch.setattr(derivatives, "left_ghr", refused)
+    monkeypatch.setattr(theorems, "ghr_from_partials", refused)
+    monkeypatch.setattr(derivatives, "ghr_from_partials", refused)
     expected = mvt_oracle(fn, Q0, Q1, 4, real_form=True)
-    with pytest.raises(AssertionError, match="left_ghr called"):
+    with pytest.raises(AssertionError, match="ghr_from_partials called"):
         mvt_left(fn, Q0, Q1, panels=(4,), real_form=True)
     monkeypatch.undo()
     check, = mvt_left(fn, Q0, Q1, panels=(4,), real_form=True)
@@ -266,6 +274,30 @@ def test_mvt_ladder_raises_the_rung_by_rung_loops_error(spikes):
     _, point = _raised_as_scalar_loop(_spiked(*spikes), LADDER_Q0, LADDER_Q1, LADDER)
     point = Quaternion(*map(float.fromhex, point))
     assert abs(point - spikes[-1][0]) < 2 * DEFAULT_H
+
+
+def test_mvt_ladder_stops_at_the_block_holding_the_first_bad_node():
+    # The ladder's distinct nodes run 0, 1/4, ..., then the 1000-panel rung's
+    # own nodes from place 257 on: place 300 of 1,249, in the third block of
+    # NODE_BLOCK, is t = 44/1000.  f is NaN on that node's stencil alone.
+    bad = _node(0.044)
+    sizes = []
+
+    @takes_arrays
+    def f(p):
+        sizes.append(p.c[0].size if isinstance(p, QArray) else 1)
+        near = (p - bad).modulus_squared() < 2 * DEFAULT_H ** 2
+        return type(p).from_real(np.where(near, math.nan, 1.0))
+
+    _, point = _raised_as_scalar_loop(f, LADDER_Q0, LADDER_Q1, LADDER)
+    assert Quaternion(*map(float.fromhex, point)) == bad + DEFAULT_H
+    assert theorems.NODE_BLOCK == 128
+    # Three calls on the ladder's nodes, none after the third block; then
+    # the error path's replay of the first rung's 5 nodes, f(q1) and f(q0).
+    sizes.clear()
+    with pytest.raises(EvaluationError):
+        mvt_left(f, LADDER_Q0, LADDER_Q1, panels=LADDER)
+    assert sizes == [8 * 128] * 3 + [8 * 5, 1, 1]
 
 
 def test_mvt_evaluation_counts(monkeypatch):
@@ -569,6 +601,52 @@ def test_mvt_rejects_nonfinite_value_at_endpoint():
 
     with pytest.raises(EvaluationError, match="not finite"):
         mvt_left(spiked, Q0, Q1, panels=(2,))
+
+
+# Each theorem's point arguments, as a call that takes the point and f.
+POINT_ARGUMENTS = {
+    "q0": lambda p, f: mvt_left(f, p, Q1, panels=(4,)),
+    "q1": lambda p, f: mvt_left(f, Q0, p, panels=(4,)),
+    "taylor q0": lambda p, f: taylor_remainder_slope(f, p, I, SCALES),
+    "q_init": lambda p, f: steepest_descent(f, p, 0.4),
+}
+
+
+@pytest.mark.parametrize("argument", POINT_ARGUMENTS)
+@pytest.mark.parametrize("bad", [tuple(Q0), QArray(np.array([tuple(Q0)]).T),
+                                 Quaternion(math.inf, 0.2, 0.3, 0.4),
+                                 Quaternion(0.1, 0.2, math.nan, 0.4)],
+                         ids=["tuple", "qarray", "inf", "nan"])
+def test_theorems_reject_a_point_that_is_no_finite_quaternion(argument, bad):
+    # These reached f: mvt_left at q1 = (inf, 0.2, 0.3, 0.4) raised an
+    # EvaluationError at (nan, 0.2, 0.3, 0.4), inf * t at t = 0; a tuple q0
+    # was a TypeError in mvt_left, an 8-tuple point in taylor_remainder_slope
+    # and an AttributeError in steepest_descent.  A QArray of points, even a
+    # finite one, failed deep inside each.
+    key = argument.split()[-1]
+    if isinstance(bad, Quaternion):
+        message = f"{key} must be finite, got {format_quaternion(bad)}"
+    else:
+        message = f"{key} must be a Quaternion, got {bad!r}"
+    seen = []
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        POINT_ARGUMENTS[argument](bad, lambda p: seen.append(p) or f_mod2(p))
+    assert not seen
+
+
+def test_mvt_rejects_a_segment_past_a_doubles_range():
+    # Finite ends whose difference overflows: lam * t was NaN at t = 0.
+    q0, q1 = Quaternion(-1e308, 0.0, 0.0, 0.0), Quaternion(1e308, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape("q1 - q0 must be finite, got inf+0i+0j+0k")):
+        mvt_left(f_sq, q0, q1, panels=(4,))
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0, 0.0), QArray(np.eye(4)[:, :1])],
+                         ids=["tuple", "qarray"])
+def test_taylor_rejects_a_direction_that_is_no_quaternion(direction):
+    message = f"direction must be a Quaternion, got {direction!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        taylor_remainder_slope(f_sq, Q0, direction, SCALES)
 
 
 def test_descent_accepts_component_array_objective():
