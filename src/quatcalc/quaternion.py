@@ -162,7 +162,8 @@ _SIGNED_INDEX = _MUL_INDEX + 4 * (_MUL_SIGN < 0.0)
 def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
                total: Optional[np.ndarray] = None) -> np.ndarray:
     """((t0 + t1) + t2) + t3, the order of Quaternion.__mul__'s four terms,
-    into ``total`` if one is given."""
+    into ``total`` if one is given: hamilton and the filter kernel add
+    their four terms through it."""
     total = np.add(t0, t1, total)
     np.add(total, t2, total)
     np.add(total, t3, total)
@@ -170,7 +171,8 @@ def _add_terms(t0: np.ndarray, t1: np.ndarray, t2: np.ndarray, t3: np.ndarray,
 
 
 def ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, left to right from zero as the scalar loops add.
+    """Sum over the last axis, left to right from zero as the scalar loops add:
+    filters and theorems add every other float sum with it.
 
     accumulate adds strictly in order.  Starting from x0 rather than 0.0 + x0
     can only change the sign of a zero total, which the final + 0.0 undoes.
@@ -193,29 +195,13 @@ def hamilton(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _add_terms(*(p[:, np.newaxis] * _signed(q)))
 
 
-def _times(q):
-    """p -> p * q for a fixed right factor q, a Quaternion or a QArray, with
-    the bits of the operators.  A QArray's signed gather is taken once, not
-    once per product."""
-    if not isinstance(q, QArray):
-        return lambda p: p * q
-    signed = _signed(q.c)
-
-    def times(p):
-        left = p.c if isinstance(p, QArray) else np.array(p)
-        ndim = max(left.ndim, q.c.ndim)
-        right = signed.reshape(signed.shape[:2] + (1,) * (ndim - q.c.ndim) + signed.shape[2:])
-        return QArray(_add_terms(*(_aligned(left, ndim)[:, np.newaxis] * right)))
-
-    return times
-
-
 def _by_floats(fn, *args):
     """fn(*args), element by element through Python floats when args are arrays.
 
     numpy's vectorised **, arctan2 and tanh may differ from Python's float
     ** and math's functions in the last ulp on some inputs and machines;
-    np.sqrt and the arithmetic operators do not.
+    np.sqrt and the arithmetic operators do not.  tables, identities and
+    filters take **, math.atan2 and math.tanh through it.
     """
     if not isinstance(args[0], np.ndarray):
         return fn(*args)
@@ -238,7 +224,7 @@ def anywhere(mask) -> bool:
 def real_number(key: str, value, expected: str = "a real number") -> float:
     """value as a float: a real number, not a bool, within a double's range,
     which a JSON integer need not be.  Anything else is a ValueError that
-    names key."""
+    names key.  The one check of a real scalar in the package."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{key} must be {expected}, got {value!r}")
     try:
@@ -248,7 +234,8 @@ def real_number(key: str, value, expected: str = "a real number") -> float:
 
 
 def integer(key: str, value, least: Optional[int] = None, expected: str = "an integer"):
-    """value if an integer (numpy's too), not a bool, of at least ``least``; else a ValueError."""
+    """value if an integer (numpy's too), not a bool, of at least ``least``;
+    else a ValueError.  The one check of an integer in the package."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
             or (least is not None and value < least):
         raise ValueError(f"{key} must be {expected}, got {value!r}")
@@ -257,7 +244,8 @@ def integer(key: str, value, least: Optional[int] = None, expected: str = "an in
 
 def finite_quaternion(key: str, value) -> None:
     """Check that value is a Quaternion or a QArray with finite components:
-    anything else is a ValueError naming key and the first non-finite one."""
+    anything else is a ValueError naming key and the first non-finite one.
+    tables checks its coefficients and points, and theorems its points, with it."""
     if isinstance(value, QArray):
         comps = value.c.reshape(4, -1)
         finite = np.isfinite(comps).all(axis=0)
@@ -410,7 +398,8 @@ class QArray:
 def axis_modulus_squared(mu):
     """|mu|^2 of a rotation axis, or of each of a QArray's axes.  A zero axis
     is a ValueError, and so is one that would rotate to NaN, with a NaN or
-    infinite component or |mu|^2: its message names the first such axis."""
+    infinite component or |mu|^2: its message names the first such axis.
+    rotate and tables.derivative check their axes with it."""
     with np.errstate(over="ignore"):  # a QArray's overflows to inf silently, as floats do
         n2 = mu.modulus_squared()
     if anywhere(n2 == 0.0):

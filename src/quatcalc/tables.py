@@ -24,7 +24,9 @@ arctan_arg atan2(|Im q|, Re q).  Each linear_* family is its base at g,
 by affine_input with the GHR chain rule summed over the axes 1, i, j, k,
 and each conj_* its base at q*, by conj_input with its two columns
 swapped.  Every family's entry is drawn by FamilySpec.sample_entry from
-its params, in order.
+its params, in order.  The values of power and exponential run on q's
+complex slice (_slice_powers); their columns keep the product rule's
+Hamilton products, with the bits they were pinned with.
 
 Every evaluator and column is written with the operators and methods that
 Quaternion and QArray share, so the same formula serves one point and a
@@ -33,16 +35,13 @@ bit for bit the one-point calls: one call of the columns and one call of
 the evaluator on all 8N stencil points (derivatives.left_ghr on a QArray
 of points) for an entry whose coefficients are stacked, or for each run of
 points whose entries share family and count n.  The one-point calls'
-results stay on Python floats.
-
-The table draws its points with sample_batch: one rng.random call per
-batch, the family's admissible test on the arrays, and at the first
-rejected point a rewind and a one-point draw, so that the doubles and the
-generator's end state are those of the one-point samplers.
+results stay on Python floats.  The table draws its points with
+sample_batch, bit for bit the one-point samplers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -51,7 +50,7 @@ import numpy as np
 from . import derivatives
 from .derivatives import takes_arrays
 from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
-                         _times, anywhere, axis_modulus_squared, finite_quaternion, integer,
+                         anywhere, axis_modulus_squared, finite_quaternion, integer,
                          rotate)
 from .sampling import MAX_DRAWS, random_quaternion
 
@@ -339,23 +338,34 @@ def _modulus_squared_cols(e, q, mu):
     return EntryDerivatives((mu * q.conjugate()) * 0.5, (mu * q) * 0.5)
 
 
+def _slice_powers(q):
+    """(alpha_n, beta_n) with q^n = alpha_n + beta_n v, v = Im q, for n = 1, 2, ...:
+    powers of q stay in its complex slice span{1, v} (Gentili and Struppa's
+    slice-regular functions), so alpha_(n+1) = alpha_n a - beta_n |v|^2 and
+    beta_(n+1) = alpha_n + beta_n a, with no square root or division by |v|."""
+    a, v2 = q.a, q.vector().modulus_squared()
+    alpha, beta = a, 1.0
+    while True:
+        yield alpha, beta
+        alpha, beta = alpha * a - beta * v2, alpha + beta * a
+
+
 def _power_value(e, q):
-    result = q
-    times_q = _times(q)
-    for _ in range(e.n - 1):
-        result = times_q(result)
-    return result
+    """q^n; at n = 1 q itself, every bit, where v + a turns a -0.0 real part to 0.0."""
+    if e.n == 1:
+        return q
+    alpha, beta = next(itertools.islice(_slice_powers(q), e.n - 1, None))
+    return q.vector() * beta + alpha
 
 
 def _power_rule(q: Quaternion, mu: Quaternion, top: int):
     """The columns of each q^n, n = 1..top: the product rule applied to
     q q^(n-1), so order n costs four products, not n."""
-    times_q = _times(q)
     power, cols = q, _identity_cols(mu)
     yield cols
     for _ in range(top - 1):
         cols = _product(q, _identity_cols, power, cols, mu)
-        power = times_q(power)
+        power = power * q
         yield cols
 
 
@@ -365,13 +375,13 @@ def _power_cols(e, q, mu):
 
 
 def _exponential_value(e, q):
-    total = ONE
-    term = ONE
-    times_q = _times(q)
-    for n in range(1, DEFAULT_EXP_TERMS + 1):
-        term = times_q(term) / n
-        total = total + term
-    return total
+    """1 + q + ... + q^n/n! to n = DEFAULT_EXP_TERMS: two real series, v scaled once."""
+    alpha_sum, beta_sum, factorial = 1.0, 0.0, 1.0
+    for n, (alpha, beta) in zip(range(1, DEFAULT_EXP_TERMS + 1), _slice_powers(q)):
+        factorial *= n
+        alpha_sum = alpha_sum + alpha / factorial
+        beta_sum = beta_sum + beta / factorial
+    return q.vector() * beta_sum + alpha_sum
 
 
 def _exponential_cols(e, q, mu):

@@ -29,12 +29,10 @@ FLOOR_ABS = 1e-12
 FLOOR_CURVATURE = 1e-4
 # Simpson nodes per call of f in mvt_left, whose stencil, differences and
 # projections take all nodes in one pass: enough to spread numpy's
-# per-call cost, few enough that f's temporaries stay small.  From 192 up
-# the exponential's largest temporaries, (4, 4, 4, 2, NODE_BLOCK) products,
-# go back to the system after each use, so each call page-faults them in
-# again (about 16,500 minor faults per run at 192, 400 at 128, with glibc's
-# malloc).  In a fresh mvt process 256 and 2048 time within the spread of
-# 128, and 2048 peaks 3.8 MB higher.
+# per-call cost, few enough that f's temporaries stay small.  The largest,
+# square's Hamilton product on a (4, 4, 2, NODE_BLOCK) block, holds
+# (4, 4, 4, 2, NODE_BLOCK) doubles.  On a 2-core guest 1024 timed within
+# the spread of 128, best of 11 mvt calls, but its RSS peaked 2 MB higher.
 NODE_BLOCK = 128
 
 
@@ -161,9 +159,11 @@ def mvt_left(f: QFunction, q0: Quaternion, q1: Quaternion,
     ladder = [np.arange(p + 1) / p for p in panels]
     # Each distinct node once, in the order of its first place in the rungs;
     # columns[r] holds the places of rung r's nodes among them.
-    place: dict[float, int] = {}
-    columns = [[place.setdefault(x, len(place)) for x in rung.tolist()] for rung in ladder]
-    t = np.array(list(place))
+    distinct, first, inverse = np.unique(np.concatenate(ladder), return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    columns = np.split(np.argsort(order)[inverse], np.cumsum([len(r) for r in ladder[:-1]]))
+    t = distinct[order]
     try:
         values = _node_values(f, q0, lam, t, real_form)
     except EvaluationError:

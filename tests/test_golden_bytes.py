@@ -19,19 +19,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 GOLDEN = {
     ("verify",):
-        "1df5357bdb5ef0bf7625c0001d9ff069486a0c97644ac85c3309e504f148782b",
+        "e50143925839e108387df7d128d55fed0c6782f836c11a80ace5548adf5821c5",
     # The identity_suite benchmark workload's call.
     ("verify", "--points", "150"):
-        "4259feaa2aeb98db0cee24abfd344e20dbad2d8d929d5e35d74e3928e16ac2ad",
+        "171aa0c81a5563867ea148362b4b9e6c910578fbbe86849ff17e719c6d96949a",
     ("table",):
-        "8836a3e7b87eb33eb8e92f48cb720fc792459756f6f8c1bceb7caa6745f80685",
+        "b185084b2dfa55bf9d90c5906dfdfd209ad75fb41a5374e3d47df510bf56d73c",
     # The derivative_table benchmark workload's call.
     ("table", "--points", "200"):
-        "afcfd332f3567877c7ea50399464a6a81bf357dba0e201aef09955434119486e",
+        "b4d92198a2475fffa912475d64da63293c78c194185bf1bc51f9ff5fa0c03016",
     ("mvt",):
-        "19e792a8b6bf05a84323dde352011abdc3c75c1daae3d4b887a2683d44640c14",
+        "be0b331bf11f48a336073b4131523e0e2dd29b95dac23c64b66659883756156b",
     ("taylor",):
-        "d68324ebd26fd9ec14c84eff1e36d3b82661d9de623ed8f560f6c72f1e1c1afc",
+        "6d4eb3c25d00ea8aeaa56c632dbef3709bad35cef10cf63d04399d964a88e9df",
     ("descend",):
         "a5fde767a11edfefbf71f0654487a94680a984c43783113cd17edb32f6d6408c",
     ("filter", "--config", "qlms"):

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from quatcalc import quaternion
 from quatcalc.quaternion import (AXES, I, J, K, ONE, UNITS, ZERO, QArray,
-                                 Quaternion, _times, format_quaternion, hamilton,
+                                 Quaternion, format_quaternion, hamilton,
                                  involute, involute_conj, mu_basis,
                                  parse_quaternion, rotate)
 from quatcalc.sampling import make_rng, random_quaternion
@@ -164,39 +164,6 @@ def test_array_hamilton_matches_scalar_product_bitwise(data):
         expected[at] = (Quaternion(*p_full[at].tolist())
                         * Quaternion(*q_full[at].tolist()))
     assert _same_bits(out, expected)
-
-
-# Every kind of component a product meets, NaN of either sign included.
-ANY_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]),
-                          st.floats())
-
-
-@given(data=st.data())
-def test_fixed_right_factor_matches_hamilton_in_every_bit(data):
-    # One fixed factor q times several p, every shape broadcasting against
-    # q's; a one-element shape may be a Quaternion.  The operators, which
-    # take any QArray operand through hamilton, give the expected bits.
-    shapes = data.draw(hnp.mutually_broadcastable_shapes(num_shapes=3, max_dims=3,
-                                                         max_side=3))
-
-    def operand(shape):
-        comps = data.draw(hnp.arrays(np.float64, (4,) + shape, elements=ANY_COMPONENT,
-                                     fill=st.nothing()))
-        if shape == () and data.draw(st.booleans()):
-            return Quaternion(*comps.tolist())
-        return QArray(comps)
-
-    q_shape, *p_shapes = shapes.input_shapes
-    q = operand(q_shape)
-    times = _times(q)
-    for p_shape in p_shapes:
-        p = operand(p_shape)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out, expected = times(p), p * q
-        assert type(out) is type(expected)
-        out, expected = np.asarray(getattr(out, "c", out)), np.asarray(getattr(expected, "c", expected))
-        assert out.shape == expected.shape
-        assert out.tobytes().hex() == expected.tobytes().hex()
 
 
 # Each QArray operation beside the Quaternion operation it mirrors: binary

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from quatcalc import derivatives, sampling, tables
 from quatcalc.derivatives import DEFAULT_H, EvaluationError, left_ghr
 from quatcalc.quaternion import (ONE, I, J, K, ZERO, QArray, Quaternion, _add_terms, _by_floats,
-                                 _times, format_quaternion)
+                                 format_quaternion)
 from quatcalc.sampling import make_rng, random_quaternion
 from quatcalc.tables import (DEFAULT_EXP_TERMS, FAMILIES, EntryDerivatives, TableEntry,
                              as_function, catalogue, conj_gradient,
@@ -135,18 +135,64 @@ def test_power_matches_repeated_product():
         assert isclose(eval_entry(entry, q), expected)
 
 
-def test_cube_is_the_repeated_product_bit_for_bit():
-    # power starts from q itself: ONE * q is not q where a component is -0.0
-    # or infinite, and a cube started from ONE has other bits at the first point.
-    cube = as_function(TableEntry(family="power", n=3))
-    points = [(-2.0, -0.0, 0.0, 0.0), (math.inf, 0.5, -1.0, 2.0),
-              (0.3, -0.0, -math.inf, -0.0), (1.0, -2.0, 3.0, -4.0)]
-    for point in points:
-        q = Quaternion(*point)
-        assert _same_bits(np.array(cube(q)), np.array(q * q * q)), point
-    qs = QArray(np.array(points).T)
+# tables evaluates power and exponential on q's complex slice.  Before,
+# they were Hamilton products: q times q another n - 1 times, and the
+# exponential's terms, each the last times q over n, added to 1 in order.
+# Both stay here as oracles; patched in, they still write the old bytes.
+
+def _product_power_value(e, q):
+    result = q
+    for _ in range(e.n - 1):
+        result = result * q
+    return result
+
+
+def _product_exponential_value(e, q):
+    total = term = ONE
+    for n in range(1, tables.DEFAULT_EXP_TERMS + 1):
+        term = term * q / n
+        total = total + term
+    return total
+
+
+PRODUCT_VALUES = {"power": _product_power_value, "exponential": _product_exponential_value}
+# |d - o| <= SERIES_TOL (1 + |o|), normwise, for a power or exponential
+# value d and its oracle o.  Fixed before measuring.
+SERIES_TOL = 4e-15
+
+
+def test_cube_meets_the_repeated_product():
+    # At n = 1 power is q itself, every bit: v + a is not q where a is -0.0.
+    # The cube meets q q q within SERIES_TOL at a finite point; at a
+    # non-finite one both are non-finite, so the stencil check raises at
+    # the same point.
+    entry = TableEntry(family="power", n=3)
+    one, cube = (as_function(entry._replace(n=n)) for n in (1, 3))
+    finite = [(-2.0, -0.0, 0.0, 0.0), (1.0, -2.0, 3.0, -4.0), (-0.0, 0.5, -0.0, 1.5)]
+    non_finite = [(math.inf, 0.5, -1.0, 2.0), (0.3, -0.0, -math.inf, -0.0)]
+    qs = QArray(np.array(finite + non_finite).T)
     with np.errstate(invalid="ignore"):  # inf * 0.0, as Python floats give it
-        assert _same_bits(cube(qs).c, (qs * qs * qs).c)
+        assert _same_bits(one(qs).c, qs.c)
+        cubes = cube(qs)
+    for k, point in enumerate(finite + non_finite):
+        q = Quaternion(*point)
+        assert _same_bits(np.array(one(q)), np.array(q))
+        assert _same_bits(np.array(cube(q)), cubes.c[:, k])
+        if point in finite:
+            assert _oracle_residual(cube(q), q * q * q) <= SERIES_TOL, point
+        else:
+            assert not (cube(q).is_finite() or (q * q * q).is_finite()), point
+    inf_point = Quaternion(*non_finite[0])
+    assert _same_bits(np.array(cube(inf_point)), np.array([math.nan, math.inf, -math.inf,
+                                                           math.inf]))
+    product_cube = derivatives.takes_arrays(lambda p: _product_power_value(entry, p))
+    for points in (qs, QArray(qs.c[:, ::-1])):
+        raised = []
+        for f in (cube, product_cube):
+            with pytest.raises(EvaluationError) as error:
+                derivatives.real_partials(f, points)
+            raised.append(str(error.value))
+        assert raised[0] == raised[1]
 
 
 def test_series_value_commutes_with_argument():
@@ -524,15 +570,13 @@ def _recurrence_power_rule(q, mu, top):
     """For each n = 1..top: S_n and -1/2 C_n, by S_n = q S_(n-1) +
     Re(q^(n-1) mu) and C_n = q C_(n-1) + (q^(n-1) mu)*, from S_1 = Re mu
     and C_1 = mu*."""
-    times_q = _times(q)
-    times_mu = _times(mu)
     power = type(q).from_real(1.0)
     plain = type(q).from_real(mu.a)
     conj = mu.conjugate()
     yield plain, conj * -0.5
     for _ in range(top - 1):
-        power = times_q(power)
-        head = times_mu(power)
+        power = power * q
+        head = power * mu
         plain = q * plain + head.a
         conj = q * conj + head.conjugate()
         yield plain, conj * -0.5
@@ -592,17 +636,18 @@ def test_derived_base_columns_meet_the_hand_written_columns(family):
 # tables._power_rule runs the power rule as the product rule on q q^(n-1).
 # Below is the rule as the table first computed it, every order re-added
 # from zero: the double loop wrote the table's bytes before the recurrence,
-# so patched in, next to the hand-written columns above and the chain term
-# below, it must still write them, and it holds the derived columns within
-# ORACLE_TOL.
+# so patched in, next to the Hamilton-product values and hand-written
+# columns above and the chain term below, it must still write them, and it
+# holds the derived columns within ORACLE_TOL.
 #
 # tables.affine_input's chain term is the column of the map with omega' =
 # col omega, col the base's column at (g, eta).  The table first summed it
 # unfolded: col eta^-1 times the columns of (eta omega) q (nu eta^-1).
 
 # sha256 of the table runs' CSV while the double loop computed power and
-# exponential, the hand-written columns inverse, unit_vector and arctan_arg,
-# and the unfolded chain term every linear_ family's columns
+# exponential's columns, Hamilton products their values, the hand-written
+# columns inverse, unit_vector and arctan_arg, and the unfolded chain term
+# every linear_ family's columns
 # (tests/test_golden_bytes.py pins the current bytes).
 DOUBLE_LOOP_DIGESTS = {
     ("table",): "55e4ebb594bcf0a903c983fe7ed4e2afe513f9e8a8f89292d108e48d2c118829",
@@ -633,12 +678,10 @@ def _unfolded_affine_input(name, base):
 def _double_loop_power_rule(q, mu, top):
     """For each n = 1..top: the sum over m of q^(n-m) Re(q^(m-1) mu), and
     -1/2 the sum of q^(n-m) (q^(m-1) mu)*, added from zero in order of m."""
-    times_q = _times(q)
     powers = [type(q).from_real(1.0)]
     for _ in range(top - 1):
-        powers.append(times_q(powers[-1]))
-    times_mu = _times(mu)
-    heads = [times_mu(power) for power in powers]
+        powers.append(powers[-1] * q)
+    heads = [power * mu for power in powers]
     conj_heads = [head.conjugate() for head in heads]
     for n in range(1, top + 1):
         plain = ZERO
@@ -652,11 +695,13 @@ def _double_loop_power_rule(q, mu, top):
 @pytest.mark.parametrize("argv", list(DOUBLE_LOOP_DIGESTS), ids=" ".join)
 def test_the_double_loop_still_writes_the_old_table_bytes(argv, tmp_path, capsys,
                                                           monkeypatch):
-    # Only the power rule, the derived inverse, unit_vector and arctan_arg
-    # columns and the folded chain term moved the table's bytes; the conj_
-    # and linear_ twins are rebuilt from the hand-written bases with the
-    # unfolded chain term.
+    # Only the power rule, the power series' values on the complex slice,
+    # the derived inverse, unit_vector and arctan_arg columns and the folded
+    # chain term moved the table's bytes; the conj_ and linear_ twins are
+    # rebuilt from the hand-written bases with the unfolded chain term.
     monkeypatch.setattr(tables, "_power_rule", _double_loop_power_rule)
+    for name, value in PRODUCT_VALUES.items():
+        monkeypatch.setitem(FAMILIES, name, FAMILIES[name]._replace(value=value))
     for name in ("square", "inverse", "real_part", "unit_vector", "arctan_arg", "modulus",
                  "modulus_squared"):
         base = FAMILIES[name]
