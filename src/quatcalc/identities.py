@@ -33,11 +33,15 @@ from . import derivatives, tables
 from .derivatives import (DegenerateAxisError, ghr_from_partials,
                           hr_from_partials, left_ghr, real_partials,
                           second_order, takes_arrays)
-from .quaternion import AXES, I, ONE, ZERO, QArray, Quaternion, _by_floats, integer, rotate
-from .sampling import make_rng, random_quaternion
+from .quaternion import (AXES, I, ONE, ZERO, QArray, Quaternion, _by_floats, integer,
+                         real_number, rotate)
+from .sampling import make_rng, random_quaternion, uniform_rows
 
 DEFAULT_POINTS = 25
 DEFAULT_SEED = 20240501
+# The least |q| of the suite's points, which _point_row draws.
+POINT_MODULUS = 0.1
+_ROW_RANGES = [(-2.0, 2.0)] * 3 + [(-1.0, 1.0)]
 # Points per array pass of the per-point record kinds.
 BLOCK = 1024
 PRODUCT_DRAWS = 80
@@ -402,6 +406,19 @@ def _stack(quaternions) -> QArray:
     return QArray(np.array(quaternions).T)
 
 
+def _point_row(rng: np.random.Generator) -> list[float]:
+    """One point's q, mu, nu and dq (before its 1e-3 scale), one by one."""
+    return [*random_quaternion(rng, -2.0, 2.0, min_modulus=POINT_MODULUS),
+            *tables.sample_axis(rng), *tables.sample_axis(rng),
+            *random_quaternion(rng, -1.0, 1.0)]
+
+
+def _kept_rows(rows: np.ndarray) -> np.ndarray:
+    """Which rows _point_row keeps on its first draws."""
+    q, mu, nu = (QArray(rows[:, k:k + 4].T).modulus() for k in (0, 4, 8))
+    return (q >= POINT_MODULUS) & (mu >= tables.AXIS_MODULUS) & (nu >= tables.AXIS_MODULUS)
+
+
 def _emit(columns: list[Column], qs, mus, nus, tols: dict) -> list[IdentityRecord]:
     """The columns' records, point by point, each point's in column order."""
     return [_record(name, tols[tolerance], residuals[k], point=q,
@@ -426,22 +443,21 @@ def run_identity_suite(points: int = DEFAULT_POINTS, seed: int = DEFAULT_SEED,
         unknown = set(tolerances) - set(tols)
         if unknown:
             raise ValueError(f"unknown tolerance names: {sorted(unknown)}")
-        tols.update(tolerances)
+        for name, value in tolerances.items():
+            tols[name] = real_number(f"tolerance {name}", value)
+            if np.isnan(tols[name]):
+                raise ValueError(f"tolerance {name}: NaN is not a tolerance")
     rng = make_rng(seed)
     fixed = Quaternion(1.0, 1.0, 1.0, 1.0)
     records = _emit(counter_example_records(_stack([fixed])), [fixed], [None], [None], tols)
     for start in range(0, points, BLOCK):
-        qs, mus, nus, dqs = [], [], [], []
-        for _ in range(min(BLOCK, points - start)):
-            qs.append(random_quaternion(rng, -2.0, 2.0, min_modulus=0.1))
-            mus.append(tables.sample_axis(rng))
-            nus.append(tables.sample_axis(rng))
-            dqs.append(random_quaternion(rng, -1.0, 1.0) * 1e-3)
-        q, mu, nu, dq = map(_stack, (qs, mus, nus, dqs))
+        rows = uniform_rows(rng, min(BLOCK, points - start), _ROW_RANGES, _kept_rows, _point_row)
+        q, mu, nu, dq = map(QArray, np.split(rows.T.copy(), 4))
+        qs, mus, nus = ([Quaternion(*c) for c in x.c.T.tolist()] for x in (q, mu, nu))
         parts = _partials(q)
         columns = (golden_records(q, parts) + ghr_linear_records(q, mu, parts)
                    + structural_records(q, mu, nu, parts) + counter_example_records(q)
-                   + reconstruction_record(q, dq, parts) + second_order_records(q, mu, nu))
+                   + reconstruction_record(q, dq * 1e-3, parts) + second_order_records(q, mu, nu))
         records.extend(_emit(columns, qs, mus, nus, tols))
     product_records, product_skips = product_rule_records(rng, PRODUCT_DRAWS, tols)
     records.extend(product_records)

@@ -16,11 +16,19 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 
+def _real_operand(other) -> Optional[float]:
+    """The real operand of every Quaternion and QArray operator: an int or
+    float as it is (tested inline, at no call's cost), any other numbers.Real
+    as a float; anything else is None, for NotImplemented."""
+    return float(other) if isinstance(other, numbers.Real) else None
+
+
 class Quaternion(NamedTuple):
     """Immutable quaternion a + i*b + j*c + k*d.
 
-    Real scalars of any type (numpy's included) act as scalars; numpy's
-    ufuncs defer to these operators instead of turning q into an array.
+    A real operand of any type (numpy's included) acts as its float, by
+    _real_operand; numpy's ufuncs defer to these operators instead of
+    turning q into an array.
     """
 
     __array_ufunc__ = None
@@ -43,10 +51,8 @@ class Quaternion(NamedTuple):
         if isinstance(other, Quaternion):
             return Quaternion(self.a + other.a, self.b + other.b,
                               self.c + other.c, self.d + other.d)
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
             return Quaternion(self.a + other, self.b, self.c, self.d)
-        if isinstance(other, numbers.Real):
-            return self + float(other)
         return NotImplemented
 
     __radd__ = __add__
@@ -55,17 +61,13 @@ class Quaternion(NamedTuple):
         if isinstance(other, Quaternion):
             return Quaternion(self.a - other.a, self.b - other.b,
                               self.c - other.c, self.d - other.d)
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
             return Quaternion(self.a - other, self.b, self.c, self.d)
-        if isinstance(other, numbers.Real):
-            return self - float(other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
             return Quaternion(other - self.a, -self.b, -self.c, -self.d)
-        if isinstance(other, numbers.Real):
-            return float(other) - self
         return NotImplemented
 
     def __neg__(self) -> "Quaternion":
@@ -81,30 +83,19 @@ class Quaternion(NamedTuple):
                 a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
                 a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
             )
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
             return Quaternion(self.a * other, self.b * other,
                               self.c * other, self.d * other)
-        if isinstance(other, numbers.Real):
-            return self * float(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        # Scalars commute; quaternion * quaternion goes through __mul__.
-        if isinstance(other, (int, float)):
-            return Quaternion(other * self.a, other * self.b,
-                              other * self.c, other * self.d)
-        if isinstance(other, numbers.Real):
-            return float(other) * self
-        return NotImplemented
+    __rmul__ = __mul__  # only a real factor gets here, and it commutes bit for bit
 
     def __truediv__(self, other):
         # Division is only defined by a real scalar: q / mu is ambiguous
         # (left vs right inverse), so callers multiply by inverse() explicitly.
-        if isinstance(other, (int, float)):
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
             return Quaternion(self.a / other, self.b / other,
                               self.c / other, self.d / other)
-        if isinstance(other, numbers.Real):
-            return self / float(other)
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":
@@ -258,10 +249,6 @@ def finite_quaternion(key: str, value) -> None:
         raise ValueError(f"{key} must be finite, got {format_quaternion(value)}")
 
 
-# A real operand of QArray's sums: a number, or an array with one per element.
-_REAL = (numbers.Real, np.ndarray)
-
-
 class QArray:
     """Many quaternions at once: one float array with the components on axis 0.
 
@@ -301,11 +288,13 @@ class QArray:
         return _aligned(self.c, ndim), _aligned(comps, ndim)
 
     def _real(self, other):
-        """self's components and other as a real factor, or None."""
-        if isinstance(other, numbers.Real):
-            return self.c, other
+        """self's components, aligned to an array's element axes, and other
+        as a real operand, or None: an array with one value per element, or
+        a scalar by _real_operand."""
         if isinstance(other, np.ndarray):
             return _aligned(self.c, other.ndim + 1), other
+        if isinstance(other, (int, float)) or (other := _real_operand(other)) is not None:
+            return self.c, other
         return None
 
     def _with_real(self, real) -> "QArray":
@@ -317,9 +306,8 @@ class QArray:
         pair = self._pair(other)
         if pair is not None:
             return QArray(pair[0] + pair[1])
-        if isinstance(other, _REAL):
-            return self._with_real(self.c[0] + other)
-        return NotImplemented
+        scaled = self._real(other)
+        return NotImplemented if scaled is None else self._with_real(scaled[0][0] + scaled[1])
 
     __radd__ = __add__
 
@@ -327,17 +315,12 @@ class QArray:
         pair = self._pair(other)
         if pair is not None:
             return QArray(pair[0] - pair[1])
-        if isinstance(other, _REAL):
-            return self._with_real(self.c[0] - other)
-        return NotImplemented
+        scaled = self._real(other)
+        return NotImplemented if scaled is None else self._with_real(scaled[0][0] - scaled[1])
 
     def __rsub__(self, other):
-        pair = self._pair(other)
-        if pair is not None:
-            return QArray(pair[1] - pair[0])
-        if isinstance(other, _REAL):
-            return (-self)._with_real(other - self.c[0])
-        return NotImplemented
+        # other - self is other + (-self) in IEEE arithmetic, bit for bit.
+        return (-self).__add__(other)
 
     def __neg__(self) -> "QArray":
         return QArray(-self.c)
@@ -347,24 +330,17 @@ class QArray:
         if pair is not None:
             return QArray(hamilton(*pair))
         scaled = self._real(other)
-        if scaled is not None:
-            return QArray(scaled[0] * scaled[1])
-        return NotImplemented
+        return NotImplemented if scaled is None else QArray(scaled[0] * scaled[1])
 
     def __rmul__(self, other):
         pair = self._pair(other)
         if pair is not None:
             return QArray(hamilton(pair[1], pair[0]))
-        scaled = self._real(other)
-        if scaled is not None:
-            return QArray(scaled[1] * scaled[0])
-        return NotImplemented
+        return self.__mul__(other)  # a real factor commutes, bit for bit
 
     def __truediv__(self, other):
         scaled = self._real(other)
-        if scaled is not None:
-            return QArray(scaled[0] / scaled[1])
-        return NotImplemented
+        return NotImplemented if scaled is None else QArray(scaled[0] / scaled[1])
 
     def conjugate(self) -> "QArray":
         comps = -self.c

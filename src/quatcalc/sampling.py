@@ -45,3 +45,31 @@ def random_quaternion(rng: np.random.Generator, lo: float = -2.0, hi: float = 2.
     raise ValueError(f"no draw from [{lo}, {hi}]^4 reached modulus {min_modulus} "
                      f"in {MAX_DRAWS} tries")
 
+
+def uniform_rows(rng: np.random.Generator, count: int, ranges, keep, redraw) -> np.ndarray:
+    """count rows of redraw(rng), bit for bit, leaving rng where they would.
+
+    redraw draws a row as random_quaternion does, a quaternion per (lo, hi)
+    in ranges, redrawing what it rejects.  Philox gives the same doubles in
+    one call as in many, so the rows come from one rng.random call, and
+    keep(rows) says which ones redraw keeps on its first try.  At the first
+    it rejects, rng is rewound to just past the rows before it, that row is
+    drawn with redraw, and the bulk draw goes on.  The package's one rewind.
+    """
+    lo, span = np.repeat([(lo, hi - lo) for lo, hi in ranges], 4, axis=0).T
+    width = len(lo)
+    rows = np.empty((count, width))
+    done = 0
+    while done < count:
+        state = rng.bit_generator.state
+        drawn = lo + span * rng.random((count - done, width))
+        kept = keep(drawn)
+        accepted = len(drawn) if kept.all() else int(np.argmin(kept))
+        rows[done:done + accepted] = drawn[:accepted]
+        done += accepted
+        if done < count:
+            rng.bit_generator.state = state
+            rng.random(accepted * width)
+            rows[done] = redraw(rng)
+            done += 1
+    return rows

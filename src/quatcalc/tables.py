@@ -52,7 +52,7 @@ from .derivatives import takes_arrays
 from .quaternion import (ONE, ZERO, I, J, K, QArray, Quaternion, _add_terms, _by_floats,
                          anywhere, axis_modulus_squared, finite_quaternion, integer,
                          rotate)
-from .sampling import MAX_DRAWS, random_quaternion
+from .sampling import MAX_DRAWS, random_quaternion, uniform_rows
 
 MIN_MODULUS = 1e-9
 # Uniform draws: coefficients from [-1, 1]^4, points and axes from [-2, 2]^4,
@@ -461,52 +461,31 @@ def sample_one(spec: FamilySpec, rng: np.random.Generator):
 
 
 def sample_batch(spec: FamilySpec, rng: np.random.Generator, count: int):
-    """count draws of sample_one, bit for bit, leaving rng where they would:
-    the entry, with its coefficients stacked into (4, count) QArrays, and
-    the (4, count) QArrays of points and axes.
-
-    Every one-point draw is 4 rng.random doubles per coefficient, point
-    and axis, each mapped by lo + span * u, and Philox gives the same
-    doubles in one call as in many.  So the draws come from one call, and
-    the family's admissible test and the axis bound run on the arrays.  At
-    the first point either rejects, where the one-point draws would redraw,
-    rng is rewound to just past the points before it, that point is drawn
-    with sample_one, and the bulk draw goes on after it.
-
-    A family with a count n draws it with rng.integers, from a buffer the
-    rewind would have to replay as well; its points are drawn one by one,
-    and the entries come back as a list.
-    """
+    """count draws of sample_one, bit for bit, by sampling.uniform_rows,
+    leaving rng where they would: the entry, with its coefficients stacked
+    into (4, count) QArrays, and the (4, count) QArrays of points and axes.
+    A family with a count n draws it with rng.integers, from a buffer a
+    rewind would replay too, so its points are drawn one by one, and its
+    entries come back as a list."""
     if "n" in spec.params:
         entries, qs, mus = zip(*(sample_one(spec, rng) for _ in range(count)))
         return list(entries), QArray(list(zip(*qs))), QArray(list(zip(*mus)))
-    ranges = [_COEFFICIENT_RANGE] * len(spec.params) + [_POINT_RANGE] * 2
-    lo = np.repeat([lo for lo, _ in ranges], 4)
-    span = np.repeat([hi - lo for lo, hi in ranges], 4)
-    drawn = np.empty((count, len(lo)))
 
     def stacked(rows):
         comps = rows.T.copy()
-        entry = TableEntry(spec.name, **{
-            name: QArray(comps[4 * k:4 * k + 4]) for k, name in enumerate(spec.params)})
-        return entry, QArray(comps[-8:-4]), QArray(comps[-4:])
+        *coefficients, q, mu = (QArray(comps[k:k + 4]) for k in range(0, len(comps), 4))
+        return TableEntry(spec.name, **dict(zip(spec.params, coefficients))), q, mu
 
-    done = 0
-    while done < count:
-        state = rng.bit_generator.state
-        rows = lo + span * rng.random((count - done, len(lo)))
+    def keep(rows):
         entry, q, mu = stacked(rows)
-        kept = np.logical_and(spec.admissible(entry, q), mu.modulus() >= AXIS_MODULUS)
-        accepted = len(rows) if kept.all() else int(np.argmin(kept))
-        drawn[done:done + accepted] = rows[:accepted]
-        done += accepted
-        if done < count:
-            rng.bit_generator.state = state
-            rng.random(accepted * len(lo))
-            entry, q, mu = sample_one(spec, rng)
-            drawn[done] = [x for p in spec.params for x in getattr(entry, p)] + [*q, *mu]
-            done += 1
-    return stacked(drawn)
+        return np.logical_and(spec.admissible(entry, q), mu.modulus() >= AXIS_MODULUS)
+
+    def redraw(rng):
+        entry, q, mu = sample_one(spec, rng)
+        return [x for p in spec.params for x in getattr(entry, p)] + [*q, *mu]
+
+    ranges = [_COEFFICIENT_RANGE] * len(spec.params) + [_POINT_RANGE] * 2
+    return stacked(uniform_rows(rng, count, ranges, keep, redraw))
 
 
 def _checked_family(entry: TableEntry, q=None, mu=None) -> FamilySpec:

@@ -94,3 +94,38 @@ def f(x, y, m):
     assert sorted(names) == sorted(["sum", "fsum", "fsum", "sum", "sum", "mean", "dot",
                                     "dot", "matmul", "einsum", "add.reduce",
                                     "add.reduceat", "@", "@"])
+
+
+# --- the generator's state ------------------------------------------------------
+#
+# A rewound generator must replay exactly the draws it rewinds over, so one
+# place does it: sampling.uniform_rows reads and writes bit_generator.state,
+# and every other module draws forward only.
+
+STATE_OWNERS = {"sampling"}
+
+
+def _state_uses(tree: ast.AST) -> list[int]:
+    """The lines where tree reads or writes some generator's .bit_generator.state."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "state"
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "bit_generator"]
+
+
+def test_only_sampling_touches_the_generators_state():
+    uses = {path.stem: _state_uses(ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))}
+    stray = [f"{module}.py:{line}" for module, lines in uses.items()
+             if module not in STATE_OWNERS for line in lines]
+    assert stray == []
+    assert all(uses[module] for module in STATE_OWNERS)
+
+
+def test_the_state_guard_sees_reads_and_writes():
+    source = """
+saved = rng.bit_generator.state
+rng.bit_generator.state = saved
+restore(self.rng.bit_generator.state)
+ok = rng.state + bit_generator.state_size
+"""
+    assert _state_uses(ast.parse(source)) == [2, 3, 4]

@@ -2,6 +2,7 @@
 batched suite against its point-by-point oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -556,3 +557,63 @@ def test_default_tolerances_immutable_by_runs():
     before = dict(DEFAULT_TOLERANCES)
     run_identity_suite(points=2, tolerances={"golden": 1e-3})
     assert DEFAULT_TOLERANCES == before
+
+
+# --- the per-point draws against the four-call loop ---------------------------
+#
+# Each block of points was drawn with four one-quaternion calls per point; it
+# now comes from one bulk draw (sampling.uniform_rows).  The loop below is
+# the old draw, patched in for that bulk draw: dq's scale by 1e-3 is an
+# elementwise product either way.  A point bound of 1.5 makes about one
+# point in four redraw, so the bulk draws rewind.
+
+def _four_call_rows(rng, count, ranges, keep, redraw):
+    rows = []
+    for _ in range(count):
+        q = random_quaternion(rng, -2.0, 2.0, min_modulus=identities.POINT_MODULUS)
+        mu = tables.sample_axis(rng)
+        nu = tables.sample_axis(rng)
+        dq = random_quaternion(rng, -1.0, 1.0)
+        rows.append([*q, *mu, *nu, *dq])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("bound", [0.1, 1.5], ids=["default", "rejecting"])
+@pytest.mark.parametrize("block", [1024, 16])
+def test_the_bulk_draw_matches_the_four_call_loop(bound, block, monkeypatch):
+    monkeypatch.setattr(identities, "POINT_MODULUS", bound)
+    monkeypatch.setattr(tables, "AXIS_MODULUS", bound)
+    monkeypatch.setattr(identities, "BLOCK", block)
+    bulk = run_identity_suite(points=37, seed=7)
+    monkeypatch.setattr(identities, "uniform_rows", _four_call_rows)
+    _assert_same_suite(bulk, run_identity_suite(points=37, seed=7))
+
+
+def test_the_suite_draws_each_block_in_one_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(identities, "random_quaternion",
+                        lambda *args, **kwargs: calls.append(args) or random_quaternion(
+                            *args, **kwargs))
+    run_identity_suite(points=20, seed=7)
+    assert calls == []
+
+
+@pytest.mark.parametrize("value,message", [
+    (float("nan"), "tolerance golden: NaN is not a tolerance"),
+    ("1e-6", "tolerance golden must be a real number, got '1e-6'"),
+    (True, "tolerance golden must be a real number, got True"),
+    (None, "tolerance golden must be a real number, got None")])
+def test_a_tolerance_that_is_not_a_number_is_rejected(value, message):
+    # NaN judged every golden record a plain FAIL; a string raised a
+    # TypeError inside the records.  A negative tolerance stays accepted: it
+    # fails every record it judges, which the suite's own tests rely on.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_identity_suite(points=2, tolerances={"golden": value})
+
+
+@pytest.mark.parametrize("value", [np.float32(1e-3), np.float64(1e-3), 1, np.int64(0)])
+def test_a_real_tolerance_of_any_type_runs_as_its_float(value):
+    result = run_identity_suite(points=2, tolerances={"golden": value})
+    as_float = run_identity_suite(points=2, tolerances={"golden": float(value)})
+    assert [_fields(r) for r in result.records] == [_fields(r) for r in as_float.records]
+    assert all(type(r.tol) is float for r in result.records)

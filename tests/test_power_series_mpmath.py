@@ -76,3 +76,23 @@ def test_series_values_at_a_real_point_are_real(entry):
     for point in REAL_POINTS:
         value = fn(Quaternion(*point))
         assert all(map(math.isfinite, value)) and value[1:] == (0.0, 0.0, 0.0), point
+
+
+# Points with a large positive real part, where the last term of the
+# exponential's sum, |q|^30/30!, is above SERIES_TOL: the 29-term sum misses
+# it there by 6.8e-12 at 6+i+j+k and 1.6e-9 at 8.  A negative real part is
+# no use: at -6+2i+k the terms cancel and the evaluator's own error is near
+# SERIES_TOL.
+LARGE_POINTS = [(6.0, 1.0, 1.0, 1.0), (8.0, 0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("point", LARGE_POINTS, ids=["6+i+j+k", "8"])
+def test_the_exponential_sums_every_term(point):
+    entry = TableEntry("exponential")
+    with mpmath.workdps(DIGITS):
+        oracle = _oracle(entry, point)
+        shorter = [c - q / mpmath.factorial(DEFAULT_EXP_TERMS)
+                   for c, q in zip(oracle, _oracle(TableEntry("power", n=DEFAULT_EXP_TERMS),
+                                                   point))]
+        assert _residual(shorter, oracle) > 100 * SERIES_TOL
+        assert _residual(as_function(entry)(Quaternion(*point)), oracle) <= SERIES_TOL

@@ -4,6 +4,8 @@ import json
 import math
 import re
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -640,3 +642,47 @@ def test_format_quaternion_signs():
     assert format_quaternion(Quaternion(-0.0, -0.0, 0.0, -math.nan)) == "-0-0i+0j+nank"
     assert format_quaternion(Quaternion(math.nan, -math.inf, math.inf, -1.5)) == \
         "nan-infi+infj-1.5k"
+
+
+# Every operator of both types with a real operand on the side it takes
+# one, and the same operator with the operand's float.
+OPERAND_OPS = {"+": lambda p, x: p + x, "r+": lambda p, x: x + p, "-": lambda p, x: p - x,
+               "r-": lambda p, x: x - p, "*": lambda p, x: p * x, "r*": lambda p, x: x * p,
+               "/": lambda p, x: p / x}
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 3), np.float32(0.1), np.int64(3), True, 7],
+                         ids=["fraction", "float32", "int64", "bool", "int"])
+@pytest.mark.parametrize("op", OPERAND_OPS.values(), ids=OPERAND_OPS.keys())
+def test_any_real_operand_acts_as_its_float(op, x):
+    q = Quaternion(1.0, -2.0, 3.0, 0.5)
+    assert op(q, x) == op(q, float(x)) and type(op(q, x)) is Quaternion
+    batch = QArray(np.array([tuple(q), (-0.0, 0.25, 7.0, -1e300)]).T)
+    assert _same_bits(op(batch, x).c, op(batch, float(x)).c)
+
+
+class _TakesNothing:
+    """What Python raises when every operator returns NotImplemented."""
+
+    __array_ufunc__ = None
+
+    def _nothing(self, other):
+        return NotImplemented
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = __truediv__ = _nothing
+
+
+@pytest.mark.parametrize("x", ["2", Decimal("2"), 2j, None], ids=["str", "decimal",
+                                                                  "complex", "none"])
+@pytest.mark.parametrize("op", OPERAND_OPS.values(), ids=OPERAND_OPS.keys())
+def test_an_operand_that_is_not_real_is_not_implemented(op, x):
+    # A QArray's operators return NotImplemented, the reflected - too, so
+    # Python names the operator as written; a Quaternion, a tuple, may get
+    # a tuple's TypeError.
+    with pytest.raises(TypeError):
+        op(Quaternion(1.0, -2.0, 3.0, 0.5), x)
+    with pytest.raises(TypeError) as expected:
+        op(_TakesNothing(), x)
+    with pytest.raises(TypeError) as got:
+        op(QArray(np.ones((4, 2))), x)
+    assert str(got.value) == str(expected.value).replace("_TakesNothing", "QArray")
